@@ -1,0 +1,148 @@
+#!/usr/bin/env python
+"""Exact per-message work counts of the protocol stack's hot path.
+
+    PYTHONPATH=src python benchmarks/protocol_path.py
+
+prints one JSON object: for a fixed 200-message synchronous intra-cluster
+stream and one n=12, alpha=4 asynchronous solve, how many DES events,
+``EventBus.raise_event`` calls, ``payload_nbytes`` calls (recursive ones
+included) and process-generator resumes one application message costs.
+
+These are counts, not timings: the simulation is deterministic, so they
+are the same integers on every machine and every run.  That makes them
+the one perf gate CI can hold with **zero** tolerance —
+``run_bench.py --check`` fails when any ``*_per_msg`` value is above the
+committed ``protocol_path`` record in ``BENCH_micro.json``, e.g. because
+a change re-added an event per packet.  They say nothing about seconds;
+``benchmarks/e2e`` measures those.
+
+The counters are installed from here, around public names, for the
+duration of one workload; ``src/`` knows nothing about them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+
+import numpy as np
+
+import repro.cactus.messages as messages
+from repro.cactus.events import EventBus
+from repro.experiments.harness import run_configuration
+from repro.p2psap import P2PSAP
+from repro.p2psap.socket_api import P2PSAPSocket
+from repro.simnet import Simulator, nicta_testbed
+
+STREAM_MESSAGES = 200
+
+
+class _CountedGenerator:
+    """Stands in for a process generator and counts its resumes."""
+
+    def __init__(self, gen, counts):
+        self._gen = gen
+        self._counts = counts
+        self.__name__ = getattr(gen, "__name__", "process")
+
+    def send(self, value):
+        self._counts["generator_resumes"] += 1
+        return self._gen.send(value)
+
+    def throw(self, *exc):
+        self._counts["generator_resumes"] += 1
+        return self._gen.throw(*exc)
+
+    def close(self):
+        return self._gen.close()
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the hot-path calls made inside the block."""
+    counts = {"events": 0, "raise_events": 0, "payload_nbytes_calls": 0,
+              "generator_resumes": 0, "messages": 0}
+    originals = [
+        (Simulator, "step", Simulator.step),
+        (Simulator, "spawn", Simulator.spawn),
+        (EventBus, "raise_event", EventBus.raise_event),
+        (P2PSAPSocket, "send", P2PSAPSocket.send),
+        (messages, "payload_nbytes", messages.payload_nbytes),
+    ]
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def spawn(sim, gen, *args, **kwargs):
+        return originals[1][2](sim, _CountedGenerator(gen, counts),
+                               *args, **kwargs)
+
+    Simulator.step = counted("events", Simulator.step)
+    Simulator.spawn = spawn
+    EventBus.raise_event = counted("raise_events", EventBus.raise_event)
+    P2PSAPSocket.send = counted("messages", P2PSAPSocket.send)
+    # Recursive calls resolve the module global, so they count too.
+    messages.payload_nbytes = counted("payload_nbytes_calls",
+                                      messages.payload_nbytes)
+    try:
+        yield counts
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def per_message(counts):
+    out = dict(counts)
+    for key in ("events", "raise_events", "payload_nbytes_calls",
+                "generator_resumes"):
+        out[f"{key}_per_msg"] = round(counts[key] / counts["messages"], 4)
+    return out
+
+
+def stream_sync_intra():
+    """200 ``(i, 24x24 plane)`` messages, synchronous, inside a cluster;
+    counted from the first event to the last delivery."""
+    sim = Simulator()
+    net = nicta_testbed(sim, 2, n_clusters=1, seed=0)
+    protos = {node: P2PSAP(sim, net, node) for node in ("peer00", "peer01")}
+    plane = np.zeros((24, 24))
+    received = []
+
+    def receiver():
+        server = yield protos["peer01"].socket().accept()
+        while len(received) < STREAM_MESSAGES:
+            received.append((yield server.recv()))
+
+    def sender():
+        sock = protos["peer00"].socket(scheme="synchronous")
+        yield sock.connect("peer01")
+        for i in range(STREAM_MESSAGES):
+            yield sock.send((i, plane))
+
+    with counting() as counts:
+        done = sim.spawn(receiver())
+        sim.spawn(sender())
+        while done.is_alive:
+            sim.step()
+    for proto in protos.values():
+        proto.close()
+    assert [i for i, _ in received] == list(range(STREAM_MESSAGES))
+    return per_message(counts)
+
+
+def solve_n12_a4_async():
+    with counting() as counts:
+        run_configuration(12, 4, 1, "asynchronous", n_paper=96)
+    return per_message(counts)
+
+
+def measure():
+    return {"stream_sync_intra_200": stream_sync_intra(),
+            "solve_n12_a4_async": solve_n12_a4_async()}
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure(), sort_keys=True))

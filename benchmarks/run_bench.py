@@ -29,8 +29,13 @@ with the kernel probe active vs ``REPRO_TELEMETRY=off`` — gated by
 ``--tolerance``), and the mixed-precision ladder speedup
 (``ladder_vs_cold_float64``: one float64 job at tol 1e-6 solved cold
 vs through the campaign ladder, all stages timed — gated by
-``--check`` at an absolute ≥ 1.5x floor), and writes the result as
-JSON.  The
+``--check`` at an absolute ≥ 1.5x floor), and the protocol stack's
+exact per-message work counts (``protocol_path``, from
+``benchmarks/protocol_path.py``: DES events, ``raise_event`` calls,
+``payload_nbytes`` calls and generator resumes per application message
+on a fixed stream and a fixed solve — deterministic integers, so
+``--check`` gates them with zero tolerance upward on any machine), and
+writes the result as JSON.  The
 checked-in ``BENCH_micro.json`` is the perf trajectory record: future
 PRs rerun this script and compare against it before touching a hot
 path.
@@ -149,12 +154,27 @@ LADDER_PAIRS = {
 LADDER_SPEEDUP_FLOOR = 1.5
 
 
-def run_benchmarks(json_path: Path) -> None:
+def _bench_env() -> dict:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def measure_protocol_path() -> dict:
+    """The exact per-message counts, from a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / "protocol_path.py")],
+        cwd=REPO_ROOT, env=_bench_env(), check=True,
+        stdout=subprocess.PIPE, text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def run_benchmarks(json_path: Path) -> None:
+    env = _bench_env()
     subprocess.run(
         [
             sys.executable, "-m", "pytest",
@@ -170,7 +190,7 @@ def run_benchmarks(json_path: Path) -> None:
     )
 
 
-def summarize(raw: dict) -> dict:
+def summarize(raw: dict, protocol_path: dict) -> dict:
     import numpy
 
     results = {}
@@ -263,6 +283,7 @@ def summarize(raw: dict) -> dict:
         "async_overlap": async_overlap,
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
+        "protocol_path": protocol_path,
         "benchmarks": results,
     }
 
@@ -300,6 +321,11 @@ def print_summary(summary: dict) -> None:
             continue
         print(f"  telemetry {label}: {(ratio - 1.0) * 100:+.1f}% "
               "counters-on vs off")
+    for label, counts in summary.get("protocol_path", {}).items():
+        shown = ", ".join(f"{key[:-len('_per_msg')]} {value:g}"
+                          for key, value in sorted(counts.items())
+                          if key.endswith("_per_msg"))
+        print(f"  protocol path {label}, per message: {shown}")
 
 
 def _gate_ratio_section(fresh: dict, committed: dict, section: str,
@@ -413,6 +439,25 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
         print(f"  {verdict:6s}telemetry {name}: "
               f"{(ratio - 1.0) * 100:+.1f}% overhead "
               f"(ceiling +{(TELEMETRY_OVERHEAD_CEILING - 1.0) * 100:.0f}%)")
+    # The protocol-path counts are exact (a deterministic simulation
+    # counted, not timed), so the gate is zero tolerance upward on every
+    # runner: one more event, dispatch, sizing walk or generator resume
+    # per message than the committed record is a real regression of the
+    # hot path.  Fewer is progress — re-record to lock it in.
+    fresh_pp = fresh.get("protocol_path", {})
+    committed_pp = committed.get("protocol_path", {})
+    for name in sorted(set(fresh_pp) & set(committed_pp)):
+        for key in sorted(set(fresh_pp[name]) & set(committed_pp[name])):
+            if not key.endswith("_per_msg"):
+                continue
+            got, want = fresh_pp[name][key], committed_pp[name][key]
+            verdict = "ok"
+            if got > want:
+                verdict = "WORSE"
+                failures.append(f"protocol_path/{name}/{key}: {got:g} "
+                                f"above committed {want:g} (exact count)")
+            print(f"  {verdict:6s}protocol path {name} {key}: {got:g} "
+                  f"vs committed {want:g}")
     if failures:
         print(f"{len(failures)} benchmark(s) regressed past tolerance:")
         for message in failures:
@@ -466,7 +511,7 @@ def main() -> int:
         raw_path = Path(tmp) / "bench_raw.json"
         run_benchmarks(raw_path)
         raw = json.loads(raw_path.read_text())
-    summary = summarize(raw)
+    summary = summarize(raw, measure_protocol_path())
     if args.fresh_out is not None:
         args.fresh_out.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"

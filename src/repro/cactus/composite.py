@@ -46,6 +46,10 @@ class CompositeProtocol:
         self.bus = EventBus(sim, name=name)
         self._micros: dict[str, MicroProtocol] = {}
         self.stack: Optional["ProtocolStack"] = None
+        # Neighbouring layers, relinked by the owning stack whenever its
+        # layer list changes: a hop is an attribute read, not a scan.
+        self._above: Optional["CompositeProtocol"] = None
+        self._below: Optional["CompositeProtocol"] = None
         # Arbitrary shared state micro-protocols coordinate through
         # (Cactus's shared data section); e.g. the send window.
         self.shared: dict[str, Any] = {}
@@ -112,21 +116,22 @@ class CompositeProtocol:
 
     def send_down(self, msg: Message) -> None:
         """Hand ``msg`` to the layer below (or raise if bottom)."""
-        if self.stack is None:
-            raise CompositionError(f"{self.name} is not in a stack")
-        below = self.stack.below(self)
+        below = self._below
         if below is None:
-            raise CompositionError(f"{self.name} is the bottom layer")
+            raise self._no_neighbour("bottom")
         below.bus.raise_event("FromAbove", msg)
 
     def deliver_up(self, msg: Message) -> None:
         """Hand ``msg`` to the layer above (or raise if top)."""
-        if self.stack is None:
-            raise CompositionError(f"{self.name} is not in a stack")
-        above = self.stack.above(self)
+        above = self._above
         if above is None:
-            raise CompositionError(f"{self.name} is the top layer")
+            raise self._no_neighbour("top")
         above.bus.raise_event("FromBelow", msg)
+
+    def _no_neighbour(self, edge: str) -> CompositionError:
+        if self.stack is None:
+            return CompositionError(f"{self.name} is not in a stack")
+        return CompositionError(f"{self.name} is the {edge} layer")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CompositeProtocol {self.name} micros={sorted(self._micros)}>"
@@ -146,6 +151,14 @@ class ProtocolStack:
             raise CompositionError(f"{layer.name} is already in a stack")
         layer.stack = self
         self._layers.append(layer)
+        self._relink()
+
+    def _relink(self) -> None:
+        """Refresh every layer's cached neighbours from the layer list."""
+        layers = self._layers
+        for i, layer in enumerate(layers):
+            layer._above = layers[i - 1] if i > 0 else None
+            layer._below = layers[i + 1] if i + 1 < len(layers) else None
 
     @property
     def top(self) -> CompositeProtocol:
@@ -160,12 +173,12 @@ class ProtocolStack:
         return self._layers[-1]
 
     def above(self, layer: CompositeProtocol) -> Optional[CompositeProtocol]:
-        i = self._index(layer)
-        return self._layers[i - 1] if i > 0 else None
+        self._index(layer)  # raises for a foreign layer
+        return layer._above
 
     def below(self, layer: CompositeProtocol) -> Optional[CompositeProtocol]:
-        i = self._index(layer)
-        return self._layers[i + 1] if i < len(self._layers) - 1 else None
+        self._index(layer)
+        return layer._below
 
     def substitute_layer(
         self, old: CompositeProtocol, new: CompositeProtocol
@@ -179,9 +192,10 @@ class ProtocolStack:
         if new.stack is not None:
             raise CompositionError(f"{new.name} is already in a stack")
         old.teardown()
-        old.stack = None
+        old.stack = old._above = old._below = None
         new.stack = self
         self._layers[i] = new
+        self._relink()
         return new
 
     def layers(self) -> list[CompositeProtocol]:

@@ -11,8 +11,9 @@ to that event are executed."
   ties run in binding order);
 - deferred events (``raise_later``), used by retransmission timers;
 - re-entrancy safety: handlers may bind/unbind handlers and raise
-  further events while a dispatch is in progress (the handler list is
-  snapshotted per dispatch);
+  further events while a dispatch is in progress: each event keeps one
+  immutable *compiled* handler tuple, rebuilt on ``bind``/``unbind``, and
+  a dispatch iterates the tuple it started with — the snapshot is free;
 - cancellable timers (a deferred event can be cancelled before firing),
   which Cactus exposes for round-trip timers.
 
@@ -69,8 +70,11 @@ class EventBus:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        # event name -> list of (order, seq, handler)
+        # event name -> list of (order, seq, handler), kept sorted
         self._handlers: dict[str, list[tuple[int, int, Handler]]] = {}
+        # event name -> handlers in execution order; an immutable tuple
+        # replaced, never mutated, on bind/unbind.
+        self._compiled: dict[str, tuple[Handler, ...]] = {}
         self._seq = itertools.count()
         self.stats_raised: dict[str, int] = {}
 
@@ -87,6 +91,7 @@ class EventBus:
             )
         entries.append((order, next(self._seq), handler))
         entries.sort(key=lambda e: (e[0], e[1]))
+        self._compiled[event_name] = tuple(h for _, _, h in entries)
 
     def unbind(self, event_name: str, handler: Handler) -> None:
         """Remove one binding; unknown bindings raise (catches leaks)."""
@@ -94,27 +99,35 @@ class EventBus:
         for i, (_, _, h) in enumerate(entries):
             if h is handler:
                 del entries[i]
+                self._compiled[event_name] = tuple(h for _, _, h in entries)
                 return
         raise LookupError(f"handler not bound to {event_name!r}")
 
     def handlers_for(self, event_name: str) -> list[Handler]:
         """Handlers currently bound, in execution order."""
-        return [h for _, _, h in self._handlers.get(event_name, [])]
+        return list(self._compiled.get(event_name, ()))
 
     def has_handlers(self, event_name: str) -> bool:
-        return bool(self._handlers.get(event_name))
+        return bool(self._compiled.get(event_name))
 
     # -- dispatch ------------------------------------------------------------
 
     def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> list[Any]:
         """Execute all bound handlers now; returns their return values.
 
-        The handler list is snapshotted so handlers may rebind without
-        affecting the in-flight dispatch.
+        Runs the handler tuple compiled at the last ``bind``/``unbind``;
+        handlers may rebind without affecting the in-flight dispatch.
         """
-        self.stats_raised[event_name] = self.stats_raised.get(event_name, 0) + 1
-        snapshot = list(self._handlers.get(event_name, []))
-        return [h(*args, **kwargs) for _, _, h in snapshot]
+        stats = self.stats_raised
+        stats[event_name] = stats.get(event_name, 0) + 1
+        results = []
+        if kwargs:
+            for handler in self._compiled.get(event_name, ()):
+                results.append(handler(*args, **kwargs))
+        else:  # positional-only: the protocol stack's every raise
+            for handler in self._compiled.get(event_name, ()):
+                results.append(handler(*args))
+        return results
 
     def raise_later(
         self, delay: float, event_name: str, *args: Any, **kwargs: Any

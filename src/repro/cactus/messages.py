@@ -11,6 +11,12 @@ metadata by pushing/popping *headers* on the message itself — appending
 to a list, not wrapping the message — so the object identity of both the
 message and its payload is preserved from the socket API all the way to
 the simulated wire.  Tests assert this with ``is`` checks.
+
+A message's payload is fixed at construction, so its size is measured
+once: the shapes the solvers exchange (a plane, or scalar tags and a
+plane in a tuple) without the recursive :func:`payload_nbytes` walk, and
+a message built around another's payload (the DATA shell made per
+transmission) inherits the size from that ``source``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,28 @@ def payload_nbytes(payload: Any) -> int:
     return 64
 
 
+def _plane_nbytes(payload: Any) -> Optional[int]:
+    """:func:`payload_nbytes` without the walk for None, an ndarray, or
+    scalar/string tags closed by an ndarray (``("PLANE", sweep, plane)``);
+    None for any other shape."""
+    if payload is None:
+        return 0
+    if type(payload) is np.ndarray:
+        return int(payload.nbytes)
+    if type(payload) is not tuple or not payload \
+            or type(payload[-1]) is not np.ndarray:
+        return None
+    size = 16 + int(payload[-1].nbytes)
+    for tag in payload[:-1]:
+        if type(tag) is str:
+            size += len(tag.encode("utf-8"))
+        elif type(tag) in (int, float, bool):
+            size += 8
+        else:
+            return None
+    return size
+
+
 class Message:
     """A message traversing the protocol stack by reference.
 
@@ -67,23 +95,26 @@ class Message:
         enqueue timestamp used for RTT estimation).
     """
 
-    __slots__ = ("payload", "headers", "meta", "message_id")
+    __slots__ = ("payload", "headers", "meta", "message_id", "_payload_bytes")
 
     # Fixed per-header wire overhead, in bytes.  Loosely a transport
     # header; the exact value only shifts absolute times.
     HEADER_BYTES = 32
 
-    def __init__(self, payload: Any = None):
+    def __init__(self, payload: Any = None, source: Optional["Message"] = None):
+        """``source``: a message with the same payload, whose size this
+        one inherits."""
         self.payload = payload
         self.headers: list[tuple[str, dict]] = []
         self.meta: dict[str, Any] = {}
         self.message_id = next(_message_ids)
+        self._payload_bytes = None if source is None else source.payload_bytes
 
     # -- header stack ------------------------------------------------------
 
     def push_header(self, layer: str, **fields: Any) -> None:
         """Add a header for ``layer`` on the way down the stack."""
-        self.headers.append((layer, dict(fields)))
+        self.headers.append((layer, fields))  # **fields is already a fresh dict
 
     def pop_header(self, layer: str) -> dict:
         """Remove and return the topmost header, checking layer identity.
@@ -115,7 +146,13 @@ class Message:
 
     @property
     def payload_bytes(self) -> int:
-        return payload_nbytes(self.payload)
+        size = self._payload_bytes
+        if size is None:
+            size = _plane_nbytes(self.payload)
+            if size is None:
+                size = payload_nbytes(self.payload)
+            self._payload_bytes = size
+        return size
 
     @property
     def size_bytes(self) -> int:

@@ -48,7 +48,11 @@ class MicroProtocol:
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
         self._bindings: list[tuple[str, Handler]] = []
-        self._timers: list[Timer] = []
+        # Armed timers (cancel_timer drops one at once, fired ones leave
+        # at the next sweep) and the set size that triggers that sweep.
+        self._timers: set[Timer] = set()
+        self._sweep_at = 64
+        self.stats_timer_sweeps = 0
         self._initialized = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -101,11 +105,20 @@ class MicroProtocol:
         if not self._initialized:
             raise MicroProtocolError(f"{self.name}: set_timer() outside init")
         timer = self.composite.bus.raise_later(delay, event_name, *args, **kwargs)
-        self._timers.append(timer)
-        # Opportunistic cleanup of dead timers so long sessions don't leak.
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if t.active]
+        timers = self._timers
+        timers.add(timer)
+        if len(timers) > self._sweep_at:
+            # Drop dead timers so long sessions don't leak; waiting for
+            # the set to double past the survivors keeps it amortised O(1).
+            timers.difference_update([t for t in timers if not t.active])
+            self.stats_timer_sweeps += 1
+            self._sweep_at = max(64, 2 * len(timers))
         return timer
+
+    def cancel_timer(self, timer: Timer) -> None:
+        """Cancel a timer from :meth:`set_timer` and forget it now."""
+        timer.cancel()
+        self._timers.discard(timer)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "live" if self._initialized else "detached"

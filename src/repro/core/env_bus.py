@@ -2,7 +2,7 @@
 
 P2PDC components on one node (topology client/server, task manager, task
 executor, fault tolerance) share a single reliable environment link on
-``ENV_PORT`` — one pump per inbox, one dispatch point — and register
+``ENV_PORT`` — one receiver per port, one dispatch point — and register
 handlers by message kind.  This mirrors the paper's architecture where
 the environment components sit side by side above one communication
 component.

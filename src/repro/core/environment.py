@@ -9,6 +9,7 @@ load-balancing and fault-tolerance extensions, and the user daemon.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping, Optional
 
 from ..p2psap.context import Scheme
@@ -150,32 +151,25 @@ class P2PDC:
     ) -> TaskRun:
         """Convenience for harnesses: submit, drive the simulator until
         the run completes, return the TaskRun."""
-        outcome: dict[str, Any] = {}
-
         def driver():
             # Let the peer population register with the topology server
             # first (JOINs cross the network), as a real user would see
             # peers appear before submitting.
             while len(self.topology.peers) < len(self.network.nodes):
                 yield self.sim.timeout(0.05)
-            run = yield self.run(app_name, params=params, n_peers=n_peers,
-                                 scheme=scheme)
-            outcome["run"] = run
+            return (yield self.run(app_name, params=params, n_peers=n_peers,
+                                   scheme=scheme))
 
-        self.sim.spawn(driver(), name="run-driver")
-        # Step rather than run(): background processes (ping loops) keep
-        # the event queue non-empty forever, so "queue drained" is not a
-        # usable completion signal.
-        import math
+        proc = self.sim.spawn(driver(), name="run-driver")
+        # Not run(): background processes (ping loops) keep the event
+        # queue non-empty forever, so it never "drains".
         horizon = math.inf if timeout is None else timeout
-        while "run" not in outcome:
-            if self.sim.peek_time() > horizon:
-                raise TimeoutError(
-                    f"run {app_name!r} did not complete within "
-                    f"{timeout} sim-seconds"
-                )
-            self.sim.step()
-        return outcome["run"]
+        if not self.sim.run_until(proc, horizon):
+            raise TimeoutError(
+                f"run {app_name!r} did not complete within "
+                f"{timeout} sim-seconds"
+            )
+        return proc.value
 
     def shutdown(self) -> None:
         """Tear everything down (the daemon's ``exit``)."""

@@ -30,7 +30,7 @@ import itertools
 from typing import Callable, Optional
 
 from ..cactus.messages import payload_nbytes
-from ..simnet.kernel import Interrupt, Simulator
+from ..simnet.kernel import Simulator
 from ..simnet.network import Network, Node
 from .context import ChannelConfig, ConnectionKind, ContextSnapshot, Scheme
 from .rules import RuleEngine
@@ -166,7 +166,7 @@ class ReliableControlLink:
         self.stats_tx = 0
         self.stats_retries = 0
         self._closed = False
-        self._pump = sim.spawn(self._pump_loop(), name=f"ctrl-{node.name}")
+        node.attach(port, self._on_packet)
 
     def send(self, dst: str, body: dict) -> None:
         """Fire-and-forget reliable send (delivery order not guaranteed,
@@ -197,32 +197,25 @@ class ReliableControlLink:
             yield self.sim.timeout(self.RTO * (1.5 ** min(attempt, 8)))
         # Peer unreachable; session-level fault tolerance deals with it.
 
-    def _pump_loop(self):
-        inbox = self.node.inbox(self.port)
-        try:
-            while True:
-                pkt = yield inbox.get()
-                frame = pkt.payload
-                if frame.get("ctrl") == "ACK":
-                    self._acked.add(frame["seq"])
-                    continue
-                if frame.get("ctrl") == "VOLATILE":
-                    self.dispatch(frame["src"], frame["body"])
-                    continue
-                src, seq = frame["src"], frame["seq"]
-                self.network.send(
-                    self.node.name, src,
-                    {"ctrl": "ACK", "seq": seq}, 64, port=self.port,
-                )
-                seen = self._seen.setdefault(src, set())
-                if seq in seen:
-                    continue
-                seen.add(seq)
-                self.dispatch(src, frame["body"])
-        except Interrupt:
+    def _on_packet(self, pkt) -> None:
+        frame = pkt.payload
+        if frame.get("ctrl") == "ACK":
+            self._acked.add(frame["seq"])
             return
+        if frame.get("ctrl") == "VOLATILE":
+            self.dispatch(frame["src"], frame["body"])
+            return
+        src, seq = frame["src"], frame["seq"]
+        self.network.send(
+            self.node.name, src,
+            {"ctrl": "ACK", "seq": seq}, 64, port=self.port,
+        )
+        seen = self._seen.setdefault(src, set())
+        if seq in seen:
+            return
+        seen.add(seq)
+        self.dispatch(src, frame["body"])
 
     def close(self) -> None:
         self._closed = True
-        if self._pump.is_alive:
-            self._pump.interrupt("close")
+        self.node.detach(self.port, self._on_packet)

@@ -174,13 +174,15 @@ class DataChannel:
         self.transport.bus.raise_event("UserSend", msg)
         return completion
 
-    def user_receive(self) -> Event:
+    def user_receive(self, request: Optional[Event] = None) -> Event:
         """Receive per the mode's semantics.  The event fires with a
         :class:`Message` (or ``None`` for an empty asynchronous receive);
-        use ``.payload`` on the result."""
+        use ``.payload`` on the result.  ``request``: the event to
+        complete, when the caller brings its own."""
         if self.closed:
             raise RuntimeError("receive on a closed channel")
-        request = self.sim.event()
+        if request is None:
+            request = self.sim.event()
         self.transport.bus.raise_event("UserReceive", request)
         return request
 
@@ -203,12 +205,12 @@ class DataChannel:
         """Frame an application message as a DATA segment and send it.
 
         A fresh shell message is built per transmission: the payload
-        object is shared (zero-copy), the header is new, so
-        retransmissions are isolated.
+        object is shared (zero-copy) and so is its size, measured once
+        on ``msg``; the header is new, so retransmissions are isolated.
         """
         if msg.meta.get("fragmented_away"):
             return  # replaced by its fragments (fragmentation micro)
-        shell = Message(msg.payload)
+        shell = Message(msg.payload, source=msg)
         shell.push_header(
             "transport",
             kind="DATA",
@@ -258,7 +260,7 @@ class DataChannel:
     # -- lifecycle -------------------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down the whole endpoint: micro-protocols and physical pump."""
+        """Tear down the whole endpoint: micro-protocols and physical endpoint."""
         if self.closed:
             return
         self.closed = True

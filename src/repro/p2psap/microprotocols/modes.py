@@ -94,8 +94,8 @@ class SynchronousMode(_ModeBase):
         if appack_timeout <= 0:
             raise ValueError("appack_timeout must be positive")
         self.appack_timeout = appack_timeout
-        # message_id -> completion event, waiting for APPACK.
-        self._pending_appack: dict[int, object] = {}
+        # message_id -> (completion event, AppAckTimeout timer) awaiting APPACK.
+        self._pending_appack: dict[int, tuple] = {}
         self.stats_appacks_tx = 0
         self.stats_appacks_rx = 0
         self.stats_appack_timeouts = 0
@@ -111,7 +111,7 @@ class SynchronousMode(_ModeBase):
         # forever: release every pending synchronous send.  This is the
         # behavioural hinge of the hybrid scheme ("the same P2P_Send ...
         # can be first synchronous and then become asynchronous").
-        for completion in self._pending_appack.values():
+        for completion, _timer in self._pending_appack.values():
             if not completion.triggered:
                 completion.succeed(None)
         self._pending_appack.clear()
@@ -124,19 +124,22 @@ class SynchronousMode(_ModeBase):
         completion = msg.meta.get("completion")
         if completion is not None:
             msg.meta["needs_appack"] = True
-            self._pending_appack[msg.message_id] = completion
             # Deadlock safety valve for misconfigured (sync + unreliable)
             # channels on lossy paths: never block the application forever.
-            self.set_timer(self.appack_timeout, "AppAckTimeout", msg.message_id)
+            timer = self.set_timer(self.appack_timeout, "AppAckTimeout", msg.message_id)
+            self._pending_appack[msg.message_id] = (completion, timer)
 
     def _on_rx_appack(self, msg_id: int) -> None:
-        completion = self._pending_appack.pop(msg_id, None)
-        if completion is not None and not completion.triggered:
+        completion, timer = self._pending_appack.pop(msg_id, (None, None))
+        if completion is None:
+            return
+        self.cancel_timer(timer)
+        if not completion.triggered:
             self.stats_appacks_rx += 1
             completion.succeed(msg_id)
 
     def _on_appack_timeout(self, msg_id: int) -> None:
-        completion = self._pending_appack.pop(msg_id, None)
+        completion, _timer = self._pending_appack.pop(msg_id, (None, None))
         if completion is not None and not completion.triggered:
             self.stats_appack_timeouts += 1
             completion.succeed(None)

@@ -11,19 +11,22 @@ Sender side
     the congestion controller's RFC 6298 estimate, or a local default).
     On timeout the segment is retransmitted, ``SegmentTimeout`` is raised
     for the congestion controller, and the timer re-arms with backoff.
-    On acknowledgement the RTT sample is extracted from the echoed
-    timestamp and ``AckReceived(seq, rtt)`` is raised.
+    On acknowledgement the timer is cancelled, the RTT sample extracted
+    from the echoed timestamp and ``AckReceived(seq, rtt)`` raised.
 
 Receiver side
     every DATA segment is acknowledged (including duplicates — the ack
     may have been the casualty), deduplicated by sequence number, and
-    fresh segments continue down the receive pipeline.
+    fresh segments continue down the receive pipeline.  Dedup state is
+    a low watermark (everything below it was seen) plus the sparse set
+    seen above it: the size of the reorder window, not of the session.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ...cactus.events import Timer
 from ...cactus.messages import Message
 from ...cactus.microprotocol import MicroProtocol
 
@@ -45,7 +48,9 @@ class Reliability(MicroProtocol):
         self.next_stage = next_stage
         self._unacked: dict[int, Message] = {}
         self._retransmit_counts: dict[int, int] = {}
-        self._seen_rx: set[int] = set()
+        self._rto_timers: dict[int, Timer] = {}
+        self._rx_low = 0
+        self._rx_above: set[int] = set()
         self.stats_retransmits = 0
         self.stats_abandoned = 0
         self.stats_dup_rx = 0
@@ -65,6 +70,7 @@ class Reliability(MicroProtocol):
         if self.composite is not None:
             self.composite.shared.pop("in_flight", None)
         self._unacked.clear()
+        self._rto_timers.clear()
 
     # -- sender side -------------------------------------------------------------
 
@@ -80,7 +86,7 @@ class Reliability(MicroProtocol):
             self._retransmit_counts[seq] = 0
             self.composite.shared["in_flight"].add(seq)
         msg.meta["tx_time"] = self.composite.sim.now
-        self.set_timer(self._rto(), "RetransmitCheck", seq)
+        self._rto_timers[seq] = self.set_timer(self._rto(), "RetransmitCheck", seq)
 
     def _on_retransmit_check(self, seq: int) -> None:
         if seq not in self._unacked:
@@ -115,6 +121,9 @@ class Reliability(MicroProtocol):
     def _forget(self, seq: int) -> None:
         self._unacked.pop(seq, None)
         self._retransmit_counts.pop(seq, None)
+        timer = self._rto_timers.pop(seq, None)
+        if timer is not None:
+            self.cancel_timer(timer)
         self.composite.shared["in_flight"].discard(seq)
 
     # -- receiver side -----------------------------------------------------------
@@ -126,10 +135,18 @@ class Reliability(MicroProtocol):
         self.composite.bus.raise_event(
             "SendControl", "ACK", {"seq": seq, "echo_ts": fields.get("ts")}
         )
-        if seq in self._seen_rx:
+        above = self._rx_above
+        if seq < self._rx_low or seq in above:
             self.stats_dup_rx += 1
             return
-        self._seen_rx.add(seq)
+        if seq == self._rx_low:
+            seq += 1
+            while seq in above:
+                above.remove(seq)
+                seq += 1
+            self._rx_low = seq
+        else:
+            above.add(seq)
         self.composite.bus.raise_event(self.next_stage, msg, fields)
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
-from ..simnet.kernel import Channel, Event, Simulator
+from ..simnet.kernel import NORMAL, Channel, Event, Simulator
 from ..simnet.network import Network
 from .context import ChannelConfig, Scheme
 from .control_channel import (
@@ -226,6 +226,16 @@ class P2PSAP:
                 self.request_reconfiguration(session)
 
 
+class _PayloadRequest(Event):
+    """A receive request completed with a message whose value is the
+    message's *payload*: ``recv`` needs no second event to unwrap it."""
+
+    __slots__ = ()
+
+    def succeed(self, msg=None, priority=NORMAL):
+        return super().succeed(None if msg is None else msg.payload, priority)
+
+
 class P2PSAPSocket:
     """Application handle: socket options + connect/accept/send/receive."""
 
@@ -310,15 +320,7 @@ class P2PSAPSocket:
     def recv(self) -> Event:
         """Mode-dependent receive; fires with the payload (or None for an
         empty asynchronous receive)."""
-        inner = self._channel().user_receive()
-        outer = self.sim.event()
-
-        def unwrap(ev: Event) -> None:
-            msg = ev.value
-            outer.succeed(None if msg is None else msg.payload)
-
-        inner.callbacks.append(unwrap)
-        return outer
+        return self._channel().user_receive(_PayloadRequest(self.sim))
 
     def recv_nowait(self) -> tuple[bool, Any]:
         return self._channel().user_receive_nowait()

@@ -191,17 +191,17 @@ class Timeout(Event):
     def _rearm(self, delay: float, value: Any) -> None:
         """Re-initialize a recycled instance (kernel-internal; only ever
         called on a processed Timeout nobody else references)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        if math.isnan(delay):
-            raise ValueError("timeout delay is NaN")
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"negative timeout delay {delay!r}" if delay < 0
+                             else "timeout delay is NaN")
         self.callbacks = []
         self._value = value
         self._ok = True
         self._processed = False
         self._defused = False
         self.delay = delay
-        self.sim._schedule(self, NORMAL, delay=delay)
+        sim = self.sim
+        heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._seq), self))
 
 
 class Process(Event):
@@ -647,13 +647,14 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty event queue")
-        depth = len(self._queue)
+        depth = len(queue)
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
         self.events_processed += 1
-        when, _prio, _seq, event = heappop(self._queue)
+        when, _prio, _seq, event = heappop(queue)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -679,6 +680,18 @@ class Simulator:
         ):
             event._value = None  # don't pin the payload while pooled
             self._timeout_pool.append(event)
+
+    def run_until(self, event: Event, horizon: float = math.inf) -> bool:
+        """Step until ``event`` has been processed (True), or the next
+        event lies beyond ``horizon`` (False, nothing consumed) — for
+        callers whose queue never drains (ping loops, idle timers)."""
+        queue = self._queue
+        step = self.step
+        while event.callbacks is not None:
+            if queue and queue[0][0] > horizon:
+                return False
+            step()
+        return True
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time reaches ``until``.

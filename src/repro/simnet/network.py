@@ -94,7 +94,6 @@ class Netem:
 _packet_ids = itertools.count()
 
 
-@dataclasses.dataclass
 class Packet:
     """One unit of data in flight on the simulated network.
 
@@ -105,18 +104,21 @@ class Packet:
     to Cactus.
     """
 
-    src: str
-    dst: str
-    payload: Any
-    size_bytes: int
-    port: int = 0
-    packet_id: int = dataclasses.field(default_factory=lambda: next(_packet_ids))
-    sent_at: float = 0.0
-    hops: int = 0
+    __slots__ = ("src", "dst", "payload", "size_bytes", "port",
+                 "packet_id", "sent_at", "hops")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
+    def __init__(self, src: str, dst: str, payload: Any, size_bytes: int,
+                 port: int = 0, sent_at: float = 0.0, hops: int = 0):
+        if size_bytes < 0:
             raise ValueError("packet size must be non-negative")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.port = port
+        self.packet_id = next(_packet_ids)
+        self.sent_at = sent_at
+        self.hops = hops
 
 
 class Node:
@@ -156,9 +158,10 @@ class Node:
         self.flops_per_cycle = flops_per_cycle
         self.cluster = cluster
         self.mem_bytes = mem_bytes
-        # Per-port inboxes: the physical layer delivers here, the P2PSAP
-        # data channel (or the control channel) drains them.
+        # Per-port delivery: to the attached receiver (physical layer,
+        # control link) or, without one, into an inbox channel.
         self._inboxes: dict[int, Channel] = {}
+        self._receivers: dict[int, Callable[[Packet], None]] = {}
         self.alive = True
         # Simple load model for the load-balancing extension: a background
         # load factor >= 0 slows compute() down by (1 + load).
@@ -171,6 +174,24 @@ class Node:
         if port not in self._inboxes:
             self._inboxes[port] = self.sim.channel(name=f"{self.name}:{port}")
         return self._inboxes[port]
+
+    def attach(self, port: int, receiver: Callable[["Packet"], None]) -> None:
+        """Call ``receiver(packet)`` for packets arriving on ``port``
+        (instead of queueing them); a later attach takes over."""
+        self._receivers[port] = receiver
+
+    def detach(self, port: int, receiver: Callable[["Packet"], None]) -> None:
+        """Undo :meth:`attach`, unless another receiver took the port over."""
+        if self._receivers.get(port) == receiver:
+            del self._receivers[port]
+
+    def deliver(self, packet: "Packet") -> None:
+        """Hand an arrived packet to its port's receiver or inbox."""
+        receiver = self._receivers.get(packet.port)
+        if receiver is not None:
+            receiver(packet)
+        else:
+            self.inbox(packet.port).put(packet)
 
     def compute(self, flops: float) -> Event:
         """An event that fires when ``flops`` of work completes.
@@ -267,7 +288,8 @@ class Link:
         """
         self.stats_sent += 1
         self.stats_bytes += packet.size_bytes
-        packet.sent_at = self.sim.now
+        now = packet.sent_at = self.sim.now
+        netem = self.netem
 
         if not self.src.alive:
             # A dead machine transmits nothing (its processes may still
@@ -275,24 +297,26 @@ class Link:
             # the NIC).
             self.stats_dropped += 1
             return
-        if self.netem.loss > 0 and self.rng.random() < self.netem.loss:
+        if netem.loss > 0 and self.rng.random() < netem.loss:
             self.stats_dropped += 1
             return
 
-        reordered = self.netem.reorder > 0 and self.rng.random() < self.netem.reorder
+        reordered = netem.reorder > 0 and self.rng.random() < netem.reorder
         ser = self._serialization_delay(packet.size_bytes)
         if reordered:
             # Skips the queue: pure propagation delay.
             total = self._propagation_delay()
         else:
-            start = max(self.sim.now, self._tx_free_at)
+            start = max(now, self._tx_free_at)
             self._tx_free_at = start + ser
-            total = (start - self.sim.now) + ser + self._propagation_delay()
+            total = (start - now) + ser + self._propagation_delay()
 
         self._schedule_delivery(packet, total)
-        if self.netem.duplicate > 0 and self.rng.random() < self.netem.duplicate:
+        if netem.duplicate > 0 and self.rng.random() < netem.duplicate:
             self.stats_duplicated += 1
-            dup = dataclasses.replace(packet, packet_id=next(_packet_ids))
+            dup = Packet(packet.src, packet.dst, packet.payload,
+                         packet.size_bytes, packet.port, packet.sent_at,
+                         packet.hops)
             self._schedule_delivery(dup, total + self._propagation_delay())
 
     def reconfigure(
@@ -319,17 +343,20 @@ class Link:
             self.netem = netem
 
     def _schedule_delivery(self, packet: Packet, delay: float) -> None:
-        def deliver(_ev: Event, packet=packet) -> None:
-            if not self.dst.alive:
-                self.stats_dropped += 1
-                return
-            packet.hops += 1
-            self.stats_delivered += 1
-            for hook in self._delivery_hooks:
-                hook(packet)
-            self.dst.inbox(packet.port).put(packet)
+        # The packet rides the timeout as its value.
+        self.sim.timeout(delay, packet).callbacks.append(self._deliver)
 
-        self.sim.timeout(delay).callbacks.append(deliver)
+    def _deliver(self, arrival: Event) -> None:
+        packet: Packet = arrival.value
+        dst = self.dst
+        if not dst.alive:
+            self.stats_dropped += 1
+            return
+        packet.hops += 1
+        self.stats_delivered += 1
+        for hook in self._delivery_hooks:
+            hook(packet)
+        dst.deliver(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

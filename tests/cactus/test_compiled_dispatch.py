@@ -1,0 +1,285 @@
+"""Dispatch semantics under compilation.
+
+The bus keeps one compiled handler tuple per event and the stack caches
+each layer's neighbours.  Both are caches of mutable structure, so every
+mutation path has to invalidate them, and a dispatch already running has
+to finish on the chain it started with — the per-raise snapshot
+behaviour the uncompiled bus had.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cactus.composite import CompositeProtocol, CompositionError, ProtocolStack
+from repro.cactus.events import EventBus
+from repro.cactus.messages import Message, payload_nbytes
+from repro.cactus.microprotocol import MicroProtocol
+from repro.p2psap.context import ChannelConfig, CommMode
+from repro.p2psap.data_channel import DataChannel
+from repro.p2psap.physical import ETHERNET, PhysicalProtocol
+from repro.simnet.kernel import Simulator
+from repro.simnet.network import Netem, Network, Packet
+
+
+class TestSnapshotSemantics:
+    def test_bind_unbind_and_reraise_mid_dispatch(self):
+        """One handler unbinds itself and a later handler, binds a new
+        one and re-raises the same event, all inside a dispatch."""
+        bus = EventBus(Simulator())
+        log = []
+
+        def mutator(depth):
+            log.append(("mutator", depth))
+            bus.unbind("E", mutator)
+            bus.unbind("E", victim)
+            bus.bind("E", newcomer, order=5)
+            # The nested raise sees the *new* chain: bystander, newcomer.
+            bus.raise_event("E", depth + 1)
+
+        def bystander(depth):
+            log.append(("bystander", depth))
+
+        def victim(depth):
+            log.append(("victim", depth))
+
+        def newcomer(depth):
+            log.append(("newcomer", depth))
+
+        bus.bind("E", mutator, order=0)
+        bus.bind("E", bystander, order=1)
+        bus.bind("E", victim, order=2)
+        bus.raise_event("E", 0)
+        assert log == [
+            ("mutator", 0),
+            ("bystander", 1), ("newcomer", 1),  # nested: the rebuilt chain
+            ("bystander", 0), ("victim", 0),    # outer: the chain it began with
+        ]
+        assert bus.handlers_for("E") == [bystander, newcomer]
+        del log[:]
+        bus.raise_event("E", 2)
+        assert log == [("bystander", 2), ("newcomer", 2)]
+
+    def test_handlers_for_is_a_copy(self):
+        bus = EventBus(Simulator())
+        bus.bind("E", print)
+        bus.handlers_for("E").clear()
+        assert bus.handlers_for("E") == [print] and bus.has_handlers("E")
+
+    def test_unbinding_the_last_handler_leaves_a_silent_event(self):
+        bus = EventBus(Simulator())
+        bus.bind("E", print)
+        bus.unbind("E", print)
+        assert not bus.has_handlers("E") and bus.raise_event("E", 1) == []
+
+    def test_keyword_arguments_still_reach_handlers(self):
+        bus = EventBus(Simulator())
+        bus.bind("E", lambda a, k=None: (a, k))
+        assert bus.raise_event("E", 1, k=2) == [(1, 2)]
+        assert bus.raise_event("E", 1) == [(1, None)]
+
+
+class Recorder(MicroProtocol):
+    def __init__(self, name, log):
+        super().__init__()
+        self.name = name
+        self.log = log
+
+    def on_init(self):
+        self.bind("Ping", self._on_ping)
+
+    def _on_ping(self, value):
+        self.log.append((self.name, value))
+
+
+class TestSubstitutionInvalidates:
+    def test_substitute_micro_mid_dispatch(self):
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        log = []
+        comp.add_micro(Recorder("old", log))
+
+        def swap(value):
+            if comp.has_micro("old"):
+                comp.substitute_micro("old", Recorder("new", log))
+
+        comp.bus.bind("Ping", swap, order=-1)
+        comp.bus.raise_event("Ping", 1)  # in flight: finishes on the old chain
+        comp.bus.raise_event("Ping", 2)  # after the swap: the new handler
+        assert log == [("old", 1), ("new", 2)]
+
+    def test_substitute_layer_relinks_neighbours(self):
+        sim = Simulator()
+        top, mid, bottom = (CompositeProtocol(sim, n) for n in ("top", "mid", "bottom"))
+        stack = ProtocolStack([top, mid, bottom])
+        seen = []
+        mid.bus.bind("FromAbove", lambda m: seen.append(("mid", m)))
+        mid.bus.bind("FromBelow", lambda m: seen.append(("mid", m)))
+        new_mid = CompositeProtocol(sim, "mid2")
+        new_mid.bus.bind("FromAbove", lambda m: seen.append(("mid2", m)))
+        new_mid.bus.bind("FromBelow", lambda m: seen.append(("mid2", m)))
+        top.send_down("a")
+        bottom.deliver_up("b")
+        stack.substitute_layer(mid, new_mid)
+        top.send_down("c")
+        bottom.deliver_up("d")
+        assert seen == [("mid", "a"), ("mid", "b"), ("mid2", "c"), ("mid2", "d")]
+        # The new layer routes to the old one's neighbours; the old one
+        # is out of the stack altogether.
+        reached = []
+        top.bus.bind("FromBelow", reached.append)
+        bottom.bus.bind("FromAbove", reached.append)
+        new_mid.deliver_up("up")
+        new_mid.send_down("down")
+        assert reached == ["up", "down"]
+        with pytest.raises(CompositionError, match="not in a stack"):
+            mid.send_down("x")
+        with pytest.raises(CompositionError, match="bottom layer"):
+            bottom.send_down("x")
+        with pytest.raises(CompositionError, match="top layer"):
+            top.deliver_up("x")
+
+    def test_push_bottom_extends_the_cached_chain(self):
+        sim = Simulator()
+        a, b = CompositeProtocol(sim, "a"), CompositeProtocol(sim, "b")
+        stack = ProtocolStack([a])
+        with pytest.raises(CompositionError, match="bottom layer"):
+            a.send_down("x")
+        stack.push_bottom(b)
+        got = []
+        b.bus.bind("FromAbove", got.append)
+        a.send_down("x")
+        assert got == ["x"]
+
+
+SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True)
+
+
+def make_pair(config):
+    sim = Simulator()
+    net = Network(sim, intra_netem=Netem(delay=0.001))
+    a, b = net.add_node("a"), net.add_node("b")
+    return sim, net, DataChannel(sim, net, a, "b", 9, config), \
+        DataChannel(sim, net, b, "a", 9, config)
+
+
+class TestReconfigureMidStream:
+    def test_messages_after_the_swap_use_the_new_composition(self):
+        """sync → async and ethernet → myrinet between two sends: the
+        second message goes through the new mode micro-protocol and the
+        new physical layer, and still arrives."""
+        sim, net, cha, chb = make_pair(SYNC)
+        got = []
+
+        def receiver():
+            while len(got) < 2:
+                msg = yield chb.user_receive()
+                if msg is None:
+                    yield sim.timeout(0.001)
+                else:
+                    got.append(msg.payload)
+
+        def sender():
+            yield cha.user_send("one")
+            new = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
+                                ordered=False, congestion="none",
+                                physical="myrinet")
+            old_phys = (cha.physical, chb.physical)
+            cha.reconfigure(new)
+            chb.reconfigure(new)
+            assert cha.transport.has_micro("mode-async")
+            assert not cha.transport.has_micro("reliability")
+            assert cha.transport._below is cha.physical is not old_phys[0]
+            assert cha.physical._above is cha.transport
+            assert old_phys[0]._above is None and old_phys[0].stack is None
+            done = cha.user_send("two")
+            assert done.triggered  # asynchronous now: completes at once
+            yield done
+            assert cha.physical.stats_tx_frames == 1
+
+        sim.spawn(receiver())
+        sim.spawn(sender())
+        sim.run(until=5.0)
+        assert got == ["one", "two"]
+        assert chb.physical.stats_rx_frames == 1
+
+
+class TestPhysicalClose:
+    def make(self):
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.0))
+        a, b = net.add_node("a"), net.add_node("b")
+        phys = PhysicalProtocol(sim, net, b, "a", 7, ETHERNET)
+        top = CompositeProtocol(sim, "top")
+        ProtocolStack([top, phys])
+        got = []
+        top.bus.bind("FromBelow", lambda m: got.append((sim.now, m.payload)))
+        return sim, net, phys, got
+
+    @staticmethod
+    def frame(i):
+        return Packet("a", "b", ((), i), size_bytes=10, port=7)
+
+    def test_busy_endpoint_serialises_then_close_drops_the_backlog(self):
+        sim, net, phys, got = self.make()
+        cost = ETHERNET.per_message_cost
+        for i in range(4):  # all arrive at t=0; the endpoint is a FIFO server
+            net.nodes["b"].deliver(self.frame(i))
+        sim.run(until=1.5 * cost)
+        assert got == [(cost, 0)]
+        assert len(phys._rx_backlog) == 2  # frame 1 in service, 2 and 3 queued
+        phys.close()
+        sim.run(until=1.0)
+        assert got == [(cost, 0)]  # nothing in service or queued gets out
+        assert not phys._rx_backlog
+        # ... and a packet arriving later is not taken either.
+        net.nodes["b"].deliver(self.frame(9))
+        sim.run(until=2.0)
+        assert got == [(cost, 0)] and phys.stats_rx_frames == 2
+
+    def test_backlog_is_served_back_to_back(self):
+        sim, net, phys, got = self.make()
+        cost = ETHERNET.per_message_cost
+        for i in range(3):
+            net.nodes["b"].deliver(self.frame(i))
+        sim.run(until=1.0)
+        assert [p for _, p in got] == [0, 1, 2]
+        assert [t for t, _ in got] == [cost, cost + cost, cost + cost + cost]
+        assert not phys._rx_busy
+
+    def test_replacement_endpoint_takes_the_port_over(self):
+        sim, net, phys, got = self.make()
+        newer = PhysicalProtocol(sim, net, net.nodes["b"], "a", 7, ETHERNET)
+        top = CompositeProtocol(sim, "top2")
+        ProtocolStack([top, newer])
+        got2 = []
+        top.bus.bind("FromBelow", lambda m: got2.append(m.payload))
+        phys.close()  # closing the old one must not detach the new one
+        net.nodes["b"].deliver(self.frame(5))
+        sim.run(until=1.0)
+        assert got == [] and got2 == [5]
+
+
+class TestMessageSizing:
+    @pytest.mark.parametrize("payload", [
+        None, np.zeros((6, 6)), np.zeros(5, dtype=np.float32),
+        (3, np.zeros((4, 4))), ("PLANE", 17, np.zeros((4, 4))),
+        (1.5, True, np.zeros(3)), ("é", np.zeros(2)),
+        (np.int64(3), np.zeros(3)), ((1, 2), np.zeros(3)), (np.zeros(3), 1),
+        (), [1, np.zeros(3)], {"k": np.zeros(3)}, b"bytes", "text", 12,
+    ], ids=repr)
+    def test_fast_path_agrees_with_the_walk(self, payload):
+        assert Message(payload).payload_bytes == payload_nbytes(payload)
+
+    def test_size_is_measured_once_and_inherited(self, monkeypatch):
+        import repro.cactus.messages as messages
+
+        calls = []
+        real = messages.payload_nbytes
+        monkeypatch.setattr(messages, "payload_nbytes",
+                            lambda p: calls.append(p) or real(p))
+        msg = Message({"k": [1, 2, 3]})  # no fast path: needs the walk
+        shell = Message(msg.payload, source=msg)
+        shell.push_header("transport", kind="DATA")
+        assert shell.size_bytes == msg.payload_bytes + Message.HEADER_BYTES
+        assert shell.payload_bytes == msg.size_bytes
+        assert sum(p is msg.payload for p in calls) == 1  # one walk in all

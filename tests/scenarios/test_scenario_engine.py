@@ -70,6 +70,34 @@ def test_faulted_run_is_bit_reproducible(executor):
         assert_traces_equal(ta, tb)
 
 
+def test_restarted_peer_receives_on_its_rebuilt_endpoints(monkeypatch):
+    """The physical layer receives by a callback attached to its node's
+    port, not by a process draining an inbox: the endpoints a restarted
+    peer (and its neighbours, for the sessions it re-initiates) build
+    after the crash must attach theirs, or the recovered solve would
+    send into the void."""
+    from repro.p2psap.physical.base import PhysicalProtocol
+
+    built = []
+    init = PhysicalProtocol.__init__
+
+    def recording_init(self, sim, *args, **kwargs):
+        init(self, sim, *args, **kwargs)
+        built.append((sim.now, self))
+
+    monkeypatch.setattr(PhysicalProtocol, "__init__", recording_init)
+    result = run_scenario(crash_restart_script("inline"))
+    assert result.ok, "\n".join(result.violations)
+    restart, = (r for r in result.injections if r.event.kind == "restart")
+    faulted_sim = built[-1][1].sim  # the baseline ran first, on its own sim
+    rebuilt = [phys for t, phys in built
+               if phys.sim is faulted_sim and t >= restart.time]
+    # Rank 1 of 3 has two neighbours: two sessions, two ends each.
+    assert len(rebuilt) == 4
+    for phys in rebuilt:
+        assert phys.stats_rx_frames > 0 and phys.stats_tx_frames > 0
+
+
 @pytest.mark.slow
 def test_executors_agree_bit_for_bit():
     """The sweep engine is an implementation detail: the same scenario
