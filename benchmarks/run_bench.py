@@ -15,8 +15,8 @@ speedups for the relaxation kernels, the process-vs-inline speedup of
 the sharded sweep executor, the float32-vs-float64 speedup of the
 fused sweeps (the dtype dimension — bandwidth-bound kernels at half the
 element width), the campaign setup amortization (a 10-job delta
-sweep through pooled workspaces / keep-alive worker pools vs ten cold
-harness runs, with ``cpu_count`` recorded next to it), and the
+sweep through one keep-alive worker pool vs ten cold harness runs,
+with ``cpu_count`` recorded next to it), and the
 asynchronous-stepping overlap (``async_overlap``: the same async
 process-executor solve blocking vs split-phase, ``cpu_count``
 alongside — ≥ 2 cores needed for a real speedup), and the campaign
@@ -99,14 +99,11 @@ DTYPE_PAIRS = {
 }
 
 #: (cold, pooled) pairs whose ratio is the campaign setup amortization:
-#: the same 10-job delta sweep as cold per-run setup vs pooled
-#: workspaces / keep-alive worker pools.  Solves are bit-identical, so
-#: the whole ratio is setup cost.  Interpret the process pair alongside
-#: the recorded cpu_count (worker forking is pure overhead on 1 core,
-#: which only *raises* the cold baseline).
+#: the same 10-job delta sweep as cold per-run setup vs one keep-alive
+#: worker pool.  Solves are bit-identical, so the whole ratio is setup
+#: cost.  Interpret it alongside the recorded cpu_count (worker forking
+#: is pure overhead on 1 core, which only *raises* the cold baseline).
 CAMPAIGN_PAIRS = {
-    "inline_2peers_10jobs": ("test_bench_campaign_cold_inline",
-                             "test_bench_campaign_pooled_inline"),
     "process_2peers_10jobs": ("test_bench_campaign_cold_process",
                               "test_bench_campaign_pooled_process"),
 }

@@ -1,18 +1,16 @@
-"""Campaign setup amortization: cold per-run setup vs pooled resources.
+"""Campaign setup amortization: cold per-run setup vs a kept-alive pool.
 
 The acceptance shape of the campaign subsystem: a 10-job delta-sweep
-campaign (same ``(n, ranges, dtype)``, only delta varies) through
-pooled workspaces + keep-alive worker pools, against the same ten jobs
-as cold ``run_configuration`` calls.  The solves are bit-identical —
-the equivalence suite asserts that — so the entire cold/pooled delta is
-*setup*: workspace allocation for the inline executor, worker-pool
-forking + shared-memory arena setup for the process executor.
+campaign (same ``(n, ranges, dtype)``, only delta varies) on the
+process executor through one keep-alive worker pool, against the same
+ten jobs as cold ``run_configuration`` calls.  The solves are
+bit-identical — the equivalence suite asserts that — so the entire
+cold/pooled delta is *setup*: worker-pool forking + shared-memory arena
+setup.  (The inline executor has no setup worth keeping: a pool of
+sweep workspaces measured 0.95–1.01x and was deleted.)
 
 ``run_bench.py`` derives ``campaign_setup_amortization`` (cold mean /
-pooled mean, per executor) from these and records ``cpu_count`` next to
-it: the process-executor ratio reflects pool startup amortization and
-holds even on one core (this container), where forking workers per
-solve is pure overhead.
+pooled mean) from these and records ``cpu_count`` next to it.
 
 The result cache is deliberately off for the amortization pairs: they
 measure pooled *execution*, not cache service.  Cache service gets its
@@ -58,47 +56,29 @@ def _run_cold(jobs):
     return residual
 
 
-def _bench_pooled(benchmark, executor: str):
-    jobs = _delta_sweep_jobs(executor)
+def test_bench_campaign_cold_process(benchmark):
+    """Baseline: 10 cold runs, process executor (a worker pool + shm
+    arena forked and torn down per solve)."""
+    jobs = _delta_sweep_jobs("process")
+    residual = benchmark.pedantic(_run_cold, args=(jobs,), rounds=3,
+                                  iterations=1, warmup_rounds=1)
+    assert np.isfinite(residual)
+
+
+def test_bench_campaign_pooled_process(benchmark):
+    """10-job campaign, process executor: one keep-alive ShardPool
+    survives the whole sweep (rebound between deltas, never re-forked)."""
+    jobs = _delta_sweep_jobs("process")
     campaign = Campaign(jobs)  # no cache: measure execution, not service
     try:
-        # warmup_rounds=1 populates the pools (first round is the cold
-        # one that builds what later rounds reuse).
+        # warmup_rounds=1 starts the worker pool (first round is the
+        # cold one that builds what later rounds reuse).
         outcome = benchmark.pedantic(campaign.run, rounds=3,
                                      iterations=1, warmup_rounds=1)
         assert outcome.runs == N_JOBS
         assert all(np.isfinite(r.result.residual) for r in outcome.records)
     finally:
         campaign.close()
-
-
-def _bench_cold(benchmark, executor: str):
-    jobs = _delta_sweep_jobs(executor)
-    residual = benchmark.pedantic(_run_cold, args=(jobs,), rounds=3,
-                                  iterations=1, warmup_rounds=1)
-    assert np.isfinite(residual)
-
-
-def test_bench_campaign_cold_inline(benchmark):
-    """Baseline: 10 cold runs, inline executor (fresh workspaces)."""
-    _bench_cold(benchmark, "inline")
-
-
-def test_bench_campaign_pooled_inline(benchmark):
-    """10-job campaign, inline executor (pooled sweep workspaces)."""
-    _bench_pooled(benchmark, "inline")
-
-
-def test_bench_campaign_cold_process(benchmark):
-    """Baseline: 10 cold runs, process executor (a worker pool + shm
-    arena forked and torn down per solve)."""
-    _bench_cold(benchmark, "process")
-
-
-def test_bench_campaign_pooled_process(benchmark):
-    """10-job campaign, process executor: one keep-alive ShardPool
-    survives the whole sweep (rebound between deltas, never re-forked)."""
-    _bench_pooled(benchmark, "process")
 
 
 def test_bench_campaign_cached_service(benchmark):

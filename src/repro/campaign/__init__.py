@@ -1,29 +1,28 @@
-"""Batched sweep-campaign engine: many solves, pooled setup.
+"""Batched sweep-campaign engine: many solves, shared setup.
 
 The paper's evaluation is a *campaign* — dozens of near-identical
 configurations varying only ``(n, α, scheme, clusters)`` — yet a plain
-harness loop rebuilds every workspace, shared-memory arena and worker
-pool from scratch per run.  This package is the batching layer between
+harness loop rebuilds every shared-memory arena and worker pool from
+scratch per run.  This package is the batching layer between
 "one solve at a time" and a solve service:
 
 :mod:`~repro.campaign.jobs`
     :class:`CampaignJob` (one configuration as hashable data),
     :func:`expand_matrix` (the cartesian grid), :func:`plan_jobs`
     (deduplicated DAG with optional warm-start edges);
-:mod:`~repro.campaign.pool`
-    :class:`WorkspacePool` — sweep workspaces checked out by
-    ``(n, lo, hi, dtype)`` and rebound to each solve's
-    ``(problem, delta)`` instead of reallocated;
 :mod:`~repro.campaign.cache`
     :class:`ResultCache` — content-addressed solve results, in memory
     and optionally on disk;
 :mod:`~repro.campaign.engine`
-    :class:`Campaign` — executes a plan through the pools, keep-alive
-    shard-pool leases, the cache, and optional warm starts;
+    :class:`Campaign` — executes a plan through keep-alive shard-pool
+    leases, the cache, and optional warm starts;
+:mod:`~repro.campaign.scheduler`
+    :class:`BranchScheduler` — the one way a plan's branches get
+    executed, for ``Campaign.run`` and the campaign service alike;
 :mod:`~repro.campaign.driver`
-    :class:`DriverPool` — worker processes behind
-    ``Campaign(drivers=N)``, each executing whole warm-start branches
-    against its own :class:`~repro.resources.ResourceContext`.
+    :class:`DriverPool` — the scheduler's worker processes, each
+    executing whole warm-start branches against its own
+    :class:`~repro.resources.ResourceContext`.
 
 Entry points: the programmatic :class:`Campaign` API, the
 ``python -m repro.experiments campaign`` CLI, and the
@@ -43,7 +42,6 @@ from .jobs import (
     ladder_stages,
     plan_jobs,
 )
-from .pool import WorkspacePool
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -56,7 +54,6 @@ __all__ = [
     "ResourceContext",
     "ResultCache",
     "WarmEdge",
-    "WorkspacePool",
     "cache_key",
     "expand_matrix",
     "ladder_stages",

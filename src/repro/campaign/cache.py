@@ -174,7 +174,7 @@ class ResultCache:
                 if result is not None:
                     self._touch(key)
             if result is not None:
-                self._remember(key, result)
+                self.remember(key, result)
         elif result is not None and self.root is not None:
             with self._disk_lock():
                 self._touch(key)
@@ -190,7 +190,7 @@ class ResultCache:
               signature: Optional[dict[str, Any]] = None) -> None:
         """Record ``result`` under ``key`` (memory + disk when rooted)."""
         t_start = time.perf_counter()
-        self._remember(key, result)
+        self.remember(key, result)
         self._m_stores.inc()
         if self.root is not None:
             with self._disk_lock():
@@ -237,8 +237,11 @@ class ResultCache:
             return len(list(self.root.glob("*.json")))
         return len(self._memory)
 
-    def _remember(self, key: str, result) -> None:
-        # Bounded, insertion-ordered: evict the oldest entry.
+    def remember(self, key: str, result) -> None:
+        """Put ``result`` in the memory layer only (no disk write, no
+        counter): how a result computed by another process becomes
+        resident here.  Bounded, insertion-ordered: the oldest entry is
+        evicted."""
         self._memory.pop(key, None)
         while len(self._memory) >= self.max_memory_entries:
             self._memory.pop(next(iter(self._memory)))

@@ -1,14 +1,14 @@
 """Driver worker processes executing whole campaign branches.
 
-A :class:`DriverPool` is the execution half of a multi-driver campaign
-(``Campaign(drivers=N)``): N long-lived worker processes, each owning a
-private :class:`~repro.resources.ResourceContext` (its own workspace
-pool, problem cache, and shared-runner registry — see the ownership
+A :class:`DriverPool` is the worker-process half of the branch
+scheduler (:mod:`repro.campaign.scheduler`): N long-lived worker
+processes, each owning a private :class:`~repro.resources.ResourceContext`
+(its own problem cache and shared-runner registry — see the ownership
 rules in :mod:`repro.campaign.engine`), each executing whole warm-start
 branches through the same :func:`~repro.campaign.engine._execute_chunk`
-body the sequential engine uses.  Workers are farm-scheduled: branches
-are handed out in plan order as drivers go idle, so the assignment of
-branch→driver depends on timing but the *records* never do — every
+body in-process branches use.  Workers are farm-scheduled: branches
+are handed out in admission order as drivers go idle, so the assignment
+of branch→driver depends on timing but the *records* never do — every
 branch is a self-contained deterministic job sequence.
 
 Workers are ``daemon=False`` deliberately: a driver running a
@@ -36,12 +36,12 @@ __all__ = ["DriverBranchError", "DriverPool", "cache_spec"]
 
 
 class DriverBranchError(RuntimeError):
-    """A branch raised inside a driver worker (the worker survives).
+    """One submission failed: its branch raised inside the worker (the
+    worker survives; the message carries its traceback), or the worker
+    died under it (the slot is respawned).
 
-    ``ticket`` identifies the failed submission; the message carries
-    the worker-side traceback.  The batch API propagates it as-is; the
-    campaign service catches it to fail one campaign instead of the
-    whole pool.
+    ``ticket`` identifies the failed submission, so the caller fails one
+    branch instead of the whole pool.
     """
 
     def __init__(self, message: str, ticket: int):
@@ -65,8 +65,7 @@ def cache_spec(cache) -> Optional[dict]:
     }
 
 
-def _worker_main(conn, index: int, spec: Optional[dict],
-                 pool_workspaces: bool, keep_runners: bool) -> None:
+def _worker_main(conn, index: int, spec: Optional[dict]) -> None:
     """Driver body: build a private context, serve branches until close."""
     # Imported here, not at module top: under spawn/forkserver the
     # worker imports this module fresh, and the engine import would drag
@@ -76,11 +75,8 @@ def _worker_main(conn, index: int, spec: Optional[dict],
     from ..telemetry import merge_snapshots
     from .cache import ResultCache
     from .engine import _execute_chunk, _release_leases
-    from .pool import WorkspacePool
 
     resources = ResourceContext(name=f"driver-{index}")
-    if pool_workspaces:
-        resources.workspace_pool = WorkspacePool()
     cache = ResultCache(**spec) if spec is not None else None
     leases: dict = {}
     branches_done = 0
@@ -104,7 +100,7 @@ def _worker_main(conn, index: int, spec: Optional[dict],
             try:
                 records = _execute_chunk(
                     tasks, cache=cache, resources=resources,
-                    leases=leases, keep_runners=keep_runners,
+                    leases=leases,
                 )
                 branches_done += 1
                 # Every completion carries this worker's lifetime
@@ -140,31 +136,27 @@ def _worker_main(conn, index: int, spec: Optional[dict],
 class DriverPool:
     """N worker processes executing campaign branches concurrently.
 
-    Two usage levels:
-
-    - :meth:`run_branches` — the batch API the :class:`Campaign` engine
-      uses: hand over a list of branches, block until all are done.
-    - :meth:`submit` / :meth:`wait` — the non-blocking ticket API the
-      campaign service's scheduler uses to interleave branches from
-      *several* campaigns: ``submit`` hands one branch to an idle
-      worker and returns immediately (check :attr:`idle` first), and
-      ``wait`` collects whichever submissions have completed.
+    :meth:`submit` / :meth:`wait` are the non-blocking ticket API the
+    branch scheduler interleaves branches from several plans with:
+    ``submit`` hands one branch to an idle worker and returns
+    immediately (check :attr:`idle` first), and ``wait`` collects
+    whichever submissions have completed.  :meth:`run_branches` is the
+    blocking form over the two for a fixed list of branches.
     """
 
     def __init__(self, drivers: int, *, cache_spec: Optional[dict] = None,
-                 pool_workspaces: bool = True, keep_runners: bool = True,
                  start_method: Optional[str] = None):
         # First thing, so close() — and the __del__ safety net — work on
         # a pool that fails anywhere in construction.
         self._closed = False
         self._conns = []
         self._procs = []
+        self._idle: list[int] = []
+        self._active: dict[int, int] = {}  # worker -> ticket
         drivers = int(drivers)
         if drivers < 1:
             raise ValueError(f"drivers must be >= 1, got {drivers}")
         self.drivers = drivers
-        self._idle: list[int] = []
-        self._active: dict[int, int] = {}  # worker -> ticket
         self._next_ticket = 0
         # Completions/errors drained alongside a raising wait() are
         # delivered by the *next* wait() instead of being dropped.
@@ -176,38 +168,55 @@ class DriverPool:
         # worker keeps its last piggybacked snapshot instead of losing
         # everything it reported while alive.
         self._telemetry: list[Optional[dict]] = [None] * drivers
-        method = _start_method(start_method)
-        self._ctx = multiprocessing.get_context(method)
-        for w in range(drivers):
-            parent, child = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(child, w, cache_spec, pool_workspaces, keep_runners),
-                name=f"repro-campaign-driver-{w}",
-                # Drivers spawn ShardPools for process-executor jobs;
-                # daemonic processes may not have children.
-                daemon=False,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+        self._cache_spec = cache_spec
+        self._ctx = multiprocessing.get_context(_start_method(start_method))
         try:
-            for w, conn in enumerate(self._conns):
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    raise RuntimeError(
-                        f"campaign driver {w} died before reporting ready"
-                    ) from None
-                if msg[0] != "ready":
-                    raise RuntimeError(
-                        f"campaign driver {w} failed to start: {msg!r}"
-                    )
+            for w in range(drivers):
+                conn, proc = self._spawn(w)
+                self._conns.append(conn)
+                self._procs.append(proc)
+            for w in range(drivers):
+                self._await_ready(w)
             self._idle = list(range(drivers))
         except BaseException:
             self.close()
             raise
+
+    def _spawn(self, w: int):
+        """Start a worker process for slot ``w``: ``(pipe end, process)``."""
+        parent, child = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main, args=(child, w, self._cache_spec),
+            name=f"repro-campaign-driver-{w}",
+            # Drivers spawn ShardPools for process-executor jobs;
+            # daemonic processes may not have children.
+            daemon=False,
+        )
+        proc.start()
+        child.close()
+        return parent, proc
+
+    def _await_ready(self, w: int) -> None:
+        try:
+            msg = self._conns[w].recv()
+        except EOFError:
+            raise RuntimeError(
+                f"campaign driver {w} died before reporting ready"
+            ) from None
+        if msg[0] != "ready":
+            raise RuntimeError(
+                f"campaign driver {w} failed to start: {msg!r}")
+
+    def _respawn(self, w: int) -> Optional[int]:
+        """Replace the dead worker of slot ``w``; returns its exit code.
+        Its last piggybacked cache/telemetry snapshots stay until the
+        new worker's first completion supersedes them."""
+        self._conns[w].close()
+        self._procs[w].join()
+        exitcode = self._procs[w].exitcode
+        self._conns[w], self._procs[w] = self._spawn(w)
+        self._await_ready(w)
+        return exitcode
 
     def _check_open(self) -> None:
         if self._closed:
@@ -228,10 +237,10 @@ class DriverPool:
         """Workers currently executing a branch."""
         return len(self._active)
 
-    def submit(self, tasks) -> int:
+    def submit(self, tasks) -> tuple[int, int]:
         """Hand one branch — a list of ``(job, cache_key, signature,
-        warm_from)`` task tuples — to an idle worker; returns a ticket
-        to match against :meth:`wait` results.
+        warm_from)`` task tuples — to an idle worker; returns ``(ticket,
+        worker)``, the ticket to match against :meth:`wait` results.
 
         Raises when no worker is idle: admission control is the
         caller's job (check :attr:`idle` first), not a hidden queue's.
@@ -239,12 +248,18 @@ class DriverPool:
         self._check_open()
         if not self._idle:
             raise RuntimeError("no idle driver to submit to")
-        w = self._idle.pop(0)
+        w = self._idle[0]
         ticket = self._next_ticket
+        try:
+            self._conns[w].send(("branch", ticket, tasks))
+        except OSError:
+            # The worker died while idle: replace it and hand over again.
+            self._respawn(w)
+            self._conns[w].send(("branch", ticket, tasks))
+        self._idle.pop(0)
         self._next_ticket += 1
-        self._conns[w].send(("branch", ticket, tasks))
         self._active[w] = ticket
-        return ticket
+        return ticket, w
 
     def wait(self, timeout: Optional[float] = None) -> list[tuple[int, list]]:
         """Collect completed submissions: ``[(ticket, records), ...]``.
@@ -252,10 +267,12 @@ class DriverPool:
         Blocks up to ``timeout`` seconds (None = until at least one
         completion) and drains every worker that is ready by then; an
         empty list means the timeout passed with all submissions still
-        in flight.  Worker death and branch errors raise here, naming
-        the driver; a raising drain never *loses* work — completions
-        (and further errors) collected in the same drain are delivered
-        by the next call instead.
+        in flight.  A branch error or a worker dying under its branch
+        raises :class:`DriverBranchError` here, naming driver and
+        ticket, with the worker back in rotation (a dead one respawned);
+        a raising drain never *loses* work — completions (and further
+        errors) collected in the same drain are delivered by the next
+        call instead.
         """
         self._check_open()
         if self._pending:
@@ -274,14 +291,13 @@ class DriverPool:
             ticket = self._active.pop(w)
             try:
                 msg = conn.recv()
-            except EOFError:
-                raise RuntimeError(
-                    f"campaign driver {w} died while executing "
-                    f"branch ticket {ticket}"
-                ) from None
+            except (EOFError, OSError):
+                msg = ("error", ticket, "the worker process died "
+                       f"(exit code {self._respawn(w)})")
             if msg[0] == "error":
-                # The worker's execute loop survived; put it back in
-                # rotation before surfacing the branch failure.
+                # The worker's execute loop survived (or the slot has a
+                # fresh worker); put it back in rotation before
+                # surfacing the branch failure.
                 self._idle.append(w)
                 self._pending_errors.append(DriverBranchError(
                     f"campaign driver {w} failed on branch ticket "
@@ -350,7 +366,7 @@ class DriverPool:
         while pending or outstanding:
             while pending and self._idle:
                 b = pending.pop(0)
-                tickets[self.submit(branches[b])] = b
+                tickets[self.submit(branches[b])[0]] = b
                 outstanding += 1
             for ticket, records in self.wait():
                 results[tickets.pop(ticket)] = records
@@ -364,6 +380,7 @@ class DriverPool:
         if self._closed:
             return
         self._closed = True
+        self._idle, self._active = [], {}
         for conn in self._conns:
             try:
                 conn.send(("close",))

@@ -1,12 +1,9 @@
-"""The campaign engine: batched solves through pooled resources.
+"""The campaign engine: batched solves through shared resources.
 
-``run_configuration`` rebuilds every workspace, arena and worker pool
-from scratch per run; a :class:`Campaign` executes a whole matrix of
-jobs through resources that live for the campaign instead:
+``run_configuration`` rebuilds every arena and worker pool from scratch
+per run; a :class:`Campaign` executes a whole matrix of jobs through
+resources that live for the campaign instead:
 
-- a :class:`~repro.campaign.pool.WorkspacePool` installed on the
-  campaign's resource context, so per-peer sweep workspaces are checked
-  out and rebound instead of reallocated;
 - keep-alive leases on the refcounted shared-runner registry of
   :mod:`repro.parallel.runner`, so one persistent
   :class:`~repro.parallel.ShardPool` (worker processes + shm arena)
@@ -19,34 +16,28 @@ jobs through resources that live for the campaign instead:
   sweep), with the edge recorded in both the result provenance and the
   cache key.
 
-Pooling is a pure setup optimization: pooled solves are bit-identical
-to cold ``run_configuration`` calls (iterates, relaxation counts,
-simulated time) — the equivalence suite asserts it.  Warm starts are
-the one deliberate exception: they change the starting iterate, which
-is exactly their point, and are off by default.
+Campaign solves are bit-identical to cold ``run_configuration`` calls
+(iterates, relaxation counts, simulated time) — the equivalence suite
+asserts it.  Warm starts are the one deliberate exception: they change
+the starting iterate, which is exactly their point, and are off by
+default.
 
-Parallel drivers and resource-context ownership
------------------------------------------------
-``Campaign(drivers=N)`` with N ≥ 2 splits the plan into its independent
-warm-start branches (:meth:`CampaignPlan.branches`) and executes whole
-branches in N :class:`~repro.campaign.driver.DriverPool` worker
-processes.  Because no warm edge crosses a branch and every job's cache
-key is computable statically from the plan (warm edges chain through
-the *predecessor's* cache key, not its result), branches need nothing
-from each other at runtime — records come back bit-identical to the
-sequential engine's, whatever the completion order.
+This module holds the static planning (:func:`resolve_cache_keys`,
+:func:`tasks_for`), the one execution body (:func:`_execute_chunk`) and
+the :class:`Campaign` front end.  *Scheduling* — which branch runs
+where and when — is :mod:`repro.campaign.scheduler`, shared with the
+campaign service.
 
-Ownership rules for the :class:`~repro.resources.ResourceContext` that
-makes this safe:
-
-- **One context per executing owner.**  The sequential path runs every
-  job against the campaign's own private context; each driver worker
-  builds its own context at startup.  The process-wide *default*
-  context belongs to plain (non-campaign) call sites — campaign
-  execution never reads or writes it, so two campaigns (or a campaign
-  and a direct ``run_configuration``) can run concurrently in one
-  process without sharing workspace pools, problem caches, or runner
-  leases.
+Resource-context ownership
+--------------------------
+- **One context per executing owner.**  Branches run in the caller
+  execute against the campaign's own private
+  :class:`~repro.resources.ResourceContext`; each driver worker builds
+  its own at startup.  The process-wide *default* context belongs to
+  plain (non-campaign) call sites — campaign execution never reads or
+  writes it, so two campaigns (or a campaign and a direct
+  ``run_configuration``) can run concurrently in one process without
+  sharing problem caches or runner leases.
 - **Runner leases are held only by their context's owner.**  A
   keep-alive lease pins a live worker pool + shm arena; the solver's
   own acquire finds it by key *in the same context*.  Drivers never
@@ -68,18 +59,6 @@ makes this safe:
   of a rooted :class:`ResultCache` (content-addressed, atomic-rename
   writes, advisory-flock eviction) is the one cross-driver channel, and
   it is safe precisely because entries are immutable once written.
-
-The campaign service daemon (:mod:`repro.service.daemon`) follows the
-same rules from the other side: its
-:class:`~repro.service.daemon.CampaignService` owns a private
-``ResourceContext(name="service")`` for the branches it serves
-in-process (fully-cached ones), its driver workers each own theirs as
-usual, and the process default is never touched — a daemon is
-embeddable next to unrelated solves (or a second daemon) in one
-interpreter.  The service reuses this module's static planning
-(:func:`resolve_cache_keys` / :func:`tasks_for`) and execution body
-(:func:`_execute_chunk`), which is why daemon-produced records are
-bit-identical to ``Campaign.run``'s.
 """
 
 from __future__ import annotations
@@ -95,7 +74,6 @@ from ..numerics.transfer import TRANSFER_VERSION
 from ..resources import ResourceContext
 from .cache import ResultCache, cache_key
 from .jobs import CampaignJob, CampaignPlan, plan_jobs
-from .pool import WorkspacePool
 
 __all__ = ["Campaign", "CampaignResult", "ExecutedJob",
            "resolve_cache_keys", "tasks_for"]
@@ -122,6 +100,25 @@ class CampaignResult:
 
     records: list[ExecutedJob]
     plan: CampaignPlan
+
+    @classmethod
+    def from_branches(cls, plan: CampaignPlan, branches) -> "CampaignResult":
+        """One record per *submitted* job of ``plan``, in submission
+        order, out of its finished ``branches``' per-unique-job records;
+        a repeated job collapses onto the first one's result."""
+        by_key = {record.key: record
+                  for branch in branches for record in branch.records}
+        records = []
+        seen: set[str] = set()
+        for job in plan.jobs:
+            record = by_key[job.key()]
+            if record.key in seen:
+                record = dataclasses.replace(record, job=job,
+                                             source="duplicate",
+                                             wall_time=0.0)
+            seen.add(record.key)
+            records.append(record)
+        return cls(records=records, plan=plan)
 
     @property
     def n_jobs(self) -> int:
@@ -170,10 +167,9 @@ class CampaignResult:
 
 # -- static planning helpers --------------------------------------------------------
 #
-# Cache keys and task tuples are pure functions of a plan, shared by
-# the Campaign engine and the campaign-service scheduler (which
-# interleaves branches from *several* plans over one driver pool and
-# needs the keys before anything runs, for in-flight coalescing).
+# Cache keys and task tuples are pure functions of a plan: the branch
+# scheduler needs the keys before anything runs, for in-flight
+# coalescing across plans.
 
 
 def resolve_cache_keys(
@@ -223,23 +219,23 @@ def resolve_cache_keys(
 def tasks_for(plan: CampaignPlan, jobs, ckeys, signatures) -> list[tuple]:
     """The ``(job, cache_key, signature, warm_from)`` task tuples of
     ``jobs`` (any subset of the plan — typically one branch)."""
-    return [
-        (job, ckeys[job.key()], signatures[job.key()],
-         plan.warm_sources.get(job.key()))
-        for job in jobs
-    ]
+    tasks = []
+    for job in jobs:
+        key = job.key()
+        tasks.append((job, ckeys[key], signatures[key],
+                      plan.warm_sources.get(key)))
+    return tasks
 
 
 # -- shared execution core ----------------------------------------------------------
 #
-# One function executes jobs everywhere: the sequential path runs the
-# whole plan order as a single chunk in-process; each driver worker
-# runs one branch per call.  Sharing the body (and precomputing cache
-# keys/signatures on the planning side) is what makes multi-driver
-# records bit-identical to sequential ones.
+# One function executes jobs everywhere, one branch per call: in the
+# scheduler's caller or in a driver worker.  Sharing the body (and
+# precomputing cache keys/signatures on the planning side) is what
+# makes records bit-identical wherever a branch ran.
 
 
-def _execute_chunk(tasks, *, cache, resources, leases, keep_runners,
+def _execute_chunk(tasks, *, cache, resources, leases,
                    progress=None) -> list[ExecutedJob]:
     """Run ``tasks`` — ``(job, cache_key, signature, warm_from)``
     tuples, warm sources always preceding their dependents — in order
@@ -256,7 +252,7 @@ def _execute_chunk(tasks, *, cache, resources, leases, keep_runners,
         source = "cache"
         if result is None:
             source = "run"
-            if job.executor == "process" and keep_runners:
+            if job.executor == "process":
                 _ensure_runner_lease(job, leases, resources)
             warm_u = warm_label = None
             if warm_from is not None and warm_from in results:
@@ -359,7 +355,7 @@ def _release_leases(leases: dict, resources) -> None:
 
 
 class Campaign:
-    """A batch of solve jobs executed through pooled resources.
+    """A batch of solve jobs executed through shared resources.
 
     Parameters
     ----------
@@ -380,34 +376,29 @@ class Campaign:
         full-size float32 warm start → float64 polish); see
         :func:`~repro.campaign.jobs.ladder_stages`.  Off by default;
         disabled runs are bit-identical to the historical engine.
-    pool_workspaces / keep_runners:
-        The two pooling dimensions; both default on.  Disabling both
-        (and the cache) makes ``run()`` equivalent to a loop of cold
-        ``run_configuration`` calls — the benchmark baseline.
     drivers:
-        1 (default) executes the plan sequentially in this process —
-        bit-identical to the historical engine.  N ≥ 2 executes
-        independent warm-start branches in N driver worker processes
-        (see the module docstring for the ownership rules); records are
-        bit-identical to sequential for every job.
+        1 (default) executes every branch in this process, in plan
+        order.  N ≥ 2 executes independent warm-start branches in N
+        driver worker processes (see the module docstring for the
+        ownership rules); records are bit-identical for every job.
     resources:
-        The :class:`~repro.resources.ResourceContext` the sequential
-        path executes against; defaults to a private per-campaign
+        The :class:`~repro.resources.ResourceContext` in-process
+        branches execute against; defaults to a private per-campaign
         context.  Driver workers always build their own.
 
-    A campaign can be ``run()`` repeatedly (leases, pools and driver
-    workers persist between runs — that is the point); ``close()``
-    releases everything.  Usable as a context manager.
+    A campaign can be ``run()`` repeatedly (leases and driver workers
+    persist between runs — that is the point); ``close()`` releases
+    everything.  Usable as a context manager.
     """
 
     def __init__(self, jobs: Iterable[CampaignJob], *,
                  cache: Optional[ResultCache] = None,
                  warm_start: bool = False,
                  ladder: bool = False,
-                 pool_workspaces: bool = True,
-                 keep_runners: bool = True,
                  drivers: int = 1,
                  resources: Optional[ResourceContext] = None):
+        from .scheduler import BranchScheduler
+
         drivers = int(drivers)
         if drivers < 1:
             raise ValueError(f"drivers must be >= 1, got {drivers}")
@@ -415,196 +406,61 @@ class Campaign:
         self.cache = cache
         self.warm_start = warm_start
         self.ladder = ladder
-        self.keep_runners = keep_runners
-        self.pool_workspaces = pool_workspaces
         self.drivers = drivers
         self.resources = (resources if resources is not None
                           else ResourceContext(name="campaign"))
-        if pool_workspaces:
-            if self.resources.workspace_pool is None:
-                self.resources.workspace_pool = WorkspacePool()
-            self.workspace_pool = self.resources.workspace_pool
-        else:
-            self.workspace_pool = None
-        self._leases: dict[tuple, object] = {}
-        self._driver_pool = None
-        # Final driver telemetry, captured at close() so a snapshot
-        # taken after teardown still covers the workers' lifetimes.
-        self._driver_telemetry: list = []
+        self._scheduler = BranchScheduler(
+            cache=cache, workers=0 if drivers == 1 else drivers,
+            resources=self.resources)
         self._closed = False
-
-    # -- planning ----------------------------------------------------------------
-
-    def _resolve_cache_keys(self) -> tuple[dict[str, str], dict[str, dict]]:
-        return resolve_cache_keys(self.plan)
-
-    def _tasks_for(self, jobs, ckeys, signatures) -> list[tuple]:
-        return tasks_for(self.plan, jobs, ckeys, signatures)
-
-    # -- execution ---------------------------------------------------------------
 
     def run(self, progress=None) -> CampaignResult:
         """Execute the plan; returns one record per submitted job.
 
         ``progress``, when given, is called as ``progress(record)``
-        after each unique job resolves (CLI feedback hook).  With
-        ``drivers >= 2`` the calls arrive in branch-completion order.
+        after each unique job resolves (CLI feedback hook): in plan
+        order with ``drivers == 1``, in branch-completion order
+        otherwise.  If a branch fails, the others still finish and the
+        first failure is raised; the campaign stays usable.
         """
         if self._closed:
             raise RuntimeError("campaign is closed")
-        ckeys, signatures = self._resolve_cache_keys()
-        if self.drivers == 1:
-            executed = _execute_chunk(
-                self._tasks_for(self.plan.order, ckeys, signatures),
-                cache=self.cache, resources=self.resources,
-                leases=self._leases, keep_runners=self.keep_runners,
-                progress=progress,
-            )
-        else:
-            executed = self._run_parallel(ckeys, signatures, progress)
-        results = {record.key: record for record in executed}
-        records = []
-        seen: set[str] = set()
-        for job in self.plan.jobs:
-            record = results[job.key()]
-            if record.key in seen:
-                record = dataclasses.replace(record, job=job,
-                                             source="duplicate",
-                                             wall_time=0.0)
-            seen.add(record.key)
-            records.append(record)
-        return CampaignResult(records=records, plan=self.plan)
-
-    def _run_parallel(self, ckeys, signatures, progress) -> list[ExecutedJob]:
-        branches = [
-            self._tasks_for(branch, ckeys, signatures)
-            for branch in self.plan.branches()
-        ]
-        executed: list[ExecutedJob] = []
-        remote: list[list] = []
+        scheduler = self._scheduler
+        branches = scheduler.admit(self.plan, progress)
+        while not all(branch.finished for branch in branches):
+            scheduler.dispatch()
+            scheduler.collect()
         for branch in branches:
-            if self.cache is not None and all(
-                    self.cache.has_memory(ckey)
-                    for _job, ckey, _sig, _warm in branch):
-                # Every job of this branch is resident in the parent's
-                # own memory layer (e.g. a prior run() of this campaign
-                # object): serve it here instead of shipping it to a
-                # driver, whose private memory cache may not have it.
-                # Branches only ever run whole, so partially-cached
-                # branches still go to a driver — a mid-chain solve
-                # needs its predecessor's record for the warm seed.
-                executed.extend(_execute_chunk(
-                    branch, cache=self.cache, resources=self.resources,
-                    leases=self._leases, keep_runners=self.keep_runners,
-                    progress=progress,
-                ))
-            else:
-                remote.append(branch)
-        if remote:
-            pool = self._ensure_driver_pool()
-            for branch_records in pool.run_branches(remote,
-                                                    progress=progress):
-                for record in branch_records:
-                    executed.append(record)
-                    # Mirror worker-computed results into this
-                    # process's memory layer, so result_for consumers
-                    # and later runs of *this* campaign object see
-                    # them without touching disk.  (This is the
-                    # campaign's own cache instance — never a module
-                    # global.)
-                    if self.cache is not None and record.source == "run":
-                        self.cache._remember(record.cache_key,
-                                             record.result)
-        return executed
-
-    def _ensure_driver_pool(self):
-        if self._driver_pool is None:
-            from .driver import DriverPool, cache_spec
-
-            self._driver_pool = DriverPool(
-                self.drivers, cache_spec=cache_spec(self.cache),
-                pool_workspaces=self.pool_workspaces,
-                keep_runners=self.keep_runners,
-            )
-        return self._driver_pool
+            if branch.error is not None:
+                raise branch.error
+        return CampaignResult.from_branches(self.plan, branches)
 
     @property
     def held_runners(self) -> int:
-        """Keep-alive leases held by the sequential path (driver
+        """Keep-alive leases held by in-process branches (driver
         workers hold their own; those are not visible here)."""
-        return len(self._leases)
+        return len(self._scheduler.leases)
 
     def cache_stats(self) -> Optional[dict]:
-        """Aggregated result-cache counters, or None without a cache.
-
-        With ``drivers == 1`` this is just the cache's own
-        :meth:`~repro.campaign.cache.ResultCache.stats`.  With driver
-        workers, each worker's cache is a separate instance (rebuilt
-        from the spec) holding its own counters — every branch
-        completion ships the worker's current snapshot back, and this
-        sums the parent's counters with the latest snapshot of every
-        driver, recomputing ``hit_rate`` over the union.  Lookups a
-        worker served from the shared disk directory therefore count
-        here, which is what the CLI prints for ``--drivers N`` runs.
-        """
-        if self.cache is None:
-            return None
-        stats = self.cache.stats()
-        if self._driver_pool is not None:
-            for snapshot in self._driver_pool.cache_stats():
-                if snapshot is None:
-                    continue
-                for counter in ("hits", "misses", "stores", "evictions"):
-                    stats[counter] += snapshot.get(counter, 0)
-                stats["lock_wait_seconds"] += snapshot.get(
-                    "lock_wait_seconds", 0.0)
-        lookups = stats["hits"] + stats["misses"]
-        stats["hit_rate"] = stats["hits"] / lookups if lookups else 0.0
-        return stats
+        """Result-cache counters aggregated over this process and every
+        driver worker (None without a cache); see
+        :meth:`BranchScheduler.cache_stats`."""
+        return self._scheduler.cache_stats()
 
     def telemetry_snapshot(self) -> dict:
-        """One mergeable telemetry snapshot for the whole campaign.
-
-        Registry ownership follows the resource-context rules above:
-        the campaign's own context registry covers the sequential path
-        (kernels, DES, runners), the cache's *private* registry covers
-        this process's cache instance, and each driver worker's
-        snapshot — piggybacked on branch completions and finalized by
-        the close handshake — covers that worker's context plus its
-        rebuilt cache.  The merge is associative and commutative
-        (counters sum, gauges max, histogram cells add), so the result
-        is independent of driver completion order.
-        """
-        from ..telemetry import merge_snapshots
-
-        parts = [self.resources.telemetry.snapshot()]
-        if self.cache is not None:
-            parts.append(self.cache.telemetry_snapshot())
-        if self._driver_pool is not None:
-            driver_snaps = self._driver_pool.telemetry_snapshots()
-        else:
-            driver_snaps = self._driver_telemetry
-        parts.extend(s for s in driver_snaps if s is not None)
-        return merge_snapshots(*parts)
-
-    # -- lifecycle ---------------------------------------------------------------
+        """One mergeable telemetry snapshot for the whole campaign; see
+        :meth:`BranchScheduler.telemetry_snapshot`."""
+        return self._scheduler.telemetry_snapshot()
 
     def close(self) -> None:
-        """Release every keep-alive lease, drop pooled workspaces, and
-        shut down driver workers.
+        """Release every keep-alive lease and shut down driver workers.
 
         Idempotent; after this the campaign cannot run again (build a
         new one — the cache, being external, survives)."""
         if self._closed:
             return
         self._closed = True
-        _release_leases(self._leases, self.resources)
-        if self.workspace_pool is not None:
-            self.workspace_pool.clear()
-        if self._driver_pool is not None:
-            pool, self._driver_pool = self._driver_pool, None
-            pool.close()
-            self._driver_telemetry = pool.telemetry_snapshots()
+        self._scheduler.close()
 
     def __enter__(self) -> "Campaign":
         return self

@@ -415,10 +415,10 @@ class CampaignPlan:
         — so each branch is one contiguous warm chain and no warm edge
         ever crosses branches.  Without warm starts every unique job is
         its own singleton branch.  Concatenating the branches
-        reproduces ``order`` exactly; that is what lets the sequential
-        engine and the multi-driver scheduler execute the *same* job
-        sequences (branches only ever run whole, in submission order,
-        on one driver).
+        reproduces ``order`` exactly; that is what makes the branch
+        scheduler's zero-worker case the plan-order sequential run
+        (branches only ever run whole, in submission order, in one
+        process).
         """
         branches: list[list[CampaignJob]] = []
         owner: dict[str, list[CampaignJob]] = {}

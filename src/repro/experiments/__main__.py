@@ -27,8 +27,8 @@ re-executes a dumped schedule trace (``.npz``) and verifies the replay
 reproduces the recorded per-sweep diffs bit-exactly.
 
 ``campaign`` runs a whole grid through the batched campaign engine
-(:mod:`repro.campaign`): pooled sweep workspaces, keep-alive worker
-pools, and — with ``--cache-dir`` — a persistent result cache, so
+(:mod:`repro.campaign`): keep-alive worker pools and — with
+``--cache-dir`` — a persistent result cache, so
 re-running the same command is served from disk instead of re-solving.
 ``--fig 5``/``--fig 6`` regenerates that figure's grid through the
 engine; ``--n`` runs a custom matrix over the given axes.  With
@@ -41,7 +41,7 @@ less float64 work.  ``--min-cache-hits K`` exits non-zero
 when fewer than K jobs were served from cache — the CI smoke job uses
 it to assert that a second pass actually hits.  ``--drivers N`` runs
 independent campaign branches in N driver worker processes sharing the
-disk cache; records stay bit-identical to the sequential engine.
+disk cache; records stay bit-identical to ``--drivers 1``.
 
 ``campaign``, ``scenario`` and ``serve`` accept ``--telemetry-json
 PATH``: on exit they write the run's merged telemetry snapshot (see
@@ -210,19 +210,11 @@ def cmd_campaign(args) -> int:
     with Campaign(jobs, cache=cache, warm_start=args.warm_start,
                   ladder=args.ladder, drivers=args.drivers) as campaign:
         outcome = campaign.run(progress=progress)
-        # Aggregated across driver workers; must be read before close()
-        # shuts the pool down and drops its snapshots.
-        cache_stats = campaign.cache_stats()
+        cache_stats = campaign.cache_stats()  # summed over the drivers
     _print_rows(outcome.rows(), title)
     print(f"\njobs: {outcome.n_jobs}  solved: {outcome.runs}  "
           f"cache hits: {outcome.cache_hits}  "
           f"duplicates: {outcome.duplicates}")
-    if args.drivers == 1:
-        # Workspace pools live in the driver workers otherwise.
-        pool = campaign.workspace_pool
-        if pool is not None:
-            print(f"workspace pool: {pool.created} created, "
-                  f"{pool.reused} reused")
     if cache_stats is not None:
         print(f"result cache: {cache_stats['hits']} hits, "
               f"{cache_stats['misses']} misses, "

@@ -140,11 +140,10 @@ def figure_series(
     α = 1 is run once (cluster split is meaningless for one machine) and
     shared by both cluster series, like the paper's plots.
 
-    The grid executes through the campaign engine: one workspace pool
-    serves every run, and passing a
+    The grid executes through the campaign engine: passing a
     :class:`~repro.campaign.ResultCache` lets a re-regeneration (or an
-    overlapping figure) skip already-solved cells.  Pooled execution is
-    bit-identical to the historical per-run loop.
+    overlapping figure) skip already-solved cells.  Campaign execution
+    is bit-identical to the historical per-run loop.
     """
     from ..campaign import Campaign
 

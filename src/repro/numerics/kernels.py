@@ -88,9 +88,6 @@ __all__ = [
     "autotune_slab_bytes",
     "clear_slab_autotune",
     "seed_slab_autotune",
-    "checkout_workspace",
-    "checkin_workspace",
-    "set_workspace_pool",
 ]
 
 #: Fallback target size (bytes) of the per-slab working set; slabs are
@@ -333,11 +330,11 @@ class SweepWorkspace:
     def rebind(self, problem: ObstacleProblem, delta: float) -> None:
         """Re-aim this workspace at a new ``(problem, delta)`` pair.
 
-        The checkout/reset hook of the campaign workspace pool: the
-        expensive allocations (slab scratch, GS staging) survive, only
-        the cheap baked constants are recomputed.  The new problem must
-        live on the same grid (the buffer shapes are sized to it) and
-        the dtype is unchanged — pools key on ``(n, lo, hi, dtype)``.
+        What a kept-alive ``ShardPool`` worker does between the solves
+        of a delta sweep: the expensive allocations (slab scratch, GS
+        staging) survive, only the cheap baked constants are recomputed.
+        The new problem must live on the same grid (the buffer shapes
+        are sized to it) and the dtype is unchanged.
         """
         if problem.grid.n != self.n:
             raise ValueError(
@@ -571,63 +568,3 @@ def block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     if order == "jacobi":
         return jacobi_sweep(ws, cur, nxt, ghost_below, ghost_above)
     raise ValueError(f"unknown sweep order {order!r}")
-
-
-# -- workspace pooling hooks ------------------------------------------------------
-#
-# A sweep campaign runs dozens of near-identical solves; re-allocating
-# every workspace's slab scratch + staging buffer per solve is pure
-# setup cost.  The campaign engine (repro.campaign) installs a pool on
-# its ResourceContext; solver-layer callers go through checkout/checkin
-# and never know whether a workspace is fresh or recycled.  The pool
-# duck-type is ``checkout(problem, delta, lo, hi, dtype) ->
-# SweepWorkspace`` and ``checkin(ws)``; with no pool installed both
-# hooks degrade to plain construction / no-op.  Kept here (the lowest
-# layer) so the solver never imports the campaign package — no upward
-# dependency.
-
-
-def set_workspace_pool(pool, resources=None):
-    """Install ``pool`` as the workspace provider on ``resources``
-    (the default context when ``None``); returns the previously
-    installed pool (restore it when done)."""
-    ctx = resolve_context(resources)
-    previous = ctx.workspace_pool
-    ctx.workspace_pool = pool
-    return previous
-
-
-def checkout_workspace(problem: ObstacleProblem, delta: float,
-                       lo: int = 0, hi: Optional[int] = None,
-                       dtype=None, resources=None) -> SweepWorkspace:
-    """A workspace for ``(problem, delta, [lo, hi), dtype)`` — recycled
-    from ``resources``' pool when one is installed, freshly built
-    otherwise.  Pair with :func:`checkin_workspace` on the same
-    context."""
-    ctx = resolve_context(resources)
-    if ctx.workspace_pool is not None:
-        return ctx.workspace_pool.checkout(problem, delta, lo=lo, hi=hi,
-                                           dtype=dtype, resources=ctx)
-    return SweepWorkspace(problem, delta, lo=lo, hi=hi, dtype=dtype,
-                          resources=ctx)
-
-
-def checkin_workspace(ws: SweepWorkspace, resources=None) -> None:
-    """Return a checked-out workspace; a no-op when ``resources`` has
-    no pool installed (the workspace is garbage-collected as before)."""
-    ctx = resolve_context(resources)
-    if ctx.workspace_pool is not None:
-        ctx.workspace_pool.checkin(ws)
-
-
-def __getattr__(name: str):
-    # PEP 562 read aliases for what used to be module globals, kept so
-    # existing introspection (tests asserting the process-wide hook is
-    # uninstalled, or peeking at the tuning verdict) stays valid: they
-    # now reflect the default context's slots.
-    if name == "_workspace_pool":
-        return default_context().workspace_pool
-    if name == "_tuned_slab_bytes":
-        return default_context().slab_bytes
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

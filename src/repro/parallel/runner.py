@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..numerics.tolerances import check_dtype, resolve_dtype
-from ..resources import default_context, resolve_context
+from ..resources import resolve_context
 from .arena import SharedPlaneArena
 from .pool import ShardPool
 
@@ -473,17 +473,3 @@ def rebind_shared_runner(runner: ParallelBlockRunner, delta: float,
         del ctx.runners[key]
         ctx.runners[new_key] = entry
         ctx.runner_keys[id(runner)] = new_key
-
-
-def __getattr__(name: str):
-    # PEP 562 read aliases of the default context's registry, so
-    # existing introspection (tests asserting all leases are released)
-    # keeps working after the de-globalization.
-    if name == "_shared":
-        return default_context().runners
-    if name == "_runner_keys":
-        return default_context().runner_keys
-    if name == "_shared_lock":
-        return default_context().runner_lock
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

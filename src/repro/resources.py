@@ -1,8 +1,8 @@
 """Explicit resource contexts for the solver/runner/campaign stack.
 
-Everything that used to be a process-global singleton — the sweep
-workspace pool hook (:mod:`repro.numerics.kernels`), the slab-autotune
-verdict, the per-kind problem cache
+Everything that used to be a process-global singleton — the
+slab-autotune verdict (:mod:`repro.numerics.kernels`), the per-kind
+problem cache
 (:mod:`repro.solvers.distributed_richardson`), and the shared-runner
 registry (:mod:`repro.parallel.runner`) — now lives in an instantiable
 :class:`ResourceContext`.  One context per owner: a plain solve uses the
@@ -13,8 +13,8 @@ startup.
 
 Two rules keep this honest:
 
-- **Contexts never share mutable resource state.**  A workspace pool, a
-  runner lease, or a cached problem acquired through one context is
+- **Contexts never share mutable resource state.**  A runner lease or
+  a cached problem acquired through one context is
   invisible to every other context, so two campaigns can run
   concurrently in one process without stepping on each other.
 - **The context rides the call, never the params.**  Simulated task
@@ -43,10 +43,6 @@ class ResourceContext:
 
     Slots (all lazily populated by the layers that use them):
 
-    ``workspace_pool``
-        The duck-typed sweep-workspace pool consulted by
-        :func:`repro.numerics.kernels.checkout_workspace`, or ``None``
-        for construct-on-demand.
     ``slab_bytes``
         The cached slab-autotune verdict
         (:func:`repro.numerics.kernels.autotune_slab_bytes`), or
@@ -68,7 +64,6 @@ class ResourceContext:
 
     def __init__(self, name: str = "context") -> None:
         self.name = str(name)
-        self.workspace_pool = None
         self.slab_bytes: Optional[int] = None
         self.problem_cache: dict = {}
         self.runner_lock = threading.Lock()
@@ -78,7 +73,6 @@ class ResourceContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResourceContext({self.name!r}, "
-                f"pool={self.workspace_pool is not None}, "
                 f"slab={self.slab_bytes}, "
                 f"problems={len(self.problem_cache)}, "
                 f"runners={len(self.runners)})")

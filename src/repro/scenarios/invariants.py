@@ -32,8 +32,6 @@ down and reported as a violation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..numerics.richardson import projected_richardson

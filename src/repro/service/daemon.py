@@ -1,39 +1,30 @@
-"""The campaign service daemon: an HTTP front door over a persistent
-:class:`~repro.campaign.driver.DriverPool`.
+"""The campaign service daemon: an HTTP front door over the branch
+scheduler.
 
 The paper's P2PDC environment is a *service*: users submit obstacle
 tasks to a long-lived peer network, they do not run one-shot scripts.
 This module is that front door for the reproduction — a stdlib-only
-(``http.server``/``socketserver``) threaded daemon that owns solver
-resources for its whole lifetime and schedules work from many requests
-over them:
+(``http.server``/``socketserver``) threaded daemon that owns one
+:class:`~repro.campaign.scheduler.BranchScheduler` (one
+:class:`~repro.campaign.ResultCache`, one driver pool, one private
+:class:`~repro.resources.ResourceContext`) for its whole lifetime and
+feeds it from many requests.  Planning, readiness, in-flight coalescing
+of shared cache keys, in-process serving of memory-resident branches
+and failure isolation are the scheduler's — the same ones
+``Campaign.run`` uses, which is why daemon records are bit-identical to
+CLI campaign records and a second submission of a solved matrix never
+solves again.  What is left here:
 
-- **Persistent resources.**  One :class:`~repro.campaign.ResultCache`
-  and one driver pool live across requests; a second submission of a
-  matrix the daemon has already solved never solves again.  The daemon
-  executes nothing against the process-default
-  :class:`~repro.resources.ResourceContext` — it owns a private context
-  for the (rare) branches it serves in-process, and each driver worker
-  owns its own, per the ownership rules in
-  :mod:`repro.campaign.engine`.
-- **Bounded admission queue.**  A submission is planned
-  (:func:`~repro.campaign.jobs.plan_jobs` →
-  :func:`~repro.campaign.engine.resolve_cache_keys` — the same static
-  planning the engine uses, so daemon records are bit-identical to CLI
-  campaign records) and its branches join one FIFO queue, bounded by
-  ``max_queue``; past the bound the daemon answers 503 instead of
-  buffering unboundedly.
-- **Branch-level scheduling.**  The scheduler thread hands *branches*
-  (whole warm-start chains — the engine's unit of driver work) to idle
-  drivers in queue order, skipping over branches that are not ready,
-  so a small campaign is never stuck behind a big one when a driver is
-  free.
-- **In-flight coalescing.**  Every branch's cache keys are known
-  statically; the first branch to claim a key owns it, and any branch
-  sharing a key with unfinished work defers instead of re-solving.
-  When the owner completes, the deferred branch finds every entry in
-  the daemon's cache and is served without touching a driver — a
-  duplicate submission costs one cache sweep, not a solve.
+- **Bounded admission and drain.**  A submission's branches join the
+  scheduler's FIFO queue unless that would exceed ``max_queue`` (503)
+  or the service is draining (409); a drain finishes everything
+  accepted, then stops.
+- **The lock and the thread.**  The scheduler has neither: one
+  scheduler thread pumps ``dispatch``/``collect``, and one lock
+  serializes ``admit``, ``dispatch`` and the views (``collect`` blocks
+  on the worker pipes outside it, so submissions and status reads never
+  wait on a branch in flight).
+- **Views and HTTP.**
 
 Endpoints (see :mod:`repro.service.schema` for the wire format)::
 
@@ -46,15 +37,10 @@ Endpoints (see :mod:`repro.service.schema` for the wire format)::
     GET  /metrics                        Prometheus text exposition
     POST /shutdown                       drain accepted work, then exit
 
-Telemetry registry ownership mirrors the resource-context rules: the
-service's private context carries the registry for everything it does
-in-process (scheduler counters, branch queue-wait histogram, inline
-cache serves), the cache instance keeps its own private registry, and
-each driver worker ships snapshots back piggybacked on branch
-completions.  ``/metrics`` and :meth:`CampaignService.telemetry_snapshot`
-merge all of them on demand — reading metrics never touches modeled
-state, so a scraped daemon produces bit-identical records to an
-unscraped one.
+``/metrics`` and :meth:`CampaignService.telemetry_snapshot` merge the
+service context's registry, the cache's and every driver worker's on
+demand — reading metrics never touches modeled state, so a scraped
+daemon produces bit-identical records to an unscraped one.
 """
 
 from __future__ import annotations
@@ -69,15 +55,9 @@ from typing import Any, Optional
 import numpy as np
 
 from ..campaign.cache import ResultCache
-from ..campaign.driver import DriverBranchError, DriverPool, cache_spec
-from ..campaign.engine import (
-    ExecutedJob,
-    _execute_chunk,
-    _release_leases,
-    resolve_cache_keys,
-    tasks_for,
-)
+from ..campaign.engine import CampaignResult
 from ..campaign.jobs import plan_jobs
+from ..campaign.scheduler import Branch, BranchScheduler
 from ..resources import ResourceContext
 from .schema import SCHEMA_VERSION, SchemaError, Submission
 
@@ -99,44 +79,14 @@ class AdmissionError(Exception):
         return {"error": {"code": self.code, "message": str(self)}}
 
 
-class _Branch:
-    """One schedulable unit: a whole warm-start chain of one campaign."""
-
-    __slots__ = ("tasks", "status", "records", "driver", "error",
-                 "owned_keys", "enqueued_at")
-
-    def __init__(self, tasks: list):
-        self.tasks = tasks
-        self.status = "queued"  # queued | running | done | failed
-        self.records: Optional[list[ExecutedJob]] = None
-        self.driver: Optional[int] = None
-        self.error: Optional[str] = None
-        #: Cache keys this branch claimed at admission (first claimant
-        #: wins); released when the branch leaves the running set.
-        self.owned_keys: tuple[str, ...] = ()
-        #: perf-counter stamp taken at admission; the queue-wait
-        #: histogram observes dispatch_time - enqueued_at.
-        self.enqueued_at: float = 0.0
-
-    @property
-    def cache_keys(self) -> list[str]:
-        return [ckey for _job, ckey, _sig, _warm in self.tasks]
-
-
 class _CampaignState:
     """Everything the daemon tracks about one submission."""
 
-    def __init__(self, cid: str, submission: Submission, plan, ckeys,
-                 signatures, branches: list[_Branch]):
-        self.id = cid
+    def __init__(self, submission: Submission, plan,
+                 branches: list[Branch]):
         self.tag = submission.tag
-        self.warm_start = submission.warm_start
-        self.ladder = submission.ladder
         self.plan = plan
-        self.ckeys = ckeys
-        self.signatures = signatures
         self.branches = branches
-        self.created = time.time()
 
     @property
     def status(self) -> str:
@@ -148,28 +98,6 @@ class _CampaignState:
         if states == {"done"}:
             return "done"
         return "running"
-
-    def records(self) -> list[ExecutedJob]:
-        """One record per *submitted* job, in submission order (same
-        duplicate-collapsing contract as ``Campaign.run``)."""
-        import dataclasses
-
-        by_key = {
-            record.key: record
-            for branch in self.branches
-            for record in branch.records or []
-        }
-        records = []
-        seen: set[str] = set()
-        for job in self.plan.jobs:
-            record = by_key[job.key()]
-            if record.key in seen:
-                record = dataclasses.replace(record, job=job,
-                                             source="duplicate",
-                                             wall_time=0.0)
-            seen.add(record.key)
-            records.append(record)
-        return records
 
 
 class CampaignService:
@@ -194,38 +122,22 @@ class CampaignService:
         self.drivers = int(drivers)
         self.max_queue = int(max_queue)
         self.started = time.time()
-        # The daemon's own execution context, for branches it serves
+        # The daemon's own execution context, for branches served
         # in-process.  Never the process default: a service must be
-        # embeddable next to unrelated solves without sharing pools.
+        # embeddable next to unrelated solves without sharing caches.
         self._resources = ResourceContext(name="service")
-        # Scheduler metrics live in the service context's registry (the
-        # handles are resolved once; observing is a locked add).  These
-        # are recorded unconditionally — per-branch frequency, not a
-        # solver hot path.
-        tele = self._resources.telemetry
-        self._m_submissions = tele.counter("repro_service_submissions_total")
-        self._m_inline = tele.counter(
-            "repro_service_branches_total", mode="inline")
-        self._m_dispatched = tele.counter(
-            "repro_service_branches_total", mode="driver")
-        self._m_failed = tele.counter("repro_service_branches_failed_total")
-        self._m_queue_wait = tele.histogram(
-            "repro_branch_queue_wait_seconds")
-        self._leases: dict = {}
-        self._pool: Optional[DriverPool] = None
-        # Final driver telemetry, captured when the scheduler tears the
-        # pool down, so /metrics after a drain still covers the workers.
-        self._driver_telemetry: list = []
+        self._m_submissions = self._resources.telemetry.counter(
+            "repro_service_submissions_total")
+        self._scheduler = BranchScheduler(
+            cache=self.cache, workers=self.drivers,
+            resources=self._resources)
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
         self._campaigns: dict[str, _CampaignState] = {}
-        self._queue: list[tuple[str, int]] = []  # (cid, branch index)
-        self._owner: dict[str, tuple[str, int]] = {}  # ckey -> owner
-        self._tickets: dict[int, tuple[str, int]] = {}
         self._seq = 0
         self._draining = False
         self._drained = threading.Event()
-        self._scheduler: Optional[threading.Thread] = None
+        self._thread: Optional[threading.Thread] = None
         if autostart:
             self.start()
 
@@ -234,13 +146,13 @@ class CampaignService:
     def start(self) -> None:
         """Start the scheduler thread (idempotent)."""
         with self._lock:
-            if self._scheduler is not None:
+            if self._thread is not None:
                 return
-            self._scheduler = threading.Thread(
+            self._thread = threading.Thread(
                 target=self._run_scheduler, name="campaign-scheduler",
                 daemon=True,
             )
-            self._scheduler.start()
+            self._thread.start()
 
     def drain(self) -> dict[str, Any]:
         """Stop admitting; finish everything accepted; then stop.
@@ -249,15 +161,15 @@ class CampaignService:
         """
         with self._wake:
             self._draining = True
-            queued = len(self._queue)
-            running = len(self._tickets)
+            queued = len(self._scheduler.queue)
+            running = self._scheduler.running
             self._wake.notify_all()
         return {"draining": True, "queued_branches": queued,
                 "running_branches": running}
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait until the drain completed (scheduler exited)."""
-        if self._scheduler is None:
+        if self._thread is None:
             # Never started: nothing will ever drain the queue.
             self._drained.set()
         return self._drained.wait(timeout)
@@ -280,182 +192,49 @@ class CampaignService:
         plan = plan_jobs(list(submission.jobs),
                          warm_start=submission.warm_start,
                          ladder=submission.ladder)
-        ckeys, signatures = resolve_cache_keys(plan)
-        branches = [
-            _Branch(tasks_for(plan, jobs, ckeys, signatures))
-            for jobs in plan.branches()
-        ]
+        n_branches = len(plan.branches())
         with self._wake:
             if self._draining:
                 raise AdmissionError(
                     "service is draining and no longer admits work",
                     code="draining", status=409)
-            if len(self._queue) + len(branches) > self.max_queue:
+            queued = len(self._scheduler.queue)
+            if queued + n_branches > self.max_queue:
                 raise AdmissionError(
-                    f"admission queue full ({len(self._queue)} of "
+                    f"admission queue full ({queued} of "
                     f"{self.max_queue} branches queued); retry later",
                     code="queue-full", status=503)
             self._seq += 1
             cid = f"c{self._seq:06d}"
-            state = _CampaignState(cid, submission, plan, ckeys,
-                                   signatures, branches)
-            self._campaigns[cid] = state
+            self._campaigns[cid] = _CampaignState(
+                submission, plan, self._scheduler.admit(plan))
             self._m_submissions.inc()
-            now = time.perf_counter()
-            for index, branch in enumerate(branches):
-                branch.enqueued_at = now
-                # First claimant owns a key; a branch sharing keys with
-                # in-flight work defers at dispatch until the owner is
-                # done, then is served from the cache.
-                owned = []
-                for ckey in branch.cache_keys:
-                    if ckey not in self._owner:
-                        self._owner[ckey] = (cid, index)
-                        owned.append(ckey)
-                branch.owned_keys = tuple(owned)
-                self._queue.append((cid, index))
             self._wake.notify_all()
         return cid
 
-    # -- scheduler ---------------------------------------------------------------
-
-    def _branch_ready(self, cid: str, index: int) -> bool:
-        """A branch may dispatch when no *other* unfinished branch owns
-        any of its keys."""
-        branch = self._campaigns[cid].branches[index]
-        for ckey in branch.cache_keys:
-            owner = self._owner.get(ckey)
-            if owner is not None and owner != (cid, index):
-                return False
-        return True
-
-    def _branch_cached(self, branch: _Branch) -> bool:
-        """Whole branch resident in the daemon's own memory layer —
-        serve it here instead of occupying a driver."""
-        return all(self.cache.has_memory(ckey)
-                   for ckey in branch.cache_keys)
-
-    def _release(self, cid: str, index: int) -> None:
-        branch = self._campaigns[cid].branches[index]
-        for ckey in branch.owned_keys:
-            if self._owner.get(ckey) == (cid, index):
-                del self._owner[ckey]
-        branch.owned_keys = ()
-
-    def _finish(self, cid: str, index: int,
-                records: list[ExecutedJob]) -> None:
-        branch = self._campaigns[cid].branches[index]
-        branch.records = records
-        branch.status = "done"
-        for record in records:
-            # Re-member everything (the engine re-members only "run"):
-            # deferred duplicates and restarts-over-a-warm-disk-cache
-            # must find entries in the parent memory layer.
-            self.cache._remember(record.cache_key, record.result)
-        self._release(cid, index)
-
-    def _fail(self, cid: str, index: int, error: str) -> None:
-        branch = self._campaigns[cid].branches[index]
-        branch.status = "failed"
-        branch.error = error
-        self._m_failed.inc()
-        self._release(cid, index)
-
-    def _dispatch_locked(self) -> None:
-        """Move ready queue entries onto drivers (or serve them from
-        cache in place).  Runs with the lock held."""
-        remaining: list[tuple[str, int]] = []
-        for cid, index in self._queue:
-            branch = self._campaigns[cid].branches[index]
-            if not self._branch_ready(cid, index):
-                remaining.append((cid, index))
-                continue
-            if self._branch_cached(branch):
-                self._m_queue_wait.observe(
-                    time.perf_counter() - branch.enqueued_at)
-                self._m_inline.inc()
-                branch.status = "running"
-                try:
-                    records = _execute_chunk(
-                        branch.tasks, cache=self.cache,
-                        resources=self._resources, leases=self._leases,
-                        keep_runners=True,
-                    )
-                except Exception as exc:  # pragma: no cover - cache rot
-                    self._fail(cid, index, repr(exc))
-                else:
-                    self._finish(cid, index, records)
-                continue
-            pool = self._ensure_pool()
-            if pool.idle == 0:
-                remaining.append((cid, index))
-                continue
-            self._m_queue_wait.observe(
-                time.perf_counter() - branch.enqueued_at)
-            self._m_dispatched.inc()
-            branch.status = "running"
-            ticket = pool.submit(branch.tasks)
-            branch.driver = self._active_driver_of(ticket)
-            self._tickets[ticket] = (cid, index)
-        self._queue = remaining
-
-    def _active_driver_of(self, ticket: int) -> Optional[int]:
-        for worker, active in self._pool._active.items():
-            if active == ticket:
-                return worker
-        return None
-
-    def _ensure_pool(self) -> DriverPool:
-        if self._pool is None:
-            self._pool = DriverPool(
-                self.drivers, cache_spec=cache_spec(self.cache),
-            )
-        return self._pool
+    # -- scheduler thread --------------------------------------------------------
 
     def _run_scheduler(self) -> None:
+        sched = self._scheduler
+        error = None
         try:
             while True:
                 with self._wake:
-                    self._dispatch_locked()
-                    if not self._tickets:
-                        if self._draining and not self._queue:
+                    sched.dispatch()
+                    if not sched.running:
+                        if self._draining and not sched.queue:
                             break
                         self._wake.wait(timeout=0.1)
                         continue
-                    pool = self._pool
-                # Poll outside the lock: submissions and status reads
-                # must not block on a branch in flight.
-                try:
-                    completions = pool.wait(timeout=0.05)
-                except DriverBranchError as exc:
-                    with self._wake:
-                        cid, index = self._tickets.pop(exc.ticket)
-                        self._fail(cid, index, str(exc))
-                        self._wake.notify_all()
-                    continue
-                with self._wake:
-                    for ticket, records in completions:
-                        cid, index = self._tickets.pop(ticket)
-                        self._finish(cid, index, records)
-                    if completions:
-                        self._wake.notify_all()
-        except Exception as exc:  # pool death and other non-branch faults
-            with self._wake:
-                for ticket, (cid, index) in list(self._tickets.items()):
-                    self._fail(cid, index, repr(exc))
-                self._tickets.clear()
-                for cid, index in self._queue:
-                    self._fail(cid, index, f"scheduler stopped: {exc!r}")
-                self._queue.clear()
-                self._draining = True
+                # Outside the lock: submissions and status reads must
+                # not block on a branch in flight.
+                sched.collect(timeout=0.05)
+        except Exception as exc:  # pool loss and other non-branch faults
+            error = exc
         finally:
             with self._lock:
-                pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.close()
-                with self._lock:
-                    self._driver_telemetry = pool.telemetry_snapshots()
-            _release_leases(self._leases, self._resources)
+                self._draining = True
+            sched.close(error)
             self._drained.set()
 
     # -- views -------------------------------------------------------------------
@@ -469,8 +248,8 @@ class CampaignService:
     def status(self, cid: str) -> dict[str, Any]:
         with self._lock:
             state = self._get(cid)
-            positions = {entry: pos for pos, entry
-                         in enumerate(self._queue)}
+            positions = {id(branch): pos for pos, branch
+                         in enumerate(self._scheduler.queue)}
             branches = []
             done_jobs = 0
             for index, branch in enumerate(state.branches):
@@ -482,13 +261,13 @@ class CampaignService:
                     "jobs": len(branch.tasks),
                     "cache_keys": branch.cache_keys,
                 }
-                position = positions.get((cid, index))
+                position = positions.get(id(branch))
                 if position is not None:
                     entry["queue_position"] = position
                 if branch.driver is not None:
                     entry["driver"] = branch.driver
                 if branch.error is not None:
-                    entry["error"] = branch.error
+                    entry["error"] = _describe(branch.error)
                 branches.append(entry)
             return {
                 "version": SCHEMA_VERSION,
@@ -506,7 +285,8 @@ class CampaignService:
             state = self._get(cid)
             status = state.status
             if status == "failed":
-                errors = [b.error for b in state.branches if b.error]
+                errors = [_describe(b.error) for b in state.branches
+                          if b.error is not None]
                 raise SchemaError(
                     "campaign failed: " + "; ".join(errors),
                     code="campaign-failed")
@@ -514,14 +294,10 @@ class CampaignService:
                 raise SchemaError(
                     f"campaign {cid} is {status}; results exist once "
                     f"it is done", code="not-done")
-            records = state.records()
+            outcome = CampaignResult.from_branches(state.plan,
+                                                   state.branches)
         jobs = []
-        for record in records:
-            result = record.result
-            row = result.row()
-            row["source"] = record.source
-            if record.warm_from is not None:
-                row["warm_from"] = record.warm_from
+        for record, row in zip(outcome.records, outcome.rows()):
             jobs.append({
                 "key": record.key,
                 "cache_key": record.cache_key,
@@ -531,11 +307,10 @@ class CampaignService:
                 "warm_from": record.warm_from,
                 "wall_time": record.wall_time,
                 "row": row,
-                "provenance": result.report.provenance,
+                "provenance": record.result.report.provenance,
                 "iterate": f"/campaigns/{cid}/iterates/"
                            f"{record.cache_key}.npy",
             })
-        sources = [record.source for record in records]
         return {
             "version": SCHEMA_VERSION,
             "id": cid,
@@ -543,10 +318,10 @@ class CampaignService:
             "status": "done",
             "jobs": jobs,
             "summary": {
-                "jobs": len(records),
-                "solved": sources.count("run"),
-                "cache_hits": sources.count("cache"),
-                "duplicates": sources.count("duplicate"),
+                "jobs": outcome.n_jobs,
+                "solved": outcome.runs,
+                "cache_hits": outcome.cache_hits,
+                "duplicates": outcome.duplicates,
             },
         }
 
@@ -591,25 +366,14 @@ class CampaignService:
             campaigns     total + count per status
         """
         with self._lock:
-            stats = self.cache.stats()
-            pool = self._pool
-            if pool is not None:
-                for snapshot in pool.cache_stats():
-                    if snapshot is None:
-                        continue
-                    for counter in ("hits", "misses", "stores",
-                                    "evictions"):
-                        stats[counter] += snapshot.get(counter, 0)
-                    stats["lock_wait_seconds"] += snapshot.get(
-                        "lock_wait_seconds", 0.0)
-                utilization = pool.utilization()
+            sched = self._scheduler
+            if sched.pool is not None:
+                utilization = sched.pool.utilization()
             else:
                 utilization = {
                     "drivers": self.drivers, "busy": 0,
                     "idle": 0, "branches_per_driver": [],
                 }
-            lookups = stats["hits"] + stats["misses"]
-            stats["hit_rate"] = stats["hits"] / lookups if lookups else 0.0
             by_status: dict[str, int] = {}
             for state in self._campaigns.values():
                 by_status[state.status] = by_status.get(state.status, 0) + 1
@@ -617,39 +381,32 @@ class CampaignService:
                 "version": SCHEMA_VERSION,
                 "uptime_s": time.time() - self.started,
                 "draining": self._draining,
-                "cache": stats,
+                "cache": sched.cache_stats(),
                 "pool": utilization,
                 "queue": {
-                    "depth": len(self._queue),
-                    "running": len(self._tickets),
+                    "depth": len(sched.queue),
+                    "running": sched.running,
                     "max": self.max_queue,
-                    "wait": self._m_queue_wait.summary(),
+                    "wait": sched.queue_wait.summary(),
                 },
                 "service": {
                     "submissions": int(self._m_submissions.value),
-                    "branches_inline": int(self._m_inline.value),
-                    "branches_driver": int(self._m_dispatched.value),
-                    "branches_failed": int(self._m_failed.value),
+                    "branches_inline": int(sched.inline.value),
+                    "branches_driver": int(sched.dispatched.value),
+                    "branches_failed": int(sched.failed.value),
                 },
                 "campaigns": {"total": len(self._campaigns), **by_status},
             }
 
     def telemetry_snapshot(self) -> dict:
         """One mergeable snapshot across every registry the service can
-        see: its own context (scheduler + inline execution), its cache
-        instance, and the latest piggybacked snapshot of each driver
-        worker (final close-handshake snapshots after a drain)."""
-        from ..telemetry import merge_snapshots
-
+        see; see :meth:`BranchScheduler.telemetry_snapshot`."""
         with self._lock:
-            parts = [self._resources.telemetry.snapshot(),
-                     self.cache.telemetry_snapshot()]
-            if self._pool is not None:
-                driver_snaps = self._pool.telemetry_snapshots()
-            else:
-                driver_snaps = self._driver_telemetry
-            parts.extend(s for s in driver_snaps if s is not None)
-        return merge_snapshots(*parts)
+            return self._scheduler.telemetry_snapshot()
+
+
+def _describe(error: BaseException) -> str:
+    return f"{type(error).__name__}: {error}"
 
 
 # -- HTTP layer ---------------------------------------------------------------------

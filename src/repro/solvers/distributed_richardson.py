@@ -41,7 +41,7 @@ from ..numerics.obstacle import (
 from ..numerics.tolerances import check_termination_tol, resolve_dtype
 from ..p2psap.context import CommMode, Scheme
 from ..parallel.trace import active_recorder
-from ..resources import default_context, resolve_context
+from ..resources import resolve_context
 from .halo import BlockState
 from .termination import Action, ExactCoordinator, StreakCoordinator
 
@@ -94,15 +94,6 @@ def clear_problem_cache(resources=None) -> None:
     """Drop ``resources``' cached problem instances (test isolation
     hook; other contexts keep theirs)."""
     resolve_context(resources).problem_cache.clear()
-
-
-def __getattr__(name: str):
-    # PEP 562 read alias: `_problem_cache` used to be a module global;
-    # it now names the default context's cache.
-    if name == "_problem_cache":
-        return default_context().problem_cache
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 def assignment_from_params(params, n: int, n_peers: int) -> BlockAssignment:

@@ -14,11 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics.kernels import (
-    block_sweep,
-    checkin_workspace,
-    checkout_workspace,
-)
+from ..numerics.kernels import SweepWorkspace, block_sweep
 from ..numerics.obstacle import ObstacleProblem
 from ..numerics.tolerances import check_dtype, resolve_dtype
 
@@ -158,13 +154,10 @@ class BlockState:
         self.block = u0[self.lo:self.hi].copy()
         self.ghost_below = u0[self.lo - 1].copy() if self.lo > 0 else None
         self.ghost_above = u0[self.hi].copy() if self.hi < n else None
-        # Checked out through the kernel-layer hook: plain construction
-        # normally, a recycled workspace when a campaign has a pool
-        # installed.  Paired with release() below.
-        self._workspace = checkout_workspace(self.problem, self.delta,
-                                             lo=self.lo, hi=self.hi,
-                                             dtype=self.dtype,
-                                             resources=self.resources)
+        self._workspace = SweepWorkspace(self.problem, self.delta,
+                                         lo=self.lo, hi=self.hi,
+                                         dtype=self.dtype,
+                                         resources=self.resources)
         # Rotation buffer: each sweep writes the new iterate here, then
         # the two block arrays swap roles (no per-plane copies).
         self._next_block = self._workspace.rotation_buffer()
@@ -289,13 +282,11 @@ class BlockState:
         return self.finish_sweep()
 
     def release(self) -> None:
-        """Return the sweep workspace to the installed pool, if any.
+        """Drop the sweep workspace.
 
         Idempotent.  Call when the solve is over (``_BlockSolver.close``
         does); the block itself and both ghosts are privately owned and
-        stay valid — only the kernel scratch goes back.  Without a
-        campaign pool installed this is a no-op and the workspace is
-        simply garbage-collected, as before.  An in-flight sweep is
+        stay valid — only the kernel scratch goes.  An in-flight sweep is
         drained and discarded first, so abort paths (peer failure mid
         compute-charge) never orphan a worker command.  A released state
         can be released again freely — every teardown path (normal
@@ -306,10 +297,7 @@ class BlockState:
             return
         self._released = True
         self.abort_sweep()
-        ws = getattr(self, "_workspace", None)
-        if ws is not None:
-            self._workspace = None
-            checkin_workspace(ws, resources=self.resources)
+        self._workspace = None
 
     def export_block(self) -> np.ndarray:
         """The block as an array safe to keep after the solve: the

@@ -1,7 +1,7 @@
 """Campaign × asynchronous stepping.
 
-Pooled resources (workspace pool, keep-alive worker pools, rebind
-across a delta sweep) must be invisible to an asynchronous solve — and
+Campaign resources (keep-alive worker pools, rebind across a delta
+sweep) must be invisible to an asynchronous solve — and
 because async schemes are order-sensitive, "invisible" is asserted at
 the strongest level available: the full recorded (peer, iteration,
 ghost-exchange) schedule of every pooled run, including every plane's

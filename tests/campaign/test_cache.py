@@ -52,6 +52,18 @@ class TestMemoryCache:
         assert cache.load("k0") is None  # evicted
         assert cache.load("k3") is solved
 
+    def test_remember_is_memory_only_and_uncounted(self, tmp_path, solved):
+        """How a result another process computed becomes resident: no
+        disk write, no store counted, same bound as store()."""
+        cache = ResultCache(tmp_path, max_memory_entries=2)
+        cache.remember("k0", solved)
+        assert cache.has_memory("k0")
+        assert cache.stores == 0 and len(cache) == 0
+        assert cache.load("k0") is solved
+        for key in ("k1", "k2"):
+            cache.remember(key, solved)
+        assert not cache.has_memory("k0")  # oldest entry evicted
+
 
 class TestDiskCache:
     def test_roundtrip_bit_identical(self, tmp_path, solved):

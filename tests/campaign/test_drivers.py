@@ -18,7 +18,6 @@ from repro.campaign import (
     expand_matrix,
     plan_jobs,
 )
-from repro.parallel import runner as runner_mod
 from repro.resources import default_context
 from repro.solvers.distributed_richardson import get_problem
 
@@ -133,7 +132,7 @@ class TestParallelBitIdentity:
 class TestParallelResourceIsolation:
     def test_no_default_context_writes(self):
         """A multi-driver run leaves the parent's process-default
-        context exactly as it found it — no pool, no runner leases,
+        context exactly as it found it — no runner leases,
         no problem-cache growth beyond what planning itself needs."""
         before_problems = set(default_context().problem_cache)
         jobs = delta_sweep_jobs(3, executor="process")
@@ -141,8 +140,7 @@ class TestParallelResourceIsolation:
             outcome = campaign.run()
             assert campaign.held_runners == 0  # leases live in workers
         assert outcome.runs == 3
-        assert runner_mod._shared == {}
-        assert default_context().workspace_pool is None
+        assert default_context().runners == {}
         assert set(default_context().problem_cache) == before_problems
 
 

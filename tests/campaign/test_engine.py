@@ -1,7 +1,7 @@
-"""Campaign engine: pooled-vs-cold equivalence, cache service, warm
+"""Campaign engine: campaign-vs-cold equivalence, cache service, warm
 starts, keep-alive runner leases.
 
-The load-bearing contract is the acceptance criterion: a pooled
+The load-bearing contract is the acceptance criterion: a
 campaign run must be *bit-identical* to cold ``run_configuration``
 calls — iterates, relaxation counts, and simulated time — for both
 dtypes and both executors; and a second execution of the same campaign
@@ -13,7 +13,7 @@ import pytest
 
 from repro.campaign import Campaign, CampaignJob, ResultCache, expand_matrix
 from repro.experiments.harness import run_configuration
-from repro.parallel import runner as runner_mod
+from repro.resources import default_context
 from repro.solvers.distributed_richardson import get_problem
 
 N = 8
@@ -62,7 +62,7 @@ class TestPooledVsColdEquivalence:
         for record in outcome.records:
             assert record.source == "run"
             assert_identical(record.result, cold_run(record.job))
-        assert runner_mod._shared == {}  # leases all released
+        assert default_context().runners == {}  # leases all released
 
     def test_schemes_and_clusters(self):
         jobs = expand_matrix(ns=[N], n_peers=[1, 2], n_clusters=[1, 2],
@@ -93,14 +93,6 @@ class TestDeltaSweepAcceptance:
         for record in first.records:
             assert_identical(record.result, cold_run(record.job))
 
-    def test_workspaces_actually_pooled(self, sweep):
-        _jobs, campaign, _first, _second = sweep
-        pool = campaign.workspace_pool
-        # 10 two-peer jobs = 20 workspace checkouts over 2 shapes: the
-        # first job builds, the other nine recycle.
-        assert pool.created == 2
-        assert pool.reused == 18
-
     def test_second_execution_served_from_cache(self, sweep):
         _jobs, _campaign, _first, second = sweep
         hits = second.cache_hits
@@ -120,28 +112,27 @@ class TestRunnerKeepAlive:
         with Campaign(jobs) as campaign:
             campaign.run()
             assert campaign.held_runners == 1
-            (runner,) = campaign._leases.values()
+            leases = campaign._scheduler.leases
+            (runner,) = leases.values()
             # The lease was rebound to the last delta, not re-created.
             assert runner.delta == jobs[-1].delta
             # The campaign's *own* context registry holds exactly its
             # reference — and the process-default registry stays
             # untouched (campaign execution never writes globals).
             assert len(campaign.resources.runners) == 1
-            assert runner_mod._shared == {}
+            assert default_context().runners == {}
             campaign.run()  # reruns reuse the same live runner
-            assert campaign._leases == {next(iter(campaign._leases)):
-                                        runner}
+            assert leases == {next(iter(leases)): runner}
         assert campaign.resources.runners == {}
-        assert runner_mod._shared == {}
+        assert default_context().runners == {}
         with pytest.raises(RuntimeError):
             runner.sweep(0)  # close() really closed it
 
-    def test_disabled_keep_alive_leases_nothing(self):
-        jobs = delta_sweep_jobs(2, executor="process")
-        with Campaign(jobs, keep_runners=False) as campaign:
+    def test_inline_jobs_lease_nothing(self):
+        with Campaign(delta_sweep_jobs(2)) as campaign:
             campaign.run()
             assert campaign.held_runners == 0
-        assert runner_mod._shared == {}
+        assert default_context().runners == {}
 
 
 class TestWarmStart:
@@ -204,9 +195,24 @@ class TestDuplicatesAndLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             campaign.run()
 
-    def test_workspace_pool_uninstalled_after_run(self):
-        from repro.numerics import kernels
+    def test_failing_job_raises_its_own_error_and_campaign_survives(
+            self, monkeypatch):
+        from repro.experiments import harness
 
-        with Campaign([CampaignJob(n=N, tol=TOL)]) as campaign:
-            campaign.run()
-            assert kernels._workspace_pool is None
+        real = harness.run_job
+
+        def run_job(job, **kwargs):
+            if job.n_peers == 2:
+                raise ValueError("boom")
+            return real(job, **kwargs)
+
+        jobs = [CampaignJob(n=N, n_peers=p, tol=TOL) for p in (1, 2, 3)]
+        with Campaign(jobs, cache=ResultCache()) as campaign:
+            monkeypatch.setattr(harness, "run_job", run_job)
+            with pytest.raises(ValueError, match="boom"):
+                campaign.run()
+            monkeypatch.setattr(harness, "run_job", real)
+            outcome = campaign.run()
+        # The other branches finished before the error surfaced.
+        assert [r.source for r in outcome.records] == \
+            ["cache", "run", "cache"]

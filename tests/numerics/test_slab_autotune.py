@@ -17,6 +17,7 @@ from repro.numerics.kernels import (
     clear_slab_autotune,
 )
 from repro.numerics.obstacle import membrane_problem
+from repro.resources import default_context
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +65,7 @@ def test_workspace_construction_triggers_tuning(monkeypatch):
                         lambda *a, **k: chosen)
     problem = membrane_problem(16)
     SweepWorkspace(problem, problem.jacobi_delta())
-    assert kernels._tuned_slab_bytes == chosen
+    assert default_context().slab_bytes == chosen
 
 
 def test_explicit_slab_argument_bypasses_tuner(monkeypatch):
@@ -100,7 +101,7 @@ def test_pool_creator_resolves_verdict_before_forking(monkeypatch):
     monkeypatch.setattr(kernels, "_measure_slab_candidates",
                         lambda *a, **k: chosen)
     with ParallelBlockRunner("membrane", 8, n_shards=2):
-        assert kernels._tuned_slab_bytes == chosen
+        assert default_context().slab_bytes == chosen
 
 
 def test_measurement_grid_separates_candidates():

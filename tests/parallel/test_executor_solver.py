@@ -96,20 +96,20 @@ def test_unknown_executor_rejected():
 def test_failed_solve_releases_shared_runner():
     """Regression: an aborting solve must not leak the worker pool, the
     shm segment, or a poisoned refcount in the shared-runner registry."""
-    from repro.parallel import runner as runner_mod
+    from repro.resources import default_context
 
     # Failure while constructing the runner (workers > shards).
     with pytest.raises(Exception):
         solve(2, "synchronous", "process", extra={"executor_workers": 5})
-    assert runner_mod._shared == {}
+    assert default_context().runners == {}
     # Failure mid-solve, after the runner was acquired.
     with pytest.raises(Exception):
         solve(1, "synchronous", "process", extra={"max_relaxations": 1})
-    assert runner_mod._shared == {}
+    assert default_context().runners == {}
     # The registry is clean: the same configuration solves fine now.
     ok = solve(2, "synchronous", "process").output
     assert ok.relaxations > 0
-    assert runner_mod._shared == {}
+    assert default_context().runners == {}
 
 
 def test_process_executor_simulated_time_unchanged():

@@ -15,7 +15,7 @@ from repro.parallel import (
     rebind_shared_runner,
     release_shared_runner,
 )
-from repro.parallel import runner as runner_mod
+from repro.resources import default_context
 from repro.solvers.distributed_richardson import get_problem
 
 N = 12
@@ -33,7 +33,7 @@ class TestReleaseHardening:
         release_shared_runner(runner)
         with pytest.raises(RuntimeError, match="double release|not in"):
             release_shared_runner(runner)
-        assert runner_mod._shared == {}
+        assert default_context().runners == {}
 
     def test_release_of_unregistered_runner_raises(self):
         runner = ParallelBlockRunner("membrane", N, ranges=RANGES)
@@ -236,7 +236,7 @@ class TestSharedRebind:
             release_shared_runner(old)
         finally:
             release_shared_runner(runner)
-        assert runner_mod._shared == {}
+        assert default_context().runners == {}
 
     def test_refuses_with_other_holders(self):
         d0 = _delta()

@@ -9,10 +9,10 @@ equality of every modeled quantity — across both executors and across
 sequential vs multi-driver campaigns.
 """
 
-import numpy as np
 import pytest
 
-from repro.campaign import Campaign, expand_matrix
+from repro.campaign import Campaign, expand_matrix, plan_jobs
+from repro.campaign.engine import resolve_cache_keys
 from repro.experiments.harness import run_configuration
 from repro.resources import ResourceContext
 
@@ -91,7 +91,6 @@ class TestCampaignDrivers:
         keys = []
         for mode in MODES:
             _set_mode(monkeypatch, mode)
-            with Campaign(self._jobs()) as campaign:
-                ckeys, _sigs = campaign._resolve_cache_keys()
+            ckeys, _sigs = resolve_cache_keys(plan_jobs(self._jobs()))
             keys.append(sorted(ckeys.values()))
         assert keys[0] == keys[1] == keys[2]

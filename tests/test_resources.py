@@ -1,7 +1,7 @@
 """ResourceContext: explicit contexts isolate every pooled resource.
 
 The de-globalization contract: two contexts in one process must never
-share workspace pools, slab-autotune verdicts (beyond the documented
+share slab-autotune verdicts (beyond the documented
 hardware-scoped inheritance), problem caches, or runner leases — and
 code running against an explicit context must never write the process
 default, which belongs to plain call sites.
@@ -10,7 +10,7 @@ default, which belongs to plain call sites.
 import numpy as np
 import pytest
 
-from repro.campaign import Campaign, WorkspacePool, expand_matrix
+from repro.campaign import Campaign, expand_matrix
 from repro.numerics import kernels
 from repro.parallel import runner as runner_mod
 from repro.resources import ResourceContext, default_context, resolve_context
@@ -31,45 +31,10 @@ class TestContextBasics:
 
     def test_fresh_context_is_empty(self):
         ctx = ResourceContext()
-        assert ctx.workspace_pool is None
         assert ctx.slab_bytes is None
         assert ctx.problem_cache == {}
         assert ctx.runners == {}
         assert ctx.runner_keys == {}
-
-
-class TestWorkspacePoolScoping:
-    def test_pool_installed_on_one_context_invisible_to_default(self):
-        ctx = ResourceContext()
-        pool = WorkspacePool()
-        previous = kernels.set_workspace_pool(pool, resources=ctx)
-        try:
-            assert previous is None
-            assert ctx.workspace_pool is pool
-            assert default_context().workspace_pool is None
-            assert kernels._workspace_pool is None  # module alias = default
-            problem = get_problem("membrane", N, resources=ctx)
-            ws = kernels.checkout_workspace(problem,
-                                            problem.jacobi_delta(),
-                                            resources=ctx)
-            kernels.checkin_workspace(ws, resources=ctx)
-            assert pool.created == 1
-            ws2 = kernels.checkout_workspace(problem,
-                                             problem.jacobi_delta(),
-                                             resources=ctx)
-            kernels.checkin_workspace(ws2, resources=ctx)
-            assert pool.reused == 1
-        finally:
-            kernels.set_workspace_pool(previous, resources=ctx)
-
-    def test_default_checkout_ignores_scoped_pool(self):
-        ctx = ResourceContext()
-        pool = WorkspacePool()
-        kernels.set_workspace_pool(pool, resources=ctx)
-        problem = get_problem("membrane", N)
-        ws = kernels.checkout_workspace(problem, problem.jacobi_delta())
-        kernels.checkin_workspace(ws)
-        assert pool.created == 0  # default-context call never saw it
 
 
 class TestSlabAutotuneScoping:
@@ -134,7 +99,7 @@ class TestRunnerRegistryScoping:
                 assert ra is not rb
                 assert len(a.runners) == 1
                 assert len(b.runners) == 1
-                assert runner_mod._shared == {}  # default untouched
+                assert default_context().runners == {}  # untouched
             finally:
                 runner_mod.release_shared_runner(rb, resources=b)
         finally:
@@ -160,22 +125,20 @@ class TestRunnerRegistryScoping:
 class TestConcurrentCampaignIsolation:
     def test_two_campaigns_share_nothing(self):
         """Two interleaved campaigns over the *same* process-executor
-        job: each holds its own runner lease in its own context, pools
-        its own workspaces, and the process-default registry never sees
-        either."""
+        job: each holds its own runner lease in its own context, and
+        the process-default registry never sees either."""
         jobs = expand_matrix(ns=[N], n_peers=[2], schemes=["synchronous"],
                              executors=["process"], tol=TOL)
         with Campaign(jobs) as one, Campaign(jobs) as two:
             first = one.run()
             second = two.run()
             assert one.resources is not two.resources
-            assert one.workspace_pool is not two.workspace_pool
             assert one.held_runners == 1
             assert two.held_runners == 1
-            (ra,) = one._leases.values()
-            (rb,) = two._leases.values()
+            (ra,) = one._scheduler.leases.values()
+            (rb,) = two._scheduler.leases.values()
             assert ra is not rb
-            assert runner_mod._shared == {}
+            assert default_context().runners == {}
         assert one.resources.runners == {}
         assert two.resources.runners == {}
         a, b = first.records[0].result, second.records[0].result
