@@ -35,7 +35,10 @@ exact per-message work counts (``protocol_path``, from
 ``payload_nbytes`` calls and generator resumes per application message
 on a fixed stream and a fixed solve — deterministic integers, so
 ``--check`` gates them with zero tolerance upward on any machine), and
-writes the result as JSON.  The
+the service's exact per-round-trip HTTP counts (``service_path``, from
+``benchmarks/service_path.py``: TCP connects and requests per
+cache-served round trip, status requests per ``wait()`` — gated the
+same way), and writes the result as JSON.  The
 checked-in ``BENCH_micro.json`` is the perf trajectory record: future
 PRs rerun this script and compare against it before touching a hot
 path.
@@ -150,6 +153,10 @@ LADDER_PAIRS = {
 #: machine, independent of ``--tolerance`` and the committed record.
 LADDER_SPEEDUP_FLOOR = 1.5
 
+#: Keys of the ``protocol_path`` / ``service_path`` sections that
+#: ``--check`` compares exactly.
+EXACT_SUFFIXES = ("_per_msg", "_per_rt", "_per_wait")
+
 
 def _bench_env() -> dict:
     env = dict(os.environ)
@@ -160,10 +167,11 @@ def _bench_env() -> dict:
     return env
 
 
-def measure_protocol_path() -> dict:
-    """The exact per-message counts, from a fresh interpreter."""
+def measure_exact_counts(script: str) -> dict:
+    """The exact counts ``benchmarks/<script>`` prints, from a fresh
+    interpreter."""
     done = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "benchmarks" / "protocol_path.py")],
+        [sys.executable, str(REPO_ROOT / "benchmarks" / script)],
         cwd=REPO_ROOT, env=_bench_env(), check=True,
         stdout=subprocess.PIPE, text=True,
     )
@@ -187,7 +195,7 @@ def run_benchmarks(json_path: Path) -> None:
     )
 
 
-def summarize(raw: dict, protocol_path: dict) -> dict:
+def summarize(raw: dict, protocol_path: dict, service_path: dict) -> dict:
     import numpy
 
     results = {}
@@ -281,6 +289,7 @@ def summarize(raw: dict, protocol_path: dict) -> dict:
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
         "protocol_path": protocol_path,
+        "service_path": service_path,
         "benchmarks": results,
     }
 
@@ -323,6 +332,11 @@ def print_summary(summary: dict) -> None:
                           for key, value in sorted(counts.items())
                           if key.endswith("_per_msg"))
         print(f"  protocol path {label}, per message: {shown}")
+    for label, counts in summary.get("service_path", {}).items():
+        shown = ", ".join(f"{key} {value:g}"
+                          for key, value in sorted(counts.items())
+                          if key.endswith(EXACT_SUFFIXES))
+        print(f"  service path {label}: {shown}")
 
 
 def _gate_ratio_section(fresh: dict, committed: dict, section: str,
@@ -436,25 +450,30 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
         print(f"  {verdict:6s}telemetry {name}: "
               f"{(ratio - 1.0) * 100:+.1f}% overhead "
               f"(ceiling +{(TELEMETRY_OVERHEAD_CEILING - 1.0) * 100:.0f}%)")
-    # The protocol-path counts are exact (a deterministic simulation
-    # counted, not timed), so the gate is zero tolerance upward on every
-    # runner: one more event, dispatch, sizing walk or generator resume
-    # per message than the committed record is a real regression of the
-    # hot path.  Fewer is progress — re-record to lock it in.
-    fresh_pp = fresh.get("protocol_path", {})
-    committed_pp = committed.get("protocol_path", {})
-    for name in sorted(set(fresh_pp) & set(committed_pp)):
-        for key in sorted(set(fresh_pp[name]) & set(committed_pp[name])):
-            if not key.endswith("_per_msg"):
-                continue
-            got, want = fresh_pp[name][key], committed_pp[name][key]
-            verdict = "ok"
-            if got > want:
-                verdict = "WORSE"
-                failures.append(f"protocol_path/{name}/{key}: {got:g} "
-                                f"above committed {want:g} (exact count)")
-            print(f"  {verdict:6s}protocol path {name} {key}: {got:g} "
-                  f"vs committed {want:g}")
+    # The protocol-path and service-path counts are exact (a
+    # deterministic simulation, a fixed request sequence — counted, not
+    # timed), so the gate is zero tolerance upward on every runner: one
+    # more event, dispatch, sizing walk or generator resume per message,
+    # one more TCP connect or request per round trip than the committed
+    # record is a real regression of the hot path.  Fewer is progress —
+    # re-record to lock it in.
+    for section in ("protocol_path", "service_path"):
+        fresh_sec = fresh.get(section, {})
+        committed_sec = committed.get(section, {})
+        for name in sorted(set(fresh_sec) & set(committed_sec)):
+            for key in sorted(set(fresh_sec[name])
+                              & set(committed_sec[name])):
+                if not key.endswith(EXACT_SUFFIXES):
+                    continue
+                got, want = fresh_sec[name][key], committed_sec[name][key]
+                verdict = "ok"
+                if got > want:
+                    verdict = "WORSE"
+                    failures.append(f"{section}/{name}/{key}: {got:g} "
+                                    f"above committed {want:g} "
+                                    "(exact count)")
+                print(f"  {verdict:6s}{section} {name} {key}: {got:g} "
+                      f"vs committed {want:g}")
     if failures:
         print(f"{len(failures)} benchmark(s) regressed past tolerance:")
         for message in failures:
@@ -508,7 +527,8 @@ def main() -> int:
         raw_path = Path(tmp) / "bench_raw.json"
         run_benchmarks(raw_path)
         raw = json.loads(raw_path.read_text())
-    summary = summarize(raw, measure_protocol_path())
+    summary = summarize(raw, measure_exact_counts("protocol_path.py"),
+                        measure_exact_counts("service_path.py"))
     if args.fresh_out is not None:
         args.fresh_out.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"

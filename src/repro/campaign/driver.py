@@ -26,6 +26,7 @@ runs of one campaign object still hit).
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import traceback
 from multiprocessing.connection import wait as _connection_wait
 from typing import Optional
@@ -153,6 +154,10 @@ class DriverPool:
         self._procs = []
         self._idle: list[int] = []
         self._active: dict[int, int] = {}  # worker -> ticket
+        # The wake handle: wake() writes, wait() selects on the read
+        # end.  Writes never block — a full buffer already wakes.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         drivers = int(drivers)
         if drivers < 1:
             raise ValueError(f"drivers must be >= 1, got {drivers}")
@@ -261,12 +266,20 @@ class DriverPool:
         self._active[w] = ticket
         return ticket, w
 
+    def wake(self) -> None:
+        """Make a :meth:`wait` blocked in another thread (or the next
+        one) return now, e.g. because an idle worker has work to get."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # buffer full of wakes already, or pool closed
+            pass
+
     def wait(self, timeout: Optional[float] = None) -> list[tuple[int, list]]:
         """Collect completed submissions: ``[(ticket, records), ...]``.
 
         Blocks up to ``timeout`` seconds (None = until at least one
-        completion) and drains every worker that is ready by then; an
-        empty list means the timeout passed with all submissions still
+        completion or a :meth:`wake`) and drains every worker that is
+        ready by then; an empty list means all submissions are still
         in flight.  A branch error or a worker dying under its branch
         raises :class:`DriverBranchError` here, naming driver and
         ticket, with the worker back in rotation (a dead one respawned);
@@ -283,10 +296,13 @@ class DriverPool:
         if not self._active:
             return []
         ready = _connection_wait(
-            [self._conns[w] for w in self._active], timeout
-        )
+            [self._wake_r, *(self._conns[w] for w in self._active)],
+            timeout)
         completed = []
         for conn in ready:
+            if conn is self._wake_r:
+                conn.recv(4096)
+                continue
             w = self._conns.index(conn)
             ticket = self._active.pop(w)
             try:
@@ -408,7 +424,7 @@ class DriverPool:
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=timeout)
-        for conn in self._conns:
+        for conn in (*self._conns, self._wake_r, self._wake_w):
             conn.close()
 
     def __del__(self):  # pragma: no cover - GC safety net

@@ -166,10 +166,16 @@ class BranchScheduler:
             else:
                 self.dispatched.inc()
 
+    def wake(self) -> None:
+        """Cut short a :meth:`collect` blocked in another thread: the
+        owner admitted work an idle worker could start."""
+        if self.pool is not None:
+            self.pool.wake()
+
     def collect(self, timeout: Optional[float] = None) -> None:
-        """Wait up to ``timeout`` seconds (None: until one arrives) for
-        driver completions.  Touches only the worker pipes; the next
-        :meth:`dispatch` books what arrived."""
+        """Wait up to ``timeout`` seconds (None: until one arrives, or
+        a :meth:`wake`) for driver completions.  Touches only the worker
+        pipes; the next :meth:`dispatch` books what arrived."""
         if not self._tickets:
             return
         try:

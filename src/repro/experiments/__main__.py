@@ -255,8 +255,7 @@ def cmd_serve(args) -> int:
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:
-        print("\ndraining ...", flush=True)
-        service.close()
+        print("\ninterrupted: accepted work was drained", flush=True)
     if args.telemetry_json:
         _dump_telemetry(args.telemetry_json,
                         service.telemetry_snapshot())
@@ -271,24 +270,24 @@ def cmd_submit(args) -> int:
     rc = _reject_subfloor_tols(jobs)
     if rc:
         return rc
-    client = ServiceClient(args.url)
     print(f"{title}: {len(jobs)} job(s) -> {args.url}", flush=True)
     try:
-        cid = client.submit(jobs, warm_start=args.warm_start,
-                            ladder=args.ladder, tag=args.tag)
-        print(f"campaign {cid} accepted", flush=True)
-        status = client.wait(cid, timeout=args.timeout)
-        if status["status"] != "done":
-            print(f"FAIL: campaign {cid} {status['status']}:")
-            for branch in status["branches"]:
-                if branch.get("error"):
-                    print(f"  branch {branch['index']}: "
-                          f"{branch['error']}")
-            return 1
-        results = client.results(cid)
-        rc = 0
-        if args.shutdown_after:
-            client.shutdown()
+        with ServiceClient(args.url) as client:
+            cid = client.submit(jobs, warm_start=args.warm_start,
+                                ladder=args.ladder, tag=args.tag)
+            print(f"campaign {cid} accepted", flush=True)
+            status = client.wait(cid, timeout=args.timeout)
+            if status["status"] != "done":
+                print(f"FAIL: campaign {cid} {status['status']}:")
+                for branch in status["branches"]:
+                    if branch.get("error"):
+                        print(f"  branch {branch['index']}: "
+                              f"{branch['error']}")
+                return 1
+            results = client.results(cid)
+            rc = 0
+            if args.shutdown_after:
+                client.shutdown()
     except ServiceError as exc:
         print(f"FAIL: {exc}")
         return 1
@@ -490,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--tag", default=None,
                         help="label the submission in daemon status")
     submit.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds to poll before giving up")
+                        help="seconds to wait before giving up")
     submit.add_argument("--min-cache-hits", type=int, default=0,
                         help="exit 1 when fewer jobs were served from "
                              "the daemon's cache")

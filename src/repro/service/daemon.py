@@ -4,32 +4,38 @@ scheduler.
 The paper's P2PDC environment is a *service*: users submit obstacle
 tasks to a long-lived peer network, they do not run one-shot scripts.
 This module is that front door for the reproduction — a stdlib-only
-(``http.server``/``socketserver``) threaded daemon that owns one
-:class:`~repro.campaign.scheduler.BranchScheduler` (one
-:class:`~repro.campaign.ResultCache`, one driver pool, one private
-:class:`~repro.resources.ResourceContext`) for its whole lifetime and
-feeds it from many requests.  Planning, readiness, in-flight coalescing
-of shared cache keys, in-process serving of memory-resident branches
-and failure isolation are the scheduler's — the same ones
-``Campaign.run`` uses, which is why daemon records are bit-identical to
-CLI campaign records and a second submission of a solved matrix never
-solves again.  What is left here:
+(``http.server``) threaded daemon that owns one
+:class:`~repro.campaign.scheduler.BranchScheduler` (one result cache,
+one driver pool, one private :class:`~repro.resources.ResourceContext`)
+for its whole lifetime and feeds it from many requests.  Planning,
+readiness, in-flight coalescing of shared cache keys, in-process serving
+of memory-resident branches and failure isolation are the scheduler's —
+the ones ``Campaign.run`` uses, which is why daemon records are
+bit-identical to CLI campaign records and a second submission of a
+solved matrix never solves again.  What is left here:
 
 - **Bounded admission and drain.**  A submission's branches join the
   scheduler's FIFO queue unless that would exceed ``max_queue`` (503)
   or the service is draining (409); a drain finishes everything
   accepted, then stops.
-- **The lock and the thread.**  The scheduler has neither: one
-  scheduler thread pumps ``dispatch``/``collect``, and one lock
-  serializes ``admit``, ``dispatch`` and the views (``collect`` blocks
-  on the worker pipes outside it, so submissions and status reads never
-  wait on a branch in flight).
-- **Views and HTTP.**
+- **The lock and the thread.**  The scheduler has neither: one thread
+  pumps ``dispatch``/``collect``, one lock serializes ``admit``,
+  ``dispatch`` and the views (``collect`` blocks on the worker pipes
+  outside it).  Nothing ticks: a submission wakes the thread — out of
+  ``collect`` too, so an idle driver starts at once — and the thread
+  wakes the parked long-polls when a branch changed status.
+- **Views and HTTP/1.1 keep-alive**, one handler thread per connection
+  (closed after 30 idle seconds; clients reconnect).  Each response is
+  one ``send`` with ``TCP_NODELAY`` on: a header segment ahead of its
+  body on a kept connection waits out Nagle against the peer's delayed
+  ACK — 44 ms per call, measured.
 
 Endpoints (see :mod:`repro.service.schema` for the wire format)::
 
     POST /campaigns                      submit a job matrix -> id
-    GET  /campaigns/<id>                 queued/running/done per branch
+    GET  /campaigns/<id>[?wait=<s>]      queued/running/done per branch;
+                                         with wait, answered when done or
+                                         failed, or after min(s, MAX_WAIT)
     GET  /campaigns/<id>/results         records + provenance
     GET  /campaigns/<id>/iterates/<cache_key>.npy
                                          the solution iterate, bit-exact
@@ -37,16 +43,17 @@ Endpoints (see :mod:`repro.service.schema` for the wire format)::
     GET  /metrics                        Prometheus text exposition
     POST /shutdown                       drain accepted work, then exit
 
-``/metrics`` and :meth:`CampaignService.telemetry_snapshot` merge the
-service context's registry, the cache's and every driver worker's on
-demand — reading metrics never touches modeled state, so a scraped
-daemon produces bit-identical records to an unscraped one.
+Reading ``/metrics`` (the service's, the cache's and every driver's
+registry, merged on demand) or parking a long-poll never touches modeled
+state: an observed daemon's records are bit-identical to a quiet one's.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,12 +66,16 @@ from ..campaign.engine import CampaignResult
 from ..campaign.jobs import plan_jobs
 from ..campaign.scheduler import Branch, BranchScheduler
 from ..resources import ResourceContext
-from .schema import SCHEMA_VERSION, SchemaError, Submission
+from ..telemetry import CONTENT_TYPE, render_prometheus
+from .schema import (SCHEMA_VERSION, SchemaError, Submission,
+                     submission_from_wire)
 
 __all__ = ["AdmissionError", "CampaignService", "ServiceDaemon"]
 
 #: Request bodies past this size are refused before parsing.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest one ``?wait=`` request stays parked; clients re-issue.
+MAX_WAIT = 30.0
 
 
 class AdmissionError(Exception):
@@ -155,7 +166,8 @@ class CampaignService:
             self._thread.start()
 
     def drain(self) -> dict[str, Any]:
-        """Stop admitting; finish everything accepted; then stop.
+        """Stop admitting; finish everything accepted (a paused service
+        starts for it); then stop.
 
         Returns a snapshot of the work being drained.  Idempotent.
         """
@@ -164,20 +176,17 @@ class CampaignService:
             queued = len(self._scheduler.queue)
             running = self._scheduler.running
             self._wake.notify_all()
+        self.start()
         return {"draining": True, "queued_branches": queued,
                 "running_branches": running}
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait until the drain completed (scheduler exited)."""
-        if self._thread is None:
-            # Never started: nothing will ever drain the queue.
-            self._drained.set()
+        """Wait until a drain completed (the scheduler thread exited)."""
         return self._drained.wait(timeout)
 
     def close(self, timeout: float = 60.0) -> None:
         """Drain and wait; the hard stop for embedders and tests."""
         self.drain()
-        self.start()  # a never-started service still needs its queue run
         if not self.join(timeout):
             raise RuntimeError("campaign service failed to drain in time")
 
@@ -210,6 +219,7 @@ class CampaignService:
                 submission, plan, self._scheduler.admit(plan))
             self._m_submissions.inc()
             self._wake.notify_all()
+            self._scheduler.wake()
         return cid
 
     # -- scheduler thread --------------------------------------------------------
@@ -221,21 +231,24 @@ class CampaignService:
             while True:
                 with self._wake:
                     sched.dispatch()
+                    self._wake.notify_all()  # the parked long-polls
                     if not sched.running:
                         if self._draining and not sched.queue:
                             break
-                        self._wake.wait(timeout=0.1)
+                        self._wake.wait()  # for submit() or drain()
                         continue
                 # Outside the lock: submissions and status reads must
-                # not block on a branch in flight.
-                sched.collect(timeout=0.05)
+                # not block on a branch in flight (submit cuts it short).
+                sched.collect()
         except Exception as exc:  # pool loss and other non-branch faults
             error = exc
         finally:
             with self._lock:
                 self._draining = True
-            sched.close(error)
+            sched.close(error)  # ... failing whatever is unfinished
             self._drained.set()
+            with self._wake:
+                self._wake.notify_all()
 
     # -- views -------------------------------------------------------------------
 
@@ -244,6 +257,16 @@ class CampaignService:
         if state is None:
             raise KeyError(cid)
         return state
+
+    def wait_finished(self, cid: str, seconds: float) -> None:
+        """Park the caller until campaign ``cid`` is done or failed, or
+        ``seconds`` (at most :data:`MAX_WAIT`) passed.  The lock is
+        given up while parked: nothing waits behind a long-poll."""
+        with self._wake:
+            state = self._get(cid)
+            self._wake.wait_for(
+                lambda: state.status in ("done", "failed"),
+                min(seconds, MAX_WAIT))
 
     def status(self, cid: str) -> dict[str, Any]:
         with self._lock:
@@ -413,47 +436,82 @@ def _describe(error: BaseException) -> str:
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+    # server_close() hangs up on whatever is still connected and joins
+    # the handler threads: none outlives the daemon.
+    daemon_threads = False
     allow_reuse_address = True
+    timeout = 0.1  # how often the serve loop looks for a finished drain
 
     def __init__(self, address, handler, service: CampaignService,
                  quiet: bool):
         self.service = service
         self.quiet = quiet
+        self.telemetry = service._resources.telemetry
+        self._open: set[socket.socket] = set()  # accepted, not yet closed
         super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        self._open.add(request)
+        self.telemetry.counter("repro_service_connections_total").inc()
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        for request in list(self._open):
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler thread closed it meanwhile
+                pass
+        super().server_close()
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-campaign-service/1"
     protocol_version = "HTTP/1.1"
-
-    @property
-    def service(self) -> CampaignService:
-        return self.server.service
+    disable_nagle_algorithm = True  # TCP_NODELAY on the accepted socket
+    timeout = 30.0  # a kept connection this long without a request closes
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         if not self.server.quiet:  # pragma: no cover - log plumbing
             super().log_message(format, *args)
 
-    # A poller that hangs up mid-response must not take its handler
-    # thread down with a stack trace; the next request gets a fresh
-    # thread either way.
+    # A client that hangs up mid-response must not take its handler
+    # thread down with a stack trace.
     def handle_one_request(self):
         try:
             super().handle_one_request()
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 
-    def _send_json(self, status: int, payload: dict,
-                   extra_headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload, indent=1).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+    def parse_request(self) -> bool:
+        ok = super().parse_request()
+        # Until _read_body takes it, the request body is still in the
+        # stream, where a later request on this connection would start.
+        self._body_unread = ok and (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers)
+        return ok
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """The whole response in one ``send`` (see the module note)."""
+        if self._body_unread:
+            self.close_connection = True
+        head = (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                + "Connection: close\r\n" * self.close_connection + "\r\n")
+        self.log_request(status, len(body))
+        self.wfile.write(head.encode("latin-1") + body)
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send(status, "application/json",
+                   json.dumps(payload, separators=(",", ":")).encode())
 
     def _send_error_json(self, status: int, code: str,
                          message: str) -> None:
@@ -461,9 +519,8 @@ class _Handler(BaseHTTPRequestHandler):
                         {"error": {"code": code, "message": message}})
 
     def _read_body(self) -> Any:
-        length = self.headers.get("Content-Length")
         try:
-            length = int(length)
+            length = int(self.headers.get("Content-Length"))
         except (TypeError, ValueError):
             raise SchemaError("missing or invalid Content-Length",
                               code="bad-length") from None
@@ -472,61 +529,72 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit", code="body-too-large")
         raw = self.rfile.read(length)
+        self._body_unread = False
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"request body is not valid JSON: {exc}",
                               code="bad-json") from None
 
-    def do_POST(self) -> None:
+    def _count(self, endpoint: str) -> None:
+        self.server.telemetry.counter("repro_service_requests_total",
+                                      endpoint=endpoint).inc()
+
+    def _route(self) -> None:
+        path, _, query = self.path.partition("?")
+        parts = [p for p in path.split("/") if p]
+        service = self.server.service
         try:
-            if self.path == "/campaigns":
-                from .schema import submission_from_wire
-
-                submission = submission_from_wire(self._read_body())
-                cid = self.service.submit(submission)
-                self._send_json(202, {
-                    "version": SCHEMA_VERSION,
-                    "id": cid,
-                    "status_url": f"/campaigns/{cid}",
-                    "results_url": f"/campaigns/{cid}/results",
-                })
-            elif self.path == "/shutdown":
-                snapshot = self.service.drain()
-                self._send_json(200, snapshot)
-                self.server.begin_shutdown()
-            else:
-                self._send_error_json(404, "not-found",
-                                      f"no such endpoint {self.path!r}")
-        except SchemaError as exc:
-            self._send_json(400, exc.payload())
-        except AdmissionError as exc:
-            self._send_json(exc.status, exc.payload())
-        except Exception as exc:  # pragma: no cover - defensive 500
-            self._send_error_json(500, "internal", repr(exc))
-
-    def do_GET(self) -> None:
-        try:
-            parts = [p for p in self.path.split("/") if p]
-            if parts == ["stats"]:
-                self._send_json(200, self.service.stats())
-            elif parts == ["metrics"]:
-                from ..telemetry import CONTENT_TYPE, render_prometheus
-
-                body = render_prometheus(
-                    self.service.telemetry_snapshot()).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-            elif parts == ["healthz"]:
-                self._send_json(200, {"ok": True})
-            elif len(parts) >= 2 and parts[0] == "campaigns":
-                self._get_campaign(parts[1:])
-            else:
-                self._send_error_json(404, "not-found",
-                                      f"no such endpoint {self.path!r}")
+            match self.command, parts:
+                case "POST", ["campaigns"]:
+                    self._count("submit")
+                    cid = service.submit(
+                        submission_from_wire(self._read_body()))
+                    self._send_json(202, {
+                        "version": SCHEMA_VERSION,
+                        "id": cid,
+                        "status_url": f"/campaigns/{cid}",
+                        "results_url": f"/campaigns/{cid}/results",
+                    })
+                case "POST", ["shutdown"]:
+                    self._count("shutdown")
+                    self._send_json(200, service.drain())
+                case "GET", ["campaigns", cid]:
+                    self._count("status")
+                    if query:  # the one query there is: wait=<seconds>
+                        wait = re.fullmatch(r"wait=(\d+\.?\d*)", query)
+                        if wait is None:
+                            raise SchemaError(
+                                "wait must be a number of seconds >= 0",
+                                code="bad-wait", field="wait")
+                        service.wait_finished(cid, float(wait[1]))
+                    self._send_json(200, service.status(cid))
+                case "GET", ["campaigns", cid, "results"]:
+                    self._count("results")
+                    self._send_json(200, service.results(cid))
+                case "GET", ["campaigns", cid, "iterates", name] \
+                        if name.endswith(".npy"):
+                    self._count("iterate")
+                    self._send(200, "application/octet-stream",
+                               service.iterate_bytes(cid, name[:-4]))
+                case "GET", ["stats"]:
+                    self._count("stats")
+                    self._send_json(200, service.stats())
+                case "GET", ["metrics"]:
+                    self._count("metrics")
+                    text = render_prometheus(service.telemetry_snapshot())
+                    self._send(200, CONTENT_TYPE, text.encode("utf-8"))
+                case "GET", ["healthz"]:
+                    self._count("healthz")
+                    self._send_json(200, {"ok": True})
+                case ("GET" | "POST"), _:
+                    self._count("other")
+                    raise KeyError(self.path)
+                case _:
+                    self._count("other")
+                    self._send_error_json(
+                        405, "method-not-allowed",
+                        "only GET and POST are supported")
         except KeyError as exc:
             self._send_error_json(404, "not-found",
                                   f"unknown resource {exc.args[0]!r}")
@@ -534,33 +602,12 @@ class _Handler(BaseHTTPRequestHandler):
             status = 409 if exc.code in ("not-done",
                                          "campaign-failed") else 400
             self._send_json(status, exc.payload())
+        except AdmissionError as exc:
+            self._send_json(exc.status, exc.payload())
         except Exception as exc:  # pragma: no cover - defensive 500
             self._send_error_json(500, "internal", repr(exc))
 
-    def _get_campaign(self, parts: list[str]) -> None:
-        cid = parts[0]
-        if len(parts) == 1:
-            self._send_json(200, self.service.status(cid))
-        elif parts[1:] == ["results"]:
-            self._send_json(200, self.service.results(cid))
-        elif len(parts) == 3 and parts[1] == "iterates" \
-                and parts[2].endswith(".npy"):
-            body = self.service.iterate_bytes(cid, parts[2][:-4])
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self._send_error_json(
-                404, "not-found",
-                f"no such campaign resource {'/'.join(parts[1:])!r}")
-
-    def do_PUT(self) -> None:
-        self._send_error_json(405, "method-not-allowed",
-                              "only GET and POST are supported")
-
-    do_DELETE = do_PUT
+    do_GET = do_POST = do_PUT = do_DELETE = _route
 
 
 class ServiceDaemon:
@@ -568,8 +615,8 @@ class ServiceDaemon:
 
     ``port=0`` binds an ephemeral port; read the real one from
     :attr:`address` (or pass ``port_file`` to have it written out for
-    shell scripts).  ``serve_forever`` blocks until a ``/shutdown``
-    drain completes; tests use :meth:`start` / :meth:`stop` threads.
+    shell scripts).  ``serve_forever`` blocks until a drain completes;
+    tests use :meth:`start` / :meth:`stop` threads.
     """
 
     def __init__(self, service: CampaignService, *,
@@ -578,9 +625,6 @@ class ServiceDaemon:
         self.service = service
         self.httpd = _ServiceHTTPServer((host, port), _Handler, service,
                                         quiet)
-        self.httpd.begin_shutdown = self._begin_shutdown
-        self._shutdown_started = False
-        self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -592,28 +636,16 @@ class ServiceDaemon:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def _begin_shutdown(self) -> None:
-        """Called by the /shutdown handler *after* its response is
-        queued: wait out the drain off-thread, then stop accepting."""
-        with self._lock:
-            if self._shutdown_started:
-                return
-            self._shutdown_started = True
-        threading.Thread(target=self._drain_then_stop,
-                         name="campaign-service-shutdown",
-                         daemon=True).start()
-
-    def _drain_then_stop(self) -> None:
-        self.service.start()  # a paused service must still drain
-        self.service.join()
-        self.httpd.shutdown()
-
     def serve_forever(self) -> None:
-        """Serve until a drain completes; returns fully cleaned up."""
-        try:
-            self.httpd.serve_forever(poll_interval=0.1)
-        finally:
-            self.httpd.server_close()
+        """Serve until a drain (``POST /shutdown``, :meth:`stop`, an
+        interrupt) completes; returns fully cleaned up.  Connections go
+        last, so parked and kept-alive clients still get their answers."""
+        with self.httpd:  # server_close() last, whatever happens
+            try:
+                while not self.service.join(0):
+                    self.httpd.handle_request()
+            finally:
+                self.service.close()
 
     def start(self) -> "ServiceDaemon":
         """Serve on a background thread (tests / embedding)."""
@@ -626,7 +658,6 @@ class ServiceDaemon:
     def stop(self, timeout: float = 60.0) -> None:
         """Drain and stop from the embedding side (idempotent)."""
         self.service.drain()
-        self._begin_shutdown()
         if self._thread is not None:
             self._thread.join(timeout)
             if self._thread.is_alive():  # pragma: no cover - hung drain

@@ -45,7 +45,8 @@ def daemon():
 
 @pytest.fixture(scope="module")
 def client(daemon):
-    return ServiceClient(daemon.url, timeout=30.0)
+    with ServiceClient(daemon.url, timeout=30.0) as client:
+        yield client
 
 
 def post_raw(daemon, path, body: bytes, content_type="application/json"):

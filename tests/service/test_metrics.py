@@ -97,32 +97,51 @@ class TestMetricsEndpoint:
             # per-branch piggyback.
             assert any(name.startswith("repro_kernel_sweep")
                        for name in seen)
+            # The HTTP layer's own counters: this client has used one
+            # connection for submit + one long-poll + this scrape.
+            samples = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                           if line.startswith("repro_service_"))
+            assert samples["repro_service_connections_total"] == "1"
+            assert samples[
+                'repro_service_requests_total{endpoint="status"}'] == "1"
+            assert samples[
+                'repro_service_requests_total{endpoint="metrics"}'] == "1"
             stats = client.stats()
             assert stats["queue"]["wait"]["count"] >= 1
         finally:
             daemon.stop()
 
-    def test_scrape_does_not_perturb_results(self, tmp_path):
-        # A scraped daemon serves bit-identical iterates: solve the same
-        # job with and without interleaved /metrics polls.
+    def test_scrape_and_long_poll_do_not_perturb_results(self, tmp_path):
+        # A daemon scraped and long-polled during the solve serves
+        # bit-identical iterates to one nobody talks to until it is done.
+        import time
+
         import numpy as np
 
         iterates = []
-        for poll in (False, True):
+        for observed in (False, True):
             service = CampaignService(
-                cache=ResultCache(str(tmp_path / f"c{poll}")), drivers=1,
-                max_queue=8)
+                cache=ResultCache(str(tmp_path / f"c{observed}")),
+                drivers=1, max_queue=8)
             daemon = ServiceDaemon(service).start()
             try:
-                client = ServiceClient(daemon.url)
-                cid = client.submit([CampaignJob(**MATRIX)])
-                if poll:
+                if observed:
+                    client = ServiceClient(daemon.url)
+                    cid = client.submit([CampaignJob(**MATRIX)])
                     for _ in range(3):
                         validate_exposition(client.metrics())
-                client.wait(cid)
+                    client.wait(cid)
+                else:
+                    cid = service.submit(_submission())
+                    for _ in range(1200):  # 60 s cap, no HTTP meanwhile
+                        if service.status(cid)["status"] == "done":
+                            break
+                        time.sleep(0.05)
+                    client = ServiceClient(daemon.url)
                 results = client.results(cid)
                 key = results["jobs"][0]["cache_key"]
                 iterates.append(client.iterate(cid, key))
+                client.close()
             finally:
                 daemon.stop()
         assert np.array_equal(iterates[0], iterates[1])
