@@ -38,7 +38,11 @@ on a fixed stream and a fixed solve — deterministic integers, so
 the service's exact per-round-trip HTTP counts (``service_path``, from
 ``benchmarks/service_path.py``: TCP connects and requests per
 cache-served round trip, status requests per ``wait()`` — gated the
-same way), and writes the result as JSON.  The
+same way), and the result cache's exact per-job counts on a disk-served
+campaign re-run (``cache_path``, from ``benchmarks/cache_path.py``:
+signature builds, key hashes, entry-file opens, directory-lock
+acquisitions and payload bytes read per job — gated the same way), and
+writes the result as JSON.  The
 checked-in ``BENCH_micro.json`` is the perf trajectory record: future
 PRs rerun this script and compare against it before touching a hot
 path.
@@ -153,9 +157,11 @@ LADDER_PAIRS = {
 #: machine, independent of ``--tolerance`` and the committed record.
 LADDER_SPEEDUP_FLOOR = 1.5
 
-#: Keys of the ``protocol_path`` / ``service_path`` sections that
-#: ``--check`` compares exactly.
-EXACT_SUFFIXES = ("_per_msg", "_per_rt", "_per_wait")
+#: The exact-count sections, each printed by ``benchmarks/<name>.py``.
+EXACT_SECTIONS = ("protocol_path", "service_path", "cache_path")
+
+#: Keys of the exact-count sections that ``--check`` compares exactly.
+EXACT_SUFFIXES = ("_per_msg", "_per_rt", "_per_wait", "_per_job")
 
 
 def _bench_env() -> dict:
@@ -195,7 +201,7 @@ def run_benchmarks(json_path: Path) -> None:
     )
 
 
-def summarize(raw: dict, protocol_path: dict, service_path: dict) -> dict:
+def summarize(raw: dict, exact: dict) -> dict:
     import numpy
 
     results = {}
@@ -288,8 +294,7 @@ def summarize(raw: dict, protocol_path: dict, service_path: dict) -> dict:
         "async_overlap": async_overlap,
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
-        "protocol_path": protocol_path,
-        "service_path": service_path,
+        **exact,
         "benchmarks": results,
     }
 
@@ -332,11 +337,12 @@ def print_summary(summary: dict) -> None:
                           for key, value in sorted(counts.items())
                           if key.endswith("_per_msg"))
         print(f"  protocol path {label}, per message: {shown}")
-    for label, counts in summary.get("service_path", {}).items():
-        shown = ", ".join(f"{key} {value:g}"
-                          for key, value in sorted(counts.items())
-                          if key.endswith(EXACT_SUFFIXES))
-        print(f"  service path {label}: {shown}")
+    for section in ("service_path", "cache_path"):
+        for label, counts in summary.get(section, {}).items():
+            shown = ", ".join(f"{key} {value:g}"
+                              for key, value in sorted(counts.items())
+                              if key.endswith(EXACT_SUFFIXES))
+            print(f"  {section.replace('_', ' ')} {label}: {shown}")
 
 
 def _gate_ratio_section(fresh: dict, committed: dict, section: str,
@@ -450,14 +456,15 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
         print(f"  {verdict:6s}telemetry {name}: "
               f"{(ratio - 1.0) * 100:+.1f}% overhead "
               f"(ceiling +{(TELEMETRY_OVERHEAD_CEILING - 1.0) * 100:.0f}%)")
-    # The protocol-path and service-path counts are exact (a
-    # deterministic simulation, a fixed request sequence — counted, not
-    # timed), so the gate is zero tolerance upward on every runner: one
-    # more event, dispatch, sizing walk or generator resume per message,
-    # one more TCP connect or request per round trip than the committed
-    # record is a real regression of the hot path.  Fewer is progress —
-    # re-record to lock it in.
-    for section in ("protocol_path", "service_path"):
+    # The protocol-path, service-path and cache-path counts are exact
+    # (a deterministic simulation, a fixed request or job sequence —
+    # counted, not timed), so the gate is zero tolerance upward on every
+    # runner: one more event, dispatch, sizing walk or generator resume
+    # per message, one more TCP connect or request per round trip, one
+    # more signature build, file open or lock per cached job than the
+    # committed record is a real regression of the hot path.  Fewer is
+    # progress — re-record to lock it in.
+    for section in EXACT_SECTIONS:
         fresh_sec = fresh.get(section, {})
         committed_sec = committed.get(section, {})
         for name in sorted(set(fresh_sec) & set(committed_sec)):
@@ -527,8 +534,9 @@ def main() -> int:
         raw_path = Path(tmp) / "bench_raw.json"
         run_benchmarks(raw_path)
         raw = json.loads(raw_path.read_text())
-    summary = summarize(raw, measure_exact_counts("protocol_path.py"),
-                        measure_exact_counts("service_path.py"))
+    summary = summarize(raw, {
+        section: measure_exact_counts(f"{section}.py")
+        for section in EXACT_SECTIONS})
     if args.fresh_out is not None:
         args.fresh_out.write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -10,33 +10,49 @@ semantics change and every stale entry misses instead of lying).
 
 Storage is two-layer: an in-memory map for the current process and an
 optional on-disk directory so a re-invoked CLI campaign is served from
-cache.  On disk each entry is ``<key>.npy`` (the full solution iterate,
-bit-exact, dtype preserved) plus ``<key>.json`` (counters, per-peer
-metadata, provenance, and the signature for inspection).  Entries are
-self-contained — invalidation is ``clear()`` or deleting the files.
+cache.  On disk each entry is one file, ``<key>.entry``: a fixed magic
+and a length-prefixed compact JSON header (counters, per-peer metadata,
+provenance, the signature for inspection, and the payload's dtype,
+shape, byte length and crc32), then the solution iterate's raw C-order
+bytes — bit-exact, dtype preserved.  It is written to a temporary file
+and moved into place with one ``os.replace``, so no reader ever sees
+half an entry.  Invalidation is ``clear()`` or deleting the files.
+
+A disk load verifies what it read — magic, header, schema, payload
+length, crc32, and the stored dtype against the signature's — and every
+way an entry can be bad takes one path: a ``RuntimeWarning`` naming the
+key and the reason, ``repro_cache_corrupt_total{reason=...}`` in the
+cache's registry, removal of the file, and a miss.  A truncated, torn or
+bit-flipped entry costs a re-solve; ``load`` never raises on it and
+never serves it.
 
 With ``max_disk_bytes`` set, the disk layer is bounded: every store
-evicts least-recently-used entries (``.npy`` + ``.json`` pairs) until
-the directory fits the budget again, making the cache safe as a
-long-lived service cache instead of growing until ``clear()``.  The
-LRU clock is the metadata file's mtime, refreshed on every hit — it
-survives process restarts, so a re-invoked CLI campaign evicts in true
-cross-invocation recency order.  The entry being stored is never its
-own eviction victim: a single entry larger than the budget is kept
-(and everything else evicted) rather than thrashing to an empty cache.
+evicts least-recently-used entries until the directory fits the budget
+again, making the cache safe as a long-lived service cache instead of
+growing until ``clear()``.  The LRU clock is the entry file's mtime,
+refreshed on every hit — it survives process restarts, so a re-invoked
+CLI campaign evicts in true cross-invocation recency order.  The entry
+being stored is never its own eviction victim: a single entry larger
+than the budget is kept (and everything else evicted) rather than
+thrashing to an empty cache.
 
-Concurrent writers: a rooted cache directory may be shared by several
-drivers (two CLI campaigns, a campaign service worker pool).  Individual
-entry files were always safe — write-then-rename never exposes a torn
-file — but the *compound* operations (store + LRU eviction scan,
-clear) raced: two drivers evicting concurrently could each pick victims
-from a directory listing the other was mutating and overshoot the
-budget's intent, or delete an entry the other had just refreshed.
-Every disk mutation therefore runs under an advisory ``flock`` on
-``<root>/.cache.lock`` (per cache directory, so unrelated caches never
-contend).  Readers take it too — cheap, and it means a load never
-observes an eviction mid-flight.  On platforms without ``fcntl`` the
-cache degrades to the previous unlocked behaviour.
+Concurrent drivers: a rooted cache directory may be shared by several
+processes (two CLI campaigns, a campaign service worker pool).  The
+*compound* mutations — store + LRU eviction scan, clear, corrupt-entry
+removal — run under an advisory ``flock`` on ``<root>/.cache.lock`` (per
+cache directory, so unrelated caches never contend): two drivers
+evicting concurrently would otherwise pick victims from a listing the
+other is mutating.  Reads take no lock.  An entry file is never changed
+in place, and POSIX keeps an opened file readable after another process
+unlinks or replaces it, so a load reads one whole entry or finds none.
+The hit's LRU refresh is an unlocked ``utime``; losing it to a
+concurrent eviction is harmless.  On platforms without ``fcntl`` the
+mutations run unlocked.
+
+Directories written before schema 2 hold ``<key>.npy`` + ``<key>.json``
+pairs.  They are never read (the schema is part of every key, so those
+jobs miss and are re-solved) and never counted by ``len()``,
+``disk_bytes()`` or the eviction scan; ``clear()`` removes them.
 """
 
 from __future__ import annotations
@@ -44,10 +60,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
+import struct
 import tempfile
 import time
 import warnings
+import zlib
 from pathlib import Path
 from typing import Any, Optional
 
@@ -64,7 +83,14 @@ __all__ = ["ResultCache", "cache_key", "CACHE_SCHEMA"]
 
 #: Bump when a change makes previously cached results non-reusable
 #: (solver semantics, report fields, serialization layout).
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
+
+#: An entry file: magic + header length, the JSON header, the payload.
+_MAGIC = b"REPROC\x00\x02"
+_PREFIX = struct.Struct("<8sI")
+_SUFFIX = ".entry"
+#: Schema-1 entry files, removed by ``clear()`` and otherwise ignored.
+_LEGACY_SUFFIXES = (".npy", ".json")
 
 
 def cache_key(signature: dict[str, Any]) -> str:
@@ -72,6 +98,59 @@ def cache_key(signature: dict[str, Any]) -> str:
     blob = json.dumps({"schema": CACHE_SCHEMA, **signature},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class _CorruptEntry(Exception):
+    """One way a disk entry is bad; ``reason`` labels the counter."""
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(detail)
+        self.reason = reason
+
+
+def _read_entry(fh, file_size: int) -> tuple[dict, np.ndarray]:
+    """The verified header and payload of the open entry file ``fh``.
+    Raises :class:`_CorruptEntry`; a header lacking or mistyping a field
+    raises what its access raises, which the caller files as ``header``.
+    """
+    prefix = fh.read(_PREFIX.size)
+    if len(prefix) < _PREFIX.size:
+        raise _CorruptEntry("prefix", f"{len(prefix)}-byte prefix")
+    magic, header_len = _PREFIX.unpack(prefix)
+    if magic != _MAGIC:
+        raise _CorruptEntry("magic", f"magic {magic!r}")
+    payload_len = file_size - _PREFIX.size - header_len
+    if payload_len < 0:
+        raise _CorruptEntry("header", f"{header_len}-byte header in a "
+                                      f"{file_size}-byte file")
+    # Decoding first is cheaper than letting json sniff the encoding.
+    meta = json.loads(fh.read(header_len).decode())
+    if meta.get("schema") != CACHE_SCHEMA:
+        raise _CorruptEntry("schema", f"schema {meta.get('schema')!r}")
+    dtype = np.dtype(meta["dtype"])
+    shape = tuple(int(dim) for dim in meta["shape"])
+    nbytes = meta["nbytes"]
+    if dtype.hasobject or min(shape, default=0) < 0 \
+            or math.prod(shape) * dtype.itemsize != nbytes:
+        raise _CorruptEntry("header", f"{dtype} {shape} is not "
+                                      f"{nbytes!r} bytes")
+    if payload_len != nbytes:
+        raise _CorruptEntry("length", f"{payload_len}-byte payload, "
+                                      f"header says {nbytes}")
+    u = np.empty(shape, dtype)
+    if fh.readinto(u) != nbytes:
+        raise _CorruptEntry("length", "payload shrank while read")
+    if zlib.crc32(u) != meta["crc32"]:
+        raise _CorruptEntry("crc", "payload crc32 mismatch")
+    expected = (meta.get("signature") or {}).get("dtype")
+    if expected is not None and dtype != np.dtype(expected):
+        # E.g. one entry copied over another key's file: a float32
+        # iterate must not reach a caller whose signature promised
+        # float64.
+        raise _CorruptEntry("dtype", f"stored array dtype {dtype.name} "
+                                     f"disagrees with signature dtype "
+                                     f"{expected}")
+    return meta, u
 
 
 class ResultCache:
@@ -150,8 +229,9 @@ class ResultCache:
         """Advisory exclusive lock over this cache directory's disk
         state (no-op when memory-only or ``fcntl`` is unavailable).
         Serializes the compound mutations — store + LRU eviction scan,
-        clear — across processes and threads sharing the directory.
-        Acquisition wait time is accumulated in ``lock_wait_seconds``."""
+        clear, corrupt-entry removal — across processes and threads
+        sharing the directory.  Acquisition wait time is accumulated in
+        ``lock_wait_seconds``."""
         if self.root is None or fcntl is None:
             yield
             return
@@ -168,15 +248,12 @@ class ResultCache:
         """The cached RunResult for ``key``, or None (counted)."""
         t_start = time.perf_counter()
         result = self._memory.get(key)
-        if result is None and self.root is not None:
-            with self._disk_lock():
+        if self.root is not None:
+            if result is None:
                 result = self._load_disk(key)
                 if result is not None:
-                    self._touch(key)
+                    self.remember(key, result)
             if result is not None:
-                self.remember(key, result)
-        elif result is not None and self.root is not None:
-            with self._disk_lock():
                 self._touch(key)
         if result is None:
             self._m_misses.inc()
@@ -223,18 +300,17 @@ class ResultCache:
         }
 
     def clear(self) -> None:
-        """Drop every entry, memory and disk."""
+        """Drop every entry, memory and disk (schema-1 files too)."""
         self._memory.clear()
         if self.root is not None:
             with self._disk_lock():
-                for path in self.root.glob("*.npy"):
-                    path.unlink(missing_ok=True)
-                for path in self.root.glob("*.json"):
-                    path.unlink(missing_ok=True)
+                for suffix in (_SUFFIX, *_LEGACY_SUFFIXES):
+                    for path in self.root.glob(f"*{suffix}"):
+                        path.unlink(missing_ok=True)
 
     def __len__(self) -> int:
         if self.root is not None:
-            return len(list(self.root.glob("*.json")))
+            return len(list(self.root.glob(f"*{_SUFFIX}")))
         return len(self._memory)
 
     def remember(self, key: str, result) -> None:
@@ -249,60 +325,49 @@ class ResultCache:
 
     # -- disk layer --------------------------------------------------------------
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        return self.root / f"{key}.npy", self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # A plain string: joining a Path costs more than the read path's
+        # own system calls.
+        return os.path.join(self.root, key + _SUFFIX)
 
     def disk_bytes(self) -> int:
         """Total size of every on-disk entry (0 when memory-only)."""
         if self.root is None:
             return 0
-        total = 0
-        for path in self.root.glob("*.npy"):
-            total += path.stat().st_size
-        for path in self.root.glob("*.json"):
-            total += path.stat().st_size
-        return total
+        return sum(size for _mtime, _key, size in self._scan())
+
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """``(mtime_ns, key, bytes)`` per entry file, one ``stat`` each.
+        An entry another process removed between the listing and its
+        ``stat`` is skipped — a legal race on a shared directory."""
+        entries = []
+        for path in self.root.glob(f"*{_SUFFIX}"):
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                continue
+            entries.append((st.st_mtime_ns, path.stem, st.st_size))
+        return entries
 
     def _touch(self, key: str) -> None:
-        """Refresh the entry's LRU clock (the meta file's mtime)."""
-        _npy, meta_path = self._paths(key)
-        try:
-            os.utime(meta_path)
-        except FileNotFoundError:
-            pass
+        """Refresh the entry's LRU clock (its file's mtime)."""
+        with contextlib.suppress(FileNotFoundError):
+            os.utime(self._path(key))
 
     def _enforce_disk_budget(self, just_stored: str) -> None:
         """Evict LRU entries until the directory fits ``max_disk_bytes``.
 
-        One directory scan (a single ``stat`` per file covers size and
-        the mtime LRU clock together); ties on mtime_ns — possible on
-        coarse filesystems — break by key so eviction order stays
-        deterministic.  The just-stored entry is exempt (a single
-        oversized result stays usable instead of vanishing the moment
-        it was written); both of an entry's files go together, and its
+        Ties on mtime_ns — possible on coarse filesystems — break by key
+        so eviction order stays deterministic.  The just-stored entry is
+        exempt (a single oversized result stays usable instead of
+        vanishing the moment it was written), and an evicted entry's
         memory copy goes too — a memory hit on a disk-evicted key would
         resurrect an entry the budget already reclaimed.
         """
         if self.max_disk_bytes is None:
             return
-        entries = []  # (mtime_ns, key, entry_bytes)
-        total = 0
-        for meta_path in self.root.glob("*.json"):
-            key = meta_path.stem
-            try:
-                meta_stat = meta_path.stat()
-            except FileNotFoundError:
-                # Another process evicted (or clear()ed) this entry
-                # between our glob and the stat — a legal race for a
-                # shared long-lived cache directory; it costs no budget.
-                continue
-            size = meta_stat.st_size
-            try:
-                size += (self.root / f"{key}.npy").stat().st_size
-            except FileNotFoundError:
-                pass
-            entries.append((meta_stat.st_mtime_ns, key, size))
-            total += size
+        entries = self._scan()
+        total = sum(size for _mtime, _key, size in entries)
         if total <= self.max_disk_bytes:
             return
         entries.sort()
@@ -311,9 +376,8 @@ class ResultCache:
             for _mtime, key, size in entries:
                 if key == just_stored:
                     continue
-                npy, meta_path = self._paths(key)
-                npy.unlink(missing_ok=True)
-                meta_path.unlink(missing_ok=True)
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._path(key))
                 self._memory.pop(key, None)
                 self._m_evictions.inc()
                 total -= size
@@ -326,7 +390,7 @@ class ResultCache:
         from ..experiments.harness import RunResult
 
         assert isinstance(result, RunResult)
-        npy, meta_path = self._paths(key)
+        u = np.ascontiguousarray(result.report.u)
         meta = {
             "schema": CACHE_SCHEMA,
             "signature": signature,
@@ -355,82 +419,93 @@ class ResultCache:
                     for rep in result.report.per_peer
                 ],
             },
+            "dtype": u.dtype.str,
+            "shape": list(u.shape),
+            "nbytes": u.nbytes,
+            "crc32": zlib.crc32(u),
         }
-        # Write-then-rename: a crashed writer leaves no torn entry a
-        # later load could half-read.
-        self._atomic_write(npy, lambda f: np.save(f, result.report.u))
-        self._atomic_write(
-            meta_path,
-            lambda f: f.write(json.dumps(meta, indent=1).encode()),
-        )
-
-    def _atomic_write(self, path: Path, writer) -> None:
+        header = json.dumps(meta, separators=(",", ":")).encode()
+        # Write-then-rename: a crashed writer leaves no entry at all,
+        # never a partial one.
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                writer(f)
-            os.replace(tmp, path)
+                f.write(_PREFIX.pack(_MAGIC, len(header)))
+                f.write(header)
+                f.write(u)
+            os.replace(tmp, self._path(key))
         except BaseException:
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
-            except FileNotFoundError:
-                pass
             raise
 
     def _load_disk(self, key: str):
-        from ..experiments.harness import RunResult
-        from ..p2psap.context import Scheme
-        from ..solvers.distributed_richardson import (
-            BlockReport,
-            DistributedSolveReport,
-        )
+        try:
+            fh = open(self._path(key), "rb")
+        except FileNotFoundError:
+            return None
+        with fh:
+            opened = os.fstat(fh.fileno())
+            try:
+                return _result_from(*_read_entry(fh, opened.st_size))
+            except _CorruptEntry as exc:
+                reason, detail = exc.reason, str(exc)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                reason, detail = "header", f"{type(exc).__name__}: {exc}"
+        self._discard_corrupt(key, opened, reason, detail)
+        return None
 
-        npy, meta_path = self._paths(key)
-        if not (npy.exists() and meta_path.exists()):
-            return None
-        meta = json.loads(meta_path.read_text())
-        if meta.get("schema") != CACHE_SCHEMA:
-            return None
-        u = np.load(npy, allow_pickle=False)
-        expected_dtype = (meta.get("signature") or {}).get("dtype")
-        if expected_dtype is not None and u.dtype.name != expected_dtype:
-            # A torn or mismatched pair — e.g. the .npy of one entry
-            # paired with the .json of another after a partial copy —
-            # must read as a miss, not hand a float32 iterate to a
-            # caller whose signature promised float64.
-            warnings.warn(
-                f"cache entry {key} is corrupt: stored array dtype "
-                f"{u.dtype.name} disagrees with signature dtype "
-                f"{expected_dtype}; treating as a miss",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        rep_meta = meta["report"]
-        per_peer = [
-            BlockReport(
-                rank=r["rank"], lo=r["lo"], hi=r["hi"],
-                block=u[r["lo"]:r["hi"]],
-                relaxations=r["relaxations"],
-                converged_at=r["converged_at"],
-                wait_time=r["wait_time"],
-                sends=r["sends"], receives=r["receives"],
-                final_diff=r["final_diff"],
-                extra=r["extra"],
-            )
-            for r in rep_meta["per_peer"]
-        ]
-        scheme = Scheme.parse(meta["scheme"])
-        report = DistributedSolveReport(
-            u=u, n=meta["n"], n_peers=meta["n_peers"], scheme=scheme,
-            relaxations=rep_meta["relaxations"], per_peer=per_peer,
-            residual=rep_meta["residual"],
-            provenance=rep_meta.get("provenance", {}),
+    def _discard_corrupt(self, key: str, opened: os.stat_result,
+                         reason: str, detail: str) -> None:
+        """The one corruption path: warn, count, remove the file (the
+        caller then misses).  The file is removed only while it is still
+        the one that was read: a fresh entry another driver stored
+        meanwhile is kept."""
+        warnings.warn(f"cache entry {key} is corrupt ({reason}: {detail}); "
+                      "treating as a miss", RuntimeWarning, stacklevel=4)
+        self._registry.counter("repro_cache_corrupt_total",
+                               reason=reason).inc()
+        path = self._path(key)
+        with self._disk_lock(), contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(opened, os.stat(path)):
+                os.unlink(path)
+
+
+def _result_from(meta: dict, u: np.ndarray):
+    """The :class:`RunResult` an entry's header and payload describe;
+    per-peer blocks are views of ``u``, as in a fresh solve."""
+    from ..experiments.harness import RunResult
+    from ..p2psap.context import Scheme
+    from ..solvers.distributed_richardson import (
+        BlockReport,
+        DistributedSolveReport,
+    )
+
+    rep_meta = meta["report"]
+    per_peer = [
+        BlockReport(
+            rank=r["rank"], lo=r["lo"], hi=r["hi"],
+            block=u[r["lo"]:r["hi"]],
+            relaxations=r["relaxations"],
+            converged_at=r["converged_at"],
+            wait_time=r["wait_time"],
+            sends=r["sends"], receives=r["receives"],
+            final_diff=r["final_diff"],
+            extra=r["extra"],
         )
-        return RunResult(
-            n=meta["n"], n_peers=meta["n_peers"],
-            n_clusters=meta["n_clusters"], scheme=scheme,
-            elapsed=meta["elapsed"], relaxations=meta["relaxations"],
-            residual=meta["residual"], report=report,
-            max_wait_time=meta["max_wait_time"],
-        )
+        for r in rep_meta["per_peer"]
+    ]
+    scheme = Scheme.parse(meta["scheme"])
+    report = DistributedSolveReport(
+        u=u, n=meta["n"], n_peers=meta["n_peers"], scheme=scheme,
+        relaxations=rep_meta["relaxations"], per_peer=per_peer,
+        residual=rep_meta["residual"],
+        provenance=rep_meta.get("provenance", {}),
+    )
+    return RunResult(
+        n=meta["n"], n_peers=meta["n_peers"],
+        n_clusters=meta["n_clusters"], scheme=scheme,
+        elapsed=meta["elapsed"], relaxations=meta["relaxations"],
+        residual=meta["residual"], report=report,
+        max_wait_time=meta["max_wait_time"],
+    )

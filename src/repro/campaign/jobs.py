@@ -172,32 +172,24 @@ class CampaignJob:
         nothing else — so equal signatures really are re-runs of one
         configuration.  The result cache hashes this (plus the
         warm-start edge, which changes the trajectory).
+
+        The job is frozen, so the signature is built once per instance
+        and kept in its ``__dict__`` (outside the dataclass fields: eq,
+        hash and repr never see it); each call returns a shallow copy
+        the caller may add keys to or pop from.
         """
-        return {
-            "n": self.n,
-            "n_peers": self.n_peers,
-            "n_clusters": self.n_clusters,
-            "scheme": self.scheme,
-            "problem": self.problem,
-            "tol": self.tol,
-            "dtype": self.dtype,
-            "executor": self.executor,
-            "delta": self.delta,
-            "n_paper": self.n_paper,
-            "seed": self.seed,
-            # Round-tripped through JSON so the signature is exactly
-            # what a reader of the cache metadata sees (tuples inside
-            # extra values become lists, here, deterministically).
-            "extra": json.loads(json.dumps(
-                [list(item) for item in self.extra]
-            )),
-        }
+        memo = self.__dict__
+        if "_signature" not in memo:
+            memo["_signature"] = _build_signature(self)
+        return dict(memo["_signature"])
 
     def key(self) -> str:
-        """Short content address of :meth:`signature` (hex)."""
-        blob = json.dumps(self.signature(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Short content address of :meth:`signature` (hex), computed
+        once per instance like the signature."""
+        memo = self.__dict__
+        if "_key" not in memo:
+            memo["_key"] = _hash_signature(self.signature())
+        return memo["_key"]
 
     def label(self) -> str:
         """Human-readable one-liner for logs and CLI summaries."""
@@ -331,6 +323,33 @@ class CampaignJob:
         return run_job(self, **kwargs)
 
 
+def _build_signature(job: CampaignJob) -> dict[str, Any]:
+    return {
+        "n": job.n,
+        "n_peers": job.n_peers,
+        "n_clusters": job.n_clusters,
+        "scheme": job.scheme,
+        "problem": job.problem,
+        "tol": job.tol,
+        "dtype": job.dtype,
+        "executor": job.executor,
+        "delta": job.delta,
+        "n_paper": job.n_paper,
+        "seed": job.seed,
+        # Round-tripped through JSON so the signature is exactly what a
+        # reader of the cache metadata sees (tuples inside extra values
+        # become lists, here, deterministically).
+        "extra": json.loads(json.dumps(
+            [list(item) for item in job.extra]
+        )),
+    }
+
+
+def _hash_signature(signature: dict[str, Any]) -> str:
+    blob = json.dumps(signature, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def expand_matrix(
     ns: Sequence[int],
     n_peers: Sequence[int] = (1,),
@@ -438,8 +457,9 @@ def _group_key(job: CampaignJob) -> tuple:
     """Everything but delta: the axis a delta sweep varies along."""
     sig = job.signature()
     sig.pop("delta")
-    return tuple(sorted((k, json.dumps(v, sort_keys=True))
-                        for k, v in sig.items()))
+    # Every field is hashable as is except ``extra`` (nested lists).
+    sig["extra"] = json.dumps(sig["extra"], sort_keys=True)
+    return tuple(sorted(sig.items()))
 
 
 def _check_neighbour_edge(prev: CampaignJob, job: CampaignJob) -> None:

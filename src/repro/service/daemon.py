@@ -349,8 +349,8 @@ class CampaignService:
         }
 
     def iterate_bytes(self, cid: str, ckey: str) -> bytes:
-        """The solution iterate for one cache key, as ``.npy`` bytes —
-        byte-identical to the entry a rooted cache writes on disk."""
+        """The solution iterate for one cache key, as ``.npy`` bytes:
+        ``np.save`` of the cached iterate (bit-exact, dtype kept)."""
         with self._lock:
             state = self._get(cid)
             record = None

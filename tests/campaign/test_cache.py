@@ -1,12 +1,18 @@
-"""Result cache: content addressing, disk round trips, invalidation."""
+"""Result cache: content addressing, disk round trips, invalidation,
+self-verifying entries and the shared-directory concurrency contract."""
 
+import hashlib
 import json
+import os
+import time
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignJob, ResultCache, cache_key
-from repro.campaign.cache import CACHE_SCHEMA
+from repro.campaign import Campaign, CampaignJob, ResultCache, cache_key
+from repro.campaign.cache import _MAGIC, _PREFIX, CACHE_SCHEMA
 from repro.experiments.harness import run_configuration
 
 
@@ -18,6 +24,41 @@ def solved():
 
 def _key():
     return cache_key(CampaignJob(n=8, n_peers=2, tol=1e-3).signature())
+
+
+def _entry(root, key):
+    return root / f"{key}.entry"
+
+
+def _split(path):
+    """``(header, payload bytes)`` of one entry file."""
+    raw = path.read_bytes()
+    magic, header_len = _PREFIX.unpack_from(raw)
+    assert magic == _MAGIC
+    start = _PREFIX.size + header_len
+    return json.loads(raw[_PREFIX.size:start]), raw[start:]
+
+
+def _write(path, meta, payload):
+    header = json.dumps(meta).encode()
+    path.write_bytes(_PREFIX.pack(_MAGIC, len(header)) + header + payload)
+
+
+def _corrupt_total(cache, reason):
+    counters = cache.telemetry_snapshot()["counters"]
+    return counters.get(f'repro_cache_corrupt_total{{reason="{reason}"}}', 0)
+
+
+def _digest(result):
+    return hashlib.sha256(result.report.u.tobytes()).hexdigest()
+
+
+def _load_clean(root, key):
+    """Load through a fresh instance with any warning an error: the
+    entry must be served whole, or be absent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ResultCache(root).load(key)
 
 
 class TestCacheKey:
@@ -76,6 +117,7 @@ class TestDiskCache:
         assert loaded is not None
         assert np.array_equal(loaded.report.u, solved.report.u)
         assert loaded.report.u.dtype == solved.report.u.dtype
+        assert loaded.report.u.flags.writeable
         assert loaded.elapsed == solved.elapsed
         assert loaded.relaxations == solved.relaxations
         assert loaded.residual == solved.residual
@@ -85,20 +127,27 @@ class TestDiskCache:
         assert per
         for got, want in per:
             assert np.array_equal(got.block, want.block)
+            # Blocks are views of the one loaded iterate, as after a solve.
+            assert np.shares_memory(got.block, loaded.report.u)
             assert got.relaxations == want.relaxations
             assert got.converged_at == want.converged_at
             assert got.final_diff == want.final_diff
             assert got.extra == want.extra
 
-    def test_schema_mismatch_misses(self, tmp_path, solved):
+    def test_one_file_per_entry(self, tmp_path, solved):
         cache = ResultCache(tmp_path)
         key = _key()
-        cache.store(key, solved)
-        meta_path = tmp_path / f"{key}.json"
-        meta = json.loads(meta_path.read_text())
-        meta["schema"] = CACHE_SCHEMA + 1
-        meta_path.write_text(json.dumps(meta))
-        assert ResultCache(tmp_path).load(key) is None
+        cache.store(key, solved, signature={"n": 8})
+        assert {p.name for p in tmp_path.iterdir()} == \
+            {f"{key}.entry", ".cache.lock"}
+        meta, payload = _split(_entry(tmp_path, key))
+        u = solved.report.u
+        assert meta["schema"] == CACHE_SCHEMA
+        assert meta["signature"] == {"n": 8}
+        assert (meta["dtype"], meta["shape"], meta["nbytes"]) == \
+            (u.dtype.str, list(u.shape), u.nbytes)
+        assert payload == u.tobytes()
+        assert cache.disk_bytes() == _entry(tmp_path, key).stat().st_size
 
     def test_clear_removes_files(self, tmp_path, solved):
         cache = ResultCache(tmp_path)
@@ -112,53 +161,212 @@ class TestDiskCache:
         assert leftovers <= {".cache.lock"}
 
     def test_missing_entry_is_miss(self, tmp_path):
-        assert ResultCache(tmp_path).load("deadbeef") is None
-
-    def test_torn_pair_is_miss(self, tmp_path, solved):
-        """An entry with either file of its pair missing is a miss."""
-        cache = ResultCache(tmp_path)
-        key = _key()
-        cache.store(key, solved, signature={"dtype": "float64"})
-        (tmp_path / f"{key}.npy").unlink()
-        assert ResultCache(tmp_path).load(key) is None
-        cache.store(key, solved, signature={"dtype": "float64"})
-        (tmp_path / f"{key}.json").unlink()
-        assert ResultCache(tmp_path).load(key) is None
-
-    def test_dtype_mismatch_is_corruption_miss(self, tmp_path, solved):
-        """A stored .npy whose dtype disagrees with the signature in
-        its metadata pair — a torn/mismatched pair, e.g. after a
-        partial directory copy — is a warning and a miss, never a
-        wrongly-typed hit."""
-        cache = ResultCache(tmp_path)
-        key = _key()
-        sig = dict(CampaignJob(n=8, n_peers=2, tol=1e-3).signature())
-        cache.store(key, solved, signature=sig)
-        # Overwrite the array with a float32 copy, leaving the
-        # metadata claiming float64.
-        np.save(tmp_path / f"{key}.npy",
-                solved.report.u.astype(np.float32))
-        fresh = ResultCache(tmp_path)
-        with pytest.warns(RuntimeWarning, match="dtype"):
-            assert fresh.load(key) is None
-        assert fresh.misses == 1
+        assert _load_clean(tmp_path, "deadbeef") is None
 
     def test_dtype_match_loads_clean(self, tmp_path, solved):
         """The guard never fires on a healthy entry (no warning)."""
-        import warnings
-
         cache = ResultCache(tmp_path)
         key = _key()
         sig = dict(CampaignJob(n=8, n_peers=2, tol=1e-3).signature())
         cache.store(key, solved, signature=sig)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ResultCache(tmp_path).load(key) is not None
+        assert _load_clean(tmp_path, key) is not None
+
+    def test_reads_take_no_lock(self, tmp_path, solved, monkeypatch):
+        """Disk and memory hits on a rooted cache never flock; only
+        mutations do."""
+        import fcntl
+
+        calls = []
+        real = fcntl.flock
+        monkeypatch.setattr(fcntl, "flock",
+                            lambda fd, op: (calls.append(op), real(fd, op)))
+        key = _key()
+        ResultCache(tmp_path).store(key, solved)
+        assert calls.count(fcntl.LOCK_EX) == 1
+        calls.clear()
+        cache = ResultCache(tmp_path)
+        assert cache.load(key) is not None   # disk hit
+        assert cache.load(key) is not None   # memory hit
+        assert cache.load("deadbeef") is None  # miss
+        assert calls == []
+        assert cache.lock_wait_seconds == 0.0
+
+
+def _flip_payload_bit(path):
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def _retype_float32(path):
+    """A well-formed float32 entry whose signature promises float64."""
+    meta, payload = _split(path)
+    u32 = np.frombuffer(payload, np.dtype(meta["dtype"])).astype(np.float32)
+    meta.update(dtype=u32.dtype.str, nbytes=u32.nbytes,
+                crc32=zlib.crc32(u32))
+    _write(path, meta, u32.tobytes())
+
+
+def _rewrite_header(**changes):
+    def mutate(path):
+        meta, payload = _split(path)
+        meta.update(changes)
+        _write(path, meta, payload)
+    return mutate
+
+
+def _drop_crc(path):
+    meta, payload = _split(path)
+    del meta["crc32"]
+    _write(path, meta, payload)
+
+
+def _truncate_to(size_of):
+    def mutate(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:size_of(raw)])
+    return mutate
+
+
+def _garble_header(path):
+    raw = bytearray(path.read_bytes())
+    raw[_PREFIX.size:_PREFIX.size + 4] = b"{{{{"
+    path.write_bytes(bytes(raw))
+
+
+def _header_end(raw):
+    return _PREFIX.size + _PREFIX.unpack_from(raw)[1]
+
+
+#: Every way an entry can be bad, each with the reason it is filed under.
+CORRUPTIONS = {
+    "wrong magic": ("magic", lambda p: p.write_bytes(
+        b"NOTCACHE" + p.read_bytes()[8:])),
+    "short prefix": ("prefix", _truncate_to(lambda raw: 5)),
+    "unparsable header": ("header", _garble_header),
+    "short header": ("header", _truncate_to(
+        lambda raw: _PREFIX.size + 10)),
+    "header missing a field": ("header", _drop_crc),
+    "schema mismatch": ("schema", _rewrite_header(schema=CACHE_SCHEMA + 1)),
+    "short payload": ("length", _truncate_to(lambda raw: len(raw) - 8)),
+    "long payload": ("length", lambda p: p.write_bytes(
+        p.read_bytes() + b"\0" * 8)),
+    "flipped payload bit": ("crc", _flip_payload_bit),
+    "dtype mismatch": ("dtype", _retype_float32),
+}
+
+
+class TestCorruptEntries:
+    """One path for every bad entry: a RuntimeWarning naming key and
+    reason, ``repro_cache_corrupt_total{reason}``, the file removed, a
+    miss — never an exception, never a served result."""
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corruption_is_one_path(self, tmp_path, solved, case):
+        reason, mutate = CORRUPTIONS[case]
+        key = _key()
+        sig = dict(CampaignJob(n=8, n_peers=2, tol=1e-3).signature())
+        ResultCache(tmp_path).store(key, solved, signature=sig)
+        mutate(_entry(tmp_path, key))
+        fresh = ResultCache(tmp_path)
+        with pytest.warns(RuntimeWarning,
+                          match=rf"{key} is corrupt \({reason}:"):
+            assert fresh.load(key) is None
+        assert (fresh.hits, fresh.misses) == (0, 1)
+        assert _corrupt_total(fresh, reason) == 1
+        assert not _entry(tmp_path, key).exists()
+        # Gone for good: the next load is a plain miss.
+        assert _load_clean(tmp_path, key) is None
+
+    def test_counter_reaches_metrics_not_stats(self, tmp_path, solved):
+        from repro.telemetry.exposition import render_prometheus
+
+        key = _key()
+        ResultCache(tmp_path).store(key, solved)
+        _flip_payload_bit(_entry(tmp_path, key))
+        fresh = ResultCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="crc"):
+            fresh.load(key)
+        assert set(fresh.stats()) == {"hits", "misses", "stores",
+                                      "evictions", "hit_rate",
+                                      "lock_wait_seconds"}
+        text = render_prometheus(fresh.telemetry_snapshot())
+        assert 'repro_cache_corrupt_total{reason="crc"} 1' in text
+
+    def test_fresh_replacement_is_not_removed(self, tmp_path, solved):
+        """A corrupt read racing a fresh store of the same key removes
+        only the file it read, never the new entry."""
+        cache = ResultCache(tmp_path)
+        key = _key()
+        cache.store(key, solved)
+        stale = os.stat(_entry(tmp_path, key))
+        cache.store(key, solved)  # os.replace: a new file
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            cache._discard_corrupt(key, stale, "crc", "raced")
+        assert _load_clean(tmp_path, key) is not None
+
+    def test_flipped_bit_drill(self, tmp_path):
+        """Flip one payload bit of a stored campaign result: the next
+        campaign misses, re-solves and re-stores it, and the entry after
+        that is a clean hit with the cold digest."""
+        job = CampaignJob(n=8, n_peers=2, scheme="synchronous", tol=1e-3)
+        with Campaign([job], cache=ResultCache(tmp_path)) as c:
+            [cold] = c.run().records
+        assert cold.source == "run"
+        _flip_payload_bit(_entry(tmp_path, cold.cache_key))
+        with pytest.warns(RuntimeWarning, match="crc"):
+            with Campaign([job], cache=ResultCache(tmp_path)) as c:
+                [again] = c.run().records
+        assert again.source == "run"
+        assert _digest(again.result) == _digest(cold.result)
+        served = _load_clean(tmp_path, cold.cache_key)
+        assert served is not None
+        assert _digest(served) == _digest(cold.result)
+
+
+class TestSchemaUpgrade:
+    """A directory written before schema 2 holds ``.npy`` + ``.json``
+    pairs: never read, never counted, removed by ``clear()``."""
+
+    def _legacy_pair(self, root, solved):
+        sig = CampaignJob(n=8, n_peers=2, tol=1e-3).signature()
+        blob = json.dumps({"schema": 1, **sig}, sort_keys=True,
+                          separators=(",", ":"))
+        old = hashlib.sha256(blob.encode()).hexdigest()
+        np.save(root / f"{old}.npy", solved.report.u)
+        (root / f"{old}.json").write_text(
+            json.dumps({"schema": 1, "signature": sig}))
+        return old
+
+    def test_mixed_directory(self, tmp_path, solved):
+        probe = ResultCache(tmp_path / "probe")
+        probe.store("probe", solved)
+        size = probe.disk_bytes()
+        root = tmp_path / "c"
+        cache = ResultCache(root, max_disk_bytes=size + size // 2)
+        old = self._legacy_pair(root, solved)
+        key = _key()
+        assert key != old  # the schema is part of every key
+        assert len(cache) == 0 and cache.disk_bytes() == 0
+        assert _load_clean(root, old) is None
+        assert _load_clean(root, key) is None
+        cache.store(key, solved)
+        # The legacy pair does not count against the budget...
+        assert cache.evictions == 0
+        assert len(cache) == 1
+        assert cache.disk_bytes() == _entry(root, key).stat().st_size
+        # ...and is never an eviction victim.
+        cache.store("other", solved)
+        assert cache.evictions == 1
+        assert (root / f"{old}.npy").exists()
+        assert (root / f"{old}.json").exists()
+        cache.clear()
+        assert {p.name for p in root.iterdir()} <= {".cache.lock"}
 
 
 class TestDiskLRUEviction:
     """The disk layer is bounded: stores evict least-recently-used
-    entry pairs until the directory fits the byte budget."""
+    entries until the directory fits the byte budget."""
 
     def _entry_bytes(self, tmp_path, solved):
         probe = ResultCache(tmp_path / "probe")
@@ -168,12 +376,8 @@ class TestDiskLRUEviction:
     def _backdate(self, cache, key, age_s):
         """Push an entry's LRU clock into the past (deterministic order
         regardless of filesystem timestamp resolution)."""
-        import os
-        import time
-
-        _npy, meta = cache._paths(key)
         stamp = time.time() - age_s
-        os.utime(meta, (stamp, stamp))
+        os.utime(cache._path(key), (stamp, stamp))
 
     def test_budget_enforced(self, tmp_path, solved):
         size = self._entry_bytes(tmp_path, solved)
@@ -200,6 +404,21 @@ class TestDiskLRUEviction:
         assert cache.load("a") is not None
         assert cache.load("c") is not None
         assert cache.evictions == 1
+
+    def test_disk_hit_refreshes_clock_across_instances(self, tmp_path,
+                                                       solved):
+        """The LRU clock lives on disk: a hit through a *fresh* instance
+        (another process, a re-invoked CLI) refreshes it too."""
+        size = self._entry_bytes(tmp_path, solved)
+        root = tmp_path / "c"
+        cache = ResultCache(root, max_disk_bytes=2 * size + size // 2)
+        cache.store("a", solved, signature=None)
+        self._backdate(cache, "a", age_s=100)
+        cache.store("b", solved, signature=None)
+        self._backdate(cache, "b", age_s=50)
+        assert ResultCache(root).load("a") is not None
+        cache.store("c", solved, signature=None)
+        assert sorted(p.stem for p in root.glob("*.entry")) == ["a", "c"]
 
     def test_disk_eviction_drops_memory_copy(self, tmp_path, solved):
         size = self._entry_bytes(tmp_path, solved)
@@ -260,6 +479,19 @@ class TestStats:
         assert cache.stats()["evictions"] == 1
 
 
+def _assert_whole_survivors(root, budget, solved):
+    """Every entry left in ``root`` is whole and loads clean; the
+    directory fits ``budget``; no temporary file is left behind."""
+    assert ResultCache(root, max_disk_bytes=budget).disk_bytes() <= budget
+    survivors = [p.stem for p in root.glob("*.entry")]
+    assert survivors  # the budget never thrashes to empty
+    for key in survivors:
+        loaded = _load_clean(root, key)
+        assert loaded is not None
+        assert loaded.residual == solved.residual
+    assert list(root.glob("*.tmp")) == []
+
+
 def _process_hammer(root, budget, pid, errq):
     """One OS process storing + loading its own keys against a shared
     cache directory under budget pressure (module-level: spawn-safe)."""
@@ -280,19 +512,23 @@ def _process_hammer(root, budget, pid, errq):
         errq.put(traceback.format_exc())
 
 
+def _budget_for(tmp_path, solved, entries):
+    probe = ResultCache(tmp_path)
+    probe.store(_key(), solved)
+    entry_bytes = probe.disk_bytes()
+    assert entry_bytes > 0
+    probe.clear()
+    return entries * entry_bytes + entry_bytes // 2
+
+
 class TestConcurrentWriters:
     def test_shared_directory_under_budget_pressure(self, solved, tmp_path):
         """Several drivers hammering one rooted cache: the flock'd
         store + LRU-eviction compound must keep the directory within
-        budget, tear no entry pairs, and serve every surviving key."""
+        budget, leave only whole entries, and serve every survivor."""
         import threading
 
-        probe = ResultCache(tmp_path)
-        probe.store(_key(), solved)
-        entry_bytes = probe.disk_bytes()
-        assert entry_bytes > 0
-        probe.clear()
-        budget = 3 * entry_bytes + entry_bytes // 2
+        budget = _budget_for(tmp_path, solved, 3)
 
         def keys_for(tid):
             return [
@@ -319,33 +555,19 @@ class TestConcurrentWriters:
         for t in threads:
             t.join()
         assert errors == []
-
-        reader = ResultCache(tmp_path, max_disk_bytes=budget)
-        assert reader.disk_bytes() <= budget
-        survivors = [p.stem for p in tmp_path.glob("*.json")]
-        assert survivors  # the budget never thrashes to empty
-        for key in survivors:
-            assert (tmp_path / f"{key}.npy").exists()  # no torn pairs
-            loaded = reader.load(key)
-            assert loaded is not None
-            assert loaded.residual == solved.residual
+        _assert_whole_survivors(tmp_path, budget, solved)
 
     def test_true_multiprocess_sharing(self, solved, tmp_path):
         """Two *OS processes* (not threads — each with its own GIL,
         flock holder, and directory view) storing and evicting against
-        one cache directory: the budget holds, no entry pair is torn,
-        every survivor loads.  This is exactly the sharing mode of
-        ``Campaign(drivers=N)`` workers over a rooted cache."""
+        one cache directory: the budget holds, only whole entries
+        remain, every survivor loads.  This is exactly the sharing mode
+        of ``Campaign(drivers=N)`` workers over a rooted cache."""
         import multiprocessing
 
         from repro.parallel.pool import _start_method
 
-        probe = ResultCache(tmp_path)
-        probe.store(_key(), solved)
-        entry_bytes = probe.disk_bytes()
-        probe.clear()
-        budget = 3 * entry_bytes + entry_bytes // 2
-
+        budget = _budget_for(tmp_path, solved, 3)
         ctx = multiprocessing.get_context(_start_method(None))
         errq = ctx.Queue()
         procs = [
@@ -362,13 +584,134 @@ class TestConcurrentWriters:
             errors.append(errq.get())
         assert errors == []
         assert [p.exitcode for p in procs] == [0, 0]
+        _assert_whole_survivors(tmp_path, budget, solved)
 
-        reader = ResultCache(tmp_path, max_disk_bytes=budget)
-        assert reader.disk_bytes() <= budget
-        survivors = [p.stem for p in tmp_path.glob("*.json")]
-        assert survivors
-        for key in survivors:
-            assert (tmp_path / f"{key}.npy").exists()  # no torn pairs
-            loaded = reader.load(key)
-            assert loaded is not None
-            assert loaded.residual == solved.residual
+
+# -- the concurrency contract: lock-free readers vs. mutating writers ---------
+
+CONTRACT_KEYS = [f"contract-{i}" for i in range(4)]
+
+
+def _contract_writer(root, budget, solved, seed, start, done, errq):
+    """Store and evict in a loop: the budget fits two of the four keys,
+    so nearly every store evicts another key's entry."""
+    import random
+
+    try:
+        rng = random.Random(seed)
+        cache = ResultCache(root, max_disk_bytes=budget)
+        start.wait(30)
+        for _ in range(200):
+            cache.store(rng.choice(CONTRACT_KEYS), solved)
+    except Exception:  # pragma: no cover - failure path
+        import traceback
+
+        errq.put(traceback.format_exc())
+    finally:
+        done.set()
+
+
+def _contract_reader(root, digest, seed, start, done, errq, outq):
+    """Load the same keys in a loop through fresh instances (every hit a
+    disk read) until the writer is done; any warning is an error."""
+    import random
+
+    hits = misses = 0
+    try:
+        rng = random.Random(seed)
+        start.set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while True:
+                finished = done.is_set()
+                for key in rng.sample(CONTRACT_KEYS, len(CONTRACT_KEYS)):
+                    loaded = ResultCache(root).load(key)
+                    if loaded is None:
+                        misses += 1
+                    elif _digest(loaded) != digest:
+                        raise AssertionError(f"{key}: wrong payload")
+                    else:
+                        hits += 1
+                if finished:
+                    break
+    except BaseException:
+        import traceback
+
+        errq.put(traceback.format_exc())
+    outq.put((hits, misses))
+
+
+def _contract_same_key(root, solved, offset, start, errq):
+    try:
+        solved.report.u = solved.report.u + offset
+        cache = ResultCache(root)
+        start.wait(30)
+        for _ in range(30):
+            cache.store("contested", solved)
+    except Exception:  # pragma: no cover - failure path
+        import traceback
+
+        errq.put(traceback.format_exc())
+
+
+class TestConcurrencyContract:
+    """Two OS processes on one cache directory, seeded: readers never
+    take the lock and still only ever see a whole, crc-valid entry or a
+    miss."""
+
+    def _ctx(self):
+        import multiprocessing
+
+        from repro.parallel.pool import _start_method
+
+        return multiprocessing.get_context(_start_method(None))
+
+    def _join(self, procs, errq):
+        for p in procs:
+            p.join(timeout=60)
+        errors = []
+        while not errq.empty():
+            errors.append(errq.get())
+        assert errors == []
+        assert [p.exitcode for p in procs] == [0] * len(procs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reader_vs_evicting_writer(self, tmp_path, solved, seed):
+        ctx = self._ctx()
+        budget = _budget_for(tmp_path, solved, 2)
+        start, done = ctx.Event(), ctx.Event()
+        errq, outq = ctx.Queue(), ctx.Queue()
+        procs = [
+            ctx.Process(target=_contract_writer,
+                        args=(str(tmp_path), budget, solved, seed, start,
+                              done, errq)),
+            ctx.Process(target=_contract_reader,
+                        args=(str(tmp_path), _digest(solved), seed, start,
+                              done, errq, outq)),
+        ]
+        for p in procs:
+            p.start()
+        hits, misses = outq.get(timeout=60)
+        self._join(procs, errq)
+        # Two of four keys are on disk at the end: both outcomes occur.
+        assert hits > 0 and misses > 0
+        _assert_whole_survivors(tmp_path, budget, solved)
+
+    def test_racing_stores_of_one_key(self, tmp_path, solved):
+        ctx = self._ctx()
+        start = ctx.Event()
+        errq = ctx.Queue()
+        procs = [ctx.Process(target=_contract_same_key,
+                             args=(str(tmp_path), solved, offset, start,
+                                   errq))
+                 for offset in (1.0, 2.0)]
+        for p in procs:
+            p.start()
+        start.set()
+        self._join(procs, errq)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [".cache.lock", "contested.entry"]
+        loaded = _load_clean(tmp_path, "contested")
+        assert loaded is not None
+        assert any(np.array_equal(loaded.report.u, solved.report.u + offset)
+                   for offset in (1.0, 2.0))

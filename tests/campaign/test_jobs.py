@@ -45,6 +45,76 @@ class TestCampaignJob:
         assert "n=8" in label and "α=4" in label and "float32" in label
 
 
+class TestJobIdentity:
+    """Signature and key are computed once per (frozen) instance; the
+    values themselves are pinned — every cache key and wire round trip
+    stands on them."""
+
+    #: Recorded before identity was memoised; must never change.
+    PINNED = [
+        (dict(n=8), "96bbba931758ec43"),
+        (dict(n=12, n_peers=4, n_clusters=2, scheme="asynchronous",
+              tol=1e-3), "f981b6be481dc7f4"),
+        (dict(n=32, n_peers=2, scheme="synchronous", tol=1e-4, n_paper=96,
+              seed=7, delta=0.1), "314e9c7da23dfd77"),
+        (dict(n=16, dtype="float32", executor="process",
+              extra={"executor_workers": 2}), "16bd1e199bd8b370"),
+        (dict(n=24, n_peers=8, scheme="hybrid", problem="membrane",
+              tol=1e-6, extra={"weights": (1.0, 2.0), "tag": "x"}),
+         "3b9b0ec4535f6caa"),
+    ]
+
+    @pytest.mark.parametrize("fields,key", PINNED)
+    def test_pinned_keys(self, fields, key):
+        job = CampaignJob(**fields)
+        assert job.key() == key
+        assert job.key() == key  # the memoised value too
+        assert CampaignJob.from_wire(job.to_wire()).key() == key
+
+    def test_built_and_hashed_once(self, monkeypatch):
+        import repro.campaign.jobs as jobs_mod
+
+        calls = {"build": 0, "hash": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(jobs_mod, "_build_signature",
+                            counted("build", jobs_mod._build_signature))
+        monkeypatch.setattr(jobs_mod, "_hash_signature",
+                            counted("hash", jobs_mod._hash_signature))
+        job = CampaignJob(n=8, n_peers=2)
+        for _ in range(5):
+            job.key()
+            job.signature()
+        assert calls == {"build": 1, "hash": 1}
+
+    def test_signature_is_a_copy(self):
+        job = CampaignJob(n=8, delta=0.5)
+        sig = job.signature()
+        sig.pop("delta")
+        sig["warm_from"] = "abc"
+        assert job.signature()["delta"] == 0.5
+        assert "warm_from" not in job.signature()
+
+    def test_memo_outside_eq_hash_repr(self):
+        import dataclasses
+        import pickle
+
+        warm = CampaignJob(n=8, n_peers=2)
+        warm.key()
+        cold = CampaignJob(n=8, n_peers=2)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert pickle.loads(pickle.dumps(warm)).key() == cold.key()
+        # A replaced job gets its own identity, not the original's.
+        other = dataclasses.replace(warm, n=10)
+        assert other.key() == CampaignJob(n=10, n_peers=2).key()
+
+
 class TestExpandMatrix:
     def test_cartesian_product(self):
         jobs = expand_matrix(ns=[8], n_peers=[1, 2],

@@ -228,8 +228,6 @@ class TestLadderExecution:
         """Run the ladder against a rooted cache and inspect the fine
         float32 stage's stored provenance: it must record the
         interpolated cross-size seed."""
-        import json
-
         job = target_job()
         from repro.campaign import ResultCache
 
@@ -237,11 +235,12 @@ class TestLadderExecution:
                       cache=ResultCache(tmp_path)) as c:
             c.run()
         labels = []
-        for meta_path in tmp_path.glob("*.json"):
-            if meta_path.name == ".cache.lock":
-                continue
-            meta = json.loads(meta_path.read_text())
-            prov = meta["report"].get("provenance", {})
+        entries = sorted(tmp_path.glob("*.entry"))
+        assert len(entries) == 3  # coarse, fine float32, polish
+        for path in entries:
+            # Read back through a fresh instance: what is on disk.
+            stored = ResultCache(tmp_path).load(path.stem)
+            prov = stored.report.provenance
             labels.append(prov.get("warm_start"))
         assert any(lbl and f":interpolated@{N // 2}" in lbl
                    for lbl in labels)
