@@ -8,17 +8,29 @@ daemon per cache-served round trip (submit, wait, results, one iterate
 download) in TCP connects and HTTP requests, and how many status
 requests one ``wait()`` on a cold single-job campaign takes.
 
+It also counts, per cached round trip, how often the stdlib's MIME
+header machinery runs on either end of the connection (client and daemon
+share this process): calls of ``http.client.parse_headers`` plus
+``email.feedparser.FeedParser.feed``.  Both ends frame HTTP by hand, so
+the count is 0; the counters are installed from here, around the stdlib
+names, and ``src/`` knows nothing about them.
+
 Like ``protocol_path.py`` these are counts, not timings — read from the
 daemon's own ``repro_service_connections_total`` /
-``repro_service_requests_total`` counters, the same integers on every
-machine — so ``run_bench.py --check`` holds them with **zero** tolerance
-against the committed ``service_path`` record in ``BENCH_micro.json``:
-a client that reconnects per call, or a ``wait()`` that polls, fails the
-gate.  ``benchmarks/e2e`` (``service_roundtrip``) measures the seconds.
+``repro_service_requests_total`` counters and from the wrappers above,
+the same integers on every machine — so ``run_bench.py --check`` holds
+them with **zero** tolerance against the committed ``service_path``
+record in ``BENCH_micro.json``: a client that reconnects per call, a
+``wait()`` that polls, or a request that goes through a MIME parser
+fails the gate.  ``benchmarks/e2e`` (``service_roundtrip``) measures the
+seconds.
 """
 
 from __future__ import annotations
 
+import contextlib
+import email.feedparser
+import http.client
 import json
 
 from repro.campaign import CampaignJob
@@ -57,6 +69,29 @@ def delta(service: CampaignService, before: dict) -> dict:
             for key, value in http_counts(service).items()}
 
 
+@contextlib.contextmanager
+def counting_header_parses():
+    """Count stdlib header parses, from any thread, while active."""
+    counts = {"stdlib_header_parses": 0}
+    originals = [(http.client, "parse_headers", http.client.parse_headers),
+                 (email.feedparser.FeedParser, "feed",
+                  email.feedparser.FeedParser.feed)]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["stdlib_header_parses"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name, fn in originals:
+        setattr(owner, name, counted(fn))
+    try:
+        yield counts
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+
+
 def measure() -> dict:
     service = CampaignService(drivers=1, max_queue=8)
     daemon = ServiceDaemon(service).start()
@@ -64,8 +99,9 @@ def measure() -> dict:
         with ServiceClient(daemon.url) as client:
             roundtrip(client, [job(0)])  # connects; solves job 0
             before = http_counts(service)
-            for _ in range(ROUNDTRIPS):
-                roundtrip(client, [job(0)])
+            with counting_header_parses() as parses:
+                for _ in range(ROUNDTRIPS):
+                    roundtrip(client, [job(0)])
             cached = delta(service, before)
             before = http_counts(service)
             for k in range(COLD_WAITS):
@@ -81,6 +117,9 @@ def measure() -> dict:
             "http_requests": cached["http_requests"],
             "tcp_connects_per_rt": cached["tcp_connects"] / ROUNDTRIPS,
             "http_requests_per_rt": cached["http_requests"] / ROUNDTRIPS,
+            "stdlib_header_parses": parses["stdlib_header_parses"],
+            "stdlib_header_parses_per_rt":
+                parses["stdlib_header_parses"] / ROUNDTRIPS,
         },
         "cold_wait": {
             "waits": COLD_WAITS,

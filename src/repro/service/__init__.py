@@ -7,12 +7,12 @@ The pieces, bottom up:
   (exact-float encoded, so cache keys survive the wire).
 - :mod:`repro.service.daemon` — :class:`CampaignService` (persistent
   cache + driver pool, bounded admission queue, branch scheduling with
-  in-flight coalescing) and :class:`ServiceDaemon` (the stdlib
-  HTTP/1.1 keep-alive server around it: one connection per client, one
-  segment per response, long-poll ``?wait=``).
+  in-flight coalescing) and :class:`ServiceDaemon` (the HTTP/1.1
+  keep-alive server around it: one connection per client, one segment
+  per response, long-poll ``?wait=``, request framing read by hand).
 - :mod:`repro.service.client` — :class:`ServiceClient`, the
-  one-persistent-connection client the ``submit`` CLI subcommand and
-  the CI smoke job use.
+  one-persistent-socket, hand-framed client the ``submit`` CLI
+  subcommand and the CI smoke job use.
 
 Start one with ``python -m repro.experiments serve``; talk to it with
 ``python -m repro.experiments submit`` or any HTTP client.

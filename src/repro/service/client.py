@@ -1,13 +1,15 @@
-"""A stdlib HTTP client for the campaign service daemon.
+"""A hand-framed HTTP/1.1 client for the campaign service daemon.
 
 Thin by design: :class:`ServiceClient` speaks exactly the wire schema
-of :mod:`repro.service.schema` over one persistent
-``http.client.HTTPConnection`` — one TCP connect (and one daemon handler
-thread) per client, not per call — decodes structured error bodies into
-:class:`ServiceError`, and waits with a long-poll
-(``GET /campaigns/<id>?wait=<seconds>``): the daemon parks the request
-until the campaign finishes, so :meth:`~ServiceClient.wait` costs one
-request however long the solve takes.
+of :mod:`repro.service.schema` over one persistent TCP socket — one
+connect (and one daemon handler thread) per client, not per call.  It
+writes each request in one ``sendall`` and reads the answer by its
+``Content-Length``: a MIME parser for three headers would cost more than
+the call's work.  Error bodies decode into :class:`ServiceError`, and
+waiting is a long-poll (``GET /campaigns/<id>?wait=<seconds>``): the
+daemon parks the request until the campaign finishes, so
+:meth:`~ServiceClient.wait` costs one request however long the solve
+takes.
 
 Everything a submission needs for bit-identical results travels inside
 the :class:`~repro.campaign.jobs.CampaignJob` wire dicts; the client
@@ -16,18 +18,52 @@ adds no parameters of its own.
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import socket
 import threading
 import time
+import urllib.parse
 from typing import Any, Iterable, Optional
 
 from ..campaign.jobs import CampaignJob
 from .schema import submission_to_wire
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+#: Longest header line, and most header lines, either end reads.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+
+class FramingError(ValueError):
+    """A header block that cannot be read; ``status`` is the answer a
+    server gives it (431 past the limits, else 400)."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+def read_headers(reader) -> dict[bytes, bytes]:
+    """Header lines up to the blank one (CRLF or bare LF), as lower-cased
+    name -> stripped value, repeats joined by ``b", "``.  Whitespace
+    around a name — which includes an obs-fold continuation line — is a
+    :class:`FramingError`, as are a torn block and the limits."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if len(line) > MAX_LINE:
+            raise FramingError("header line too long", 431)
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise FramingError(f"bad header line {line[:80]!r}")
+        name, value = name.lower(), value.strip()
+        headers[name] = headers[name] + b", " + value \
+            if name in headers else value
+    raise FramingError(f"more than {MAX_HEADERS} header lines", 431)
 
 
 class ServiceError(Exception):
@@ -59,20 +95,18 @@ class ServiceClient:
     def __init__(self, base_url: str, *, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        scheme, _, netloc = self.base_url.partition("://")
-        if scheme != "http":
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
             raise ValueError(f"not an http://host:port URL: {base_url!r}")
-        self._conn = http.client.HTTPConnection(netloc, timeout=timeout)
+        self._address = (url.hostname, url.port or 80)
+        self._host = f"Host: {url.netloc}\r\nAccept: application/json\r\n"
+        self._sock: Optional[socket.socket] = None
+        self._reader = None
         self._lock = threading.Lock()
 
     def close(self) -> None:
         with self._lock:
-            if self._conn.sock is not None:
-                try:  # hang up even if a forked child holds a copy
-                    self._conn.sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-            self._conn.close()
+            self._hang_up()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -82,33 +116,73 @@ class ServiceClient:
 
     # -- plumbing ----------------------------------------------------------------
 
+    def _hang_up(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            try:  # hang up even if a forked child holds a copy
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self._reader.close()
+            sock.close()
+
+    def _read_response(self) -> tuple[int, str, bytes]:
+        """Status, media type and body of one answer, read by its
+        ``Content-Length``; a ``ValueError`` for anything unframable."""
+        reader = self._reader
+        line = reader.readline(MAX_LINE + 1)
+        if not line:  # a kept connection the daemon closed meanwhile
+            raise ConnectionResetError("connection closed by the daemon")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and code.isdigit()):
+            raise ValueError(f"bad status line {line[:80]!r}")
+        headers = read_headers(reader)
+        length = headers.get(b"content-length", b"")
+        if not length.isdigit():
+            raise ValueError(f"no usable Content-Length: {length!r}")
+        raw = reader.read(int(length))
+        if len(raw) != int(length):
+            raise ValueError(f"body torn at {len(raw)} of {int(length)} B")
+        if headers.get(b"connection", b"").lower() == b"close":
+            self._hang_up()
+        media = headers.get(b"content-type", b"text/plain").decode("latin-1")
+        return int(code), media.partition(";")[0].strip().lower(), raw
+
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> Any:
-        data = None
-        headers = {"Accept": "application/json"}
+        head = f"{method} {path} HTTP/1.1\r\n{self._host}"
+        data = b""
         if body is not None:
             data = json.dumps(body).encode()
-            headers["Content-Type"] = "application/json"
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(data)}\r\n")
+        elif method == "POST":
+            head += "Content-Length: 0\r\n"
+        message = (head + "\r\n").encode("latin-1") + data
         with self._lock:
-            conn = self._conn
             # A kept connection the daemon has closed meanwhile (idle
             # timeout, restart) fails on its next use: reconnect and
             # resend, once.  If the first copy did arrive, the resent
             # submission is content-addressed — at worst cache-served.
-            for may_retry in (conn.sock is not None, False):
+            for may_retry in (self._sock is not None, False):
                 try:
-                    conn.request(method, path, body=data, headers=headers)
-                    response = conn.getresponse()
-                    status = response.status
-                    content_type = response.headers.get_content_type()
-                    raw = response.read()
+                    if self._sock is None:
+                        sock = socket.create_connection(
+                            self._address, timeout=self.timeout)
+                        sock.setsockopt(socket.IPPROTO_TCP,
+                                        socket.TCP_NODELAY, 1)
+                        self._sock, self._reader = sock, sock.makefile("rb")
+                    self._sock.sendall(message)
+                    status, content_type, raw = self._read_response()
                     break
-                except (OSError, http.client.HTTPException) as exc:
-                    conn.close()
+                except (OSError, ValueError) as exc:
+                    self._hang_up()
                     if may_retry and isinstance(exc, ConnectionError):
                         continue
-                    # Daemon down, refused, DNS, torn response: status
-                    # 0, no payload; the next call reconnects.
+                    # Daemon down, refused, DNS, timeout, torn or
+                    # unframable answer: status 0, no payload; the next
+                    # call reconnects.
                     raise ServiceError(f"{method} {path} -> {exc!r}",
                                        status=0) from None
         if status >= 400:

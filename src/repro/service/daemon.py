@@ -4,7 +4,7 @@ scheduler.
 The paper's P2PDC environment is a *service*: users submit obstacle
 tasks to a long-lived peer network, they do not run one-shot scripts.
 This module is that front door for the reproduction — a stdlib-only
-(``http.server``) threaded daemon that owns one
+threaded HTTP daemon that owns one
 :class:`~repro.campaign.scheduler.BranchScheduler` (one result cache,
 one driver pool, one private :class:`~repro.resources.ResourceContext`)
 for its whole lifetime and feeds it from many requests.  Planning,
@@ -29,6 +29,11 @@ solved matrix never solves again.  What is left here:
   one ``send`` with ``TCP_NODELAY`` on: a header segment ahead of its
   body on a kept connection waits out Nagle against the peer's delayed
   ACK — 44 ms per call, measured.
+- **Framing by hand.**  ``http.server`` keeps the connection loop and
+  ``send_error``; the request line and headers are read here, because a
+  MIME parser per request cost more than the view it fronts.  HTTP/1.0
+  and 1.1, at most 100 header lines of 64 KiB (else 431), bodies by one
+  decimal ``Content-Length`` only (no chunked, no obs-fold: 400).
 
 Endpoints (see :mod:`repro.service.schema` for the wire format)::
 
@@ -67,6 +72,7 @@ from ..campaign.jobs import plan_jobs
 from ..campaign.scheduler import Branch, BranchScheduler
 from ..resources import ResourceContext
 from ..telemetry import CONTENT_TYPE, render_prometheus
+from .client import FramingError, read_headers
 from .schema import (SCHEMA_VERSION, SchemaError, Submission,
                      submission_from_wire)
 
@@ -487,13 +493,46 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def parse_request(self) -> bool:
-        ok = super().parse_request()
-        # Until _read_body takes it, the request body is still in the
-        # stream, where a later request on this connection would start.
-        self._body_unread = ok and (
-            self.headers.get("Content-Length", "0").strip() != "0"
-            or "Transfer-Encoding" in self.headers)
-        return ok
+        """The request line and headers, read by hand: the daemon needs
+        four headers, not a MIME parser.  On ``False`` it has answered."""
+        self.command, self.request_version = None, self.protocol_version
+        self.close_connection = True
+        self.requestline = self.raw_requestline.decode(
+            "latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = words[-1]
+        if len(words) != 3 or version not in ("HTTP/1.0", "HTTP/1.1"):
+            other_version = len(words) == 3 and version.startswith("HTTP/")
+            self.send_error(505 if other_version else 400,
+                            f"Bad request line {self.requestline!r}")
+            return False
+        self.command, path, self.request_version = words
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = headers = read_headers(self.rfile)
+        except FramingError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = headers.get(b"connection", b"").lower()
+        self.close_connection = connection == b"close" or (
+            version == "HTTP/1.0" and connection != b"keep-alive")
+        # One decimal Content-Length or none (repeats were joined with
+        # ", "): anything else leaves no way to find the next request.
+        # Until _read_body takes it, the body is still in the stream.
+        length = headers.get(b"content-length", b"0")
+        framed = length.isdigit() and b"transfer-encoding" not in headers
+        self._body_unread = not framed or int(length) > 0
+        if not framed:
+            self._send_error_json(
+                400, "bad-length", "a body needs exactly one decimal "
+                "Content-Length and no Transfer-Encoding")
+            return False
+        if headers.get(b"expect", b"").lower() == b"100-continue" \
+                and version == "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
 
     def _send(self, status: int, content_type: str, body: bytes) -> None:
         """The whole response in one ``send`` (see the module note)."""
@@ -519,11 +558,9 @@ class _Handler(BaseHTTPRequestHandler):
                         {"error": {"code": code, "message": message}})
 
     def _read_body(self) -> Any:
-        try:
-            length = int(self.headers.get("Content-Length"))
-        except (TypeError, ValueError):
-            raise SchemaError("missing or invalid Content-Length",
-                              code="bad-length") from None
+        if b"content-length" not in self.headers:
+            raise SchemaError("missing Content-Length", code="bad-length")
+        length = int(self.headers[b"content-length"])
         if length > MAX_BODY_BYTES:
             raise SchemaError(
                 f"request body of {length} bytes exceeds the "

@@ -3,6 +3,7 @@ connection per client, one segment per response, long-poll ``wait``,
 and the process-boundary contracts (vanished client, restarted daemon,
 no thread left behind)."""
 
+import json
 import socket
 import statistics
 import sys
@@ -83,6 +84,15 @@ def read_response(sock):
     while len(body) < int(headers["content-length"]):
         body += sock.recv(65536)
     return lines[0], headers, body
+
+
+def hung_up(sock):
+    """Whether the peer closed: EOF, or a reset when it closed with our
+    request body still unread."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
 
 
 class TestKeepAlive:
@@ -190,6 +200,63 @@ class TestKeepAlive:
                 == 2
         finally:
             daemon.stop()
+
+
+class TestContentLength:
+    """A body is framed by one decimal Content-Length or not at all:
+    anything else is a 400 ``bad-length`` and a close, answered before
+    a single body byte is read."""
+
+    @pytest.mark.parametrize("framing", [
+        "Content-Length: -5",
+        "Content-Length: +5",
+        "Content-Length: 5x",
+        "Content-Length: 0x10",
+        "Content-Length: 5\r\nContent-Length: 5",     # duplicated
+        "Content-Length: 5\r\ncontent-length: 9",     # conflicting
+        "Transfer-Encoding: chunked",
+        "Content-Length: 5\r\nTransfer-Encoding: identity",
+    ])
+    def test_bad_framing_is_a_400_before_any_body_read(self, paused,
+                                                        monkeypatch,
+                                                        framing):
+        reads = []
+        setup = daemon_module._Handler.setup
+
+        def watched_setup(handler):
+            setup(handler)
+            rfile = handler.rfile
+
+            class Watched:
+                def read(self, *args):
+                    reads.append(args)
+                    return rfile.read(*args)
+
+                def __getattr__(self, name):
+                    return getattr(rfile, name)
+
+            handler.rfile = Watched()
+
+        monkeypatch.setattr(daemon_module._Handler, "setup", watched_setup)
+        with socket.create_connection(paused.address, timeout=10) as sock:
+            sock.sendall(f"POST /campaigns HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"{framing}\r\n\r\n{{}}".encode())
+            status_line, headers, body = read_response(sock)
+            assert hung_up(sock)
+        assert status_line.split()[1] == "400"
+        assert headers.get("connection") == "close"
+        assert json.loads(body)["error"]["code"] == "bad-length"
+        assert reads == []
+        with ServiceClient(paused.url) as client:
+            assert client.stats()["draining"] is False
+
+    def test_missing_length_on_a_submission_is_a_400(self, paused):
+        with socket.create_connection(paused.address, timeout=10) as sock:
+            sock.sendall(b"POST /campaigns HTTP/1.1\r\nHost: x\r\n\r\n")
+            status_line, _, body = read_response(sock)
+        assert status_line.split()[1] == "400"
+        assert json.loads(body)["error"]["code"] == "bad-length"
 
 
 class TestSingleSegmentResponses:
