@@ -29,7 +29,8 @@ import numpy as np
 
 import repro.cactus.messages as messages
 from repro.cactus.events import EventBus
-from repro.experiments.harness import run_configuration
+from repro.campaign import CampaignJob
+from repro.experiments.harness import run_job
 from repro.p2psap import P2PSAP
 from repro.p2psap.socket_api import P2PSAPSocket
 from repro.simnet import Simulator, nicta_testbed
@@ -135,7 +136,8 @@ def stream_sync_intra():
 
 def solve_n12_a4_async():
     with counting() as counts:
-        run_configuration(12, 4, 1, "asynchronous", n_paper=96)
+        run_job(CampaignJob(n=12, n_peers=4, scheme="asynchronous",
+                            n_paper=96))
     return per_message(counts)
 
 

@@ -7,8 +7,7 @@ Usage (from the repository root)::
     python benchmarks/run_bench.py --check [--tolerance 1.0]
 
 Runs ``benchmarks/test_bench_micro.py``,
-``benchmarks/test_bench_campaign.py``,
-``benchmarks/test_bench_async.py`` and
+``benchmarks/test_bench_campaign.py`` and
 ``benchmarks/test_bench_ladder.py`` under pytest-benchmark, collects
 the per-benchmark mean/ops numbers, derives the fused-vs-reference
 speedups for the relaxation kernels, the process-vs-inline speedup of
@@ -16,10 +15,7 @@ the sharded sweep executor, the float32-vs-float64 speedup of the
 fused sweeps (the dtype dimension — bandwidth-bound kernels at half the
 element width), the campaign setup amortization (a 10-job delta
 sweep through one keep-alive worker pool vs ten cold harness runs,
-with ``cpu_count`` recorded next to it), and the
-asynchronous-stepping overlap (``async_overlap``: the same async
-process-executor solve blocking vs split-phase, ``cpu_count``
-alongside — ≥ 2 cores needed for a real speedup), and the campaign
+with ``cpu_count`` recorded next to it), and the campaign
 cache-service hit rate (``campaign_cache_service``, lifted from the
 cached-sweep benchmark's ``extra_info`` counters and gated exactly —
 the counts are deterministic), and the telemetry overhead of the
@@ -115,18 +111,6 @@ CAMPAIGN_PAIRS = {
                               "test_bench_campaign_pooled_process"),
 }
 
-#: (blocking, overlap) pairs whose ratio is the asynchronous-stepping
-#: overlap: the same async-scheme process-executor solve with sweeps
-#: dispatched blocking vs split-phase.  The solves are iterate-for-
-#: iterate identical (trace-equivalence suite), so the ratio is pure
-#: wall-clock overlap — interpret it alongside the recorded cpu_count
-#: (on 1 core the workers serialize and the ratio only shows the
-#: dispatch overhead, ~1.0).
-ASYNC_PAIRS = {
-    "async_2peers_process": ("test_bench_async_solve_blocking",
-                             "test_bench_async_solve_overlap"),
-}
-
 #: (telemetry-off, telemetry-on) pairs whose ratio (of best-case times)
 #: is the cost of the default-on telemetry counters on the hottest
 #: kernel path.  Unlike the other sections this one is gated against an
@@ -191,7 +175,6 @@ def run_benchmarks(json_path: Path) -> None:
             sys.executable, "-m", "pytest",
             str(REPO_ROOT / "benchmarks" / "test_bench_micro.py"),
             str(REPO_ROOT / "benchmarks" / "test_bench_campaign.py"),
-            str(REPO_ROOT / "benchmarks" / "test_bench_async.py"),
             str(REPO_ROOT / "benchmarks" / "test_bench_ladder.py"),
             "-q", "--benchmark-only", f"--benchmark-json={json_path}",
         ],
@@ -251,14 +234,6 @@ def summarize(raw: dict, exact: dict) -> dict:
                 "misses": info["cache_misses"],
                 "hit_rate": info["cache_hit_rate"],
             }
-    async_overlap = {}
-    for label, (blocking, overlap) in ASYNC_PAIRS.items():
-        if blocking in results and overlap in results:
-            async_overlap[label] = round(
-                results[blocking]["mean_s"] / results[overlap]["mean_s"], 3
-            )
-    if async_overlap:
-        async_overlap["cpu_count"] = os.cpu_count()
     ladder = {}
     for label, (cold, laddered) in LADDER_PAIRS.items():
         if cold in results and laddered in results:
@@ -291,7 +266,6 @@ def summarize(raw: dict, exact: dict) -> dict:
         "dtype_speedups_float32_vs_float64": dtype_speedups,
         "campaign_setup_amortization": campaign,
         "campaign_cache_service": cache_service,
-        "async_overlap": async_overlap,
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
         **exact,
@@ -319,11 +293,6 @@ def print_summary(summary: dict) -> None:
         print(f"  cache service {label}: hit rate "
               f"{stats['hit_rate']:.0%} ({stats['hits']} hits, "
               f"{stats['misses']} misses)")
-    for label, ratio in summary.get("async_overlap", {}).items():
-        if label == "cpu_count":
-            continue
-        print(f"  async overlap {label}: {ratio:.2f}x split-phase vs "
-              f"blocking ({cores} core(s) available)")
     for label, ratio in summary.get("ladder_vs_cold_float64", {}).items():
         print(f"  ladder {label}: {ratio:.2f}x mixed-precision vs "
               "cold float64")
@@ -398,14 +367,12 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
         print(f"  GONE  {name}: in committed record only")
     # Gate the derived *ratios* too: both sides of a pair could drift
     # slower in lockstep (passing the per-benchmark check) while the
-    # pooling or overlap benefit itself quietly evaporates.  Ratios are
+    # pooling benefit itself quietly evaporates.  Ratios are
     # only comparable on matching core counts — on mismatch (e.g. a
     # 1-core record checked on a multi-core runner, where both ratios
     # legitimately jump) the entries are reported but not gated.
     _gate_ratio_section(fresh, committed, "campaign_setup_amortization",
                         "campaign amortization", tolerance, failures)
-    _gate_ratio_section(fresh, committed, "async_overlap",
-                        "async overlap", tolerance, failures)
     # The cache hit rate is deterministic (fixed pedantic rounds), so
     # it is gated exactly, with no tolerance: any drop means campaign
     # jobs silently stopped being cache-served.

@@ -10,7 +10,8 @@ A5. Termination-detection overhead (streak detector message count).
 
 import pytest
 
-from repro.experiments.harness import run_configuration
+from repro.campaign import CampaignJob
+from repro.experiments.harness import run_job
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
 from repro.simnet.kernel import Simulator
@@ -26,11 +27,10 @@ N_PAPER = 96
 class TestA1DelayedFirstPlane:
     def test_bench_send_order(self, benchmark, show):
         def run(eager):
-            return run_configuration(
-                n=N, n_peers=4, n_clusters=1, scheme="synchronous",
-                n_paper=N_PAPER,
-                extra_params={"eager_first_plane": eager},
-            )
+            return run_job(CampaignJob(
+                n=N, n_peers=4, scheme="synchronous", n_paper=N_PAPER,
+                extra={"eager_first_plane": eager},
+            ))
 
         delayed = benchmark.pedantic(lambda: run(False), rounds=1, iterations=1)
         eager = run(True)
@@ -126,10 +126,10 @@ class TestA3CongestionOnWAN:
 class TestA4LocalSweepOrder:
     def test_bench_gs_vs_jacobi_in_node(self, benchmark, show):
         def run(sweep):
-            return run_configuration(
-                n=N, n_peers=2, n_clusters=1, scheme="synchronous",
-                n_paper=N_PAPER, extra_params={"local_sweep": sweep},
-            )
+            return run_job(CampaignJob(
+                n=N, n_peers=2, scheme="synchronous", n_paper=N_PAPER,
+                extra={"local_sweep": sweep},
+            ))
 
         gs = benchmark.pedantic(lambda: run("gauss_seidel"), rounds=1,
                                 iterations=1)
@@ -144,10 +144,9 @@ class TestA5TerminationOverhead:
         """The streak detector reports only *transitions*: its message
         count must be far below one-per-sweep."""
         result = benchmark.pedantic(
-            lambda: run_configuration(
-                n=N, n_peers=4, n_clusters=1, scheme="asynchronous",
-                n_paper=N_PAPER,
-            ),
+            lambda: run_job(CampaignJob(
+                n=N, n_peers=4, scheme="asynchronous", n_paper=N_PAPER,
+            )),
             rounds=1, iterations=1,
         )
         total_sweeps = result.report.total_relaxations

@@ -3,7 +3,7 @@
 The acceptance shape of the campaign subsystem: a 10-job delta-sweep
 campaign (same ``(n, ranges, dtype)``, only delta varies) on the
 process executor through one keep-alive worker pool, against the same
-ten jobs as cold ``run_configuration`` calls.  The solves are
+ten jobs as cold ``run_job`` calls.  The solves are
 bit-identical — the equivalence suite asserts that — so the entire
 cold/pooled delta is *setup*: worker-pool forking + shared-memory arena
 setup.  (The inline executor has no setup worth keeping: a pool of
@@ -23,7 +23,7 @@ recorded as ``extra_info`` — ``run_bench.py`` lifts the hit rate into
 import numpy as np
 
 from repro.campaign import Campaign, ResultCache, expand_matrix
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 from repro.solvers.distributed_richardson import get_problem
 
 #: Grid size of the campaign benchmark solves (small on purpose: the
@@ -47,11 +47,7 @@ def _run_cold(jobs):
     """Ten cold harness calls: every run rebuilds all of its setup."""
     residual = 0.0
     for job in jobs:
-        result = run_configuration(
-            n=job.n, n_peers=job.n_peers, n_clusters=job.n_clusters,
-            scheme=job.scheme, tol=job.tol, delta=job.delta,
-            executor=job.executor,
-        )
+        result = run_job(job)
         residual = max(residual, result.residual)
     return residual
 

@@ -47,15 +47,14 @@ def test_bench_figure5(benchmark, fig5_series, show):
 
 def test_bench_figure5_sync_1cluster_point(benchmark):
     """Single representative configuration as a stable timing probe."""
-    from repro.experiments.harness import run_configuration
+    from repro.campaign import CampaignJob
+    from repro.experiments.harness import run_job
 
-    n = scaled_size(FIG5_N)
+    job = CampaignJob(n=scaled_size(FIG5_N), n_peers=4, scheme="synchronous",
+                      n_paper=FIG5_N)
 
     def run():
-        return run_configuration(
-            n=n, n_peers=4, n_clusters=1, scheme="synchronous",
-            n_paper=FIG5_N,
-        )
+        return run_job(job)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.residual < 1e-3

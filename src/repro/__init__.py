@@ -6,8 +6,8 @@ Subpackages
 -----------
 ``repro.simnet``
     Deterministic discrete-event substrate: virtual-time kernel, the
-    simulated NICTA testbed (nodes, links, Netem), OML measurement and
-    OEDL experiment descriptions.
+    simulated NICTA testbed (nodes, links, Netem) and OEDL experiment
+    descriptions.
 ``repro.cactus``
     The Cactus-like micro-protocol framework P2PSAP is built on
     (events, zero-copy messages, composite protocols, live

@@ -82,8 +82,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 __all__ = ["ResultCache", "cache_key", "CACHE_SCHEMA"]
 
 #: Bump when a change makes previously cached results non-reusable
-#: (solver semantics, report fields, serialization layout).
-CACHE_SCHEMA = 2
+#: (solver semantics, report fields, serialization layout).  3: the
+#: sweep executor no longer rides the modeled SUBTASK payload, so
+#: process-executor entries stored under 2 carry a different ``elapsed``.
+CACHE_SCHEMA = 3
 
 #: An entry file: magic + header length, the JSON header, the payload.
 _MAGIC = b"REPROC\x00\x02"

@@ -1,7 +1,7 @@
 """The campaign engine: batched solves through shared resources.
 
-``run_configuration`` rebuilds every arena and worker pool from scratch
-per run; a :class:`Campaign` executes a whole matrix of jobs through
+A plain :func:`~repro.experiments.harness.run_job` rebuilds every arena
+and worker pool from scratch per run; a :class:`Campaign` executes a whole matrix of jobs through
 resources that live for the campaign instead:
 
 - keep-alive leases on the refcounted shared-runner registry of
@@ -16,7 +16,7 @@ resources that live for the campaign instead:
   sweep), with the edge recorded in both the result provenance and the
   cache key.
 
-Campaign solves are bit-identical to cold ``run_configuration`` calls
+Campaign solves are bit-identical to cold ``run_job`` calls
 (iterates, relaxation counts, simulated time) — the equivalence suite
 asserts it.  Warm starts are the one deliberate exception: they change
 the starting iterate, which is exactly their point, and are off by
@@ -36,7 +36,7 @@ Resource-context ownership
   its own at startup.  The process-wide *default* context belongs to
   plain (non-campaign) call sites — campaign execution never reads or
   writes it, so two campaigns (or a campaign and a direct
-  ``run_configuration``) can run concurrently in one process without
+  ``run_job``) can run concurrently in one process without
   sharing problem caches or runner leases.
 - **Runner leases are held only by their context's owner.**  A
   keep-alive lease pins a live worker pool + shm arena; the solver's

@@ -1,6 +1,6 @@
 """Campaign jobs: the unit of work of a sweep campaign.
 
-A :class:`CampaignJob` is one ``run_configuration`` call as *data* —
+A :class:`CampaignJob` is one solve configuration as *data* —
 problem spec × peers × clusters × scheme × dtype × executor (× the
 optional relaxation step ``delta``).  Jobs are frozen, hashable by
 value, and carry a stable content key, so a campaign can deduplicate a
@@ -15,11 +15,10 @@ engine executes — duplicate jobs collapse onto one node, and with warm
 starts enabled each delta-sweep group is chained nearest-neighbour so a
 solve can start from the previous delta's solution.
 
-``CampaignJob`` is also the repo's *single* request type: the harness's
-``run_configuration`` kwargs, the campaign engine's tasks, the CLI
-flags, and the campaign-service HTTP schema all normalize into one and
-execute it through :meth:`CampaignJob.run` (=
-:func:`repro.experiments.harness.run_job`).  For the HTTP wire,
+``CampaignJob`` is also the repo's *single* request type: the figure
+harnesses, the campaign engine's tasks, the CLI flags, and the
+campaign-service HTTP schema all normalize into one and execute it
+through :func:`repro.experiments.harness.run_job`.  For the HTTP wire,
 :meth:`CampaignJob.to_wire` / :meth:`CampaignJob.from_wire` give a
 versioned JSON round-trip whose float fields are encoded exactly
 (``float.hex``), so a job's :meth:`signature` — and therefore its cache
@@ -129,7 +128,9 @@ class CampaignJob:
     δ = 1/diag); ``n_paper`` enables the harness's ratio-preserving
     scaling.  ``extra`` holds any additional solver params (weights,
     executor_workers, ...) as a sorted item tuple so the job stays
-    hashable and its signature canonical.
+    hashable and its signature canonical.  The sweep executor is the
+    ``executor`` field, never an ``extra`` key: it does not ride the
+    solve params.
     """
 
     n: int
@@ -159,6 +160,11 @@ class CampaignJob:
             extra = tuple(sorted(extra.items()))
         else:
             extra = tuple(sorted(tuple(item) for item in extra))
+        if any(key == "executor" for key, _value in extra):
+            raise ValueError(
+                "executor is a CampaignJob field, not an extra param; "
+                "pass CampaignJob(executor=...)"
+            )
         object.__setattr__(self, "extra", extra)
 
     @property
@@ -306,21 +312,6 @@ class CampaignJob:
             return cls(**fields)
         except (ValueError, TypeError) as exc:
             raise WireError(str(exc)) from None
-
-    # -- execution ---------------------------------------------------------------
-
-    def run(self, **kwargs):
-        """Solve this job; the one execution path every front end uses.
-
-        Delegates to :func:`repro.experiments.harness.run_job` (see
-        there for the keyword-only extras: ``warm_start_u``,
-        ``warm_start_label``, ``timeout``, ``resources``).  Imported
-        lazily so the jobs layer stays importable without the solver
-        stack.
-        """
-        from ..experiments.harness import run_job
-
-        return run_job(self, **kwargs)
 
 
 def _build_signature(job: CampaignJob) -> dict[str, Any]:

@@ -15,7 +15,6 @@ from typing import Any, Mapping, Optional
 from ..p2psap.context import Scheme
 from ..simnet.kernel import Event, Simulator
 from ..simnet.network import Network
-from ..simnet.oml import MeasurementLibrary
 from .env_bus import EnvBus
 from .fault_tolerance import FaultToleranceManager
 from .load_balancing import LoadBalancer
@@ -53,7 +52,6 @@ class P2PDC:
         sim: Simulator,
         network: Network,
         server_name: Optional[str] = None,
-        oml: Optional[MeasurementLibrary] = None,
         enable_load_balancing: bool = False,
         enable_fault_tolerance: bool = False,
         resources=None,
@@ -65,7 +63,6 @@ class P2PDC:
         self.server_name = server_name or next(iter(network.nodes))
         if self.server_name not in network.nodes:
             raise ValueError(f"unknown server node {self.server_name!r}")
-        self.oml = oml if oml is not None else MeasurementLibrary(sim)
         self.resources = resources
 
         self.buses: dict[str, EnvBus] = {}
@@ -74,8 +71,7 @@ class P2PDC:
         for name in network.nodes:
             bus = EnvBus(sim, network, name)
             self.buses[name] = bus
-            self.executors[name] = TaskExecutor(sim, bus, oml=self.oml,
-                                                resources=resources)
+            self.executors[name] = TaskExecutor(sim, bus, resources=resources)
 
         server_bus = self.buses[self.server_name]
         self.topology = TopologyServer(sim, server_bus)

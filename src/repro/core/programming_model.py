@@ -127,11 +127,6 @@ class TaskContext:
         return self._executor.node
 
     @property
-    def oml(self):
-        """The measurement library, for instrumenting the computation."""
-        return self._executor.oml
-
-    @property
     def resources(self):
         """The :class:`~repro.resources.ResourceContext` this task's
         deployment was built with (``None`` = the process default).
@@ -191,7 +186,3 @@ class TaskContext:
     def checkpoint(self, state: Any) -> None:
         """Hand a recovery checkpoint to the fault-tolerance component."""
         self._executor.store_checkpoint(self.rank, state)
-
-    def report(self, **measurements: Any) -> None:
-        """Inject progress measurements (OML) keyed by this rank."""
-        self._executor.report_progress(self.rank, measurements)

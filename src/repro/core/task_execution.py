@@ -21,7 +21,6 @@ from ..p2psap.context import CommMode, Scheme
 from ..p2psap.session import SessionState
 from ..p2psap.socket_api import P2PSAP, P2PSAPSocket
 from ..simnet.kernel import Event, Interrupt, Simulator
-from ..simnet.oml import MeasurementLibrary
 from .env_bus import EnvBus
 from .programming_model import Application, TaskContext
 
@@ -35,7 +34,6 @@ class TaskExecutor:
         self,
         sim: Simulator,
         bus: EnvBus,
-        oml: Optional[MeasurementLibrary] = None,
         resources=None,
     ):
         self.sim = sim
@@ -49,7 +47,6 @@ class TaskExecutor:
         self.network = bus.network
         self.node = bus.node
         node_name = self.node.name
-        self.oml = oml if oml is not None else MeasurementLibrary(sim)
         self.protocol = P2PSAP(sim, self.network, node_name)
         self.applications: dict[str, Application] = {}
         bus.register("SUBTASK", self._handle_subtask)
@@ -455,11 +452,6 @@ class TaskExecutor:
 
     def set_checkpoint_sink(self, sink: Callable[[int, Any], None]) -> None:
         self._checkpoint_sink = sink
-
-    def report_progress(self, rank: int, measurements: dict) -> None:
-        mp = self.oml.define("task_progress", ["rank", "key", "value"])
-        for key, value in measurements.items():
-            mp.inject(rank, key, value)
 
     def close(self) -> None:
         self._teardown_sessions()

@@ -40,7 +40,6 @@ __all__ = [
     "RunResult",
     "full_mode",
     "scaled_spec",
-    "run_configuration",
     "run_job",
     "DEFAULT_TOL",
 ]
@@ -120,11 +119,10 @@ def run_job(
 ) -> RunResult:
     """Execute one :class:`~repro.campaign.jobs.CampaignJob` end to end.
 
-    This is the repo's *single* execution path: ``run_configuration``
-    (the historical kwargs API), the campaign engine, the CLI, and the
-    campaign-service HTTP schema all normalize their inputs into a
-    ``CampaignJob`` and land here — one params plumbing instead of
-    three parallel ones.
+    This is the repo's *single* execution path: the figure and table
+    harnesses, the campaign engine, the CLI, and the campaign-service
+    HTTP schema all normalize their inputs into a ``CampaignJob`` and
+    land here — one params plumbing for every front end.
 
     The keyword-only extras are per-*call* state, deliberately not job
     identity: an optional full-iterate warm start (``warm_start_u``
@@ -139,6 +137,8 @@ def run_job(
     through the deployment (``P2PDC`` → executors → ``TaskContext``),
     never through ``params``: params are modeled wire payload, and
     adding a key would change every SUBTASK's simulated dispatch cost.
+    The job's ``executor`` travels the same way, on the application, so
+    a job's simulated time is the same on either executor.
     """
     scheme = Scheme.parse(job.scheme)
     n, n_peers = job.n, job.n_peers
@@ -154,21 +154,19 @@ def run_job(
         seed=job.seed,
     )
     deployment = desc.materialize()
-    env = P2PDC(deployment.sim, deployment.network, oml=deployment.oml,
-                resources=resources)
-    env.register_everywhere(ObstacleApplication(resources=resources))
+    env = P2PDC(deployment.sim, deployment.network, resources=resources)
+    env.register_everywhere(ObstacleApplication(resources=resources,
+                                                executor=job.executor))
     params = {"n": n, "tol": job.tol, "problem": job.problem}
     # Canonical params: a default value never enters the dict, so e.g.
     # dtype="float64" and dtype=None build byte-identical SUBTASK
     # payloads — the modeled dispatch cost (and hence simulated time)
     # cannot depend on *how* a caller spelled the default.  The job's
-    # __post_init__ already normalized scheme/dtype/executor/delta, and
-    # the campaign engine's pooled runs rely on this to stay
-    # bit-identical to cold calls.
+    # __post_init__ already normalized scheme/dtype/delta, and the
+    # campaign engine's pooled runs rely on this to stay bit-identical
+    # to cold calls.
     if job.dtype != "float64":
         params["dtype"] = job.dtype
-    if job.executor != "inline":
-        params["executor"] = job.executor
     if job.delta is not None:
         params["delta"] = job.delta
     if warm_start_u is not None:
@@ -205,50 +203,3 @@ def run_job(
         report=report,
         max_wait_time=report.max_wait_time,
     )
-
-
-def run_configuration(
-    n: int,
-    n_peers: int,
-    n_clusters: int,
-    scheme: Scheme | str,
-    n_paper: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-    problem: str = "membrane",
-    seed: int = 0,
-    timeout: float = 1e7,
-    extra_params: Optional[dict] = None,
-    *,
-    dtype: Optional[object] = None,
-    executor: Optional[str] = None,
-    delta: Optional[float] = None,
-    warm_start_u=None,
-    warm_start_label: Optional[str] = None,
-    resources=None,
-) -> RunResult:
-    """Run one (n, α, clusters, scheme) configuration end to end.
-
-    ``n_paper`` enables ratio-preserving scaling (see :func:`scaled_spec`);
-    None runs at the given size on the unscaled NICTA spec.
-
-    A thin kwargs front over :func:`run_job`: the arguments are
-    normalized into a :class:`~repro.campaign.jobs.CampaignJob` (the
-    canonical request type — also what the campaign engine, the CLI
-    subcommands and the service wire schema build) and executed through
-    the one shared path.  ``dtype``/``executor``/``delta`` mirror the
-    solver params the campaign engine drives; ``warm_start_u``/
-    ``warm_start_label``/``timeout``/``resources`` are per-call state —
-    see :func:`run_job`.
-    """
-    from ..campaign.jobs import CampaignJob
-
-    job = CampaignJob(
-        n=n, n_peers=n_peers, n_clusters=n_clusters,
-        scheme=Scheme.parse(scheme).value, problem=problem, tol=tol,
-        dtype="float64" if dtype is None else dtype,
-        executor="inline" if executor is None else executor,
-        delta=delta, n_paper=n_paper, seed=seed,
-        extra=extra_params or (),
-    )
-    return run_job(job, timeout=timeout, warm_start_u=warm_start_u,
-                   warm_start_label=warm_start_label, resources=resources)

@@ -282,7 +282,7 @@ def record_schedule():
     """Record every solve executed in the ``with`` body.
 
     >>> with record_schedule() as rec:
-    ...     run_configuration(...)          # doctest: +SKIP
+    ...     run_job(job)                    # doctest: +SKIP
     >>> trace = rec.trace
 
     Nesting restores the outer recorder on exit (the inner one then

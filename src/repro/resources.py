@@ -19,7 +19,7 @@ Two rules keep this honest:
   concurrently in one process without stepping on each other.
 - **The context rides the call, never the params.**  Simulated task
   params are wire payload (their size feeds the network model), so the
-  context is threaded out-of-band: ``run_configuration(resources=...)``
+  context is threaded out-of-band: ``run_job(job, resources=...)``
   → ``P2PDC`` → ``TaskExecutor`` → ``TaskContext.resources`` → the
   block solver.
 

@@ -129,18 +129,15 @@ def _build_env(script: ScenarioScript) -> P2PDC:
     for i, rate in enumerate(script.compute_rates):
         net.nodes[node_name(i)].cpu_hz = script.cpu_hz * rate
     env = P2PDC(sim, net, enable_fault_tolerance=True)
-    env.register_everywhere(ObstacleApplication())
+    env.register_everywhere(ObstacleApplication(executor=script.executor))
     return env
 
 
 def _solver_params(script: ScenarioScript) -> dict:
-    params = {
+    return {
         "n": script.n, "tol": script.tol, "problem": script.problem,
         "checkpoint_every": script.checkpoint_every,
     }
-    if script.executor != "inline":
-        params["executor"] = script.executor
-    return params
 
 
 def _emergency_teardown(env: P2PDC) -> None:

@@ -1,8 +1,8 @@
 """Wire schema of the campaign service: one canonical request type.
 
-The repo grew three ways to describe a solve job — ``run_configuration``
-kwargs, :class:`~repro.campaign.jobs.CampaignJob`, and CLI flags.  The
-HTTP API deliberately does **not** add a fourth: a submission body is a
+A solve job has one request type, :class:`~repro.campaign.jobs.CampaignJob`,
+which the CLI flags also build.  The HTTP API deliberately does **not**
+add a second: a submission body is a
 versioned envelope around a list of ``CampaignJob`` wire dicts
 (:meth:`CampaignJob.to_wire` — exact-float ``float.hex`` encoding, so a
 job's signature and cache key are bit-identical on both sides of the

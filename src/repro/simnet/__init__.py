@@ -9,8 +9,6 @@ network
     impairments, cluster-aware routing.
 topology
     Builders for the NICTA testbed and heterogeneous variants.
-oml
-    OML-style measurement points and series collection.
 oedl
     OEDL-style declarative experiment descriptions.
 """
@@ -29,7 +27,6 @@ from .kernel import (
 )
 from .network import Link, Netem, Network, NetworkError, NoRouteError, Node, Packet
 from .oedl import Deployment, ExperimentDescription
-from .oml import MeasurementLibrary, MeasurementPoint, Sample, SeriesStats
 from .topology import (
     NICTA_SPEC,
     TestbedSpec,
@@ -43,7 +40,6 @@ __all__ = [
     "Process", "SimulationError", "Simulator", "Timeout",
     "Link", "Netem", "Network", "NetworkError", "NoRouteError", "Node", "Packet",
     "Deployment", "ExperimentDescription",
-    "MeasurementLibrary", "MeasurementPoint", "Sample", "SeriesStats",
     "NICTA_SPEC", "TestbedSpec", "heterogeneous_testbed", "nicta_testbed",
     "split_clusters",
 ]

@@ -272,10 +272,9 @@ class Process(Event):
             if not event._ok:
                 event._defused = True
             return
-        # Save/restore rather than set/clear: a synchronous channel
-        # handoff (see Channel.put) can resume a getter from inside the
-        # putter's own execution, and the outer process must still be
-        # the active one when control returns to it.
+        # Save/restore rather than set/clear: should a resume ever nest
+        # inside another process's execution, the outer process must
+        # still be the active one when control returns to it.
         prev_active = self.sim._active_proc
         self.sim._active_proc = self
         try:
@@ -411,38 +410,15 @@ class Channel:
     micro-protocol).  ``get`` returns an event that fires when a message
     is available; messages are delivered in FIFO order to getters in FIFO
     order.
-
-    Put-side handoff
-    ----------------
-    A ``put`` that finds a waiting getter normally wakes it through the
-    event queue: the resume is scheduled at the current instant and runs
-    after every event already queued for this instant — one full queue
-    round-trip per wakeup (counted in :attr:`put_wakeups`).  The
-    ``sync_handoff`` opt-in delivers synchronously instead, mirroring
-    the get-side fast path: the getter's callbacks run inside ``put``,
-    with no queue entry at all.  That is **observably order-changing**
-    whenever other events are already scheduled for the same instant —
-    the getter's code then runs *before* them, and before the putter's
-    own statements after ``put`` — which the trace-equality suite
-    (``tests/simnet/test_put_handoff.py``) demonstrates; hence it stays
-    off by default and the queue path remains the ordering contract.
-    ``None`` (the default) defers to :attr:`Simulator.sync_put_handoff`
-    so a whole simulation can opt in at one switch.  Synchronously
-    delivered events bypass trace hooks, exactly like the get-side fast
-    path.
     """
 
-    __slots__ = ("sim", "_items", "_getters", "name", "sync_handoff",
-                 "put_wakeups")
+    __slots__ = ("sim", "_items", "_getters", "name", "put_wakeups")
 
-    def __init__(self, sim: "Simulator", name: str = "",
-                 sync_handoff: "bool | None" = None):
+    def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        self.sync_handoff = sync_handoff
         #: How many puts landed on a waiting getter (each one is a queue
-        #: round-trip in the default mode — the measurable cost the
-        #: synchronous mode removes).
+        #: round-trip).
         self.put_wakeups = 0
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
@@ -458,19 +434,10 @@ class Channel:
                 continue
             self.put_wakeups += 1
             self.sim.put_wakeups += 1
-            sync = self.sync_handoff
-            if sync is None:
-                sync = self.sim.sync_put_handoff
-            if sync:
-                # Synchronous wake: deliver like step() would, but now.
-                getter._value = item
-                getter._ok = True
-                callbacks = getter.callbacks
-                getter.callbacks = None
-                for cb in callbacks:
-                    cb(getter)
-                getter._processed = True
-                return
+            # The wake goes through the queue, not inline: resuming the
+            # getter here would run its code before every event already
+            # scheduled for this instant (and before the putter's own
+            # statements after ``put``), reordering same-instant events.
             getter.succeed(item)
             return
         self._items.append(item)
@@ -564,13 +531,7 @@ class Simulator:
         self._seq = itertools.count()
         self._active_proc: Optional[Process] = None
         self._n_live_processes = 0
-        self._trace_hooks: list[Callable[[float, Event], None]] = []
         self._timeout_pool: list[Timeout] = []
-        #: Simulation-wide default for :class:`Channel` put-side handoff
-        #: (see the Channel docstring).  Off: the queue round-trip is the
-        #: ordering contract; the synchronous wake is opt-in because it
-        #: reorders same-instant events.
-        self.sync_put_handoff = False
         #: Observability counters (plain ints, exported to the telemetry
         #: registry by the harness after a run).  Strictly write-only
         #: from the loop's point of view: nothing reads them back into
@@ -619,10 +580,9 @@ class Simulator:
         proc.callbacks.append(self._process_ended)
         return proc
 
-    def channel(self, name: str = "",
-                sync_handoff: "bool | None" = None) -> Channel:
-        """A fresh FIFO channel (``sync_handoff`` as in :class:`Channel`)."""
-        return Channel(self, name, sync_handoff=sync_handoff)
+    def channel(self, name: str = "") -> Channel:
+        """A fresh FIFO channel."""
+        return Channel(self, name)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -637,11 +597,6 @@ class Simulator:
 
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         heappush(self._queue, (self._now + delay, priority, next(self._seq), event))
-
-    def add_trace_hook(self, hook: Callable[[float, Event], None]) -> None:
-        """Register a callable invoked as ``hook(time, event)`` for every
-        processed event.  Used by the OML measurement layer."""
-        self._trace_hooks.append(hook)
 
     # -- execution -----------------------------------------------------------
 
@@ -666,9 +621,6 @@ class Simulator:
         if not event._ok and not event._defused:
             # Nobody waited on a failed event: surface the error.
             raise event._value
-        if self._trace_hooks:
-            for hook in self._trace_hooks:
-                hook(when, event)
         # Recycle plain Timeouts nobody references any more (refcount 2 =
         # the local variable + getrefcount's argument): the next
         # sim.timeout() reuses the object instead of allocating.

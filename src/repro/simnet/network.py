@@ -262,7 +262,7 @@ class Link:
         self._delivery_hooks: list[Callable[[Packet], None]] = []
 
     def add_delivery_hook(self, hook: Callable[[Packet], None]) -> None:
-        """Called for every delivered packet (OML measurement taps here)."""
+        """Called for every delivered packet (a test's packet tap)."""
         self._delivery_hooks.append(hook)
 
     # -- timing --------------------------------------------------------------

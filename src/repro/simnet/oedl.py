@@ -9,7 +9,7 @@ parameters.
 :class:`ExperimentDescription` is the Python analogue: a declarative
 object that fully determines one experiment run — topology, impairments,
 application parameters and seed — plus :meth:`materialize` which builds
-the simulator, network and measurement library for it.  Experiment
+the simulator and network for it.  Experiment
 harnesses construct these descriptions and never touch the substrate
 directly, mirroring OMF's separation between description and execution.
 """
@@ -21,7 +21,6 @@ from typing import Any, Mapping
 
 from .kernel import Simulator
 from .network import Network
-from .oml import MeasurementLibrary
 from .topology import NICTA_SPEC, TestbedSpec, nicta_testbed
 
 __all__ = ["ExperimentDescription", "Deployment"]
@@ -64,14 +63,13 @@ class ExperimentDescription:
         return dataclasses.replace(self, app_params=params)
 
     def materialize(self) -> "Deployment":
-        """Build the simulator / network / OML stack for this description."""
+        """Build the simulator and network for this description."""
         sim = Simulator()
         net = nicta_testbed(
             sim, self.n_peers, n_clusters=self.n_clusters,
             spec=self.spec, seed=self.seed,
         )
-        oml = MeasurementLibrary(sim)
-        return Deployment(description=self, sim=sim, network=net, oml=oml)
+        return Deployment(description=self, sim=sim, network=net)
 
     def summary(self) -> str:
         """One-line human-readable description, for harness logs."""
@@ -85,12 +83,11 @@ class ExperimentDescription:
 
 @dataclasses.dataclass
 class Deployment:
-    """A materialized experiment: live simulator, network and OML."""
+    """A materialized experiment: live simulator and network."""
 
     description: ExperimentDescription
     sim: Simulator
     network: Network
-    oml: MeasurementLibrary
 
     @property
     def peer_names(self) -> list[str]:

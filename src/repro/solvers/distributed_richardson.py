@@ -188,17 +188,26 @@ class ObstacleApplication(Application):
       for the report's provenance.  The array rides the SUBTASK
       dispatch, so its bytes are charged to the simulated network —
       warm-started elapsed times are not comparable to cold ones.
+
+    Constructor arguments travel out of band — on the application object,
+    never in the params, which are simulated wire payload whose size
+    feeds the network model:
+
+    - ``resources``: the ResourceContext every solve this application
+      hosts runs against (None = the process default);
+    - ``executor``: where sweeps run — "inline" (default) in this process,
+      "process" in a shared worker pool over shared-memory planes
+      (:mod:`repro.parallel`).  Iterates and simulated time are identical
+      on both.
     """
 
     name = "obstacle"
 
-    def __init__(self, resources=None):
-        # The explicit ResourceContext every solve this application
-        # hosts should run against (None = the process default).  Rides
-        # the application/executor objects, never the task params —
-        # params are simulated wire payload and their size feeds the
-        # network model.
+    def __init__(self, resources=None, executor: str = "inline"):
+        if executor not in ("inline", "process"):
+            raise ValueError(f"unknown executor {executor!r}")
         self.resources = resources
+        self.executor = executor
 
     def problem_definition(self, params) -> ProblemDefinition:
         n = int(params["n"])
@@ -222,7 +231,7 @@ class ObstacleApplication(Application):
         # and aborts must still release the shared sweep runner, or its
         # worker pool + shm segment leak (and the registry entry poisons
         # the next identical solve).
-        solver = _BlockSolver(ctx)
+        solver = _BlockSolver(ctx, executor=self.executor)
         try:
             report = yield from solver.run()
             return report
@@ -274,10 +283,15 @@ def meta_extra(report: BlockReport, key: str) -> Any:
 class _BlockSolver:
     """Per-peer solve loop (the body of Calculate())."""
 
-    def __init__(self, ctx: TaskContext):
+    def __init__(self, ctx: TaskContext, executor: str = "inline"):
         self.ctx = ctx
         self.sim = ctx.sim
         params = ctx.params
+        if "executor" in params:
+            raise ValueError(
+                "the sweep executor is not a solve param; pass it as "
+                "ObstacleApplication(executor=...)"
+            )
         self.kind = params.get("problem", "membrane")
         self.n = int(params["n"])
         self.tol = float(params.get("tol", 1e-4))
@@ -315,33 +329,11 @@ class _BlockSolver:
                                    resources=self.resources)
         sub = ctx.subtask
         delta = float(params.get("delta", self.problem.jacobi_delta()))
-        # Sweep executor: "inline" (default) runs the fused kernels in
-        # this process; "process" runs them in a shared worker pool over
-        # shared-memory planes (repro.parallel).  Peers of one solve all
-        # live in the driver process, so they share one runner and each
+        # Sweep executor: peers of one solve all live in the driver
+        # process, so with "process" they share one runner and each
         # drives its own shard.  Mode and termination logic above this
         # line never see the difference — the iterates are identical.
-        self.executor = str(params.get("executor", "inline"))
-        if self.executor not in ("inline", "process"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-        # Asynchronous stepping: with "auto" (the default), any scheme
-        # that is not fully synchronous runs its sweeps split-phase —
-        # the real sweep is dispatched *before* the simulated compute
-        # charge and collected when the DES resumes this peer, so with
-        # the process executor independent peers' real compute overlaps
-        # exactly as their simulated compute does.  The iterate
-        # trajectory, relaxation counts, and simulated time are
-        # identical either way (the equivalence suite asserts it); only
-        # the wall-clock overlap differs.
-        async_step = str(params.get("async_step", "auto"))
-        if async_step not in ("auto", "on", "off"):
-            raise ValueError(
-                f"async_step must be 'auto', 'on' or 'off', got "
-                f"{async_step!r}"
-            )
-        self.split_phase = async_step == "on" or (
-            async_step == "auto" and ctx.scheme is not Scheme.SYNCHRONOUS
-        )
+        self.executor = executor
         self._runner = None
         shard = None
         if self.executor == "process":
@@ -435,10 +427,6 @@ class _BlockSolver:
                     ExactCoordinator(ctx.n_workers, self.tol)
                     if self.exact_mode else StreakCoordinator(ctx.n_workers)
                 )
-            # OML instrumentation.
-            self.mp = ctx.oml.define(
-                "relaxation", ["rank", "sweep", "diff"]
-            )
             # Schedule tracing: when a recorder is active (the
             # trace-equivalence harness installs one around the run),
             # register this peer's initial state and record every sweep
@@ -601,39 +589,25 @@ class _BlockSolver:
         raise RuntimeError(f"no convergence in {self.max_relax} relaxations")
 
     def _sweep_step(self):
-        """One relaxation plus its simulated compute charge.
+        """One relaxation plus its simulated compute charge, split-phase.
 
-        Split-phase (asynchronous stepping): dispatch the real sweep,
-        charge the simulated compute, *then* collect — while this peer's
-        virtual compute elapses, other peers dispatch theirs, so worker
-        processes overlap for real.  Blocking mode keeps the historical
-        order (sweep, then charge).  Both charge identical simulated
-        time and produce identical iterates; the OML relaxation row is
-        injected once the diff exists, which in split-phase mode is
-        after the compute charge.
+        Dispatch the real sweep, charge the simulated compute, *then*
+        collect: while this peer's virtual compute elapses, other peers
+        dispatch theirs, so with the process executor their real compute
+        overlaps exactly as their simulated compute does.  Inline, the
+        sweep runs at dispatch and only its diff waits for the charge.
         """
         iteration = self.sweeps + 1
         if self._recorder is not None:
             self._recorder.sweep_begin(self.rank, iteration)
-        with self._tele.span("sweep", peer=self.rank, iteration=iteration,
-                             split_phase=self.split_phase):
-            if self.split_phase:
-                self.state.begin_sweep()
-                self.sweeps = iteration
-                yield self.ctx.node.compute(self.state.flops())
-                diff = self.state.finish_sweep()
-                self.local_diff = diff
-                self.mp.inject(self.rank, iteration, diff)
-                if self._recorder is not None:
-                    self._recorder.sweep_end(self.rank, iteration, diff)
-                return diff
-            diff = self.state.sweep()
+        with self._tele.span("sweep", peer=self.rank, iteration=iteration):
+            self.state.begin_sweep()
             self.sweeps = iteration
+            yield self.ctx.node.compute(self.state.flops())
+            diff = self.state.finish_sweep()
             self.local_diff = diff
-            self.mp.inject(self.rank, iteration, diff)
             if self._recorder is not None:
                 self._recorder.sweep_end(self.rank, iteration, diff)
-            yield self.ctx.node.compute(self.state.flops())
             return diff
 
     # -- communication ----------------------------------------------------------------

@@ -5,7 +5,7 @@ sweep) must be invisible to an asynchronous solve — and
 because async schemes are order-sensitive, "invisible" is asserted at
 the strongest level available: the full recorded (peer, iteration,
 ghost-exchange) schedule of every pooled run, including every plane's
-bytes, equals its cold ``run_configuration`` counterpart's — for both
+bytes, equals its cold ``run_job`` counterpart's — for both
 dtypes × both executors.  Warm starts deliberately change trajectories,
 so the planner must never wire a warm edge across a scheme boundary and
 the cache key must carry the edge.
@@ -20,7 +20,7 @@ from repro.parallel.trace import (
     record_schedule,
     replay_trace,
 )
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 from repro.solvers.distributed_richardson import get_problem
 
 N = 8
@@ -43,11 +43,7 @@ def test_pooled_async_equals_cold_under_trace(dtype, executor):
     cold_traces = []
     for job in jobs:
         with record_schedule() as rec:
-            run_configuration(
-                n=job.n, n_peers=job.n_peers, n_clusters=job.n_clusters,
-                scheme=job.scheme, tol=job.tol, dtype=job.dtype,
-                executor=job.executor, delta=job.delta,
-            )
+            run_job(job)
         cold_traces.append(rec.trace)
     with record_schedule() as rec:
         with Campaign(jobs) as campaign:

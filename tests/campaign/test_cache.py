@@ -13,13 +13,13 @@ import pytest
 
 from repro.campaign import Campaign, CampaignJob, ResultCache, cache_key
 from repro.campaign.cache import _MAGIC, _PREFIX, CACHE_SCHEMA
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 
 
 @pytest.fixture(scope="module")
 def solved():
-    return run_configuration(n=8, n_peers=2, n_clusters=1,
-                             scheme="synchronous", tol=1e-3)
+    return run_job(CampaignJob(n=8, n_peers=2, scheme="synchronous",
+                               tol=1e-3))
 
 
 def _key():
@@ -496,8 +496,8 @@ def _process_hammer(root, budget, pid, errq):
     """One OS process storing + loading its own keys against a shared
     cache directory under budget pressure (module-level: spawn-safe)."""
     try:
-        result = run_configuration(n=8, n_peers=2, n_clusters=1,
-                                   scheme="synchronous", tol=1e-3)
+        result = run_job(CampaignJob(n=8, n_peers=2, scheme="synchronous",
+                                     tol=1e-3))
         cache = ResultCache(root, max_disk_bytes=budget)
         for i in range(5):
             key = cache_key(CampaignJob(

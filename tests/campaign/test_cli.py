@@ -115,14 +115,13 @@ def test_sub_floor_tolerance_is_a_clean_error(capsys):
 
 def test_results_match_direct_harness(capsys):
     """The CLI is a front end, not a different solver: spot-check one
-    cell against a direct run_configuration call."""
+    cell against a direct run_job call."""
     from repro.campaign import Campaign, CampaignJob
-    from repro.experiments.harness import run_configuration
+    from repro.experiments.harness import run_job
 
-    with Campaign([CampaignJob(n=8, n_peers=2, scheme="synchronous",
-                               tol=1e-3)]) as campaign:
+    job = CampaignJob(n=8, n_peers=2, scheme="synchronous", tol=1e-3)
+    with Campaign([job]) as campaign:
         outcome = campaign.run()
-    cold = run_configuration(n=8, n_peers=2, n_clusters=1,
-                             scheme="synchronous", tol=1e-3)
+    cold = run_job(job)
     assert np.array_equal(outcome.records[0].result.report.u,
                           cold.report.u)

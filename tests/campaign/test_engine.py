@@ -2,7 +2,7 @@
 starts, keep-alive runner leases.
 
 The load-bearing contract is the acceptance criterion: a
-campaign run must be *bit-identical* to cold ``run_configuration``
+campaign run must be *bit-identical* to cold ``run_job``
 calls — iterates, relaxation counts, and simulated time — for both
 dtypes and both executors; and a second execution of the same campaign
 must be served from the result cache.
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import Campaign, CampaignJob, ResultCache, expand_matrix
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 from repro.resources import default_context
 from repro.solvers.distributed_richardson import get_problem
 
@@ -28,15 +28,6 @@ def delta_sweep_jobs(n_jobs: int, executor: str = "inline",
     return expand_matrix(ns=[N], n_peers=[2], schemes=["synchronous"],
                          deltas=deltas, tol=TOL, dtypes=[dtype],
                          executors=[executor])
-
-
-def cold_run(job: CampaignJob):
-    return run_configuration(
-        n=job.n, n_peers=job.n_peers, n_clusters=job.n_clusters,
-        scheme=job.scheme, tol=job.tol, problem=job.problem,
-        seed=job.seed, dtype=job.dtype, executor=job.executor,
-        delta=job.delta,
-    )
 
 
 def assert_identical(pooled, cold):
@@ -61,7 +52,7 @@ class TestPooledVsColdEquivalence:
             outcome = campaign.run()
         for record in outcome.records:
             assert record.source == "run"
-            assert_identical(record.result, cold_run(record.job))
+            assert_identical(record.result, run_job(record.job))
         assert default_context().runners == {}  # leases all released
 
     def test_schemes_and_clusters(self):
@@ -72,7 +63,7 @@ class TestPooledVsColdEquivalence:
             outcome = campaign.run()
         assert outcome.runs == len(outcome.records)
         for record in outcome.records:
-            assert_identical(record.result, cold_run(record.job))
+            assert_identical(record.result, run_job(record.job))
 
 
 class TestDeltaSweepAcceptance:
@@ -91,7 +82,7 @@ class TestDeltaSweepAcceptance:
     def test_pooled_results_bit_identical_to_cold(self, sweep):
         jobs, _campaign, first, _second = sweep
         for record in first.records:
-            assert_identical(record.result, cold_run(record.job))
+            assert_identical(record.result, run_job(record.job))
 
     def test_second_execution_served_from_cache(self, sweep):
         _jobs, _campaign, _first, second = sweep
@@ -146,7 +137,7 @@ class TestWarmStart:
         prov = second.result.report.provenance
         assert prov["warm_start"] == f"campaign:{first.key}"
         # Starting next to the solution must not *increase* the work.
-        cold = cold_run(second.job)
+        cold = run_job(second.job)
         assert second.result.relaxations <= cold.relaxations
         assert second.result.relaxations < cold.relaxations * 0.8
 

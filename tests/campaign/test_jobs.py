@@ -20,6 +20,16 @@ class TestCampaignJob:
         with pytest.raises(ValueError, match="executor"):
             CampaignJob(n=8, executor="gpu")
 
+    def test_executor_extra_param_rejected(self):
+        with pytest.raises(ValueError, match=r"CampaignJob\(executor=\.\.\.\)"):
+            CampaignJob(n=8, extra={"executor": "process"})
+
+    def test_executor_extra_pair_rejected(self):
+        """The item-pair spelling of ``extra`` is checked the same way."""
+        with pytest.raises(ValueError, match="not an extra param"):
+            CampaignJob(n=8, extra=(("executor_workers", 2),
+                                    ("executor", "inline")))
+
     def test_key_is_content_address(self):
         import numpy as np
 

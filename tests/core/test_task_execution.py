@@ -162,28 +162,3 @@ class TestEnvMessaging:
         r1 = env.run_to_completion("envmsg", timeout=500)
         r2 = env.run_to_completion("envmsg", timeout=1000)
         assert r1.output == r2.output
-
-
-class TestProgressReporting:
-    def test_report_lands_in_oml(self):
-        class Reporter(Application):
-            name = "reporter"
-
-            def problem_definition(self, params):
-                return ProblemDefinition(subtasks=[0], scheme="asynchronous")
-
-            def calculate(self, ctx):
-                yield ctx.node.compute(1)
-                ctx.report(residual=0.5, phase="warmup")
-                return None
-
-            def results_aggregation(self, results):
-                return results
-
-        sim, env = make_env(1)
-        env.register_everywhere(Reporter())
-        env.run_to_completion("reporter", timeout=100)
-        mp = env.oml["task_progress"]
-        keys = {(row.values[1], row.values[2]) for row in mp.samples}
-        assert ("residual", 0.5) in keys
-        assert ("phase", "warmup") in keys

@@ -1,11 +1,10 @@
 """Experiment harness: scaling math, Table I audit, reporting."""
 
+import numpy as np
 import pytest
 
-from repro.experiments.harness import (
-    run_configuration,
-    scaled_spec,
-)
+from repro.campaign import CampaignJob
+from repro.experiments.harness import run_job, scaled_spec
 from repro.experiments.reporting import format_table
 from repro.experiments.table1 import audit_table1
 from repro.p2psap.context import Scheme
@@ -47,13 +46,11 @@ class TestTable1Audit:
         assert len(audit.observed) == 6
 
 
-class TestRunConfiguration:
+class TestRunJob:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_configuration(
-            n=10, n_peers=2, n_clusters=1, scheme="synchronous",
-            n_paper=96, tol=1e-4,
-        )
+        return run_job(CampaignJob(n=10, n_peers=2, scheme="synchronous",
+                                   n_paper=96, tol=1e-4))
 
     def test_result_fields(self, result):
         assert result.n == 10
@@ -72,6 +69,24 @@ class TestRunConfiguration:
         assert row["peers"] == 2
         assert row["speedup"] == pytest.approx(2.0, abs=1e-3)
         assert set(row) >= {"n", "scheme", "time_s", "relaxations"}
+
+    def test_run_job_is_the_exported_entry_point(self):
+        import repro.experiments as experiments
+
+        assert experiments.run_job is run_job
+        assert "run_job" in experiments.__all__
+
+    @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous"])
+    def test_simulated_time_independent_of_executor(self, scheme):
+        """The executor travels on the application, not in the modeled
+        SUBTASK payload, so it cannot change a job's simulated time."""
+        inline, process = (
+            run_job(CampaignJob(n=12, n_peers=2, scheme=scheme, n_paper=96,
+                                executor=executor))
+            for executor in ("inline", "process"))
+        assert process.elapsed == inline.elapsed
+        assert process.relaxations == inline.relaxations
+        assert np.array_equal(process.report.u, inline.report.u)
 
 
 class TestReporting:

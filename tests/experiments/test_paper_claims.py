@@ -7,8 +7,9 @@ every claim is still meaningfully exercised.
 
 import pytest
 
+from repro.campaign import CampaignJob
 from repro.experiments.figures import FigureSeries, check_paper_claims
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 
 #: Paper-claim regeneration: the long lane; -m "not slow" skips it.
 pytestmark = pytest.mark.slow
@@ -22,18 +23,17 @@ TOL = 1e-4
 @pytest.fixture(scope="module")
 def series():
     results = {}
-    baseline = run_configuration(
-        n=N, n_peers=1, n_clusters=1, scheme="synchronous", n_paper=N_PAPER,
-        tol=TOL,
-    )
+    baseline = run_job(CampaignJob(
+        n=N, n_peers=1, scheme="synchronous", n_paper=N_PAPER, tol=TOL,
+    ))
     for scheme in ("synchronous", "asynchronous", "hybrid"):
         results[(scheme, 1, 1)] = baseline
         for clusters in (1, 2):
             for alpha in ALPHAS[1:]:
-                results[(scheme, clusters, alpha)] = run_configuration(
+                results[(scheme, clusters, alpha)] = run_job(CampaignJob(
                     n=N, n_peers=alpha, n_clusters=clusters, scheme=scheme,
                     n_paper=N_PAPER, tol=TOL,
-                )
+                ))
     return FigureSeries(
         n_paper=N_PAPER, n=N, peer_counts=ALPHAS, results=results
     )

@@ -28,7 +28,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.experiments.harness import run_configuration
+from repro.campaign import CampaignJob
+from repro.experiments.harness import run_job
 from repro.p2psap import P2PSAP
 from repro.simnet import Simulator, nicta_testbed
 from repro.simnet.topology import NICTA_SPEC
@@ -65,8 +66,10 @@ STREAMS = {
 }
 
 
-def solve_cell(alpha, scheme, clusters):
-    result = run_configuration(N, alpha, clusters, scheme, n_paper=N_PAPER)
+def solve_cell(alpha, scheme, clusters, executor="inline"):
+    result = run_job(CampaignJob(n=N, n_peers=alpha, n_clusters=clusters,
+                                 scheme=scheme, n_paper=N_PAPER,
+                                 executor=executor))
     u = np.ascontiguousarray(result.report.u)
     return (result.relaxations, result.elapsed,
             hashlib.sha256(u.tobytes()).hexdigest())
@@ -127,6 +130,14 @@ STREAM_CELLS = [(scheme, link, 0.0)
 @pytest.mark.parametrize("cell", SOLVE_CELLS, ids=lambda c: "a%d-%s-c%d" % c)
 def test_solve_outputs_are_pinned(cell):
     assert solve_cell(*cell) == SOLVES[cell]
+
+
+@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
+def test_process_executor_solve_matches_inline_pins(scheme):
+    """The sweep executor is host-side plumbing: a process-executor solve
+    reproduces the inline pins exactly, simulated time included."""
+    cell = (4, scheme, 1)
+    assert solve_cell(*cell, executor="process") == SOLVES[cell]
 
 
 @pytest.mark.parametrize("cell", STREAM_CELLS, ids=lambda c: "%s-%s-%g" % c)

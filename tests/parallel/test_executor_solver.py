@@ -22,13 +22,8 @@ def solve(n_peers, scheme, executor, clusters=1, extra=None):
     sim = Simulator()
     net = nicta_testbed(sim, max(n_peers, clusters), n_clusters=clusters)
     env = P2PDC(sim, net)
-    env.register_everywhere(ObstacleApplication())
-    # Params ride the SUBTASK dispatch message, whose modeled wire size
-    # counts string bytes — pad the executor names to equal length so
-    # inline-vs-process comparisons see identical simulated dispatch
-    # timing and test pure solver behaviour.
-    params = {"n": N, "tol": TOL, "executor": executor,
-              "_pad": "x" * (8 - len(executor))}
+    env.register_everywhere(ObstacleApplication(executor=executor))
+    params = {"n": N, "tol": TOL}
     if extra:
         params.update(extra)
     return env.run_to_completion(
@@ -89,8 +84,22 @@ def test_executor_workers_can_be_fewer_than_peers():
 
 
 def test_unknown_executor_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="unknown executor"):
         solve(2, "synchronous", "gpu")
+
+
+def test_application_executor_defaults_to_inline():
+    assert ObstacleApplication().executor == "inline"
+    assert ObstacleApplication(executor="process").executor == "process"
+
+
+def test_executor_in_params_rejected():
+    """The executor is an application argument, not a solve param: a
+    params key would ride the modeled SUBTASK payload and change
+    simulated time, so it is refused instead of silently ignored."""
+    with pytest.raises(RuntimeError,
+                       match=r"ObstacleApplication\(executor=\.\.\.\)"):
+        solve(2, "synchronous", "inline", extra={"executor": "process"})
 
 
 def test_failed_solve_releases_shared_runner():
@@ -114,8 +123,18 @@ def test_failed_solve_releases_shared_runner():
 
 def test_process_executor_simulated_time_unchanged():
     """The DES models the testbed: moving numerics off-process must not
-    change simulated time by a single tick (params are size-padded by
-    the solve() helper)."""
+    change simulated time by a single tick."""
     a = solve(2, "synchronous", "inline")
     b = solve(2, "synchronous", "process")
     assert a.elapsed == b.elapsed
+
+
+@pytest.mark.parametrize("scheme", ["asynchronous", "hybrid"])
+def test_split_phase_simulated_time_unchanged_across_executors(scheme):
+    """Overlapped process sweeps are a wall-clock property only: the
+    order-sensitive schemes land on the same simulated time too."""
+    a = solve(2, scheme, "inline")
+    b = solve(2, scheme, "process")
+    assert a.elapsed == b.elapsed
+    assert a.output.relaxations == b.output.relaxations
+    assert np.array_equal(a.output.u, b.output.u)

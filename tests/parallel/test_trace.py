@@ -40,11 +40,8 @@ def solve(scheme, executor="inline", n_peers=3, extra=None, record=False):
     sim = Simulator()
     net = nicta_testbed(sim, n_peers)
     env = P2PDC(sim, net)
-    env.register_everywhere(ObstacleApplication())
-    # Pad the executor name so inline and process runs build
-    # byte-identical SUBTASK payloads (same modeled dispatch timing).
-    params = {"n": N, "tol": TOL, "executor": executor,
-              "_pad": "x" * (8 - len(executor))}
+    env.register_everywhere(ObstacleApplication(executor=executor))
+    params = {"n": N, "tol": TOL}
     if extra:
         params.update(extra)
 
@@ -109,6 +106,31 @@ def test_traces_differ_across_schemes():
     assert not traces_equal(a, b)
 
 
+def test_synchronous_sweeps_are_split_phase():
+    """Every scheme steps split-phase: a synchronous peer's sweep stays
+    in flight across its compute charge, so neighbours dispatch theirs
+    before it is collected."""
+    _, trace = solve("synchronous", record=True)
+    in_flight, most = set(), 0
+    for ev in trace.events:
+        if ev.kind == "begin":
+            in_flight.add(ev.rank)
+            most = max(most, len(in_flight))
+        elif ev.kind == "end":
+            in_flight.discard(ev.rank)
+    assert most > 1
+
+
+def test_synchronous_trace_replays_on_both_engines():
+    run, trace = solve("synchronous", record=True)
+    recorded = [(ev.rank, ev.iteration, ev.diff)
+                for ev in trace.events if ev.kind == "end"]
+    for executor in ("inline", "process"):
+        replay = replay_trace(trace, executor=executor)
+        assert replay.diffs == recorded
+        assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
+
+
 def test_recorder_segments_multiple_runs():
     with record_schedule() as rec:
         solve("asynchronous")
@@ -117,33 +139,6 @@ def test_recorder_segments_multiple_runs():
     assert_traces_equal(rec.all_traces()[0], rec.all_traces()[1])
     with pytest.raises(ValueError, match="2 traces"):
         rec.trace
-
-
-# -- async stepping: split-phase is observably identical to blocking -----------------
-
-
-@pytest.mark.parametrize("executor", ["inline", "process"])
-def test_async_step_mode_does_not_change_observables(executor):
-    """Relaxation counts, iterates, and simulated time are identical
-    with split-phase stepping on and off — overlap is a wall-clock
-    property, never a numerics or accounting one.  (Values are padded
-    to equal length so SUBTASK payload bytes match.)"""
-    on = solve("asynchronous", executor,
-               extra={"async_step": "on", "_pad2": "xx"})
-    off = solve("asynchronous", executor,
-                extra={"async_step": "off", "_pad2": "x"})
-    assert on.elapsed == off.elapsed
-    assert on.output.relaxations == off.output.relaxations
-    assert np.array_equal(on.output.u, off.output.u)
-    for a, b in zip(on.output.per_peer, off.output.per_peer):
-        assert a.relaxations == b.relaxations
-        assert a.final_diff == b.final_diff
-        assert a.sends == b.sends and a.receives == b.receives
-
-
-def test_async_step_param_validated():
-    with pytest.raises(RuntimeError, match="async_step"):
-        solve("asynchronous", extra={"async_step": "sometimes"})
 
 
 # -- malformed schedules raise through the consistency guards ------------------------

@@ -108,6 +108,20 @@ def test_executors_agree_bit_for_bit():
     assert np.array_equal(inline.u, process.u)
 
 
+@pytest.mark.parametrize("executor", ["inline", "process"])
+def test_executor_rides_the_application_not_the_params(executor):
+    """The scenario's solve params are modeled wire payload: the sweep
+    executor is handed to every peer's application instead."""
+    from repro.scenarios.engine import _build_env, _solver_params
+
+    script = crash_restart_script(executor)
+    assert "executor" not in _solver_params(script)
+    env = _build_env(script)
+    apps = [peer.applications["obstacle"]
+            for peer in env.executors.values()]
+    assert apps and all(app.executor == executor for app in apps)
+
+
 def test_leave_shrinks_the_partition():
     script = crash_restart_script(
         "inline",

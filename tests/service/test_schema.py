@@ -107,6 +107,14 @@ class TestJobWireValidation:
         with pytest.raises(WireError):
             CampaignJob.from_wire([1, 2, 3])
 
+    def test_executor_in_extra_rejected(self):
+        """A client smuggling the executor into ``extra`` gets a wire
+        error naming the job field, not a silently inline solve."""
+        wire = job().to_wire()
+        wire["extra"] = [["executor", "process"]]
+        with pytest.raises(WireError, match=r"CampaignJob\(executor=\.\.\.\)"):
+            CampaignJob.from_wire(wire)
+
 
 class TestSubmissionEnvelope:
     def test_round_trip(self):
@@ -198,27 +206,14 @@ class TestSubmissionEnvelope:
 
 
 class TestUnifiedRunPath:
-    def test_run_configuration_equals_job_run(self):
-        """Satellite check: the kwargs front end and CampaignJob.run
-        are the same execution path, bit for bit."""
-        import numpy as np
-
-        from repro.experiments.harness import run_configuration
-
-        via_kwargs = run_configuration(
-            n=8, n_peers=2, n_clusters=1, scheme="synchronous",
-            tol=1e-3)
-        via_job = job().run()
-        assert via_kwargs.elapsed == via_job.elapsed
-        assert via_kwargs.relaxations == via_job.relaxations
-        assert np.array_equal(via_kwargs.report.u, via_job.report.u)
-
     def test_wire_decoded_job_runs_bit_identical(self):
         import numpy as np
+
+        from repro.experiments.harness import run_job
 
         original = job()
         decoded = CampaignJob.from_wire(
             json.loads(json.dumps(original.to_wire())))
-        a, b = original.run(), decoded.run()
+        a, b = run_job(original), run_job(decoded)
         assert a.elapsed == b.elapsed
         assert np.array_equal(a.report.u, b.report.u)

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: events, processes, channels, conditions."""
 
+import math
+
 import pytest
 
 from repro.simnet.kernel import (
@@ -381,6 +383,89 @@ class TestChannel:
         sim.spawn(producer())
         sim.run()
         assert got == {"first": "A", "second": "B"}
+
+    def test_wakeup_counter_only_counts_waiting_getters(self):
+        sim = Simulator()
+        ch = sim.channel()
+        ch.put("buffered")  # no getter waiting: not a wakeup
+        assert ch.put_wakeups == 0
+        ok, item = ch.get_nowait()
+        assert ok and item == "buffered"
+
+    def test_put_wakes_getter_through_the_queue(self):
+        """A put to a waiting getter resumes it after every event already
+        scheduled for the same instant and after the putter's own
+        statements following ``put``."""
+        sim = Simulator()
+        ch = sim.channel()
+        log = []
+
+        def consumer():
+            item = yield ch.get()
+            log.append(("got", item))
+
+        def bystander():
+            yield sim.timeout(1.0)
+            log.append(("bystander",))
+
+        def producer():
+            yield sim.timeout(1.0)
+            ch.put("x")
+            log.append(("put-returned",))
+
+        sim.spawn(consumer())
+        sim.spawn(bystander())
+        sim.spawn(producer())
+        sim.run()
+        assert log == [("bystander",), ("put-returned",), ("got", "x")]
+        assert ch.put_wakeups == sim.put_wakeups == 1
+
+    def test_every_wakeup_is_one_queue_round_trip(self):
+        """A put that lands on a waiting getter costs exactly one
+        processed event: the getter's wake, taken from the queue."""
+        sim = Simulator()
+        ch = sim.channel()
+        got = []
+
+        def consumer():
+            while True:
+                got.append((yield ch.get()))
+
+        def drain():
+            # The consumer never ends, so run() would report a deadlock.
+            while sim.peek_time() != math.inf:
+                sim.step()
+
+        sim.spawn(consumer())
+        drain()
+        for i in range(8):
+            before = sim.events_processed
+            ch.put(i)
+            drain()
+            assert sim.events_processed - before == 1
+        assert got == list(range(8))
+        assert ch.put_wakeups == sim.put_wakeups == 8
+
+    def test_pipeline_delivers_each_item_at_its_put_instant(self):
+        sim = Simulator()
+        ch = sim.channel()
+        log = []
+
+        def consumer():
+            for _ in range(8):
+                item = yield ch.get()
+                log.append((sim.now, item))
+
+        def producer():
+            for i in range(8):
+                yield sim.timeout(0.5)
+                ch.put(i)
+
+        sim.spawn(consumer())
+        sim.spawn(producer())
+        sim.run()
+        assert log == [(0.5 * (i + 1), i) for i in range(8)]
+        assert ch.put_wakeups == 8
 
 
 class TestRun:

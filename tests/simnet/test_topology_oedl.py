@@ -1,12 +1,9 @@
-"""Tests for testbed builders, OML measurement and OEDL descriptions."""
-
-import math
+"""Tests for testbed builders and OEDL descriptions."""
 
 import pytest
 
 from repro.simnet.kernel import Simulator
 from repro.simnet.oedl import ExperimentDescription
-from repro.simnet.oml import MeasurementLibrary, MeasurementPoint, SeriesStats
 from repro.simnet.topology import (
     NICTA_SPEC,
     TestbedSpec,
@@ -96,73 +93,6 @@ class TestHeterogeneousTestbed:
             heterogeneous_testbed(Simulator(), [])
 
 
-class TestMeasurement:
-    def test_inject_and_query(self):
-        sim = Simulator()
-        oml = MeasurementLibrary(sim)
-        mp = oml.define("residual", ["peer", "value"])
-
-        def proc():
-            for i in range(3):
-                yield sim.timeout(1.0)
-                mp.inject("peer0", 10.0 / (i + 1))
-
-        sim.spawn(proc())
-        sim.run()
-        assert mp.column("value") == [10.0, 5.0, 10.0 / 3]
-        assert mp.timeseries("peer")[0] == (1.0, "peer0")
-        assert mp.last("value") == pytest.approx(10.0 / 3)
-
-    def test_arity_checked(self):
-        mp = MeasurementPoint(Simulator(), "m", ["a", "b"])
-        with pytest.raises(ValueError):
-            mp.inject(1)
-
-    def test_unknown_field(self):
-        mp = MeasurementPoint(Simulator(), "m", ["a"])
-        mp.inject(1)
-        with pytest.raises(KeyError):
-            mp.column("nope")
-
-    def test_duplicate_fields_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementPoint(Simulator(), "m", ["x", "x"])
-
-    def test_where_filter(self):
-        sim = Simulator()
-        mp = MeasurementPoint(sim, "m", ["peer", "v"])
-        mp.inject("p0", 1)
-        mp.inject("p1", 2)
-        mp.inject("p0", 3)
-        assert [s.values[1] for s in mp.where(peer="p0")] == [1, 3]
-
-    def test_stats(self):
-        mp = MeasurementPoint(Simulator(), "m", ["v"])
-        for v in [1.0, 2.0, 3.0]:
-            mp.inject(v)
-        st = mp.stats("v")
-        assert st.count == 3
-        assert st.mean == pytest.approx(2.0)
-        assert st.minimum == 1.0 and st.maximum == 3.0 and st.total == 6.0
-
-    def test_stats_empty(self):
-        st = SeriesStats.of([])
-        assert st.count == 0 and math.isnan(st.mean)
-
-    def test_redefine_same_schema_ok_different_fails(self):
-        oml = MeasurementLibrary(Simulator())
-        mp1 = oml.define("m", ["a"])
-        assert oml.define("m", ["a"]) is mp1
-        with pytest.raises(ValueError):
-            oml.define("m", ["a", "b"])
-        assert "m" in oml
-
-    def test_last_on_empty_raises(self):
-        mp = MeasurementPoint(Simulator(), "m", ["v"])
-        with pytest.raises(LookupError):
-            mp.last("v")
-
-
 class TestOEDL:
     def test_materialize_builds_stack(self):
         desc = ExperimentDescription(
@@ -173,7 +103,6 @@ class TestOEDL:
         assert len(dep.network.nodes) == 8
         assert len(dep.network.clusters()) == 2
         assert dep.peer_names[0] == "peer00"
-        assert isinstance(dep.oml, MeasurementLibrary)
 
     def test_with_params_copies(self):
         desc = ExperimentDescription(name="e", n_peers=2, app_params={"n": 96})

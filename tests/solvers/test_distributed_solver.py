@@ -18,7 +18,8 @@ def sequential():
     return projected_richardson(membrane_problem(N), tol=TOL, sweep="jacobi")
 
 
-def solve(n_peers, scheme, clusters=1, n=N, tol=TOL, extra=None, timeout=1e6):
+def _solve(n_peers, scheme, clusters=1, n=N, tol=TOL, extra=None,
+           timeout=1e6):
     sim = Simulator()
     net = nicta_testbed(sim, max(n_peers, clusters), n_clusters=clusters)
     env = P2PDC(sim, net)
@@ -33,15 +34,31 @@ def solve(n_peers, scheme, clusters=1, n=N, tol=TOL, extra=None, timeout=1e6):
     return run
 
 
+@pytest.fixture(scope="module")
+def solve():
+    """``_solve`` memoized for this module: the DES is deterministic and no
+    test mutates a result, so each configuration is solved once however
+    many tests read it."""
+    runs = {}
+
+    def memoized(n_peers, scheme, clusters=1, **kwargs):
+        key = (n_peers, scheme, clusters, repr(sorted(kwargs.items())))
+        if key not in runs:
+            runs[key] = _solve(n_peers, scheme, clusters, **kwargs)
+        return runs[key]
+
+    return memoized
+
+
 class TestCorrectness:
     @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
-    def test_matches_sequential_solution(self, sequential, scheme):
+    def test_matches_sequential_solution(self, solve, sequential, scheme):
         run = solve(3, scheme)
         err = np.max(np.abs(run.output.u - sequential.u))
         assert err < 50 * TOL
         assert run.output.residual < 10 * TOL
 
-    def test_single_peer_equals_sequential_gs(self):
+    def test_single_peer_equals_sequential_gs(self, solve):
         run = solve(1, "synchronous")
         seq = projected_richardson(
             membrane_problem(N), tol=TOL, sweep="gauss_seidel"
@@ -49,12 +66,13 @@ class TestCorrectness:
         assert run.output.relaxations == seq.relaxations
         np.testing.assert_allclose(run.output.u, seq.u, atol=1e-12)
 
-    def test_solution_feasible(self):
+    def test_solution_feasible(self, solve):
         run = solve(4, "asynchronous", clusters=2)
         problem = get_problem("membrane", N)
         assert problem.constraint.contains(run.output.u, atol=1e-9)
 
-    def test_local_jacobi_mode_relaxations_match_sequential(self, sequential):
+    def test_local_jacobi_mode_relaxations_match_sequential(self, solve,
+                                                             sequential):
         """With in-node Jacobi sweeps the synchronous distributed count
         equals the sequential Jacobi count exactly, for every α."""
         counts = set()
@@ -63,41 +81,41 @@ class TestCorrectness:
             counts.add(run.output.relaxations)
         assert counts == {float(sequential.relaxations)}
 
-    def test_torsion_problem_distributed(self):
+    def test_torsion_problem_distributed(self, solve):
         run = solve(2, "synchronous", extra={"problem": "torsion"})
         seq = projected_richardson(
             get_problem("torsion", N), tol=TOL, sweep="jacobi"
         )
         assert np.max(np.abs(run.output.u - seq.u)) < 100 * TOL
 
-    def test_weighted_assignment(self):
+    def test_weighted_assignment(self, solve):
         run = solve(2, "synchronous", extra={"weights": [3.0, 1.0]})
         loads = [r.hi - r.lo for r in run.output.per_peer]
         assert loads == [9, 3]
 
 
 class TestSchemeBehaviour:
-    def test_sync_relaxation_count_stable_across_alpha(self):
+    def test_sync_relaxation_count_stable_across_alpha(self, solve):
         counts = [solve(a, "synchronous").output.relaxations for a in (2, 4)]
         assert max(counts) <= 1.25 * min(counts)
 
-    def test_async_average_relaxations_grow_with_alpha(self):
+    def test_async_average_relaxations_grow_with_alpha(self, solve):
         r2 = solve(2, "asynchronous", clusters=2).output.relaxations
         r4 = solve(4, "asynchronous", clusters=2).output.relaxations
         assert r4 > r2
 
-    def test_async_faster_than_sync_on_two_clusters(self):
+    def test_async_faster_than_sync_on_two_clusters(self, solve):
         ts = solve(4, "synchronous", clusters=2).elapsed
         ta = solve(4, "asynchronous", clusters=2).elapsed
         assert ta < ts
 
-    def test_sync_insensitive_counts_but_sensitive_time(self):
+    def test_sync_insensitive_counts_but_sensitive_time(self, solve):
         one = solve(4, "synchronous", clusters=1)
         two = solve(4, "synchronous", clusters=2)
         assert two.output.relaxations == one.output.relaxations
         assert two.elapsed > 2 * one.elapsed
 
-    def test_hybrid_mixes_modes(self):
+    def test_hybrid_mixes_modes(self, solve):
         """Hybrid on 2 clusters: intra edges sync, the WAN edge async."""
         run = solve(4, "hybrid", clusters=2)
         report = run.output
@@ -105,13 +123,13 @@ class TestSchemeBehaviour:
         # peers pulled asynchronously at least once.
         assert report.residual < 10 * TOL
 
-    def test_wait_time_dominates_sync_on_wan(self):
+    def test_wait_time_dominates_sync_on_wan(self, solve):
         run = solve(4, "synchronous", clusters=2)
         assert run.output.max_wait_time > 0.5 * run.elapsed
 
 
 class TestInstrumentation:
-    def test_per_peer_reports(self):
+    def test_per_peer_reports(self, solve):
         run = solve(3, "synchronous")
         reports = run.output.per_peer
         assert [r.rank for r in reports] == [0, 1, 2]

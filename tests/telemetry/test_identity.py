@@ -11,9 +11,9 @@ sequential vs multi-driver campaigns.
 
 import pytest
 
-from repro.campaign import Campaign, expand_matrix, plan_jobs
+from repro.campaign import Campaign, CampaignJob, expand_matrix, plan_jobs
 from repro.campaign.engine import resolve_cache_keys
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 from repro.resources import ResourceContext
 
 N = 8
@@ -31,9 +31,10 @@ def _set_mode(monkeypatch, mode):
 def _run(scheme, executor):
     # A fresh context per run: telemetry state from a previous mode
     # must not leak into the comparison.
-    return run_configuration(
-        n=N, n_peers=2, n_clusters=1, scheme=scheme, tol=TOL,
-        executor=executor, resources=ResourceContext(name="identity"),
+    return run_job(
+        CampaignJob(n=N, n_peers=2, scheme=scheme, tol=TOL,
+                    executor=executor),
+        resources=ResourceContext(name="identity"),
     )
 
 

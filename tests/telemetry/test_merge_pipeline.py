@@ -9,11 +9,11 @@ worker end up in the owner's registry, and a worker crash never loses
 snapshots that were already piggybacked.
 """
 
-from repro.campaign import Campaign, expand_matrix
+from repro.campaign import Campaign, CampaignJob, expand_matrix
 from repro.campaign.driver import DriverPool
 from repro.campaign.engine import resolve_cache_keys, tasks_for
 from repro.campaign.jobs import plan_jobs
-from repro.experiments.harness import run_configuration
+from repro.experiments.harness import run_job
 from repro.resources import ResourceContext
 
 N = 8
@@ -28,9 +28,10 @@ def _kernel_sweeps(snapshot):
 class TestShardPoolPiggyback:
     def test_worker_kernel_counters_merge_into_owner_context(self):
         ctx = ResourceContext(name="shard-merge")
-        result = run_configuration(
-            n=N, n_peers=2, n_clusters=1, scheme="synchronous", tol=TOL,
-            executor="process", resources=ctx,
+        result = run_job(
+            CampaignJob(n=N, n_peers=2, scheme="synchronous", tol=TOL,
+                        executor="process"),
+            resources=ctx,
         )
         # The sweeps ran in ShardPool worker processes; the runner's
         # release closed the pool, which harvested each worker's
@@ -46,10 +47,9 @@ class TestShardPoolPiggyback:
         process_ctx = ResourceContext(name="process")
         for executor, ctx in (("inline", inline_ctx),
                               ("process", process_ctx)):
-            run_configuration(
-                n=N, n_peers=2, n_clusters=1, scheme="synchronous",
-                tol=TOL, executor=executor, resources=ctx,
-            )
+            run_job(CampaignJob(n=N, n_peers=2, scheme="synchronous",
+                                tol=TOL, executor=executor),
+                    resources=ctx)
         assert _kernel_sweeps(inline_ctx.telemetry.snapshot()) == \
             _kernel_sweeps(process_ctx.telemetry.snapshot())
 
@@ -132,12 +132,11 @@ class TestCampaignAggregation:
         from repro.telemetry import merge_snapshots
 
         ctx = ResourceContext(name="order")
-        run_configuration(n=N, n_peers=1, n_clusters=1,
-                          scheme="synchronous", tol=TOL, resources=ctx)
+        run_job(CampaignJob(n=N, n_peers=1, scheme="synchronous", tol=TOL),
+                resources=ctx)
         own = ctx.telemetry.snapshot()
         other = ResourceContext(name="order2")
-        run_configuration(n=N, n_peers=2, n_clusters=1,
-                          scheme="synchronous", tol=TOL,
-                          resources=other)
+        run_job(CampaignJob(n=N, n_peers=2, scheme="synchronous", tol=TOL),
+                resources=other)
         peer = other.telemetry.snapshot()
         assert merge_snapshots(own, peer) == merge_snapshots(peer, own)

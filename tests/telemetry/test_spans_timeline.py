@@ -1,5 +1,10 @@
 """Span recording (env-gated, bounded) and timeline rendering."""
 
+import pytest
+
+from repro.campaign import CampaignJob
+from repro.experiments.harness import run_job
+from repro.resources import ResourceContext
 from repro.telemetry import (
     SPAN_BUFFER_CAPACITY,
     SpanBuffer,
@@ -76,6 +81,25 @@ class TestSpanBuffer:
         parent = Telemetry()
         parent.merge(worker.snapshot())
         assert len(parent.snapshot()["spans"]) == 1
+
+
+class TestSolverSweepSpans:
+    @pytest.mark.parametrize("scheme",
+                             ["synchronous", "asynchronous", "hybrid"])
+    def test_one_sweep_span_per_relaxation(self, scheme, monkeypatch):
+        """Every scheme's sweeps go through the one split-phase path, and
+        each records exactly one span, tagged by peer and iteration."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "spans")
+        ctx = ResourceContext(name="sweep-spans")
+        result = run_job(CampaignJob(n=8, n_peers=2, scheme=scheme,
+                                     tol=1e-3), resources=ctx)
+        sweeps = [attrs for name, _t0, _t1, attrs
+                  in ctx.telemetry.snapshot()["spans"] if name == "sweep"]
+        assert all(set(attrs) == {"peer", "iteration"} for attrs in sweeps)
+        for rank, peer in enumerate(result.report.per_peer):
+            iterations = [a["iteration"] for a in sweeps
+                          if a["peer"] == rank]
+            assert iterations == list(range(1, peer.relaxations + 1))
 
 
 def _fake_snapshot():
