@@ -6,7 +6,9 @@
 prints one JSON object: for a fixed 200-message synchronous intra-cluster
 stream and one n=12, alpha=4 asynchronous solve, how many DES events,
 ``EventBus.raise_event`` calls, ``payload_nbytes`` calls (recursive ones
-included) and process-generator resumes one application message costs.
+included), process-generator resumes and timer arms (``set_timer`` calls
+plus per-session timer (re-)arms through ``EventBus.call_at``) one
+application message costs.
 
 These are counts, not timings: the simulation is deterministic, so they
 are the same integers on every machine and every run.  That makes them
@@ -29,6 +31,7 @@ import numpy as np
 
 import repro.cactus.messages as messages
 from repro.cactus.events import EventBus
+from repro.cactus.microprotocol import MicroProtocol
 from repro.campaign import CampaignJob
 from repro.experiments.harness import run_job
 from repro.p2psap import P2PSAP
@@ -62,11 +65,13 @@ class _CountedGenerator:
 def counting():
     """Count the hot-path calls made inside the block."""
     counts = {"events": 0, "raise_events": 0, "payload_nbytes_calls": 0,
-              "generator_resumes": 0, "messages": 0}
+              "generator_resumes": 0, "timer_arms": 0, "messages": 0}
     originals = [
         (Simulator, "step", Simulator.step),
         (Simulator, "spawn", Simulator.spawn),
         (EventBus, "raise_event", EventBus.raise_event),
+        (EventBus, "call_at", EventBus.call_at),
+        (MicroProtocol, "set_timer", MicroProtocol.set_timer),
         (P2PSAPSocket, "send", P2PSAPSocket.send),
         (messages, "payload_nbytes", messages.payload_nbytes),
     ]
@@ -84,6 +89,8 @@ def counting():
     Simulator.step = counted("events", Simulator.step)
     Simulator.spawn = spawn
     EventBus.raise_event = counted("raise_events", EventBus.raise_event)
+    EventBus.call_at = counted("timer_arms", EventBus.call_at)
+    MicroProtocol.set_timer = counted("timer_arms", MicroProtocol.set_timer)
     P2PSAPSocket.send = counted("messages", P2PSAPSocket.send)
     # Recursive calls resolve the module global, so they count too.
     messages.payload_nbytes = counted("payload_nbytes_calls",
@@ -98,7 +105,7 @@ def counting():
 def per_message(counts):
     out = dict(counts)
     for key in ("events", "raise_events", "payload_nbytes_calls",
-                "generator_resumes"):
+                "generator_resumes", "timer_arms"):
         out[f"{key}_per_msg"] = round(counts[key] / counts["messages"], 4)
     return out
 

@@ -28,7 +28,7 @@ vs through the campaign ladder, all stages timed — gated by
 ``--check`` at an absolute ≥ 1.5x floor), and the protocol stack's
 exact per-message work counts (``protocol_path``, from
 ``benchmarks/protocol_path.py``: DES events, ``raise_event`` calls,
-``payload_nbytes`` calls and generator resumes per application message
+``payload_nbytes`` calls, generator resumes and timer arms per application message
 on a fixed stream and a fixed solve — deterministic integers, so
 ``--check`` gates them with zero tolerance upward on any machine), and
 the service's exact per-round-trip HTTP counts (``service_path``, from

@@ -9,7 +9,8 @@ to that event are executed."
 
 - ordered handler execution (a handler binds with an ``order`` key;
   ties run in binding order);
-- deferred events (``raise_later``), used by retransmission timers;
+- deferred events (``raise_later``) and deferred calls at an absolute
+  time (``call_at``), which per-session timers re-arm through;
 - re-entrancy safety: handlers may bind/unbind handlers and raise
   further events while a dispatch is in progress: each event keeps one
   immutable *compiled* handler tuple, rebuilt on ``bind``/``unbind``, and
@@ -26,7 +27,7 @@ the dispatch itself stays deterministic.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Optional
 
 from ..simnet.kernel import Event as KernelEvent
 from ..simnet.kernel import Process, Simulator
@@ -37,31 +38,44 @@ Handler = Callable[..., Any]
 
 
 class Timer:
-    """Handle for a deferred event raise; may be cancelled before firing."""
+    """Handle for a deferred call — an event raise or a callback — that
+    may be cancelled before it fires.
 
-    __slots__ = ("_bus", "_event_name", "_args", "_kwargs", "_cancelled", "_fired")
+    A timer owned by a micro-protocol (:meth:`MicroProtocol.set_timer`)
+    leaves its owner's set of armed timers when it fires or is cancelled.
+    """
 
-    def __init__(self, bus: "EventBus", event_name: str, args: tuple, kwargs: dict):
-        self._bus = bus
-        self._event_name = event_name
+    __slots__ = ("_fn", "_args", "_kwargs", "_cancelled", "_fired", "_home")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict):
+        self._fn = fn
         self._args = args
         self._kwargs = kwargs
         self._cancelled = False
         self._fired = False
+        self._home: Optional[set] = None
 
     @property
     def active(self) -> bool:
         return not self._cancelled and not self._fired
 
     def cancel(self) -> None:
-        """Prevent the deferred event from firing (idempotent)."""
+        """Prevent the deferred call from happening (idempotent)."""
         self._cancelled = True
+        self._leave_home()
+
+    def _leave_home(self) -> None:
+        home = self._home
+        if home is not None:
+            home.discard(self)
+            self._home = None
 
     def _fire(self, _ev: KernelEvent) -> None:
         if self._cancelled:
             return
         self._fired = True
-        self._bus.raise_event(self._event_name, *self._args, **self._kwargs)
+        self._leave_home()
+        self._fn(*self._args, **self._kwargs)
 
 
 class EventBus:
@@ -133,8 +147,21 @@ class EventBus:
         self, delay: float, event_name: str, *args: Any, **kwargs: Any
     ) -> Timer:
         """Schedule ``event_name`` to be raised after ``delay`` sim-seconds."""
-        timer = Timer(self, event_name, args, kwargs)
+        timer = Timer(self.raise_event, (event_name, *args), kwargs)
         self.sim.timeout(delay).callbacks.append(timer._fire)
+        return timer
+
+    def call_at(self, when: float, callback: Callable[..., Any], *args: Any) -> Timer:
+        """Call ``callback(*args)`` at the absolute sim time ``when``.
+
+        The entry point of per-session timers: a micro-protocol that keeps
+        one timer for many deadlines arms it at the earliest one, computed
+        when that deadline was set, and its callback raises the per-item
+        events (``RetransmitCheck``, ``AppAckTimeout``) for what is due.
+        ``when`` is used as is (no ``now + delay`` re-rounding).
+        """
+        timer = Timer(callback, args, {})
+        self.sim.timeout_at(when).callbacks.append(timer._fire)
         return timer
 
     def spawn(self, gen: Generator, name: str = "") -> Process:

@@ -48,11 +48,8 @@ class MicroProtocol:
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
         self._bindings: list[tuple[str, Handler]] = []
-        # Armed timers (cancel_timer drops one at once, fired ones leave
-        # at the next sweep) and the set size that triggers that sweep.
+        # Armed timers; one leaves the set when it fires or is cancelled.
         self._timers: set[Timer] = set()
-        self._sweep_at = 64
-        self.stats_timer_sweeps = 0
         self._initialized = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -72,9 +69,8 @@ class MicroProtocol:
         for event_name, handler in self._bindings:
             self.composite.bus.unbind(event_name, handler)
         self._bindings.clear()
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()
         self.on_remove()
         self._initialized = False
         self.composite = None
@@ -104,21 +100,13 @@ class MicroProtocol:
         """Schedule a deferred event, auto-cancelled on removal."""
         if not self._initialized:
             raise MicroProtocolError(f"{self.name}: set_timer() outside init")
-        timer = self.composite.bus.raise_later(delay, event_name, *args, **kwargs)
-        timers = self._timers
-        timers.add(timer)
-        if len(timers) > self._sweep_at:
-            # Drop dead timers so long sessions don't leak; waiting for
-            # the set to double past the survivors keeps it amortised O(1).
-            timers.difference_update([t for t in timers if not t.active])
-            self.stats_timer_sweeps += 1
-            self._sweep_at = max(64, 2 * len(timers))
-        return timer
+        return self._own(self.composite.bus.raise_later(delay, event_name, *args, **kwargs))
 
-    def cancel_timer(self, timer: Timer) -> None:
-        """Cancel a timer from :meth:`set_timer` and forget it now."""
-        timer.cancel()
-        self._timers.discard(timer)
+    def _own(self, timer: Timer) -> Timer:
+        """Count ``timer`` among the armed ones :meth:`remove` cancels."""
+        timer._home = self._timers
+        self._timers.add(timer)
+        return timer
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "live" if self._initialized else "detached"

@@ -31,8 +31,6 @@ from ...cactus.microprotocol import MicroProtocol
 
 __all__ = ["Fragmentation"]
 
-_frag_groups = itertools.count()
-
 
 def _split_payload(payload: Any, mtu: int) -> list[Any]:
     """MTU-sized chunks; NumPy payloads are flattened views (zero-copy)."""
@@ -75,6 +73,9 @@ class Fragmentation(MicroProtocol):
         self.input_stage = input_stage
         self.next_stage = next_stage
         self._rx_groups: dict[int, dict] = {}
+        # Group ids are per sender: a stream's headers never depend on
+        # what else ran in the process.
+        self._frag_groups = itertools.count()
         self.stats_fragmented = 0
         self.stats_reassembled = 0
 
@@ -94,7 +95,7 @@ class Fragmentation(MicroProtocol):
         if msg.meta.get("is_fragment") or msg.payload_bytes <= self.mtu:
             return
         chunks = _split_payload(msg.payload, self.mtu)
-        group = next(_frag_groups)
+        group = next(self._frag_groups)
         self.stats_fragmented += 1
         # Poison the original so downstream handlers skip it.
         msg.meta["fragmented_away"] = True

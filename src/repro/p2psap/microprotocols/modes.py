@@ -26,6 +26,13 @@ micro-protocol decides when it fires:
   the message (the ``AppDelivered`` event), which is strictly stronger
   than transport-level acknowledgement.
 
+A synchronous send that never sees its APPACK is released after
+``appack_timeout`` (``AppAckTimeout``).  Those deadlines share one timer
+per session: they wait in send order (a fixed timeout makes that their
+deadline order), one timer is armed at the earliest, an APPACK drops its
+message and cancels nothing, and when the timer fires every message due
+then times out in send order before it re-arms at the next deadline.
+
 Receive requests are kernel events in ``rx_waiters``; blocked receives
 are fulfilled by buffer management on delivery.  Asynchronous receive
 never blocks: it is served from the receive buffer (possibly empty).
@@ -34,7 +41,9 @@ never blocks: it is served from the receive buffer (possibly empty).
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
+from ...cactus.events import Timer
 from ...cactus.messages import Message
 from ...cactus.microprotocol import MicroProtocol
 from ..context import CommMode
@@ -94,8 +103,11 @@ class SynchronousMode(_ModeBase):
         if appack_timeout <= 0:
             raise ValueError("appack_timeout must be positive")
         self.appack_timeout = appack_timeout
-        # message_id -> (completion event, AppAckTimeout timer) awaiting APPACK.
-        self._pending_appack: dict[int, tuple] = {}
+        # message_id -> completion event awaiting APPACK; (deadline,
+        # message_id) in send order; the session's one AppAckTimeout timer.
+        self._pending_appack: dict[int, object] = {}
+        self._deadlines: deque[tuple[float, int]] = deque()
+        self._timer: Optional[Timer] = None
         self.stats_appacks_tx = 0
         self.stats_appacks_rx = 0
         self.stats_appack_timeouts = 0
@@ -111,10 +123,12 @@ class SynchronousMode(_ModeBase):
         # forever: release every pending synchronous send.  This is the
         # behavioural hinge of the hybrid scheme ("the same P2P_Send ...
         # can be first synchronous and then become asynchronous").
-        for completion, _timer in self._pending_appack.values():
+        for completion in self._pending_appack.values():
             if not completion.triggered:
                 completion.succeed(None)
         self._pending_appack.clear()
+        self._deadlines.clear()
+        self._timer = None  # remove() cancelled it
         super().on_remove()
 
     # -- sender side ---------------------------------------------------------
@@ -126,20 +140,44 @@ class SynchronousMode(_ModeBase):
             msg.meta["needs_appack"] = True
             # Deadlock safety valve for misconfigured (sync + unreliable)
             # channels on lossy paths: never block the application forever.
-            timer = self.set_timer(self.appack_timeout, "AppAckTimeout", msg.message_id)
-            self._pending_appack[msg.message_id] = (completion, timer)
+            deadline = self.composite.sim.now + self.appack_timeout
+            self._pending_appack[msg.message_id] = completion
+            self._deadlines.append((deadline, msg.message_id))
+            if self._timer is None:
+                self._arm(deadline)
+
+    def _arm(self, when: float) -> None:
+        self._timer = self._own(self.composite.bus.call_at(when, self._on_timer))
+
+    def _on_timer(self) -> None:
+        """Time out every send due now, in send order; re-arm."""
+        deadlines = self._deadlines
+        now = self.composite.sim.now
+        while deadlines and deadlines[0][0] <= now:
+            msg_id = deadlines.popleft()[1]
+            if msg_id in self._pending_appack:
+                self.composite.bus.raise_event("AppAckTimeout", msg_id)
+        self._timer = None  # only now: no send arms a timer mid-loop
+        self._prune()
+        if deadlines:
+            self._arm(deadlines[0][0])
+
+    def _prune(self) -> None:
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][1] not in self._pending_appack:
+            deadlines.popleft()
 
     def _on_rx_appack(self, msg_id: int) -> None:
-        completion, timer = self._pending_appack.pop(msg_id, (None, None))
+        completion = self._pending_appack.pop(msg_id, None)
         if completion is None:
             return
-        self.cancel_timer(timer)
+        self._prune()
         if not completion.triggered:
             self.stats_appacks_rx += 1
             completion.succeed(msg_id)
 
     def _on_appack_timeout(self, msg_id: int) -> None:
-        completion, _timer = self._pending_appack.pop(msg_id, (None, None))
+        completion = self._pending_appack.pop(msg_id, None)
         if completion is not None and not completion.triggered:
             self.stats_appack_timeouts += 1
             completion.succeed(None)

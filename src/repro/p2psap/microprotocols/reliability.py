@@ -7,12 +7,23 @@ reliability micro protocols are not needed in this case."
 
 Sender side
     every outgoing DATA segment (``TxSegment``) is registered in the
-    ``in_flight`` set and armed with a retransmission timer (RTO from
-    the congestion controller's RFC 6298 estimate, or a local default).
-    On timeout the segment is retransmitted, ``SegmentTimeout`` is raised
-    for the congestion controller, and the timer re-arms with backoff.
-    On acknowledgement the timer is cancelled, the RTT sample extracted
-    from the echoed timestamp and ``AckReceived(seq, rtt)`` raised.
+    ``in_flight`` set and given a retransmission deadline, its transmit
+    time plus the RTO (the congestion controller's RFC 6298 estimate, or
+    a local default).  A segment still unacknowledged at its deadline
+    gets a ``RetransmitCheck``: it is retransmitted, ``SegmentTimeout``
+    is raised for the congestion controller, and it gets a new deadline
+    with the backed-off RTO.  On acknowledgement the RTT sample is
+    extracted from the echoed timestamp and ``AckReceived(seq, rtt)``
+    raised.
+
+    The deadlines share one timer per session, as TCP's one timer per
+    connection (RFC 6298 section 5) does, each segment keeping its own
+    deadline: they wait in a heap (earliest first, then transmit order)
+    and one timer is armed at the earliest.  An ACK drops its segment
+    and cancels nothing; deadlines of acknowledged segments are pruned
+    from the head as ACKs arrive.  When the timer fires, every segment
+    due then is checked in transmit order, and the timer re-arms at the
+    next deadline (:meth:`~repro.cactus.events.EventBus.call_at`).
 
 Receiver side
     every DATA segment is acknowledged (including duplicates — the ack
@@ -24,6 +35,9 @@ Receiver side
 
 from __future__ import annotations
 
+import itertools
+import math
+from heapq import heappop, heappush
 from typing import Optional
 
 from ...cactus.events import Timer
@@ -48,7 +62,12 @@ class Reliability(MicroProtocol):
         self.next_stage = next_stage
         self._unacked: dict[int, Message] = {}
         self._retransmit_counts: dict[int, int] = {}
-        self._rto_timers: dict[int, Timer] = {}
+        # (deadline, transmit order, seq) per transmission, earliest first,
+        # and the session's one retransmission timer, armed at _timer_at.
+        self._deadlines: list[tuple[float, int, int]] = []
+        self._tx_order = itertools.count()
+        self._timer: Optional[Timer] = None
+        self._timer_at = math.inf
         self._rx_low = 0
         self._rx_above: set[int] = set()
         self.stats_retransmits = 0
@@ -70,7 +89,8 @@ class Reliability(MicroProtocol):
         if self.composite is not None:
             self.composite.shared.pop("in_flight", None)
         self._unacked.clear()
-        self._rto_timers.clear()
+        self._deadlines.clear()
+        self._timer, self._timer_at = None, math.inf  # remove() cancelled it
 
     # -- sender side -------------------------------------------------------------
 
@@ -85,8 +105,37 @@ class Reliability(MicroProtocol):
             self._unacked[seq] = msg
             self._retransmit_counts[seq] = 0
             self.composite.shared["in_flight"].add(seq)
-        msg.meta["tx_time"] = self.composite.sim.now
-        self._rto_timers[seq] = self.set_timer(self._rto(), "RetransmitCheck", seq)
+        now = msg.meta["tx_time"] = self.composite.sim.now
+        deadline = now + self._rto()
+        heappush(self._deadlines, (deadline, next(self._tx_order), seq))
+        if deadline < self._timer_at:
+            self._arm(deadline)
+
+    def _arm(self, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._own(self.composite.bus.call_at(when, self._on_timer))
+        self._timer_at = when
+
+    def _on_timer(self) -> None:
+        """Check every segment due now, in transmit order; re-arm."""
+        self._timer = None
+        self._timer_at = -math.inf  # no re-arm while retransmitting
+        deadlines = self._deadlines
+        now = self.composite.sim.now
+        while deadlines and deadlines[0][0] <= now:
+            seq = heappop(deadlines)[2]
+            if seq in self._unacked:
+                self.composite.bus.raise_event("RetransmitCheck", seq)
+        self._timer_at = math.inf
+        self._prune()
+        if deadlines:
+            self._arm(deadlines[0][0])
+
+    def _prune(self) -> None:
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][2] not in self._unacked:
+            heappop(deadlines)
 
     def _on_retransmit_check(self, seq: int) -> None:
         if seq not in self._unacked:
@@ -121,10 +170,8 @@ class Reliability(MicroProtocol):
     def _forget(self, seq: int) -> None:
         self._unacked.pop(seq, None)
         self._retransmit_counts.pop(seq, None)
-        timer = self._rto_timers.pop(seq, None)
-        if timer is not None:
-            self.cancel_timer(timer)
         self.composite.shared["in_flight"].discard(seq)
+        self._prune()
 
     # -- receiver side -----------------------------------------------------------
 

@@ -8,13 +8,26 @@ protocol is then substituted to another."
 
 A :class:`PhysicalProtocol` is the bottom layer of a data channel's
 stack at one endpoint.  Downwards it frames messages (header overhead)
-and transmits them on the simulated link.  Upwards it is event-driven:
-the node calls :meth:`PhysicalProtocol._on_packet` per arriving packet
-(:meth:`~repro.simnet.network.Node.attach`), one ``per_message_cost``
-timeout models the host-side framing/interrupt work, and when it fires
-the rebuilt message goes up the stack.  The endpoint is a FIFO server: a
-packet arriving while another is in service waits in a backlog.  There
-is no receive process; rx framing runs inside the DES callbacks.
+and transmits them on the simulated link.  Upwards it is a FIFO server:
+each packet costs ``per_message_cost`` of host-side framing/interrupt
+work, a packet arriving while another is in service waits, and when its
+service completes the rebuilt message goes up the stack.  There is no
+receive process; rx framing runs inside DES callbacks.
+
+A packet is served by one DES event.  The completion time of a FIFO
+server is ``max(arrival, previous completion) + cost``, and on a FIFO
+link both terms are known when the packet is sent, so the link hands
+the packet over then (:meth:`PhysicalProtocol._fold`) and one event at
+the completion does what the arrival event and the host-cost timeout
+did — with the same float operations, hence the same timestamps.  The
+second event per packet was never part of the model: no state the
+packet's fate depends on was read between the two.  Where that would
+stop being true — the node fails, the endpoint closes or loses its port,
+a packet on the ordinary path lands first (the link got shorter or
+started jittering, a packet was sent while the node was down) — the
+folded packets that have not arrived yet go back to being ordinary
+arrival events at their original place in time (:meth:`_unfold`),
+served by :meth:`_on_packet` as before.
 
 Messages cross the wire as ``(headers, payload)`` snapshots: the payload
 object itself is shared (zero-copy — the simulation's analogue of DMA),
@@ -25,13 +38,14 @@ endpoints never alias mutable state; the receiver only reads them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import deque
 from typing import Optional
 
 from ...cactus.composite import CompositeProtocol
 from ...cactus.messages import Message
 from ...simnet.kernel import Event, Simulator
-from ...simnet.network import Network, Node, Packet
+from ...simnet.network import Link, Network, Node, Packet
 
 __all__ = ["PhysicalSpec", "PhysicalProtocol"]
 
@@ -79,7 +93,14 @@ class PhysicalProtocol(CompositeProtocol):
         self.stats_tx_frames = 0
         self.stats_rx_frames = 0
         self._closed = False
-        self._rx_busy = False  # a packet is in service; others wait here:
+        # Receive server.  Packets a link handed over at send time, in
+        # FIFO order, each (arrival, seq, done, packet, link), served by
+        # one event at ``done``; the server is free from _rx_free_at on.
+        self._folded: deque[tuple] = deque()
+        self._rx_free_at = -math.inf
+        # Packets that took the ordinary arrival path: one in service
+        # (_rx_busy), the rest waiting behind it and the folded ones.
+        self._rx_busy = False
         self._rx_backlog: deque[Packet] = deque()
         self.bus.bind("FromAbove", self._on_from_above)
         if spec.bandwidth_bps is not None:
@@ -114,21 +135,79 @@ class PhysicalProtocol(CompositeProtocol):
 
     # -- receive -------------------------------------------------------------------
 
+    def _fold(self, link: Link, packet: Packet, arrival: float, seq: int) -> bool:
+        """Take ``packet``, arriving at ``arrival``, into service now.
+
+        Its service completes at ``max(arrival, free) + per_message_cost``
+        — the instant the arrival event plus the host-cost timeout would
+        have produced — and one event there does both.  Refused (False:
+        it travels as an ordinary arrival) while a packet that took the
+        ordinary path is in service or waiting, or if it would land
+        before a packet already folded.  ``seq`` keys its arrival, should
+        it have to be put back on that path (:meth:`_unfold`).
+        """
+        cost = self.spec.per_message_cost
+        folded = self._folded
+        if (not cost or self._closed or self._rx_busy or self._rx_backlog
+                or (folded and arrival < folded[-1][0])):
+            return False
+        done = max(arrival, self._rx_free_at) + cost
+        self._rx_free_at = done
+        record = (arrival, seq, done, packet, link)
+        folded.append(record)
+        self.sim.timeout_at(done, record).callbacks.append(self._rx_served)
+        return True
+
+    def _unfold(self) -> None:
+        """Hand folded packets that have not arrived yet back to their
+        link as ordinary arrivals, at their original place in time."""
+        folded = self._folded
+        passed = self.sim._passed
+        while folded:
+            arrival, seq, _done, packet, link = folded[-1]
+            if passed(arrival, seq):
+                break
+            folded.pop()
+            link._arrive_at(arrival, seq, packet)
+        self._rx_free_at = folded[-1][2] if folded else -math.inf
+
+    def _rx_served(self, ev: Event) -> None:
+        """A folded packet's service completes: arrival, framing, delivery."""
+        record = ev.value
+        folded = self._folded
+        if not folded or folded[0] is not record:
+            return  # given back to its link, or dropped by close()
+        folded.popleft()
+        _arrival, _seq, _done, packet, link = record
+        link._count_delivery(packet)
+        self.deliver_up(self._rebuild(packet))  # may close us
+        if not folded and self._rx_backlog:
+            self._rx_start(self._rx_backlog.popleft())
+
     def _on_packet(self, packet: Packet) -> None:
-        """A packet arrived: serve it, or queue it behind the one in service."""
+        """A packet arrived: serve it, or queue it behind those in service."""
         if self._closed:
             return
-        if self._rx_busy:
+        if self._folded:
+            # Folded packets landing after this one queue behind it: they
+            # take the arrival path again (a shorter or jittery link, a
+            # packet sent while the node was down, another sender).
+            self._unfold()
+        if self._rx_busy or self._folded:
             self._rx_backlog.append(packet)
         else:
             self._rx_start(packet)
 
-    def _rx_start(self, packet: Packet) -> None:
-        """Rebuild the message and charge the host-side cost for it."""
+    def _rebuild(self, packet: Packet) -> Message:
         headers, payload = packet.payload
         msg = Message(payload)
         msg.headers = list(headers)
         self.stats_rx_frames += 1
+        return msg
+
+    def _rx_start(self, packet: Packet) -> None:
+        """Rebuild the message and charge the host-side cost for it."""
+        msg = self._rebuild(packet)
         cost = self.spec.per_message_cost
         if cost:
             self._rx_busy = True
@@ -146,9 +225,23 @@ class PhysicalProtocol(CompositeProtocol):
             self._rx_busy = False
 
     def close(self) -> None:
-        """Detach from the node; drop queued and any further traffic."""
+        """Detach from the node; drop queued and any further traffic.
+
+        Folded packets still on the wire land as ordinary arrivals (on
+        whatever holds the port by then); those that had arrived are
+        dropped like the backlog, counted as the arrival would have
+        counted them.
+        """
         if self._closed:
             return
         self._closed = True
         self._rx_backlog.clear()
+        folded = self._folded
+        if folded:
+            self._unfold()
+            for _arrival, _seq, _done, packet, link in folded:
+                link._count_delivery(packet)
+            if folded:  # the first one was in service
+                self.stats_rx_frames += 1
+            folded.clear()
         self.local.detach(self.port, self._on_packet)

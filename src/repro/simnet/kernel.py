@@ -203,6 +203,18 @@ class Timeout(Event):
         sim = self.sim
         heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._seq), self))
 
+    def _arm_at(self, when: float, seq: int, value: Any) -> None:
+        """(Re-)initialize as a timeout keyed ``(when, NORMAL, seq)``
+        (kernel-internal; see :meth:`Simulator.timeout_at`)."""
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        sim = self.sim
+        self.delay = when - sim._now
+        heappush(sim._queue, (when, NORMAL, seq, self))
+
 
 class Process(Event):
     """A running generator coroutine; fires when the generator returns.
@@ -532,6 +544,10 @@ class Simulator:
         self._active_proc: Optional[Process] = None
         self._n_live_processes = 0
         self._timeout_pool: list[Timeout] = []
+        # Priority and seq of the entry processed last: with _now, the
+        # key every processed entry sorts at or below (see _passed).
+        self._now_prio = URGENT
+        self._now_seq = -1
         #: Observability counters (plain ints, exported to the telemetry
         #: registry by the harness after a run).  Strictly write-only
         #: from the loop's point of view: nothing reads them back into
@@ -573,6 +589,41 @@ class Simulator:
             return t
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event firing at the absolute time ``when``; pooled like
+        :meth:`timeout`.
+
+        ``when`` goes onto the queue unchanged — not re-derived as
+        ``now + (when - now)``, which can round differently — so a time
+        computed ahead of the instant it is needed (a receive service's
+        completion, a retransmission deadline) fires exactly where it
+        was computed.  A time in the past, or NaN, raises ``ValueError``.
+        """
+        if not when >= self._now:  # past or NaN
+            raise ValueError(
+                f"timeout_at({when!r}) is before now ({self._now!r})"
+                if when < self._now else "timeout time is NaN")
+        return self._timeout_keyed(when, next(self._seq), value)
+
+    def _timeout_keyed(self, when: float, seq: int, value: Any) -> Timeout:
+        """:meth:`timeout_at` with a ``seq`` taken from ``_seq`` earlier:
+        the entry sorts exactly where one created back then would have."""
+        pool = self._timeout_pool
+        if pool:
+            t = pool.pop()
+        else:
+            t = Timeout.__new__(Timeout)
+            t.sim = self
+        t._arm_at(when, seq, value)
+        return t
+
+    def _passed(self, when: float, seq: int) -> bool:
+        """Whether a NORMAL-priority entry keyed ``(when, seq)`` would
+        already have been processed by now."""
+        now = self._now
+        return when < now or (
+            when == now and (NORMAL, seq) < (self._now_prio, self._now_seq))
+
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from generator ``gen``."""
         proc = Process(self, gen, name=name)
@@ -609,10 +660,12 @@ class Simulator:
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
         self.events_processed += 1
-        when, _prio, _seq, event = heappop(queue)
+        when, prio, seq, event = heappop(queue)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
+        self._now_prio = prio
+        self._now_seq = seq
         callbacks = event.callbacks
         event.callbacks = None
         for cb in callbacks:
@@ -661,6 +714,9 @@ class Simulator:
             horizon = Timeout(self, until - self._now, priority=URGENT)
             while queue:
                 if queue[0][3] is horizon:
+                    # Stopped just before the horizon entry: nothing at
+                    # ``until`` that sorts after it has happened yet.
+                    _, self._now_prio, self._now_seq, _ = queue[0]
                     self._now = until
                     return
                 step()

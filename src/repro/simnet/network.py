@@ -14,6 +14,13 @@ link queues subsequent packets), which is what makes synchronous schemes
 feel bandwidth pressure when many boundary planes are exchanged at the
 same instant.
 
+A packet normally costs one DES event when it lands, and its receiving
+endpoint's host-side service another.  For a physical-layer endpoint
+behind a FIFO link, the link already knows at send time when that
+service will complete, so it hands the packet over then and the packet
+costs one event at its service completion (see :meth:`Link.transmit`
+and :mod:`repro.p2psap.physical.base`); simulated times are unchanged.
+
 Compute costs are modeled by :meth:`Node.compute`, which converts a flop
 count into virtual seconds using the node's clock rate and a
 flops-per-cycle factor.  The distributed solver charges its *real* NumPy
@@ -162,6 +169,9 @@ class Node:
         # control link) or, without one, into an inbox channel.
         self._inboxes: dict[int, Channel] = {}
         self._receivers: dict[int, Callable[[Packet], None]] = {}
+        # Ports whose receiver is a FIFO server that links may hand
+        # packets to at send time (see Link.transmit).
+        self._servers: dict[int, Any] = {}
         self.alive = True
         # Simple load model for the load-balancing extension: a background
         # load factor >= 0 slows compute() down by (1 + load).
@@ -177,13 +187,26 @@ class Node:
 
     def attach(self, port: int, receiver: Callable[["Packet"], None]) -> None:
         """Call ``receiver(packet)`` for packets arriving on ``port``
-        (instead of queueing them); a later attach takes over."""
+        (instead of queueing them); a later attach takes over.
+
+        A receiver that is a bound method of a FIFO server (an object
+        with ``_fold``/``_unfold``, i.e. a physical-layer endpoint) lets
+        links hand it packets at send time; packets that have not
+        arrived when the port changes hands go to whoever holds it then.
+        """
+        old = self._servers.pop(port, None)
+        if old is not None:
+            old._unfold()
         self._receivers[port] = receiver
+        server = getattr(receiver, "__self__", None)
+        if hasattr(server, "_fold"):
+            self._servers[port] = server
 
     def detach(self, port: int, receiver: Callable[["Packet"], None]) -> None:
         """Undo :meth:`attach`, unless another receiver took the port over."""
         if self._receivers.get(port) == receiver:
             del self._receivers[port]
+            self._servers.pop(port, None)
 
     def deliver(self, packet: "Packet") -> None:
         """Hand an arrived packet to its port's receiver or inbox."""
@@ -215,8 +238,14 @@ class Node:
         return self.sim.timeout(seconds)
 
     def fail(self) -> None:
-        """Mark the node dead; subsequent deliveries to it are dropped."""
+        """Mark the node dead; subsequent deliveries to it are dropped.
+
+        Packets that arrived before the failure are still served; those
+        still on the wire are dropped if the node is down when they land.
+        """
         self.alive = False
+        for server in self._servers.values():
+            server._unfold()
 
     def recover(self) -> None:
         self.alive = True
@@ -262,7 +291,12 @@ class Link:
         self._delivery_hooks: list[Callable[[Packet], None]] = []
 
     def add_delivery_hook(self, hook: Callable[[Packet], None]) -> None:
-        """Called for every delivered packet (a test's packet tap)."""
+        """Called for every delivered packet (a test's packet tap).
+
+        A packet an endpoint serves with one event (see :meth:`transmit`)
+        runs the hooks when it is served, not when it lands; if its
+        endpoint closes before serving it, when the endpoint closes.
+        """
         self._delivery_hooks.append(hook)
 
     # -- timing --------------------------------------------------------------
@@ -285,6 +319,18 @@ class Link:
         windows, the buffer-management micro-protocol) is responsible for
         pacing, exactly as in a real kernel where ``send`` returns once the
         frame is queued on the NIC.
+
+        Delivery is normally one event at the arrival time ``T``.  When
+        the link is FIFO (no jitter, reordering or duplication), the
+        destination is up and the port's receiver is a FIFO server, the
+        packet is handed to the server now instead (``_fold``): it
+        already knows when its service will complete, so one event at
+        that instant does the arrival and the service.  Whatever could
+        change what happens at ``T`` — the node failing, the port
+        changing hands, another packet landing first on the ordinary
+        path (a shorter or jittery link, another sender) — turns such
+        packets back into arrival events at ``T``, keyed exactly as
+        they would have been.
         """
         self.stats_sent += 1
         self.stats_bytes += packet.size_bytes
@@ -310,6 +356,13 @@ class Link:
             start = max(now, self._tx_free_at)
             self._tx_free_at = start + ser
             total = (start - now) + ser + self._propagation_delay()
+            dst = self.dst
+            server = dst._servers.get(packet.port)
+            if (server is not None and dst.alive
+                    and not (netem.jitter or netem.reorder or netem.duplicate)
+                    and server._fold(self, packet, now + total,
+                                     next(self.sim._seq))):
+                return
 
         self._schedule_delivery(packet, total)
         if netem.duplicate > 0 and self.rng.random() < netem.duplicate:
@@ -346,17 +399,26 @@ class Link:
         # The packet rides the timeout as its value.
         self.sim.timeout(delay, packet).callbacks.append(self._deliver)
 
+    def _arrive_at(self, when: float, seq: int, packet: Packet) -> None:
+        """Put a packet an endpoint gave back (``_unfold``) on the arrival
+        path, keyed as :meth:`transmit` would have keyed it."""
+        self.sim._timeout_keyed(when, seq, packet).callbacks.append(self._deliver)
+
     def _deliver(self, arrival: Event) -> None:
         packet: Packet = arrival.value
         dst = self.dst
         if not dst.alive:
             self.stats_dropped += 1
             return
+        self._count_delivery(packet)
+        dst.deliver(packet)
+
+    def _count_delivery(self, packet: Packet) -> None:
+        """The packet reached its node: count it and run the hooks."""
         packet.hops += 1
         self.stats_delivered += 1
         for hook in self._delivery_hooks:
             hook(packet)
-        dst.deliver(packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -116,3 +116,29 @@ class TestEndToEnd:
         sim.run(until=30)
         ok, payload = chb.user_receive_nowait()
         assert ok and payload == big  # sent whole, no MTU enforcement
+
+
+def test_fragment_group_ids_do_not_depend_on_earlier_streams():
+    """Group ids are numbered per fragmentation instance: a stream's
+    ``frag`` headers are the same whatever ran before it in the process."""
+
+    def frag_headers():
+        sim, cha, chb = make_pair(mtu=256)
+        headers = []
+        cha.transport.bus.bind(
+            "TxSegment",
+            lambda msg: headers.append(msg.meta.get("frag", {}).get("group")),
+            order=99)
+
+        def sender():
+            for k in range(3):
+                yield cha.user_send(np.full(100, float(k)))
+
+        sim.spawn(sender())
+        sim.run(until=30)
+        assert chb.pending_rx() == 3
+        return headers
+
+    first = frag_headers()
+    assert len(first) == 12 and set(first) == {0, 1, 2}
+    assert frag_headers() == first

@@ -1,16 +1,18 @@
 """Per-session state stays bounded by what is in flight, not by history.
 
-Two leaks this suite pins shut:
+Two leaks this suite pins shut, and the contract that replaced the fix
+of the first:
 
 - every acknowledged message used to pin its ``RetransmitCheck`` and (in
   synchronous mode) its 30-sim-second ``AppAckTimeout`` timer until the
-  timer would have fired, and ``set_timer`` rescanned the whole timer
-  list on every call once more than 64 were live;
+  timer would have fired.  Now each session keeps per-message deadlines
+  and one armed timer per micro-protocol: at most one ``RetransmitCheck``
+  and one ``AppAckTimeout`` timer at any instant, and deadline queues no
+  longer than what is unacknowledged plus the head an ACK has not pruned
+  yet;
 - reliability's receive-side dedup remembered every sequence number of
   the session in one ever-growing set.
 """
-
-import math
 
 from repro.cactus.composite import CompositeProtocol
 from repro.cactus.messages import Message
@@ -30,14 +32,13 @@ def test_acknowledged_messages_release_their_timers():
     a, b = net.add_node("a"), net.add_node("b")
     cha = DataChannel(sim, net, a, "b", 9, SYNC)
     chb = DataChannel(sim, net, b, "a", 9, SYNC)
-    micros = [cha.transport.micro("reliability"), cha.transport.micro("mode-sync")]
-    armed = []
+    rel = cha.transport.micro("reliability")
+    mode = cha.transport.micro("mode-sync")
     done = []
 
     def sender():
         for i in range(n):
             yield cha.user_send(i)
-            armed.append(max(len(m._timers) for m in micros))
         done.append(sim.now)
 
     def receiver():
@@ -46,30 +47,42 @@ def test_acknowledged_messages_release_their_timers():
 
     sim.spawn(sender())
     sim.spawn(receiver())
+    armed = rel_queue = mode_queue = 0
     while not done:
         sim.step()
-    # The stream finishes long before the first 30 s AppAckTimeout could
-    # fire, so a timer that is not cancelled on acknowledgement is still
-    # armed at the end.
-    assert done[0] < 30.0
-    # Synchronous: one message in flight, so at most a timer or two per
-    # micro-protocol at any instant — never one per message sent.
-    assert max(armed) <= 4
-    for micro in micros:
-        assert micro.stats_timer_sweeps <= math.ceil(math.log2(n))
-        assert not any(t.active for t in micro._timers)
+        armed = max(armed, len(rel._timers), len(mode._timers))
+        rel_queue = max(rel_queue, len(rel._deadlines) - rel.unacked_count)
+        mode_queue = max(mode_queue,
+                         len(mode._deadlines) - len(mode._pending_appack))
+    # The stream outlives the RTO many times over, so the retransmission
+    # timer fired and re-armed along the way, and the deadlines of
+    # acknowledged messages were pruned rather than left to fire.
+    assert done[0] > 1.0 and rel.stats_retransmits == 0
+    assert armed == 1
+    assert rel_queue <= 1 and mode_queue <= 1
+    for micro in (rel, mode):
+        assert all(t.active for t in micro._timers)
+    assert not mode._pending_appack and len(mode._deadlines) <= 1
 
 
-def test_timer_sweeps_are_amortised_with_many_live_timers():
-    """A window of > 64 live timers must not trigger a rescan per call."""
+def test_fired_and_cancelled_timers_leave_the_armed_set():
+    """The armed set is exactly the live timers, however many there are."""
     sim = Simulator()
     comp = CompositeProtocol(sim, "t")
     rel = comp.add_micro(Reliability())
+    fired = []
+    comp.bus.bind("Tick", fired.append)
     n = 5000
-    for seq in range(n):
-        rel.set_timer(1000.0, "RetransmitCheck", seq)  # all stay live
+    timers = [rel.set_timer(1.0 + k % 7, "Tick", k) for k in range(n)]
     assert len(rel._timers) == n
-    assert rel.stats_timer_sweeps <= math.ceil(math.log2(n))
+    for timer in timers[::2]:
+        timer.cancel()
+    assert len(rel._timers) == n // 2
+    sim.run(until=4.5)
+    assert len(rel._timers) == sum(1 for k in range(1, n, 2) if 1.0 + k % 7 > 4.5)
+    assert all(t.active for t in rel._timers)
+    sim.run()
+    assert not rel._timers and sorted(fired) == list(range(1, n, 2))
 
 
 def make_receiver():

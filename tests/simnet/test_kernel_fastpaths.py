@@ -89,6 +89,58 @@ class TestTimeoutRecycling:
         assert len(sim._timeout_pool) <= Simulator._TIMEOUT_POOL_MAX
 
 
+class TestTimeoutAt:
+    def test_fires_at_the_exact_absolute_time(self):
+        sim = Simulator()
+        fired = []
+
+        def proc():
+            yield sim.timeout(1 / 3)
+            # The relative form would land one ulp early here.
+            assert sim.now + (0.9 - sim.now) != 0.9
+            fired.append((yield sim.timeout_at(0.9, "v")))
+            fired.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+        assert fired == ["v", 0.9]
+
+    def test_reuses_pooled_timeouts(self):
+        sim = Simulator()
+        ids = []
+
+        def proc():
+            for k in range(1, 20):
+                t = sim.timeout_at(float(k), k)
+                ids.append(id(t))
+                assert (yield t) == k
+                del t
+
+        sim.spawn(proc())
+        sim.run()
+        assert sim.now == 19.0
+        assert len(set(ids)) < len(ids)
+
+    def test_orders_with_relative_timeouts_by_creation(self):
+        sim = Simulator()
+        order = []
+        sim.timeout(2.0).callbacks.append(lambda ev: order.append("rel"))
+        sim.timeout_at(2.0).callbacks.append(lambda ev: order.append("abs"))
+        sim.run()
+        assert order == ["rel", "abs"]
+
+    @pytest.mark.parametrize("when", [0.5, float("nan"), -1.0])
+    def test_rejects_past_and_nan(self, when):
+        sim = Simulator()
+        sim.run(until=1.0)
+        for _ in range(2):  # fresh, then with a pooled timeout available
+            with pytest.raises(ValueError):
+                sim.timeout_at(when)
+            sim.timeout(0.1)
+            sim.run()
+        assert sim.timeout_at(sim.now).delay == 0.0
+
+
 class TestChannelDirectHandoff:
     def test_buffered_get_is_already_processed(self):
         sim = Simulator()
