@@ -38,6 +38,11 @@ same way), and the result cache's exact per-job counts on a disk-served
 campaign re-run (``cache_path``, from ``benchmarks/cache_path.py``:
 signature builds, key hashes, entry-file opens, directory-lock
 acquisitions and payload bytes read per job — gated the same way), and
+the compiled sweep backend's speedup over the numpy kernels
+(``compiled_vs_numpy``: a 16-plane Gauss–Seidel block of the 64³
+problem on each backend — gated by ``--check`` at an absolute ≥ 1.3x
+floor, skipped with the reason printed where the compiled backend does
+not load), and
 writes the result as JSON.  The
 checked-in ``BENCH_micro.json`` is the perf trajectory record: future
 PRs rerun this script and compare against it before touching a hot
@@ -141,6 +146,16 @@ LADDER_PAIRS = {
 #: machine, independent of ``--tolerance`` and the committed record.
 LADDER_SPEEDUP_FLOOR = 1.5
 
+#: (numpy, compiled) pairs whose ratio of best-case times is the
+#: compiled sweep backend's speedup over the numpy kernels it replaces.
+COMPILED_PAIRS = {
+    "gauss_seidel_64cubed_16planes": ("test_bench_gauss_seidel_block16_numpy",
+                                      "test_bench_gauss_seidel_block16_compiled"),
+}
+
+#: Absolute gate for ``compiled_vs_numpy`` under ``--check``.
+COMPILED_SPEEDUP_FLOOR = 1.3
+
 #: The exact-count sections, each printed by ``benchmarks/<name>.py``.
 EXACT_SECTIONS = ("protocol_path", "service_path", "cache_path")
 
@@ -188,7 +203,10 @@ def summarize(raw: dict, exact: dict) -> dict:
     import numpy
 
     results = {}
+    backends = {}
     for bench in raw["benchmarks"]:
+        backends[bench["name"]] = (bench.get("extra_info") or {}).get(
+            "backend")
         stats = bench["stats"]
         results[bench["name"]] = {
             "mean_s": stats["mean"],
@@ -252,6 +270,12 @@ def summarize(raw: dict, exact: dict) -> dict:
             )
     if telemetry_overhead:
         telemetry_overhead["cpu_count"] = os.cpu_count()
+    compiled = {}
+    for label, (numpy_name, compiled_name) in COMPILED_PAIRS.items():
+        if numpy_name in results and compiled_name in results:
+            compiled[label] = round(results[numpy_name]["min_s"]
+                                    / results[compiled_name]["min_s"], 3)
+            compiled["backend"] = backends[compiled_name]
     return {
         "generated_by": "benchmarks/run_bench.py",
         "generated_at": datetime.datetime.now(datetime.timezone.utc)
@@ -268,6 +292,7 @@ def summarize(raw: dict, exact: dict) -> dict:
         "campaign_cache_service": cache_service,
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
+        "compiled_vs_numpy": compiled,
         **exact,
         "benchmarks": results,
     }
@@ -301,6 +326,11 @@ def print_summary(summary: dict) -> None:
             continue
         print(f"  telemetry {label}: {(ratio - 1.0) * 100:+.1f}% "
               "counters-on vs off")
+    compiled = dict(summary.get("compiled_vs_numpy", {}))
+    backend = compiled.pop("backend", None)
+    for label, ratio in compiled.items():
+        print(f"  compiled {label}: {ratio:.2f}x vs numpy "
+              f"({backend} backend ran)")
     for label, counts in summary.get("protocol_path", {}).items():
         shown = ", ".join(f"{key[:-len('_per_msg')]} {value:g}"
                           for key, value in sorted(counts.items())
@@ -423,6 +453,25 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
         print(f"  {verdict:6s}telemetry {name}: "
               f"{(ratio - 1.0) * 100:+.1f}% overhead "
               f"(ceiling +{(TELEMETRY_OVERHEAD_CEILING - 1.0) * 100:.0f}%)")
+    # The compiled-backend gate is absolute as well, and meaningful only
+    # where the compiled sweeps loaded: on the numpy fallback both sides
+    # run the same kernel, so the pair is reported as skipped.
+    fresh_compiled = dict(fresh.get("compiled_vs_numpy", {}))
+    backend = fresh_compiled.pop("backend", None)
+    for name, ratio in sorted(fresh_compiled.items()):
+        if backend != "c":
+            print(f"  skip  compiled {name}: the {backend} backend ran "
+                  "(the compiled sweeps did not load; see the "
+                  "RuntimeWarning)")
+            continue
+        verdict = "ok"
+        if ratio < COMPILED_SPEEDUP_FLOOR:
+            verdict = "WORSE"
+            failures.append(
+                f"compiled_vs_numpy/{name}: {ratio:.2f}x below the "
+                f"{COMPILED_SPEEDUP_FLOOR:.1f}x floor")
+        print(f"  {verdict:6s}compiled {name}: {ratio:.2f}x vs numpy "
+              f"(floor {COMPILED_SPEEDUP_FLOOR:.1f}x)")
     # The protocol-path, service-path and cache-path counts are exact
     # (a deterministic simulation, a fixed request or job sequence —
     # counted, not timed), so the gate is zero tolerance upward on every

@@ -15,6 +15,7 @@ from repro.cactus.events import EventBus
 from repro.cactus.messages import Message
 from repro.numerics.kernels import (
     SweepWorkspace,
+    _gauss_seidel_numpy,
     block_sweep,
     gauss_seidel_sweep,
     jacobi_sweep,
@@ -242,6 +243,34 @@ def test_bench_gauss_seidel_sweep_fused_float32(benchmark):
     u_next = ws.rotation_buffer()
 
     diff = benchmark(gauss_seidel_sweep, ws, u, u_next)
+    assert np.isfinite(diff)
+
+
+def _block16():
+    """A 16-plane interior block of the 64³ problem (one of four peers'
+    shares) with its ghosts: workspace, block, rotation buffer, ghosts."""
+    problem = membrane_problem(64)
+    ws = SweepWorkspace(problem, problem.jacobi_delta(), lo=24, hi=40)
+    u0 = problem.feasible_start()
+    return ws, u0[24:40].copy(), ws.rotation_buffer(), u0[23].copy(), \
+        u0[40].copy()
+
+
+def test_bench_gauss_seidel_block16_compiled(benchmark):
+    """The Gauss–Seidel block sweep on the backend the workspace picked
+    (compiled wherever it loads); paired with the numpy kernel below as
+    ``compiled_vs_numpy`` in ``BENCH_micro.json``."""
+    ws, block, nxt, gb, ga = _block16()
+    benchmark.extra_info["backend"] = \
+        "numpy" if ws._compiled is None else "c"
+    diff = benchmark(gauss_seidel_sweep, ws, block, nxt, gb, ga)
+    assert np.isfinite(diff)
+
+
+def test_bench_gauss_seidel_block16_numpy(benchmark):
+    """The same sweep on the numpy kernel (the compiled one's fallback)."""
+    ws, block, nxt, gb, ga = _block16()
+    diff = benchmark(_gauss_seidel_numpy, ws, block, nxt, gb, ga)
     assert np.isfinite(diff)
 
 

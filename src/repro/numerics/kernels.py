@@ -32,6 +32,38 @@ All three share the same slab internals, so the sequential whole-grid
 sweeps and a single full-domain block produce bit-identical iterates —
 the cross-checks in the test-suite rely on that.
 
+Two backends, one result
+------------------------
+The sweeps run in one of two backends, chosen per workspace when it is
+baked:
+
+- **compiled** (``_sweep.c``, built and loaded by :mod:`._ckernels` on
+  first use): one C call per block sweep, used whenever the library
+  loads;
+- **numpy** (``_jacobi_numpy`` / ``_gauss_seidel_numpy`` below): the
+  fallback when it does not (one ``RuntimeWarning`` names the reason),
+  for arguments the compiled path will not take (not an aligned,
+  C-contiguous ndarray of the workspace shape and dtype, ghosts not
+  ``(n, n)``, or ``nxt`` overlapping an input), and the tests' bitwise
+  oracle.
+
+The contract between them is per element: the compiled kernel performs
+exactly the floating-point operations these numpy passes perform on
+each element, in the same order — the in-plane sum including the
+flattened-row contamination added at the x-edges and subtracted again,
+the ``0.0`` seed of a ghost-less top plane (Gauss–Seidel), Jacobi's
+``below + above`` with a missing plane counting as ``0.0``, ``(below·d)
++ ((nb·d) [+ cur·a] [+ δb])`` for Gauss–Seidel and ``(cur·a) + (nb·d)
+[+ δb]`` for Jacobi, then ``np.maximum``/``np.minimum`` with their NaN
+propagation and a ``+0.0``/``-0.0`` tie resolved to the bound (the
+loader checks this numpy does the same, else the numpy kernels run),
+coefficients promoted as numpy promotes them (asked of numpy when the
+workspace is baked), and a zero diff returned as ``+0.0`` — so
+iterates, diffs, relaxation counts and simulated times are bit-identical
+whichever backend ran, and neither depends on the slab size.
+``repro_kernel_sweeps_total`` and ``repro_kernel_sweep_seconds`` carry a
+``backend`` label (``"c"`` or ``"numpy"``) saying which one did.
+
 Workspace / aliasing contract
 -----------------------------
 A :class:`SweepWorkspace` owns every scratch buffer a sweep needs and is
@@ -77,6 +109,7 @@ from typing import Optional
 import numpy as np
 
 from ..resources import default_context, resolve_context
+from . import _ckernels
 from .obstacle import ObstacleProblem, membrane_problem
 from .tolerances import check_dtype, resolve_dtype
 
@@ -118,18 +151,21 @@ class _KernelProbe:
     __slots__ = ("sweeps", "seconds", "rebinds")
 
     def __init__(self, telemetry):
+        keys = [(order, backend) for order in ("jacobi", "gauss_seidel")
+                for backend in ("c", "numpy")]
         self.sweeps = {
-            order: telemetry.counter("repro_kernel_sweeps_total", order=order)
-            for order in ("jacobi", "gauss_seidel")}
+            (order, backend): telemetry.counter(
+                "repro_kernel_sweeps_total", order=order, backend=backend)
+            for order, backend in keys}
         self.seconds = {
-            order: telemetry.histogram("repro_kernel_sweep_seconds",
-                                       order=order)
-            for order in ("jacobi", "gauss_seidel")}
+            (order, backend): telemetry.histogram(
+                "repro_kernel_sweep_seconds", order=order, backend=backend)
+            for order, backend in keys}
         self.rebinds = telemetry.counter("repro_workspace_rebinds_total")
 
-    def sweep_done(self, order, elapsed):
-        self.sweeps[order].inc()
-        self.seconds[order].observe(elapsed)
+    def sweep_done(self, order, backend, elapsed):
+        self.sweeps[order, backend].inc()
+        self.seconds[order, backend].observe(elapsed)
 
 def _slab_target_bytes(resources=None) -> int:
     """The slab working-set target, honoring ``REPRO_SLAB_BYTES``.
@@ -170,7 +206,9 @@ def autotune_slab_bytes(resources=None) -> int:
     measures for itself never writes the default — campaign execution
     stays out of the module-global state.  The verdict only ever affects
     *performance*: slab partitioning is bit-transparent to the sweep
-    results, so tuning can never change an iterate.  Worker processes
+    results, so tuning can never change an iterate, and it only sizes
+    the numpy kernels (the compiled ones walk plane by plane, so there
+    is nothing to measure while they are loaded).  Worker processes
     never re-measure: the pool creator resolves the verdict first and
     ships it in the spawn arguments (:func:`seed_slab_autotune`).
     """
@@ -214,7 +252,11 @@ def _measure_slab_candidates(n: int = 48, repeats: int = 3) -> int:
     48³/float64 the block exceeds the smaller target's cache budget but
     fits the larger one's) while one sweep stays ~1 ms — the whole
     measurement is a few tens of milliseconds, paid once per process.
+    With the compiled sweeps loaded no sweep would use the slab, so the
+    first candidate is returned unmeasured.
     """
+    if _ckernels.load() is not None:
+        return _SLAB_CANDIDATES[0]
     problem = membrane_problem(n)
     delta = problem.jacobi_delta()
     u0 = problem.feasible_start()
@@ -287,16 +329,17 @@ class SweepWorkspace:
         self.n_planes = m
         tele = resolve_context(resources).telemetry
         self._tele = _KernelProbe(tele) if tele.enabled else None
-        self._bake(problem, delta)
-
         self.slab = slab if slab is not None else \
             _default_slab(n, m, self.dtype.itemsize, resources=resources)
         if self.slab < 1:
             raise ValueError("slab must be >= 1")
-        # Slab scratch (neighbour sums, then |new − old|).  The GS
-        # staging array — a full block-sized buffer only the
-        # plane-sequential kernel touches — is allocated on first use.
-        self._nb = np.empty((min(self.slab, m), n, n), dtype=self.dtype)
+        self._bake(problem, delta)
+
+        # Scratch of the numpy kernels, allocated on their first use (so
+        # never on the compiled path): the slab buffer (neighbour sums,
+        # then new − old) and the GS staging array, a full block-sized
+        # buffer only the plane-sequential kernel touches.
+        self._nb: Optional[np.ndarray] = None
         self._stage: Optional[np.ndarray] = None
 
     def _bake(self, problem: ObstacleProblem, delta: float) -> None:
@@ -326,6 +369,9 @@ class SweepWorkspace:
         self.upper = self._constraint_slab(problem.constraint.upper)
         self._lower_planes = self._plane_views(self.lower)
         self._upper_planes = self._plane_views(self.upper)
+        # The compiled argument block points into db/lower/upper, so it
+        # is rebuilt with them; None selects the numpy kernels.
+        self._compiled = _ckernels.bake(self)
 
     def rebind(self, problem: ObstacleProblem, delta: float) -> None:
         """Re-aim this workspace at a new ``(problem, delta)`` pair.
@@ -374,6 +420,13 @@ class SweepWorkspace:
         call — grab it at setup time)."""
         return np.empty((self.n_planes, self.n, self.n), dtype=self.dtype)
 
+    def _slab_scratch(self) -> np.ndarray:
+        """The numpy kernels' ``(slab, n, n)`` scratch buffer."""
+        if self._nb is None:
+            self._nb = np.empty((min(self.slab, self.n_planes), self.n,
+                                 self.n), dtype=self.dtype)
+        return self._nb
+
 
 def _check_buffers(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
                    ghost_below: Optional[np.ndarray],
@@ -413,17 +466,52 @@ def _inplane_sum(nbs: np.ndarray, curs: np.ndarray, n: int) -> None:
         np.subtract(nbs[:, :-1, n - 1], curs[:, 1:, 0], out=nbs[:, :-1, n - 1])
 
 
+def _z_pair(out: np.ndarray, below: Optional[np.ndarray],
+            above: Optional[np.ndarray]) -> None:
+    """``out = below + above``, a missing (None) plane counting as 0.0."""
+    if below is not None and above is not None:
+        np.add(below, above, out=out)
+    elif below is not None or above is not None:
+        np.add(below if above is None else above, 0.0, out=out)
+    else:
+        out.fill(0.0)
+
+
 def jacobi_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
                  ghost_below: Optional[np.ndarray] = None,
                  ghost_above: Optional[np.ndarray] = None) -> float:
     """One fused Jacobi relaxation of all planes: ``nxt = F_δ(cur)``.
 
-    Returns ‖nxt − cur‖∞.  ``ghost_below``/``ghost_above`` substitute for
-    the planes just outside ``[lo, hi)`` (``None`` = zero Dirichlet).
+    Returns ‖nxt − cur‖∞ (NaN when any update is NaN).
+    ``ghost_below``/``ghost_above`` substitute for the planes just
+    outside ``[lo, hi)`` (``None`` = zero Dirichlet).
     """
-    _check_buffers(ws, cur, nxt, ghost_below, ghost_above)
+    return _sweep(ws, "jacobi", _jacobi_numpy, cur, nxt, ghost_below,
+                  ghost_above)
+
+
+def _sweep(ws, order, numpy_kernel, cur, nxt, ghost_below, ghost_above):
+    """Sweep on the workspace's compiled backend, or with
+    ``numpy_kernel`` when it has none or the arrays do not qualify."""
     probe = ws._tele
     t_start = time.perf_counter() if probe is not None else 0.0
+    compiled = ws._compiled
+    diff = None if compiled is None else compiled.run(
+        order, cur, nxt, ghost_below, ghost_above)
+    backend = "c"
+    if diff is None:
+        diff = numpy_kernel(ws, cur, nxt, ghost_below, ghost_above)
+        backend = "numpy"
+    if probe is not None:
+        probe.sweep_done(order, backend, time.perf_counter() - t_start)
+    return diff
+
+
+def _jacobi_numpy(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
+                  ghost_below: Optional[np.ndarray],
+                  ghost_above: Optional[np.ndarray]) -> float:
+    """The numpy Jacobi kernel: fallback and bitwise oracle."""
+    _check_buffers(ws, cur, nxt, ghost_below, ghost_above)
     m_total = ws.n_planes
     n = ws.n
     d = ws.d
@@ -431,34 +519,26 @@ def jacobi_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     db = ws.db
     lower, upper = ws.lower, ws.upper
     slab = ws.slab
+    scratch = ws._slab_scratch()
     diff = 0.0
     for s in range(0, m_total, slab):
         e = min(s + slab, m_total)
         m = e - s
-        nbs = ws._nb[:m]
+        nbs = scratch[:m]
         curs = cur[s:e]
         nxts = nxt[s:e]
-        # z-neighbours: one fused add for interior slabs, edge slabs
-        # stitch in the ghosts (0 + below + above ≡ below + above, so
-        # both paths are bit-identical).
-        if s > 0 and e < m_total:
-            np.add(cur[s - 1:e - 1], cur[s + 1:e + 1], out=nbs)
-        else:
-            nbs.fill(0.0)
-            if s > 0:
-                np.add(nbs, cur[s - 1:e - 1], out=nbs)
-            else:
-                if m > 1:
-                    np.add(nbs[1:], cur[:e - 1], out=nbs[1:])
-                if ghost_below is not None:
-                    np.add(nbs[0], ghost_below, out=nbs[0])
-            if e < m_total:
-                np.add(nbs, cur[s + 1:e + 1], out=nbs)
-            else:
-                if m > 1:
-                    np.add(nbs[:-1], cur[s + 1:], out=nbs[:-1])
-                if ghost_above is not None:
-                    np.add(nbs[-1], ghost_above, out=nbs[-1])
+        # z-neighbours: below + above for every plane, whatever slab it
+        # falls in; the block's first and last planes take the ghosts,
+        # a missing one counting as 0.0 (zero Dirichlet).
+        zs, ze = max(s, 1), min(e, m_total - 1)
+        if zs < ze:
+            np.add(cur[zs - 1:ze - 1], cur[zs + 1:ze + 1],
+                   out=nbs[zs - s:ze - s])
+        if s == 0:
+            _z_pair(nbs[0], ghost_below,
+                    cur[1] if m_total > 1 else ghost_above)
+        if e == m_total and m_total > 1:
+            _z_pair(nbs[-1], cur[m_total - 2], ghost_above)
         _inplane_sum(nbs, curs, n)
         # nxt = a·cur + d·nb (+ δb), projected.
         if a == 0.0:
@@ -473,16 +553,15 @@ def jacobi_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
             np.maximum(nxts, lower if lower.ndim == 0 else lower[s:e], out=nxts)
         if upper is not None:
             np.minimum(nxts, upper if upper.ndim == 0 else upper[s:e], out=nxts)
-        # Fused max-diff while the slab is hot.
+        # Fused max-diff while the slab is hot.  A NaN maximum (numpy
+        # reductions propagate it) must stick: NaN > diff is False.
         np.subtract(nxts, curs, out=nbs)
         hi_d = float(nbs.max())
         lo_d = float(nbs.min())
-        if hi_d > diff:
+        if hi_d > diff or hi_d != hi_d:
             diff = hi_d
         if -lo_d > diff:
             diff = -lo_d
-    if probe is not None:
-        probe.sweep_done("jacobi", time.perf_counter() - t_start)
     return diff
 
 
@@ -492,13 +571,22 @@ def gauss_seidel_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     """One plane-sequential (Gauss–Seidel) relaxation: plane z sees the
     already-updated plane z−1, the paper's in-node order.
 
-    Returns ‖nxt − cur‖∞.  Stage 1 precomputes, slab-vectorized, every
-    contribution independent of updated planes; stage 2 is the three-
-    dispatch-per-plane recursion; the diff is one fused pass at the end.
+    Returns ‖nxt − cur‖∞ (NaN when any update is NaN).
+    """
+    return _sweep(ws, "gauss_seidel", _gauss_seidel_numpy, cur, nxt,
+                  ghost_below, ghost_above)
+
+
+def _gauss_seidel_numpy(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
+                        ghost_below: Optional[np.ndarray],
+                        ghost_above: Optional[np.ndarray]) -> float:
+    """The numpy Gauss–Seidel kernel: fallback and bitwise oracle.
+
+    Stage 1 precomputes, slab-vectorized, every contribution independent
+    of updated planes; stage 2 is the three-dispatch-per-plane
+    recursion; the diff is one fused pass at the end.
     """
     _check_buffers(ws, cur, nxt, ghost_below, ghost_above)
-    probe = ws._tele
-    t_start = time.perf_counter() if probe is not None else 0.0
     m_total = ws.n_planes
     n = ws.n
     d = ws.d
@@ -508,10 +596,11 @@ def gauss_seidel_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
         ws._stage = np.empty((m_total, n, n), dtype=ws.dtype)
     stage = ws._stage
     slab = ws.slab
+    scratch = ws._slab_scratch()
     for s in range(0, m_total, slab):
         e = min(s + slab, m_total)
         m = e - s
-        nbs = ws._nb[:m]
+        nbs = scratch[:m]
         curs = cur[s:e]
         # Above-neighbour (old iterate) …
         if e < m_total:
@@ -551,10 +640,9 @@ def gauss_seidel_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
             np.minimum(nz, ups[z], out=nz)
         below = nz
     np.subtract(nxt, cur, out=stage)
-    diff = max(float(stage.max()), -float(stage.min()))
-    if probe is not None:
-        probe.sweep_done("gauss_seidel", time.perf_counter() - t_start)
-    return diff
+    # + 0.0: a zero diff is +0.0, whichever signed zero the reductions
+    # happened to keep.
+    return max(float(stage.max()), -float(stage.min())) + 0.0
 
 
 def block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,

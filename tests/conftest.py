@@ -10,12 +10,18 @@ boundary.
 suites run under (``float64`` default, ``float32`` in CI's second
 equivalence lane); the :func:`repro_dtype` fixture is the single place
 it is consumed.
+
+The relaxation sweeps have two backends: compiled C (used whenever it
+loads) and the numpy kernels (its fallback and bitwise oracle).
+:func:`numpy_kernels` makes the workspaces a test builds use the numpy
+kernels; :func:`kernel_backend` runs a test once per backend.
 """
 
 import os
 
 import pytest
 
+from repro.numerics import _ckernels
 from repro.numerics.tolerances import resolve_dtype
 from repro.solvers.distributed_richardson import clear_problem_cache
 
@@ -36,3 +42,29 @@ def repro_dtype():
     instead of silently running the float64 lane twice.
     """
     return resolve_dtype(os.environ.get("REPRO_TEST_DTYPE") or None)
+
+
+@pytest.fixture
+def compiled_kernels():
+    """The loaded compiled sweep library; skips where it cannot load."""
+    lib = _ckernels.load()
+    if lib is None:
+        pytest.skip("the compiled sweeps are unavailable on this machine")
+    return lib
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Workspaces built during the test run the numpy kernels (worker
+    processes forked meanwhile inherit the choice)."""
+    monkeypatch.setattr(_ckernels, "_lib", None)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def kernel_backend(request):
+    """Run the test on the compiled sweeps, then on the numpy kernels."""
+    if request.param == "c":
+        request.getfixturevalue("compiled_kernels")
+    else:
+        request.getfixturevalue("numpy_kernels")
+    return request.param

@@ -140,6 +140,19 @@ def test_process_executor_solve_matches_inline_pins(scheme):
     assert solve_cell(*cell, executor="process") == SOLVES[cell]
 
 
+@pytest.mark.parametrize("cell", SOLVE_CELLS, ids=lambda c: "a%d-%s-c%d" % c)
+def test_solve_pins_hold_on_numpy_kernels(cell, numpy_kernels):
+    """The pins above run on the compiled sweeps wherever they load;
+    the numpy kernels reproduce every one of them."""
+    assert solve_cell(*cell) == SOLVES[cell]
+
+
+@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
+def test_process_executor_pins_hold_on_numpy_kernels(scheme, numpy_kernels):
+    cell = (4, scheme, 1)
+    assert solve_cell(*cell, executor="process") == SOLVES[cell]
+
+
 @pytest.mark.parametrize("cell", STREAM_CELLS, ids=lambda c: "%s-%s-%g" % c)
 def test_stream_outputs_are_pinned(cell):
     assert stream_cell(*cell) == STREAMS[cell]

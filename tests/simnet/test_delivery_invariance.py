@@ -328,6 +328,13 @@ def test_scenario_outputs_are_pinned(seed):
     assert scenario_facts(seed) == SCENARIOS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(SCENARIOS))
+def test_scenario_pins_hold_on_numpy_kernels(seed, numpy_kernels):
+    """The scenario pins run on the compiled sweeps wherever they load;
+    the numpy kernels reproduce them too."""
+    assert scenario_facts(seed) == SCENARIOS[seed]
+
+
 if __name__ == "__main__":
     print("PINS = {")
     for name in sorted(CASES):
