@@ -16,6 +16,13 @@ path whose digest does not match is rebuilt without being opened: the
 dynamic loader can crash on a truncated library.  An unwritable cache
 directory falls back to a private temporary one, removed again once
 the library is loaded.
+
+The library holds the sweeps twice, built for two instruction sets: the
+baseline of the compile flags and, on x86-64, AVX2 (see ``_sweep.c``).
+:func:`_try_load` binds the AVX2 body when ``repro_cpu_avx2()`` says
+this CPU runs it and the baseline body otherwise, and records the
+choice as ``lib.isa``.  Both produce the same bits, so the pick needs
+no option, and one library (one cache key) serves every CPU.
 """
 
 from __future__ import annotations
@@ -207,22 +214,39 @@ def _intact(path: str) -> bool:
             and hashlib.sha256(data[:end - 32]).digest() == data[end - 32:end])
 
 
+def _entry_points(lib, tail: str) -> dict:
+    """``{(order, dtype): function}`` of the body whose symbols end in
+    ``tail``, signatures set."""
+    points = {}
+    for order in ("gauss_seidel", "jacobi"):
+        for dtype, suffix in ((np.float64, "f64"), (np.float32, "f32")):
+            fn = getattr(lib, f"repro_{order}_{suffix}{tail}")
+            fn.restype = ctypes.c_int
+            fn.argtypes = [ctypes.c_void_p] * 5
+            points[order, np.dtype(dtype)] = fn
+    return points
+
+
 def _try_load(path: str):
-    """The library at ``path`` with its signatures set, or None when
-    the file is missing, damaged or does not load."""
+    """The library at ``path`` with its signatures set and the body
+    this CPU runs bound, or None when the file is missing, damaged or
+    does not load.
+
+    ``lib.bodies`` maps each body this CPU can run (``"baseline"``, and
+    ``"avx2"`` where ``repro_cpu_avx2()`` is 1) to its entry points;
+    ``lib.isa`` names the one workspaces bind."""
     if not _intact(path):
         return None
     try:
         lib = ctypes.CDLL(path)
         lib.repro_array_data.restype = ctypes.c_void_p
         lib.repro_array_data.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        for kind in ("gauss_seidel", "jacobi"):
-            for suffix in ("f64", "f32"):
-                fn = getattr(lib, f"repro_{kind}_{suffix}")
-                fn.restype = ctypes.c_int
-                fn.argtypes = [ctypes.c_void_p] * 5
+        lib.bodies = {"baseline": _entry_points(lib, "")}
+        if lib.repro_cpu_avx2() == 1:
+            lib.bodies["avx2"] = _entry_points(lib, "_avx2")
     except (OSError, AttributeError):
         return None
+    lib.isa = "avx2" if "avx2" in lib.bodies else "baseline"
     # The data pointer sits right after the object header in numpy's
     # ABI-frozen PyArrayObject; check that on real arrays before any
     # sweep relies on it.
@@ -283,13 +307,12 @@ class CompiledSweep:
     __slots__ = ("params", "address", "shape", "plane", "dtype", "kernels")
 
     def __init__(self, lib, params, shape, dtype):
-        suffix = "f64" if dtype == np.float64 else "f32"
         self.params = params
         self.address = ctypes.addressof(params)
         self.shape = shape
         self.plane = shape[1:]
         self.dtype = dtype
-        self.kernels = {order: getattr(lib, f"repro_{order}_{suffix}")
+        self.kernels = {order: lib.bodies[lib.isa][order, dtype]
                         for order in ("jacobi", "gauss_seidel")}
 
     def run(self, order, cur, nxt, below, above):

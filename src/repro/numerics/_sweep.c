@@ -31,6 +31,19 @@
  * float64 loop with a float32 output does.  Build with
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
+ * The body is built twice: for the baseline instruction set of the
+ * compile flags (SSE2 on x86-64) and, on x86-64 GCC or clang, once more
+ * for AVX2 through a target pragma (entry points suffixed _avx2);
+ * repro_cpu_avx2() tells the loader which one this CPU can run.  AVX2
+ * only widens the vectors: FMA stays off (an #error guards it) and no
+ * AVX-512 body exists (it measured slower).  Each element still gets
+ * the operations listed above, in that order.  The one thing the
+ * vectoriser may regroup is the extrema reduction, which is safe: max
+ * and min do not depend on the grouping except for which zero a
+ * +0.0/-0.0 tie keeps, the diff does not see that sign (Gauss-Seidel
+ * ends in + 0.0, Jacobi only takes a strictly larger value over 0.0),
+ * and NaN is tracked apart from the extrema.
+ *
  * Arrays arrive as the addresses of their ndarray objects; the data
  * pointer is read at params->data_off (the first field after the
  * object header in numpy's ABI-stable PyArrayObject).  The caller has
@@ -93,6 +106,57 @@ static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 #undef T
 #undef NAME
 #undef NARROW
+
+/* The same body again, compiled for AVX2: 32-byte vectors, same
+ * operations in the same order per element.  Only on x86-64 under GCC
+ * or clang; elsewhere the baseline body is all there is. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+#ifdef __clang__
+#pragma clang attribute push(__attribute__((target("avx2"))), apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+#ifdef __FMA__
+#error "FMA enabled: a fused multiply-add rounds once where numpy rounds twice"
+#endif
+
+#define T double
+#define NAME(x) x##_f64_avx2
+#define NARROW 0
+#include "_sweep.c" /* this file, once per dtype */
+#undef T
+#undef NAME
+#undef NARROW
+
+#define T float
+#define NAME(x) x##_f32_avx2
+#define NARROW 1
+#include "_sweep.c" /* this file, once per dtype */
+#undef T
+#undef NAME
+#undef NARROW
+
+#ifdef __clang__
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
+
+/* 1 when this CPU runs the AVX2 body: it has AVX2 and the operating
+ * system saves the YMM registers (the builtin checks both). */
+int repro_cpu_avx2(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+}
+
+#else
+
+int repro_cpu_avx2(void) { return 0; }
+
+#endif
 
 #else /* REPRO_SWEEP_BODY: everything below is instantiated per dtype */
 

@@ -64,6 +64,14 @@ whichever backend ran, and neither depends on the slab size.
 ``repro_kernel_sweeps_total`` and ``repro_kernel_sweep_seconds`` carry a
 ``backend`` label (``"c"`` or ``"numpy"``) saying which one did.
 
+The compiled library holds its sweeps twice, for the baseline
+instruction set and for AVX2, and the loader binds the one this CPU
+runs.  The per-element contract above holds for both bodies alike:
+AVX2 only widens the vectors, without fused multiply-adds, so the bits
+do not depend on which body ran either.  An ``isa`` label next to
+``backend`` names it (``"avx2"`` or ``"baseline"``; ``"none"`` on numpy
+sweeps).
+
 Workspace / aliasing contract
 -----------------------------
 A :class:`SweepWorkspace` owns every scratch buffer a sweep needs and is
@@ -150,16 +158,23 @@ class _KernelProbe:
 
     __slots__ = ("sweeps", "seconds", "rebinds")
 
-    def __init__(self, telemetry):
+    def __init__(self, telemetry, lib):
+        # Compiled sweeps are labelled with the instruction set of the
+        # body the loaded library runs, numpy sweeps with isa="none".
+        labels = {"numpy": "none"}
+        if lib is not None:
+            labels["c"] = lib.isa
         keys = [(order, backend) for order in ("jacobi", "gauss_seidel")
-                for backend in ("c", "numpy")]
+                for backend in labels]
         self.sweeps = {
             (order, backend): telemetry.counter(
-                "repro_kernel_sweeps_total", order=order, backend=backend)
+                "repro_kernel_sweeps_total", order=order, backend=backend,
+                isa=labels[backend])
             for order, backend in keys}
         self.seconds = {
             (order, backend): telemetry.histogram(
-                "repro_kernel_sweep_seconds", order=order, backend=backend)
+                "repro_kernel_sweep_seconds", order=order, backend=backend,
+                isa=labels[backend])
             for order, backend in keys}
         self.rebinds = telemetry.counter("repro_workspace_rebinds_total")
 
@@ -328,7 +343,8 @@ class SweepWorkspace:
         m = hi - lo
         self.n_planes = m
         tele = resolve_context(resources).telemetry
-        self._tele = _KernelProbe(tele) if tele.enabled else None
+        self._tele = _KernelProbe(tele, _ckernels.load()) \
+            if tele.enabled else None
         self.slab = slab if slab is not None else \
             _default_slab(n, m, self.dtype.itemsize, resources=resources)
         if self.slab < 1:

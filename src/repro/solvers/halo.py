@@ -16,6 +16,7 @@ import numpy as np
 
 from ..numerics.kernels import SweepWorkspace, block_sweep
 from ..numerics.obstacle import ObstacleProblem
+from ..numerics.richardson import FLOPS_PER_POINT
 from ..numerics.tolerances import check_dtype, resolve_dtype
 
 __all__ = ["BlockState", "relax_block_plane", "sweep_block"]
@@ -121,6 +122,7 @@ class BlockState:
         if self.executor not in ("inline", "process"):
             raise ValueError(f"unknown executor {self.executor!r}")
         self.dtype = resolve_dtype(self.dtype)
+        self._flops = FLOPS_PER_POINT * n * n * self.n_planes
         # The single deliberate cast: the float64 problem start becomes
         # the iterate's dtype here, at the block boundary (a no-copy for
         # the float64 default is *not* wanted — the block must own its
@@ -310,10 +312,7 @@ class BlockState:
 
     def flops(self) -> float:
         """Work of one sweep, for the simulation's compute-cost model."""
-        from ..numerics.richardson import FLOPS_PER_POINT
-
-        n = self.problem.grid.n
-        return FLOPS_PER_POINT * n * n * self.n_planes
+        return self._flops
 
 
 def sweep_block(state: BlockState) -> float:

@@ -14,7 +14,10 @@ it is consumed.
 The relaxation sweeps have two backends: compiled C (used whenever it
 loads) and the numpy kernels (its fallback and bitwise oracle).
 :func:`numpy_kernels` makes the workspaces a test builds use the numpy
-kernels; :func:`kernel_backend` runs a test once per backend.
+kernels; :func:`kernel_backend` runs a test once per backend.  The
+compiled library holds two instruction-set bodies, baseline and AVX2;
+:func:`isa_body` runs a test once on each (the AVX2 run skips on a CPU
+without AVX2).
 """
 
 import os
@@ -68,3 +71,15 @@ def kernel_backend(request):
     else:
         request.getfixturevalue("numpy_kernels")
     return request.param
+
+
+@pytest.fixture(params=["baseline", "avx2"])
+def isa_body(request, compiled_kernels, monkeypatch):
+    """Run the test on the compiled baseline body, then on the AVX2 one:
+    workspaces built during the test bind it (worker processes forked
+    meanwhile inherit the choice)."""
+    isa = request.param
+    if isa not in compiled_kernels.bodies:
+        pytest.skip(f"this CPU does not run the {isa} body")
+    monkeypatch.setattr(compiled_kernels, "isa", isa)
+    return isa

@@ -7,19 +7,25 @@ both backends.  Here hypothesis draws blocks across sizes, domain
 edges, ghosts, dtypes, step sizes, right-hand sides, constraints and
 Jacobi slabs, with -0.0, ±inf, NaN and subnormals in the inputs and
 ±0.0 bounds (scalar and field) met by ±0.0 updates, and compares
-``nxt`` byte for byte.  NaN payloads are the one thing IEEE leaves to
-the implementation, so NaNs are canonicalised first.
+``nxt`` byte for byte, once per instruction-set body of the library
+(baseline, and AVX2 where the CPU runs it); row lengths cover the
+4- and 8-lane vector bodies and their tails.  NaN payloads are the one
+thing IEEE leaves to the implementation, so NaNs are canonicalised
+first.
 
 Also here: results that do not depend on the Jacobi slab, signed-zero
 ties and zero diffs, where the compiled path hands arguments to the
-numpy path, the NaN diff contract, the ``backend`` telemetry label, and
-the build contract (fallback without a compiler or with a numpy that
-breaks ties the other way, rebuilding a broken library, two processes
-building at once, nothing compiled at import).
+numpy path, the NaN diff contract, the ``backend`` and ``isa``
+telemetry labels, and the build contract (fallback without a compiler
+or with a numpy that breaks ties the other way, the body picked per
+CPU, rebuilding a broken library, two processes building at once,
+nothing compiled at import).
 """
 
+import ctypes
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -85,7 +91,9 @@ BOUNDS = ["none", "scalar", "+0.0", "-0.0", "field", "zeros"]
 
 @st.composite
 def cases(draw):
-    n = draw(st.sampled_from([1, 2, 3, 8, 24, 33, 64]))
+    # 4 float64 / 8 float32 lanes per AVX2 vector, 2 / 4 per SSE2 one:
+    # shorter rows, whole vectors, and vectors plus tails
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 9, 24, 33, 64]))
     m = draw(st.integers(1, min(n, 3 if n >= 24 else 6)))
     lo = draw(st.integers(0, n - m))
     return {
@@ -152,10 +160,14 @@ def build(case):
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cases())
-def test_compiled_sweeps_match_numpy_bitwise(compiled_kernels, case):
+def test_compiled_sweeps_match_numpy_bitwise(compiled_kernels, isa_body,
+                                             case):
     ws, cur, below, above = build(case)
     compiled = ws._compiled
     assert compiled is not None
+    body = compiled_kernels.bodies[isa_body]
+    assert compiled.kernels == {order: body[order, ws.dtype]
+                                for order in NUMPY_KERNELS}
     with np.errstate(all="ignore"):
         for order, numpy_kernel in NUMPY_KERNELS.items():
             got, want = ws.rotation_buffer(), ws.rotation_buffer()
@@ -322,7 +334,10 @@ def test_numpy_scratch_is_not_allocated(compiled_kernels):
     assert ws._stage is None and ws._nb is None
 
 
-def test_backend_label_counts_each_kernel(compiled_kernels):
+def test_backend_label_counts_each_kernel(compiled_kernels, isa_body):
+    """Compiled sweeps are counted under the body the library runs
+    (``isa`` = ``lib.isa``), numpy sweeps under ``isa="none"``."""
+    assert compiled_kernels.isa == isa_body
     ctx = ResourceContext(name="backend-label")
     problem = membrane_problem(6)
     ws = SweepWorkspace(problem, problem.jacobi_delta(), resources=ctx)
@@ -331,13 +346,72 @@ def test_backend_label_counts_each_kernel(compiled_kernels):
     block_sweep(ws, u, ws.rotation_buffer(), None, None, order="jacobi")
     block_sweep(ws, u, ws.rotation_buffer(), np.zeros(6), None)
     counters = ctx.telemetry.snapshot()["counters"]
-    key = 'repro_kernel_sweeps_total{backend="%s",order="%s"}'
-    assert counters[key % ("c", "gauss_seidel")] == 1
-    assert counters[key % ("c", "jacobi")] == 1
-    assert counters[key % ("numpy", "gauss_seidel")] == 1
+    key = 'repro_kernel_sweeps_total{backend="%s",isa="%s",order="%s"}'
+    assert {k: v for k, v in counters.items()
+            if k.startswith("repro_kernel_sweeps_total")} == {
+        key % ("c", isa_body, "gauss_seidel"): 1,
+        key % ("c", isa_body, "jacobi"): 1,
+        key % ("numpy", "none", "gauss_seidel"): 1,
+        key % ("numpy", "none", "jacobi"): 0}
     histograms = ctx.telemetry.snapshot()["histograms"]
-    assert 'repro_kernel_sweep_seconds{backend="c",order="jacobi"}' \
-        in histograms
+    assert histograms['repro_kernel_sweep_seconds{backend="c",isa="%s",'
+                      'order="jacobi"}' % isa_body]["count"] == 1
+
+
+def cpuinfo_flags():
+    """The CPU flags /proc/cpuinfo lists, or None where there is none."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return None
+
+
+def test_the_bound_body_is_the_one_this_cpu_runs(compiled_kernels):
+    lib = compiled_kernels
+    if platform.machine() not in ("x86_64", "AMD64"):
+        assert list(lib.bodies) == ["baseline"]  # the only body built
+    else:
+        flags = cpuinfo_flags()
+        if flags is None:
+            pytest.skip("no /proc/cpuinfo to ask about AVX2")
+        # the kernel lists avx2 only when it also saves the YMM state
+        assert lib.isa == ("avx2" if "avx2" in flags else "baseline")
+    assert {fn.__name__ for fn in lib.bodies[lib.isa].values()} == {
+        f"repro_{order}_{suffix}{'_avx2' if lib.isa == 'avx2' else ''}"
+        for order in NUMPY_KERNELS for suffix in ("f64", "f32")}
+
+
+def test_a_cpu_without_avx2_binds_the_baseline_body(compiled_kernels,
+                                                    monkeypatch):
+    class WithoutAvx2(ctypes.CDLL):
+        def repro_cpu_avx2(self):
+            return 0
+
+    monkeypatch.setattr(_ckernels.ctypes, "CDLL", WithoutAvx2)
+    lib = _ckernels._try_load(compiled_kernels._name)
+    assert lib.isa == "baseline" and list(lib.bodies) == ["baseline"]
+    assert {fn.__name__ for fn in lib.bodies["baseline"].values()} == {
+        f"repro_{order}_{suffix}"
+        for order in NUMPY_KERNELS for suffix in ("f64", "f32")}
+    # and the workspaces built meanwhile sweep on it, same bits
+    monkeypatch.setattr(_ckernels, "_lib", lib)
+    ctx = ResourceContext(name="without-avx2")
+    problem = membrane_problem(9)
+    ws = SweepWorkspace(problem, problem.jacobi_delta(), resources=ctx)
+    assert ws._compiled.kernels["jacobi"] is \
+        lib.bodies["baseline"]["jacobi", ws.dtype]
+    u = problem.feasible_start() + 0.01
+    got, want = ws.rotation_buffer(), ws.rotation_buffer()
+    assert block_sweep(ws, u, got, None, None, order="jacobi") == \
+        kernels._jacobi_numpy(ws, u, want, None, None)
+    assert same_bits(got, want)
+    assert ctx.telemetry.snapshot()["counters"][
+        'repro_kernel_sweeps_total{backend="c",isa="baseline",'
+        'order="jacobi"}'] == 1
 
 
 # -- a NaN update is never dropped from the diff -----------------------------

@@ -153,6 +153,19 @@ def test_process_executor_pins_hold_on_numpy_kernels(scheme, numpy_kernels):
     assert solve_cell(*cell, executor="process") == SOLVES[cell]
 
 
+@pytest.mark.parametrize("cell", SOLVE_CELLS, ids=lambda c: "a%d-%s-c%d" % c)
+def test_solve_pins_hold_on_each_isa_body(cell, isa_body):
+    """Both instruction-set bodies of the compiled sweeps reproduce every
+    pin (the AVX2 one skips on a CPU without AVX2)."""
+    assert solve_cell(*cell) == SOLVES[cell]
+
+
+@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
+def test_process_executor_pins_hold_on_each_isa_body(scheme, isa_body):
+    cell = (4, scheme, 1)
+    assert solve_cell(*cell, executor="process") == SOLVES[cell]
+
+
 @pytest.mark.parametrize("cell", STREAM_CELLS, ids=lambda c: "%s-%s-%g" % c)
 def test_stream_outputs_are_pinned(cell):
     assert stream_cell(*cell) == STREAMS[cell]

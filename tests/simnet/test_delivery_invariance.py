@@ -335,6 +335,13 @@ def test_scenario_pins_hold_on_numpy_kernels(seed, numpy_kernels):
     assert scenario_facts(seed) == SCENARIOS[seed]
 
 
+@pytest.mark.parametrize("seed", sorted(SCENARIOS))
+def test_scenario_pins_hold_on_each_isa_body(seed, isa_body):
+    """Both instruction-set bodies of the compiled sweeps reproduce the
+    scenario pins (the AVX2 one skips on a CPU without AVX2)."""
+    assert scenario_facts(seed) == SCENARIOS[seed]
+
+
 if __name__ == "__main__":
     print("PINS = {")
     for name in sorted(CASES):

@@ -12,7 +12,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 from repro.numerics.blocks import BlockAssignment
 from repro.numerics.obstacle import membrane_problem, torsion_problem
-from repro.numerics.richardson import projected_richardson
+from repro.numerics.richardson import FLOPS_PER_POINT, projected_richardson
 from repro.solvers.halo import BlockState
 
 
@@ -113,6 +113,28 @@ class TestBlockState:
         s2 = BlockState(problem=p, lo=0, hi=2, delta=0.1)
         s4 = BlockState(problem=p, lo=0, hi=4, delta=0.1)
         assert s4.flops() == pytest.approx(2 * s2.flops())
+        assert s4.flops() == FLOPS_PER_POINT * 8 * 8 * 4
+
+    def test_sweeps_and_their_charges_import_nothing(self, monkeypatch):
+        """The solver charges flops() once per sweep: neither may run an
+        import statement on the way."""
+        import builtins
+
+        p = membrane_problem(8)
+        s = BlockState(problem=p, lo=2, hi=6, delta=p.jacobi_delta())
+        imports = []
+        real_import = builtins.__import__
+
+        def counting_import(*args, **kwargs):
+            imports.append(args[0])
+            return real_import(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        for _ in range(100):
+            s.sweep()
+            s.flops()
+        monkeypatch.undo()
+        assert imports == []
 
     def test_sweep_reduces_diff_over_time(self):
         p = membrane_problem(8)
