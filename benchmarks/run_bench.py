@@ -10,13 +10,10 @@ Runs ``benchmarks/test_bench_micro.py``,
 ``benchmarks/test_bench_campaign.py`` and
 ``benchmarks/test_bench_ladder.py`` under pytest-benchmark, collects
 the per-benchmark mean/ops numbers, derives the fused-vs-reference
-speedups for the relaxation kernels, the process-vs-inline speedup of
-the sweep executor, the float32-vs-float64 speedup of the
-fused sweeps (the dtype dimension — bandwidth-bound kernels at half the
-element width), the campaign setup amortization (a 10-job delta
-sweep through one keep-alive worker pool vs ten cold harness runs,
-with ``cpu_count`` recorded next to it), and the campaign
-cache-service hit rate (``campaign_cache_service``, lifted from the
+speedups for the relaxation kernels, the float32-vs-float64 speedup of
+the fused sweeps (the dtype dimension — bandwidth-bound kernels at half
+the element width), and the campaign cache-service hit rate
+(``campaign_cache_service``, lifted from the
 cached-sweep benchmark's ``extra_info`` counters and gated exactly —
 the counts are deterministic), and the telemetry overhead of the
 default-on counters (``telemetry_overhead``: the fused Jacobi sweep
@@ -41,8 +38,8 @@ signature builds, key hashes, entry-file opens, directory-lock
 acquisitions and payload bytes read per job — gated the same way), and
 the compiled sweep backend's speedup over the numpy kernels
 (``compiled_vs_numpy``: a 16-plane Gauss–Seidel block of the 64³
-problem on each backend — gated by ``--check`` at an absolute ≥ 1.3x
-floor, skipped with the reason printed where the compiled backend does
+problem on each backend, interleaved in one process — gated by
+``--check`` at an absolute ≥ 1.3x floor, skipped with the reason printed where the compiled backend does
 not load), and the AVX2 body's speedup over the library's baseline
 body (``avx2_vs_baseline``: the same block — gated at an absolute
 ≥ 1.10x floor, skipped with the reason printed where the CPU does not
@@ -56,11 +53,6 @@ path.
 JSON instead of overwriting it: any benchmark slower than the committed
 mean by more than ``--tolerance`` (a fraction: 1.0 = 2× slower) fails
 the run with exit status 1 — the CI perf gate.
-
-The executor speedup measures real parallel hardware: interpret
-``executor_speedups_vs_inline`` (an asynchronous 64³ solve on 4 peers,
-inline vs the process executor) alongside the recorded ``cpu_count``
-(a 1-core machine can only show the IPC overhead, never a speedup).
 
 Set ``REPRO_FULL=1`` to benchmark at the paper's 96³ size instead of the
 default 64³.
@@ -90,16 +82,6 @@ SPEEDUP_PAIRS = {
                     "test_bench_block_sweep_fused"),
 }
 
-#: (inline, process) pairs whose ratio is the sweep-executor speedup —
-#: the same solve, its peers' sweeps in this process or in a worker
-#: pool, in the regime of the README's keep verdict.
-EXECUTOR_PAIRS = {
-    "asynchronous_64cubed_4peers": (
-        "test_bench_async_64cubed_4peers_inline",
-        "test_bench_async_64cubed_4peers_process",
-    ),
-}
-
 #: (float64, float32) fused-kernel pairs whose ratio is the dtype
 #: speedup — the sweeps are memory-bandwidth-bound, so halving the
 #: element width should buy ~1.5–2x on these.
@@ -110,16 +92,6 @@ DTYPE_PAIRS = {
                            "test_bench_gauss_seidel_sweep_fused_float32"),
     "block_sweep": ("test_bench_block_sweep_fused",
                     "test_bench_block_sweep_fused_float32"),
-}
-
-#: (cold, pooled) pairs whose ratio is the campaign setup amortization:
-#: the same 10-job delta sweep as cold per-run setup vs one keep-alive
-#: worker pool.  Solves are bit-identical, so the whole ratio is setup
-#: cost.  Interpret it alongside the recorded cpu_count (worker forking
-#: is pure overhead on 1 core, which only *raises* the cold baseline).
-CAMPAIGN_PAIRS = {
-    "process_2peers_10jobs": ("test_bench_campaign_cold_process",
-                              "test_bench_campaign_pooled_process"),
 }
 
 #: Benchmarks that time a telemetry-on and a telemetry-off sweep
@@ -152,11 +124,13 @@ LADDER_PAIRS = {
 #: machine, independent of ``--tolerance`` and the committed record.
 LADDER_SPEEDUP_FLOOR = 1.5
 
-#: (numpy, compiled) pairs whose ratio of best-case times is the
-#: compiled sweep backend's speedup over the numpy kernels it replaces.
+#: Benchmarks that time the numpy kernel and the workspace's own backend
+#: interleaved on one sweep and record the median per-round ratio as
+#: ``extra_info["compiled_vs_numpy"]``: the compiled sweep backend's
+#: speedup over the numpy kernels it replaces.
 COMPILED_PAIRS = {
-    "gauss_seidel_64cubed_16planes": ("test_bench_gauss_seidel_block16_numpy",
-                                      "test_bench_gauss_seidel_block16_compiled"),
+    "gauss_seidel_64cubed_16planes":
+        "test_bench_gauss_seidel_block16_backend_pair",
 }
 
 #: Absolute gate for ``compiled_vs_numpy`` under ``--check``.
@@ -237,28 +211,12 @@ def summarize(raw: dict, exact: dict) -> dict:
             speedups[label] = round(
                 results[ref]["mean_s"] / results[fused]["mean_s"], 3
             )
-    executor_speedups = {}
-    for label, (inline, process) in EXECUTOR_PAIRS.items():
-        if inline in results and process in results:
-            executor_speedups[label] = round(
-                results[inline]["mean_s"] / results[process]["mean_s"], 3
-            )
     dtype_speedups = {}
     for label, (f64, f32) in DTYPE_PAIRS.items():
         if f64 in results and f32 in results:
             dtype_speedups[label] = round(
                 results[f64]["mean_s"] / results[f32]["mean_s"], 3
             )
-    campaign = {}
-    for label, (cold, pooled) in CAMPAIGN_PAIRS.items():
-        if cold in results and pooled in results:
-            campaign[label] = round(
-                results[cold]["mean_s"] / results[pooled]["mean_s"], 3
-            )
-    if campaign:
-        # The 1-core-container caveat lives next to the number it
-        # qualifies, not only in the top-level field.
-        campaign["cpu_count"] = os.cpu_count()
     cache_service = {}
     for bench in raw["benchmarks"]:
         info = bench.get("extra_info") or {}
@@ -285,11 +243,10 @@ def summarize(raw: dict, exact: dict) -> dict:
     if telemetry_overhead:
         telemetry_overhead["cpu_count"] = os.cpu_count()
     compiled = {}
-    for label, (numpy_name, compiled_name) in COMPILED_PAIRS.items():
-        if numpy_name in results and compiled_name in results:
-            compiled[label] = round(results[numpy_name]["min_s"]
-                                    / results[compiled_name]["min_s"], 3)
-            compiled["backend"] = infos[compiled_name]["backend"]
+    for label, name in COMPILED_PAIRS.items():
+        if name in results:
+            compiled[label] = round(infos[name]["compiled_vs_numpy"], 3)
+            compiled["backend"] = infos[name]["backend"]
     isa_speedups = {label: round(infos[name]["avx2_vs_baseline"], 3)
                     for label, name in ISA_PAIRS.items() if name in results}
     return {
@@ -302,9 +259,7 @@ def summarize(raw: dict, exact: dict) -> dict:
         "cpu_count": os.cpu_count(),
         "repro_full": os.environ.get("REPRO_FULL", "0") == "1",
         "kernel_speedups_vs_reference": speedups,
-        "executor_speedups_vs_inline": executor_speedups,
         "dtype_speedups_float32_vs_float64": dtype_speedups,
-        "campaign_setup_amortization": campaign,
         "campaign_cache_service": cache_service,
         "ladder_vs_cold_float64": ladder,
         "telemetry_overhead": telemetry_overhead,
@@ -318,19 +273,9 @@ def summarize(raw: dict, exact: dict) -> dict:
 def print_summary(summary: dict) -> None:
     for label, ratio in summary["kernel_speedups_vs_reference"].items():
         print(f"  {label}: {ratio:.2f}x vs plane-by-plane reference")
-    cores = summary.get("cpu_count")
-    for label, ratio in summary.get("executor_speedups_vs_inline", {}).items():
-        print(f"  executor {label}: {ratio:.2f}x vs inline "
-              f"({cores} core(s) available)")
     for label, ratio in summary.get(
             "dtype_speedups_float32_vs_float64", {}).items():
         print(f"  float32 {label}: {ratio:.2f}x vs float64")
-    for label, ratio in summary.get(
-            "campaign_setup_amortization", {}).items():
-        if label == "cpu_count":
-            continue
-        print(f"  campaign {label}: {ratio:.2f}x pooled vs cold "
-              f"({cores} core(s) available)")
     for label, stats in summary.get("campaign_cache_service", {}).items():
         print(f"  cache service {label}: hit rate "
               f"{stats['hit_rate']:.0%} ({stats['hits']} hits, "
@@ -363,32 +308,6 @@ def print_summary(summary: dict) -> None:
             print(f"  {section.replace('_', ' ')} {label}: {shown}")
 
 
-def _gate_ratio_section(fresh: dict, committed: dict, section: str,
-                        label: str, tolerance: float,
-                        failures: list) -> None:
-    """Diff one derived-ratio section (``{name: ratio, cpu_count: N}``)
-    of the summary, appending to ``failures`` when a ratio worsened
-    past tolerance on comparable (same cpu_count) hardware."""
-    fresh_sec = dict(fresh.get(section, {}))
-    committed_sec = dict(committed.get(section, {}))
-    fresh_cores = fresh_sec.pop("cpu_count", None)
-    committed_cores = committed_sec.pop("cpu_count", None)
-    comparable = fresh_cores == committed_cores
-    for name in sorted(set(fresh_sec) & set(committed_sec)):
-        ratio = fresh_sec[name] / committed_sec[name]
-        verdict = "ok"
-        if not comparable:
-            verdict = "skip"
-        elif ratio < 1.0 / (1.0 + tolerance):
-            verdict = "WORSE"
-            failures.append(f"{section}/{name}: {1.0 / ratio:.2f}x "
-                            "slower than committed")
-        print(f"  {verdict:6s}{label} {name}: "
-              f"{fresh_sec[name]:.2f}x vs committed "
-              f"{committed_sec[name]:.2f}x "
-              f"(cpu_count {fresh_cores} vs {committed_cores})")
-
-
 def check(fresh: dict, committed: dict, tolerance: float) -> int:
     """Diff fresh results against the committed record; 0 = within
     tolerance.  Only benchmarks present in both are compared, so adding
@@ -414,14 +333,6 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
     for name in sorted(set(committed.get("benchmarks", {})) -
                        set(fresh["benchmarks"])):
         print(f"  GONE  {name}: in committed record only")
-    # Gate the derived *ratios* too: both sides of a pair could drift
-    # slower in lockstep (passing the per-benchmark check) while the
-    # pooling benefit itself quietly evaporates.  Ratios are
-    # only comparable on matching core counts — on mismatch (e.g. a
-    # 1-core record checked on a multi-core runner, where both ratios
-    # legitimately jump) the entries are reported but not gated.
-    _gate_ratio_section(fresh, committed, "campaign_setup_amortization",
-                        "campaign amortization", tolerance, failures)
     # The cache hit rate is deterministic (fixed pedantic rounds), so
     # it is gated exactly, with no tolerance: any drop means campaign
     # jobs silently stopped being cache-served.

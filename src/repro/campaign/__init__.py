@@ -2,9 +2,9 @@
 
 The paper's evaluation is a *campaign* — dozens of near-identical
 configurations varying only ``(n, α, scheme, clusters)`` — yet a plain
-harness loop rebuilds every shared-memory arena and worker pool from
-scratch per run.  This package is the batching layer between
-"one solve at a time" and a solve service:
+harness loop re-solves every configuration from scratch.  This package
+is the batching layer between "one solve at a time" and a solve
+service:
 
 :mod:`~repro.campaign.jobs`
     :class:`CampaignJob` (one configuration as hashable data),
@@ -14,8 +14,8 @@ scratch per run.  This package is the batching layer between
     :class:`ResultCache` — content-addressed solve results, in memory
     and optionally on disk;
 :mod:`~repro.campaign.engine`
-    :class:`Campaign` — executes a plan through keep-alive shard-pool
-    leases, the cache, and optional warm starts;
+    :class:`Campaign` — executes a plan through one private resource
+    context, the cache, and optional warm starts;
 :mod:`~repro.campaign.scheduler`
     :class:`BranchScheduler` — the one way a plan's branches get
     executed, for ``Campaign.run`` and the campaign service alike;
@@ -27,7 +27,7 @@ scratch per run.  This package is the batching layer between
 Entry points: the programmatic :class:`Campaign` API, the
 ``python -m repro.experiments campaign`` CLI, and the
 ``benchmarks/test_bench_campaign.py`` micro-benchmark recording
-``campaign_setup_amortization`` in ``BENCH_micro.json``.
+``campaign_cache_service`` in ``BENCH_micro.json``.
 """
 
 from ..resources import ResourceContext

@@ -3,7 +3,7 @@
 A solve is deterministic data-in/data-out: the DES replays the same
 event sequence for the same configuration, so a result may be reused
 whenever the full job signature — problem, size, peers, clusters,
-scheme, tolerance, dtype, executor, delta, seed, extras, *and* the
+scheme, tolerance, dtype, delta, seed, extras, *and* the
 warm-start edge — matches.  :func:`cache_key` hashes exactly that
 (plus a schema version: bump :data:`CACHE_SCHEMA` when solver
 semantics change and every stale entry misses instead of lying).

@@ -3,17 +3,13 @@
 A :class:`DriverPool` is the worker-process half of the branch
 scheduler (:mod:`repro.campaign.scheduler`): N long-lived worker
 processes, each owning a private :class:`~repro.resources.ResourceContext`
-(its own problem cache and shared-runner registry — see the ownership
-rules in :mod:`repro.campaign.engine`), each executing whole warm-start
+(its own problem cache and telemetry — see the ownership rules in
+:mod:`repro.campaign.engine`), each executing whole warm-start
 branches through the same :func:`~repro.campaign.engine._execute_chunk`
 body in-process branches use.  Workers are farm-scheduled: branches
 are handed out in admission order as drivers go idle, so the assignment
 of branch→driver depends on timing but the *records* never do — every
 branch is a self-contained deterministic job sequence.
-
-Workers are ``daemon=False`` deliberately: a driver running a
-process-executor job spawns its own :class:`~repro.parallel.ShardPool`,
-and daemonic processes may not have children.
 
 The only cross-driver state is the result cache's disk layer: each
 worker rebuilds its own :class:`~repro.campaign.cache.ResultCache` from
@@ -27,11 +23,10 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
+import sys
 import traceback
 from multiprocessing.connection import wait as _connection_wait
 from typing import Optional
-
-from ..parallel.pool import _start_method
 
 __all__ = ["DriverBranchError", "DriverPool", "cache_spec"]
 
@@ -48,6 +43,13 @@ class DriverBranchError(RuntimeError):
     def __init__(self, message: str, ticket: int):
         super().__init__(message)
         self.ticket = ticket
+
+
+def _start_method() -> Optional[str]:
+    """``fork`` on Linux (workers inherit the loaded modules), None —
+    the platform default — elsewhere: on macOS forking past loaded
+    system frameworks can deadlock the child."""
+    return "fork" if sys.platform.startswith("linux") else None
 
 
 def cache_spec(cache) -> Optional[dict]:
@@ -75,17 +77,15 @@ def _worker_main(conn, index: int, spec: Optional[dict]) -> None:
     from ..resources import ResourceContext
     from ..telemetry import merge_snapshots
     from .cache import ResultCache
-    from .engine import _execute_chunk, _release_leases
+    from .engine import _execute_chunk
 
     resources = ResourceContext(name=f"driver-{index}")
     cache = ResultCache(**spec) if spec is not None else None
-    leases: dict = {}
     branches_done = 0
 
     def _telemetry_snapshot():
         """This worker's mergeable view: context telemetry (kernels,
-        DES, runners — incl. ShardPool workers folded in at lease
-        release) plus the private cache registry."""
+        DES) plus the private cache registry."""
         snap = resources.telemetry.snapshot()
         if cache is not None:
             snap = merge_snapshots(snap, cache.telemetry_snapshot())
@@ -101,7 +101,6 @@ def _worker_main(conn, index: int, spec: Optional[dict]) -> None:
             try:
                 records = _execute_chunk(
                     tasks, cache=cache, resources=resources,
-                    leases=leases,
                 )
                 branches_done += 1
                 # Every completion carries this worker's lifetime
@@ -120,13 +119,7 @@ def _worker_main(conn, index: int, spec: Optional[dict]) -> None:
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
         pass
     finally:
-        try:
-            _release_leases(leases, resources)
-        except Exception:  # pragma: no cover - defensive teardown
-            pass
-        # Final telemetry rides the close handshake: lease release just
-        # folded the ShardPool workers' counters into this context, so
-        # this snapshot — unlike the per-branch ones — is complete.
+        # Final telemetry rides the close handshake.
         try:
             conn.send(("closed", _telemetry_snapshot()))
         except (BrokenPipeError, OSError):  # pragma: no cover
@@ -145,8 +138,7 @@ class DriverPool:
     blocking form over the two for a fixed list of branches.
     """
 
-    def __init__(self, drivers: int, *, cache_spec: Optional[dict] = None,
-                 start_method: Optional[str] = None):
+    def __init__(self, drivers: int, *, cache_spec: Optional[dict] = None):
         # First thing, so close() — and the __del__ safety net — work on
         # a pool that fails anywhere in construction.
         self._closed = False
@@ -174,7 +166,7 @@ class DriverPool:
         # everything it reported while alive.
         self._telemetry: list[Optional[dict]] = [None] * drivers
         self._cache_spec = cache_spec
-        self._ctx = multiprocessing.get_context(_start_method(start_method))
+        self._ctx = multiprocessing.get_context(_start_method())
         try:
             for w in range(drivers):
                 conn, proc = self._spawn(w)
@@ -193,9 +185,6 @@ class DriverPool:
         proc = self._ctx.Process(
             target=_worker_main, args=(child, w, self._cache_spec),
             name=f"repro-campaign-driver-{w}",
-            # Drivers spawn ShardPools for process-executor jobs;
-            # daemonic processes may not have children.
-            daemon=False,
         )
         proc.start()
         child.close()
@@ -343,8 +332,8 @@ class DriverPool:
     def telemetry_snapshots(self) -> list[Optional[dict]]:
         """Latest per-worker telemetry snapshots (None until a worker
         has completed a branch).  After :meth:`close` these are the
-        final close-handshake snapshots — complete through ShardPool
-        teardown; a crashed worker retains its last in-flight one."""
+        final close-handshake snapshots; a crashed worker retains its
+        last in-flight one."""
         return list(self._telemetry)
 
     def utilization(self) -> dict:
@@ -403,12 +392,11 @@ class DriverPool:
             except (BrokenPipeError, OSError):
                 pass
         # Harvest the final telemetry handshake.  The worker sends
-        # ("closed", snapshot) after releasing its runner leases, so
-        # this snapshot includes ShardPool-worker counters merged at
-        # teardown; stale "done"/"error" replies from an unclean drain
-        # are skipped (their telemetry was already captured in wait()
-        # or is superseded by the final snapshot).  A dead or hung
-        # worker simply keeps its last piggybacked snapshot.
+        # ("closed", snapshot) as it exits; stale "done"/"error"
+        # replies from an unclean drain are skipped (their telemetry
+        # was already captured in wait() or is superseded by the final
+        # snapshot).  A dead or hung worker simply keeps its last
+        # piggybacked snapshot.
         for w, conn in enumerate(self._conns):
             try:
                 while conn.poll(timeout):

@@ -1,14 +1,11 @@
 """The campaign engine: batched solves through shared resources.
 
-A plain :func:`~repro.experiments.harness.run_job` rebuilds every arena
-and worker pool from scratch per run; a :class:`Campaign` executes a whole matrix of jobs through
-resources that live for the campaign instead:
+A :class:`Campaign` executes a whole matrix of jobs through resources
+that live for the campaign rather than for one
+:func:`~repro.experiments.harness.run_job` call:
 
-- keep-alive leases on the refcounted shared-runner registry of
-  :mod:`repro.parallel.runner`, so one persistent
-  :class:`~repro.parallel.ShardPool` (worker processes + shm arena)
-  survives across process-executor solves — including across a delta
-  sweep, via :func:`~repro.parallel.runner.rebind_shared_runner`;
+- a private :class:`~repro.resources.ResourceContext` (problem cache,
+  slab-tuning verdict, telemetry) shared by every in-caller solve;
 - a content-addressed :class:`~repro.campaign.cache.ResultCache`, so a
   re-submitted configuration is served without solving at all;
 - optional warm starts: a job seeded from the cached/solved solution of
@@ -37,21 +34,13 @@ Resource-context ownership
   plain (non-campaign) call sites — campaign execution never reads or
   writes it, so two campaigns (or a campaign and a direct
   ``run_job``) can run concurrently in one process without
-  sharing problem caches or runner leases.
-- **Runner leases are held only by their context's owner.**  A
-  keep-alive lease pins a live worker pool + shm arena; the solver's
-  own acquire finds it by key *in the same context*.  Drivers never
-  share a runner: a ``ParallelBlockRunner`` is not shareable across
-  processes, and a lease visible to two drivers would let one rebind
-  its delta underneath the other's live solve — the registry's
-  single-holder rebind rule makes per-driver ownership a hard
-  invariant, not a convention.
+  sharing problem caches.
 - **Telemetry registries follow the same ownership.**  Each context
   carries its own :class:`~repro.telemetry.Telemetry` registry; driver
-  workers (and ShardPool workers under them) report by shipping
-  *snapshots* up the existing pipes — piggybacked on branch
-  completions and finalized on the close handshake — which the parent
-  merges (:meth:`Campaign.telemetry_snapshot`).  Nothing telemetric is
+  workers report by shipping *snapshots* up the existing pipes —
+  piggybacked on branch completions and finalized on the close
+  handshake — which the parent merges
+  (:meth:`Campaign.telemetry_snapshot`).  Nothing telemetric is
   ever written into modeled state: no parameter dict, cache key, wire
   payload, or DES clock reads or carries a metric, which is why solves
   are bit-identical with telemetry on or off.
@@ -235,7 +224,7 @@ def tasks_for(plan: CampaignPlan, jobs, ckeys, signatures) -> list[tuple]:
 # makes records bit-identical wherever a branch ran.
 
 
-def _execute_chunk(tasks, *, cache, resources, leases,
+def _execute_chunk(tasks, *, cache, resources,
                    progress=None) -> list[ExecutedJob]:
     """Run ``tasks`` — ``(job, cache_key, signature, warm_from)``
     tuples, warm sources always preceding their dependents — in order
@@ -252,8 +241,6 @@ def _execute_chunk(tasks, *, cache, resources, leases,
         source = "cache"
         if result is None:
             source = "run"
-            if job.executor == "process":
-                _ensure_runner_lease(job, leases, resources)
             warm_u = warm_label = None
             if warm_from is not None and warm_from in results:
                 seed = results[warm_from].result.report.u
@@ -303,57 +290,6 @@ def _execute_chunk(tasks, *, cache, resources, leases,
     return records
 
 
-def _ensure_runner_lease(job: CampaignJob, leases: dict,
-                         resources) -> None:
-    """Hold (or rebind) the shared runner this job's solve will acquire
-    in ``resources``, so the worker pool and arena survive the solve.
-
-    The lease key mirrors the solver's own registry key minus the
-    delta; when the held runner's delta differs from the job's, the
-    live pool is rebound in place instead of torn down — that is what
-    amortizes worker startup across a delta sweep.
-    """
-    from ..parallel.runner import (
-        acquire_shared_runner,
-        rebind_shared_runner,
-    )
-    from ..solvers.distributed_richardson import (
-        assignment_from_params,
-        get_problem,
-    )
-
-    extra = job.extra_params
-    params = {"weights": extra["weights"]} if "weights" in extra else {}
-    assignment = assignment_from_params(params, job.n, job.n_peers)
-    ranges = tuple((r.start, r.stop) for r in assignment.ranges)
-    workers = extra.get("executor_workers")
-    workers = int(workers) if workers is not None else None
-    start_method = extra.get("executor_start_method")
-    delta = job.delta if job.delta is not None else \
-        get_problem(job.problem, job.n, resources=resources).jacobi_delta()
-    base = (job.problem, job.n, ranges, workers, start_method,
-            resolve_dtype(job.dtype).name)
-    runner = leases.get(base)
-    if runner is None:
-        leases[base] = acquire_shared_runner(
-            job.problem, job.n, ranges=ranges, delta=delta,
-            n_workers=workers, start_method=start_method,
-            dtype=job.dtype, resources=resources,
-        )
-    elif runner.delta != float(delta):
-        rebind_shared_runner(runner, delta, resources=resources)
-
-
-def _release_leases(leases: dict, resources) -> None:
-    """Release every keep-alive lease held in ``resources``."""
-    from ..parallel.runner import release_shared_runner
-
-    held = list(leases.values())
-    leases.clear()
-    for runner in held:
-        release_shared_runner(runner, resources=resources)
-
-
 class Campaign:
     """A batch of solve jobs executed through shared resources.
 
@@ -386,9 +322,9 @@ class Campaign:
         branches execute against; defaults to a private per-campaign
         context.  Driver workers always build their own.
 
-    A campaign can be ``run()`` repeatedly (leases and driver workers
-    persist between runs — that is the point); ``close()`` releases
-    everything.  Usable as a context manager.
+    A campaign can be ``run()`` repeatedly (its context and driver
+    workers persist between runs — that is the point); ``close()``
+    releases everything.  Usable as a context manager.
     """
 
     def __init__(self, jobs: Iterable[CampaignJob], *,
@@ -435,12 +371,6 @@ class Campaign:
                 raise branch.error
         return CampaignResult.from_branches(self.plan, branches)
 
-    @property
-    def held_runners(self) -> int:
-        """Keep-alive leases held by in-process branches (driver
-        workers hold their own; those are not visible here)."""
-        return len(self._scheduler.leases)
-
     def cache_stats(self) -> Optional[dict]:
         """Result-cache counters aggregated over this process and every
         driver worker (None without a cache); see
@@ -453,7 +383,7 @@ class Campaign:
         return self._scheduler.telemetry_snapshot()
 
     def close(self) -> None:
-        """Release every keep-alive lease and shut down driver workers.
+        """Shut down driver workers.
 
         Idempotent; after this the campaign cannot run again (build a
         new one — the cache, being external, survives)."""

@@ -1,7 +1,7 @@
 """Campaign jobs: the unit of work of a sweep campaign.
 
 A :class:`CampaignJob` is one solve configuration as *data* —
-problem spec × peers × clusters × scheme × dtype × executor (× the
+problem spec × peers × clusters × scheme × dtype (× the
 optional relaxation step ``delta``).  Jobs are frozen, hashable by
 value, and carry a stable content key, so a campaign can deduplicate a
 matrix, address a result cache, and wire warm-start dependencies
@@ -51,12 +51,10 @@ __all__ = [
 #: here so the jobs layer stays importable without the harness stack).
 DEFAULT_TOL = 1e-4
 
-_EXECUTORS = ("inline", "process")
-
 #: Version of the JSON wire encoding of one job.  Bump on any change to
 #: the field set or the float encoding; ``from_wire`` refuses unknown
 #: versions instead of guessing.
-JOB_WIRE_VERSION = 1
+JOB_WIRE_VERSION = 2
 
 
 class WireError(ValueError):
@@ -127,10 +125,8 @@ class CampaignJob:
     ``delta=None`` means the problem's own Jacobi step (the paper's
     δ = 1/diag); ``n_paper`` enables the harness's ratio-preserving
     scaling.  ``extra`` holds any additional solver params (weights,
-    executor_workers, ...) as a sorted item tuple so the job stays
-    hashable and its signature canonical.  The sweep executor is the
-    ``executor`` field, never an ``extra`` key: it does not ride the
-    solve params.
+    checkpoint_every, ...) as a sorted item tuple so the job stays
+    hashable and its signature canonical.
     """
 
     n: int
@@ -140,7 +136,6 @@ class CampaignJob:
     problem: str = "membrane"
     tol: float = DEFAULT_TOL
     dtype: str = "float64"
-    executor: str = "inline"
     delta: Optional[float] = None
     n_paper: Optional[int] = None
     seed: int = 0
@@ -149,10 +144,6 @@ class CampaignJob:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", Scheme.parse(self.scheme).value)
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; known: {_EXECUTORS}"
-            )
         if self.delta is not None:
             object.__setattr__(self, "delta", float(self.delta))
         extra = self.extra
@@ -160,11 +151,6 @@ class CampaignJob:
             extra = tuple(sorted(extra.items()))
         else:
             extra = tuple(sorted(tuple(item) for item in extra))
-        if any(key == "executor" for key, _value in extra):
-            raise ValueError(
-                "executor is a CampaignJob field, not an extra param; "
-                "pass CampaignJob(executor=...)"
-            )
         object.__setattr__(self, "extra", extra)
 
     @property
@@ -203,7 +189,7 @@ class CampaignJob:
         return (
             f"{self.problem} n={self.n} α={self.n_peers} "
             f"c={self.n_clusters} {self.scheme} δ={delta} "
-            f"{self.dtype}/{self.executor}"
+            f"{self.dtype}"
         )
 
     # -- wire encoding -----------------------------------------------------------
@@ -226,7 +212,6 @@ class CampaignJob:
             "problem": self.problem,
             "tol": _float_to_wire(self.tol),
             "dtype": self.dtype,
-            "executor": self.executor,
             "delta": (None if self.delta is None
                       else _float_to_wire(self.delta)),
             "n_paper": self.n_paper,
@@ -257,7 +242,7 @@ class CampaignJob:
                 f"unsupported job wire version {version!r} "
                 f"(this build speaks {JOB_WIRE_VERSION})", field="version")
         known = {"version", "n", "n_peers", "n_clusters", "scheme",
-                 "problem", "tol", "dtype", "executor", "delta",
+                 "problem", "tol", "dtype", "delta",
                  "n_paper", "seed", "extra"}
         unknown = set(wire) - known
         if unknown:
@@ -273,7 +258,7 @@ class CampaignJob:
                     raise WireError(f"{name}: expected an int, got "
                                     f"{value!r}", field=name)
                 fields[name] = value
-        for name in ("scheme", "problem", "dtype", "executor"):
+        for name in ("scheme", "problem", "dtype"):
             if name in wire:
                 value = wire[name]
                 if not isinstance(value, str):
@@ -323,7 +308,8 @@ def _build_signature(job: CampaignJob) -> dict[str, Any]:
         "problem": job.problem,
         "tol": job.tol,
         "dtype": job.dtype,
-        "executor": job.executor,
+        # Literal, so every pinned key and cache entry on disk stays valid.
+        "executor": "inline",
         "delta": job.delta,
         "n_paper": job.n_paper,
         "seed": job.seed,
@@ -348,7 +334,6 @@ def expand_matrix(
     schemes: Sequence[str] = ("hybrid",),
     problems: Sequence[str] = ("membrane",),
     dtypes: Sequence[str] = ("float64",),
-    executors: Sequence[str] = ("inline",),
     deltas: Sequence[Optional[float]] = (None,),
     tol: float = DEFAULT_TOL,
     n_paper: Optional[int] = None,
@@ -362,14 +347,14 @@ def expand_matrix(
     harness).
     """
     jobs = []
-    for n, prob, scheme, clusters, alpha, dtype, executor, delta in \
+    for n, prob, scheme, clusters, alpha, dtype, delta in \
             itertools.product(ns, problems, schemes, n_clusters, n_peers,
-                              dtypes, executors, deltas):
+                              dtypes, deltas):
         if clusters > alpha:
             continue
         jobs.append(CampaignJob(
             n=n, n_peers=alpha, n_clusters=clusters, scheme=scheme,
-            problem=prob, tol=tol, dtype=dtype, executor=executor,
+            problem=prob, tol=tol, dtype=dtype,
             delta=delta, n_paper=n_paper, seed=seed, extra=extra or {},
         ))
     return jobs
@@ -381,7 +366,7 @@ class WarmEdge:
 
     ``kind="neighbour"`` is the delta-sweep nearest-neighbour edge —
     its endpoints are guaranteed (and checked) to differ *only* in
-    ``delta``, never in size, dtype, scheme or executor.
+    ``delta``, never in size, dtype or scheme.
     ``kind="ladder"`` is the explicit mixed-precision multigrid edge,
     the only edge type allowed to cross sizes (``n_source < n``,
     interpolated seed) or dtypes (float32 stage → float64 polish).

@@ -36,7 +36,6 @@ from .driver import DriverBranchError, DriverPool, cache_spec
 from .engine import (
     ExecutedJob,
     _execute_chunk,
-    _release_leases,
     resolve_cache_keys,
     tasks_for,
 )
@@ -89,8 +88,6 @@ class BranchScheduler:
         self.cache = cache
         self.workers = int(workers)
         self.resources = resources
-        #: Keep-alive runner leases of in-caller process-executor solves.
-        self.leases: dict = {}
         self.pool: Optional[DriverPool] = None
         #: Admitted branches not yet started, in admission order.
         self.queue: list[Branch] = []
@@ -198,7 +195,7 @@ class BranchScheduler:
         try:
             records = _execute_chunk(
                 branch.tasks, cache=self.cache, resources=self.resources,
-                leases=self.leases, progress=branch.progress)
+                progress=branch.progress)
         except BaseException as exc:
             self._settle(branch, exc)
             if not isinstance(exc, Exception):
@@ -266,9 +263,9 @@ class BranchScheduler:
         return merge_snapshots(*parts)
 
     def close(self, error: Optional[BaseException] = None) -> None:
-        """Fail whatever is still unfinished (with ``error``), release
-        the runner leases and shut the workers down.  Idempotent; the
-        closed pool stays readable for the aggregate views."""
+        """Fail whatever is still unfinished (with ``error``) and shut
+        the workers down.  Idempotent; the closed pool stays readable
+        for the aggregate views."""
         error = error or RuntimeError(
             "scheduler closed before this branch finished")
         self._book_arrived()
@@ -277,6 +274,5 @@ class BranchScheduler:
         self._tickets.clear()
         for branch in unfinished:
             self._settle(branch, error)
-        _release_leases(self.leases, self.resources)
         if self.pool is not None:
             self.pool.close()

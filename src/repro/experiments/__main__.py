@@ -7,14 +7,14 @@ Usage::
     python -m repro.experiments fig6 [--alphas 1,2,4,8] [--full]
     python -m repro.experiments all
     python -m repro.experiments campaign [--fig 5|6 | --n N] [options]
-    python -m repro.experiments scenario --seed N [--scheme S] [--exec E]
-    python -m repro.experiments replay <trace.npz> [--executor E]
+    python -m repro.experiments scenario --seed N [--scheme S]
+    python -m repro.experiments replay <trace.npz>
     python -m repro.experiments serve [--port P] [--cache-dir D] [...]
     python -m repro.experiments submit --url URL [matrix options]
     python -m repro.experiments timeline <dump.json> [--width W]
 
 Every target is a real argparse subcommand; the recurring flag groups
-(problem matrix, dtype/executor, result cache, drivers) are shared
+(problem matrix, dtype, result cache, drivers) are shared
 parent parsers, so ``campaign``, ``serve`` and ``submit`` spell them
 identically.  ``--full`` runs the paper's actual problem sizes
 (equivalent to setting ``REPRO_FULL=1``); default is the laptop-scale
@@ -27,7 +27,7 @@ re-executes a dumped schedule trace (``.npz``) and verifies the replay
 reproduces the recorded per-sweep diffs bit-exactly.
 
 ``campaign`` runs a whole grid through the batched campaign engine
-(:mod:`repro.campaign`): keep-alive worker pools and — with
+(:mod:`repro.campaign`): one shared resource context and — with
 ``--cache-dir`` — a persistent result cache, so
 re-running the same command is served from disk instead of re-solving.
 ``--fig 5``/``--fig 6`` regenerates that figure's grid through the
@@ -150,7 +150,7 @@ def _matrix_jobs(args):
         _n, _alphas, baseline, job_for = figure_jobs(
             n_paper, peer_counts=args.alphas, schemes=schemes,
             cluster_counts=clusters, tol=args.tol,
-            dtype=args.dtype, executor=args.executor,
+            dtype=args.dtype,
         )
         jobs = [baseline, *job_for.values()]
         title = f"Figure {args.fig} grid (paper n={n_paper})"
@@ -159,7 +159,7 @@ def _matrix_jobs(args):
         jobs = expand_matrix(
             ns=[n], n_peers=args.alphas, n_clusters=clusters,
             schemes=schemes, deltas=deltas or (None,),
-            dtypes=[args.dtype], executors=[args.executor], tol=args.tol,
+            dtypes=[args.dtype], tol=args.tol,
         )
         title = f"campaign matrix (n={n})"
     return jobs, title
@@ -311,9 +311,7 @@ def cmd_submit(args) -> int:
 def cmd_scenario(args) -> int:
     from ..scenarios import generate_script, run_scenario
 
-    script = generate_script(
-        args.seed, scheme=args.scheme, executor=args.scenario_executor,
-    )
+    script = generate_script(args.seed, scheme=args.scheme)
     result = run_scenario(script, dump_dir=args.dump_dir)
     print(result.summary())
     if args.telemetry_json:
@@ -345,7 +343,7 @@ def cmd_replay(args) -> int:
     print(f"{args.path}: {len(trace.peers)} peers, "
           f"{len(trace.events)} events ({len(recorded)} sweeps), "
           f"solve={trace.solve}")
-    result = replay_trace(trace, executor=args.executor)
+    result = replay_trace(trace)
     mismatches = [
         (rank, it, rec, rep)
         for (rank, it, rec), (_r, _i, rep) in zip(recorded, result.diffs)
@@ -361,8 +359,8 @@ def cmd_replay(args) -> int:
             print(f"  rank {rank} it {it}: recorded {rec!r} "
                   f"replayed {rep!r}")
         return 1
-    print(f"replay on {args.executor!r} executor reproduces all "
-          f"{len(recorded)} recorded sweep diffs bit-exactly")
+    print(f"replay reproduces all {len(recorded)} recorded sweep diffs "
+          "bit-exactly")
     return 0
 
 
@@ -412,8 +410,6 @@ def _flag_parents():
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--dtype", default="float64",
                         choices=["float64", "float32"])
-    solver.add_argument("--executor", default="inline",
-                        choices=["inline", "process"])
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument("--cache-dir", default=None,
                        help="persistent result-cache directory (created "
@@ -509,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["synchronous", "asynchronous",
                                    "hybrid"],
                           help="override the seed-derived scheme")
-    scenario.add_argument("--exec", dest="scenario_executor",
-                          default=None, choices=["inline", "process"],
-                          help="override the seed-derived sweep "
-                               "executor")
     scenario.add_argument("--dump-dir", default=None,
                           help="dump schedule traces here when an "
                                "invariant fails")
@@ -520,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser(
         "replay", help="re-execute a dumped schedule trace bit-exactly")
     replay.add_argument("path", help="trace file (.npz)")
-    replay.add_argument("--executor", default="inline",
-                        choices=["inline", "process"])
 
     timeline = sub.add_parser(
         "timeline",

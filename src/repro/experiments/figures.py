@@ -93,7 +93,6 @@ def figure_jobs(
     tol: float = DEFAULT_TOL,
     n_override: Optional[int] = None,
     dtype: str = "float64",
-    executor: str = "inline",
 ):
     """The campaign jobs of one figure's grid.
 
@@ -110,7 +109,7 @@ def figure_jobs(
     def job(alpha: int, clusters: int, scheme: str) -> "CampaignJob":
         return CampaignJob(
             n=n, n_peers=alpha, n_clusters=clusters, scheme=scheme,
-            tol=tol, n_paper=n_paper, dtype=dtype, executor=executor,
+            tol=tol, n_paper=n_paper, dtype=dtype,
         )
 
     baseline = job(1, 1, "synchronous")

@@ -131,14 +131,12 @@ def run_job(
     into the *cache* signature separately), the simulated-time
     ``timeout``, and ``resources`` — the explicit
     :class:`~repro.resources.ResourceContext` the solve's pooled
-    resources (sweep workspaces, shared runners, problem instances)
+    resources (slab-tuning verdict, problem instances, telemetry)
     resolve against.  ``resources=None`` means the process default,
     which is bit-identical to the historical behaviour.  It is threaded
     through the deployment (``P2PDC`` → executors → ``TaskContext``),
     never through ``params``: params are modeled wire payload, and
     adding a key would change every SUBTASK's simulated dispatch cost.
-    The job's ``executor`` travels the same way, on the application, so
-    a job's simulated time is the same on either executor.
     """
     scheme = Scheme.parse(job.scheme)
     n, n_peers = job.n, job.n_peers
@@ -155,8 +153,7 @@ def run_job(
     )
     deployment = desc.materialize()
     env = P2PDC(deployment.sim, deployment.network, resources=resources)
-    env.register_everywhere(ObstacleApplication(resources=resources,
-                                                executor=job.executor))
+    env.register_everywhere(ObstacleApplication(resources=resources))
     params = {"n": n, "tol": job.tol, "problem": job.problem}
     # Canonical params: a default value never enters the dict, so e.g.
     # dtype="float64" and dtype=None build byte-identical SUBTASK
@@ -181,7 +178,7 @@ def run_job(
     tele = resolve_context(resources).telemetry
     sim = deployment.sim
     with tele.span("solve", n=n, peers=n_peers, clusters=job.n_clusters,
-                   scheme=scheme.value, executor=job.executor):
+                   scheme=scheme.value):
         run = env.run_to_completion(
             "obstacle", params=params, n_peers=n_peers, scheme=scheme,
             timeout=timeout,

@@ -301,7 +301,7 @@ class CompiledSweep:
 
     The block holds raw addresses of the workspace's ``db``/``lower``/
     ``upper`` arrays, so it lives and dies with the attributes it was
-    baked from (:meth:`SweepWorkspace._bake` rebuilds both together).
+    baked from (the workspace builds both together).
     """
 
     __slots__ = ("params", "address", "shape", "plane", "dtype", "kernels")

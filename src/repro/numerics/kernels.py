@@ -128,7 +128,6 @@ __all__ = [
     "block_sweep",
     "autotune_slab_bytes",
     "clear_slab_autotune",
-    "seed_slab_autotune",
 ]
 
 #: Fallback target size (bytes) of the per-slab working set; slabs are
@@ -156,7 +155,7 @@ class _KernelProbe:
     ``telemetry_overhead`` section of ``BENCH_micro.json``.
     """
 
-    __slots__ = ("sweeps", "seconds", "rebinds")
+    __slots__ = ("sweeps", "seconds")
 
     def __init__(self, telemetry, lib):
         # Compiled sweeps are labelled with the instruction set of the
@@ -176,7 +175,6 @@ class _KernelProbe:
                 "repro_kernel_sweep_seconds", order=order, backend=backend,
                 isa=labels[backend])
             for order, backend in keys}
-        self.rebinds = telemetry.counter("repro_workspace_rebinds_total")
 
     def sweep_done(self, order, backend, elapsed):
         self.sweeps[order, backend].inc()
@@ -223,9 +221,7 @@ def autotune_slab_bytes(resources=None) -> int:
     *performance*: slab partitioning is bit-transparent to the sweep
     results, so tuning can never change an iterate, and it only sizes
     the numpy kernels (the compiled ones walk plane by plane, so there
-    is nothing to measure while they are loaded).  Worker processes
-    never re-measure: the pool creator resolves the verdict first and
-    ships it in the spawn arguments (:func:`seed_slab_autotune`).
+    is nothing to measure while they are loaded).
     """
     raw = os.environ.get(_SLAB_ENV)
     if raw is not None and raw.strip() != "":
@@ -245,19 +241,6 @@ def clear_slab_autotune(resources=None) -> None:
     """Forget ``resources``' cached auto-tuning verdict (test isolation
     hook; other contexts keep theirs)."""
     resolve_context(resources).slab_bytes = None
-
-
-def seed_slab_autotune(value: int, resources=None) -> None:
-    """Install a known tuning verdict on ``resources`` without measuring.
-
-    Worker processes call this with the creator's verdict (shipped in
-    the spawn arguments) so no worker ever re-measures — regardless of
-    multiprocessing start method; under ``spawn``/``forkserver`` the
-    module state is *not* inherited, only fork gets it for free.
-    """
-    if value <= 0:
-        raise ValueError(f"slab target must be positive, got {value}")
-    resolve_context(resources).slab_bytes = int(value)
 
 
 def _measure_slab_candidates(n: int = 48, repeats: int = 3) -> int:
@@ -349,26 +332,8 @@ class SweepWorkspace:
             _default_slab(n, m, self.dtype.itemsize, resources=resources)
         if self.slab < 1:
             raise ValueError("slab must be >= 1")
-        self._bake(problem, delta)
-
-        # Scratch of the numpy kernels, allocated on their first use (so
-        # never on the compiled path): the slab buffer (neighbour sums,
-        # then new − old) and the GS staging array, a full block-sized
-        # buffer only the plane-sequential kernel touches.
-        self._nb: Optional[np.ndarray] = None
-        self._stage: Optional[np.ndarray] = None
-
-    def _bake(self, problem: ObstacleProblem, delta: float) -> None:
-        """(Re)compute everything derived from ``(problem, delta)``.
-
-        Shared by ``__init__`` and :meth:`rebind` so a pooled workspace
-        rebound to a new problem/delta carries *exactly* the constants a
-        freshly constructed one would — pooled sweeps stay bit-identical
-        to cold ones.
-        """
         self.problem = problem
         self.delta = delta
-        lo, hi = self.lo, self.hi
         h2 = problem.grid.h ** 2
         self.d = delta / h2
         self.a = 1.0 - delta * (6.0 + problem.c * h2) / h2
@@ -386,28 +351,15 @@ class SweepWorkspace:
         self._lower_planes = self._plane_views(self.lower)
         self._upper_planes = self._plane_views(self.upper)
         # The compiled argument block points into db/lower/upper, so it
-        # is rebuilt with them; None selects the numpy kernels.
+        # is built after them; None selects the numpy kernels.
         self._compiled = _ckernels.bake(self)
 
-    def rebind(self, problem: ObstacleProblem, delta: float) -> None:
-        """Re-aim this workspace at a new ``(problem, delta)`` pair.
-
-        What a kept-alive ``ShardPool`` worker does between the solves
-        of a delta sweep: the expensive allocations (slab scratch, GS
-        staging) survive, only the cheap baked constants are recomputed.
-        The new problem must live on the same grid (the buffer shapes
-        are sized to it) and the dtype is unchanged.
-        """
-        if problem.grid.n != self.n:
-            raise ValueError(
-                f"cannot rebind a {self.n}³ workspace to an "
-                f"{problem.grid.n}³ problem"
-            )
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if self._tele is not None:
-            self._tele.rebinds.inc()
-        self._bake(problem, delta)
+        # Scratch of the numpy kernels, allocated on their first use (so
+        # never on the compiled path): the slab buffer (neighbour sums,
+        # then new − old) and the GS staging array, a full block-sized
+        # buffer only the plane-sequential kernel touches.
+        self._nb: Optional[np.ndarray] = None
+        self._stage: Optional[np.ndarray] = None
 
     def _as_dtype(self, field: np.ndarray) -> np.ndarray:
         """The field itself at float64 (no copy — bit-identical default

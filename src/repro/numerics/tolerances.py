@@ -58,8 +58,8 @@ DTypeLike = Union[str, type, np.dtype, None]
 
 #: The dtypes the numeric stack is parameterized over.  Everything else
 #: (float16, longdouble, complex, int) is rejected at every boundary:
-#: the kernels' fused ``out=`` passes and the shared-memory layout are
-#: only validated for these two.
+#: the kernels' fused ``out=`` passes and the compiled sweeps are only
+#: validated for these two.
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: ``resolve_dtype(None)`` — the historical behaviour of the whole repo.
@@ -73,7 +73,7 @@ def resolve_dtype(dtype: DTypeLike) -> np.dtype:
     numpy types (``np.float32``), and dtype instances; anything outside
     :data:`SUPPORTED_DTYPES` raises ``ValueError`` — a typo'd or exotic
     dtype must fail at construction, not silently reinterpret bytes
-    three layers down in the shared-memory arena.
+    three layers down in a kernel buffer.
     """
     if dtype is None:
         return DEFAULT_DTYPE
@@ -94,7 +94,7 @@ def check_dtype(array: np.ndarray, expected: DTypeLike, name: str) -> None:
     """Loud mixed-dtype guard for plane/block hand-offs.
 
     Every boundary where an array crosses into dtype-parameterized
-    machinery (kernel buffers, ghost-plane installs, arena scatter)
+    machinery (kernel buffers, ghost-plane installs, warm starts)
     calls this instead of letting ``np.copyto``/ufunc casting silently
     round a float64 plane into a float32 slot (or promote a sweep to
     float64 and throw the bandwidth win away).

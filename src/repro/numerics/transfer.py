@@ -25,8 +25,8 @@ holds at every fine point inside the coarse hull ``[h_c, 1−h_c]³``).
 
 All interpolation arithmetic runs in float64 regardless of the input
 dtype, then casts once at the end — the operator is deterministic
-(bit-reproducible across executors and dtypes of the surrounding
-solve), which the ladder's cache keying relies on.
+(bit-reproducible whatever the dtype of the surrounding solve), which
+the ladder's cache keying relies on.
 
 :data:`TRANSFER_VERSION` names the operator's semantics; the campaign
 engine folds it into the cache signature of every ladder-dependent job,

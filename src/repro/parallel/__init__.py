@@ -1,42 +1,24 @@
-"""Sharded multi-process execution of block relaxation sweeps.
+"""Schedule record, replay and fuzz for split-phase block sweeps.
 
-The DES models the *testbed network*; this package scales the *compute*.
-The block kernel + ghost-plane contract of :mod:`repro.numerics.kernels`
-is process-agnostic: a sweep reads ``cur`` (+ two ghost planes), fully
-overwrites ``nxt``, and returns a max-norm diff.  Everything a worker
-process needs can therefore live in ``multiprocessing.shared_memory``:
+Asynchronous and hybrid solves are order-sensitive, so this package
+captures the schedule a live DES solve ran under and re-executes it
+outside the DES:
 
-:class:`SharedPlaneArena`
-    one shared segment holding, per shard, the two rotation buffers
-    (``(hi−lo, n, n)`` each), the two ghost planes, and a diff slot;
+:class:`TraceRecorder` / :func:`record_schedule`
+    record the (peer, iteration, ghost-exchange) schedule of a solve;
 
-:class:`ShardPool`
-    persistent worker processes, each owning a :class:`SweepWorkspace`
-    per assigned shard and executing ``block_sweep`` over its arena
-    views on command;
+:func:`replay_trace`
+    re-run a recorded schedule against per-peer
+    :class:`~repro.solvers.halo.BlockState` objects, bit for bit;
 
-:class:`ParallelBlockRunner`
-    the driver: one synchronous or asynchronous relaxation step across
-    all shards (``sweep_all``), per-shard sweeps for the DES-resident
-    solver (``sweep``), and the boundary-plane views the simulated
-    ``P2P_Send``/``P2P_Receive`` path hands around.
+:class:`ScheduleHarness` / :func:`random_schedule`
+    drive the same states through synthetic schedules to check the
+    order-independent invariants of the asynchronous iteration;
 
-Workers run the *same* fused kernels on the *same* layout at the *same*
-dtype (float64 default, float32 opt-in — the dtype rides the arena spec
-and keys the shared-runner registry), so a process-sharded sweep matches
-the in-process ``block_sweep`` iterate for iterate (the equivalence
-suite asserts bit-equality at both precisions, well inside the per-dtype
-bounds of :mod:`repro.numerics.tolerances`).
+:func:`save_trace` / :func:`load_trace`
+    the on-disk trace format the ``replay`` CLI reads.
 """
 
-from .arena import ArenaSpec, SharedPlaneArena
-from .pool import ShardPool
-from .runner import (
-    ParallelBlockRunner,
-    acquire_shared_runner,
-    rebind_shared_runner,
-    release_shared_runner,
-)
 from .trace import (
     ScheduleHarness,
     ScheduleTrace,
@@ -50,13 +32,6 @@ from .trace import (
 from .trace_io import load_trace, save_trace
 
 __all__ = [
-    "ArenaSpec",
-    "SharedPlaneArena",
-    "ShardPool",
-    "ParallelBlockRunner",
-    "acquire_shared_runner",
-    "rebind_shared_runner",
-    "release_shared_runner",
     "ScheduleHarness",
     "ScheduleTrace",
     "TraceRecorder",

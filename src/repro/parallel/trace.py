@@ -3,10 +3,9 @@
 Asynchronous and hybrid projected-Richardson schemes are
 *order-sensitive*: the iterate a peer produces depends on exactly which
 (possibly delayed) neighbour planes sat in its ghosts when its sweep
-ran.  Proving that the process executor is faithful to the inline one
-therefore needs more than final-answer comparison — it needs the two
-engines driven through the *same schedule* and compared iterate for
-iterate.  This module provides that layer:
+ran.  Checking a solve iterate for iterate therefore needs the
+*schedule* it ran under, not just its final answer.  This module
+provides that layer:
 
 :class:`TraceRecorder` / :func:`record_schedule`
     record the (peer, iteration, ghost-exchange) schedule of a live DES
@@ -17,10 +16,10 @@ iterate.  This module provides that layer:
 
 :func:`replay_trace`
     re-execute a recorded schedule directly against per-peer
-    :class:`~repro.solvers.halo.BlockState` objects, on either sweep
-    engine, asserting nothing itself but returning every per-sweep diff
-    (and optionally every post-sweep iterate) so tests can compare
-    engine against engine and replay against recording, bit for bit.
+    :class:`~repro.solvers.halo.BlockState` objects, asserting nothing
+    itself but returning every per-sweep diff (and optionally every
+    post-sweep iterate) so tests can compare replay against recording,
+    bit for bit.
 
 :class:`ScheduleHarness` / :func:`random_schedule`
     the schedule-fuzz layer: drive the same per-peer states through
@@ -115,7 +114,7 @@ class ScheduleTrace:
         return sum(1 for ev in self.events if ev.kind == "end")
 
     def ranges(self) -> list[tuple[int, int]]:
-        """The plane partition, ascending (what a runner is keyed by)."""
+        """The plane partition, ascending."""
         return [(p.lo, p.hi)
                 for p in sorted(self.peers.values(), key=lambda p: p.lo)]
 
@@ -324,30 +323,19 @@ class ReplayResult:
 
 def _build_states(problem_kind: str, n: int,
                   peers: Iterable[PeerSnapshot], delta: float,
-                  dtype, local_sweep: str, executor: str,
-                  n_workers: Optional[int], start_method: Optional[str]):
-    """Per-peer BlockStates (+ the runner for the process engine),
-    seeded from the snapshots."""
+                  dtype, local_sweep: str):
+    """Per-peer BlockStates, seeded from the snapshots."""
     from ..solvers.distributed_richardson import get_problem
     from ..solvers.halo import BlockState
-    from .runner import ParallelBlockRunner
 
     peers = sorted(peers, key=lambda p: p.lo)
     problem = get_problem(problem_kind, n)
-    runner = None
-    if executor == "process":
-        runner = ParallelBlockRunner(
-            problem_kind, n, ranges=[(p.lo, p.hi) for p in peers],
-            delta=delta, dtype=dtype, n_workers=n_workers,
-            start_method=start_method,
-        )
     states = {}
     try:
         for snap in peers:
             st = BlockState(
                 problem=problem, lo=snap.lo, hi=snap.hi, delta=delta,
-                dtype=dtype, local_sweep=local_sweep, executor=executor,
-                runner=runner,
+                dtype=dtype, local_sweep=local_sweep,
             )
             st.warm_start(snap.block)
             if st.ghost_below is not None and snap.ghost_below is not None:
@@ -358,18 +346,13 @@ def _build_states(problem_kind: str, n: int,
     except BaseException:
         for st in states.values():
             st.release()
-        if runner is not None:
-            runner.close(discard_pending=True)
         raise
-    return states, runner
+    return states
 
 
-def replay_trace(trace: ScheduleTrace, executor: str = "inline",
-                 capture_iterates: bool = False,
-                 n_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
+def replay_trace(trace: ScheduleTrace, capture_iterates: bool = False,
                  on_event=None) -> ReplayResult:
-    """Re-execute a recorded schedule on the chosen sweep engine.
+    """Re-execute a recorded schedule.
 
     Walks the event list exactly as recorded: "begin" dispatches the
     peer's split-phase sweep, "end" collects it, "ghost" installs the
@@ -377,12 +360,12 @@ def replay_trace(trace: ScheduleTrace, executor: str = "inline",
     reproduced exactly, independent of what the replay's neighbours
     hold).  The per-sweep diffs, and with ``capture_iterates=True``
     every post-sweep block, come back for bit-level comparison against
-    the recording or against another engine's replay of the same trace.
+    the recording.
 
     "restore" events (crash recovery) abort the rank's in-flight sweep,
-    if any, and install the checkpointed block/ghosts — both engines end
-    the abort post-rotation, so the subsequent sweeps are equivalent to
-    the live path's fresh post-crash BlockState.
+    if any, and install the checkpointed block/ghosts — the abort ends
+    post-rotation, so the subsequent sweeps are equivalent to the live
+    path's fresh post-crash BlockState.
 
     ``on_event(event, states)``, when given, is called after each event
     is applied, with the live per-rank BlockState map — the invariant
@@ -393,11 +376,10 @@ def replay_trace(trace: ScheduleTrace, executor: str = "inline",
     guards — the same errors a buggy live driver would hit.
     """
     solve = trace.solve
-    states, runner = _build_states(
+    states = _build_states(
         solve["problem"], solve["n"], trace.peers.values(),
         delta=solve["delta"], dtype=solve["dtype"],
         local_sweep=solve.get("local_sweep", "gauss_seidel"),
-        executor=executor, n_workers=n_workers, start_method=start_method,
     )
     diffs: list[tuple[int, int, float]] = []
     iterates: Optional[list[np.ndarray]] = [] if capture_iterates else None
@@ -441,8 +423,6 @@ def replay_trace(trace: ScheduleTrace, executor: str = "inline",
     finally:
         for st in states.values():
             st.release()
-        if runner is not None:
-            runner.close(discard_pending=True)
     return ReplayResult(diffs=diffs, blocks=blocks, iterates=iterates)
 
 
@@ -459,7 +439,7 @@ def random_schedule(seed: int, n_peers: int, n_ops: int = 60,
     ends only when in flight, and no exchange reads or writes a peer
     whose sweep is in flight — the consistency rules the state machine
     enforces.  Every in-flight sweep is closed at the end, so the
-    schedule never orphans worker commands.
+    schedule leaves every peer idle.
     """
     rng = random.Random(seed)
     in_flight: set[int] = set()
@@ -491,7 +471,7 @@ class ScheduleHarness:
     """Execute explicit split-phase schedules outside the DES.
 
     The direct-drive counterpart of a recorded replay: per-peer
-    :class:`BlockState` s on either engine, driven op by op, with the
+    :class:`BlockState` s, driven op by op, with the
     blocks, ghosts, and per-peer diff history exposed so tests can
     check order-independent invariants (error-envelope monotonicity,
     genuine convergence) against a reference solution.  Exchanges here
@@ -503,9 +483,7 @@ class ScheduleHarness:
     def __init__(self, problem_kind: str, n: int,
                  ranges: Sequence[tuple[int, int]],
                  delta: Optional[float] = None, dtype=None,
-                 executor: str = "inline",
-                 local_sweep: str = "gauss_seidel",
-                 n_workers: Optional[int] = None):
+                 local_sweep: str = "gauss_seidel"):
         from ..solvers.distributed_richardson import get_problem
 
         problem = get_problem(problem_kind, n)
@@ -526,10 +504,9 @@ class ScheduleHarness:
             )
             for k, (lo, hi) in enumerate(self.ranges)
         ]
-        self.states, self._runner = _build_states(
+        self.states = _build_states(
             problem_kind, n, peers, delta=delta, dtype=dtype,
-            local_sweep=local_sweep, executor=executor,
-            n_workers=n_workers, start_method=None,
+            local_sweep=local_sweep,
         )
         self.n_peers = len(self.states)
         self.diffs: dict[int, list[float]] = {p: [] for p in self.states}
@@ -617,8 +594,6 @@ class ScheduleHarness:
     def close(self) -> None:
         for st in self.states.values():
             st.release()
-        if self._runner is not None:
-            self._runner.close(discard_pending=True)
 
     def __enter__(self) -> "ScheduleHarness":
         return self

@@ -1,11 +1,9 @@
-"""Explicit resource contexts for the solver/runner/campaign stack.
+"""Explicit resource contexts for the solver/campaign stack.
 
 Everything that used to be a process-global singleton — the
-slab-autotune verdict (:mod:`repro.numerics.kernels`), the per-kind
-problem cache
-(:mod:`repro.solvers.distributed_richardson`), and the shared-runner
-registry (:mod:`repro.parallel.runner`) — now lives in an instantiable
-:class:`ResourceContext`.  One context per owner: a plain solve uses the
+slab-autotune verdict (:mod:`repro.numerics.kernels`) and the per-kind
+problem cache (:mod:`repro.solvers.distributed_richardson`) — now lives
+in an instantiable :class:`ResourceContext`.  One context per owner: a plain solve uses the
 process-wide default context (so every pre-existing call site behaves
 exactly as before), a :class:`~repro.campaign.engine.Campaign` owns a
 private context, and each campaign driver process builds its own at
@@ -13,9 +11,9 @@ startup.
 
 Two rules keep this honest:
 
-- **Contexts never share mutable resource state.**  A runner lease or
-  a cached problem acquired through one context is
-  invisible to every other context, so two campaigns can run
+- **Contexts never share mutable resource state.**  A cached problem
+  or tuning verdict acquired through one context is invisible to every
+  other context, so two campaigns can run
   concurrently in one process without stepping on each other.
 - **The context rides the call, never the params.**  Simulated task
   params are wire payload (their size feeds the network model), so the
@@ -24,13 +22,12 @@ Two rules keep this honest:
   block solver.
 
 Passing ``resources=None`` anywhere means "use the default context" —
-the thin module-level wrappers in the kernels/runner/solver modules all
+the thin module-level wrappers in the kernels/solver modules all
 resolve through :func:`resolve_context`.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.telemetry import Telemetry
@@ -50,14 +47,9 @@ class ResourceContext:
     ``problem_cache``
         Bounded ``(kind, n) -> ObstacleProblem`` LRU used by
         :func:`repro.solvers.distributed_richardson.get_problem`.
-    ``runner_lock`` / ``runners`` / ``runner_keys``
-        The refcounted shared-runner registry behind
-        :func:`repro.parallel.runner.acquire_shared_runner` — key →
-        ``[runner, refcount]`` plus the reverse ``id(runner) -> key``
-        map.
     ``telemetry``
         The owner's :class:`repro.telemetry.Telemetry` (metrics registry
-        + span buffer).  Same ownership rule as the pools: handles never
+        + span buffer).  Same ownership rule as the caches: handles never
         cross process boundaries — worker processes reset theirs at
         startup and ship snapshots back for the parent to merge.
     """
@@ -66,16 +58,12 @@ class ResourceContext:
         self.name = str(name)
         self.slab_bytes: Optional[int] = None
         self.problem_cache: dict = {}
-        self.runner_lock = threading.Lock()
-        self.runners: dict = {}
-        self.runner_keys: dict = {}
         self.telemetry = Telemetry(name=f"{self.name}-telemetry")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResourceContext({self.name!r}, "
                 f"slab={self.slab_bytes}, "
-                f"problems={len(self.problem_cache)}, "
-                f"runners={len(self.runners)})")
+                f"problems={len(self.problem_cache)})")
 
 
 #: The process-wide context every ``resources=None`` call site resolves

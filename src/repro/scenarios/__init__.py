@@ -25,7 +25,6 @@ from .invariants import (
 )
 from .script import (
     EVENT_KINDS,
-    EXECUTORS,
     SCHEMES,
     ScenarioEvent,
     ScenarioScript,
@@ -50,7 +49,6 @@ __all__ = [
     "STOP_MARGIN",
     "RESIDUAL_MARGIN",
     "SCHEMES",
-    "EXECUTORS",
     "EVENT_KINDS",
     "node_name",
 ]

@@ -21,7 +21,7 @@
    no false STOP, tolerance match with the baseline.
 
 Everything is deterministic: same script ⇒ same baseline ⇒ same event
-times ⇒ same faulted trajectory, bit for bit, on either sweep executor.
+times ⇒ same faulted trajectory, bit for bit.
 On violation the recorded traces are dumped (``dump_dir``) in the
 ``repro.parallel.trace_io`` format for offline replay via
 ``python -m repro.experiments replay``.
@@ -129,7 +129,7 @@ def _build_env(script: ScenarioScript) -> P2PDC:
     for i, rate in enumerate(script.compute_rates):
         net.nodes[node_name(i)].cpu_hz = script.cpu_hz * rate
     env = P2PDC(sim, net, enable_fault_tolerance=True)
-    env.register_everywhere(ObstacleApplication(executor=script.executor))
+    env.register_everywhere(ObstacleApplication())
     return env
 
 
@@ -142,9 +142,9 @@ def _solver_params(script: ScenarioScript) -> dict:
 
 def _emergency_teardown(env: P2PDC) -> None:
     """Abandon a wedged run without poisoning the host process: crash
-    every running Calculate() (their ``finally`` blocks drain sweep
-    workspaces and release shared runners), step the interrupts through,
-    then shut the deployment down."""
+    every running Calculate() (their ``finally`` blocks release sweep
+    workspaces), step the interrupts through, then shut the deployment
+    down."""
     for executor in env.executors.values():
         try:
             executor.crash_current_task()

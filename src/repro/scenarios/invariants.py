@@ -136,7 +136,7 @@ def check_error_envelope(
             # earlier epoch's error) — recompute, don't check.
             per_rank[ev.rank] = _rank_errors(states[ev.rank], ref)
 
-    replay_trace(trace, executor="inline", on_event=on_event)
+    replay_trace(trace, on_event=on_event)
     return checked
 
 

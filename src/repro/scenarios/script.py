@@ -6,8 +6,8 @@ reproduces bit for bit — on another machine, in CI, or under a debugger.
 Events are timed as **fractions of the fault-free baseline's elapsed
 (virtual) time**: the engine first runs the same configuration without
 faults, measures T, and fires each event at ``t_submit + at·T``.  That
-keeps a script meaningful across schemes and executors whose absolute
-solve times differ by an order of magnitude.
+keeps a script meaningful across schemes whose absolute solve times
+differ by an order of magnitude.
 
 Event kinds (applied by :class:`~repro.scenarios.injector.Injector`):
 
@@ -53,13 +53,11 @@ __all__ = [
     "generate_script",
     "node_name",
     "SCHEMES",
-    "EXECUTORS",
     "EVENT_KINDS",
 ]
 
-#: The scheme / executor axes a seed sweep cycles through.
+#: The scheme axis a seed sweep cycles through.
 SCHEMES = ("synchronous", "asynchronous", "hybrid")
-EXECUTORS = ("inline", "process")
 
 EVENT_KINDS = ("crash", "restart", "leave", "join", "link", "load")
 
@@ -111,7 +109,6 @@ class ScenarioScript:
 
     seed: int
     scheme: str
-    executor: str
     problem: str = "membrane"
     n: int = 8
     n_peers: int = 3
@@ -142,8 +139,6 @@ class ScenarioScript:
         must never produce (and a hand-written script might)."""
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}")
         if self.n_peers < 2:
             raise ValueError("scenarios need at least 2 peers (the abort "
                              "broadcast is ignored by a single-peer solve)")
@@ -223,7 +218,7 @@ class ScenarioScript:
             raise ValueError(f"rank {crashed} crashes and never restarts")
 
     def describe(self) -> str:
-        head = (f"seed={self.seed} {self.scheme}/{self.executor} "
+        head = (f"seed={self.seed} {self.scheme} "
                 f"n={self.n} peers={self.n_peers}+{self.n_spares} "
                 f"clusters={self.n_clusters} tol={self.tol:g} "
                 f"ckpt_every={self.checkpoint_every} "
@@ -234,25 +229,20 @@ class ScenarioScript:
 def generate_script(
     seed: int,
     scheme: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ScenarioScript:
     """The scenario for ``seed`` — deterministic, validated.
 
     Unless overridden, the scheme cycles ``seed % 3`` through
-    :data:`SCHEMES` and the executor ``(seed // 3) % 2`` through
-    :data:`EXECUTORS`, so seeds ``0..5`` cover all six combinations and
-    a 30-seed sweep covers each five times.
+    :data:`SCHEMES`, so a 30-seed sweep covers each scheme ten times.
 
     Every script has one crash/restart of a non-coordinator peer landing
     mid-solve; ~half then churn the peer set (leave or join) after the
     recovery; links degrade and background load appears per the seeded
-    dice.  The event *schedule* is independent of the scheme/executor
-    overrides — overriding only changes how the solve runs under it.
+    dice.  The event *schedule* is independent of the scheme override —
+    overriding only changes how the solve runs under it.
     """
     rng = random.Random(0xC0FFEE ^ ((seed * 2654435761) % 2**32))
     scheme = scheme if scheme is not None else SCHEMES[seed % len(SCHEMES)]
-    executor = (executor if executor is not None
-                else EXECUTORS[(seed // len(SCHEMES)) % len(EXECUTORS)])
     n_peers = 3
     events: list[ScenarioEvent] = []
 
@@ -300,7 +290,6 @@ def generate_script(
     script = ScenarioScript(
         seed=seed,
         scheme=scheme,
-        executor=executor,
         n_peers=n_peers,
         n_spares=n_spares,
         compute_rates=rates,

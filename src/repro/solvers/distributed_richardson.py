@@ -96,22 +96,6 @@ def clear_problem_cache(resources=None) -> None:
     resolve_context(resources).problem_cache.clear()
 
 
-def assignment_from_params(params, n: int, n_peers: int) -> BlockAssignment:
-    """The plane assignment a solve's params determine.
-
-    Deterministic and shared by ``problem_definition`` (to cut subtasks)
-    and the process-executor path in ``_BlockSolver`` (to key the shared
-    runner) — subtasks then only need to carry each peer's own range.
-    """
-    weights = params.get("weights")
-    if weights is not None:
-        assignment = BlockAssignment.weighted(n, list(weights))
-        if assignment.n_nodes != n_peers:
-            raise ValueError("weights length must equal n_peers")
-        return assignment
-    return BlockAssignment.balanced(n, n_peers)
-
-
 @dataclasses.dataclass
 class BlockReport:
     """One peer's result: its block plus counters."""
@@ -145,7 +129,7 @@ class DistributedSolveReport:
     per_peer: list[BlockReport]
     residual: float
     #: Where this solve's starting point came from and how it ran —
-    #: ``{"warm_start": <label or None>, "executor": ..., "dtype": ...}``.
+    #: ``{"warm_start": <label or None>, "dtype": ..., "restarted": ...}``.
     #: A warm-started solve is a different trajectory than a cold one;
     #: campaign result caches key on this so the two never alias.
     provenance: dict = dataclasses.field(default_factory=dict)
@@ -189,36 +173,32 @@ class ObstacleApplication(Application):
       dispatch, so its bytes are charged to the simulated network —
       warm-started elapsed times are not comparable to cold ones.
 
-    Constructor arguments travel out of band — on the application object,
-    never in the params, which are simulated wire payload whose size
-    feeds the network model:
-
-    - ``resources``: the ResourceContext every solve this application
-      hosts runs against (None = the process default);
-    - ``executor``: where sweeps run — "inline" (default) in this process,
-      "process" in a shared worker pool over shared-memory planes
-      (:mod:`repro.parallel`).  Iterates and simulated time are identical
-      on both.
+    ``resources`` — the ResourceContext every solve this application
+    hosts runs against (None = the process default) — travels out of
+    band, on the application object, never in the params, which are
+    simulated wire payload whose size feeds the network model.
     """
 
     name = "obstacle"
 
-    def __init__(self, resources=None, executor: str = "inline"):
-        if executor not in ("inline", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
+    def __init__(self, resources=None):
         self.resources = resources
-        self.executor = executor
 
     def problem_definition(self, params) -> ProblemDefinition:
         n = int(params["n"])
         n_peers = int(params.get("n_peers", 1))
         scheme = Scheme.parse(params.get("scheme", "hybrid"))
-        assignment = assignment_from_params(params, n, n_peers)
+        weights = params.get("weights")
+        if weights is not None:
+            assignment = BlockAssignment.weighted(n, list(weights))
+            if assignment.n_nodes != n_peers:
+                raise ValueError("weights length must equal n_peers")
+        else:
+            assignment = BlockAssignment.balanced(n, n_peers)
         # Subtasks deliberately carry only this peer's own range: the
         # full assignment is deterministic from the params every peer
-        # already holds (the process-executor path recomputes it), and
-        # shipping it would inflate every modeled SUBTASK dispatch by
-        # O(α) bytes.
+        # already holds, and shipping it would inflate every modeled
+        # SUBTASK dispatch by O(α) bytes.
         subtasks = [
             {"lo": r.start, "hi": r.stop, "n": n}
             for r in assignment.ranges
@@ -226,12 +206,9 @@ class ObstacleApplication(Application):
         return ProblemDefinition(subtasks=subtasks, scheme=scheme, n_peers=n_peers)
 
     def calculate(self, ctx: TaskContext):
-        # _BlockSolver.__init__ cleans up after itself on failure, so a
-        # constructed solver is the only thing to guard here.  Errors
-        # and aborts must still release the shared sweep runner, or its
-        # worker pool + shm segment leak (and the registry entry poisons
-        # the next identical solve).
-        solver = _BlockSolver(ctx, executor=self.executor)
+        # Errors and aborts (a crashed peer) still drop the in-flight
+        # sweep and the sweep workspace.
+        solver = _BlockSolver(ctx)
         try:
             report = yield from solver.run()
             return report
@@ -283,15 +260,10 @@ def meta_extra(report: BlockReport, key: str) -> Any:
 class _BlockSolver:
     """Per-peer solve loop (the body of Calculate())."""
 
-    def __init__(self, ctx: TaskContext, executor: str = "inline"):
+    def __init__(self, ctx: TaskContext):
         self.ctx = ctx
         self.sim = ctx.sim
         params = ctx.params
-        if "executor" in params:
-            raise ValueError(
-                "the sweep executor is not a solve param; pass it as "
-                "ObstacleApplication(executor=...)"
-            )
         self.kind = params.get("problem", "membrane")
         self.n = int(params["n"])
         self.tol = float(params.get("tol", 1e-4))
@@ -329,144 +301,103 @@ class _BlockSolver:
                                    resources=self.resources)
         sub = ctx.subtask
         delta = float(params.get("delta", self.problem.jacobi_delta()))
-        # Sweep executor: peers of one solve all live in the driver
-        # process, so with "process" they share one runner and each
-        # drives its own shard.  Mode and termination logic above this
-        # line never see the difference — the iterates are identical.
-        self.executor = executor
-        self._runner = None
-        shard = None
-        if self.executor == "process":
-            from ..parallel import acquire_shared_runner
-
-            # Recompute the full assignment (deterministic from the
-            # params every peer holds) instead of shipping it in each
-            # subtask: all peers derive the same ranges, so they share
-            # one runner keyed by them.
-            assignment = assignment_from_params(params, self.n, ctx.n_workers)
-            ranges = [(r.start, r.stop) for r in assignment.ranges]
-            if ranges[ctx.rank] != (sub["lo"], sub["hi"]):
-                raise ValueError(
-                    f"subtask range {(sub['lo'], sub['hi'])} does not match "
-                    f"the recomputed assignment {ranges[ctx.rank]}"
+        self.state = BlockState(
+            problem=self.problem, lo=sub["lo"], hi=sub["hi"],
+            delta=delta, dtype=self.dtype,
+            local_sweep=params.get("local_sweep", "gauss_seidel"),
+            resources=self.resources,
+        )
+        # Crash recovery: the executor re-dispatches an interrupted
+        # sub-task with the freshest checkpoint spliced in — block,
+        # ghost planes, and the sweep counter (relaxation-count
+        # provenance survives the crash).
+        self.restarted = bool(sub.get("restarted", False))
+        warm = sub.get("warm_start")
+        if warm is not None:
+            self.state.warm_start(np.asarray(warm))
+        warm_gb = sub.get("warm_ghost_below")
+        if warm_gb is not None and self.state.ghost_below is not None:
+            self.state.update_ghost_below(np.asarray(warm_gb))
+        warm_ga = sub.get("warm_ghost_above")
+        if warm_ga is not None and self.state.ghost_above is not None:
+            self.state.update_ghost_above(np.asarray(warm_ga))
+        # Campaign warm start: the whole previous solution rides the
+        # params (every peer slices its own planes + ghosts from
+        # it).  Unlike the per-subtask checkpoint restart above,
+        # this is a *different problem's* solution used as the
+        # starting iterate — the trajectory is legitimately
+        # different from a cold solve, so the provenance records it
+        # and result caches key on it.
+        self.warm_source: Optional[str] = None
+        warm_u = params.get("warm_start_u")
+        if warm_u is not None:
+            self._apply_warm_start(warm_u,
+                                   params.get("warm_start_label"))
+        self.rank = ctx.rank
+        self.left = self.rank - 1 if self.rank > 0 else None
+        self.right = self.rank + 1 if self.rank + 1 < ctx.n_workers else None
+        self.scheme = ctx.scheme
+        # Counters.  A restarted peer resumes its sweep counter from
+        # the checkpoint so relaxation counts stay comparable to the
+        # fault-free run (re-executed sweeps are counted once).
+        self.sweeps = int(sub.get("start_sweep", 0))
+        self.wait_time = 0.0
+        self.sends = 0
+        self.receives = 0
+        self.stopped = False
+        self.stop_info: Optional[int] = None
+        self.local_diff = float("inf")
+        # Termination machinery.
+        self.exact_mode = self.scheme is Scheme.SYNCHRONOUS
+        self.criterion = DiffCriterion(self.tol, consecutive=self.streak)
+        self.locally_converged = False
+        # In-flight verification round: [epoch, async-neighbours whose
+        # fresh ghost we must still observe, diff-stayed-below-tol].
+        # Answering only after seeing *fresh* neighbour data rules out
+        # "converged on stale ghosts" false positives.
+        self._verify_pending: Optional[list] = None
+        self.coordinator = None
+        if self.rank == 0 and ctx.n_workers > 1:
+            self.coordinator = (
+                ExactCoordinator(ctx.n_workers, self.tol)
+                if self.exact_mode else StreakCoordinator(ctx.n_workers)
+            )
+        # Schedule tracing: when a recorder is active (the
+        # trace-equivalence harness installs one around the run),
+        # register this peer's initial state and record every sweep
+        # dispatch/collect and ghost application, in driver order.
+        self._recorder = active_recorder()
+        if self._recorder is not None:
+            if self.restarted and self._recorder.has_peer(self.rank):
+                # Crash recovery mid-trace: the rank already exists
+                # in the live trace, so record the restored state as
+                # an event rather than opening a new trace.
+                self._recorder.restore(
+                    rank=self.rank,
+                    iteration=self.sweeps,
+                    block=self.state.block,
+                    ghost_below=self.state.ghost_below,
+                    ghost_above=self.state.ghost_above,
                 )
-            workers = params.get("executor_workers")
-            self._runner = acquire_shared_runner(
-                self.kind, self.n,
-                ranges=ranges, delta=delta,
-                n_workers=int(workers) if workers is not None else None,
-                start_method=params.get("executor_start_method"),
-                dtype=self.dtype, resources=self.resources,
-            )
-            shard = ctx.rank
-            # Name the shard's owner so orphaned-sweep errors at
-            # close()/release point at the peer, not just a shard id.
-            self._runner.label_shard(
-                shard, f"rank {ctx.rank} ({ctx.peer_names[ctx.rank]})"
-            )
-        try:
-            self.state = BlockState(
-                problem=self.problem, lo=sub["lo"], hi=sub["hi"],
-                delta=delta, dtype=self.dtype,
-                local_sweep=params.get("local_sweep", "gauss_seidel"),
-                executor=self.executor, runner=self._runner, shard=shard,
-                resources=self.resources,
-            )
-            # Crash recovery: the executor re-dispatches an interrupted
-            # sub-task with the freshest checkpoint spliced in — block,
-            # ghost planes, and the sweep counter (relaxation-count
-            # provenance survives the crash).
-            self.restarted = bool(sub.get("restarted", False))
-            warm = sub.get("warm_start")
-            if warm is not None:
-                self.state.warm_start(np.asarray(warm))
-            warm_gb = sub.get("warm_ghost_below")
-            if warm_gb is not None and self.state.ghost_below is not None:
-                self.state.update_ghost_below(np.asarray(warm_gb))
-            warm_ga = sub.get("warm_ghost_above")
-            if warm_ga is not None and self.state.ghost_above is not None:
-                self.state.update_ghost_above(np.asarray(warm_ga))
-            # Campaign warm start: the whole previous solution rides the
-            # params (every peer slices its own planes + ghosts from
-            # it).  Unlike the per-subtask checkpoint restart above,
-            # this is a *different problem's* solution used as the
-            # starting iterate — the trajectory is legitimately
-            # different from a cold solve, so the provenance records it
-            # and result caches key on it.
-            self.warm_source: Optional[str] = None
-            warm_u = params.get("warm_start_u")
-            if warm_u is not None:
-                self._apply_warm_start(warm_u,
-                                       params.get("warm_start_label"))
-            self.rank = ctx.rank
-            self.left = self.rank - 1 if self.rank > 0 else None
-            self.right = self.rank + 1 if self.rank + 1 < ctx.n_workers else None
-            self.scheme = ctx.scheme
-            # Counters.  A restarted peer resumes its sweep counter from
-            # the checkpoint so relaxation counts stay comparable to the
-            # fault-free run (re-executed sweeps are counted once).
-            self.sweeps = int(sub.get("start_sweep", 0))
-            self.wait_time = 0.0
-            self.sends = 0
-            self.receives = 0
-            self.stopped = False
-            self.stop_info: Optional[int] = None
-            self.local_diff = float("inf")
-            # Termination machinery.
-            self.exact_mode = self.scheme is Scheme.SYNCHRONOUS
-            self.criterion = DiffCriterion(self.tol, consecutive=self.streak)
-            self.locally_converged = False
-            # In-flight verification round: [epoch, async-neighbours whose
-            # fresh ghost we must still observe, diff-stayed-below-tol].
-            # Answering only after seeing *fresh* neighbour data rules out
-            # "converged on stale ghosts" false positives.
-            self._verify_pending: Optional[list] = None
-            self.coordinator = None
-            if self.rank == 0 and ctx.n_workers > 1:
-                self.coordinator = (
-                    ExactCoordinator(ctx.n_workers, self.tol)
-                    if self.exact_mode else StreakCoordinator(ctx.n_workers)
+            else:
+                self._recorder.register_peer(
+                    rank=self.rank,
+                    lo=self.state.lo,
+                    hi=self.state.hi,
+                    block=self.state.block,
+                    ghost_below=self.state.ghost_below,
+                    ghost_above=self.state.ghost_above,
+                    solve={
+                        "problem": self.kind,
+                        "n": self.n,
+                        "n_peers": ctx.n_workers,
+                        "delta": self.state.delta,
+                        "dtype": self.dtype.name,
+                        "local_sweep": self.state.local_sweep,
+                        "scheme": self.scheme.value,
+                        "tol": self.tol,
+                    },
                 )
-            # Schedule tracing: when a recorder is active (the
-            # trace-equivalence harness installs one around the run),
-            # register this peer's initial state and record every sweep
-            # dispatch/collect and ghost application, in driver order.
-            self._recorder = active_recorder()
-            if self._recorder is not None:
-                if self.restarted and self._recorder.has_peer(self.rank):
-                    # Crash recovery mid-trace: the rank already exists
-                    # in the live trace, so record the restored state as
-                    # an event rather than opening a new trace.
-                    self._recorder.restore(
-                        rank=self.rank,
-                        iteration=self.sweeps,
-                        block=self.state.block,
-                        ghost_below=self.state.ghost_below,
-                        ghost_above=self.state.ghost_above,
-                    )
-                else:
-                    self._recorder.register_peer(
-                        rank=self.rank,
-                        lo=self.state.lo,
-                        hi=self.state.hi,
-                        block=self.state.block,
-                        ghost_below=self.state.ghost_below,
-                        ghost_above=self.state.ghost_above,
-                        solve={
-                            "problem": self.kind,
-                            "n": self.n,
-                            "n_peers": ctx.n_workers,
-                            "delta": self.state.delta,
-                            "dtype": self.dtype.name,
-                            "local_sweep": self.state.local_sweep,
-                            "scheme": self.scheme.value,
-                            "tol": self.tol,
-                        },
-                    )
-        except BaseException:
-            # Nothing past the acquire may leak the shared runner.
-            self.close()
-            raise
 
     def _apply_warm_start(self, warm_u, label) -> None:
         """Start this peer's block (and ghosts) from a full iterate.
@@ -593,9 +524,8 @@ class _BlockSolver:
 
         Dispatch the real sweep, charge the simulated compute, *then*
         collect: while this peer's virtual compute elapses, other peers
-        dispatch theirs, so with the process executor their real compute
-        overlaps exactly as their simulated compute does.  Inline, the
-        sweep runs at dispatch and only its diff waits for the charge.
+        dispatch theirs.  The sweep runs at dispatch and only its diff
+        waits for the charge.
         """
         iteration = self.sweeps + 1
         if self._recorder is not None:
@@ -811,17 +741,8 @@ class _BlockSolver:
     # -- result -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the shared sweep runner and return the pooled sweep
-        workspace (both idempotent); the last peer out closes the pool
-        and unlinks the arena."""
-        state = getattr(self, "state", None)
-        if state is not None:
-            state.release()
-        if self._runner is not None:
-            from ..parallel import release_shared_runner
-
-            release_shared_runner(self._runner, resources=self.resources)
-            self._runner = None
+        """Drop the sweep workspace and any in-flight sweep (idempotent)."""
+        self.state.release()
 
     def _report(self) -> BlockReport:
         converged_at = self.stop_info
@@ -845,7 +766,6 @@ class _BlockSolver:
                 "scheme": self.scheme.value,
                 "provenance": {
                     "warm_start": self.warm_source,
-                    "executor": self.executor,
                     "dtype": self.dtype.name,
                     "restarted": self.restarted,
                 },

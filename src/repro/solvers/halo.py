@@ -52,33 +52,21 @@ def relax_block_plane(
 class BlockState:
     """A peer's share of the iterate, with ghosts.
 
-    ``executor`` selects where the sweep's numerics run:
-
-    - ``"inline"`` (default): the fused kernels execute in this process
-      over privately-owned buffers;
-    - ``"process"``: block, ghosts, and rotation buffer live in a
-      :class:`~repro.parallel.SharedPlaneArena` and each sweep executes
-      in the :class:`~repro.parallel.ParallelBlockRunner`'s worker pool.
-      The two paths run the same kernels over the same layout at the
-      same dtype, so their iterates, diffs — and hence relaxation
-      counts and termination decisions — are identical.
-
     ``dtype`` selects the iterate precision (float64 default, float32
     opt-in).  The block, both ghosts, and the sweep workspace all carry
     it; a plane of any other dtype handed to ``update_ghost_*`` or
-    ``warm_start`` is rejected loudly rather than silently cast.  With
-    the process executor the runner's arena dtype must match.
+    ``warm_start`` is rejected loudly rather than silently cast.
 
     Split-phase sweeping (:meth:`begin_sweep` / :meth:`finish_sweep`)
-    is the asynchronous-stepping primitive: between the two calls the
-    sweep is *in flight* and the block's planes are owned by whoever
-    executes it (the worker process, or — inline — the already-computed
-    result).  The ghost-plane consistency rule is enforced here for
-    both executors identically: while a sweep is in flight, neither
-    ghost may be written and neither boundary plane may be read,
-    because the inline engine has already rotated to the new iterate
-    while the process engine still exposes the old one — the only
-    window where the two could be told apart.
+    is the asynchronous-stepping primitive: the sweep runs at dispatch
+    and only its diff is held back until the peer's simulated compute
+    charge has elapsed.  Between the two calls the sweep is *in
+    flight*: no boundary plane may be read, because the block has
+    already rotated to an iterate that, in simulated time, is still
+    being computed; and no ghost may be written, so every ghost event
+    of a recorded schedule falls between sweeps, never inside one.
+    Recorded schedules and the schedule fuzz (:mod:`repro.parallel`)
+    are written in these two calls.
     """
 
     problem: ObstacleProblem
@@ -99,15 +87,9 @@ class BlockState:
     #: and its relaxation count exactly independent of α.
     local_sweep: str = "gauss_seidel"
 
-    #: "inline" or "process".
-    executor: str = "inline"
-    #: The shared :class:`~repro.parallel.ParallelBlockRunner` (process
-    #: executor only); this state does not own it.
-    runner: Optional[object] = None
-    #: Shard index within the runner (derived from [lo, hi) if omitted).
-    shard: Optional[int] = None
-    #: The :class:`~repro.resources.ResourceContext` workspace checkout
-    #: and checkin go through (None = the process default context).
+    #: The :class:`~repro.resources.ResourceContext` the sweep workspace
+    #: resolves its slab tuning and telemetry through (None = the
+    #: process default context).
     resources: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -119,8 +101,6 @@ class BlockState:
             raise ValueError(f"invalid plane range [{self.lo}, {self.hi})")
         if self.local_sweep not in ("gauss_seidel", "jacobi"):
             raise ValueError(f"unknown local sweep {self.local_sweep!r}")
-        if self.executor not in ("inline", "process"):
-            raise ValueError(f"unknown executor {self.executor!r}")
         self.dtype = resolve_dtype(self.dtype)
         self._flops = FLOPS_PER_POINT * n * n * self.n_planes
         # The single deliberate cast: the float64 problem start becomes
@@ -128,31 +108,6 @@ class BlockState:
         # the float64 default is *not* wanted — the block must own its
         # storage), and everything downstream is dtype-checked.
         u0 = self.problem.feasible_start().astype(self.dtype)
-        if self.executor == "process":
-            if self.runner is None:
-                raise ValueError("process executor needs a runner")
-            if self.runner.dtype != self.dtype:
-                raise ValueError(
-                    f"runner arena is {self.runner.dtype.name}, block wants "
-                    f"{self.dtype.name} — acquire a runner with a matching "
-                    "dtype (the registry keys on it)"
-                )
-            if self.shard is None:
-                self.shard = self.runner.shard_for(self.lo, self.hi)
-            # Block and ghosts are views into the runner's shared arena;
-            # (re)seed them so repeated solves start from u0 regardless
-            # of what a previous user of the arena left behind.
-            self.block = self.runner.block(self.shard)
-            np.copyto(self.block, u0[self.lo:self.hi])
-            self.ghost_below = self.runner.ghost_below(self.shard)
-            self.ghost_above = self.runner.ghost_above(self.shard)
-            if self.ghost_below is not None:
-                np.copyto(self.ghost_below, u0[self.lo - 1])
-            if self.ghost_above is not None:
-                np.copyto(self.ghost_above, u0[self.hi])
-            self._workspace = None
-            self._next_block = None
-            return
         self.block = u0[self.lo:self.hi].copy()
         self.ghost_below = u0[self.lo - 1].copy() if self.lo > 0 else None
         self.ghost_above = u0[self.hi].copy() if self.hi < n else None
@@ -218,25 +173,18 @@ class BlockState:
         np.copyto(self.block, block)
 
     def begin_sweep(self) -> None:
-        """Dispatch one relaxation without waiting for its result.
+        """Dispatch one relaxation without handing out its result.
 
-        With the process executor this queues the sweep on the shard's
-        worker and returns immediately — the caller (a DES peer) can
-        yield its simulated compute charge while the real numerics run
-        concurrently with other peers'.  Inline, the sweep executes here
-        and now and only the diff is held back; either way the block is
-        in flight until :meth:`finish_sweep` and the consistency guards
-        apply.
+        The sweep executes here and now; only the diff is held back, and
+        the block is in flight until :meth:`finish_sweep`, so the
+        consistency guards apply.
         """
         if self._inflight:
             raise RuntimeError(
                 "sweep already in flight for this block; finish_sweep() "
                 "it before beginning another"
             )
-        if self.executor == "process":
-            self.runner.submit_sweep(self.shard, order=self.local_sweep)
-        else:
-            self._inflight_diff = sweep_block(self)
+        self._inflight_diff = sweep_block(self)
         self._inflight = True
 
     def finish_sweep(self) -> float:
@@ -248,33 +196,16 @@ class BlockState:
                 "or begin_sweep was never called)"
             )
         self._inflight = False
-        if self.executor == "process":
-            diff = self.runner.wait_sweep(self.shard)
-            # The worker rotated the arena buffers; re-aim our view.
-            self.block = self.runner.block(self.shard)
-            return diff
         diff = self._inflight_diff
         self._inflight_diff = None
         return diff
 
     def abort_sweep(self) -> None:
-        """Drain an in-flight sweep and drop its result (abort paths:
-        peer failure, solver teardown).  Idempotent.  Best-effort by
-        design: a closed runner, a worker-side sweep failure, or a dead
-        worker (EOFError/BrokenPipeError from its pipe) all mean there
-        is nothing useful left to drain — an abort path must still
-        reach the rest of its teardown, not die here masking the
-        original error."""
-        if not self._inflight:
-            return
+        """Drop an in-flight sweep's result (abort paths: peer failure,
+        solver teardown).  Idempotent.  The block keeps the swept
+        iterate."""
         self._inflight = False
         self._inflight_diff = None
-        if self.executor == "process":
-            try:
-                self.runner.wait_sweep(self.shard)
-                self.block = self.runner.block(self.shard)
-            except Exception:
-                pass
 
     def sweep(self) -> float:
         """One relaxation of all owned sub-blocks, sequentially (the
@@ -288,12 +219,11 @@ class BlockState:
 
         Idempotent.  Call when the solve is over (``_BlockSolver.close``
         does); the block itself and both ghosts are privately owned and
-        stay valid — only the kernel scratch goes.  An in-flight sweep is
-        drained and discarded first, so abort paths (peer failure mid
-        compute-charge) never orphan a worker command.  A released state
-        can be released again freely — every teardown path (normal
-        report, Calculate()'s finally, fault-injection abort) calls it
-        without coordinating with the others.
+        stay valid — only the kernel scratch goes.  An in-flight sweep's
+        result is discarded first (peer failure mid compute-charge).  A
+        released state can be released again freely — every teardown
+        path (normal report, Calculate()'s finally, fault-injection
+        abort) calls it without coordinating with the others.
         """
         if self._released:
             return
@@ -302,12 +232,9 @@ class BlockState:
         self._workspace = None
 
     def export_block(self) -> np.ndarray:
-        """The block as an array safe to keep after the solve: the
-        private buffer inline, a copy out of shared memory otherwise
-        (arena memory is unmapped when the runner is released)."""
+        """The block, once no sweep is in flight (safe to keep after the
+        solve: the buffer is privately owned)."""
         self._check_idle("export the block")
-        if self.executor == "process":
-            return np.array(self.block)
         return self.block
 
     def flops(self) -> float:

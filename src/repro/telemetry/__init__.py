@@ -2,7 +2,7 @@
 
 One :class:`Telemetry` instance per executing owner, living on its
 ``repro.resources.ResourceContext`` under the same ownership rules as
-the problem cache and runner registry: the default context serves
+the problem cache: the default context serves
 plain library use, each driver worker process builds its own, and the
 campaign service owns one for its lifetime.  Handles and buffers never
 cross process boundaries — workers ship :meth:`Telemetry.snapshot`

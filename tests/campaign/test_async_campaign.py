@@ -1,12 +1,11 @@
 """Campaign × asynchronous stepping.
 
-Campaign resources (keep-alive worker pools, rebind across a delta
-sweep) must be invisible to an asynchronous solve — and
-because async schemes are order-sensitive, "invisible" is asserted at
-the strongest level available: the full recorded (peer, iteration,
-ghost-exchange) schedule of every pooled run, including every plane's
-bytes, equals its cold ``run_job`` counterpart's — for both
-dtypes × both executors.  Warm starts deliberately change trajectories,
+Campaign resources (one shared resource context across a delta sweep)
+must be invisible to an asynchronous solve — and because async schemes
+are order-sensitive, "invisible" is asserted at the strongest level
+available: the full recorded (peer, iteration, ghost-exchange) schedule
+of every pooled run, including every plane's bytes, equals its cold
+``run_job`` counterpart's — for both dtypes.  Warm starts deliberately change trajectories,
 so the planner must never wire a warm edge across a scheme boundary and
 the cache key must carry the edge.
 """
@@ -27,19 +26,18 @@ N = 8
 TOL = 1e-3
 
 
-def _jobs(dtype, executor):
+def _jobs(dtype):
     base = get_problem("membrane", N).jacobi_delta()
     return [
         CampaignJob(n=N, n_peers=2, scheme="asynchronous", tol=TOL,
-                    dtype=dtype, executor=executor, delta=delta)
+                    dtype=dtype, delta=delta)
         for delta in (base, base * 0.9)
     ]
 
 
-@pytest.mark.parametrize("executor", ["inline", "process"])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_pooled_async_equals_cold_under_trace(dtype, executor):
-    jobs = _jobs(dtype, executor)
+def test_pooled_async_equals_cold_under_trace(dtype):
+    jobs = _jobs(dtype)
     cold_traces = []
     for job in jobs:
         with record_schedule() as rec:
@@ -55,19 +53,16 @@ def test_pooled_async_equals_cold_under_trace(dtype, executor):
         assert_traces_equal(cold, pooled)
 
 
-def test_pooled_async_trace_replays_on_both_engines():
-    """The pooled recording drives either engine to the recorded
-    iterates — campaign pooling, async stepping, and the executors
-    compose without any trajectory drift."""
-    jobs = _jobs("float64", "inline")[:1]
+def test_pooled_async_trace_replays():
+    """The pooled recording replays to the recorded iterates — campaign
+    pooling and async stepping compose without any trajectory drift."""
+    jobs = _jobs("float64")[:1]
     with record_schedule() as rec:
         with Campaign(jobs) as campaign:
             result = campaign.run().records[0].result
     trace = rec.trace
-    for executor in ("inline", "process"):
-        replay = replay_trace(trace, executor=executor)
-        assert np.array_equal(replay.gather(trace.ranges()),
-                              result.report.u)
+    replay = replay_trace(trace)
+    assert np.array_equal(replay.gather(trace.ranges()), result.report.u)
 
 
 class TestWarmEdgesRespectSchemeBoundaries:
@@ -87,20 +82,19 @@ class TestWarmEdgesRespectSchemeBoundaries:
                 f"{by_key[parent].label()} -> {by_key[child].label()}"
             )
 
-    def test_warm_edges_never_cross_dtype_or_executor(self):
+    def test_warm_edges_never_cross_dtype(self):
         base = get_problem("membrane", N).jacobi_delta()
         jobs = [
             CampaignJob(n=N, n_peers=2, scheme="asynchronous", tol=TOL,
-                        dtype=dtype, executor=executor, delta=delta)
+                        dtype=dtype, delta=delta)
             for dtype in ("float64", "float32")
-            for executor in ("inline", "process")
             for delta in (base, base * 0.9)
         ]
         plan = plan_jobs(jobs, warm_start=True)
         by_key = {job.key(): job for job in plan.order}
+        assert plan.warm_sources  # the sweep groups did chain
         for child, parent in plan.warm_sources.items():
             assert by_key[child].dtype == by_key[parent].dtype
-            assert by_key[child].executor == by_key[parent].executor
 
     def test_cache_key_carries_the_warm_edge(self):
         sig = CampaignJob(n=N, n_peers=2, scheme="asynchronous").signature()

@@ -565,10 +565,10 @@ class TestConcurrentWriters:
         of ``Campaign(drivers=N)`` workers over a rooted cache."""
         import multiprocessing
 
-        from repro.parallel.pool import _start_method
+        from repro.campaign.driver import _start_method
 
         budget = _budget_for(tmp_path, solved, 3)
-        ctx = multiprocessing.get_context(_start_method(None))
+        ctx = multiprocessing.get_context(_start_method())
         errq = ctx.Queue()
         procs = [
             ctx.Process(target=_process_hammer,
@@ -662,9 +662,9 @@ class TestConcurrencyContract:
     def _ctx(self):
         import multiprocessing
 
-        from repro.parallel.pool import _start_method
+        from repro.campaign.driver import _start_method
 
-        return multiprocessing.get_context(_start_method(None))
+        return multiprocessing.get_context(_start_method())
 
     def _join(self, procs, errq):
         for p in procs:

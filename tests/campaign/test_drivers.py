@@ -3,8 +3,8 @@
 The acceptance contract: ``Campaign(drivers=N)`` with N >= 2 executes
 independent warm-start branches in N driver processes and produces
 records *bit-identical* — iterates, relaxation counts, simulated time,
-provenance — to the sequential engine's, for both dtypes and both
-executors; and a rooted cache written by one invocation's drivers
+provenance — to the sequential engine's, for both dtypes; and a rooted
+cache written by one invocation's drivers
 serves another invocation's drivers.
 """
 
@@ -25,12 +25,11 @@ N = 8
 TOL = 1e-3
 
 
-def delta_sweep_jobs(n_jobs, executor="inline", dtype="float64"):
+def delta_sweep_jobs(n_jobs, dtype="float64"):
     base = get_problem("membrane", N).jacobi_delta()
     deltas = [base * (0.80 + 0.02 * i) for i in range(n_jobs)]
     return expand_matrix(ns=[N], n_peers=[2], schemes=["synchronous"],
-                         deltas=deltas, tol=TOL, dtypes=[dtype],
-                         executors=[executor])
+                         deltas=deltas, tol=TOL, dtypes=[dtype])
 
 
 def mixed_matrix():
@@ -92,12 +91,10 @@ class TestDriverValidation:
 
 class TestParallelBitIdentity:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_matrix_matches_sequential(self, dtype, executor):
+    def test_matrix_matches_sequential(self, dtype):
         jobs = expand_matrix(ns=[N], n_peers=[1, 2],
                              schemes=["synchronous", "asynchronous"],
-                             tol=TOL, dtypes=[dtype],
-                             executors=[executor])
+                             tol=TOL, dtypes=[dtype])
         with Campaign(jobs) as seq:
             sequential = seq.run()
         with Campaign(jobs, drivers=2) as par:
@@ -132,15 +129,13 @@ class TestParallelBitIdentity:
 class TestParallelResourceIsolation:
     def test_no_default_context_writes(self):
         """A multi-driver run leaves the parent's process-default
-        context exactly as it found it — no runner leases,
-        no problem-cache growth beyond what planning itself needs."""
+        context exactly as it found it — no problem-cache growth
+        beyond what planning itself needs."""
         before_problems = set(default_context().problem_cache)
-        jobs = delta_sweep_jobs(3, executor="process")
+        jobs = delta_sweep_jobs(3)
         with Campaign(jobs, warm_start=True, drivers=2) as campaign:
             outcome = campaign.run()
-            assert campaign.held_runners == 0  # leases live in workers
         assert outcome.runs == 3
-        assert default_context().runners == {}
         assert set(default_context().problem_cache) == before_problems
 
 

@@ -1,11 +1,11 @@
 """Campaign engine: campaign-vs-cold equivalence, cache service, warm
-starts, keep-alive runner leases.
+starts.
 
 The load-bearing contract is the acceptance criterion: a
 campaign run must be *bit-identical* to cold ``run_job``
 calls — iterates, relaxation counts, and simulated time — for both
-dtypes and both executors; and a second execution of the same campaign
-must be served from the result cache.
+dtypes; and a second execution of the same campaign must be served
+from the result cache.
 """
 
 import numpy as np
@@ -13,21 +13,19 @@ import pytest
 
 from repro.campaign import Campaign, CampaignJob, ResultCache, expand_matrix
 from repro.experiments.harness import run_job
-from repro.resources import default_context
 from repro.solvers.distributed_richardson import get_problem
 
 N = 8
 TOL = 1e-3
 
 
-def delta_sweep_jobs(n_jobs: int, executor: str = "inline",
+def delta_sweep_jobs(n_jobs: int,
                      dtype: str = "float64") -> list[CampaignJob]:
     """A delta sweep: same (n, ranges, dtype), only delta varies."""
     base = get_problem("membrane", N).jacobi_delta()
     deltas = [base * (0.80 + 0.02 * i) for i in range(n_jobs)]
     return expand_matrix(ns=[N], n_peers=[2], schemes=["synchronous"],
-                         deltas=deltas, tol=TOL, dtypes=[dtype],
-                         executors=[executor])
+                         deltas=deltas, tol=TOL, dtypes=[dtype])
 
 
 def assert_identical(pooled, cold):
@@ -42,18 +40,16 @@ def assert_identical(pooled, cold):
 
 class TestPooledVsColdEquivalence:
     """Satellite: same job through the campaign == fresh cold call,
-    for float64 and float32, inline and process executors."""
+    for float64 and float32."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_bit_identical(self, dtype, executor):
-        jobs = delta_sweep_jobs(3, executor=executor, dtype=dtype)
+    def test_bit_identical(self, dtype):
+        jobs = delta_sweep_jobs(3, dtype=dtype)
         with Campaign(jobs) as campaign:
             outcome = campaign.run()
         for record in outcome.records:
             assert record.source == "run"
             assert_identical(record.result, run_job(record.job))
-        assert default_context().runners == {}  # leases all released
 
     def test_schemes_and_clusters(self):
         jobs = expand_matrix(ns=[N], n_peers=[1, 2], n_clusters=[1, 2],
@@ -95,35 +91,6 @@ class TestDeltaSweepAcceptance:
         for a, b in zip(first.records, second.records):
             assert np.array_equal(a.result.report.u, b.result.report.u)
             assert a.result.elapsed == b.result.elapsed
-
-
-class TestRunnerKeepAlive:
-    def test_one_pool_survives_a_delta_sweep(self):
-        jobs = delta_sweep_jobs(3, executor="process")
-        with Campaign(jobs) as campaign:
-            campaign.run()
-            assert campaign.held_runners == 1
-            leases = campaign._scheduler.leases
-            (runner,) = leases.values()
-            # The lease was rebound to the last delta, not re-created.
-            assert runner.delta == jobs[-1].delta
-            # The campaign's *own* context registry holds exactly its
-            # reference — and the process-default registry stays
-            # untouched (campaign execution never writes globals).
-            assert len(campaign.resources.runners) == 1
-            assert default_context().runners == {}
-            campaign.run()  # reruns reuse the same live runner
-            assert leases == {next(iter(leases)): runner}
-        assert campaign.resources.runners == {}
-        assert default_context().runners == {}
-        with pytest.raises(RuntimeError):
-            runner.sweep(0)  # close() really closed it
-
-    def test_inline_jobs_lease_nothing(self):
-        with Campaign(delta_sweep_jobs(2)) as campaign:
-            campaign.run()
-            assert campaign.held_runners == 0
-        assert default_context().runners == {}
 
 
 class TestWarmStart:

@@ -16,20 +16,6 @@ class TestCampaignJob:
         assert job.extra == (("a", 1), ("b", 2))
         assert job.extra_params == {"a": 1, "b": 2}
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            CampaignJob(n=8, executor="gpu")
-
-    def test_executor_extra_param_rejected(self):
-        with pytest.raises(ValueError, match=r"CampaignJob\(executor=\.\.\.\)"):
-            CampaignJob(n=8, extra={"executor": "process"})
-
-    def test_executor_extra_pair_rejected(self):
-        """The item-pair spelling of ``extra`` is checked the same way."""
-        with pytest.raises(ValueError, match="not an extra param"):
-            CampaignJob(n=8, extra=(("executor_workers", 2),
-                                    ("executor", "inline")))
-
     def test_key_is_content_address(self):
         import numpy as np
 
@@ -67,8 +53,8 @@ class TestJobIdentity:
               tol=1e-3), "f981b6be481dc7f4"),
         (dict(n=32, n_peers=2, scheme="synchronous", tol=1e-4, n_paper=96,
               seed=7, delta=0.1), "314e9c7da23dfd77"),
-        (dict(n=16, dtype="float32", executor="process",
-              extra={"executor_workers": 2}), "16bd1e199bd8b370"),
+        (dict(n=16, dtype="float32", extra={"tag": "y"}),
+         "cbd4d69f4fef14af"),
         (dict(n=24, n_peers=8, scheme="hybrid", problem="membrane",
               tol=1e-6, extra={"weights": (1.0, 2.0), "tag": "x"}),
          "3b9b0ec4535f6caa"),

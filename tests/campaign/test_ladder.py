@@ -260,15 +260,6 @@ class TestLadderExecution:
             assert p.result.relaxations == s.result.relaxations
             assert p.result.report.provenance == s.result.report.provenance
 
-    def test_process_executor_ladder(self):
-        job = target_job(executor="process")
-        with Campaign([job], ladder=True) as c:
-            out = c.run()
-        [rec] = out.records
-        assert rec.result.residual <= job.tol
-        prov = rec.result.report.provenance
-        assert prov["warm_start"].endswith(":cast@float32")
-
     def test_ladder_off_execution_identical_to_cold(self):
         """The hard contract: a ladder-disabled campaign's records are
         bit-identical to a plain one's."""

@@ -150,7 +150,7 @@ class TestIntegratedCrashRecovery:
         from repro.scenarios import ScenarioEvent, ScenarioScript, run_scenario
 
         script = ScenarioScript(
-            seed=7, scheme="asynchronous", executor="inline",
+            seed=7, scheme="asynchronous",
             compute_rates=(1.0, 1.0, 1.0), checkpoint_every=3,
             events=(
                 ScenarioEvent("crash", 0.4, rank=2),

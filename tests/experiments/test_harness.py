@@ -1,6 +1,5 @@
 """Experiment harness: scaling math, Table I audit, reporting."""
 
-import numpy as np
 import pytest
 
 from repro.campaign import CampaignJob
@@ -75,18 +74,6 @@ class TestRunJob:
 
         assert experiments.run_job is run_job
         assert "run_job" in experiments.__all__
-
-    @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous"])
-    def test_simulated_time_independent_of_executor(self, scheme):
-        """The executor travels on the application, not in the modeled
-        SUBTASK payload, so it cannot change a job's simulated time."""
-        inline, process = (
-            run_job(CampaignJob(n=12, n_peers=2, scheme=scheme, n_paper=96,
-                                executor=executor))
-            for executor in ("inline", "process"))
-        assert process.elapsed == inline.elapsed
-        assert process.relaxations == inline.relaxations
-        assert np.array_equal(process.report.u, inline.report.u)
 
 
 class TestReporting:

@@ -170,6 +170,8 @@ class TestDtypeBoundaries:
         with pytest.raises(ValueError, match="mixed-dtype"):
             state.update_ghost_below(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="mixed-dtype"):
+            state.update_ghost_above(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="mixed-dtype"):
             state.warm_start(np.zeros((4, 8, 8)))
 
     def test_sub_floor_tolerance_warns_but_runs_to_cap(self):

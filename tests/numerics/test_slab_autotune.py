@@ -78,32 +78,6 @@ def test_explicit_slab_argument_bypasses_tuner(monkeypatch):
     assert SweepWorkspace(problem, problem.jacobi_delta(), slab=5).slab == 5
 
 
-def test_seed_installs_verdict_without_measuring(monkeypatch):
-    def exploding_measure(*a, **k):  # pragma: no cover - must not run
-        raise AssertionError("measurement ran despite the seed")
-
-    monkeypatch.setattr(kernels, "_measure_slab_candidates",
-                        exploding_measure)
-    kernels.seed_slab_autotune(1 << 21)
-    assert autotune_slab_bytes() == 1 << 21
-    with pytest.raises(ValueError):
-        kernels.seed_slab_autotune(0)
-
-
-def test_pool_creator_resolves_verdict_before_forking(monkeypatch):
-    """ShardPool workers are seeded with the creator's verdict — the
-    creator must have resolved it by the time workers exist (a worker
-    re-measuring per pool startup would bill ~10 ms × workers to every
-    process-executor solve)."""
-    from repro.parallel import ParallelBlockRunner
-
-    chosen = kernels._SLAB_CANDIDATES[0]
-    monkeypatch.setattr(kernels, "_measure_slab_candidates",
-                        lambda *a, **k: chosen)
-    with ParallelBlockRunner("membrane", 8, n_shards=2):
-        assert default_context().slab_bytes == chosen
-
-
 def test_measurement_grid_separates_candidates():
     """At the tuning size the two candidates must select different slab
     partitionings — otherwise the measurement compares nothing."""

@@ -66,10 +66,9 @@ STREAMS = {
 }
 
 
-def solve_cell(alpha, scheme, clusters, executor="inline"):
+def solve_cell(alpha, scheme, clusters):
     result = run_job(CampaignJob(n=N, n_peers=alpha, n_clusters=clusters,
-                                 scheme=scheme, n_paper=N_PAPER,
-                                 executor=executor))
+                                 scheme=scheme, n_paper=N_PAPER))
     u = np.ascontiguousarray(result.report.u)
     return (result.relaxations, result.elapsed,
             hashlib.sha256(u.tobytes()).hexdigest())
@@ -132,14 +131,6 @@ def test_solve_outputs_are_pinned(cell):
     assert solve_cell(*cell) == SOLVES[cell]
 
 
-@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
-def test_process_executor_solve_matches_inline_pins(scheme):
-    """The sweep executor is host-side plumbing: a process-executor solve
-    reproduces the inline pins exactly, simulated time included."""
-    cell = (4, scheme, 1)
-    assert solve_cell(*cell, executor="process") == SOLVES[cell]
-
-
 @pytest.mark.parametrize("cell", SOLVE_CELLS, ids=lambda c: "a%d-%s-c%d" % c)
 def test_solve_pins_hold_on_numpy_kernels(cell, numpy_kernels):
     """The pins above run on the compiled sweeps wherever they load;
@@ -147,23 +138,11 @@ def test_solve_pins_hold_on_numpy_kernels(cell, numpy_kernels):
     assert solve_cell(*cell) == SOLVES[cell]
 
 
-@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
-def test_process_executor_pins_hold_on_numpy_kernels(scheme, numpy_kernels):
-    cell = (4, scheme, 1)
-    assert solve_cell(*cell, executor="process") == SOLVES[cell]
-
-
 @pytest.mark.parametrize("cell", SOLVE_CELLS, ids=lambda c: "a%d-%s-c%d" % c)
 def test_solve_pins_hold_on_each_isa_body(cell, isa_body):
     """Both instruction-set bodies of the compiled sweeps reproduce every
     pin (the AVX2 one skips on a CPU without AVX2)."""
     assert solve_cell(*cell) == SOLVES[cell]
-
-
-@pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
-def test_process_executor_pins_hold_on_each_isa_body(scheme, isa_body):
-    cell = (4, scheme, 1)
-    assert solve_cell(*cell, executor="process") == SOLVES[cell]
 
 
 @pytest.mark.parametrize("cell", STREAM_CELLS, ids=lambda c: "%s-%s-%g" % c)

@@ -1,10 +1,10 @@
-"""Trace-equivalence harness for asynchronous stepping.
+"""Schedule record/replay and fuzz for asynchronous stepping.
 
-Asynchronous schemes are order-sensitive, so "process executor equals
-inline" must be proven *under a fixed schedule*, not just end to end:
-record the (peer, iteration, ghost-exchange) schedule of a live inline
-run, replay it against both sweep engines, and compare iterate for
-iterate.  The seeded schedule fuzz then checks the invariants that must
+Asynchronous schemes are order-sensitive, so a solve is checked *under
+a fixed schedule*, not just end to end: record the (peer, iteration,
+ghost-exchange) schedule of a live run, replay it against fresh block
+states, and compare sweep for sweep with the recording.  The seeded
+schedule fuzz then checks the invariants that must
 hold under **any** ordering: the sup-norm error envelope never grows,
 convergence is reached from every schedule prefix, a verified STOP is
 never declared while a peer is unconverged, and the split-phase state
@@ -36,11 +36,11 @@ N = 12
 TOL = 1e-4
 
 
-def solve(scheme, executor="inline", n_peers=3, extra=None, record=False):
+def solve(scheme, n_peers=3, extra=None, record=False):
     sim = Simulator()
     net = nicta_testbed(sim, n_peers)
     env = P2PDC(sim, net)
-    env.register_everywhere(ObstacleApplication(executor=executor))
+    env.register_everywhere(ObstacleApplication())
     params = {"n": N, "tol": TOL}
     if extra:
         params.update(extra)
@@ -57,30 +57,27 @@ def solve(scheme, executor="inline", n_peers=3, extra=None, record=False):
     return result, rec.trace
 
 
-# -- recorded replay: process == inline under the recorded schedule -------------------
+# -- recorded replay == the recording ------------------------------------------------
 
 
 @pytest.mark.parametrize("scheme", ["asynchronous", "hybrid"])
-def test_replay_matches_recording_and_engines_agree(scheme, repro_dtype):
+def test_replay_matches_recording(scheme, repro_dtype):
     run, trace = solve(scheme, record=True,
                        extra={"dtype": repro_dtype.name})
     assert trace.n_sweeps == sum(r.relaxations for r in run.output.per_peer)
+    assert run.output.u.dtype == repro_dtype
 
-    inline = replay_trace(trace, executor="inline", capture_iterates=True)
-    process = replay_trace(trace, executor="process", capture_iterates=True)
+    replay = replay_trace(trace, capture_iterates=True)
 
     # Replay reproduces the recording: every per-sweep diff bit-equal.
     recorded = [(ev.rank, ev.iteration, ev.diff)
                 for ev in trace.events if ev.kind == "end"]
-    assert inline.diffs == recorded
-    assert process.diffs == recorded
-    # Iterate for iterate: the two engines never diverge mid-schedule.
-    assert len(inline.iterates) == len(process.iterates) == len(recorded)
-    for a, b in zip(inline.iterates, process.iterates):
-        assert a.dtype == b.dtype == repro_dtype
-        assert np.array_equal(a, b)
+    assert replay.diffs == recorded
+    # One post-sweep iterate per recorded sweep, at the solve's dtype.
+    assert len(replay.iterates) == len(recorded)
+    assert all(it.dtype == repro_dtype for it in replay.iterates)
     # And the assembled result is the live run's iterate, bit for bit.
-    assert np.array_equal(inline.gather(trace.ranges()), run.output.u)
+    assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
 
 
 def test_recording_is_deterministic():
@@ -89,14 +86,6 @@ def test_recording_is_deterministic():
     _, a = solve("asynchronous", record=True)
     _, b = solve("asynchronous", record=True)
     assert_traces_equal(a, b)
-
-
-def test_recorded_inline_trace_replays_on_process_executor_only_once():
-    """A recorded *inline* run drives the process executor to the same
-    trajectory — the headline async-equivalence claim."""
-    run, trace = solve("asynchronous", record=True)
-    result = replay_trace(trace, executor="process")
-    assert np.array_equal(result.gather(trace.ranges()), run.output.u)
 
 
 def test_traces_differ_across_schemes():
@@ -121,14 +110,13 @@ def test_synchronous_sweeps_are_split_phase():
     assert most > 1
 
 
-def test_synchronous_trace_replays_on_both_engines():
+def test_synchronous_trace_replays():
     run, trace = solve("synchronous", record=True)
     recorded = [(ev.rank, ev.iteration, ev.diff)
                 for ev in trace.events if ev.kind == "end"]
-    for executor in ("inline", "process"):
-        replay = replay_trace(trace, executor=executor)
-        assert replay.diffs == recorded
-        assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
+    replay = replay_trace(trace)
+    assert replay.diffs == recorded
+    assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
 
 
 def test_recorder_segments_multiple_runs():
@@ -196,10 +184,6 @@ FUZZ_N = 8
 FUZZ_RANGES = [(0, 3), (3, 6), (6, FUZZ_N)]
 FUZZ_TOL = 1e-5
 FUZZ_SEEDS = list(range(30))
-#: A subset of seeds re-run on the process executor (each spawns a
-#: worker pool; all 30 would dominate suite runtime for no extra
-#: schedule coverage — the engines are bit-identical per sweep).
-FUZZ_PROCESS_SEEDS = [0, 7, 19]
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +194,7 @@ def reference_solution():
     return ref.u
 
 
-def _run_fuzz(seed, executor, reference):
+def _run_fuzz(seed, reference):
     """Random schedule prefix, then a verified-termination probe.
 
     Invariants asserted, for any schedule the generator emits:
@@ -226,8 +210,7 @@ def _run_fuzz(seed, executor, reference):
        every subsequent round stays below tolerance for every peer.
     """
     ops = random_schedule(seed, n_peers=len(FUZZ_RANGES), n_ops=60)
-    with ScheduleHarness("membrane", FUZZ_N, FUZZ_RANGES,
-                         executor=executor) as h:
+    with ScheduleHarness("membrane", FUZZ_N, FUZZ_RANGES) as h:
         criteria = {p: DiffCriterion(FUZZ_TOL, consecutive=3)
                     for p in h.states}
         converged = {p: False for p in h.states}
@@ -266,17 +249,7 @@ def _run_fuzz(seed, executor, reference):
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_schedule_fuzz_invariants_inline(seed, reference_solution):
-    _run_fuzz(seed, "inline", reference_solution)
-
-
-@pytest.mark.parametrize("seed", FUZZ_PROCESS_SEEDS)
-def test_schedule_fuzz_process_matches_inline(seed, reference_solution):
-    """The same synthetic schedule on both engines: identical iterates
-    (and identical invariant outcomes, since the fuzz asserts them
-    inside)."""
-    a = _run_fuzz(seed, "inline", reference_solution)
-    b = _run_fuzz(seed, "process", reference_solution)
-    assert np.array_equal(a, b)
+    _run_fuzz(seed, reference_solution)
 
 
 def test_random_schedule_is_valid_and_balanced():

@@ -1,7 +1,6 @@
 """Seeded scenario fuzzing: every seed must survive its fault schedule.
 
-Seeds 0-5 cover the full scheme x executor matrix and run in the default
-suite.  The 30-seed sweep (the acceptance bar for the fault-injection
+Seeds 0-5 cover every scheme twice and run in the default suite.  The 30-seed sweep (the acceptance bar for the fault-injection
 subsystem) is expensive, so it sits behind ``-m scenario_full`` plus the
 ``REPRO_SCENARIO_FULL`` environment flag; CI's scheduled leg sets both.
 """
@@ -19,7 +18,7 @@ FULL_SEEDS = range(30)
 def _assert_scenario_survives(seed):
     script = generate_script(seed)
     result = run_scenario(script)
-    label = f"seed {seed} ({script.scheme}/{script.executor})"
+    label = f"seed {seed} ({script.scheme})"
     assert result.ok, label + ":\n" + "\n".join(result.violations)
     applied = {r.event.kind for r in result.injections if r.applied}
     assert "crash" in applied and "restart" in applied, label

@@ -1,5 +1,5 @@
-"""The scenario engine on hand-built scripts: every fault path, both
-sweep executors, bit-reproducibility of the whole faulted trajectory."""
+"""The scenario engine on hand-built scripts: every fault path and
+bit-reproducibility of the whole faulted trajectory."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,7 @@ from repro.scenarios import (
     run_scenario,
 )
 
-EXECUTOR_PARAMS = [
-    "inline",
-    pytest.param("process", marks=pytest.mark.slow),
-]
-
-
-def crash_restart_script(executor, scheme="synchronous", **overrides):
+def crash_restart_script(scheme="synchronous", **overrides):
     """One mid-solve crash + checkpoint-recovered restart, nothing else.
 
     ``checkpoint_every=2`` guarantees a checkpoint exists by the crash
@@ -26,7 +20,7 @@ def crash_restart_script(executor, scheme="synchronous", **overrides):
     re-dispatch.
     """
     fields = dict(
-        seed=99, scheme=scheme, executor=executor,
+        seed=99, scheme=scheme,
         compute_rates=(1.0, 1.0, 1.0), checkpoint_every=2,
         events=(
             ScenarioEvent("crash", 0.45, rank=1),
@@ -37,13 +31,11 @@ def crash_restart_script(executor, scheme="synchronous", **overrides):
     return ScenarioScript(**fields)
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_crash_restart_recovers_to_verified_stop(executor, tmp_path):
+def test_crash_restart_recovers_to_verified_stop(tmp_path):
     """Acceptance: a peer dies mid-solve on the 2-cluster topology and
     recovers from its checkpoint; the run still reaches a verified STOP
     at the fault-free tolerance (run_scenario asserts the invariants)."""
-    result = run_scenario(crash_restart_script(executor),
-                          dump_dir=str(tmp_path))
+    result = run_scenario(crash_restart_script(), dump_dir=str(tmp_path))
     assert result.ok, "\n".join(result.violations)
     assert len(result.epochs) == 1 and not result.epochs[0].aborted
     crash, = (r for r in result.injections if r.event.kind == "crash")
@@ -56,11 +48,10 @@ def test_crash_restart_recovers_to_verified_stop(executor, tmp_path):
     assert result.final_residual <= 5 * result.script.tol
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
-def test_faulted_run_is_bit_reproducible(executor):
+def test_faulted_run_is_bit_reproducible():
     """Same script, same trajectory: iterates, traces, firing times."""
-    a = run_scenario(crash_restart_script(executor))
-    b = run_scenario(crash_restart_script(executor))
+    a = run_scenario(crash_restart_script())
+    b = run_scenario(crash_restart_script())
     assert a.ok and b.ok
     assert np.array_equal(a.u, b.u)
     assert a.final_residual == b.final_residual
@@ -86,7 +77,7 @@ def test_restarted_peer_receives_on_its_rebuilt_endpoints(monkeypatch):
         built.append((sim.now, self))
 
     monkeypatch.setattr(PhysicalProtocol, "__init__", recording_init)
-    result = run_scenario(crash_restart_script("inline"))
+    result = run_scenario(crash_restart_script())
     assert result.ok, "\n".join(result.violations)
     restart, = (r for r in result.injections if r.event.kind == "restart")
     faulted_sim = built[-1][1].sim  # the baseline ran first, on its own sim
@@ -98,33 +89,8 @@ def test_restarted_peer_receives_on_its_rebuilt_endpoints(monkeypatch):
         assert phys.stats_rx_frames > 0 and phys.stats_tx_frames > 0
 
 
-@pytest.mark.slow
-def test_executors_agree_bit_for_bit():
-    """The sweep engine is an implementation detail: the same scenario
-    lands on the identical final iterate inline and process-parallel."""
-    inline = run_scenario(crash_restart_script("inline"))
-    process = run_scenario(crash_restart_script("process"))
-    assert inline.ok and process.ok
-    assert np.array_equal(inline.u, process.u)
-
-
-@pytest.mark.parametrize("executor", ["inline", "process"])
-def test_executor_rides_the_application_not_the_params(executor):
-    """The scenario's solve params are modeled wire payload: the sweep
-    executor is handed to every peer's application instead."""
-    from repro.scenarios.engine import _build_env, _solver_params
-
-    script = crash_restart_script(executor)
-    assert "executor" not in _solver_params(script)
-    env = _build_env(script)
-    apps = [peer.applications["obstacle"]
-            for peer in env.executors.values()]
-    assert apps and all(app.executor == executor for app in apps)
-
-
 def test_leave_shrinks_the_partition():
     script = crash_restart_script(
-        "inline",
         events=(
             ScenarioEvent("crash", 0.3, rank=1),
             ScenarioEvent("restart", 0.45, rank=1),
@@ -139,7 +105,6 @@ def test_leave_shrinks_the_partition():
 
 def test_join_drafts_the_spare():
     script = crash_restart_script(
-        "inline",
         n_spares=1, compute_rates=(1.0, 1.0, 1.0, 1.0),
         events=(
             ScenarioEvent("crash", 0.3, rank=1),
@@ -156,7 +121,6 @@ def test_join_drafts_the_spare():
 
 def test_link_degradation_and_load_apply_mid_run():
     script = crash_restart_script(
-        "inline",
         events=(
             ScenarioEvent("link", 0.2, link=("peer01", "peer02"),
                           args=(("delay", 0.05), ("loss", 0.02),
@@ -177,7 +141,7 @@ def test_link_degradation_and_load_apply_mid_run():
 
 def test_invalid_script_is_rejected_before_running():
     bad = crash_restart_script(
-        "inline", events=(ScenarioEvent("crash", 0.3, rank=1),),
+        events=(ScenarioEvent("crash", 0.3, rank=1),),
     )
     with pytest.raises(ValueError, match="never restarts"):
         run_scenario(bad)

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.scenarios import (
-    EXECUTORS,
     SCHEMES,
     ScenarioEvent,
     ScenarioScript,
@@ -16,7 +15,7 @@ from repro.scenarios import (
 def base_script(**overrides):
     """A minimal valid hand-written script to mutate in rejection tests."""
     fields = dict(
-        seed=0, scheme="synchronous", executor="inline",
+        seed=0, scheme="synchronous",
         compute_rates=(1.0, 1.0, 1.0),
         events=(
             ScenarioEvent("crash", 0.2, rank=1),
@@ -32,10 +31,9 @@ class TestGeneration:
         for seed in (0, 7, 23):
             assert generate_script(seed) == generate_script(seed)
 
-    def test_seeds_cover_all_scheme_executor_combos(self):
-        combos = {(generate_script(s).scheme, generate_script(s).executor)
-                  for s in range(6)}
-        assert combos == {(sc, ex) for sc in SCHEMES for ex in EXECUTORS}
+    def test_seeds_cycle_through_schemes(self):
+        schemes = [generate_script(s).scheme for s in range(6)]
+        assert schemes == list(SCHEMES) * 2
 
     def test_every_seed_validates_and_has_crash_restart(self):
         for seed in range(30):
@@ -52,9 +50,8 @@ class TestGeneration:
 
     def test_schedule_independent_of_overrides(self):
         plain = generate_script(4)
-        forced = generate_script(4, scheme="hybrid", executor="inline")
+        forced = generate_script(4, scheme="hybrid")
         assert forced.scheme == "hybrid"
-        assert forced.executor == "inline"
         assert forced.events == plain.events
         assert forced.compute_rates == plain.compute_rates
 
@@ -76,7 +73,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("overrides", [
         dict(scheme="simplex"),
-        dict(executor="gpu"),
         dict(n_peers=1, compute_rates=(1.0,)),
         dict(compute_rates=(1.0, 1.0)),            # wrong length
         dict(compute_rates=(1.0, 0.0, 1.0)),       # non-positive rate

@@ -248,13 +248,19 @@ class TestProtocolErrors:
         assert body["error"]["field"] == "version"
 
     def test_bad_job_names_field(self, daemon):
-        wire = submission_to_wire(jobs_matrix(peers=(1,)))
-        wire["jobs"][0]["tol"] = "bogus"
-        status, body = post_raw(daemon, "/campaigns",
-                                json.dumps(wire).encode())
-        assert status == 400
-        assert body["error"]["code"] == "bad-job"
-        assert body["error"]["field"] == "jobs[0].tol"
+        # A malformed value; a version-1 job (it carried the sweep
+        # executor); a current-version job that still carries it.
+        for edit, field in (
+                (dict(tol="bogus"), "jobs[0].tol"),
+                (dict(version=1, executor="inline"), "jobs[0].version"),
+                (dict(executor="inline"), "jobs[0].executor")):
+            wire = submission_to_wire(jobs_matrix(peers=(1,)))
+            wire["jobs"][0].update(edit)
+            status, body = post_raw(daemon, "/campaigns",
+                                    json.dumps(wire).encode())
+            assert status == 400
+            assert body["error"]["code"] == "bad-job"
+            assert body["error"]["field"] == field
 
     def test_sub_floor_tolerance_is_400_not_500(self, daemon):
         """Satellite: a float32 job below its termination floor is

@@ -25,6 +25,11 @@ def job(**overrides):
     return CampaignJob(**base)
 
 
+def v1_job_wire():
+    """A job as a version-1 client encoded it: with the sweep executor."""
+    return dict(job().to_wire(), version=1, executor="inline")
+
+
 # Values that tend to die in float plumbing: non-representable
 # decimals, subnormals, huge/tiny magnitudes, one-ulp neighbours.
 NASTY_FLOATS = [0.1, 0.1 + 0.2, 1e-300, 5e-324, 1.7976931348623157e308,
@@ -37,7 +42,7 @@ class TestJobWireRoundTrip:
         assert CampaignJob.from_wire(original.to_wire()) == original
 
     def test_round_trip_through_actual_json(self):
-        original = job(dtype="float32", executor="process",
+        original = job(dtype="float32",
                        delta=0.123456789123456789, n_paper=96, seed=3,
                        extra=(("weights", (1.0, 2.0)),))
         decoded = CampaignJob.from_wire(
@@ -60,7 +65,7 @@ class TestJobWireRoundTrip:
 
     def test_extra_params_round_trip_hashable(self):
         original = job(extra=(("weights", (0.1, 0.2, 0.7)),
-                              ("executor_workers", 2)))
+                              ("checkpoint_every", 2)))
         decoded = CampaignJob.from_wire(
             json.loads(json.dumps(original.to_wire())))
         assert decoded == original
@@ -78,12 +83,23 @@ class TestJobWireValidation:
         wire["version"] = JOB_WIRE_VERSION + 1
         with pytest.raises(WireError, match="version"):
             CampaignJob.from_wire(wire)
+        # A version-1 job (which still carried the sweep executor) is a
+        # version error, not a field error.
+        with pytest.raises(WireError, match="version") as err:
+            CampaignJob.from_wire(v1_job_wire())
+        assert err.value.field == "version"
 
     def test_unknown_field_rejected(self):
         wire = job().to_wire()
         wire["frobnicate"] = 1
         with pytest.raises(WireError, match="frobnicate"):
             CampaignJob.from_wire(wire)
+        # The executor field left the job in version 2.
+        wire = job().to_wire()
+        wire["executor"] = "inline"
+        with pytest.raises(WireError, match="executor") as err:
+            CampaignJob.from_wire(wire)
+        assert err.value.field == "executor"
 
     def test_bool_rejected_where_int_expected(self):
         wire = job().to_wire()
@@ -106,14 +122,6 @@ class TestJobWireValidation:
     def test_non_mapping_rejected(self):
         with pytest.raises(WireError):
             CampaignJob.from_wire([1, 2, 3])
-
-    def test_executor_in_extra_rejected(self):
-        """A client smuggling the executor into ``extra`` gets a wire
-        error naming the job field, not a silently inline solve."""
-        wire = job().to_wire()
-        wire["extra"] = [["executor", "process"]]
-        with pytest.raises(WireError, match=r"CampaignJob\(executor=\.\.\.\)"):
-            CampaignJob.from_wire(wire)
 
 
 class TestSubmissionEnvelope:
@@ -139,6 +147,9 @@ class TestSubmissionEnvelope:
           "mystery": 1}, "bad-request"),
         ({"version": SCHEMA_VERSION, "jobs": [{"version": 1}]},
          "bad-job"),
+        ({"version": SCHEMA_VERSION, "jobs": [v1_job_wire()]}, "bad-job"),
+        ({"version": SCHEMA_VERSION,
+          "jobs": [dict(job().to_wire(), executor="inline")]}, "bad-job"),
     ])
     def test_rejections_carry_structured_codes(self, payload, code):
         with pytest.raises(SchemaError) as err:

@@ -88,15 +88,24 @@ def test_legacy_invocations_still_parse():
          "--cache-budget-mb", "10", "--warm-start", "--drivers", "2",
          "--min-cache-hits", "1"],
         ["scenario", "--seed", "3", "--scheme", "hybrid",
-         "--exec", "inline", "--dump-dir", "d"],
-        ["replay", "trace.npz", "--executor", "process"],
+         "--dump-dir", "d"],
+        ["replay", "trace.npz"],
     ):
         parser.parse_args(argv)
 
 
-def test_unknown_target_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    # The sweep-executor flags are gone: argparse refuses them.
+    ["campaign", "--n", "8", "--executor", "inline"],
+    ["submit", "--url", "http://127.0.0.1:1", "--executor", "process"],
+    ["scenario", "--seed", "0", "--exec", "inline"],
+    ["replay", "trace.npz", "--executor", "inline"],
+])
+def test_unknown_targets_and_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_serve_validates_queue_bound(capsys):

@@ -150,3 +150,10 @@ class TestInstrumentation:
         assert len(env.fault_tolerance.store) == 2
         states = env.fault_tolerance.recovery_states(2)
         assert states[0] is not None and states[0]["sweep"] >= 10
+
+
+def test_float32_tolerance_below_floor_rejected():
+    # The solver's ValueError surfaces as the environment's
+    # "sub-task(s) failed" RuntimeError, message preserved.
+    with pytest.raises(RuntimeError, match="termination floor"):
+        _solve(2, "synchronous", extra={"dtype": "float32", "tol": 1e-7})

@@ -155,6 +155,33 @@ class TestBlockState:
         assert d < 1e-12
 
 
+class TestSplitPhase:
+    """Between begin_sweep() and finish_sweep() the block is in flight:
+    no second dispatch, no collect without a dispatch, no ghost write,
+    no boundary-plane read, no export."""
+
+    def test_guards(self):
+        problem = membrane_problem(8)
+        state = BlockState(problem=problem, lo=2, hi=6,
+                           delta=problem.jacobi_delta())
+        with pytest.raises(RuntimeError, match="no sweep in flight"):
+            state.finish_sweep()
+        state.begin_sweep()
+        assert state.sweep_in_flight
+        with pytest.raises(RuntimeError, match="already in flight"):
+            state.begin_sweep()
+        for write in (state.update_ghost_above, state.update_ghost_below):
+            with pytest.raises(RuntimeError, match="in flight"):
+                write(np.zeros((8, 8)))
+        for read in (lambda: state.first_plane, lambda: state.last_plane,
+                     state.export_block):
+            with pytest.raises(RuntimeError, match="in flight"):
+                read()
+        assert np.isfinite(state.finish_sweep())
+        with pytest.raises(RuntimeError, match="no sweep in flight"):
+            state.finish_sweep()
+
+
 class TestRelease:
     """Every teardown path — normal report, Calculate()'s finally, a
     fault-injection abort — calls release() without coordinating with
@@ -176,6 +203,7 @@ class TestRelease:
         state = self._state()
         state.begin_sweep()
         state.release()  # must not raise or orphan the sweep
+        assert not state.sweep_in_flight
         state.release()
 
     def test_block_survives_release(self):

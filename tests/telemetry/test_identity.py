@@ -5,7 +5,7 @@ telemetry value ever feeds params, cache keys, wire bytes, or the DES
 clock.  These tests run the same configuration with telemetry fully off
 (``REPRO_TELEMETRY=off``), default (counters only), and fully on
 (``REPRO_TELEMETRY=spans``) and require byte-equal iterates and exact
-equality of every modeled quantity — across both executors and across
+equality of every modeled quantity — for single solves and across
 sequential vs multi-driver campaigns.
 """
 
@@ -28,12 +28,11 @@ def _set_mode(monkeypatch, mode):
         monkeypatch.setenv("REPRO_TELEMETRY", mode)
 
 
-def _run(scheme, executor):
+def _run(scheme):
     # A fresh context per run: telemetry state from a previous mode
     # must not leak into the comparison.
     return run_job(
-        CampaignJob(n=N, n_peers=2, scheme=scheme, tol=TOL,
-                    executor=executor),
+        CampaignJob(n=N, n_peers=2, scheme=scheme, tol=TOL),
         resources=ResourceContext(name="identity"),
     )
 
@@ -48,24 +47,15 @@ def assert_same_solve(a, b):
     assert a.report.provenance == b.report.provenance
 
 
-class TestInlineExecutor:
+class TestSingleSolve:
     @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous"])
     def test_all_modes_bit_identical(self, scheme, monkeypatch):
         results = []
         for mode in MODES:
             _set_mode(monkeypatch, mode)
-            results.append(_run(scheme, "inline"))
+            results.append(_run(scheme))
         for other in results[1:]:
             assert_same_solve(results[0], other)
-
-
-class TestProcessExecutor:
-    def test_spans_on_vs_off_bit_identical(self, monkeypatch):
-        _set_mode(monkeypatch, "off")
-        off = _run("asynchronous", "process")
-        _set_mode(monkeypatch, "spans")
-        on = _run("asynchronous", "process")
-        assert_same_solve(off, on)
 
 
 class TestCampaignDrivers:

@@ -1,9 +1,9 @@
-"""Snapshot piggybacking: ShardPool + DriverPool workers report up.
+"""Snapshot piggybacking: DriverPool workers report up.
 
 Worker processes never share registry handles with their parent — they
-ship snapshot dicts back over the pipes that already exist (ShardPool's
-close handshake, DriverPool's per-branch "done" messages plus its own
-close handshake), and the parent folds them in.  These tests hold the
+ship snapshot dicts back over the pipes that already exist (DriverPool's
+per-branch "done" messages plus its close handshake), and the parent
+folds them in.  These tests hold the
 two guarantees that make that trustworthy: counts observed inside a
 worker end up in the owner's registry, and a worker crash never loses
 snapshots that were already piggybacked.
@@ -25,33 +25,18 @@ def _kernel_sweeps(snapshot):
                if k.startswith("repro_kernel_sweeps_total"))
 
 
-class TestShardPoolPiggyback:
-    def test_worker_kernel_counters_merge_into_owner_context(self):
-        ctx = ResourceContext(name="shard-merge")
+class TestOwnerContext:
+    def test_kernel_counters_land_in_the_owner_context(self):
+        ctx = ResourceContext(name="owner")
         result = run_job(
-            CampaignJob(n=N, n_peers=2, scheme="synchronous", tol=TOL,
-                        executor="process"),
+            CampaignJob(n=N, n_peers=2, scheme="synchronous", tol=TOL),
             resources=ctx,
         )
-        # The sweeps ran in ShardPool worker processes; the runner's
-        # release closed the pool, which harvested each worker's
-        # snapshot into ctx's telemetry.
         snap = ctx.telemetry.snapshot()
         assert _kernel_sweeps(snap) > 0
         # Every sweep of the solve is accounted for exactly once.
         per_peer = sum(p.relaxations for p in result.report.per_peer)
         assert _kernel_sweeps(snap) == per_peer
-
-    def test_inline_counts_match_process_counts(self):
-        inline_ctx = ResourceContext(name="inline")
-        process_ctx = ResourceContext(name="process")
-        for executor, ctx in (("inline", inline_ctx),
-                              ("process", process_ctx)):
-            run_job(CampaignJob(n=N, n_peers=2, scheme="synchronous",
-                                tol=TOL, executor=executor),
-                    resources=ctx)
-        assert _kernel_sweeps(inline_ctx.telemetry.snapshot()) == \
-            _kernel_sweeps(process_ctx.telemetry.snapshot())
 
 
 def _branches(jobs):
