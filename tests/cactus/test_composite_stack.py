@@ -84,6 +84,10 @@ class TestMicroProtocolLifecycle:
         with pytest.raises(MicroProtocolError):
             rec.bind("E", lambda: None)
 
+    def test_set_timer_outside_init_rejected(self):
+        with pytest.raises(MicroProtocolError, match="set_timer"):
+            Recorder().set_timer(1.0, "Ping", 1)
+
     def test_duplicate_name_rejected(self, composite):
         composite.add_micro(Recorder())
         with pytest.raises(CompositionError):
@@ -192,6 +196,14 @@ class TestProtocolStack:
         sim, stack, top, mid, bot = self.make_stack()
         with pytest.raises(CompositionError):
             ProtocolStack([top])
+
+    def test_substitute_refuses_a_layer_of_another_stack(self):
+        sim, stack, top, mid, bot = self.make_stack()
+        _, _, other_top, *_ = self.make_stack()
+        with pytest.raises(CompositionError, match="already in a stack"):
+            stack.substitute_layer(bot, other_top)
+        assert stack.layers() == [top, mid, bot]
+        assert bot.stack is stack
 
     def test_foreign_layer_lookup_fails(self):
         _, stack, *_ = self.make_stack()

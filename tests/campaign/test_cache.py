@@ -247,6 +247,9 @@ CORRUPTIONS = {
     "short header": ("header", _truncate_to(
         lambda raw: _PREFIX.size + 10)),
     "header missing a field": ("header", _drop_crc),
+    "shape disagrees with size": ("header", _rewrite_header(shape=[2, 3])),
+    "negative dimension": ("header", _rewrite_header(shape=[-8, 8, 8])),
+    "object dtype": ("header", _rewrite_header(dtype="|O")),
     "schema mismatch": ("schema", _rewrite_header(schema=CACHE_SCHEMA + 1)),
     "short payload": ("length", _truncate_to(lambda raw: len(raw) - 8)),
     "long payload": ("length", lambda p: p.write_bytes(

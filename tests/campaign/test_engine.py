@@ -146,6 +146,17 @@ class TestDuplicatesAndLifecycle:
         assert outcome.records[0].result is outcome.records[1].result
         assert outcome.duplicates == 1
 
+    def test_result_for_looks_jobs_up_by_content(self):
+        job = CampaignJob(n=N, n_peers=2, tol=TOL)
+        with Campaign([job, CampaignJob(n=N, n_peers=1, tol=TOL)]) as c:
+            outcome = c.run()
+        # An equal job built independently finds the same record.
+        assert outcome.result_for(CampaignJob(n=N, n_peers=2, tol=TOL)) \
+            is outcome.records[0].result
+        stranger = CampaignJob(n=N, n_peers=3, tol=TOL)
+        with pytest.raises(KeyError, match="no record for job"):
+            outcome.result_for(stranger)
+
     def test_closed_campaign_refuses_to_run(self):
         campaign = Campaign([CampaignJob(n=N, tol=TOL)])
         campaign.close()

@@ -14,7 +14,7 @@ from repro.core.topology_manager import PeerRecord
 from repro.core.user_daemon import CommandError
 from repro.numerics.blocks import BlockAssignment
 from repro.p2psap.context import Scheme
-from repro.simnet import Simulator, nicta_testbed
+from repro.simnet import Network, Simulator, nicta_testbed
 
 
 class EchoApp(Application):
@@ -121,6 +121,54 @@ class TestTaskFlow:
         sim, env = make_env(2)
         with pytest.raises(LookupError):
             env.run_to_completion("ghost", timeout=50)
+
+    def test_application_missing_on_a_peer_is_reported(self):
+        """Code distribution is the user's job: a peer that lacks the
+        application answers its sub-task with an error, and the run
+        fails naming the application instead of hanging."""
+        sim, env = make_env(2)
+        for name, executor in env.executors.items():
+            if name == env.server_name:
+                executor.register(EchoApp())
+        with pytest.raises(RuntimeError, match="unknown application 'echo'"):
+            env.run_to_completion("echo", n_peers=2, timeout=200)
+
+    def test_second_run_while_busy_is_refused(self):
+        sim, env = make_env(2)
+        env.register_everywhere(EchoApp())
+        sim.run(until=2.0)
+        done = env.run("echo", n_peers=2)
+        with pytest.raises(RuntimeError, match="busy"):
+            env.run("echo", n_peers=2)
+        sim.run_until(done, 200)
+        assert len(done.value.output) == 2
+
+    def test_load_balanced_run_keeps_cluster_contiguity(self):
+        """With load balancing on, collected peers are ordered through
+        the balancer — which keeps clusters contiguous along the chain,
+        so the run's peer order is the plain run's."""
+        peer_orders = []
+        for balanced in (False, True):
+            sim, env = make_env(4, clusters=2,
+                                enable_load_balancing=balanced)
+            env.register_everywhere(EchoApp())
+            run = env.run_to_completion("echo", n_peers=4, timeout=200)
+            assert [r["rank"] for r in run.output] == [0, 1, 2, 3]
+            peer_orders.append(run.peer_names)
+            clusters = [env.network.nodes[p].cluster for p in run.peer_names]
+            assert clusters == sorted(clusters)
+        assert peer_orders[0] == peer_orders[1]
+
+    def test_empty_network_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="no nodes"):
+            P2PDC(sim, Network(sim))
+
+    def test_unknown_server_rejected(self):
+        sim = Simulator()
+        net = nicta_testbed(sim, 2)
+        with pytest.raises(ValueError, match="unknown server node"):
+            P2PDC(sim, net, server_name="nowhere")
 
     def test_scheme_override_reaches_context(self):
         captured = {}
@@ -240,6 +288,16 @@ class TestLoadBalancer:
         with pytest.raises(ValueError):
             LoadBalancer().weights([])
 
+    def test_min_speed_ratio_validated(self):
+        for ratio in (0.0, 1.5):
+            with pytest.raises(ValueError, match="min_speed_ratio"):
+                LoadBalancer(min_speed_ratio=ratio)
+
+    def test_order_peers_keeps_the_given_order(self):
+        records = [self.rec("slow", 1e8), self.rec("fast", 3e9),
+                   self.rec("mid", 1e9)]
+        assert LoadBalancer().order_peers(records) == ["slow", "fast", "mid"]
+
 
 class TestMigrationPlanner:
     def test_no_migration_when_balanced(self):
@@ -272,6 +330,17 @@ class TestMigrationPlanner:
         a = BlockAssignment.balanced(12, 3)
         with pytest.raises(ValueError):
             MigrationPlanner.apply(a, MigrationStep(src=0, dst=2, n_planes=1))
+
+    def test_apply_sheds_from_the_back_towards_the_right(self):
+        a = BlockAssignment.balanced(12, 3)
+        b = MigrationPlanner.apply(a, MigrationStep(src=1, dst=2, n_planes=2))
+        assert [(r.start, r.stop) for r in b.ranges] == [(0, 4), (4, 6),
+                                                         (6, 12)]
+
+    def test_apply_refuses_to_empty_the_source(self):
+        a = BlockAssignment.balanced(6, 3)
+        with pytest.raises(ValueError, match="no planes"):
+            MigrationPlanner.apply(a, MigrationStep(src=1, dst=0, n_planes=2))
 
     def test_single_node_never_migrates(self):
         planner = MigrationPlanner()

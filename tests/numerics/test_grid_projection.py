@@ -93,6 +93,32 @@ class TestBoxConstraint:
         np.testing.assert_allclose(k.project_plane(v, 0), v)
         np.testing.assert_allclose(k.project_plane(v, 1), np.full((2, 2), 5.0))
 
+    def test_trivial_projection_into_a_given_buffer(self):
+        k = unconstrained()
+        v = np.array([1.0, -2.0])
+        out = np.empty_like(v)
+        assert k.project(v, out=out) is out
+        np.testing.assert_array_equal(out, v)
+        assert k.project(v, out=v) is v
+
+    def test_trivial_plane_projection_copies_or_fills(self):
+        k = unconstrained()
+        v = np.arange(4.0).reshape(2, 2)
+        copy = k.project_plane(v, 0)
+        assert copy is not v
+        np.testing.assert_array_equal(copy, v)
+        out = np.zeros_like(v)
+        assert k.project_plane(v, 1, out=out) is out
+        np.testing.assert_array_equal(out, v)
+        assert k.project_plane(v, 1, out=v) is v
+
+    def test_scalar_bounds_apply_to_every_plane(self):
+        k = BoxConstraint(lower=-1.0, upper=1.0)
+        v = np.array([[-3.0, 0.5], [0.25, 3.0]])
+        for plane in (0, 7):
+            np.testing.assert_array_equal(k.project_plane(v, plane),
+                                          [[-1.0, 0.5], [0.25, 1.0]])
+
     def test_contains_and_violation(self):
         k = BoxConstraint(lower=0.0, upper=1.0)
         assert k.contains(np.array([0.0, 0.5, 1.0]))

@@ -115,6 +115,23 @@ class TestMMatrixTheory:
         delta = frac * 2.0 / lam_max
         assert contraction_factor(A, delta) < 1.0
 
+    def test_empty_1d_laplacian_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            laplacian_matrix_1d(0)
+
+    def test_diagonal_dominance_weak_and_strict(self):
+        weak_only = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert not is_diagonally_dominant(weak_only)
+        assert is_diagonally_dominant(weak_only, strict_somewhere=False)
+        assert not is_diagonally_dominant(np.array([[1.0, -2.0],
+                                                    [-1.0, 3.0]]),
+                                          strict_somewhere=False)
+
+    def test_non_positive_diagonal_is_not_m_matrix(self):
+        A = np.array([[0.0, -1.0], [-1.0, 2.0]])
+        assert is_z_matrix(A)
+        assert not is_m_matrix(A)
+
     def test_zero_diag_rejected(self):
         with pytest.raises(ValueError):
             jacobi_spectral_radius(np.zeros((2, 2)))

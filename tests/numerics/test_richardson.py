@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from repro.numerics.blocks import BlockAssignment, partition_planes, weighted_partition
 from repro.numerics.convergence import DiffCriterion, ResidualHistory, max_diff
-from repro.numerics.obstacle import membrane_problem, torsion_problem
+from repro.numerics.grid import Grid3D
+from repro.numerics.obstacle import (
+    ObstacleProblem,
+    membrane_problem,
+    options_pricing_problem,
+    torsion_problem,
+)
+from repro.numerics.projection import unconstrained
 from repro.numerics.richardson import projected_richardson
 
 
@@ -101,6 +108,38 @@ class TestConvergence:
                                        tol=1e-6, sweep="jacobi",
                                        max_relaxations=500_000)
         assert r_opt.relaxations < r_small.relaxations
+
+
+class TestComplementarity:
+    """``complementarity_error`` scores the LCP conditions directly:
+    feasibility, a vanishing residual strictly inside K, and the right
+    residual sign on each obstacle."""
+
+    @pytest.mark.parametrize("factory", [
+        membrane_problem, torsion_problem, options_pricing_problem,
+    ], ids=["membrane", "torsion", "options"])
+    def test_solution_satisfies_the_lcp(self, factory):
+        p = factory(8)
+        res = projected_richardson(p, tol=1e-11)
+        assert res.converged
+        assert p.complementarity_error(res.u) < 1e-6
+        assert p.complementarity_error(p.feasible_start()) > 1.0
+
+    def test_infeasible_point_is_charged_its_violation(self):
+        p = membrane_problem(8)
+        u = projected_richardson(p, tol=1e-11).u
+        u[4, 4, 4] = p.constraint.lower[4, 4, 4] - 0.5
+        assert p.complementarity_error(u) >= 0.5
+
+    def test_unconstrained_error_is_the_residual(self):
+        grid = Grid3D(4)
+        p = ObstacleProblem(grid=grid, b=grid.full(3.0),
+                            constraint=unconstrained(), name="linear-4")
+        assert p.complementarity_error(grid.zeros()) == 3.0
+
+    def test_unknown_sweep_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep"):
+            projected_richardson(membrane_problem(4), sweep="sor")
 
 
 class TestDiffCriterion:
@@ -226,3 +265,21 @@ class TestBlocks:
             BlockAssignment(4, (range(0, 2), range(3, 4)))  # gap
         with pytest.raises(IndexError):
             BlockAssignment.balanced(4, 2).owner(99)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([], "at least one weight"),
+        ([1.0, 0.0], "positive"),
+        ([1.0] * 5, "more nodes than planes"),
+    ], ids=["no-weights", "zero-weight", "too-many-nodes"])
+    def test_weighted_partition_validation(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            weighted_partition(4, weights)
+
+    def test_assignment_rejects_an_empty_range(self):
+        with pytest.raises(ValueError, match="at least one plane"):
+            BlockAssignment(3, (range(0, 3), range(3, 3)))
+
+    def test_assignment_planes_and_description(self):
+        a = BlockAssignment.weighted(6, [1.0, 2.0])
+        assert a.planes(1) == range(2, 6)
+        assert a.describe() == "node0:[0..1] | node1:[2..5]"

@@ -168,6 +168,28 @@ class TestHTCP:
         cc.on_timeout()
         assert cc.beta == pytest.approx(0.5)
 
+    def test_triple_dupack_backs_off_by_beta_without_timeout(self):
+        cc = HTCPCongestion()
+        cc.ssthresh = 1.0
+        cc.cwnd = 100.0
+        cc.on_ack(rtt=0.100)
+        cc.on_ack(rtt=0.125)
+        window, rto = cc.cwnd, cc.rto
+        cc.on_dupack(2)
+        assert cc.cwnd == window
+        cc.on_dupack(3)
+        assert cc.cwnd == pytest.approx(0.8 * window)
+        assert cc.stats_fast_retransmits == 1
+        assert cc.stats_timeouts == 0
+        assert cc.rto == rto  # only a timeout backs the RTO off
+
+    def test_beta_defaults_low_without_rtt_samples(self):
+        cc = HTCPCongestion()
+        cc.cwnd = 40.0
+        cc.on_timeout()
+        assert cc.beta == HTCPCongestion.BETA_MIN
+        assert cc.cwnd == pytest.approx(20.0)
+
 
 class TestSCP:
     def test_backs_off_before_loss_when_queue_builds(self):
@@ -199,6 +221,22 @@ class TestSCP:
         cc.cwnd = 30.0
         cc.on_timeout()
         assert cc.cwnd == 1.0
+
+    def test_triple_dupack_halves_without_collapsing(self):
+        cc = SCPCongestion()
+        cc.cwnd = 30.0
+        cc.on_dupack(2)
+        assert cc.cwnd == 30.0
+        cc.on_dupack(3)
+        assert cc.cwnd == cc.ssthresh == 15.0
+        assert cc.stats_fast_retransmits == 1
+
+    def test_avoidance_without_rtt_sample_is_linear(self):
+        cc = SCPCongestion()
+        cc.ssthresh = 1.0
+        cc.cwnd = 10.0
+        cc.on_ack()
+        assert cc.cwnd == pytest.approx(10.0 + 1.0 / 10.0)
 
 
 class TestSharedState:
@@ -233,4 +271,16 @@ class TestSharedState:
         pumped = []
         comp.bus.bind("TrySend", lambda: pumped.append(1))
         comp.bus.raise_event("AckReceived", 0, 0.01)
+        assert pumped
+
+    def test_dupack_events_reach_the_controller(self):
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        cc = comp.add_micro(TahoeCongestion())
+        cc.cwnd = 20.0
+        pumped = []
+        comp.bus.bind("TrySend", lambda: pumped.append(1))
+        comp.bus.raise_event("DupAck", 7, 3)
+        assert cc.cwnd == 1.0
+        assert comp.shared[CWND_KEY] == 1.0
         assert pumped

@@ -248,6 +248,14 @@ class TestModes:
         assert isinstance(make_mode(CommMode.SYNCHRONOUS), SynchronousMode)
         assert isinstance(make_mode(CommMode.ASYNCHRONOUS), AsynchronousMode)
 
+    def test_factory_rejects_unknown_modes(self):
+        with pytest.raises(ValueError, match="unknown communication mode"):
+            make_mode("semi-synchronous")
+
+    def test_appack_timeout_must_be_positive(self):
+        with pytest.raises(ValueError, match="appack_timeout"):
+            SynchronousMode(appack_timeout=0.0)
+
     def test_async_send_completes_immediately(self, comp):
         comp.add_micro(BufferManagement())
         comp.add_micro(AsynchronousMode())

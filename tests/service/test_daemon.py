@@ -366,6 +366,13 @@ class TestServiceInternals:
         with pytest.raises(ValueError, match="max_queue"):
             CampaignService(max_queue=0, autostart=False)
 
+    @pytest.mark.parametrize("url", ["https://127.0.0.1:8000",
+                                     "127.0.0.1:8000", "http://"],
+                             ids=["https", "no-scheme", "no-host"])
+    def test_client_needs_an_http_host_url(self, url):
+        with pytest.raises(ValueError, match="not an http://host:port URL"):
+            ServiceClient(url)
+
     def test_admission_error_payload(self):
         err = AdmissionError("full", code="queue-full", status=503)
         assert err.payload()["error"]["code"] == "queue-full"

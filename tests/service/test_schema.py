@@ -123,6 +123,41 @@ class TestJobWireValidation:
         with pytest.raises(WireError):
             CampaignJob.from_wire([1, 2, 3])
 
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda w: w.pop("n"), "n", id="missing-n"),
+        pytest.param(lambda w: w.update(tol=[1e-3]), "tol",
+                     id="tol-not-a-number"),
+        pytest.param(lambda w: w.update(delta=True), "delta",
+                     id="delta-bool"),
+        pytest.param(lambda w: w.update(scheme=3), "scheme",
+                     id="scheme-not-a-string"),
+        pytest.param(lambda w: w.update(n_paper="64"), "n_paper",
+                     id="n_paper-string"),
+        pytest.param(lambda w: w.update(extra=5), "extra",
+                     id="extra-scalar"),
+        pytest.param(lambda w: w.update(extra=[["lonely"]]), "extra",
+                     id="extra-short-pair"),
+        pytest.param(lambda w: w.update(extra=[["k", {"double": "0x1p0"}]]),
+                     "extra[k]", id="extra-unknown-tag"),
+    ])
+    def test_rejection_names_the_field(self, edit, field):
+        wire = job().to_wire()
+        edit(wire)
+        with pytest.raises(WireError) as err:
+            CampaignJob.from_wire(wire)
+        assert err.value.field == field
+
+    def test_extra_mapping_decodes_like_pairs(self):
+        original = job(extra={"k": (0.5, 2)})
+        wire = original.to_wire()
+        wire["extra"] = {"k": [{"float": (0.5).hex()}, 2]}
+        assert CampaignJob.from_wire(wire) == original
+
+    def test_unencodable_extra_value_refused_on_the_way_out(self):
+        with pytest.raises(WireError, match="not wire-encodable") as err:
+            job(extra={"k": {1, 2}}).to_wire()
+        assert err.value.field == "extra"
+
 
 class TestSubmissionEnvelope:
     def test_round_trip(self):

@@ -198,6 +198,26 @@ class TestProcess:
         sim.run()
         assert p.value == "done"
 
+    def test_target_is_the_event_being_waited_on(self):
+        sim = Simulator()
+        gate = sim.event()
+        seen = []
+
+        def waiter():
+            yield gate
+
+        p = sim.spawn(waiter())
+
+        def observer():
+            yield sim.timeout(1.0)
+            seen.append(p.target)
+            gate.succeed()
+
+        sim.spawn(observer())
+        sim.run()
+        assert seen == [gate]
+        assert not p.is_alive
+
     def test_spawn_rejects_non_generator(self):
         sim = Simulator()
         with pytest.raises(TypeError):
@@ -228,6 +248,13 @@ class TestEvent:
         ev.succeed(1)
         with pytest.raises(SimulationError):
             ev.succeed(2)
+
+    def test_fail_after_trigger_is_error(self):
+        sim = Simulator()
+        ev = sim.event()
+        ev.succeed(1)
+        with pytest.raises(SimulationError, match="already been triggered"):
+            ev.fail(RuntimeError("late"))
 
     def test_fail_requires_exception(self):
         sim = Simulator()
@@ -290,6 +317,32 @@ class TestConditions:
         p = sim.spawn(proc())
         sim.run()
         assert p.value == 0.0
+
+    @pytest.mark.parametrize("condition", [AnyOf, AllOf])
+    def test_constituent_failure_fails_the_condition(self, condition):
+        sim = Simulator()
+        doomed = sim.event()
+
+        def proc():
+            try:
+                yield condition(sim, [doomed, sim.timeout(5.0)])
+            except KeyError as err:
+                return (sim.now, err.args[0])
+            return None
+
+        def saboteur():
+            yield sim.timeout(1.0)
+            doomed.fail(KeyError("lost"))
+
+        p = sim.spawn(proc())
+        sim.spawn(saboteur())
+        sim.run()
+        assert p.value == (1.0, "lost")
+
+    def test_conditions_refuse_events_of_another_simulator(self):
+        sim, other = Simulator(), Simulator()
+        with pytest.raises(SimulationError, match="different simulators"):
+            AllOf(sim, [sim.timeout(1.0), other.timeout(1.0)])
 
     def test_sim_helpers(self):
         sim = Simulator()

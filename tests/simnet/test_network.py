@@ -146,6 +146,26 @@ class TestLinkTiming:
         sim.run()
         assert times == [pytest.approx(0.001), pytest.approx(0.002)]
 
+    def test_reconfigure_spares_packets_in_flight(self):
+        """A qdisc change applies to packets sent after it; one already
+        on the wire keeps the delay it was transmitted with."""
+        sim, net = make_net(intra_netem=Netem(delay=0.1),
+                            intra_bandwidth_bps=math.inf)
+        net.send("a", "b", "before", size_bytes=100)
+        net.link("a", "b").reconfigure(netem=Netem(delay=0.5))
+        net.send("a", "b", "after", size_bytes=100)
+        received = []
+
+        def rx():
+            for _ in range(2):
+                pkt = yield net.nodes["b"].inbox().get()
+                received.append((sim.now, pkt.payload))
+
+        sim.spawn(rx())
+        sim.run()
+        assert received == [(pytest.approx(0.1), "before"),
+                            (pytest.approx(0.5), "after")]
+
 
 class TestLoss:
     def test_total_loss_drops_everything(self):
@@ -223,6 +243,41 @@ class TestValidation:
         _, net = make_net()
         with pytest.raises(NoRouteError):
             net.link("a", "zz")
+
+    def test_unknown_source_node_route(self):
+        _, net = make_net()
+        with pytest.raises(NoRouteError, match="'zz'"):
+            net.add_link("zz", "a")
+
+    def test_non_positive_cpu_rejected(self):
+        _, net = make_net()
+        with pytest.raises(ValueError, match="cpu_hz"):
+            net.add_node("d", cpu_hz=0.0)
+
+    def test_negative_busy_time_rejected(self):
+        _, net = make_net()
+        with pytest.raises(ValueError, match="non-negative"):
+            net.nodes["a"].busy(-1.0)
+
+    def test_negative_bandwidth_rejected(self):
+        _, net = make_net()
+        with pytest.raises(ValueError, match="bandwidth"):
+            net.add_link("a", "b", bandwidth_bps=-1.0)
+        link = net.add_link("a", "b")
+        with pytest.raises(ValueError, match="bandwidth"):
+            link.reconfigure(bandwidth_bps=-1.0)
+
+    def test_reconfigure_requires_a_netem(self):
+        _, net = make_net()
+        link = net.add_link("a", "b")
+        with pytest.raises(TypeError, match="Netem"):
+            link.reconfigure(netem={"delay": 0.1})
+
+    def test_iter_links_lists_every_created_link(self):
+        _, net = make_net()
+        ab = net.add_link("a", "b")
+        ca = net.link("c", "a")
+        assert list(net.iter_links()) == [ab, ca]
 
     def test_loopback_rejected(self):
         _, net = make_net()

@@ -7,6 +7,7 @@ from repro.core import P2PDC
 from repro.numerics import membrane_problem, projected_richardson
 from repro.simnet import Simulator, nicta_testbed
 from repro.solvers import ObstacleApplication
+from repro.resources import ResourceContext
 from repro.solvers.distributed_richardson import get_problem
 
 N = 12
@@ -137,6 +138,12 @@ class TestInstrumentation:
         assert all(r.sends > 0 for r in reports)
         assert all(r.relaxations > 0 for r in reports)
 
+    def test_total_relaxations_sums_the_peers(self, solve):
+        out = solve(3, "asynchronous").output
+        assert out.total_relaxations == sum(r.relaxations
+                                            for r in out.per_peer)
+        assert out.total_relaxations > out.relaxations
+
     def test_checkpointing_flows_to_fault_tolerance(self):
         sim = Simulator()
         net = nicta_testbed(sim, 2, n_clusters=1)
@@ -157,3 +164,40 @@ def test_float32_tolerance_below_floor_rejected():
     # "sub-task(s) failed" RuntimeError, message preserved.
     with pytest.raises(RuntimeError, match="termination floor"):
         _solve(2, "synchronous", extra={"dtype": "float32", "tol": 1e-7})
+
+
+class TestRejections:
+    """Bad solve requests fail loudly, and failures inside a peer's
+    Calculate() surface through the environment with their message."""
+
+    def test_unknown_problem_kind(self):
+        with pytest.raises(ValueError, match="unknown problem kind 'sphere'"):
+            get_problem("sphere", 8, resources=ResourceContext())
+
+    def test_weights_must_cover_every_peer(self):
+        with pytest.raises(ValueError, match="weights length"):
+            ObstacleApplication().problem_definition(
+                {"n": 8, "n_peers": 2, "weights": [1.0, 1.0, 1.0]})
+
+    def test_warm_start_of_the_wrong_shape(self):
+        with pytest.raises(RuntimeError, match="warm_start_u must have shape"):
+            _solve(1, "synchronous", n=8,
+                   extra={"warm_start_u": np.zeros((4, 4, 4))})
+
+    def test_single_peer_relaxation_cap(self):
+        with pytest.raises(RuntimeError, match="no convergence in 3"):
+            _solve(1, "synchronous", n=8, extra={"max_relaxations": 3})
+
+
+class TestProblemCache:
+    def test_is_a_bounded_lru(self):
+        ctx = ResourceContext()
+        first = get_problem("membrane", 2, resources=ctx)
+        for n in range(3, 18):
+            get_problem("membrane", n, resources=ctx)
+        # Touching n=2 made it the most recent, so n=18 evicts n=3.
+        assert get_problem("membrane", 2, resources=ctx) is first
+        get_problem("membrane", 18, resources=ctx)
+        assert len(ctx.problem_cache) == 16
+        assert ("membrane", 2) in ctx.problem_cache
+        assert ("membrane", 3) not in ctx.problem_cache

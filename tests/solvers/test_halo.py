@@ -50,6 +50,18 @@ class TestLockstepEquivalence:
         )
         np.testing.assert_allclose(u_dist, seq.u, atol=1e-13)
 
+    @pytest.mark.parametrize("n_nodes", [2, 3])
+    def test_jacobi_lockstep_equals_sequential_on_torsion(self, n_nodes):
+        """The same identity on the two-sided (torsion) constraint: the
+        projection is plane-local, so blocking cannot change it."""
+        problem = torsion_problem(8)
+        sweeps = 12
+        u_dist = distributed_jacobi_lockstep(problem, n_nodes, sweeps)
+        seq = projected_richardson(
+            problem, tol=1e-300, max_relaxations=sweeps, sweep="jacobi"
+        )
+        np.testing.assert_allclose(u_dist, seq.u, atol=1e-13)
+
     def test_gauss_seidel_single_node_equals_sequential_gs(self):
         problem = torsion_problem(8)
         sweeps = 15
@@ -79,6 +91,12 @@ class TestBlockState:
         assert bottom.ghost_above is None
         with pytest.raises(RuntimeError):
             top.update_ghost_below(np.zeros((6, 6)))
+
+    def test_top_block_refuses_a_ghost_above(self):
+        p = membrane_problem(6)
+        bottom = BlockState(problem=p, lo=4, hi=6, delta=p.jacobi_delta())
+        with pytest.raises(RuntimeError, match="domain boundary above"):
+            bottom.update_ghost_above(np.zeros((6, 6)))
 
     def test_first_last_plane_views(self):
         p = membrane_problem(6)
@@ -180,6 +198,61 @@ class TestSplitPhase:
         assert np.isfinite(state.finish_sweep())
         with pytest.raises(RuntimeError, match="no sweep in flight"):
             state.finish_sweep()
+
+    @pytest.mark.parametrize("local_sweep", ["gauss_seidel", "jacobi"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_split_phase_equals_sweep(self, local_sweep, dtype):
+        """begin_sweep()/finish_sweep() is sweep() cut in two: same
+        diffs, same iterate, bit for bit, sweep after sweep."""
+        problem = membrane_problem(8)
+
+        def state():
+            return BlockState(problem=problem, lo=2, hi=6,
+                              delta=problem.jacobi_delta(), dtype=dtype,
+                              local_sweep=local_sweep)
+
+        whole, split = state(), state()
+        for _ in range(5):
+            split.begin_sweep()
+            assert split.finish_sweep() == whole.sweep()
+            assert np.array_equal(split.block, whole.block)
+        assert split.block.dtype == np.dtype(dtype)
+
+    def test_abort_keeps_the_swept_iterate_and_is_idempotent(self):
+        problem = membrane_problem(8)
+        aborted = BlockState(problem=problem, lo=0, hi=4,
+                             delta=problem.jacobi_delta())
+        finished = BlockState(problem=problem, lo=0, hi=4,
+                              delta=problem.jacobi_delta())
+        aborted.begin_sweep()
+        aborted.abort_sweep()
+        aborted.abort_sweep()
+        finished.sweep()
+        assert not aborted.sweep_in_flight
+        assert np.array_equal(aborted.export_block(), finished.block)
+        with pytest.raises(RuntimeError, match="no sweep in flight"):
+            aborted.finish_sweep()
+
+    def test_a_new_sweep_may_begin_after_an_abort(self):
+        problem = membrane_problem(8)
+        state = BlockState(problem=problem, lo=0, hi=4,
+                           delta=problem.jacobi_delta())
+        state.begin_sweep()
+        state.abort_sweep()
+        state.begin_sweep()
+        assert np.isfinite(state.finish_sweep())
+
+    def test_warm_start_refused_while_in_flight(self):
+        problem = membrane_problem(8)
+        state = BlockState(problem=problem, lo=0, hi=4,
+                           delta=problem.jacobi_delta())
+        checkpoint = np.zeros_like(state.block)
+        state.begin_sweep()
+        with pytest.raises(RuntimeError, match="warm-start"):
+            state.warm_start(checkpoint)
+        state.finish_sweep()
+        state.warm_start(checkpoint)
+        assert not state.block.any()
 
 
 class TestRelease:

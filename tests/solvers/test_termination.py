@@ -47,6 +47,10 @@ class TestExactCoordinator:
         with pytest.raises(ValueError):
             ExactCoordinator(1, 0.0)
 
+    def test_pending_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_pending"):
+            ExactCoordinator(2, 1e-3, max_pending=0)
+
     def test_memory_bounded(self):
         c = ExactCoordinator(n_peers=2, tol=1e-9)
         for it in range(1000):

@@ -106,3 +106,42 @@ class TestValidator:
                 'h_sum{k="b"} 1\nh_count{k="b"} 9\n')
         seen = validate_exposition(text)
         assert seen["h"]["samples"] == 8
+
+    @pytest.mark.parametrize("text, match", [
+        pytest.param("# TYPE a counter total\na 1\n", "malformed TYPE",
+                     id="type-arity"),
+        pytest.param("# TYPE 9a counter\n", "bad metric name",
+                     id="type-name"),
+        pytest.param("# TYPE a meter\na 1\n", "bad metric type",
+                     id="type-kind"),
+        pytest.param("# TYPE a counter\n# TYPE a gauge\na 1\n",
+                     "duplicate TYPE", id="type-twice"),
+        pytest.param("# TYPE a counter\na  1\n", "malformed sample",
+                     id="sample-shape"),
+        pytest.param("# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n",
+                     "without le", id="bucket-no-le"),
+        pytest.param("# TYPE h histogram\n"
+                     'h_bucket{le="1"} 1\n'
+                     'h_bucket{le="0.5"} 1\n'
+                     'h_bucket{le="+Inf"} 1\n'
+                     "h_sum 1\nh_count 1\n",
+                     "not increasing", id="bucket-order"),
+    ])
+    def test_rejects_structural_errors(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            validate_exposition(text)
+
+    def test_help_and_blank_lines_are_accepted(self):
+        text = ("# HELP a the answer\n"
+                "# TYPE a gauge\n"
+                "\n"
+                "a 42\n")
+        assert validate_exposition(text) == {
+            "a": {"type": "gauge", "samples": 1}}
+
+    def test_infinite_gauge_renders_as_plus_inf(self):
+        reg = MetricsRegistry()
+        reg.gauge("repro_worst_gap").set(float("inf"))
+        text = render_prometheus(reg.snapshot())
+        assert "repro_worst_gap +Inf\n" in text
+        assert validate_exposition(text)["repro_worst_gap"]["samples"] == 1
