@@ -19,12 +19,27 @@ from typing import Any, Callable, Optional
 
 from ..p2psap.context import CommMode, Scheme
 from ..p2psap.session import SessionState
-from ..p2psap.socket_api import P2PSAP, P2PSAPSocket
+from ..p2psap.socket_api import P2PSAP, P2PSAPSocket, _PayloadRequest
 from ..simnet.kernel import Event, Interrupt, Simulator
 from .env_bus import EnvBus
 from .programming_model import Application, TaskContext
 
 __all__ = ["TaskExecutor"]
+
+
+class _Op:
+    """A rank-addressed send (``payload``) or receive (``outer`` is a
+    ``_PayloadRequest``), issued by task incarnation ``epoch`` and last
+    started on ``sock``."""
+
+    __slots__ = ("rank", "outer", "payload", "epoch", "sock")
+
+    def __init__(self, rank: int, outer: Event, payload: Any, epoch: int):
+        self.rank = rank
+        self.outer = outer
+        self.payload = payload
+        self.epoch = epoch
+        self.sock: Optional[P2PSAPSocket] = None
 
 
 class TaskExecutor:
@@ -72,13 +87,13 @@ class TaskExecutor:
         # process, the sub-task a crash interrupted (so a recovered peer
         # can resume it), per-rank sends/receives awaiting completion
         # (re-issued when a session is replaced by a restarted peer), and
-        # a generation counter that invalidates the completion callbacks
-        # of operations belonging to a dead task incarnation.
+        # a generation counter that keeps the operations of a dead task
+        # incarnation from being started or re-issued again.
         self._calc_proc = None
         self._current_task: Optional[tuple[str, dict]] = None
         self._crashed: Optional[tuple[str, dict]] = None
         self._force_initiate = False
-        self._pending_ops: dict[int, list[dict]] = {}
+        self._pending_ops: dict[int, list[_Op]] = {}
         self._ops_epoch = 0
         self._accept_pump = sim.spawn(self._accept_loop(), name=f"accept-{node_name}")
         self._checkpoint_sink: Optional[Callable[[int, Any], None]] = None
@@ -352,79 +367,69 @@ class TaskExecutor:
 
     # -- communication API used by TaskContext -----------------------------------------
     #
-    # Sends and receives run behind an *outer* event tracked in
-    # ``_pending_ops``: when a session is replaced (crashed peer came
-    # back and reconnected), operations issued against the dead session
-    # are re-issued on the new one and the first completion — old or new
-    # — wins the outer event.  Without this, a surviving neighbour whose
+    # Every send and receive completes on one *outer* event, made here
+    # and handed down to the session as the data channel's completion
+    # (a send's ``msg.meta["completion"]``, a receive's request): the
+    # caller holds the very event the session fires, with no relay
+    # event in between.  An op still pending is tracked in
+    # ``_pending_ops`` until its outer event fires.  When a session is
+    # replaced (a crashed peer came back and reconnected), ops issued
+    # against the dead session are re-issued, with the same outer
+    # event, on the new one; without this, a surviving neighbour whose
     # synchronous exchange straddled the crash would wait forever on a
-    # session the restarted peer no longer reads.
+    # session the restarted peer no longer reads.  The first completion,
+    # old session or new, wins: the micro-protocols skip a completion
+    # or receive request that has already fired
+    # (``SynchronousMode._on_rx_appack``/``_on_appack_timeout``/
+    # ``on_remove``, ``AsynchronousMode._on_user_send``,
+    # ``BufferManagement._on_rx_deliver``), and ``_start_op`` re-issues
+    # nothing that has.  An op of a dead task incarnation (teardown or
+    # crash bumps ``_ops_epoch``) is never re-issued; a late completion
+    # on its session fires an event nobody waits on any more.
 
     def send_to_rank(self, rank: int, payload: Any) -> Event:
-        return self._issue(rank, "send", payload)
+        return self._issue(_Op(rank, self.sim.event(), payload, self._ops_epoch))
 
     def receive_from_rank(self, rank: int) -> Event:
-        return self._issue(rank, "recv", None)
+        return self._issue(_Op(rank, _PayloadRequest(self.sim), None, self._ops_epoch))
 
-    def _issue(self, rank: int, kind: str, payload: Any) -> Event:
-        record = {
-            "rank": rank, "kind": kind, "payload": payload,
-            "outer": self.sim.event(), "sock": None,
-            "epoch": self._ops_epoch,
-        }
-        self._pending_ops.setdefault(rank, []).append(record)
-        self._start_op(record)
-        return record["outer"]
+    def _issue(self, op: _Op) -> Event:
+        self._start_op(op)
+        outer = op.outer
+        if not outer.triggered:  # else it completed during send: done
+            self._pending_ops.setdefault(op.rank, []).append(op)
+            outer.callbacks.append(lambda _ev: self._retire_op(op))
+        return outer
 
-    def _start_op(self, record: dict) -> None:
-        if record["epoch"] != self._ops_epoch or record["outer"].triggered:
-            return  # the issuing task incarnation is gone
-        rank = record["rank"]
-        sock = self._sockets.get(rank)
+    def _start_op(self, op: _Op) -> None:
+        if op.epoch != self._ops_epoch or op.outer.triggered:
+            return  # the issuing task incarnation is gone, or op is done
+        sock = self._sockets.get(op.rank)
         if sock is None:
             # Lazy connect, then (re-)enter with a session in place.
-            est = self.ensure_session(rank)
+            est = self.ensure_session(op.rank)
             if est.triggered:
-                self._start_op(record)
+                self._start_op(op)
             else:
-                est.callbacks.append(lambda _ev: self._start_op(record))
+                est.callbacks.append(lambda _ev: self._start_op(op))
             return
-        record["sock"] = sock
-        inner = sock.send(record["payload"]) if record["kind"] == "send" else sock.recv()
-
-        def finish(ev: Event, record=record) -> None:
-            outer = record["outer"]
-            if outer.triggered or record["epoch"] != self._ops_epoch:
-                # Stale completion: the op already finished on another
-                # session, or its task is gone (teardown / crash).
-                ev.defused()
-                return
-            self._retire_op(record)
-            if ev.ok:
-                outer.succeed(ev.value)
-            else:
-                ev.defused()
-                outer.fail(ev.value)
-
-        if inner.triggered:
-            finish(inner)
+        op.sock = sock
+        if isinstance(op.outer, _PayloadRequest):
+            sock.recv(op.outer)
         else:
-            inner.callbacks.append(finish)
+            sock.send(op.payload, op.outer)
 
-    def _retire_op(self, record: dict) -> None:
-        ops = self._pending_ops.get(record["rank"])
-        if ops is not None:
-            try:
-                ops.remove(record)
-            except ValueError:
-                pass
+    def _retire_op(self, op: _Op) -> None:
+        ops = self._pending_ops.get(op.rank)
+        if ops is not None and op in ops:
+            ops.remove(op)
             if not ops:
-                del self._pending_ops[record["rank"]]
+                del self._pending_ops[op.rank]
 
     def _reissue_pending(self, rank: int, sock: P2PSAPSocket) -> None:
-        for record in list(self._pending_ops.get(rank, ())):
-            if record["sock"] is not sock:
-                self._start_op(record)
+        for op in list(self._pending_ops.get(rank, ())):
+            if op.sock is not sock:
+                self._start_op(op)
 
     def receive_nowait_from_rank(self, rank: int) -> tuple[bool, Any]:
         sock = self._sockets.get(rank)

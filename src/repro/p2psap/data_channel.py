@@ -162,14 +162,17 @@ class DataChannel:
 
     # -- application-facing operations ------------------------------------------------
 
-    def user_send(self, payload: Any) -> Event:
+    def user_send(self, payload: Any, completion: Optional[Event] = None) -> Event:
         """Send ``payload``; the returned event completes per the mode
         micro-protocol's semantics (immediately if asynchronous, on
-        application-level acknowledgement if synchronous)."""
+        application-level acknowledgement if synchronous).
+        ``completion``: the event to complete, when the caller brings
+        its own."""
         if self.closed:
             raise RuntimeError("send on a closed channel")
         msg = Message(payload)
-        completion = self.sim.event()
+        if completion is None:
+            completion = self.sim.event()
         msg.meta["completion"] = completion
         self.transport.bus.raise_event("UserSend", msg)
         return completion

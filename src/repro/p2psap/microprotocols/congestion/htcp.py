@@ -15,8 +15,9 @@ with Δ_L = 1 s, so it behaves like standard TCP in the low-speed regime
 and polynomially aggressively beyond it.  The increase per ack is
 α/cwnd (i.e. α per RTT).  On loss, the adaptive backoff uses the ratio
 of minimum to maximum observed RTT, β = RTTmin/RTTmax clamped to
-[0.5, 0.8]; β reverts to 0.5 when the throughput change between
-congestion epochs exceeds 20 % (the stability rule of the paper).
+[0.5, 0.8] (0.5 before any RTT sample).  H-TCP's adaptive reset (β
+back to 0.5 when throughput moves by more than 20 % between congestion
+epochs) is not modelled.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class HTCPCongestion(CongestionControl):
         self.rtt_min: Optional[float] = None
         self.rtt_max: Optional[float] = None
         self.beta = self.BETA_MIN
-        self._epoch_throughput: Optional[float] = None
-        self._prev_epoch_throughput: Optional[float] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -67,17 +66,7 @@ class HTCPCongestion(CongestionControl):
         return 1.0 + 10.0 * excess + (excess / 2.0) ** 2
 
     def _update_beta(self) -> None:
-        """Adaptive backoff factor from the RTT ratio, with the 20 %
-        throughput-change stability guard."""
-        if (
-            self._prev_epoch_throughput
-            and self._epoch_throughput
-            and abs(self._epoch_throughput - self._prev_epoch_throughput)
-            / self._prev_epoch_throughput
-            > 0.2
-        ):
-            self.beta = self.BETA_MIN
-            return
+        """Adaptive backoff factor: the clamped RTT ratio."""
         if self.rtt_min and self.rtt_max and self.rtt_max > 0:
             self.beta = min(
                 max(self.rtt_min / self.rtt_max, self.BETA_MIN), self.BETA_MAX
@@ -97,8 +86,6 @@ class HTCPCongestion(CongestionControl):
             self.cwnd += 1.0  # slow start unchanged
         else:
             self.cwnd += self.alpha(self.elapsed_since_congestion()) / self.cwnd
-        if self.srtt and self.srtt > 0:
-            self._epoch_throughput = self.cwnd / self.srtt
 
     def on_dupack(self, count: int) -> None:
         if count >= 3:
@@ -111,7 +98,6 @@ class HTCPCongestion(CongestionControl):
         self.rto = min(self.rto * 2.0, 60.0)
 
     def _congestion_event(self) -> None:
-        self._prev_epoch_throughput = self._epoch_throughput
         self._update_beta()
         self.ssthresh = max(self.cwnd * self.beta, 2.0)
         self.cwnd = max(self.cwnd * self.beta, self.MIN_WINDOW)

@@ -49,18 +49,6 @@ def _split_payload(payload: Any, mtu: int) -> list[Any]:
     )
 
 
-def _reassemble(chunks: list[Any], template: Any) -> Any:
-    if isinstance(template, np.ndarray):
-        flat = np.concatenate([np.asarray(c).reshape(-1) for c in chunks])
-        return flat.reshape(template_shape(template)).astype(template.dtype,
-                                                             copy=False)
-    return b"".join(bytes(c) for c in chunks)
-
-
-def template_shape(template: np.ndarray) -> tuple:
-    return template.shape
-
-
 class Fragmentation(MicroProtocol):
     name = "fragmentation"
 
@@ -125,8 +113,6 @@ class Fragmentation(MicroProtocol):
     def _on_rx(self, msg: Message, fields=None) -> None:
         frag_info = msg.meta.get("frag")
         if frag_info is None:
-            frag_info = self._frag_from_payload(msg)
-        if frag_info is None:
             return  # plain message, let the normal pipeline handle it
         group = self._rx_groups.setdefault(frag_info["group"], {
             "chunks": {}, "total": frag_info["total"],
@@ -146,9 +132,3 @@ class Fragmentation(MicroProtocol):
         self.stats_reassembled += 1
         whole = Message(payload)
         self.composite.bus.raise_event(self.next_stage, whole, fields)
-
-    @staticmethod
-    def _frag_from_payload(msg: Message) -> dict | None:
-        # Fragments arriving over the wire carry their frag info in meta
-        # copied at dispatch; nothing else to recover here.
-        return msg.meta.get("frag")

@@ -312,15 +312,20 @@ class P2PSAPSocket:
             raise SocketError("socket not connected")
         return self.session.require_open()
 
-    def send(self, payload: Any) -> Event:
+    def send(self, payload: Any, completion: Optional[Event] = None) -> Event:
         """P2P-style send; completion semantics follow the configured
-        communication mode (the application does not choose)."""
-        return self._channel().user_send(payload)
+        communication mode (the application does not choose).
+        ``completion``: the event to complete, when the caller brings
+        its own."""
+        return self._channel().user_send(payload, completion)
 
-    def recv(self) -> Event:
+    def recv(self, request: Optional[_PayloadRequest] = None) -> Event:
         """Mode-dependent receive; fires with the payload (or None for an
-        empty asynchronous receive)."""
-        return self._channel().user_receive(_PayloadRequest(self.sim))
+        empty asynchronous receive).  ``request``: the event to complete,
+        when the caller brings its own."""
+        if request is None:
+            request = _PayloadRequest(self.sim)
+        return self._channel().user_receive(request)
 
     def recv_nowait(self) -> tuple[bool, Any]:
         return self._channel().user_receive_nowait()

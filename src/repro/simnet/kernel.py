@@ -51,6 +51,7 @@ __all__ = [
     "Simulator",
     "AnyOf",
     "AllOf",
+    "AllOfOr",
 ]
 
 
@@ -89,6 +90,11 @@ LOW = 2
 # absent on some interpreters, in which case recycling is disabled.
 _getrefcount = getattr(sys, "getrefcount", None)
 
+# The value of an event that has not been triggered yet.  The hot paths
+# compare ``_value`` against it directly rather than through
+# :attr:`Event.triggered`.
+_PENDING = object()
+
 
 class Event:
     """A one-shot occurrence on the simulation timeline.
@@ -100,12 +106,10 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused")
 
-    _PENDING = object()
-
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok = True
         self._processed = False
         # A failed event whose error was delivered to at least one waiter
@@ -117,7 +121,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has a value and is on the event queue."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -132,7 +136,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The event's value; raises if the event is not yet triggered."""
-        if self._value is Event._PENDING:
+        if self._value is _PENDING:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
@@ -140,16 +144,17 @@ class Event:
 
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Trigger the event successfully with ``value`` at the current time."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._value = value
         self._ok = True
-        self.sim._schedule(self, priority)
+        sim = self.sim
+        heappush(sim._queue, (sim._now, priority, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Trigger the event with an exception; waiters will have it raised."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -284,66 +289,44 @@ class Process(Event):
             if not event._ok:
                 event._defused = True
             return
-        # Save/restore rather than set/clear: should a resume ever nest
-        # inside another process's execution, the outer process must
-        # still be the active one when control returns to it.
-        prev_active = self.sim._active_proc
-        self.sim._active_proc = self
-        try:
-            while True:
+        while True:
+            try:
                 if event._ok:
-                    try:
-                        target = self.gen.send(event._value)
-                    except StopIteration as stop:
-                        self._alive = False
-                        self._target = None
-                        self.succeed(stop.value, priority=URGENT)
-                        return
-                    except BaseException as err:
-                        self._alive = False
-                        self._target = None
-                        self.fail(err, priority=URGENT)
-                        return
+                    target = self.gen.send(event._value)
                 else:
                     event._defused = True
-                    exc = event._value
-                    try:
-                        target = self.gen.throw(exc)
-                    except StopIteration as stop:
-                        self._alive = False
-                        self._target = None
-                        self.succeed(stop.value, priority=URGENT)
-                        return
-                    except BaseException as err:
-                        if err is exc and isinstance(err, Interrupt):
-                            # Process did not handle the interrupt: it dies
-                            # with the interrupt as its failure value.
-                            pass
-                        self._alive = False
-                        self._target = None
-                        self.fail(err, priority=URGENT)
-                        return
-                if not isinstance(target, Event):
-                    self._alive = False
-                    self._target = None
-                    self.fail(
-                        SimulationError(
-                            f"process {self.name!r} yielded {target!r}, "
-                            "which is not an Event"
-                        ),
-                        priority=URGENT,
-                    )
-                    return
-                if target.callbacks is None:
-                    # Already processed: deliver its value synchronously and
-                    # keep stepping the generator without a queue round-trip.
-                    event = target
-                    continue
-                self._target = target
-                target.callbacks.append(self._resume)
+                    target = self.gen.throw(event._value)
+            except StopIteration as stop:
+                self._alive = False
+                self._target = None
+                self.succeed(stop.value, priority=URGENT)
                 return
-        finally:
-            self.sim._active_proc = prev_active
+            except BaseException as err:
+                # An unhandled Interrupt included: the process dies with
+                # the interrupt as its failure value.
+                self._alive = False
+                self._target = None
+                self.fail(err, priority=URGENT)
+                return
+            if not isinstance(target, Event):
+                self._alive = False
+                self._target = None
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}, "
+                        "which is not an Event"
+                    ),
+                    priority=URGENT,
+                )
+                return
+            if target.callbacks is None:
+                # Already processed: deliver its value synchronously and
+                # keep stepping the generator without a queue round-trip.
+                event = target
+                continue
+            self._target = target
+            target.callbacks.append(self._resume)
+            return
 
 
 class _Condition(Event):
@@ -377,6 +360,16 @@ class _Condition(Event):
             if ev.callbacks is None and ev._ok
         }
 
+    def _fire(self, event: Event) -> None:
+        """Fire now, on ``event``'s outcome, unless already triggered."""
+        if self._value is not _PENDING:
+            return
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+        else:
+            self.succeed(self._collect())
+
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
@@ -386,31 +379,41 @@ class AnyOf(_Condition):
 
     __slots__ = ()
 
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
+    _check = _Condition._fire
 
 
 class AllOf(_Condition):
-    """Fires once all constituent events have fired."""
+    """Fires once all constituent events have fired (or one failed)."""
 
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._n_fired += 1
-        if self._n_fired == len(self.events):
-            self.succeed(self._collect())
+        if event._ok:
+            self._n_fired += 1
+            if self._n_fired < len(self.events):
+                return
+        self._fire(event)
+
+
+class AllOfOr(AllOf):
+    """``AnyOf([AllOf(events), alt])`` as one event, without the inner
+    ``AllOf``'s extra DES event: fires once all of ``events`` have
+    fired, or as soon as ``alt`` does.  :attr:`all_fired` keeps
+    counting after that, so a waiter ``alt`` woke still sees an
+    ``events`` set that completed before it resumed."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event], alt: Event):
+        super().__init__(sim, events)
+        if alt.callbacks is None:
+            self._fire(alt)
+        else:
+            alt.callbacks.append(self._fire)
+
+    @property
+    def all_fired(self) -> bool:
+        return self._n_fired == len(self.events)
 
 
 class Channel:
@@ -541,7 +544,6 @@ class Simulator:
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
-        self._active_proc: Optional[Process] = None
         self._n_live_processes = 0
         self._timeout_pool: list[Timeout] = []
         # Priority and seq of the entry processed last: with _now, the
@@ -562,11 +564,6 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time (seconds by convention)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_proc
 
     # -- event constructors --------------------------------------------------
 

@@ -42,6 +42,7 @@ from ..numerics.tolerances import check_termination_tol, resolve_dtype
 from ..p2psap.context import CommMode, Scheme
 from ..parallel.trace import active_recorder
 from ..resources import resolve_context
+from ..simnet.kernel import AllOfOr
 from .halo import BlockState
 from .termination import Action, ExactCoordinator, StreakCoordinator
 
@@ -294,9 +295,9 @@ class _BlockSolver:
         # never through the params (params are modeled wire payload).
         self.resources = ctx.resources
         # Span tracing rides the same out-of-band context (no-op unless
-        # REPRO_TELEMETRY=spans): wall-clock only, so instrumented and
-        # bare solves stay bit-identical.
-        self._tele = resolve_context(self.resources).telemetry
+        # REPRO_TELEMETRY=spans, read once per solve, here): wall-clock
+        # only, so instrumented and bare solves stay bit-identical.
+        self._span = resolve_context(self.resources).telemetry.span_factory()
         self.problem = get_problem(self.kind, self.n,
                                    resources=self.resources)
         sub = ctx.subtask
@@ -440,8 +441,8 @@ class _BlockSolver:
             self.locally_converged = False
             self._send_term(0, ("CONV", False))
         while not self.stopped and self.sweeps < self.max_relax:
-            with self._tele.span("iteration", peer=self.rank,
-                                 iteration=self.sweeps + 1):
+            with self._span("iteration", peer=self.rank,
+                            iteration=self.sweeps + 1):
                 self._drain_env_nowait()
                 if self.stopped:
                     break
@@ -455,8 +456,8 @@ class _BlockSolver:
                 if self.stopped:
                     break
                 if exchange_events:
-                    with self._tele.span("ghost-exchange", peer=self.rank,
-                                         iteration=self.sweeps):
+                    with self._span("ghost-exchange", peer=self.rank,
+                                    iteration=self.sweeps):
                         yield from self._wait_exchange(exchange_events)
                     if self.stopped:
                         break
@@ -530,7 +531,7 @@ class _BlockSolver:
         iteration = self.sweeps + 1
         if self._recorder is not None:
             self._recorder.sweep_begin(self.rank, iteration)
-        with self._tele.span("sweep", peer=self.rank, iteration=iteration):
+        with self._span("sweep", peer=self.rank, iteration=iteration):
             self.state.begin_sweep()
             self.sweeps = iteration
             yield self.ctx.node.compute(self.state.flops())
@@ -642,18 +643,16 @@ class _BlockSolver:
     def _wait_exchange(self, events):
         """Wait for the synchronous exchange, interruptible by STOP."""
         t0 = self.sim.now
-        pending = self.sim.all_of(events)
         inbox = self.ctx.env_inbox
         while True:
             inbox_ev = inbox.get()
-            yield self.sim.any_of([pending, inbox_ev])
+            done = AllOfOr(self.sim, events, inbox_ev)
+            yield done
             if inbox_ev.triggered:
                 self._handle_env(*inbox_ev.value)
             else:
                 inbox.cancel_get(inbox_ev)
-            if self.stopped:
-                break
-            if pending.triggered:
+            if self.stopped or done.all_fired:
                 break
         self.wait_time += self.sim.now - t0
 

@@ -9,7 +9,8 @@ cross process boundaries — workers ship :meth:`Telemetry.snapshot`
 dicts back piggybacked on their existing pipe protocols, and parents
 fold them in with :func:`merge_snapshots`.
 
-Knobs (read per call, so they can be flipped between runs):
+Knobs (read per call, so they can be flipped between runs; the
+distributed solver reads the span knob once per solve):
 
 - ``REPRO_TELEMETRY=spans`` — enable span recording (off by default).
 - ``REPRO_TELEMETRY=off``   — disable even the default-on counters;
@@ -53,6 +54,10 @@ __all__ = [
 _ENV = "REPRO_TELEMETRY"
 
 
+def _noop_span(name, **attrs):
+    return NOOP_SPAN
+
+
 class Telemetry:
     """One owner's registry + span buffer, snapshot/merge as a unit."""
 
@@ -82,10 +87,18 @@ class Telemetry:
     # -- spans ------------------------------------------------------
     def span(self, name, **attrs):
         """Recording context manager, or a shared no-op when spans are
-        not enabled — the disabled cost is one env lookup."""
+        not enabled — the disabled cost is one env lookup per call.  A
+        caller that opens spans in a loop binds :meth:`span_factory`
+        once instead (the distributed solver does, once per solve)."""
         if not spans_enabled():
             return NOOP_SPAN
         return self.spans.span(name, **attrs)
+
+    def span_factory(self):
+        """:meth:`span` with the enablement lookup done now, once: the
+        returned callable records (or not) for its whole life, whatever
+        ``REPRO_TELEMETRY`` says later."""
+        return self.spans.span if spans_enabled() else _noop_span
 
     # -- snapshot / merge -------------------------------------------
     def snapshot(self):

@@ -30,8 +30,10 @@ _ENV = "REPRO_TELEMETRY"
 
 
 def spans_enabled():
-    """True when ``REPRO_TELEMETRY=spans`` — checked per span() call so
-    tests and CLI runs can flip it without rebuilding contexts."""
+    """True when ``REPRO_TELEMETRY=spans`` — checked per
+    ``Telemetry.span()`` call so tests and CLI runs can flip it without
+    rebuilding contexts; the distributed solver checks it once per
+    solve, through ``Telemetry.span_factory()``."""
     return os.environ.get(_ENV, "") == "spans"
 
 

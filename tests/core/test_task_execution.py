@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import Application, P2PDC, ProblemDefinition
-from repro.simnet import Simulator, nicta_testbed
+from repro.p2psap.context import Scheme
+from repro.simnet import Interrupt, Simulator, nicta_testbed
 
 
 class SessionProbe(Application):
@@ -162,3 +163,159 @@ class TestEnvMessaging:
         r1 = env.run_to_completion("envmsg", timeout=500)
         r2 = env.run_to_completion("envmsg", timeout=1000)
         assert r1.output == r2.output
+
+
+class CompletionProbe(Application):
+    """Checks that P2P_Send/P2P_Receive hand back the very event the
+    session completes (no relay event in between)."""
+
+    name = "completion-probe"
+    observations: dict = {}
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+
+    def problem_definition(self, params):
+        return ProblemDefinition(subtasks=[0, 1], scheme=self.scheme, n_peers=2)
+
+    def calculate(self, ctx):
+        obs = CompletionProbe.observations.setdefault(ctx.rank, {})
+        other = 1 - ctx.rank
+        sock = yield ctx.connect(other)
+        obs["mode"] = ctx.session_mode(other).value
+        seen = []
+        bus = sock.session.channel.transport.bus
+        if ctx.rank == 0:
+            bus.bind("UserSend", seen.append, order=0)
+            outer = ctx.p2p_send(other, "plane")
+            obs["same"] = [seen[0].meta["completion"] is outer]
+            obs["got"] = yield outer
+            return None
+        bus.bind("UserReceive", seen.append, order=0)
+        obs["same"], got = [], None
+        while got is None:  # an asynchronous receive may come back empty
+            outer = ctx.p2p_receive(other)
+            obs["same"].append(seen[-1] is outer)
+            got = yield outer
+            if got is None:
+                yield ctx.node.busy(0.01)
+        obs["got"] = got
+        return None
+
+    def results_aggregation(self, results):
+        return results
+
+
+class TestCompletionRule:
+    @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous"])
+    def test_ops_return_the_event_the_session_completes(self, scheme):
+        CompletionProbe.observations = {}
+        sim, env = make_env(2)
+        env.register_everywhere(CompletionProbe(scheme))
+        env.run_to_completion("completion-probe", timeout=500)
+        sender, receiver = (CompletionProbe.observations[r] for r in (0, 1))
+        assert sender["mode"] == receiver["mode"] == scheme
+        assert sender["same"] == [True]
+        assert receiver["same"] and all(receiver["same"])
+        assert receiver["got"] == "plane"
+        # A synchronous send completes on the APPACK (its message id),
+        # an asynchronous one at once.
+        assert sender["got"] is not None
+
+    @staticmethod
+    def linked(scheme=Scheme.SYNCHRONOUS):
+        """Two executors with a task's rank mapping but no task, and the
+        session between them (peer00 initiates)."""
+        sim, env = make_env(2)
+        ex0, ex1 = env.executor("peer00"), env.executor("peer01")
+        names = ["peer00", "peer01"]
+        for rank, ex in enumerate((ex0, ex1)):
+            ex._rank, ex._peer_names, ex._scheme = rank, names, scheme
+        ex0.ensure_session(1)
+        sim.run(until=1.0)
+        return sim, ex0, ex1
+
+    @staticmethod
+    def replace_session(sim, ex0, until):
+        """peer00 re-initiates, as a restarted peer does: peer01's
+        accept pump adopts the new session and re-issues its ops."""
+        old = ex0._sockets.pop(1)
+        ex0._force_initiate = True
+        ex0.ensure_session(1)
+        sim.run(until=until)
+        return old, ex0._sockets[1]
+
+    def test_reissued_receive_completes_once(self):
+        sim, ex0, ex1 = self.linked()
+        resumes = []
+
+        def reader():
+            resumes.append((yield ex1.receive_from_rank(0)))
+
+        sim.spawn(reader())
+        sim.run(until=1.5)
+        assert len(ex1._pending_ops[0]) == 1
+        dead = ex1._sockets[0].session.channel
+        old, new = self.replace_session(sim, ex0, until=2.0)
+        assert ex1._pending_ops[0][0].sock is ex1._sockets[0]  # re-issued
+        new.send("fresh")
+        sim.run(until=3.0)
+        assert resumes == ["fresh"]
+        assert ex1._pending_ops == {}
+        # A late delivery on the dead session finds the request already
+        # fired: it is buffered there, raises nothing, resumes nothing.
+        old.send("late")
+        sim.run(until=4.0)
+        assert resumes == ["fresh"] and dead.pending_rx() == 1
+        assert ex1._pending_ops == {}
+
+    def test_reissued_send_completes_once(self):
+        sim, ex0, ex1 = self.linked()
+        completions = []
+
+        def writer():
+            completions.append((yield ex1.send_to_rank(0, "plane")))
+
+        sim.spawn(writer())
+        sim.run(until=1.5)
+        assert len(ex1._pending_ops[0]) == 1  # synchronous: awaits APPACK
+        dead = ex1._sockets[0].session.channel.transport.micro("mode-sync")
+        old, new = self.replace_session(sim, ex0, until=2.0)
+        assert ex1._pending_ops[0][0].sock is ex1._sockets[0]  # re-issued
+        got = []
+        sim.spawn((lambda: (got.append((yield new.recv()))))())
+        sim.run(until=3.0)
+        assert got == ["plane"] and len(completions) == 1
+        assert ex1._pending_ops == {}
+        # The first copy's APPACK, from the dead session, comes too late
+        # to matter.
+        sim.spawn((lambda: (got.append((yield old.recv()))))())
+        sim.run(until=4.0)
+        assert got == ["plane", "plane"] and len(completions) == 1
+        assert dead._pending_appack == {} and dead.stats_appacks_rx == 0
+
+    def test_late_completion_after_a_crash_resumes_nothing(self):
+        sim, ex0, ex1 = self.linked()
+        seen = []
+
+        def calc():
+            try:
+                yield ex1.send_to_rank(0, "plane")
+                seen.append("completed")
+            except Interrupt as intr:
+                seen.append(intr.cause)
+
+        ex1._calc_proc = sim.spawn(calc())
+        ex1._current_task = ("peer00", {})
+        sim.run(until=1.5)
+        sock = ex1._sockets[0]
+        assert ex1.crash_current_task()
+        sim.run(until=2.0)
+        assert seen == ["crash"] and ex1._pending_ops == {}
+        # The survivor reads the message now; its APPACK completes the
+        # dead incarnation's send on the dropped session.
+        peer_sock = ex0._sockets[1]
+        sim.spawn((lambda: (yield peer_sock.recv()))())
+        sim.run(until=3.0)
+        assert seen == ["crash"] and ex1._pending_ops == {}
+        assert sock.session.channel.transport.micro("mode-sync").stats_appacks_rx == 1

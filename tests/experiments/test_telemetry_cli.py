@@ -29,7 +29,7 @@ class TestTelemetryJsonFlag:
         assert main([*CAMPAIGN, "--telemetry-json", str(dump)]) == 0
         snap = json.loads(dump.read_text())
         names = {s[0] for s in snap["spans"]}
-        assert {"solve", "iteration", "sweep"} <= names
+        assert {"solve", "iteration", "sweep", "ghost-exchange"} <= names
 
     def test_multi_driver_dump_covers_workers(self, tmp_path,
                                               monkeypatch):
