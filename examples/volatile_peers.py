@@ -17,7 +17,7 @@ Run:  python examples/volatile_peers.py
 
 import numpy as np
 
-from repro.core import P2PDC, LoadBalancer
+from repro.core import P2PDC
 from repro.experiments.harness import scaled_spec
 from repro.simnet import Simulator, heterogeneous_testbed
 from repro.solvers import ObstacleApplication
@@ -36,15 +36,18 @@ def build_env(enable_ft=False):
     net = heterogeneous_testbed(sim, SPEEDS, n_clusters=1,
                                 spec=scaled_spec(N, 96),
                                 background_loads=LOADS)
-    env = P2PDC(sim, net, enable_load_balancing=True,
-                enable_fault_tolerance=enable_ft)
+    env = P2PDC(sim, net, enable_fault_tolerance=enable_ft)
     env.register_everywhere(ObstacleApplication())
     return sim, env
 
 
 def weights_from_topology(env):
+    """Work shares proportional to each peer's effective speed, floored
+    at 5 % of the fastest so a crawling peer still owns a plane."""
     records = env.topology.records(list(env.network.nodes))
-    return LoadBalancer().weights(records)
+    speeds = [r.effective_speed() for r in records]
+    floor = 0.05 * max(speeds)
+    return [max(s, floor) for s in speeds]
 
 
 def main():

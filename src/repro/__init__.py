@@ -20,9 +20,9 @@ Subpackages
     controller with the Table I rule engine, reconfiguration,
     coordination).
 ``repro.core``
-    The P2PDC environment: user daemon, topology manager, task manager,
-    task execution, the three-function programming model with P2P_Send /
-    P2P_Receive, plus the load-balancing and fault-tolerance extensions.
+    The P2PDC environment: topology manager, task manager, task
+    execution, the three-function programming model with P2P_Send /
+    P2P_Receive, plus the fault-tolerance extension.
 ``repro.numerics``
     The 3-D obstacle problem (membrane / torsion / options instances),
     projected Richardson theory and the sequential reference solver.

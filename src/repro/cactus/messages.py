@@ -22,7 +22,7 @@ transmission) inherits the size from that ``source``.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -138,9 +138,6 @@ class Message:
             if name == layer:
                 return fields
         return None
-
-    def iter_headers(self) -> Iterator[tuple[str, dict]]:
-        return iter(self.headers)
 
     # -- sizing --------------------------------------------------------------
 

@@ -5,7 +5,7 @@ that live for the campaign rather than for one
 :func:`~repro.experiments.harness.run_job` call:
 
 - a private :class:`~repro.resources.ResourceContext` (problem cache,
-  slab-tuning verdict, telemetry) shared by every in-caller solve;
+  telemetry) shared by every in-caller solve;
 - a content-addressed :class:`~repro.campaign.cache.ResultCache`, so a
   re-submitted configuration is served without solving at all;
 - optional warm starts: a job seeded from the cached/solved solution of

@@ -2,6 +2,9 @@
 
 Figure 2 of the paper: user daemon, topology manager, task manager, task
 execution, load balancing, fault tolerance, communication (P2PSAP).
+The user daemon's commands are :meth:`P2PDC.run` and
+:meth:`P2PDC.shutdown`; load balancing is the solver's ``weights``
+parameter (shares from :meth:`PeerRecord.effective_speed`).
 The programming model reduces application code to three functions —
 ``Problem_Definition()``, ``Calculate()``, ``Results_Aggregation()`` —
 and two communication operations, ``P2P_Send`` and ``P2P_Receive``.
@@ -10,7 +13,6 @@ and two communication operations, ``P2P_Send`` and ``P2P_Receive``.
 from .env_bus import ENV_PORT, EnvBus
 from .environment import P2PDC
 from .fault_tolerance import Checkpoint, CheckpointStore, FaultToleranceManager
-from .load_balancing import LoadBalancer, MigrationPlanner, MigrationStep
 from .programming_model import Application, ProblemDefinition, TaskContext
 from .task_execution import TaskExecutor
 from .task_manager import TaskManager, TaskRun
@@ -21,17 +23,14 @@ from .topology_manager import (
     TopologyClient,
     TopologyServer,
 )
-from .user_daemon import CommandError, UserDaemon
 
 __all__ = [
     "ENV_PORT", "EnvBus",
     "P2PDC",
     "Checkpoint", "CheckpointStore", "FaultToleranceManager",
-    "LoadBalancer", "MigrationPlanner", "MigrationStep",
     "Application", "ProblemDefinition", "TaskContext",
     "TaskExecutor",
     "TaskManager", "TaskRun",
     "MISSED_PINGS_LIMIT", "PING_PERIOD", "PeerRecord",
     "TopologyClient", "TopologyServer",
-    "CommandError", "UserDaemon",
 ]

@@ -3,8 +3,9 @@
 Wires the paper's Figure 2 architecture onto a deployment: on every peer
 an environment bus, a topology client and a task executor (which owns
 the peer's P2PSAP protocol instance); on the submitting peer
-additionally the centralized topology server, the task manager, the
-load-balancing and fault-tolerance extensions, and the user daemon.
+additionally the centralized topology server, the task manager and the
+fault-tolerance extension.  The paper's user daemon commands are
+:meth:`P2PDC.run` (``run``) and :meth:`P2PDC.shutdown` (``exit``).
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from ..simnet.kernel import Event, Simulator
 from ..simnet.network import Network
 from .env_bus import EnvBus
 from .fault_tolerance import FaultToleranceManager
-from .load_balancing import LoadBalancer
 from .programming_model import Application
 from .task_execution import TaskExecutor
 from .task_manager import TaskManager, TaskRun
 from .topology_manager import TopologyClient, TopologyServer
-from .user_daemon import UserDaemon
 
 __all__ = ["P2PDC"]
 
@@ -38,9 +37,9 @@ class P2PDC:
     server_name:
         The submitting peer hosting the centralized components; defaults
         to the first node.
-    enable_load_balancing / enable_fault_tolerance:
-        Turn the extensions on (both off reproduces the paper's current
-        version exactly).
+    enable_fault_tolerance:
+        Turn the fault-tolerance extension on (off reproduces the
+        paper's current version exactly).
     resources:
         Optional :class:`~repro.resources.ResourceContext` every peer's
         executor (and thus every solve in this deployment) resolves its
@@ -52,7 +51,6 @@ class P2PDC:
         sim: Simulator,
         network: Network,
         server_name: Optional[str] = None,
-        enable_load_balancing: bool = False,
         enable_fault_tolerance: bool = False,
         resources=None,
     ):
@@ -75,10 +73,7 @@ class P2PDC:
 
         server_bus = self.buses[self.server_name]
         self.topology = TopologyServer(sim, server_bus)
-        self.load_balancer = LoadBalancer() if enable_load_balancing else None
-        self.task_manager = TaskManager(
-            sim, server_bus, self.topology, load_balancer=self.load_balancer
-        )
+        self.task_manager = TaskManager(sim, server_bus, self.topology)
         self.fault_tolerance = (
             FaultToleranceManager(sim, self.topology)
             if enable_fault_tolerance else None
@@ -86,7 +81,6 @@ class P2PDC:
         if self.fault_tolerance is not None:
             for executor in self.executors.values():
                 executor.set_checkpoint_sink(self.fault_tolerance.checkpoint_sink)
-        self.daemon = UserDaemon(self)
 
         # Topology clients join at construction (peers are already up
         # when the user submits, as on the testbed).
@@ -124,7 +118,8 @@ class P2PDC:
         n_peers: Optional[int] = None,
         scheme: Optional[Scheme | str] = None,
     ) -> Event:
-        """Programmatic equivalent of the daemon's ``run`` command."""
+        """Launch ``app_name``: the paper's ``run`` command, with the
+        peer count and scheme overridable at start time."""
         app = self.application(app_name)
         if self.fault_tolerance is not None:
             # Arm failure detection for the peers about to be collected.
@@ -168,7 +163,7 @@ class P2PDC:
         return proc.value
 
     def shutdown(self) -> None:
-        """Tear everything down (the daemon's ``exit``)."""
+        """Tear everything down (the paper's ``exit`` command)."""
         if self._shut_down:
             return
         self._shut_down = True

@@ -21,7 +21,6 @@ from typing import Any, Mapping, Optional
 from ..p2psap.context import Scheme
 from ..simnet.kernel import Event, Simulator
 from .env_bus import EnvBus
-from .load_balancing import LoadBalancer
 from .programming_model import Application, ProblemDefinition
 from .topology_manager import TopologyServer
 
@@ -55,18 +54,11 @@ class TaskRun:
 class TaskManager:
     """Submitting-peer component orchestrating one task at a time."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        bus: EnvBus,
-        topology: TopologyServer,
-        load_balancer: Optional[LoadBalancer] = None,
-    ):
+    def __init__(self, sim: Simulator, bus: EnvBus, topology: TopologyServer):
         self.sim = sim
         self.bus = bus
         self.node = bus.node
         self.topology = topology
-        self.load_balancer = load_balancer
         bus.register("RESULT", self._handle_result)
         self._current: Optional[TaskRun] = None
 
@@ -121,9 +113,6 @@ class TaskManager:
         definition = app.problem_definition(params)
 
         peer_names = self.topology.collect(definition.n_peers)
-        if self.load_balancer is not None:
-            records = self.topology.records(peer_names)
-            peer_names = self.load_balancer.order_peers(records)
 
         run = TaskRun(
             app=app,
@@ -145,7 +134,3 @@ class TaskManager:
                 "params": params,
             })
         return run.done
-
-    @property
-    def busy(self) -> bool:
-        return self._current is not None

@@ -51,7 +51,7 @@ class PeerRecord:
     busy: bool = False
 
     def effective_speed(self) -> float:
-        """Speed estimate the load balancer weights by."""
+        """Speed estimate for per-peer work shares."""
         return self.cpu_hz / (1.0 + self.background_load)
 
 

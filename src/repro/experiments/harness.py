@@ -131,7 +131,7 @@ def run_job(
     into the *cache* signature separately), the simulated-time
     ``timeout``, and ``resources`` — the explicit
     :class:`~repro.resources.ResourceContext` the solve's pooled
-    resources (slab-tuning verdict, problem instances, telemetry)
+    resources (problem instances, telemetry)
     resolve against.  ``resources=None`` means the process default,
     which is bit-identical to the historical behaviour.  It is threaded
     through the deployment (``P2PDC`` → executors → ``TaskContext``),

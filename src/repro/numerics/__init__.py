@@ -14,15 +14,6 @@ from .kernels import (
     gauss_seidel_sweep,
     jacobi_sweep,
 )
-from .mmatrix import (
-    contraction_factor,
-    is_diagonally_dominant,
-    is_m_matrix,
-    is_z_matrix,
-    jacobi_spectral_radius,
-    laplacian_matrix_1d,
-    laplacian_matrix_3d,
-)
 from .obstacle import (
     ObstacleProblem,
     membrane_problem,
@@ -57,9 +48,6 @@ __all__ = [
     "DiffCriterion", "ResidualHistory", "max_diff",
     "Grid3D",
     "SweepWorkspace", "block_sweep", "gauss_seidel_sweep", "jacobi_sweep",
-    "contraction_factor", "is_diagonally_dominant", "is_m_matrix",
-    "is_z_matrix", "jacobi_spectral_radius", "laplacian_matrix_1d",
-    "laplacian_matrix_3d",
     "ObstacleProblem", "membrane_problem", "options_pricing_problem",
     "torsion_problem",
     "BoxConstraint", "unconstrained",

@@ -9,7 +9,7 @@ Sub-block i is z-plane ``u[i]``.  Node k owns the contiguous plane range
 [first(k), last(k)] (Figure 4's U_f(k) .. U_l(k)); neighbours exchange
 their boundary planes.  :func:`partition_planes` distributes n planes
 over α nodes as evenly as possible; :class:`BlockAssignment` answers all
-the ownership/neighbour queries the solver and the load balancer need.
+the ownership/neighbour queries the solver needs.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def partition_planes(n_planes: int, n_nodes: int) -> list[range]:
 def weighted_partition(n_planes: int, weights: Sequence[float]) -> list[range]:
     """Contiguous ranges proportional to node weights (relative speeds).
 
-    Used by the load-balancing extension: a peer twice as fast gets about
-    twice the planes, every peer gets at least one.
+    Used by the solver's ``weights`` parameter: a peer twice as fast
+    gets about twice the planes, every peer gets at least one.
     """
     n_nodes = len(weights)
     if n_nodes < 1:

@@ -110,15 +110,14 @@ live in :mod:`repro.numerics.tolerances`.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
 import numpy as np
 
-from ..resources import default_context, resolve_context
+from ..resources import resolve_context
 from . import _ckernels
-from .obstacle import ObstacleProblem, membrane_problem
+from .obstacle import ObstacleProblem
 from .tolerances import check_dtype, resolve_dtype
 
 __all__ = [
@@ -126,23 +125,12 @@ __all__ = [
     "jacobi_sweep",
     "gauss_seidel_sweep",
     "block_sweep",
-    "autotune_slab_bytes",
-    "clear_slab_autotune",
 ]
 
-#: Fallback target size (bytes) of the per-slab working set; slabs are
-#: sized so roughly three slab-arrays fit in L2 together.  This is also
-#: the first auto-tuning candidate — see :func:`autotune_slab_bytes`.
+#: Target size (bytes) of the numpy kernels' per-slab working set;
+#: slabs are sized so roughly three slab-arrays fit in L2 together.  The
+#: compiled sweeps walk plane by plane and never read it.
 _SLAB_TARGET_BYTES = 1 << 20
-
-#: Environment override for the slab working-set target, in bytes.
-_SLAB_ENV = "REPRO_SLAB_BYTES"
-
-#: The two candidate working-set targets the auto-tuner times on first
-#: use: the conservative 1 MiB guess (shared or small L2) and a roomier
-#: 2 MiB target (typical per-core L2 on recent x86/ARM server parts,
-#: where larger slabs mean fewer slab-boundary passes).
-_SLAB_CANDIDATES = (1 << 20, 1 << 21)
 
 
 class _KernelProbe:
@@ -180,110 +168,12 @@ class _KernelProbe:
         self.sweeps[order, backend].inc()
         self.seconds[order, backend].observe(elapsed)
 
-def _slab_target_bytes(resources=None) -> int:
-    """The slab working-set target, honoring ``REPRO_SLAB_BYTES``.
-
-    The override must parse as a positive integer (plain, or 0x/0o/0b
-    prefixed); anything else raises ``ValueError`` rather than silently
-    mis-sizing every sweep.  Read per workspace construction, so tests
-    and long-running processes can adjust it without reimporting.  When
-    the override is *not* set, the first construction triggers a one-off
-    measurement of the candidate targets (:func:`autotune_slab_bytes`)
-    and the winner is used for the rest of ``resources``' lifetime.
-    """
-    raw = os.environ.get(_SLAB_ENV)
-    if raw is None or raw.strip() == "":
-        return autotune_slab_bytes(resources)
-    try:
-        value = int(raw, 0)
-    except ValueError:
-        raise ValueError(
-            f"{_SLAB_ENV} must be an integer byte count, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"{_SLAB_ENV} must be positive, got {value}")
-    return value
-
-
-def autotune_slab_bytes(resources=None) -> int:
-    """The slab target for ``resources``: measured once, then cached.
-
-    When ``REPRO_SLAB_BYTES`` is set its value seeds the choice and the
-    measurement is skipped entirely.  Otherwise each candidate in
-    ``_SLAB_CANDIDATES`` is timed on a small synthetic sweep (best of a
-    few runs, so one scheduler hiccup cannot crown the wrong winner) and
-    the fastest wins.  The verdict lives on the resolved
-    :class:`~repro.resources.ResourceContext`; a fresh context inherits
-    the default context's verdict when one exists (the measurement is a
-    property of the hardware, not of any context) but a context that
-    measures for itself never writes the default — campaign execution
-    stays out of the module-global state.  The verdict only ever affects
-    *performance*: slab partitioning is bit-transparent to the sweep
-    results, so tuning can never change an iterate, and it only sizes
-    the numpy kernels (the compiled ones walk plane by plane, so there
-    is nothing to measure while they are loaded).
-    """
-    raw = os.environ.get(_SLAB_ENV)
-    if raw is not None and raw.strip() != "":
-        return _slab_target_bytes(resources)
-    ctx = resolve_context(resources)
-    if ctx.slab_bytes is not None:
-        return ctx.slab_bytes
-    default = default_context()
-    if ctx is not default and default.slab_bytes is not None:
-        ctx.slab_bytes = default.slab_bytes
-        return ctx.slab_bytes
-    ctx.slab_bytes = _measure_slab_candidates()
-    return ctx.slab_bytes
-
-
-def clear_slab_autotune(resources=None) -> None:
-    """Forget ``resources``' cached auto-tuning verdict (test isolation
-    hook; other contexts keep theirs)."""
-    resolve_context(resources).slab_bytes = None
-
-
-def _measure_slab_candidates(n: int = 48, repeats: int = 3) -> int:
-    """Time one Jacobi sweep per candidate target; return the winner.
-
-    The tuning grid is sized so the candidates actually disagree (at
-    48³/float64 the block exceeds the smaller target's cache budget but
-    fits the larger one's) while one sweep stays ~1 ms — the whole
-    measurement is a few tens of milliseconds, paid once per process.
-    With the compiled sweeps loaded no sweep would use the slab, so the
-    first candidate is returned unmeasured.
-    """
-    if _ckernels.load() is not None:
-        return _SLAB_CANDIDATES[0]
-    problem = membrane_problem(n)
-    delta = problem.jacobi_delta()
-    u0 = problem.feasible_start()
-    best_target = _SLAB_CANDIDATES[0]
-    best_time = float("inf")
-    for target in _SLAB_CANDIDATES:
-        # Explicit slab argument: no recursion into the tuner.
-        ws = SweepWorkspace(problem, delta,
-                            slab=_default_slab(n, n, 8, target=target))
-        nxt = ws.rotation_buffer()
-        jacobi_sweep(ws, u0, nxt)  # warm-up (page faults, caches)
-        elapsed = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            jacobi_sweep(ws, u0, nxt)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_time:
-            best_time = elapsed
-            best_target = target
-    return best_target
-
 
 def _default_slab(n: int, n_planes: int, itemsize: int = 8,
-                  target: Optional[int] = None, resources=None) -> int:
+                  target: int = _SLAB_TARGET_BYTES) -> int:
     """Planes per slab: the whole block when it is small enough to stay
     cache-resident, otherwise a few planes.  ``itemsize`` is the buffer
     dtype's width — float32 fits twice the planes per slab."""
-    if target is None:
-        target = _slab_target_bytes(resources)
     plane_bytes = itemsize * n * n
     if n_planes * plane_bytes * 3 <= 2 * target:
         return n_planes
@@ -329,7 +219,7 @@ class SweepWorkspace:
         self._tele = _KernelProbe(tele, _ckernels.load()) \
             if tele.enabled else None
         self.slab = slab if slab is not None else \
-            _default_slab(n, m, self.dtype.itemsize, resources=resources)
+            _default_slab(n, m, self.dtype.itemsize)
         if self.slab < 1:
             raise ValueError("slab must be >= 1")
         self.problem = problem

@@ -211,8 +211,6 @@ class DataChannel:
         object is shared (zero-copy) and so is its size, measured once
         on ``msg``; the header is new, so retransmissions are isolated.
         """
-        if msg.meta.get("fragmented_away"):
-            return  # replaced by its fragments (fragmentation micro)
         shell = Message(msg.payload, source=msg)
         shell.push_header(
             "transport",
@@ -222,7 +220,6 @@ class DataChannel:
             msg_id=msg.message_id,
             needs_appack=bool(msg.meta.get("needs_appack")),
             ts=msg.meta.get("tx_time", self.sim.now),
-            frag=msg.meta.get("frag"),
         )
         self.transport.send_down(shell)
 
@@ -243,8 +240,6 @@ class DataChannel:
             msg.meta["seq"] = fields["seq"]
             msg.meta["src_message_id"] = fields["msg_id"]
             msg.meta["needs_appack_rx"] = fields["needs_appack"]
-            if fields.get("frag") is not None:
-                msg.meta["frag"] = fields["frag"]
             self.transport.bus.raise_event(self._rx_entry(), msg, fields)
         elif kind == "ACK":
             self.transport.bus.raise_event("RxAck", fields["seq"], fields.get("echo_ts"))

@@ -9,13 +9,11 @@ from .congestion import (
     TahoeCongestion,
     make_congestion,
 )
-from .fragmentation import Fragmentation
 from .modes import AsynchronousMode, SynchronousMode, make_mode
 from .ordering import Ordering
 from .reliability import Reliability
 
 __all__ = [
-    "Fragmentation",
     "BufferManagement",
     "CongestionControl",
     "HTCPCongestion",

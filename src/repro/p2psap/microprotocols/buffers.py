@@ -70,8 +70,6 @@ class BufferManagement(MicroProtocol):
     # -- transmit path ---------------------------------------------------------
 
     def _on_user_send(self, msg: Message) -> None:
-        if msg.meta.get("fragmented_away"):
-            return  # replaced by fragments; they sequence themselves
         msg.meta["seq"] = self._next_seq
         self._next_seq += 1
         self.composite.shared["tx_queue"].append(msg)
@@ -102,8 +100,6 @@ class BufferManagement(MicroProtocol):
 
     def _on_rx_deliver(self, msg: Message, fields: Optional[dict] = None) -> None:
         """Terminal stage of the receive pipeline."""
-        if msg.meta.get("fragment_consumed"):
-            return  # absorbed by the fragmentation micro-protocol
         shared = self.composite.shared
         waiters: deque = shared["rx_waiters"]
         while waiters:

@@ -98,8 +98,6 @@ class Reliability(MicroProtocol):
         return self.composite.shared.get("rto", self.default_rto)
 
     def _on_tx_segment(self, msg: Message) -> None:
-        if msg.meta.get("fragmented_away"):
-            return  # replaced by its fragments; nothing goes on the wire
         seq = msg.meta["seq"]
         if seq not in self._unacked:  # first transmission
             self._unacked[seq] = msg

@@ -268,6 +268,9 @@ class TraceRecorder:
         ))
 
 
+#: The one process global left on purpose: :func:`record_schedule` must
+#: see solves that run on any resource context, including a
+#: ``Campaign``'s private one, so the recorder cannot live on a context.
 _active: Optional[TraceRecorder] = None
 
 

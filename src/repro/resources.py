@@ -1,9 +1,10 @@
 """Explicit resource contexts for the solver/campaign stack.
 
-Everything that used to be a process-global singleton — the
-slab-autotune verdict (:mod:`repro.numerics.kernels`) and the per-kind
-problem cache (:mod:`repro.solvers.distributed_richardson`) — now lives
-in an instantiable :class:`ResourceContext`.  One context per owner: a plain solve uses the
+Pooled solver state — the per-kind problem cache
+(:mod:`repro.solvers.distributed_richardson`), the reference solutions
+of the scenario invariants (:mod:`repro.scenarios.invariants`) and the
+telemetry registry — lives in an instantiable :class:`ResourceContext`,
+not in module globals.  One context per owner: a plain solve uses the
 process-wide default context (so every pre-existing call site behaves
 exactly as before), a :class:`~repro.campaign.engine.Campaign` owns a
 private context, and each campaign driver process builds its own at
@@ -12,8 +13,8 @@ startup.
 Two rules keep this honest:
 
 - **Contexts never share mutable resource state.**  A cached problem
-  or tuning verdict acquired through one context is invisible to every
-  other context, so two campaigns can run
+  acquired through one context is invisible to every other context,
+  so two campaigns can run
   concurrently in one process without stepping on each other.
 - **The context rides the call, never the params.**  Simulated task
   params are wire payload (their size feeds the network model), so the
@@ -40,13 +41,14 @@ class ResourceContext:
 
     Slots (all lazily populated by the layers that use them):
 
-    ``slab_bytes``
-        The cached slab-autotune verdict
-        (:func:`repro.numerics.kernels.autotune_slab_bytes`), or
-        ``None`` for not-yet-measured.
     ``problem_cache``
         Bounded ``(kind, n) -> ObstacleProblem`` LRU used by
         :func:`repro.solvers.distributed_richardson.get_problem`.
+    ``references``
+        ``(kind, n) -> ndarray``: the read-only reference solution of a
+        cached problem (:func:`repro.scenarios.invariants.
+        reference_solution`).  An entry lives exactly as long as its
+        problem's entry in ``problem_cache``.
     ``telemetry``
         The owner's :class:`repro.telemetry.Telemetry` (metrics registry
         + span buffer).  Same ownership rule as the caches: handles never
@@ -56,13 +58,12 @@ class ResourceContext:
 
     def __init__(self, name: str = "context") -> None:
         self.name = str(name)
-        self.slab_bytes: Optional[int] = None
         self.problem_cache: dict = {}
+        self.references: dict = {}
         self.telemetry = Telemetry(name=f"{self.name}-telemetry")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResourceContext({self.name!r}, "
-                f"slab={self.slab_bytes}, "
                 f"problems={len(self.problem_cache)})")
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..numerics.richardson import projected_richardson
 from ..parallel.trace import ScheduleTrace, replay_trace
+from ..resources import default_context
 from ..solvers.distributed_richardson import get_problem
 
 __all__ = [
@@ -62,22 +63,28 @@ STOP_MARGIN = 5.0
 #: Faulted final residual must be within this factor of the baseline's.
 RESIDUAL_MARGIN = 5.0
 
-_reference_cache: dict[tuple[str, int], np.ndarray] = {}
-
-
 def reference_solution(problem_kind: str, n: int) -> np.ndarray:
-    """The problem's solution to ~1e-10, cached per (kind, n)."""
+    """The problem's solution to ~1e-10, read-only.
+
+    Cached on the default resource context next to the problem it was
+    solved for: evicted with it from the problem LRU and dropped by
+    :func:`~repro.solvers.distributed_richardson.clear_problem_cache`.
+    """
     key = (problem_kind, n)
-    ref = _reference_cache.get(key)
+    problem = get_problem(problem_kind, n)
+    references = default_context().references
+    ref = references.get(key)
     if ref is None:
         result = projected_richardson(
-            get_problem(problem_kind, n), tol=1e-10, max_relaxations=200_000,
+            problem, tol=1e-10, max_relaxations=200_000,
         )
         if not result.converged:
             raise RuntimeError(
                 f"reference solve for {key} did not converge"
             )
-        ref = _reference_cache[key] = result.u
+        ref = result.u
+        ref.flags.writeable = False
+        references[key] = ref
     return ref
 
 

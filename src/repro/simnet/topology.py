@@ -126,8 +126,7 @@ def heterogeneous_testbed(
 
     Not part of the paper's evaluation but of its motivation: P2P HPC must
     tolerate "heterogeneity ... i.e. processors, OS, bandwidth".  Used by
-    the load-balancing extension, the volatile-peers example, and the
-    ablation benchmarks.
+    the volatile-peers example.
     """
     n = len(cpu_hz_list)
     if n == 0:

@@ -66,12 +66,14 @@ PROBLEM_FACTORIES: dict[str, Callable[[int], ObstacleProblem]] = {
 # one would grow for the life of the process), lives on the resolved
 # ResourceContext (per-campaign / per-driver; the default context for
 # plain solves), and can be cleared explicitly so test runs cannot leak
-# state into each other.
+# state into each other.  A problem's reference solution (the scenario
+# invariants') is evicted and cleared with it.
 _PROBLEM_CACHE_MAX = 16
 
 
 def get_problem(kind: str, n: int, resources=None) -> ObstacleProblem:
-    cache = resolve_context(resources).problem_cache
+    ctx = resolve_context(resources)
+    cache = ctx.problem_cache
     key = (kind, n)
     problem = cache.get(key)
     if problem is None:
@@ -83,7 +85,9 @@ def get_problem(kind: str, n: int, resources=None) -> ObstacleProblem:
             ) from None
         problem = factory(n)
         while len(cache) >= _PROBLEM_CACHE_MAX:
-            cache.pop(next(iter(cache)))
+            oldest = next(iter(cache))
+            del cache[oldest]
+            ctx.references.pop(oldest, None)
     else:
         # Re-insert to record recency (dicts preserve insertion order).
         del cache[key]
@@ -92,9 +96,11 @@ def get_problem(kind: str, n: int, resources=None) -> ObstacleProblem:
 
 
 def clear_problem_cache(resources=None) -> None:
-    """Drop ``resources``' cached problem instances (test isolation
-    hook; other contexts keep theirs)."""
-    resolve_context(resources).problem_cache.clear()
+    """Drop ``resources``' cached problem instances and their reference
+    solutions (test isolation hook; other contexts keep theirs)."""
+    ctx = resolve_context(resources)
+    ctx.problem_cache.clear()
+    ctx.references.clear()
 
 
 @dataclasses.dataclass

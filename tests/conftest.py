@@ -1,10 +1,10 @@
 """Shared test fixtures.
 
-The solver layer keeps a module-global LRU of problem instances
-(:mod:`repro.solvers.distributed_richardson`).  Within one test module
-that sharing is a deliberate speed-up — problems are read-only — but it
-must not leak across modules, so the cache is dropped at every module
-boundary.
+The default resource context keeps an LRU of problem instances and
+their reference solutions (:func:`repro.solvers.distributed_richardson.
+get_problem`).  Within one test module that sharing is a deliberate
+speed-up — both are read-only — but it must not leak across modules,
+so the cache is dropped at every module boundary.
 
 ``REPRO_TEST_DTYPE`` selects the dtype lane the dtype-parameterized
 suites run under (``float64`` default, ``float32`` in CI's second

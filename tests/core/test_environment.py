@@ -1,18 +1,8 @@
-"""P2PDC environment: programming model, task flow, daemon, extensions."""
+"""P2PDC environment: programming model and task flow."""
 
 import pytest
 
-from repro.core import (
-    Application,
-    LoadBalancer,
-    MigrationPlanner,
-    MigrationStep,
-    P2PDC,
-    ProblemDefinition,
-)
-from repro.core.topology_manager import PeerRecord
-from repro.core.user_daemon import CommandError
-from repro.numerics.blocks import BlockAssignment
+from repro.core import Application, P2PDC, ProblemDefinition
 from repro.p2psap.context import Scheme
 from repro.simnet import Network, Simulator, nicta_testbed
 
@@ -143,21 +133,32 @@ class TestTaskFlow:
         sim.run_until(done, 200)
         assert len(done.value.output) == 2
 
-    def test_load_balanced_run_keeps_cluster_contiguity(self):
-        """With load balancing on, collected peers are ordered through
-        the balancer — which keeps clusters contiguous along the chain,
-        so the run's peer order is the plain run's."""
-        peer_orders = []
-        for balanced in (False, True):
-            sim, env = make_env(4, clusters=2,
-                                enable_load_balancing=balanced)
-            env.register_everywhere(EchoApp())
-            run = env.run_to_completion("echo", n_peers=4, timeout=200)
-            assert [r["rank"] for r in run.output] == [0, 1, 2, 3]
-            peer_orders.append(run.peer_names)
-            clusters = [env.network.nodes[p].cluster for p in run.peer_names]
-            assert clusters == sorted(clusters)
-        assert peer_orders[0] == peer_orders[1]
+    def test_run_keeps_cluster_contiguity(self):
+        """Collected peers keep clusters contiguous along the chain (a
+        WAN hop mid-chain costs more than a slow middle peer)."""
+        sim, env = make_env(4, clusters=2)
+        env.register_everywhere(EchoApp())
+        run = env.run_to_completion("echo", n_peers=4, timeout=200)
+        assert [r["rank"] for r in run.output] == [0, 1, 2, 3]
+        clusters = [env.network.nodes[p].cluster for p in run.peer_names]
+        assert clusters == sorted(clusters)
+        assert len(set(clusters)) == 2
+
+    def test_shutdown_stops_every_background_process(self):
+        """``shutdown`` (the paper's ``exit``) ends the ping loops, so
+        the event queue drains; a second call is a no-op."""
+        sim, env = make_env(2)
+        sim.run(until=2.0)
+        env.shutdown()
+        env.shutdown()
+        sim.run()  # raises DeadlockError if a process outlived shutdown
+        assert sim.now == 2.0
+
+    def test_run_past_its_timeout_raises(self):
+        sim, env = make_env(2)
+        env.register_everywhere(EchoApp())
+        with pytest.raises(TimeoutError, match="did not complete within"):
+            env.run_to_completion("echo", n_peers=2, timeout=0.01)
 
     def test_empty_network_rejected(self):
         sim = Simulator()
@@ -194,167 +195,3 @@ class TestTaskFlow:
         env.register_everywhere(SchemeProbe())
         env.run_to_completion("probe", scheme="synchronous", timeout=100)
         assert captured["scheme"] is Scheme.SYNCHRONOUS
-
-
-class TestUserDaemon:
-    def test_stat(self):
-        sim, env = make_env(2)
-        env.register_everywhere(EchoApp())
-        sim.run(until=2.0)  # let joins land
-        stat = env.daemon.command("stat")
-        assert stat["peers_known"] == 2
-        assert "echo" in stat["applications"]
-        assert not stat["task_running"]
-
-    def test_run_command_with_overrides(self):
-        sim, env = make_env(3)
-        env.register_everywhere(EchoApp())
-        sim.run(until=2.0)
-        done = env.daemon.command("run echo peers=3 scheme=synchronous")
-        sim.run(until=200)
-        assert done.triggered
-        assert len(done.value.output) == 3
-
-    def test_run_coerces_params(self):
-        captured = {}
-
-        class ParamProbe(Application):
-            name = "params"
-
-            def problem_definition(self, params):
-                captured.update(params)
-                return ProblemDefinition(subtasks=[0], scheme="hybrid")
-
-            def calculate(self, ctx):
-                yield ctx.node.compute(1)
-
-            def results_aggregation(self, results):
-                return results
-
-        sim, env = make_env(1)
-        env.register_everywhere(ParamProbe())
-        sim.run(until=2.0)
-        env.daemon.command("run params n=42 tol=0.5 verbose=true tag=x")
-        assert captured["n"] == 42
-        assert captured["tol"] == 0.5
-        assert captured["verbose"] is True
-        assert captured["tag"] == "x"
-
-    def test_bad_commands(self):
-        sim, env = make_env(1)
-        with pytest.raises(CommandError):
-            env.daemon.command("")
-        with pytest.raises(CommandError):
-            env.daemon.command("dance")
-        with pytest.raises(CommandError):
-            env.daemon.command("run")
-        with pytest.raises(CommandError):
-            env.daemon.command("run echo n")
-
-    def test_exit_shuts_down(self):
-        sim, env = make_env(1)
-        env.daemon.command("exit")
-        assert env.daemon.exited
-        with pytest.raises(CommandError):
-            env.daemon.command("stat")
-
-
-class TestLoadBalancer:
-    def rec(self, name, hz, load=0.0):
-        return PeerRecord(name=name, cluster="c0", cpu_hz=hz,
-                          background_load=load, joined_at=0, last_ping=0)
-
-    def test_weights_proportional_to_speed(self):
-        lb = LoadBalancer()
-        w = lb.weights([self.rec("a", 2e9), self.rec("b", 1e9)])
-        assert w[0] == pytest.approx(2 * w[1])
-
-    def test_load_discounts_speed(self):
-        lb = LoadBalancer()
-        w = lb.weights([self.rec("a", 1e9), self.rec("b", 1e9, load=1.0)])
-        assert w[0] == pytest.approx(2 * w[1])
-
-    def test_floor_prevents_starvation(self):
-        lb = LoadBalancer(min_speed_ratio=0.1)
-        w = lb.weights([self.rec("a", 1e9), self.rec("b", 1e3)])
-        assert w[1] >= 0.1 * w[0]
-
-    def test_assignment_weighted(self):
-        lb = LoadBalancer()
-        a = lb.assignment(12, [self.rec("a", 2e9), self.rec("b", 1e9)])
-        assert a.load(0) == 8 and a.load(1) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            LoadBalancer().weights([])
-
-    def test_min_speed_ratio_validated(self):
-        for ratio in (0.0, 1.5):
-            with pytest.raises(ValueError, match="min_speed_ratio"):
-                LoadBalancer(min_speed_ratio=ratio)
-
-    def test_order_peers_keeps_the_given_order(self):
-        records = [self.rec("slow", 1e8), self.rec("fast", 3e9),
-                   self.rec("mid", 1e9)]
-        assert LoadBalancer().order_peers(records) == ["slow", "fast", "mid"]
-
-
-class TestMigrationPlanner:
-    def test_no_migration_when_balanced(self):
-        planner = MigrationPlanner()
-        a = BlockAssignment.balanced(12, 3)
-        assert planner.plan(a, [1.0, 1.0, 1.0]) is None
-
-    def test_migrates_from_slow_to_fast_neighbor(self):
-        planner = MigrationPlanner()
-        a = BlockAssignment.balanced(12, 3)
-        step = planner.plan(a, [1.0, 0.2, 1.0])  # middle node is slow
-        assert step is not None
-        assert step.src == 1 and step.dst in (0, 2)
-
-    def test_apply_preserves_tiling(self):
-        planner = MigrationPlanner()
-        a = BlockAssignment.balanced(12, 3)
-        step = planner.plan(a, [1.0, 0.2, 1.0])
-        b = MigrationPlanner.apply(a, step)
-        covered = [p for r in b.ranges for p in r]
-        assert covered == list(range(12))
-        assert b.load(step.src) == a.load(step.src) - step.n_planes
-
-    def test_cannot_strand_a_node(self):
-        planner = MigrationPlanner(max_step=5)
-        a = BlockAssignment(3, (range(0, 1), range(1, 2), range(2, 3)))
-        assert planner.plan(a, [1.0, 0.01, 1.0]) is None
-
-    def test_apply_rejects_non_neighbors(self):
-        a = BlockAssignment.balanced(12, 3)
-        with pytest.raises(ValueError):
-            MigrationPlanner.apply(a, MigrationStep(src=0, dst=2, n_planes=1))
-
-    def test_apply_sheds_from_the_back_towards_the_right(self):
-        a = BlockAssignment.balanced(12, 3)
-        b = MigrationPlanner.apply(a, MigrationStep(src=1, dst=2, n_planes=2))
-        assert [(r.start, r.stop) for r in b.ranges] == [(0, 4), (4, 6),
-                                                         (6, 12)]
-
-    def test_apply_refuses_to_empty_the_source(self):
-        a = BlockAssignment.balanced(6, 3)
-        with pytest.raises(ValueError, match="no planes"):
-            MigrationPlanner.apply(a, MigrationStep(src=1, dst=0, n_planes=2))
-
-    def test_single_node_never_migrates(self):
-        planner = MigrationPlanner()
-        a = BlockAssignment.balanced(5, 1)
-        assert planner.plan(a, [1.0]) is None
-
-    def test_rate_length_checked(self):
-        planner = MigrationPlanner()
-        a = BlockAssignment.balanced(6, 2)
-        with pytest.raises(ValueError):
-            planner.plan(a, [1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MigrationPlanner(imbalance_threshold=0.9)
-        with pytest.raises(ValueError):
-            MigrationPlanner(max_step=0)

@@ -1,4 +1,4 @@
-"""M-matrix machinery backing the convergence theory.
+"""M-matrix machinery backing the convergence theory (a dense test oracle).
 
 The paper's condition (2) requires the block operator A to dominate an
 M-matrix N = (n_ij): ⟨A_i·v, v_i⟩ ≥ Σ_j n_ij |v_i| |v_j|.  For the

@@ -13,6 +13,7 @@ import pytest
 from repro.numerics.grid import Grid3D
 from repro.numerics.kernels import (
     SweepWorkspace,
+    _default_slab,
     block_sweep,
     gauss_seidel_sweep,
     jacobi_sweep,
@@ -306,49 +307,46 @@ class TestWorkspaceContract:
         assert ws.db is None
 
 
-class TestSlabOverride:
-    """REPRO_SLAB_BYTES corrects the fixed L2 guess without source edits."""
+class TestSlabSize:
+    """Slabs size the numpy kernels' scratch: 1 MiB by default, or an
+    explicit ``SweepWorkspace(slab=)``.  They never change a bit."""
 
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SLAB_BYTES", raising=False)
+    def test_default_slab(self):
         problem = membrane_problem(16)
         ws = SweepWorkspace(problem, problem.jacobi_delta())
         assert ws.slab == 16  # 16³ fits the default 1 MiB target
 
-    def test_small_target_shrinks_slabs(self, monkeypatch):
-        problem = membrane_problem(16)
+    def test_small_target_shrinks_slabs(self):
         # 3 slab-arrays of 16² float64 planes no longer fit: 2 planes min.
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "4096")
-        ws = SweepWorkspace(problem, problem.jacobi_delta())
-        assert ws.slab == 2
-        # Hex spelling accepted too.
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "0x1000")
-        assert SweepWorkspace(problem, problem.jacobi_delta()).slab == 2
+        assert _default_slab(16, 16, 8, target=4096) == 2
 
-    def test_override_does_not_change_results(self, monkeypatch):
-        problem = membrane_problem(8)
+    @pytest.mark.parametrize("sweep", [jacobi_sweep, gauss_seidel_sweep])
+    def test_slab_does_not_change_results(self, kernel_backend, sweep):
+        problem = torsion_problem(8)
         delta = problem.jacobi_delta()
         u = problem.feasible_start()
-        monkeypatch.delenv("REPRO_SLAB_BYTES", raising=False)
-        ws_default = SweepWorkspace(problem, delta)
-        want = ws_default.rotation_buffer()
-        jacobi_sweep(ws_default, u, want)
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "2048")
-        ws_small = SweepWorkspace(problem, delta)
-        assert ws_small.slab < ws_default.slab
-        got = ws_small.rotation_buffer()
-        jacobi_sweep(ws_small, u, got)
-        np.testing.assert_array_equal(got, want)
+        ws_whole = SweepWorkspace(problem, delta)
+        assert ws_whole.slab == 8
+        want = ws_whole.rotation_buffer()
+        want_diff = sweep(ws_whole, u, want)
+        for slab in (1, 2, 3):
+            ws = SweepWorkspace(problem, delta, slab=slab)
+            got = ws.rotation_buffer()
+            assert sweep(ws, u, got) == want_diff
+            np.testing.assert_array_equal(got, want)
 
-    def test_invalid_values_rejected(self, monkeypatch):
-        problem = membrane_problem(8)
-        for bad in ("not-a-number", "1.5e6", "0", "-4096", "12MB"):
-            monkeypatch.setenv("REPRO_SLAB_BYTES", bad)
-            with pytest.raises(ValueError, match="REPRO_SLAB_BYTES"):
-                SweepWorkspace(problem, problem.jacobi_delta())
-
-    def test_explicit_slab_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "4096")
+    def test_explicit_slab_argument_wins(self):
         problem = membrane_problem(16)
         ws = SweepWorkspace(problem, problem.jacobi_delta(), slab=5)
         assert ws.slab == 5
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"slab": 0}, "slab must be >= 1"),
+        ({"lo": 3, "hi": 3}, "invalid plane range"),
+        ({"delta": 0.0}, "delta must be positive"),
+    ])
+    def test_invalid_workspace_arguments_rejected(self, kwargs, match):
+        problem = membrane_problem(8)
+        kwargs = {"delta": problem.jacobi_delta(), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            SweepWorkspace(problem, **kwargs)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.numerics.kernels import (
     SweepWorkspace,
+    _default_slab,
     block_sweep,
     gauss_seidel_sweep,
     jacobi_sweep,
@@ -205,10 +206,11 @@ class TestWorkspaceDtypeInternals:
         # float64 default: the problem's own field views, no copies.
         assert ws64.lower.base is problem.constraint.lower
 
-    def test_float32_doubles_planes_per_slab(self, monkeypatch):
-        problem = membrane_problem(16)
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "12288")
-        s64 = SweepWorkspace(problem, problem.jacobi_delta()).slab
-        s32 = SweepWorkspace(problem, problem.jacobi_delta(),
-                             dtype=np.float32).slab
+    def test_float32_doubles_planes_per_slab(self):
+        target = 12288  # small enough that a 16³ block needs several slabs
+        s64 = _default_slab(16, 16, np.dtype(np.float64).itemsize,
+                            target=target)
+        s32 = _default_slab(16, 16, np.dtype(np.float32).itemsize,
+                            target=target)
+        assert s64 < 16
         assert s32 == 2 * s64

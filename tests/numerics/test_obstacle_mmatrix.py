@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numerics.mmatrix import (
+from repro.numerics.obstacle import (
+    membrane_problem,
+    options_pricing_problem,
+    torsion_problem,
+)
+
+from mmatrix import (  # same-directory module (pytest prepend mode)
     contraction_factor,
     is_diagonally_dominant,
     is_m_matrix,
@@ -13,11 +19,6 @@ from repro.numerics.mmatrix import (
     jacobi_spectral_radius,
     laplacian_matrix_1d,
     laplacian_matrix_3d,
-)
-from repro.numerics.obstacle import (
-    membrane_problem,
-    options_pricing_problem,
-    torsion_problem,
 )
 
 

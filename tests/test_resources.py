@@ -1,19 +1,23 @@
 """ResourceContext: explicit contexts isolate every pooled resource.
 
 The de-globalization contract: two contexts in one process must never
-share slab-autotune verdicts (beyond the documented
-hardware-scoped inheritance) or problem caches — and
-code running against an explicit context must never write the process
-default, which belongs to plain call sites.
+share problem caches — and code running against an explicit context
+must never write the process default, which belongs to plain call
+sites.  A problem's reference solution lives and dies with its cache
+entry.
 """
 
 import numpy as np
 import pytest
 
 from repro.campaign import Campaign, expand_matrix
-from repro.numerics import kernels
 from repro.resources import ResourceContext, default_context, resolve_context
-from repro.solvers.distributed_richardson import get_problem
+from repro.scenarios import reference_solution
+from repro.solvers.distributed_richardson import (
+    _PROBLEM_CACHE_MAX,
+    clear_problem_cache,
+    get_problem,
+)
 
 N = 8
 TOL = 1e-3
@@ -30,38 +34,27 @@ class TestContextBasics:
 
     def test_fresh_context_is_empty(self):
         ctx = ResourceContext()
-        assert ctx.slab_bytes is None
         assert ctx.problem_cache == {}
+        assert ctx.references == {}
 
 
-class TestSlabAutotuneScoping:
-    @pytest.fixture(autouse=True)
-    def _clean_default(self):
-        saved = default_context().slab_bytes
-        yield
-        default_context().slab_bytes = saved
+class TestReferenceSolutions:
+    def test_read_only_and_dropped_by_clear_problem_cache(self):
+        ref = reference_solution("membrane", 4)
+        with pytest.raises(ValueError, match="read-only"):
+            ref[1, 1, 1] = 0.0
+        assert reference_solution("membrane", 4) is ref  # cached
+        assert ("membrane", 4) in default_context().references
+        clear_problem_cache()
+        assert ("membrane", 4) not in default_context().references
+        assert reference_solution("membrane", 4) is not ref
 
-    def test_context_inherits_default_verdict(self):
-        default_context().slab_bytes = 1 << 20
-        ctx = ResourceContext()
-        assert kernels.autotune_slab_bytes(ctx) == 1 << 20
-        assert ctx.slab_bytes == 1 << 20  # memoized on the context
-
-    def test_context_measurement_never_writes_default(self):
-        kernels.clear_slab_autotune()
-        ctx = ResourceContext()
-        verdict = kernels.autotune_slab_bytes(ctx)
-        assert verdict in kernels._SLAB_CANDIDATES
-        assert ctx.slab_bytes == verdict
-        assert default_context().slab_bytes is None
-
-    def test_scoped_clear_leaves_default_alone(self):
-        default_context().slab_bytes = 1 << 20
-        ctx = ResourceContext()
-        ctx.slab_bytes = 1 << 21
-        kernels.clear_slab_autotune(resources=ctx)
-        assert ctx.slab_bytes is None
-        assert default_context().slab_bytes == 1 << 20
+    def test_evicted_with_its_problem(self):
+        reference_solution("membrane", 4)
+        for n in range(5, 5 + _PROBLEM_CACHE_MAX):
+            get_problem("membrane", n)
+        assert ("membrane", 4) not in default_context().problem_cache
+        assert ("membrane", 4) not in default_context().references
 
 
 class TestProblemCacheScoping:
