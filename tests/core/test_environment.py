@@ -195,3 +195,83 @@ class TestTaskFlow:
         env.register_everywhere(SchemeProbe())
         env.run_to_completion("probe", scheme="synchronous", timeout=100)
         assert captured["scheme"] is Scheme.SYNCHRONOUS
+
+
+class ParamProbe(Application):
+    """Records the params its problem definition sees; one sub-task per
+    requested peer."""
+
+    name = "params"
+
+    def __init__(self):
+        self.seen = []
+
+    def problem_definition(self, params):
+        self.seen.append(params)
+        n = int(params.get("n_peers", 1))
+        return ProblemDefinition(subtasks=list(range(n)),
+                                 scheme=params.get("scheme", "hybrid"))
+
+    def calculate(self, ctx):
+        yield ctx.node.compute(1)
+        return ctx.rank
+
+    def results_aggregation(self, results):
+        return results
+
+
+class TestRunOverrides:
+    """``run``'s ``n_peers=``/``scheme=`` overrides (the paper's run
+    command "overridden at start time in command line")."""
+
+    def test_params_reach_the_definition_unchanged(self):
+        probe = ParamProbe()
+        sim, env = make_env(1)
+        env.register_everywhere(probe)
+        params = {"n": 42, "tol": 0.5, "verbose": True, "tag": "x"}
+        run = env.run_to_completion("params", params=params, timeout=100)
+        assert probe.seen == [params]
+        assert run.params == params
+
+    def test_overrides_are_merged_without_touching_the_callers_params(self):
+        probe = ParamProbe()
+        sim, env = make_env(3)
+        env.register_everywhere(probe)
+        params = {"n": 42}
+        run = env.run_to_completion("params", params=params, n_peers=3,
+                                    scheme="SYNCHRONOUS", timeout=200)
+        assert probe.seen == [{"n": 42, "n_peers": 3,
+                               "scheme": "synchronous"}]
+        assert params == {"n": 42}
+        assert run.output == [0, 1, 2]
+        assert run.definition.scheme is Scheme.SYNCHRONOUS
+
+    def test_overrides_win_over_params(self):
+        probe = ParamProbe()
+        sim, env = make_env(2)
+        env.register_everywhere(probe)
+        run = env.run_to_completion(
+            "params", params={"n_peers": 1, "scheme": "asynchronous"},
+            n_peers=2, scheme=Scheme.HYBRID, timeout=200)
+        assert run.n_peers == 2
+        assert run.definition.scheme is Scheme.HYBRID
+
+    def test_unknown_scheme_override_rejected_before_collecting_peers(self):
+        sim, env = make_env(2)
+        env.register_everywhere(ParamProbe())
+        sim.run(until=2.0)
+        with pytest.raises(ValueError, match="unknown scheme 'dance'"):
+            env.run("params", scheme="dance")
+        assert all(not r.busy for r in env.topology.peers.values())
+
+    def test_peers_registered_before_submission(self):
+        """Before any run, every peer has joined and is free, and every
+        registered application can be looked up."""
+        sim, env = make_env(2)
+        env.register_everywhere(EchoApp())
+        sim.run(until=2.0)
+        assert sorted(env.topology.peers) == sorted(env.network.nodes)
+        assert all(not r.busy for r in env.topology.peers.values())
+        assert env.application("echo").name == "echo"
+        with pytest.raises(LookupError, match="known: \\['echo'\\]"):
+            env.application("stat")

@@ -6,6 +6,7 @@ from repro.core.env_bus import EnvBus
 from repro.core.topology_manager import (
     MISSED_PINGS_LIMIT,
     PING_PERIOD,
+    PeerRecord,
     TopologyClient,
     TopologyServer,
 )
@@ -123,6 +124,31 @@ class TestCollection:
         sim, server = self.joined()
         recs = server.records(["peer01", "peer02"])
         assert [r.name for r in recs] == ["peer01", "peer02"]
+
+
+class TestPeerRecord:
+    """``effective_speed`` is the per-peer work-share estimate
+    (``volatile_peers.py`` sizes its planes from it)."""
+
+    def rec(self, hz, load=0.0):
+        return PeerRecord(name="p", cluster="c0", cpu_hz=hz,
+                          background_load=load, joined_at=0, last_ping=0)
+
+    def test_proportional_to_clock_rate(self):
+        assert self.rec(2e9).effective_speed() == pytest.approx(
+            2 * self.rec(1e9).effective_speed())
+
+    def test_background_load_discounts_speed(self):
+        assert self.rec(1e9, load=1.0).effective_speed() == pytest.approx(
+            0.5 * self.rec(1e9).effective_speed())
+
+    def test_records_follow_the_requested_order(self):
+        sim, net, server, clients = make_deployment()
+        for c in clients.values():
+            c.join()
+        sim.run(until=2.0)
+        names = ["peer03", "peer00", "peer02"]
+        assert [r.name for r in server.records(names)] == names
 
 
 class TestEnvBus:

@@ -10,6 +10,7 @@ from repro.numerics.obstacle import (
     options_pricing_problem,
     torsion_problem,
 )
+from repro.numerics.richardson import projected_richardson
 
 from mmatrix import (  # same-directory module (pytest prepend mode)
     contraction_factor,
@@ -172,3 +173,48 @@ class TestProblemInstances:
         assert membrane_problem(8).name == "membrane-8"
         assert torsion_problem(8).name == "torsion-8"
         assert options_pricing_problem(8).name == "options-8"
+
+
+PROBLEM_MAKERS = [membrane_problem, torsion_problem, options_pricing_problem]
+
+
+@pytest.mark.parametrize("maker", PROBLEM_MAKERS,
+                         ids=lambda m: m.__name__.split("_")[0])
+class TestFixedPointMap:
+    """F_δ(u) = P_K(u − δ(A·u − b)), the map whose fixed point is the
+    solution and whose non-expansiveness the envelope invariant uses."""
+
+    def test_map_lands_in_K(self, maker):
+        p = maker(6)
+        u = np.random.default_rng(0).uniform(-2.0, 2.0, p.grid.shape)
+        assert p.constraint.contains(p.fixed_point_map(u, p.jacobi_delta()))
+
+    def test_jacobi_map_is_sup_norm_nonexpansive(self, maker):
+        p = maker(6)
+        rng = np.random.default_rng(1)
+        delta = p.jacobi_delta()
+        for _ in range(5):
+            u = rng.uniform(-1.0, 1.0, p.grid.shape)
+            v = rng.uniform(-1.0, 1.0, p.grid.shape)
+            moved = np.max(np.abs(p.fixed_point_map(u, delta)
+                                  - p.fixed_point_map(v, delta)))
+            assert moved <= np.max(np.abs(u - v)) * (1 + 1e-12)
+
+    def test_solution_is_the_fixed_point_for_every_step(self, maker):
+        p = maker(6)
+        res = projected_richardson(p, tol=1e-12, max_relaxations=100_000)
+        assert res.converged
+        u = res.u
+        for delta in (p.jacobi_delta(), p.optimal_delta()):
+            np.testing.assert_allclose(p.fixed_point_map(u, delta), u,
+                                       rtol=0, atol=1e-9)
+        assert p.residual_norm(u) < 1e-9
+
+
+def test_fixed_point_map_writes_into_out():
+    p = membrane_problem(5)
+    u = p.feasible_start()
+    out = np.empty_like(u)
+    result = p.fixed_point_map(u, p.jacobi_delta(), out=out)
+    assert result is out
+    np.testing.assert_array_equal(out, p.fixed_point_map(u, p.jacobi_delta()))

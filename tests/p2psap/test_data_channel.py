@@ -143,6 +143,79 @@ class TestAsyncChannel:
         assert chb.user_receive_nowait() == (False, None)
 
 
+class TestWholeMessages:
+    """The stack has no MTU: a message of any size is one segment, and
+    reliability and ordering act on it whole."""
+
+    @pytest.mark.parametrize("payload", [
+        b"tiny",
+        np.arange(32.0 * 32).reshape(32, 32),  # one 8 KiB plane
+        np.arange(128.0 * 128 * 8),            # 1 MiB
+    ], ids=["bytes", "plane", "1MiB"])
+    def test_message_travels_as_one_segment(self, payload):
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        segments = []
+        cha.transport.bus.bind("TxSegment", segments.append, order=99)
+
+        def sender():
+            yield cha.user_send(payload)
+
+        sim.spawn(sender())
+        sim.run(until=30)
+        ok, received = chb.user_receive_nowait()
+        assert ok
+        np.testing.assert_array_equal(received, payload)
+        assert len(segments) == 1
+
+    def test_large_message_survives_loss_with_reliability(self):
+        sim, cha, chb = make_pair(ASYNC_RELIABLE, loss=0.5)
+        blob = bytes(range(256)) * 8
+
+        def sender():
+            yield cha.user_send(blob)
+
+        sim.spawn(sender())
+        sim.run(until=120)
+        ok, payload = chb.user_receive_nowait()
+        assert ok and payload == blob
+        assert cha.transport.micro("reliability").stats_retransmits > 0
+
+    def test_large_messages_keep_their_send_order(self):
+        sim, cha, chb = make_pair(ASYNC_RELIABLE, loss=0.2)
+        blobs = [bytes([i]) * 1000 for i in range(5)]
+
+        def sender():
+            for blob in blobs:
+                yield cha.user_send(blob)
+
+        sim.spawn(sender())
+        sim.run(until=120)
+        got = []
+        while True:
+            ok, payload = chb.user_receive_nowait()
+            if not ok:
+                break
+            got.append(payload)
+        assert got == blobs
+        assert cha.transport.micro("reliability").stats_retransmits > 0
+
+    def test_reconfigured_to_plain_channel_still_delivers_whole(self):
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        for ch in (cha, chb):
+            ch.reconfigure(ASYNC_UNRELIABLE)
+            assert not ch.transport.has_micro("reliability")
+            assert not ch.transport.has_micro("ordering")
+        big = bytes(1000)
+
+        def sender():
+            yield cha.user_send(big)
+
+        sim.spawn(sender())
+        sim.run(until=30)
+        ok, payload = chb.user_receive_nowait()
+        assert ok and payload == big
+
+
 class TestReconfiguration:
     def test_epoch_scopes_sequence_space(self):
         sim, cha, chb = make_pair(ASYNC_UNRELIABLE, delay=0.2)

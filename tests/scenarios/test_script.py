@@ -10,6 +10,8 @@ from repro.scenarios import (
     ScenarioScript,
     generate_script,
 )
+from repro.scenarios.script import node_name
+from repro.simnet import Simulator, nicta_testbed
 
 
 def base_script(**overrides):
@@ -133,3 +135,23 @@ class TestValidation:
         assert len({ev for ev in script.events}) == len(script.events)
         with pytest.raises(dataclasses.FrozenInstanceError):
             script.events[0].at = 0.9
+
+
+class TestNaming:
+    def test_node_names_list_peers_then_spares(self):
+        script = base_script(n_spares=1, compute_rates=(1.0,) * 4)
+        assert script.n_nodes == 4
+        assert script.node_names() == ["peer00", "peer01", "peer02",
+                                       "peer03"]
+
+    def test_node_name_is_the_testbed_name(self):
+        sim = Simulator()
+        net = nicta_testbed(sim, 3, n_clusters=2)
+        assert list(net.nodes) == [node_name(i) for i in range(3)]
+
+    def test_link_event_args_and_description(self):
+        ev = ScenarioEvent("link", 0.5, link=("peer00", "peer01"),
+                           args=(("delay", 0.01), ("loss", 0.1)))
+        assert ev.arg_dict() == {"delay": 0.01, "loss": 0.1}
+        assert ev.describe() == (
+            "link@0.500 link=peer00<->peer01 delay=0.01,loss=0.1")
