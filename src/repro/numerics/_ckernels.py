@@ -23,6 +23,13 @@ baseline of the compile flags and, on x86-64, AVX2 (see ``_sweep.c``).
 this CPU runs it and the baseline body otherwise, and records the
 choice as ``lib.isa``.  Both produce the same bits, so the pick needs
 no option, and one library (one cache key) serves every CPU.
+
+A sweep is a job of the library's worker pool: :meth:`CompiledSweep.
+start` queues it and returns, :meth:`CompiledSweep.join` waits for it,
+and meanwhile it runs on a worker thread without the interpreter lock.
+The pool has one worker fewer than the CPUs this process may use (the
+joining thread is the last one), so on one CPU there is none and a
+sweep runs at join.  Nothing sets the size; it is derived at load.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 
 #: -ffp-contract=off: a fused multiply-add rounds once where numpy rounds
 #: twice.  No -ffast-math and no -march=native, for the same reason.
-FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC",
+         "-pthread")
 
 #: Ends every built library, after the sha256 of the bytes before it.
 TRAILER = b"repro-sweep-sha256"
@@ -58,6 +66,25 @@ class Params(ctypes.Structure):
         "upper_kind", "data_off")] + [(name, ctypes.c_double) for name in (
             "d", "a", "db", "diff")] + [(name, ctypes.c_void_p) for name in (
                 "db_field", "lower", "upper")]
+
+
+class Job(ctypes.Structure):
+    """One sweep of the worker pool (``repro_job``)."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "kernel", "params", "cur", "nxt", "below", "above")] + [
+            ("seconds", ctypes.c_double), ("status", ctypes.c_int64),
+            ("state", ctypes.c_int64), ("next", ctypes.c_void_p)]
+
+
+def pool_workers() -> int:
+    """Workers for the sweep pool: one fewer than the CPUs this process
+    may run on, the joining thread being the last."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return cpus - 1
 
 
 class Unavailable(Exception):
@@ -216,13 +243,14 @@ def _intact(path: str) -> bool:
 
 def _entry_points(lib, tail: str) -> dict:
     """``{(order, dtype): function}`` of the body whose symbols end in
-    ``tail``, signatures set."""
+    ``tail``, signatures set and ``address`` (what a job calls) noted."""
     points = {}
     for order in ("gauss_seidel", "jacobi"):
         for dtype, suffix in ((np.float64, "f64"), (np.float32, "f32")):
             fn = getattr(lib, f"repro_{order}_{suffix}{tail}")
             fn.restype = ctypes.c_int
             fn.argtypes = [ctypes.c_void_p] * 5
+            fn.address = ctypes.cast(fn, ctypes.c_void_p).value
             points[order, np.dtype(dtype)] = fn
     return points
 
@@ -241,6 +269,18 @@ def _try_load(path: str):
         lib = ctypes.CDLL(path)
         lib.repro_array_data.restype = ctypes.c_void_p
         lib.repro_array_data.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        # start only queues, so it keeps the interpreter lock; join
+        # releases it while it waits or runs sweeps itself.
+        lib.start = ctypes.PyDLL(path, handle=lib._handle).repro_sweep_start
+        lib.start.restype = None
+        lib.start.argtypes = [ctypes.c_void_p]
+        lib.join = lib.repro_sweep_join
+        lib.join.restype = ctypes.c_int
+        lib.join.argtypes = [ctypes.c_void_p]
+        # A non-zero result (no fork handlers) leaves the pool without
+        # workers: every sweep then runs at join, same bits.
+        lib.repro_pool_size.restype = ctypes.c_int
+        lib.repro_pool_size.argtypes = [ctypes.c_int64]
         lib.bodies = {"baseline": _entry_points(lib, "")}
         if lib.repro_cpu_avx2() == 1:
             lib.bodies["avx2"] = _entry_points(lib, "_avx2")
@@ -255,6 +295,7 @@ def _try_load(path: str):
     if any(lib.repro_array_data(id(a), lib.data_off) != a.ctypes.data
            for a in probes):
         raise Unavailable("unrecognised ndarray object layout")
+    lib.repro_pool_size(pool_workers())
     return lib
 
 
@@ -297,44 +338,80 @@ def _term(value, shape, dtype):
 
 
 class CompiledSweep:
-    """A workspace's baked argument block and compiled entry points.
+    """A workspace's baked argument block, compiled entry points and
+    pool job: at most one sweep of it is in flight at a time.
 
     The block holds raw addresses of the workspace's ``db``/``lower``/
-    ``upper`` arrays, so it lives and dies with the attributes it was
-    baked from (the workspace builds both together).
+    ``upper`` arrays (``fields``), so this object keeps them alive: a
+    worker may still read them after the workspace is gone.
     """
 
-    __slots__ = ("params", "address", "shape", "plane", "dtype", "kernels")
+    __slots__ = ("params", "shape", "plane", "dtype", "kernels", "job",
+                 "_fields", "_lib", "_job", "_arrays")
 
-    def __init__(self, lib, params, shape, dtype):
+    def __init__(self, lib, params, fields, shape, dtype):
         self.params = params
-        self.address = ctypes.addressof(params)
+        self._fields = fields
         self.shape = shape
         self.plane = shape[1:]
         self.dtype = dtype
         self.kernels = {order: lib.bodies[lib.isa][order, dtype]
                         for order in ("jacobi", "gauss_seidel")}
+        self.job = Job(params=ctypes.addressof(params))
+        self._lib = lib
+        self._job = ctypes.addressof(self.job)
+        self._arrays = None
 
-    def run(self, order, cur, nxt, below, above):
-        """The diff of an ``order`` sweep, or None when these arrays must
-        take the numpy path (wrong type, shape, dtype or layout, or an
-        ``nxt`` overlapping an input).
+    def start(self, order, cur, nxt, below, above) -> bool:
+        """Queue an ``order`` sweep on the worker pool; False (nothing
+        started) when these arrays must take the numpy path (wrong
+        type, shape, dtype or layout).
 
-        The C side reads each array's data pointer after ctypes has
-        released the interpreter lock.  That is safe because this frame
-        holds a reference to every array for the whole call, and an
+        The library reads each array's data pointer here, under the
+        interpreter lock, and a worker then uses it without the lock.
+        That is safe because this object holds a reference to every
+        array until :meth:`join` (which ``__del__`` calls too), and an
         ndarray's data pointer cannot move while other references to
         it exist (``resize`` refuses)."""
+        if self._arrays is not None:
+            raise RuntimeError("a sweep of this workspace is already in "
+                               "flight; join it first")
         shape, dtype = self.shape, self.dtype
         if not (_fits(cur, shape, dtype) and _fits(nxt, shape, dtype, _WRITABLE)
                 and (below is None or _fits(below, self.plane, dtype))
                 and (above is None or _fits(above, self.plane, dtype))):
-            return None
-        if self.kernels[order](self.address, id(cur), id(nxt),
-                               None if below is None else id(below),
-                               None if above is None else id(above)):
-            return None
-        return self.params.diff
+            return False
+        job = self.job
+        job.kernel = self.kernels[order].address
+        job.cur, job.nxt = id(cur), id(nxt)
+        job.below = None if below is None else id(below)
+        job.above = None if above is None else id(above)
+        self._arrays = (cur, nxt, below, above)
+        self._lib.start(self._job)
+        return True
+
+    def join(self):
+        """Wait for the started sweep: its diff, or None when ``nxt``
+        overlaps an input (nothing was written; take the numpy path).
+        ``job.seconds`` is then its run time on the thread that ran
+        it."""
+        if self._arrays is None:
+            raise RuntimeError("no sweep of this workspace is in flight")
+        status = self._lib.join(self._job)
+        self._arrays = None
+        return None if status else self.params.diff
+
+    def run(self, order, cur, nxt, below, above):
+        """:meth:`start` and :meth:`join`: the diff of an ``order``
+        sweep, or None when these arrays must take the numpy path."""
+        return self.join() if self.start(order, cur, nxt, below,
+                                         above) else None
+
+    def __del__(self):
+        # A dropped workspace with a sweep in flight: the worker must be
+        # done with its arrays before they can go.
+        if self._arrays is not None:
+            self.join()
 
 
 def bake(ws):
@@ -357,4 +434,5 @@ def bake(ws):
         data_off=lib.data_off, d=ws.d, a=ws.a,
         db=float(ws.db) if db_kind == 1 else 0.0,
         db_field=db_field, lower=lower, upper=upper)
-    return CompiledSweep(lib, params, shape, ws.dtype)
+    return CompiledSweep(lib, params, (ws.db, ws.lower, ws.upper), shape,
+                         ws.dtype)

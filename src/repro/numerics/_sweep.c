@@ -44,19 +44,30 @@
  * ends in + 0.0, Jacobi only takes a strictly larger value over 0.0),
  * and NaN is tracked apart from the extrema.
  *
- * Arrays arrive as the addresses of their ndarray objects; the data
- * pointer is read at params->data_off (the first field after the
- * object header in numpy's ABI-stable PyArrayObject).  The caller has
- * already checked type, shape, dtype, alignment and contiguity.
+ * A sweep runs as a job (repro_sweep_start, then repro_sweep_join) on
+ * a small pool of worker threads, or on the joining thread itself; see
+ * "Worker pool" below.  Whichever thread runs it, it is the same call
+ * of the same body on the same arrays, so the bits do not depend on it.
+ * A job arrives with the addresses of its ndarray objects, and
+ * repro_sweep_start, which runs under the interpreter lock, swaps in
+ * their data pointers, read at params->data_off (the first field after
+ * the object header in numpy's ABI-stable PyArrayObject): the kernels
+ * touch no Python object.  The caller has already checked type, shape,
+ * dtype, alignment and contiguity.
  */
 
 #ifndef REPRO_SWEEP_BODY
 #define REPRO_SWEEP_BODY
 
+#define _POSIX_C_SOURCE 200809L
+
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "FLT_EVAL_METHOD != 0: arithmetic would not round like numpy's"
@@ -83,8 +94,6 @@ const void *repro_array_data(const void *obj, int64_t data_off)
     return *(const void *const *)((const char *)obj + data_off);
 }
 
-#define REPRO_DATA(obj) \
-    ((obj) ? *(char *const *)((const char *)(obj) + p->data_off) : NULL)
 
 static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 {
@@ -157,6 +166,218 @@ int repro_cpu_avx2(void)
 int repro_cpu_avx2(void) { return 0; }
 
 #endif
+
+/* Worker pool.
+ *
+ * repro_sweep_start queues a job and wakes a worker; repro_sweep_join
+ * waits for it.  A joiner whose job is still queued takes it back and
+ * runs it itself, and one whose job is running elsewhere runs other
+ * queued jobs while it waits, so with no workers at all (one usable
+ * CPU) every sweep simply runs at join.  Workers start on the first
+ * job and block every signal, which the interpreter's thread keeps
+ * handling.  None of this touches the interpreter: the caller holds a
+ * reference to every array of a job until it has joined it.
+ *
+ * fork: the prepare handler stops workers and joiners from taking new
+ * jobs and waits until no job is running, so the child inherits every
+ * job either done or queued, with all of its arrays written or none.
+ * The child has no workers (threads do not survive fork); the next
+ * start spawns them again, and a join there runs its queued job. */
+
+/* Mirrors _ckernels.Job field for field. */
+typedef struct repro_job {
+    int (*kernel)(repro_sweep_params *, const void *, void *,
+                  const void *, const void *);
+    repro_sweep_params *p;
+    const void *cur;                         /* ndarray objects, then */
+    void *nxt;                               /* their data pointers */
+    const void *gb, *ga;
+    double seconds;                          /* out: the kernel's run time */
+    int64_t status;                          /* out: the kernel's result */
+    int64_t state;                           /* pool-owned, see below */
+    struct repro_job *next;                  /* pool-owned queue link */
+} repro_job;
+
+enum { JOB_IDLE, JOB_QUEUED, JOB_RUNNING, JOB_DONE };
+
+static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t pool_work = PTHREAD_COND_INITIALIZER; /* queued, or fork over */
+static pthread_cond_t pool_done = PTHREAD_COND_INITIALIZER; /* a job finished */
+static repro_job *queue_head, *queue_tail;
+static int64_t pool_workers;  /* threads wanted */
+static int64_t pool_started;  /* threads running in this process */
+static int64_t pool_busy;     /* jobs being run, by workers or joiners */
+static int pool_forking;
+static int pool_atfork;
+
+/* Run job on this thread, timing the kernel (lock not held). */
+static void run_job(repro_job *job)
+{
+    struct timespec t0, t1;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    job->status = job->kernel(job->p, job->cur, job->nxt, job->gb, job->ga);
+    clock_gettime(CLOCK_MONOTONIC, &t1);
+    job->seconds = (double)(t1.tv_sec - t0.tv_sec)
+                   + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+}
+
+/* Take job out of the queue to run it (lock held). */
+static void claim(repro_job *job)
+{
+    repro_job **link = &queue_head, *prev = NULL;
+    while (*link != job) {
+        prev = *link;
+        link = &prev->next;
+    }
+    *link = job->next;
+    if (queue_tail == job)
+        queue_tail = prev;
+    job->state = JOB_RUNNING;
+    pool_busy++;
+}
+
+/* Run a claimed job and mark it done (lock held on entry and exit). */
+static void run_claimed(repro_job *job)
+{
+    pthread_mutex_unlock(&pool_lock);
+    run_job(job);
+    pthread_mutex_lock(&pool_lock);
+    job->state = JOB_DONE;
+    pool_busy--;
+    pthread_cond_broadcast(&pool_done);
+}
+
+static void *worker(void *unused)
+{
+    (void)unused;
+    pthread_mutex_lock(&pool_lock);
+    for (;;) {
+        if (pool_forking || queue_head == NULL) {
+            pthread_cond_wait(&pool_work, &pool_lock);
+            continue;
+        }
+        repro_job *job = queue_head;
+        claim(job);
+        run_claimed(job);
+    }
+    return NULL;
+}
+
+/* Start workers up to pool_workers (lock held); a thread that cannot
+ * be created lowers the target, and joiners run what is left. */
+static void spawn_workers(void)
+{
+    sigset_t all, old;
+    pthread_attr_t attr;
+    if (pool_started >= pool_workers)
+        return;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    while (pool_started < pool_workers) {
+        pthread_t thread;
+        if (pthread_create(&thread, &attr, worker, NULL) != 0) {
+            pool_workers = pool_started;
+            break;
+        }
+        pool_started++;
+    }
+    pthread_attr_destroy(&attr);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+static void before_fork(void)
+{
+    pthread_mutex_lock(&pool_lock);
+    pool_forking = 1;
+    while (pool_busy > 0)
+        pthread_cond_wait(&pool_done, &pool_lock);
+}
+
+static void after_fork_parent(void)
+{
+    pool_forking = 0;
+    pthread_cond_broadcast(&pool_work);
+    pthread_cond_broadcast(&pool_done);
+    pthread_mutex_unlock(&pool_lock);
+}
+
+/* The forking thread held the lock; its copy is re-made unlocked, as
+ * are the conditions whose waiters did not survive the fork. */
+static void after_fork_child(void)
+{
+    pool_forking = 0;
+    pool_started = 0;
+    pthread_mutex_init(&pool_lock, NULL);
+    pthread_cond_init(&pool_work, NULL);
+    pthread_cond_init(&pool_done, NULL);
+}
+
+/* Set how many workers the pool runs (the loader derives it from the
+ * CPUs this process may use); returns 0, or an errno value when the
+ * fork handlers cannot be installed (then no worker ever starts). */
+int repro_pool_size(int64_t workers)
+{
+    int err = 0;
+    pthread_mutex_lock(&pool_lock);
+    if (!pool_atfork) {
+        err = pthread_atfork(before_fork, after_fork_parent,
+                             after_fork_child);
+        pool_atfork = err == 0;
+    }
+    pool_workers = pool_atfork && workers > 0 ? workers : 0;
+    pthread_mutex_unlock(&pool_lock);
+    return err;
+}
+
+#define REPRO_DATA(obj) \
+    ((obj) ? *(char *const *)((const char *)(obj) + job->p->data_off) : NULL)
+
+/* Queue job; it may start running at once on a worker.  Called under
+ * the interpreter lock, with job's arrays as ndarray objects. */
+void repro_sweep_start(repro_job *job)
+{
+    job->cur = REPRO_DATA(job->cur);
+    job->nxt = REPRO_DATA(job->nxt);
+    job->gb = REPRO_DATA(job->gb);
+    job->ga = REPRO_DATA(job->ga);
+    pthread_mutex_lock(&pool_lock);
+    job->state = JOB_QUEUED;
+    job->next = NULL;
+    if (queue_tail)
+        queue_tail->next = job;
+    else
+        queue_head = job;
+    queue_tail = job;
+    spawn_workers();
+    pthread_cond_signal(&pool_work);
+    pthread_mutex_unlock(&pool_lock);
+}
+
+/* Wait for a started job; returns its kernel's result (0: done, 1:
+ * nxt overlaps an input and nothing was written). */
+int repro_sweep_join(repro_job *job)
+{
+    pthread_mutex_lock(&pool_lock);
+    while (job->state != JOB_DONE) {
+        if (pool_forking) {
+            pthread_cond_wait(&pool_done, &pool_lock);
+        } else if (job->state == JOB_QUEUED) {
+            claim(job);
+            run_claimed(job);
+        } else if (queue_head != NULL) {
+            repro_job *other = queue_head;
+            claim(other);
+            run_claimed(other);
+        } else {
+            pthread_cond_wait(&pool_done, &pool_lock);
+        }
+    }
+    job->state = JOB_IDLE;
+    pthread_mutex_unlock(&pool_lock);
+    return (int)job->status;
+}
 
 #else /* REPRO_SWEEP_BODY: everything below is instantiated per dtype */
 
@@ -323,14 +544,14 @@ static int NAME(aliased)(const repro_sweep_params *p, const char *cur,
         || (p->upper_kind && overlaps(nxt, block, p->upper, upper));
 }
 
-int NAME(repro_gauss_seidel)(repro_sweep_params *p, const void *cur_obj,
-                             const void *nxt_obj, const void *gb_obj,
-                             const void *ga_obj)
+int NAME(repro_gauss_seidel)(repro_sweep_params *p, const void *cur_data,
+                             void *nxt_data, const void *gb_data,
+                             const void *ga_data)
 {
-    const T *cur = (const T *)REPRO_DATA(cur_obj);
-    T *nxt = (T *)REPRO_DATA(nxt_obj);
-    const T *gb = (const T *)REPRO_DATA(gb_obj);
-    const T *ga = (const T *)REPRO_DATA(ga_obj);
+    const T *cur = (const T *)cur_data;
+    T *nxt = (T *)nxt_data;
+    const T *gb = (const T *)gb_data;
+    const T *ga = (const T *)ga_data;
     if (NAME(aliased)(p, (const char *)cur, (const char *)nxt,
                       (const char *)gb, (const char *)ga))
         return 1;
@@ -349,14 +570,14 @@ int NAME(repro_gauss_seidel)(repro_sweep_params *p, const void *cur_obj,
     return 0;
 }
 
-int NAME(repro_jacobi)(repro_sweep_params *p, const void *cur_obj,
-                       const void *nxt_obj, const void *gb_obj,
-                       const void *ga_obj)
+int NAME(repro_jacobi)(repro_sweep_params *p, const void *cur_data,
+                       void *nxt_data, const void *gb_data,
+                       const void *ga_data)
 {
-    const T *cur = (const T *)REPRO_DATA(cur_obj);
-    T *nxt = (T *)REPRO_DATA(nxt_obj);
-    const T *gb = (const T *)REPRO_DATA(gb_obj);
-    const T *ga = (const T *)REPRO_DATA(ga_obj);
+    const T *cur = (const T *)cur_data;
+    T *nxt = (T *)nxt_data;
+    const T *gb = (const T *)gb_data;
+    const T *ga = (const T *)ga_data;
     if (NAME(aliased)(p, (const char *)cur, (const char *)nxt,
                       (const char *)gb, (const char *)ga))
         return 1;

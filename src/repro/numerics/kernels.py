@@ -26,7 +26,9 @@ planes, sized so the slab scratch stays cache-resident:
 ``block_sweep``
     the distributed solver's variant: either order on a block of planes
     ``[lo, hi)`` with ghost planes standing in for the neighbours'
-    boundary sub-blocks (possibly delayed iterates, eq. (5)).
+    boundary sub-blocks (possibly delayed iterates, eq. (5));
+    ``begin_block_sweep`` / ``finish_block_sweep`` are its two halves,
+    between which a compiled sweep runs on a worker thread.
 
 All three share the same slab internals, so the sequential whole-grid
 sweeps and a single full-domain block produce bit-identical iterates —
@@ -39,9 +41,12 @@ baked:
 
 - **compiled** (``_sweep.c``, built and loaded by :mod:`._ckernels` on
   first use): one C call per block sweep, used whenever the library
-  loads;
+  loads.  It runs as a job of the library's worker pool: started at
+  dispatch, it relaxes on a worker thread without the interpreter lock
+  until the caller joins it (a plain ``block_sweep`` joins at once);
 - **numpy** (``_jacobi_numpy`` / ``_gauss_seidel_numpy`` below): the
   fallback when it does not (one ``RuntimeWarning`` names the reason),
+  run synchronously at dispatch,
   for arguments the compiled path will not take (not an aligned,
   C-contiguous ndarray of the workspace shape and dtype, ghosts not
   ``(n, n)``, or ``nxt`` overlapping an input), and the tests' bitwise
@@ -60,9 +65,14 @@ loader checks this numpy does the same, else the numpy kernels run),
 coefficients promoted as numpy promotes them (asked of numpy when the
 workspace is baked), and a zero diff returned as ``+0.0`` — so
 iterates, diffs, relaxation counts and simulated times are bit-identical
-whichever backend ran, and neither depends on the slab size.
+whichever backend ran, and neither depends on the slab size or on the
+thread a compiled sweep ran on.
 ``repro_kernel_sweeps_total`` and ``repro_kernel_sweep_seconds`` carry a
-``backend`` label (``"c"`` or ``"numpy"``) saying which one did.
+``backend`` label (``"c"`` or ``"numpy"``) saying which one did; the
+seconds are timed on the thread that ran the sweep, and
+``repro_kernel_join_wait_seconds`` holds what the caller spent blocked
+in each join of a compiled sweep (the rest of the sweep overlapped its
+other work).
 
 The compiled library holds its sweeps twice, for the baseline
 instruction set and for AVX2, and the loader binds the one this CPU
@@ -83,9 +93,14 @@ nothing.  Rules callers must follow:
   touch ``cur``.  Callers implement buffer rotation by swapping the two
   references after each sweep (no plane copies anywhere).
 - Ghost planes must not alias ``nxt``; they are read-only inputs.
-- A workspace must not be shared by two sweeps running concurrently
-  (its slab scratch is reused), nor reused after ``delta`` changes —
-  build a new one, the affine coefficients are baked in.
+- A workspace holds at most one sweep in flight (beginning a second
+  raises), so it must not be shared by two threads sweeping at once,
+  nor reused after ``delta`` changes — build a new one, the affine
+  coefficients are baked in.
+- Between ``begin_block_sweep`` and ``finish_block_sweep`` a worker
+  may be reading ``cur``, the ghosts and the workspace's fields and
+  writing ``nxt``: the caller must not write any of them, nor read
+  ``nxt``, until it has finished the sweep.
 
 Two exact-arithmetic fast paths matter in practice: with the paper's
 δ = 1/diag the coefficient on the central value, 1 − δ·(6+c·h²)/h²,
@@ -125,6 +140,8 @@ __all__ = [
     "jacobi_sweep",
     "gauss_seidel_sweep",
     "block_sweep",
+    "begin_block_sweep",
+    "finish_block_sweep",
 ]
 
 #: Target size (bytes) of the numpy kernels' per-slab working set;
@@ -138,12 +155,12 @@ class _KernelProbe:
 
     Built once per workspace (when the owning context's telemetry is
     enabled) so a sweep pays two perf-counter reads plus one counter and
-    one histogram update — no name/label resolution per call.  The
-    overhead of this default-on path is gated at ≤3% by the
+    one or two histogram updates — no name/label resolution per call.
+    The overhead of this default-on path is gated at ≤3% by the
     ``telemetry_overhead`` section of ``BENCH_micro.json``.
     """
 
-    __slots__ = ("sweeps", "seconds")
+    __slots__ = ("sweeps", "seconds", "join_wait")
 
     def __init__(self, telemetry, lib):
         # Compiled sweeps are labelled with the instruction set of the
@@ -163,6 +180,7 @@ class _KernelProbe:
                 "repro_kernel_sweep_seconds", order=order, backend=backend,
                 isa=labels[backend])
             for order, backend in keys}
+        self.join_wait = telemetry.histogram("repro_kernel_join_wait_seconds")
 
     def sweep_done(self, order, backend, elapsed):
         self.sweeps[order, backend].inc()
@@ -250,6 +268,9 @@ class SweepWorkspace:
         # buffer only the plane-sequential kernel touches.
         self._nb: Optional[np.ndarray] = None
         self._stage: Optional[np.ndarray] = None
+        # The sweep in flight: (order, diff, None) of a numpy sweep,
+        # already run, or (order, None, arrays) of a started compiled one.
+        self._inflight: Optional[tuple] = None
 
     def _as_dtype(self, field: np.ndarray) -> np.ndarray:
         """The field itself at float64 (no copy — bit-identical default
@@ -344,24 +365,16 @@ def jacobi_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     ``ghost_below``/``ghost_above`` substitute for the planes just
     outside ``[lo, hi)`` (``None`` = zero Dirichlet).
     """
-    return _sweep(ws, "jacobi", _jacobi_numpy, cur, nxt, ghost_below,
-                  ghost_above)
+    return block_sweep(ws, cur, nxt, ghost_below, ghost_above, "jacobi")
 
 
-def _sweep(ws, order, numpy_kernel, cur, nxt, ghost_below, ghost_above):
-    """Sweep on the workspace's compiled backend, or with
-    ``numpy_kernel`` when it has none or the arrays do not qualify."""
+def _numpy_sweep(ws, order, cur, nxt, ghost_below, ghost_above):
+    """An ``order`` sweep by the numpy kernel, here and now."""
     probe = ws._tele
     t_start = time.perf_counter() if probe is not None else 0.0
-    compiled = ws._compiled
-    diff = None if compiled is None else compiled.run(
-        order, cur, nxt, ghost_below, ghost_above)
-    backend = "c"
-    if diff is None:
-        diff = numpy_kernel(ws, cur, nxt, ghost_below, ghost_above)
-        backend = "numpy"
+    diff = _NUMPY_KERNELS[order](ws, cur, nxt, ghost_below, ghost_above)
     if probe is not None:
-        probe.sweep_done(order, backend, time.perf_counter() - t_start)
+        probe.sweep_done(order, "numpy", time.perf_counter() - t_start)
     return diff
 
 
@@ -431,8 +444,7 @@ def gauss_seidel_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
 
     Returns ‖nxt − cur‖∞ (NaN when any update is NaN).
     """
-    return _sweep(ws, "gauss_seidel", _gauss_seidel_numpy, cur, nxt,
-                  ghost_below, ghost_above)
+    return block_sweep(ws, cur, nxt, ghost_below, ghost_above)
 
 
 def _gauss_seidel_numpy(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
@@ -503,14 +515,64 @@ def _gauss_seidel_numpy(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     return max(float(stage.max()), -float(stage.min())) + 0.0
 
 
+_NUMPY_KERNELS = {"jacobi": _jacobi_numpy,
+                  "gauss_seidel": _gauss_seidel_numpy}
+
+
+def begin_block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
+                      ghost_below: Optional[np.ndarray],
+                      ghost_above: Optional[np.ndarray],
+                      order: str = "gauss_seidel") -> None:
+    """Start one relaxation of a block ``[lo, hi)`` with ghost planes;
+    :func:`finish_block_sweep` collects it.
+
+    On the compiled backend the sweep is queued for the worker pool and
+    this returns at once; the numpy kernels (the fallback, and arrays
+    the compiled path refuses) run here and now.  Until the finish,
+    ``cur``, the ghosts and ``nxt`` belong to the sweep."""
+    if order not in _NUMPY_KERNELS:
+        raise ValueError(f"unknown sweep order {order!r}")
+    if ws._inflight is not None:
+        raise RuntimeError("a sweep of this workspace is already in "
+                           "flight; finish it first")
+    compiled = ws._compiled
+    if compiled is not None and compiled.start(order, cur, nxt, ghost_below,
+                                               ghost_above):
+        ws._inflight = (order, None, (cur, nxt, ghost_below, ghost_above))
+    else:
+        ws._inflight = (order, _numpy_sweep(ws, order, cur, nxt, ghost_below,
+                                            ghost_above), None)
+
+
+def finish_block_sweep(ws: SweepWorkspace) -> float:
+    """Wait for the sweep :func:`begin_block_sweep` started and return
+    its diff, ‖nxt − cur‖∞ (NaN when any update is NaN)."""
+    if ws._inflight is None:
+        raise RuntimeError("no sweep of this workspace is in flight")
+    order, diff, arrays = ws._inflight
+    ws._inflight = None
+    if arrays is None:
+        return diff  # the numpy kernel ran at the begin
+    compiled = ws._compiled
+    probe = ws._tele
+    if probe is None:
+        diff = compiled.join()
+    else:
+        t_start = time.perf_counter()
+        diff = compiled.join()
+        probe.join_wait.observe(time.perf_counter() - t_start)
+    if diff is None:  # nxt overlaps an input: nothing was written
+        return _numpy_sweep(ws, order, *arrays)
+    if probe is not None:
+        probe.sweep_done(order, "c", compiled.job.seconds)
+    return diff
+
+
 def block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
                 ghost_below: Optional[np.ndarray],
                 ghost_above: Optional[np.ndarray],
                 order: str = "gauss_seidel") -> float:
     """One relaxation of a block ``[lo, hi)`` with ghost planes — the
     distributed solver's kernel.  ``order`` picks the in-node schedule."""
-    if order == "gauss_seidel":
-        return gauss_seidel_sweep(ws, cur, nxt, ghost_below, ghost_above)
-    if order == "jacobi":
-        return jacobi_sweep(ws, cur, nxt, ghost_below, ghost_above)
-    raise ValueError(f"unknown sweep order {order!r}")
+    begin_block_sweep(ws, cur, nxt, ghost_below, ghost_above, order)
+    return finish_block_sweep(ws)

@@ -8,7 +8,7 @@ from .distributed_richardson import (
     clear_problem_cache,
     get_problem,
 )
-from .halo import BlockState, relax_block_plane, sweep_block
+from .halo import BlockState, relax_block_plane
 from .termination import Action, ExactCoordinator, StreakCoordinator
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "get_problem",
     "BlockState",
     "relax_block_plane",
-    "sweep_block",
     "Action",
     "ExactCoordinator",
     "StreakCoordinator",

@@ -531,8 +531,11 @@ class _BlockSolver:
 
         Dispatch the real sweep, charge the simulated compute, *then*
         collect: while this peer's virtual compute elapses, other peers
-        dispatch theirs.  The sweep runs at dispatch and only its diff
-        waits for the charge.
+        dispatch theirs.  On the host the same happens for real: a
+        compiled sweep relaxes on a worker thread while the DES runs
+        the other peers' events, and the collect joins it.  The
+        BlockState guards keep the sweep's inputs frozen in between,
+        so the diff and iterate are those of a sweep run inline.
         """
         iteration = self.sweeps + 1
         if self._recorder is not None:

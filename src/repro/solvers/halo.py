@@ -14,12 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics.kernels import SweepWorkspace, block_sweep
+from ..numerics.kernels import (SweepWorkspace, begin_block_sweep,
+                                finish_block_sweep)
 from ..numerics.obstacle import ObstacleProblem
 from ..numerics.richardson import FLOPS_PER_POINT
 from ..numerics.tolerances import check_dtype, resolve_dtype
 
-__all__ = ["BlockState", "relax_block_plane", "sweep_block"]
+__all__ = ["BlockState", "relax_block_plane"]
 
 
 def relax_block_plane(
@@ -58,15 +59,22 @@ class BlockState:
     ``warm_start`` is rejected loudly rather than silently cast.
 
     Split-phase sweeping (:meth:`begin_sweep` / :meth:`finish_sweep`)
-    is the asynchronous-stepping primitive: the sweep runs at dispatch
-    and only its diff is held back until the peer's simulated compute
-    charge has elapsed.  Between the two calls the sweep is *in
-    flight*: no boundary plane may be read, because the block has
-    already rotated to an iterate that, in simulated time, is still
-    being computed; and no ghost may be written, so every ghost event
-    of a recorded schedule falls between sweeps, never inside one.
-    Recorded schedules and the schedule fuzz (:mod:`repro.parallel`)
-    are written in these two calls.
+    is the asynchronous-stepping primitive.  :meth:`begin_sweep` hands
+    the sweep to the compiled library's worker threads (the numpy
+    fallback runs it on the spot) and returns; :meth:`finish_sweep`
+    joins it, rotates the block to the new iterate and returns the
+    diff.  Between the two calls the sweep is *in flight*, and the
+    guards of :meth:`_check_idle` are the thread-safety contract: no
+    ghost may be written and no block warm-started while a worker may
+    be reading them, and no boundary plane read nor block exported,
+    because the iterate they would show is, in simulated time, still
+    being computed.  So the sweep sees exactly the inputs it had at
+    dispatch, whatever thread runs it and whenever, every ghost event
+    of a recorded schedule falls between sweeps, never inside one, and
+    the bits are those of a sweep run inline.  :meth:`abort_sweep`,
+    :meth:`release` and dropping the state all join a sweep in flight
+    first.  Recorded schedules and the schedule fuzz
+    (:mod:`repro.parallel`) are written in these two calls.
     """
 
     problem: ObstacleProblem
@@ -95,7 +103,6 @@ class BlockState:
     def __post_init__(self) -> None:
         n = self.problem.grid.n
         self._inflight = False
-        self._inflight_diff: Optional[float] = None
         self._released = False
         if not 0 <= self.lo < self.hi <= n:
             raise ValueError(f"invalid plane range [{self.lo}, {self.hi})")
@@ -173,10 +180,12 @@ class BlockState:
         np.copyto(self.block, block)
 
     def begin_sweep(self) -> None:
-        """Dispatch one relaxation without handing out its result.
+        """Dispatch one relaxation of every owned plane, in ascending
+        order, without waiting for it.
 
-        The sweep executes here and now; only the diff is held back, and
-        the block is in flight until :meth:`finish_sweep`, so the
+        A compiled sweep runs on a worker thread from here on, reading
+        the block and both ghosts and writing the rotation buffer; the
+        block is in flight until :meth:`finish_sweep`, so the
         consistency guards apply.
         """
         if self._inflight:
@@ -184,7 +193,9 @@ class BlockState:
                 "sweep already in flight for this block; finish_sweep() "
                 "it before beginning another"
             )
-        self._inflight_diff = sweep_block(self)
+        begin_block_sweep(self._workspace, self.block, self._next_block,
+                          self.ghost_below, self.ghost_above,
+                          order=self.local_sweep)
         self._inflight = True
 
     def finish_sweep(self) -> float:
@@ -196,21 +207,26 @@ class BlockState:
                 "or begin_sweep was never called)"
             )
         self._inflight = False
-        diff = self._inflight_diff
-        self._inflight_diff = None
+        diff = finish_block_sweep(self._workspace)
+        # Buffer rotation: the new iterate becomes the block, no copies.
+        self.block, self._next_block = self._next_block, self.block
         return diff
 
     def abort_sweep(self) -> None:
         """Drop an in-flight sweep's result (abort paths: peer failure,
-        solver teardown).  Idempotent.  The block keeps the swept
-        iterate."""
-        self._inflight = False
-        self._inflight_diff = None
+        solver teardown).  Idempotent.  It waits for the sweep, and the
+        block keeps the swept iterate."""
+        if self._inflight:
+            self.finish_sweep()
 
     def sweep(self) -> float:
         """One relaxation of all owned sub-blocks, sequentially (the
-        in-node Gauss–Seidel order of the paper); returns the local
-        max-norm change."""
+        in-node Gauss–Seidel order of the paper) via the fused kernels
+        and buffer rotation; returns the local max-norm change.
+
+        Equivalent to relaxing plane by plane with
+        :func:`relax_block_plane`, the cross-check the kernel tests
+        assert."""
         self.begin_sweep()
         return self.finish_sweep()
 
@@ -219,8 +235,9 @@ class BlockState:
 
         Idempotent.  Call when the solve is over (``_BlockSolver.close``
         does); the block itself and both ghosts are privately owned and
-        stay valid — only the kernel scratch goes.  An in-flight sweep's
-        result is discarded first (peer failure mid compute-charge).  A
+        stay valid — only the kernel scratch goes.  An in-flight sweep is
+        joined and its result discarded first (peer failure mid
+        compute-charge), so no worker outlives the workspace.  A
         released state can be released again freely — every teardown
         path (normal report, Calculate()'s finally, fault-injection
         abort) calls it without coordinating with the others.
@@ -241,17 +258,3 @@ class BlockState:
         """Work of one sweep, for the simulation's compute-cost model."""
         return self._flops
 
-
-def sweep_block(state: BlockState) -> float:
-    """Relax every plane of the block in ascending order (fused kernel).
-
-    Equivalent to relaxing plane-by-plane with
-    :func:`relax_block_plane` — the cross-check the kernel tests
-    assert — but via the fused slab kernels and buffer rotation.
-    """
-    diff = block_sweep(
-        state._workspace, state.block, state._next_block,
-        state.ghost_below, state.ghost_above, order=state.local_sweep,
-    )
-    state.block, state._next_block = state._next_block, state.block
-    return diff

@@ -445,6 +445,43 @@ def test_nan_start_raises_instead_of_converging(kernel_backend, sweep):
 # -- build contract -----------------------------------------------------------
 
 
+@pytest.fixture(scope="session")
+def compiler_output(tmp_path_factory):
+    """What the compiler makes of ``_sweep.c``, built once per session
+    into a shared temporary directory: the tests below that rebuild
+    copy it instead of compiling again (each compile takes seconds)."""
+    cc = _ckernels.compiler()
+    if cc is None or _ckernels.load() is None:
+        pytest.skip("the compiled sweeps are unavailable on this machine")
+    path = tmp_path_factory.mktemp("sweep-build") / "sweep.so"
+    _ckernels._build(cc, str(path))
+    assert _ckernels._intact(str(path))
+    data = path.read_bytes()
+    raw = path.with_suffix(".raw")
+    raw.write_bytes(data[:len(data) - len(_ckernels.TRAILER) - 32])
+    return raw
+
+
+#: A stand-in for the compiler: copies the session's compiler output to
+#: the path after ``-o`` (its last argument), after a pause that keeps
+#: two of them building at once.
+COPYING_COMPILER = textwrap.dedent("""
+    import shutil, sys, time
+    time.sleep(0.2)
+    shutil.copyfile({raw!r}, sys.argv[-1])
+""")
+
+
+@pytest.fixture
+def copying_compiler(monkeypatch, compiler_output):
+    """Rebuilds in this test copy the session's compiler output; the
+    rest of ``_build`` (temporary name, digest, ``os.replace``) runs as
+    is."""
+    script = COPYING_COMPILER.format(raw=str(compiler_output))
+    monkeypatch.setattr(_ckernels, "_command",
+                        lambda cc: [sys.executable, "-c", script])
+
+
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """An unresolved loader whose cache lives in ``tmp_path``."""
@@ -500,7 +537,8 @@ def test_numpy_breaking_ties_the_other_way_means_numpy(monkeypatch,
 
 
 @pytest.mark.parametrize("garbage", ["empty", "random", "truncated", "flipped"])
-def test_broken_library_is_rebuilt(compiled_kernels, fresh_loader, garbage):
+def test_broken_library_is_rebuilt(compiled_kernels, fresh_loader,
+                                   copying_compiler, garbage):
     """A damaged file at the cache path is rebuilt without being opened
     (the dynamic loader dies of SIGBUS on a truncated library)."""
     rng = np.random.default_rng(11)
@@ -549,20 +587,35 @@ BUILD_AND_SWEEP = textwrap.dedent("""
 """)
 
 
-def run_python(script, cache, **kwargs):
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC)
+def run_python(script, cache, **env):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PYTHONPATH=SRC,
+               **env)
     return subprocess.Popen([sys.executable, "-c", script], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, **kwargs)
+                            text=True)
 
 
-def test_two_processes_build_one_cache_at_once(compiled_kernels, tmp_path):
-    procs = [run_python(BUILD_AND_SWEEP, tmp_path) for _ in range(2)]
+def test_two_processes_build_one_cache_at_once(compiled_kernels,
+                                              compiler_output, tmp_path):
+    """Both build into one empty cache at once (their compiler, first
+    on PATH, copies the session's build after a pause): each loads a
+    whole library and sweeps the numpy kernels' bits, and one file is
+    left."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!{sys.executable}\n"
+                  + COPYING_COMPILER.format(raw=str(compiler_output)))
+    cc.chmod(0o755)
+    cache = tmp_path / "cache"
+    path = f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"
+    procs = [run_python(BUILD_AND_SWEEP, cache, PATH=path)
+             for _ in range(2)]
     for proc in procs:
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
         assert out.strip() == "True"
-    built = sorted(os.listdir(tmp_path / "repro"))
+    built = sorted(os.listdir(cache / "repro"))
     assert len(built) == 1 and built[0].endswith(".so"), built
 
 
