@@ -43,7 +43,13 @@ problem on each backend, interleaved in one process — gated by
 not load), and the AVX2 body's speedup over the library's baseline
 body (``avx2_vs_baseline``: the same block — gated at an absolute
 ≥ 1.10x floor, skipped with the reason printed where the CPU does not
-run the AVX2 body or no compiled body loads), and
+run the AVX2 body or no compiled body loads); both pairs time the
+compiled sweep as it runs, split into row bands on the worker pool, and
+the parallelism of a banded sweep (``sweep_parallelism``: a 64³
+whole-block Gauss–Seidel sweep, its bands' run times summed over the
+wall time from start to join — gated at an absolute ≥ 1.3 floor where
+this process may use two CPUs or more, skipped with the reason printed
+elsewhere), and
 writes the result as JSON.  The
 checked-in ``BENCH_micro.json`` is the perf trajectory record: future
 PRs rerun this script and compare against it before touching a hot
@@ -147,11 +153,30 @@ ISA_PAIRS = {
 #: Absolute gate for ``avx2_vs_baseline`` under ``--check``.
 ISA_SPEEDUP_FLOOR = 1.10
 
+#: Benchmarks that record the median over sweeps of a banded compiled
+#: sweep's summed band run times over its wall time from start to join
+#: as ``extra_info["sweep_parallelism"]``.  They skip where this process
+#: may use one CPU only (no worker) or the compiled sweeps do not load.
+PARALLELISM = {
+    "gauss_seidel_64cubed": "test_bench_gauss_seidel_sweep_parallelism",
+}
+
+#: Absolute gate for ``sweep_parallelism`` under ``--check``.
+PARALLELISM_FLOOR = 1.3
+
 #: The exact-count sections, each printed by ``benchmarks/<name>.py``.
 EXACT_SECTIONS = ("protocol_path", "service_path", "cache_path")
 
 #: Keys of the exact-count sections that ``--check`` compares exactly.
 EXACT_SUFFIXES = ("_per_msg", "_per_rt", "_per_wait", "_per_job")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _bench_env() -> dict:
@@ -249,6 +274,8 @@ def summarize(raw: dict, exact: dict) -> dict:
             compiled["backend"] = infos[name]["backend"]
     isa_speedups = {label: round(infos[name]["avx2_vs_baseline"], 3)
                     for label, name in ISA_PAIRS.items() if name in results}
+    parallelism = {label: round(infos[name]["sweep_parallelism"], 3)
+                   for label, name in PARALLELISM.items() if name in results}
     return {
         "generated_by": "benchmarks/run_bench.py",
         "generated_at": datetime.datetime.now(datetime.timezone.utc)
@@ -265,6 +292,7 @@ def summarize(raw: dict, exact: dict) -> dict:
         "telemetry_overhead": telemetry_overhead,
         "compiled_vs_numpy": compiled,
         "avx2_vs_baseline": isa_speedups,
+        "sweep_parallelism": parallelism,
         **exact,
         "benchmarks": results,
     }
@@ -295,6 +323,9 @@ def print_summary(summary: dict) -> None:
               f"({backend} backend ran)")
     for label, ratio in summary.get("avx2_vs_baseline", {}).items():
         print(f"  avx2 {label}: {ratio:.2f}x vs the baseline body")
+    for label, ratio in summary.get("sweep_parallelism", {}).items():
+        print(f"  sweep parallelism {label}: {ratio:.2f} band-seconds "
+              "per second")
     for label, counts in summary.get("protocol_path", {}).items():
         shown = ", ".join(f"{key[:-len('_per_msg')]} {value:g}"
                           for key, value in sorted(counts.items())
@@ -417,6 +448,23 @@ def check(fresh: dict, committed: dict, tolerance: float) -> int:
                 f"{ISA_SPEEDUP_FLOOR:.2f}x floor")
         print(f"  {verdict:6s}avx2 {name}: {ratio:.2f}x vs the baseline "
               f"body (floor {ISA_SPEEDUP_FLOOR:.2f}x)")
+    # A banded sweep must keep more than one thread busy wherever the
+    # pool has a worker; with one usable CPU there is none to gate.
+    fresh_parallel = fresh.get("sweep_parallelism", {})
+    if not fresh_parallel:
+        cpus = usable_cpus()
+        reason = (f"{cpus} usable CPU, so the pool has no worker" if cpus < 2
+                  else "the compiled sweeps did not load")
+        print(f"  skip  sweep_parallelism: {reason}")
+    for name, ratio in sorted(fresh_parallel.items()):
+        verdict = "ok"
+        if ratio < PARALLELISM_FLOOR:
+            verdict = "WORSE"
+            failures.append(
+                f"sweep_parallelism/{name}: {ratio:.2f} below the "
+                f"{PARALLELISM_FLOOR:.1f} floor")
+        print(f"  {verdict:6s}sweep parallelism {name}: {ratio:.2f} "
+              f"(floor {PARALLELISM_FLOOR:.1f})")
     # The protocol-path, service-path and cache-path counts are exact
     # (a deterministic simulation, a fixed request or job sequence —
     # counted, not timed), so the gate is zero tolerance upward on every

@@ -291,7 +291,8 @@ def test_bench_gauss_seidel_block16_backend_pair(benchmark):
     backend the workspace picked (compiled wherever it loads),
     interleaved on the same arrays: the ratio is ``compiled_vs_numpy``
     in ``BENCH_micro.json``, gated at >= 1.3x by ``run_bench.py
-    --check``."""
+    --check``.  The block is two minimum bands' worth of points, so
+    where a worker runs the compiled sweep is split into two bands."""
     ws, block, nxt, gb, ga = _block16()
     benchmark.extra_info["backend"] = \
         "numpy" if ws._compiled is None else "c"
@@ -305,9 +306,10 @@ def test_bench_gauss_seidel_block16_backend_pair(benchmark):
 
 def test_bench_gauss_seidel_block16_isa_pair(benchmark):
     """The same sweep on the compiled library's baseline body against
-    its AVX2 body, interleaved on the same arrays: the ratio is
-    ``avx2_vs_baseline`` in ``BENCH_micro.json``, gated at >= 1.10x by
-    ``run_bench.py --check``."""
+    its AVX2 body, interleaved on the same arrays (both split into
+    bands alike): the ratio is ``avx2_vs_baseline`` in
+    ``BENCH_micro.json``, gated at >= 1.10x by ``run_bench.py
+    --check``."""
     lib = _ckernels.load()
     if lib is None or "avx2" not in lib.bodies:
         pytest.skip("no AVX2 body to time: the compiled sweeps did not "
@@ -324,6 +326,41 @@ def test_bench_gauss_seidel_block16_isa_pair(benchmark):
         lambda: gauss_seidel_sweep(avx2, block, nxt, gb, ga))
     assert np.isfinite(diff)
     benchmark.extra_info["avx2_vs_baseline"] = ratio
+
+
+def test_bench_gauss_seidel_sweep_parallelism(benchmark):
+    """The whole-block Gauss–Seidel sweep of the 64³ problem, split
+    into bands that the pool's workers and the joining thread run: per
+    sweep, its bands' run times summed over the wall time from start to
+    join.  The median is ``sweep_parallelism`` in ``BENCH_micro.json``,
+    gated at >= 1.3 by ``run_bench.py --check`` where this process may
+    use two CPUs or more."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        pytest.skip(f"{cpus} usable CPU: the pool has no worker to run "
+                    "bands beside the joining thread")
+    problem = membrane_problem(SWEEP_N)
+    ws = SweepWorkspace(problem, problem.jacobi_delta())
+    if ws._compiled is None:
+        pytest.skip("the compiled sweeps did not load")
+    u = problem.feasible_start()
+    u_next = ws.rotation_buffer()
+    job = ws._compiled.job
+    ratios = []
+
+    def one_sweep():
+        t0 = time.perf_counter()
+        diff = gauss_seidel_sweep(ws, u, u_next)
+        ratios.append(job.seconds / (time.perf_counter() - t0))
+        return diff
+
+    diff = benchmark(one_sweep)
+    assert np.isfinite(diff)
+    benchmark.extra_info["sweep_parallelism"] = statistics.median(ratios)
+    benchmark.extra_info["bands"] = job.bands
 
 
 def test_bench_block_sweep_reference(benchmark):

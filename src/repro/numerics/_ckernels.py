@@ -25,11 +25,16 @@ choice as ``lib.isa``.  Both produce the same bits, so the pick needs
 no option, and one library (one cache key) serves every CPU.
 
 A sweep is a job of the library's worker pool: :meth:`CompiledSweep.
-start` queues it and returns, :meth:`CompiledSweep.join` waits for it,
-and meanwhile it runs on a worker thread without the interpreter lock.
-The pool has one worker fewer than the CPUs this process may use (the
-joining thread is the last one), so on one CPU there is none and a
-sweep runs at join.  Nothing sets the size; it is derived at load.
+start` queues it and returns, and meanwhile it runs on worker threads
+without the interpreter lock.  A sweep of a large enough block is split
+into row bands that the workers and the joining thread run side by
+side: :meth:`CompiledSweep.join` runs whatever bands of its sweep are
+still queued, then waits for the rest.  The pool has one worker fewer
+than the CPUs this process may use (the joining thread is the last
+one), so on one CPU there is none and a sweep runs at join, as one
+band.  Nothing sets the worker or band count; both are derived (the
+bands in ``_sweep.c``: two per thread, at most one per row, none
+smaller than a floor of points).
 """
 
 from __future__ import annotations
@@ -73,8 +78,10 @@ class Job(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "kernel", "params", "cur", "nxt", "below", "above")] + [
-            ("seconds", ctypes.c_double), ("status", ctypes.c_int64),
-            ("state", ctypes.c_int64), ("next", ctypes.c_void_p)]
+            ("seconds", ctypes.c_double)] + [(name, ctypes.c_int64) for name in (
+                "status", "bands", "state", "claimed", "finished")] + [
+            ("hi", ctypes.c_double), ("lo", ctypes.c_double),
+            ("nan", ctypes.c_int64), ("next", ctypes.c_void_p)]
 
 
 def pool_workers() -> int:
@@ -249,7 +256,8 @@ def _entry_points(lib, tail: str) -> dict:
         for dtype, suffix in ((np.float64, "f64"), (np.float32, "f32")):
             fn = getattr(lib, f"repro_{order}_{suffix}{tail}")
             fn.restype = ctypes.c_int
-            fn.argtypes = [ctypes.c_void_p] * 5
+            fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 2 + [
+                ctypes.c_void_p]
             fn.address = ctypes.cast(fn, ctypes.c_void_p).value
             points[order, np.dtype(dtype)] = fn
     return points
@@ -391,10 +399,11 @@ class CompiledSweep:
         return True
 
     def join(self):
-        """Wait for the started sweep: its diff, or None when ``nxt``
-        overlaps an input (nothing was written; take the numpy path).
-        ``job.seconds`` is then its run time on the thread that ran
-        it."""
+        """Run what is left of the started sweep and wait for it: its
+        diff, or None when ``nxt`` overlaps an input (nothing was
+        written; take the numpy path).  ``job.bands`` is then how many
+        bands it was split into and ``job.seconds`` their run times,
+        summed over the threads that ran them."""
         if self._arrays is None:
             raise RuntimeError("no sweep of this workspace is in flight")
         status = self._lib.join(self._job)

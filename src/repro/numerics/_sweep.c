@@ -1,9 +1,9 @@
 /* Compiled Gauss-Seidel and Jacobi block sweeps for repro.numerics.kernels.
  *
- * One call sweeps a block; each plane is built row by row, and every
- * element gets exactly the IEEE-754 operations the numpy kernels in
- * kernels.py apply to it, in the same order, so the two backends
- * produce the same bits:
+ * A sweep relaxes a block in row bands (below); a band builds rows
+ * [y0, y1) of every plane in turn, and every element gets exactly the
+ * IEEE-754 operations the numpy kernels in kernels.py apply to it, in
+ * the same order, so the two backends produce the same bits:
  *
  *   neighbour sum  t = seed; t += up; t += down; t += left*; t += right*;
  *                  t -= left* (x = 0); t -= right* (x = n-1)
@@ -31,23 +31,36 @@
  * float64 loop with a float32 output does.  Build with
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
+ * One pass per element: an interior row (0 < y < n-1) is built a
+ * vector at a time, each vector's neighbour sums, terms, projection,
+ * store and change fold done before the next is loaded; the x = 0 and
+ * x = n-1 lanes take their contamination out as the list says.  An
+ * edge row builds its neighbour sums with the numpy kernels' passes
+ * first, then takes the same one pass for the rest.  Vectors are GCC's
+ * vector extensions (GCC or clang): per lane, +, -, * and the
+ * comparisons are the scalar IEEE operations, so the lanes are the
+ * elements, each with its operations in order.  The last vector of a
+ * row whose length the lane count does not divide repeats the row's
+ * last element in its extra lanes and stores only the real ones.  The
+ * extrema are folded per lane, then across lanes, then across bands:
+ * max and min do not depend on the grouping except for which zero a
+ * +0.0/-0.0 tie keeps, the diff rule erases that sign (its + 0.0), and
+ * NaN is tracked apart from the extrema.  The branches on which terms
+ * a plane has are taken per vector; the membrane's shape (no a, no δb,
+ * a lower field only) is the same code with them constant.
+ *
  * The body is built twice: for the baseline instruction set of the
- * compile flags (SSE2 on x86-64) and, on x86-64 GCC or clang, once more
- * for AVX2 through a target pragma (entry points suffixed _avx2);
- * repro_cpu_avx2() tells the loader which one this CPU can run.  AVX2
- * only widens the vectors: FMA stays off (an #error guards it) and no
- * AVX-512 body exists (it measured slower).  Each element still gets
- * the operations listed above, in that order.  The one thing the
- * vectoriser may regroup is the extrema reduction, which is safe: max
- * and min do not depend on the grouping except for which zero a
- * +0.0/-0.0 tie keeps, the diff does not see that sign (Gauss-Seidel
- * ends in + 0.0, Jacobi only takes a strictly larger value over 0.0),
- * and NaN is tracked apart from the extrema.
+ * compile flags, with 16-byte vectors (SSE2 on x86-64), and, on x86-64
+ * GCC or clang, once more for AVX2 through a target pragma, with
+ * 32-byte vectors (entry points suffixed _avx2); repro_cpu_avx2() tells
+ * the loader which one this CPU can run.  AVX2 only widens the
+ * vectors: FMA stays off (an #error guards it) and no AVX-512 body
+ * exists (it measured slower).
  *
  * A sweep runs as a job (repro_sweep_start, then repro_sweep_join) on
- * a small pool of worker threads, or on the joining thread itself; see
- * "Worker pool" below.  Whichever thread runs it, it is the same call
- * of the same body on the same arrays, so the bits do not depend on it.
+ * a small pool of worker threads and the joining thread; see "Worker
+ * pool" below.  Whichever thread runs a band, it is the same call of
+ * the same body on the same arrays, so the bits do not depend on it.
  * A job arrives with the addresses of its ndarray objects, and
  * repro_sweep_start, which runs under the interpreter lock, swaps in
  * their data pointers, read at params->data_off (the first field after
@@ -67,6 +80,7 @@
 #include <signal.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -74,6 +88,13 @@
 #endif
 #ifdef __FAST_MATH__
 #error "-ffast-math reorders floating-point operations"
+#endif
+#ifndef __GNUC__
+#error "the sweeps are written with GCC's vector extensions (GCC 9+ or clang)"
+#endif
+#if !defined(__clang__)
+/* Vectors pass between inlined helpers only, never across the ABI. */
+#pragma GCC diagnostic ignored "-Wpsabi"
 #endif
 
 /* Mirrors _ckernels.Params field for field. */
@@ -88,6 +109,12 @@ typedef struct {
     const void *db_field, *lower, *upper;    /* field or 0-d data pointers */
 } repro_sweep_params;
 
+/* The folded changes of a band, or of the bands of a job so far. */
+typedef struct {
+    double hi, lo;                           /* extrema, NaN never */
+    int64_t nan;                             /* any change NaN */
+} repro_fold;
+
 /* The data pointer of the ndarray object at obj (load-time self-test). */
 const void *repro_array_data(const void *obj, int64_t data_off)
 {
@@ -99,6 +126,8 @@ static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 {
     return b != NULL && a < b + b_len && b < a + a_len;
 }
+
+#define VBYTES 16 /* SSE2's vectors, or two halves of one elsewhere */
 
 #define T double
 #define NAME(x) x##_f64
@@ -116,6 +145,8 @@ static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 #undef NAME
 #undef NARROW
 
+#undef VBYTES
+
 /* The same body again, compiled for AVX2: 32-byte vectors, same
  * operations in the same order per element.  Only on x86-64 under GCC
  * or clang; elsewhere the baseline body is all there is. */
@@ -130,6 +161,8 @@ static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 #ifdef __FMA__
 #error "FMA enabled: a fused multiply-add rounds once where numpy rounds twice"
 #endif
+
+#define VBYTES 32
 
 #define T double
 #define NAME(x) x##_f64_avx2
@@ -146,6 +179,8 @@ static int overlaps(const char *a, size_t a_len, const char *b, size_t b_len)
 #undef T
 #undef NAME
 #undef NARROW
+
+#undef VBYTES
 
 #ifdef __clang__
 #pragma clang attribute pop
@@ -169,82 +204,137 @@ int repro_cpu_avx2(void) { return 0; }
 
 /* Worker pool.
  *
- * repro_sweep_start queues a job and wakes a worker; repro_sweep_join
- * waits for it.  A joiner whose job is still queued takes it back and
- * runs it itself, and one whose job is running elsewhere runs other
- * queued jobs while it waits, so with no workers at all (one usable
- * CPU) every sweep simply runs at join.  Workers start on the first
- * job and block every signal, which the interpreter's thread keeps
- * handling.  None of this touches the interpreter: the caller holds a
- * reference to every array of a job until it has joined it.
+ * A sweep of at least two minimum bands' worth of points (BAND_POINTS)
+ * is split into row bands, y in [y0, y1) across all of its planes; a
+ * smaller one, or any sweep when the pool has no worker, is one band.
+ * repro_sweep_start queues the job and wakes workers, which each claim
+ * the next unclaimed band of the job at the head of the queue; a job
+ * leaves the queue with its last band.  repro_sweep_join runs its own
+ * job's unclaimed bands, then other queued bands while the rest of its
+ * own runs elsewhere, so with no workers at all (one usable CPU) every
+ * sweep simply runs at join.  Workers start on the first job and block
+ * every signal, which the interpreter's thread keeps handling.  None of
+ * this touches the interpreter: the caller holds a reference to every
+ * array of a job until it has joined it.
  *
- * fork: the prepare handler stops workers and joiners from taking new
- * jobs and waits until no job is running, so the child inherits every
- * job either done or queued, with all of its arrays written or none.
- * The child has no workers (threads do not survive fork); the next
- * start spawns them again, and a join there runs its queued job. */
+ * Each band folds its own extrema and NaN flag; the job merges them
+ * under the pool lock and the last band to finish turns them into the
+ * diff.  The bits do not depend on the split: max and min do not depend
+ * on the grouping except for which zero a +0.0/-0.0 tie keeps, the diff
+ * rule erases that sign, and NaN is OR'd.
+ *
+ * fork: the prepare handler stops workers and joiners from claiming
+ * bands and waits until no band is running, so the child inherits every
+ * band either done or unclaimed, with all of its rows written or none:
+ * a job may arrive half done.  The child has no workers (threads do not
+ * survive fork); the next start spawns them again, and a join there
+ * runs whatever bands of its job are left. */
 
 /* Mirrors _ckernels.Job field for field. */
 typedef struct repro_job {
-    int (*kernel)(repro_sweep_params *, const void *, void *,
-                  const void *, const void *);
+    int (*kernel)(const repro_sweep_params *, const void *, void *,
+                  const void *, const void *, int64_t, int64_t,
+                  repro_fold *);
     repro_sweep_params *p;
     const void *cur;                         /* ndarray objects, then */
     void *nxt;                               /* their data pointers */
     const void *gb, *ga;
-    double seconds;                          /* out: the kernel's run time */
+    double seconds;                          /* out: band run times, summed */
     int64_t status;                          /* out: the kernel's result */
-    int64_t state;                           /* pool-owned, see below */
-    struct repro_job *next;                  /* pool-owned queue link */
+    int64_t bands;                           /* out: bands it was split into */
+    int64_t state;                           /* pool-owned from here on */
+    int64_t claimed, finished;               /* bands handed out, bands done */
+    repro_fold fold;                         /* the finished bands' changes */
+    struct repro_job *next;                  /* queue link */
 } repro_job;
 
 enum { JOB_IDLE, JOB_QUEUED, JOB_RUNNING, JOB_DONE };
 
+/* Fewest points a band may have: below it, handing rows to another
+ * thread costs more than it saves. */
+#define BAND_POINTS 32768
+
 static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t pool_work = PTHREAD_COND_INITIALIZER; /* queued, or fork over */
-static pthread_cond_t pool_done = PTHREAD_COND_INITIALIZER; /* a job finished */
+static pthread_cond_t pool_done = PTHREAD_COND_INITIALIZER; /* a job, or all bands, done */
 static repro_job *queue_head, *queue_tail;
 static int64_t pool_workers;  /* threads wanted */
 static int64_t pool_started;  /* threads running in this process */
-static int64_t pool_busy;     /* jobs being run, by workers or joiners */
+static int64_t pool_busy;     /* bands being run, by workers or joiners */
 static int pool_forking;
 static int pool_atfork;
 
-/* Run job on this thread, timing the kernel (lock not held). */
-static void run_job(repro_job *job)
+/* How many bands a sweep of p is split into (lock held): two per
+ * thread that may run one, at most one per row, none smaller than
+ * BAND_POINTS, and one when no worker runs. */
+static int64_t band_count(const repro_sweep_params *p)
 {
-    struct timespec t0, t1;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    job->status = job->kernel(job->p, job->cur, job->nxt, job->gb, job->ga);
-    clock_gettime(CLOCK_MONOTONIC, &t1);
-    job->seconds = (double)(t1.tv_sec - t0.tv_sec)
-                   + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+    int64_t bands = pool_workers > 0 ? 2 * (pool_workers + 1) : 1;
+    const int64_t fit = p->m * p->n * p->n / BAND_POINTS;
+    if (bands > p->n)
+        bands = p->n;
+    if (bands > fit)
+        bands = fit;
+    return bands > 1 ? bands : 1;
 }
 
-/* Take job out of the queue to run it (lock held). */
-static void claim(repro_job *job)
+/* Hand out the next band of a queued job (lock held); the job leaves
+ * the queue with its last one. */
+static int64_t claim(repro_job *job)
 {
-    repro_job **link = &queue_head, *prev = NULL;
-    while (*link != job) {
-        prev = *link;
-        link = &prev->next;
+    const int64_t band = job->claimed++;
+    if (job->claimed == job->bands) {
+        repro_job **link = &queue_head, *prev = NULL;
+        while (*link != job) {
+            prev = *link;
+            link = &prev->next;
+        }
+        *link = job->next;
+        if (queue_tail == job)
+            queue_tail = prev;
+        job->state = JOB_RUNNING;
     }
-    *link = job->next;
-    if (queue_tail == job)
-        queue_tail = prev;
-    job->state = JOB_RUNNING;
     pool_busy++;
+    return band;
 }
 
-/* Run a claimed job and mark it done (lock held on entry and exit). */
-static void run_claimed(repro_job *job)
+/* Run a claimed band, timing the kernel, and fold it into its job; the
+ * last band sets the diff and marks the job done (lock held on entry
+ * and exit). */
+static void run_band(repro_job *job, int64_t band)
 {
+    const repro_sweep_params *p = job->p;
+    struct timespec t0, t1;
+    repro_fold fold;
     pthread_mutex_unlock(&pool_lock);
-    run_job(job);
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    const int status = job->kernel(p, job->cur, job->nxt, job->gb, job->ga,
+                                   band * p->n / job->bands,
+                                   (band + 1) * p->n / job->bands, &fold);
+    clock_gettime(CLOCK_MONOTONIC, &t1);
     pthread_mutex_lock(&pool_lock);
-    job->state = JOB_DONE;
+    job->seconds += (double)(t1.tv_sec - t0.tv_sec)
+                    + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+    job->status |= status;
+    if (fold.hi > job->fold.hi)
+        job->fold.hi = fold.hi;
+    if (fold.lo < job->fold.lo)
+        job->fold.lo = fold.lo;
+    job->fold.nan |= fold.nan;
     pool_busy--;
-    pthread_cond_broadcast(&pool_done);
+    if (++job->finished == job->bands) {
+        /* The numpy kernels' two rules in one: Gauss-Seidel's
+         * max(max, -min) + 0.0 and Jacobi's 0.0 raised by a strictly
+         * larger max or -min agree, since max >= min makes one of
+         * max and -min >= 0. */
+        const double top = job->fold.hi, bottom = -job->fold.lo;
+        job->p->diff = job->fold.nan ? (double)NAN
+                       : (bottom > top ? bottom : top) + 0.0;
+        job->state = JOB_DONE;
+        pthread_cond_broadcast(&pool_done);
+    } else if (pool_busy == 0) {
+        pthread_cond_broadcast(&pool_done);
+    }
 }
 
 static void *worker(void *unused)
@@ -257,8 +347,7 @@ static void *worker(void *unused)
             continue;
         }
         repro_job *job = queue_head;
-        claim(job);
-        run_claimed(job);
+        run_band(job, claim(job));
     }
     return NULL;
 }
@@ -334,15 +423,24 @@ int repro_pool_size(int64_t workers)
 #define REPRO_DATA(obj) \
     ((obj) ? *(char *const *)((const char *)(obj) + job->p->data_off) : NULL)
 
-/* Queue job; it may start running at once on a worker.  Called under
- * the interpreter lock, with job's arrays as ndarray objects. */
+/* Queue job, split into bands; they may start running at once on
+ * workers.  Called under the interpreter lock, with job's arrays as
+ * ndarray objects. */
 void repro_sweep_start(repro_job *job)
 {
     job->cur = REPRO_DATA(job->cur);
     job->nxt = REPRO_DATA(job->nxt);
     job->gb = REPRO_DATA(job->gb);
     job->ga = REPRO_DATA(job->ga);
+    job->seconds = 0.0;
+    job->status = 0;
+    job->claimed = job->finished = 0;
+    job->fold.hi = -INFINITY;
+    job->fold.lo = INFINITY;
+    job->fold.nan = 0;
     pthread_mutex_lock(&pool_lock);
+    spawn_workers();
+    job->bands = band_count(job->p);
     job->state = JOB_QUEUED;
     job->next = NULL;
     if (queue_tail)
@@ -350,13 +448,16 @@ void repro_sweep_start(repro_job *job)
     else
         queue_head = job;
     queue_tail = job;
-    spawn_workers();
-    pthread_cond_signal(&pool_work);
+    if (job->bands > 1)
+        pthread_cond_broadcast(&pool_work);
+    else
+        pthread_cond_signal(&pool_work);
     pthread_mutex_unlock(&pool_lock);
 }
 
-/* Wait for a started job; returns its kernel's result (0: done, 1:
- * nxt overlaps an input and nothing was written). */
+/* Wait for a started job, running what is left of it; returns its
+ * kernel's result (0: done, 1: nxt overlaps an input and nothing was
+ * written). */
 int repro_sweep_join(repro_job *job)
 {
     pthread_mutex_lock(&pool_lock);
@@ -364,12 +465,10 @@ int repro_sweep_join(repro_job *job)
         if (pool_forking) {
             pthread_cond_wait(&pool_done, &pool_lock);
         } else if (job->state == JOB_QUEUED) {
-            claim(job);
-            run_claimed(job);
+            run_band(job, claim(job));
         } else if (queue_head != NULL) {
             repro_job *other = queue_head;
-            claim(other);
-            run_claimed(other);
+            run_band(other, claim(other));
         } else {
             pthread_cond_wait(&pool_done, &pool_lock);
         }
@@ -381,50 +480,199 @@ int repro_sweep_join(repro_job *job)
 
 #else /* REPRO_SWEEP_BODY: everything below is instantiated per dtype */
 
+/* A vector of T (four doubles or eight floats), its comparison masks,
+ * and the same lanes widened to double. */
+#define LANES (VBYTES / (int)sizeof(T))
+typedef T NAME(vec) __attribute__((vector_size(VBYTES)));
+typedef __typeof__((NAME(vec)){0} < (NAME(vec)){0}) NAME(mask);
+#if NARROW
+typedef double NAME(wide) __attribute__((vector_size(2 * VBYTES)));
+#endif
+
+static inline NAME(vec) NAME(splat)(T s)
+{
+    NAME(vec) v;
+    for (int j = 0; j < LANES; j++)
+        v[j] = s;
+    return v;
+}
+
+/* p[i .. i + count), the last of them repeated into the lanes past
+ * count: a short vector's extra lanes compute that element again. */
+static inline NAME(vec) NAME(load)(const T *p, int64_t i, int count)
+{
+    NAME(vec) v;
+    if (count == LANES) {
+        memcpy(&v, p + i, sizeof v);
+    } else {
+        for (int j = 0; j < LANES; j++)
+            v[j] = p[i + (j < count ? j : count - 1)];
+    }
+    return v;
+}
+
+static inline void NAME(store)(T *p, int64_t i, NAME(vec) v, int count)
+{
+    if (count == LANES) {
+        memcpy(p + i, &v, sizeof v);
+    } else {
+        for (int j = 0; j < count; j++)
+            p[i + j] = v[j];
+    }
+}
+
+static inline NAME(vec) NAME(select)(NAME(mask) m, NAME(vec) a, NAME(vec) b)
+{
+    return (NAME(vec))(((NAME(mask))a & m) | ((NAME(mask))b & ~m));
+}
+
 /* x * coefficient, in the precision numpy picks for it (a strong
  * coefficient only differs from a weak one when T is narrower). */
-static inline T NAME(scale)(T x, T c, double c_strong, int strong)
+static inline NAME(vec) NAME(scale)(NAME(vec) x, NAME(vec) c, double c_strong,
+                                    int strong)
 {
-    return NARROW && strong ? (T)((double)x * c_strong) : x * c;
+#if NARROW
+    if (strong)
+        return __builtin_convertvector(
+            __builtin_convertvector(x, NAME(wide)) * c_strong, NAME(vec));
+#else
+    (void)c_strong;
+    (void)strong;
+#endif
+    return x * c;
+}
+
+/* Lanes set in a or in b.  ORed as 32-bit words: GCC lowers a select
+ * on two ORed 64-bit comparisons lane by lane for SSE2. */
+static inline NAME(mask) NAME(either)(NAME(mask) a, NAME(mask) b)
+{
+    typedef int32_t words __attribute__((vector_size(VBYTES)));
+    return (NAME(mask))((words)a | (words)b);
 }
 
 /* np.maximum / np.minimum: a NaN operand wins, a tie keeps the bound. */
-static inline T NAME(maximum)(T v, T bound) { return (v != v || v > bound) ? v : bound; }
-static inline T NAME(minimum)(T v, T bound) { return (v != v || v < bound) ? v : bound; }
-
-/* Relax plane z into out and fold its differences into *hi, *lo, *nan.
- *
- * Gauss-Seidel (gs): za is the old plane above (NULL: seed 0.0) and
- * below the already-updated plane below (NULL: none).  Jacobi: zb and
- * za are the old planes below and above (NULL: a 0.0 plane). */
-static void NAME(plane)(const repro_sweep_params *p, int gs, int64_t z,
-                        const T *restrict c, const T *restrict zb,
-                        const T *restrict za,
-                        const T *restrict below, T *restrict out,
-                        T *hi, T *lo, int *nan)
+static inline NAME(vec) NAME(maximum)(NAME(vec) v, NAME(vec) bound)
 {
-    const int64_t n = p->n, nn = n * n;
-    const T d = (T)p->d, a = (T)p->a, db = (T)p->db;
-    const int has_a = p->has_a != 0, strong = p->strong != 0;
-    const int db_kind = (int)p->db_kind;
-    const int lower_kind = (int)p->lower_kind, upper_kind = (int)p->upper_kind;
-    const T *restrict db_field =
-        db_kind == 2 ? (const T *)p->db_field + z * nn : NULL;
-    const T *restrict lower = (const T *)p->lower + (lower_kind == 2 ? z * nn : 0);
-    const T *restrict upper = (const T *)p->upper + (upper_kind == 2 ? z * nn : 0);
-    T h0 = *hi, h1 = h0, h2 = h0, h3 = h0;
-    T l0 = *lo, l1 = l0, l2 = l0, l3 = l0;
-    int bad = *nan;
+    return NAME(select)(NAME(either)(v != v, v > bound), v, bound);
+}
 
-    /* Each row is built in place in out by the numpy kernels' passes,
-     * in their order; a row stays in L1 across the passes. */
-    for (int64_t y = 0; y < n; y++) {
+static inline NAME(vec) NAME(minimum)(NAME(vec) v, NAME(vec) bound)
+{
+    return NAME(select)(NAME(either)(v != v, v < bound), v, bound);
+}
+
+/* Which terms a plane's update has.  Every branch on it is taken once
+ * per vector, and folds away where NAME(plane) passes a constant. */
+typedef struct {
+    int gs, has_a, strong, db_kind, lower_kind, upper_kind, below;
+} NAME(shape);
+
+/* What the update of plane z needs besides its shape and neighbour
+ * sums: coefficients and scalar terms broadcast, and plane z's rows. */
+typedef struct {
+    NAME(vec) d, a, db, lower, upper;
+    double d_strong, a_strong;
+    int64_t n;
+    const T *cur, *below, *db_field, *lower_field, *upper_field;
+} NAME(terms);
+
+/* Elements [i, i + count) of plane z from their neighbour sums t: the
+ * coefficients, δb, the plane below and the projection, in the numpy
+ * kernels' order. */
+static inline __attribute__((always_inline)) NAME(vec) NAME(update)(
+    const NAME(terms) *k, NAME(shape) s, NAME(vec) t, int64_t i, int count)
+{
+    t = NAME(scale)(t, k->d, k->d_strong, s.strong);
+    if (s.has_a) {
+        const NAME(vec) ca = NAME(scale)(NAME(load)(k->cur, i, count), k->a,
+                                         k->a_strong, s.strong);
+        t = s.gs ? t + ca : ca + t;
+    }
+    if (s.db_kind == 1)
+        t = t + k->db;
+    else if (s.db_kind == 2)
+        t = t + NAME(load)(k->db_field, i, count);
+    if (s.below)
+        t = NAME(scale)(NAME(load)(k->below, i, count), k->d, k->d_strong,
+                        s.strong) + t;
+    if (s.lower_kind == 1)
+        t = NAME(maximum)(t, k->lower);
+    else if (s.lower_kind == 2)
+        t = NAME(maximum)(t, NAME(load)(k->lower_field, i, count));
+    if (s.upper_kind == 1)
+        t = NAME(minimum)(t, k->upper);
+    else if (s.upper_kind == 2)
+        t = NAME(minimum)(t, NAME(load)(k->upper_field, i, count));
+    return t;
+}
+
+/* Elements [x, x + count) of row r / n: their update written to o and
+ * their changes folded into *h, *l and *bad.  An interior row's
+ * neighbour sums are built here, _inplane_sum's steps per element, the
+ * flattened-row contamination at x = 0 and x = n-1 taken out again in
+ * those lanes only; an edge row's are already in o. */
+static inline __attribute__((always_inline)) void NAME(chunk)(
+    const NAME(terms) *k, NAME(shape) s, int interior, const T *restrict zb,
+    const T *restrict za, const T *restrict cr, T *restrict o, int64_t r,
+    int64_t x, int count, NAME(vec) *h, NAME(vec) *l, NAME(mask) *bad)
+{
+    const NAME(vec) zero = NAME(splat)((T)0.0);
+    const int64_t n = k->n;
+    NAME(vec) t;
+    if (interior) {
+        t = s.gs ? (za ? NAME(load)(za, r + x, count) : zero)
+                 : (zb ? NAME(load)(zb, r + x, count) : zero)
+                   + (za ? NAME(load)(za, r + x, count) : zero);
+        t = (((t + NAME(load)(cr, x - n, count))
+              + NAME(load)(cr, x + n, count))
+             + NAME(load)(cr, x - 1, count))
+            + NAME(load)(cr, x + 1, count);
+        if (x == 0)
+            t[0] -= cr[-1];
+        if (x + count == n)
+            for (int j = count - 1; j < LANES; j++)
+                t[j] -= cr[n];
+    } else {
+        t = NAME(load)(o, x, count);
+    }
+    t = NAME(update)(k, s, t, r + x, count);
+    NAME(store)(o, x, t, count);
+    /* max and min do not depend on the grouping, and NaN compares
+     * false, so it never moves them */
+    const NAME(vec) change = t - NAME(load)(cr, x, count);
+    *bad |= change != change;
+    *h = NAME(select)(change > *h, change, *h);
+    *l = NAME(select)(change < *l, change, *l);
+}
+
+/* Rows [y0, y1) of plane z (c, out: its rows; zb, za: the seed planes)
+ * into out, their changes folded into *h, *l and *bad. */
+static inline __attribute__((always_inline)) void NAME(rows)(
+    const NAME(terms) *k, NAME(shape) s, int64_t y0, int64_t y1,
+    const T *restrict c, const T *restrict zb, const T *restrict za,
+    T *restrict out, NAME(vec) *h, NAME(vec) *l, NAME(mask) *bad)
+{
+    const int64_t n = k->n;
+    for (int64_t y = y0; y < y1; y++) {
         const int64_t r = y * n;
         T *restrict o = out + r;
         const T *restrict cr = c + r;
         int64_t x;
 
-        if (gs) {
+        if (y >= 1 && y <= n - 2) {
+            /* an interior row: one pass, a vector at a time, the last
+             * one short when LANES does not divide n */
+            for (x = 0; x + LANES <= n; x += LANES)
+                NAME(chunk)(k, s, 1, zb, za, cr, o, r, x, LANES, h, l, bad);
+            if (x < n)
+                NAME(chunk)(k, s, 1, zb, za, cr, o, r, x, (int)(n - x), h, l,
+                            bad);
+            continue;
+        }
+
+        /* an edge row: the numpy kernels' seed and _inplane_sum passes
+         * build its neighbour sums in o, then one pass updates them */
+        if (s.gs) {
             for (x = 0; x < n; x++)
                 o[x] = za ? za[r + x] : (T)0.0;
         } else if (zb && za) {
@@ -440,93 +688,74 @@ static void NAME(plane)(const repro_sweep_params *p, int gs, int64_t z,
             for (x = 0; x < n; x++)
                 o[x] = (T)0.0;
         }
-
-        /* _inplane_sum: the rows above and below, the flattened left
-         * and right neighbours, then the x-edge contamination back out */
-        if (y >= 1 && y <= n - 2) {
-            /* interior row: the same five steps, fused per element */
-            o[0] = ((((o[0] + cr[-n]) + cr[n]) + cr[-1]) + cr[1]) - cr[-1];
-            for (x = 1; x < n - 1; x++)
-                o[x] = (((o[x] + cr[x - n]) + cr[x + n]) + cr[x - 1]) + cr[x + 1];
-            o[n - 1] = ((((o[n - 1] + cr[-1]) + cr[2 * n - 1]) + cr[n - 2]) + cr[n]) - cr[n];
-        } else {
-            if (y >= 1)
-                for (x = 0; x < n; x++)
-                    o[x] += cr[x - n];
-            if (y <= n - 2)
-                for (x = 0; x < n; x++)
-                    o[x] += cr[x + n];
-            for (x = y == 0; x < n; x++)
-                o[x] += cr[x - 1];
-            for (x = 0; x < n - (y == n - 1); x++)
-                o[x] += cr[x + 1];
-            if (n > 1 && y >= 1)
-                o[0] -= cr[-1];
-            if (n > 1 && y <= n - 2)
-                o[n - 1] -= cr[n];
-        }
-
-        for (x = 0; x < n; x++)
-            o[x] = NAME(scale)(o[x], d, p->d, strong);
-        if (has_a) {
-            if (gs)
-                for (x = 0; x < n; x++)
-                    o[x] = o[x] + NAME(scale)(cr[x], a, p->a, strong);
-            else
-                for (x = 0; x < n; x++)
-                    o[x] = NAME(scale)(cr[x], a, p->a, strong) + o[x];
-        }
-        if (db_kind == 1)
+        if (y >= 1)
             for (x = 0; x < n; x++)
-                o[x] = o[x] + db;
-        else if (db_kind == 2)
+                o[x] += cr[x - n];
+        if (y <= n - 2)
             for (x = 0; x < n; x++)
-                o[x] = o[x] + db_field[r + x];
-        if (below)
-            for (x = 0; x < n; x++)
-                o[x] = NAME(scale)(below[r + x], d, p->d, strong) + o[x];
-        if (lower_kind == 1)
-            for (x = 0; x < n; x++)
-                o[x] = NAME(maximum)(o[x], lower[0]);
-        else if (lower_kind == 2)
-            for (x = 0; x < n; x++)
-                o[x] = NAME(maximum)(o[x], lower[r + x]);
-        if (upper_kind == 1)
-            for (x = 0; x < n; x++)
-                o[x] = NAME(minimum)(o[x], upper[0]);
-        else if (upper_kind == 2)
-            for (x = 0; x < n; x++)
-                o[x] = NAME(minimum)(o[x], upper[r + x]);
-
-        /* Four independent extrema chains (max and min do not depend
-         * on the grouping); NaN compares false, so it never moves them. */
-        for (x = 0; x + 4 <= n; x += 4) {
-            const T c0 = o[x] - cr[x], c1 = o[x + 1] - cr[x + 1];
-            const T c2 = o[x + 2] - cr[x + 2], c3 = o[x + 3] - cr[x + 3];
-            bad |= (c0 != c0) | (c1 != c1) | (c2 != c2) | (c3 != c3);
-            h0 = c0 > h0 ? c0 : h0;
-            h1 = c1 > h1 ? c1 : h1;
-            h2 = c2 > h2 ? c2 : h2;
-            h3 = c3 > h3 ? c3 : h3;
-            l0 = c0 < l0 ? c0 : l0;
-            l1 = c1 < l1 ? c1 : l1;
-            l2 = c2 < l2 ? c2 : l2;
-            l3 = c3 < l3 ? c3 : l3;
-        }
-        for (; x < n; x++) {
-            const T change = o[x] - cr[x];
-            bad |= change != change;
-            h0 = change > h0 ? change : h0;
-            l0 = change < l0 ? change : l0;
-        }
+                o[x] += cr[x + n];
+        for (x = y == 0; x < n; x++)
+            o[x] += cr[x - 1];
+        for (x = 0; x < n - (y == n - 1); x++)
+            o[x] += cr[x + 1];
+        if (n > 1 && y >= 1)
+            o[0] -= cr[-1];
+        if (n > 1 && y <= n - 2)
+            o[n - 1] -= cr[n];
+        for (x = 0; x < n; x += LANES)
+            NAME(chunk)(k, s, 0, zb, za, cr, o, r, x,
+                        n - x < LANES ? (int)(n - x) : LANES, h, l, bad);
     }
-    h0 = h1 > h0 ? h1 : h0;
-    h2 = h3 > h2 ? h3 : h2;
-    l0 = l1 < l0 ? l1 : l0;
-    l2 = l3 < l2 ? l3 : l2;
-    *hi = h2 > h0 ? h2 : h0;
-    *lo = l2 < l0 ? l2 : l0;
-    *nan = bad;
+}
+
+/* Relax rows [y0, y1) of plane z into out and fold their changes into
+ * *hi, *lo, *nan.
+ *
+ * Gauss-Seidel (gs): za is the old plane above (NULL: seed 0.0) and
+ * below the already-updated plane below (NULL: none).  Jacobi: zb and
+ * za are the old planes below and above (NULL: a 0.0 plane). */
+static inline __attribute__((always_inline)) void NAME(plane)(
+    const repro_sweep_params *p, int gs, int64_t z, int64_t y0, int64_t y1,
+    const T *restrict c, const T *restrict zb, const T *restrict za,
+    const T *restrict below, T *restrict out, T *hi, T *lo, int *nan)
+{
+    const int64_t n = p->n, nn = n * n;
+    const NAME(shape) s = {
+        .gs = gs, .has_a = p->has_a != 0, .strong = p->strong != 0,
+        .db_kind = (int)p->db_kind, .lower_kind = (int)p->lower_kind,
+        .upper_kind = (int)p->upper_kind, .below = below != NULL,
+    };
+    const NAME(terms) k = {
+        .d = NAME(splat)((T)p->d), .a = NAME(splat)((T)p->a),
+        .db = NAME(splat)((T)p->db),
+        .lower = NAME(splat)(s.lower_kind == 1 ? *(const T *)p->lower : 0),
+        .upper = NAME(splat)(s.upper_kind == 1 ? *(const T *)p->upper : 0),
+        .d_strong = p->d, .a_strong = p->a, .n = n, .cur = c, .below = below,
+        .db_field = s.db_kind == 2 ? (const T *)p->db_field + z * nn : NULL,
+        .lower_field = s.lower_kind == 2 ? (const T *)p->lower + z * nn : NULL,
+        .upper_field = s.upper_kind == 2 ? (const T *)p->upper + z * nn : NULL,
+    };
+    /* The membrane's shape (δ = 1/diag, b = 0, a lower field only)
+     * with constant terms: the same update, its branches folded. */
+    const NAME(shape) lower_only = {.gs = gs, .lower_kind = 2, .below = gs};
+    NAME(vec) h = NAME(splat)(*hi), l = NAME(splat)(*lo);
+    NAME(mask) bad = (NAME(mask))NAME(splat)((T)0.0);
+
+    if (!memcmp(&s, &lower_only, sizeof s))
+        NAME(rows)(&k, lower_only, y0, y1, c, zb, za, out, &h, &l, &bad);
+    else
+        NAME(rows)(&k, s, y0, y1, c, zb, za, out, &h, &l, &bad);
+
+    T hs = h[0], ls = l[0];
+    int any = 0;
+    for (int j = 0; j < LANES; j++) {
+        hs = h[j] > hs ? h[j] : hs;
+        ls = l[j] < ls ? l[j] : ls;
+        any |= bad[j] != 0;
+    }
+    *hi = hs;
+    *lo = ls;
+    *nan |= any;
 }
 
 /* Nonzero when nxt overlaps an input (the caller then takes numpy). */
@@ -544,9 +773,14 @@ static int NAME(aliased)(const repro_sweep_params *p, const char *cur,
         || (p->upper_kind && overlaps(nxt, block, p->upper, upper));
 }
 
-int NAME(repro_gauss_seidel)(repro_sweep_params *p, const void *cur_data,
+/* Band kernels: rows [y0, y1) of every plane of the block, their
+ * changes folded into *fold; 1 (nothing written) when nxt overlaps an
+ * input.  A Gauss-Seidel row reads only the same row of the plane
+ * below, so bands are independent in either order. */
+int NAME(repro_gauss_seidel)(const repro_sweep_params *p, const void *cur_data,
                              void *nxt_data, const void *gb_data,
-                             const void *ga_data)
+                             const void *ga_data, int64_t y0, int64_t y1,
+                             repro_fold *fold)
 {
     const T *cur = (const T *)cur_data;
     T *nxt = (T *)nxt_data;
@@ -561,18 +795,19 @@ int NAME(repro_gauss_seidel)(repro_sweep_params *p, const void *cur_data,
     for (int64_t z = 0; z < m; z++) {
         const T *above = z < m - 1 ? cur + (z + 1) * nn : ga;
         const T *below = z > 0 ? nxt + (z - 1) * nn : gb;
-        NAME(plane)(p, 1, z, cur + z * nn, NULL, above, below,
+        NAME(plane)(p, 1, z, y0, y1, cur + z * nn, NULL, above, below,
                     nxt + z * nn, &hi, &lo, &nan);
     }
-    /* max(float(stage.max()), -float(stage.min())) + 0.0 */
-    const double top = hi, bottom = -(double)lo;
-    p->diff = nan ? (double)NAN : (bottom > top ? bottom : top) + 0.0;
+    fold->hi = hi;
+    fold->lo = lo;
+    fold->nan = nan;
     return 0;
 }
 
-int NAME(repro_jacobi)(repro_sweep_params *p, const void *cur_data,
+int NAME(repro_jacobi)(const repro_sweep_params *p, const void *cur_data,
                        void *nxt_data, const void *gb_data,
-                       const void *ga_data)
+                       const void *ga_data, int64_t y0, int64_t y1,
+                       repro_fold *fold)
 {
     const T *cur = (const T *)cur_data;
     T *nxt = (T *)nxt_data;
@@ -587,17 +822,15 @@ int NAME(repro_jacobi)(repro_sweep_params *p, const void *cur_data,
     for (int64_t z = 0; z < m; z++) {
         const T *below = z > 0 ? cur + (z - 1) * nn : gb;
         const T *above = z < m - 1 ? cur + (z + 1) * nn : ga;
-        NAME(plane)(p, 0, z, cur + z * nn, below, above, NULL,
+        NAME(plane)(p, 0, z, y0, y1, cur + z * nn, below, above, NULL,
                     nxt + z * nn, &hi, &lo, &nan);
     }
-    /* diff = 0.0, raised by a strictly larger maximum or -minimum */
-    double diff = 0.0;
-    if ((double)hi > diff)
-        diff = hi;
-    if (-(double)lo > diff)
-        diff = -(double)lo;
-    p->diff = nan ? (double)NAN : diff;
+    fold->hi = hi;
+    fold->lo = lo;
+    fold->nan = nan;
     return 0;
 }
+
+#undef LANES
 
 #endif /* REPRO_SWEEP_BODY */

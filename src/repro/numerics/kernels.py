@@ -40,10 +40,12 @@ The sweeps run in one of two backends, chosen per workspace when it is
 baked:
 
 - **compiled** (``_sweep.c``, built and loaded by :mod:`._ckernels` on
-  first use): one C call per block sweep, used whenever the library
-  loads.  It runs as a job of the library's worker pool: started at
-  dispatch, it relaxes on a worker thread without the interpreter lock
-  until the caller joins it (a plain ``block_sweep`` joins at once);
+  first use): one C job per block sweep, used whenever the library
+  loads.  It runs on the library's worker pool: started at dispatch, it
+  relaxes on worker threads without the interpreter lock until the
+  caller joins it (a plain ``block_sweep`` joins at once).  A large
+  enough block is split into row bands, and the joining thread runs
+  those no worker has taken yet before it waits for the rest;
 - **numpy** (``_jacobi_numpy`` / ``_gauss_seidel_numpy`` below): the
   fallback when it does not (one ``RuntimeWarning`` names the reason),
   run synchronously at dispatch,
@@ -65,14 +67,16 @@ loader checks this numpy does the same, else the numpy kernels run),
 coefficients promoted as numpy promotes them (asked of numpy when the
 workspace is baked), and a zero diff returned as ``+0.0`` — so
 iterates, diffs, relaxation counts and simulated times are bit-identical
-whichever backend ran, and neither depends on the slab size or on the
-thread a compiled sweep ran on.
-``repro_kernel_sweeps_total`` and ``repro_kernel_sweep_seconds`` carry a
-``backend`` label (``"c"`` or ``"numpy"``) saying which one did; the
-seconds are timed on the thread that ran the sweep, and
-``repro_kernel_join_wait_seconds`` holds what the caller spent blocked
-in each join of a compiled sweep (the rest of the sweep overlapped its
-other work).
+whichever backend ran, and neither depends on the slab size, on the
+bands a compiled sweep was split into or on the threads that ran them.
+``repro_kernel_sweeps_total``, ``repro_kernel_bands_total`` and
+``repro_kernel_sweep_seconds`` carry a ``backend`` label (``"c"`` or
+``"numpy"``) saying which one did; a numpy sweep is one band, and a
+compiled sweep's seconds are its bands' run times, summed over the
+threads that ran them (one observation per sweep).
+``repro_kernel_join_wait_seconds`` holds what the caller spent in each
+join of a compiled sweep, running its own queued bands or blocked on
+the others (the rest of the sweep overlapped its other work).
 
 The compiled library holds its sweeps twice, for the baseline
 instruction set and for AVX2, and the loader binds the one this CPU
@@ -154,13 +158,13 @@ class _KernelProbe:
     """Pre-resolved telemetry handles for the sweep hot path.
 
     Built once per workspace (when the owning context's telemetry is
-    enabled) so a sweep pays two perf-counter reads plus one counter and
+    enabled) so a sweep pays two perf-counter reads plus two counter and
     one or two histogram updates — no name/label resolution per call.
     The overhead of this default-on path is gated at ≤3% by the
     ``telemetry_overhead`` section of ``BENCH_micro.json``.
     """
 
-    __slots__ = ("sweeps", "seconds", "join_wait")
+    __slots__ = ("sweeps", "bands", "seconds", "join_wait")
 
     def __init__(self, telemetry, lib):
         # Compiled sweeps are labelled with the instruction set of the
@@ -175,6 +179,11 @@ class _KernelProbe:
                 "repro_kernel_sweeps_total", order=order, backend=backend,
                 isa=labels[backend])
             for order, backend in keys}
+        self.bands = {
+            (order, backend): telemetry.counter(
+                "repro_kernel_bands_total", order=order, backend=backend,
+                isa=labels[backend])
+            for order, backend in keys}
         self.seconds = {
             (order, backend): telemetry.histogram(
                 "repro_kernel_sweep_seconds", order=order, backend=backend,
@@ -182,8 +191,9 @@ class _KernelProbe:
             for order, backend in keys}
         self.join_wait = telemetry.histogram("repro_kernel_join_wait_seconds")
 
-    def sweep_done(self, order, backend, elapsed):
+    def sweep_done(self, order, backend, elapsed, bands=1):
         self.sweeps[order, backend].inc()
+        self.bands[order, backend].inc(bands)
         self.seconds[order, backend].observe(elapsed)
 
 
@@ -526,10 +536,11 @@ def begin_block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     """Start one relaxation of a block ``[lo, hi)`` with ghost planes;
     :func:`finish_block_sweep` collects it.
 
-    On the compiled backend the sweep is queued for the worker pool and
-    this returns at once; the numpy kernels (the fallback, and arrays
-    the compiled path refuses) run here and now.  Until the finish,
-    ``cur``, the ghosts and ``nxt`` belong to the sweep."""
+    On the compiled backend the sweep is queued for the worker pool,
+    split into row bands when the block is large enough, and this
+    returns at once; the numpy kernels (the fallback, and arrays the
+    compiled path refuses) run here and now.  Until the finish, ``cur``,
+    the ghosts and ``nxt`` belong to the sweep."""
     if order not in _NUMPY_KERNELS:
         raise ValueError(f"unknown sweep order {order!r}")
     if ws._inflight is not None:
@@ -545,8 +556,9 @@ def begin_block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
 
 
 def finish_block_sweep(ws: SweepWorkspace) -> float:
-    """Wait for the sweep :func:`begin_block_sweep` started and return
-    its diff, ‖nxt − cur‖∞ (NaN when any update is NaN)."""
+    """Finish the sweep :func:`begin_block_sweep` started (running its
+    bands no worker has taken yet, then waiting for the rest) and
+    return its diff, ‖nxt − cur‖∞ (NaN when any update is NaN)."""
     if ws._inflight is None:
         raise RuntimeError("no sweep of this workspace is in flight")
     order, diff, arrays = ws._inflight
@@ -564,7 +576,8 @@ def finish_block_sweep(ws: SweepWorkspace) -> float:
     if diff is None:  # nxt overlaps an input: nothing was written
         return _numpy_sweep(ws, order, *arrays)
     if probe is not None:
-        probe.sweep_done(order, "c", compiled.job.seconds)
+        job = compiled.job
+        probe.sweep_done(order, "c", job.seconds, job.bands)
     return diff
 
 

@@ -9,6 +9,13 @@ join the sweep before its arrays can go; a process forked after the
 pool ran, or while a sweep is in flight, sweeps in the child; one
 usable CPU means no worker at all, same bits; and the kernel telemetry
 counts each sweep once, with the caller's join wait beside it.
+
+A sweep of at least two minimum bands' worth of points is split into
+row bands that any pool thread (the joining one too) may run.  The
+band tests check the derived band count (one, two, three or more, rows
+split unevenly), the first and last rows, a NaN in one band, a zero
+diff from -0.0 and +0.0 changes in different bands, and a fork that
+lands between two bands of one sweep, all against the oracle.
 """
 
 import gc
@@ -26,18 +33,25 @@ import numpy as np
 import pytest
 
 from repro.numerics import _ckernels, kernels
-from repro.numerics.obstacle import membrane_problem, torsion_problem
+from repro.numerics.grid import Grid3D
+from repro.numerics.obstacle import (ObstacleProblem, membrane_problem,
+                                     torsion_problem)
+from repro.numerics.projection import BoxConstraint
 from repro.resources import ResourceContext
 from repro.solvers.halo import BlockState
 
 from test_kernel_backends import (  # same-directory module (pytest prepend mode)
-    SRC, same_bits)
+    SRC, same_bits, same_diff)
 
 NUMPY_KERNELS = {"jacobi": kernels._jacobi_numpy,
                  "gauss_seidel": kernels._gauss_seidel_numpy}
 
 #: Grid side of the bit tests.
 N = 48
+#: Grid side of the band tests: blocks of it are split into bands.
+BANDED = 80
+#: _sweep.c's fewest points per band.
+BAND_POINTS = 32768
 #: Grid side of the lifecycle tests: a worker is still relaxing a block
 #: of it (about a millisecond) while the caller goes on.
 BIG = 96
@@ -81,16 +95,28 @@ def blocks(n, k):
 # -- bits ---------------------------------------------------------------------
 
 
+def derived_bands(planes, n):
+    """The band count _sweep.c derives for a block of ``planes`` planes
+    of side ``n``: two per pool thread, at most one per row, none under
+    BAND_POINTS points, and one without a worker."""
+    workers = _ckernels.pool_workers()
+    if workers == 0:
+        return 1
+    return max(1, min(2 * (workers + 1), n, planes * n * n // BAND_POINTS))
+
+
+@pytest.mark.parametrize("side", [N, BANDED])
 @pytest.mark.parametrize("k", [2, 4, 8])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("local_sweep", ["gauss_seidel", "jacobi"])
-def test_sweeps_in_flight_together_match_numpy(isa_body, k, dtype,
+def test_sweeps_in_flight_together_match_numpy(isa_body, side, k, dtype,
                                                local_sweep):
     """k blocks all begun before any is finished, finished in shuffled
-    order, three rounds: every diff and iterate is the oracle's."""
-    problem = torsion_problem(N)
+    order, three rounds: every diff and iterate is the oracle's (on the
+    larger side, most blocks are split into bands)."""
+    problem = torsion_problem(side)
     states = [seeded_state(problem, lo, hi, dtype, local_sweep, seed=lo)
-              for lo, hi in blocks(N, k)]
+              for lo, hi in blocks(side, k)]
     assert all(s._workspace._compiled.kernels["jacobi"].__name__.endswith(
         "_avx2") == (isa_body == "avx2") for s in states)
     order = random.Random(k).sample(range(k), k)
@@ -99,6 +125,8 @@ def test_sweeps_in_flight_together_match_numpy(isa_body, k, dtype,
         for s in states:
             s.begin_sweep()
         assert all(s.sweep_in_flight for s in states)
+        assert [s._workspace._compiled.job.bands for s in states] == [
+            derived_bands(s.block.shape[0], side) for s in states]
         for i in order:
             want_diff, want = wanted[i]
             assert states[i].finish_sweep() == want_diff
@@ -194,6 +222,136 @@ def test_one_usable_cpu_means_no_worker_and_the_same_bits(compiled_kernels):
 @affinity
 def test_the_worker_count_is_derived_from_the_usable_cpus():
     assert _ckernels.pool_workers() == len(os.sched_getaffinity(0)) - 1
+
+
+# -- bands --------------------------------------------------------------------
+
+
+needs_a_worker = pytest.mark.skipif(
+    _ckernels.pool_workers() == 0,
+    reason="one usable CPU: no worker, so every sweep is one band")
+
+#: {bands: (side, planes)}: blocks whose derived band count is 1, 2
+#: and 3 whenever the pool has a worker, rows split unevenly.
+BAND_BLOCKS = {1: (67, 7), 2: (67, 15), 3: (BANDED, 16)}
+
+#: (dtype, type of δ): a Python float coefficient is weak for a float32
+#: block, a numpy float64 one strong under NumPy 2 (_ckernels asks).
+DTYPES = [("float64", float), ("float32", float), ("float32", np.float64)]
+dtypes = pytest.mark.parametrize("dtype,delta_type", DTYPES,
+                                 ids=["float64", "float32", "float32-strong"])
+orders = pytest.mark.parametrize("order", ["gauss_seidel", "jacobi"])
+
+
+def block_of(problem, planes, dtype, delta_type, lo=5):
+    """A workspace of ``planes`` planes from ``lo``, a noisy block and
+    noisy ghosts."""
+    n = problem.grid.n
+    ws = kernels.SweepWorkspace(problem, delta_type(problem.jacobi_delta()),
+                                lo=lo, hi=lo + planes, dtype=dtype)
+    rng = np.random.default_rng(planes)
+    cur = (problem.feasible_start()[lo:lo + planes]
+           + rng.random((planes, n, n))).astype(ws.dtype)
+    ghosts = [rng.random((n, n)).astype(ws.dtype) for _ in range(2)]
+    return ws, cur, ghosts
+
+
+def banded_and_oracle(ws, order, cur, ghosts):
+    """(diff, nxt) of the compiled sweep, begun and finished, and of
+    the numpy oracle; checks that the sweep took the derived bands."""
+    got, want = ws.rotation_buffer(), ws.rotation_buffer()
+    kernels.begin_block_sweep(ws, cur, got, *ghosts, order=order)
+    job = ws._compiled.job
+    bands = job.bands
+    got_diff = kernels.finish_block_sweep(ws)
+    assert bands == derived_bands(*cur.shape[:2])
+    with np.errstate(all="ignore"):
+        want_diff = NUMPY_KERNELS[order](ws, cur, want, *ghosts)
+    return (got_diff, got), (want_diff, want), bands
+
+
+@needs_a_worker
+@pytest.mark.parametrize("bands", sorted(BAND_BLOCKS))
+@pytest.mark.parametrize("problem", ["membrane", "torsion"])
+@orders
+@dtypes
+def test_band_splits_match_numpy(isa_body, bands, problem, order, dtype,
+                                 delta_type):
+    """Blocks split into one, two and three bands (67 and 80 rows:
+    uneven splits) give the oracle's iterate and diff, on the
+    membrane's lower field alone and on torsion's δb and two fields."""
+    side, planes = BAND_BLOCKS[bands]
+    make = membrane_problem if problem == "membrane" else torsion_problem
+    ws, cur, ghosts = block_of(make(side), planes, dtype, delta_type)
+    (got_diff, got), (want_diff, want), split = banded_and_oracle(
+        ws, order, cur, ghosts)
+    assert split == bands and (bands == 1 or side % bands)
+    assert same_diff(got_diff, want_diff)
+    assert same_bits(got, want)
+
+
+@needs_a_worker
+@orders
+@dtypes
+def test_the_first_and_last_rows_are_relaxed_in_their_bands(
+        isa_body, order, dtype, delta_type):
+    """Spikes in row 0 of the first plane and row n-1 of the last make
+    the largest changes; the first and last bands relax those edge rows
+    as the oracle does."""
+    side, planes = BAND_BLOCKS[3]
+    ws, cur, ghosts = block_of(torsion_problem(side), planes, dtype,
+                               delta_type)
+    cur[0, 0, 7] += 40.0
+    cur[-1, side - 1, 11] -= 50.0
+    (got_diff, got), (want_diff, want), _ = banded_and_oracle(
+        ws, order, cur, ghosts)
+    assert same_diff(got_diff, want_diff)
+    assert same_bits(got, want)
+    rows = np.unravel_index(np.argmax(np.abs(want - cur)), cur.shape)[1]
+    assert rows in (0, side - 1)
+
+
+@needs_a_worker
+@orders
+@dtypes
+def test_a_nan_in_one_band_makes_the_diff_nan(isa_body, order, dtype,
+                                              delta_type):
+    side, planes = BAND_BLOCKS[3]
+    ws, cur, ghosts = block_of(membrane_problem(side), planes, dtype,
+                               delta_type)
+    cur[planes // 2, side // 2, 9] = np.nan  # the middle band's rows only
+    (got_diff, got), (want_diff, want), _ = banded_and_oracle(
+        ws, order, cur, ghosts)
+    assert np.isnan(want_diff) and np.isnan(got_diff)
+    assert same_bits(got, want)
+
+
+@needs_a_worker
+@orders
+@dtypes
+def test_zero_changes_of_either_sign_across_bands_give_a_positive_zero(
+        isa_body, order, dtype, delta_type):
+    """Every update ties a signed-zero lower bound and takes it: the
+    first band's changes are -0.0 - (+0.0) = -0.0, the others' +0.0 -
+    (-0.0) = +0.0.  Merged, the diff is +0.0."""
+    side, planes = BAND_BLOCKS[3]
+    grid = Grid3D(side)
+    first_band = np.arange(side) < side // 3
+    lower = np.where(first_band[None, :, None], -0.0, 0.0) * np.ones(
+        grid.shape)
+    problem = ObstacleProblem(grid=grid, b=grid.zeros(),
+                              constraint=BoxConstraint(lower=lower))
+    ws = kernels.SweepWorkspace(problem, delta_type(problem.jacobi_delta()),
+                                lo=5, hi=5 + planes, dtype=dtype)
+    cur = np.empty((planes, side, side), ws.dtype)
+    cur[...] = np.where(first_band[:, None], 0.0, -0.0)
+    ghosts = [np.zeros((side, side), ws.dtype)] * 2
+    (got_diff, got), (want_diff, want), _ = banded_and_oracle(
+        ws, order, cur, ghosts)
+    changes = np.signbit(want - cur)
+    assert changes.any() and not changes.all()
+    assert same_bits(got, want)
+    assert same_diff(got_diff, 0.0) and same_diff(want_diff, 0.0)
 
 
 # -- lifecycle ----------------------------------------------------------------
@@ -347,6 +505,51 @@ def test_a_child_forked_with_sweeps_in_flight_sweeps(compiled_kernels):
         thread.join(timeout=60)
 
 
+@needs_a_worker
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_a_child_forked_between_two_bands_of_a_sweep_finishes_it(
+        compiled_kernels):
+    """Fork once a worker has taken the first band of a sweep: the
+    prepare handler lets a running band finish and no other start, so
+    the child inherits the sweep half done (bands run, bands queued) and
+    its join runs the rest.  Child and parent get the oracle's bits.
+    Sweeps queued ahead keep the worker busy meanwhile, so this thread
+    runs beside it when the sweep starts; a fork that lands after its
+    last band is tried again."""
+    problem = membrane_problem(BIG)
+    ahead = [seeded_state(problem, 0, BIG, seed=seed) for seed in (1, 2, 3)]
+    for attempt in range(30):
+        state = seeded_state(problem, 0, BIG, seed=10 + attempt)
+        want = oracle(state)
+        for other in ahead:
+            other.begin_sweep()
+        state.begin_sweep()
+        job = state._workspace._compiled.job
+        assert job.bands > 1
+        deadline = time.monotonic() + 10.0
+        while job.claimed == 0 and time.monotonic() < deadline:
+            pass
+        pid = os.fork()
+        if pid == 0:  # the child: leave through os._exit only
+            code = 1
+            try:
+                half_done = 0 < job.finished == job.claimed < job.bands
+                if (state.finish_sweep() == want[0]
+                        and same_bits(state.block, want[1])):
+                    code = 0 if half_done else 3
+            finally:
+                os._exit(code)
+        status = wait_for(pid)
+        for other in ahead:
+            other.finish_sweep()
+        assert state.finish_sweep() == want[0]
+        assert same_bits(state.block, want[1])
+        assert status in (0, 3), "the child got other bits"
+        if status == 0:
+            return
+    pytest.fail("no fork landed between two bands of a sweep")
+
+
 # -- telemetry ----------------------------------------------------------------
 
 
@@ -370,3 +573,26 @@ def test_each_sweep_is_observed_once_with_its_join_wait(compiled_kernels):
     wait = snap["histograms"]["repro_kernel_join_wait_seconds"]
     assert seconds["count"] == wait["count"] == 20
     assert seconds["sum"] > 0.0 and wait["sum"] >= 0.0
+
+
+@needs_a_worker
+def test_the_bands_counter_shows_how_sweeps_were_split(compiled_kernels):
+    """repro_kernel_bands_total adds each sweep's band count; the
+    sweep's seconds stay one observation, its bands' run times summed."""
+    ctx = ResourceContext(name="band-telemetry")
+    side, planes = BAND_BLOCKS[3]
+    problem = membrane_problem(side)
+    states = [seeded_state(problem, lo, hi, resources=ctx)
+              for lo, hi in ((0, planes), (planes, planes + 7))]
+    for _ in range(3):
+        for s in states:
+            s.begin_sweep()
+        for s in states:
+            s.finish_sweep()
+    snap = ctx.telemetry.snapshot()
+    key = ('{backend="c",isa="%s",order="gauss_seidel"}'
+           % compiled_kernels.isa)
+    assert snap["counters"]["repro_kernel_sweeps_total" + key] == 6
+    assert snap["counters"]["repro_kernel_bands_total" + key] == 3 * (3 + 1)
+    seconds = snap["histograms"]["repro_kernel_sweep_seconds" + key]
+    assert seconds["count"] == 6 and seconds["sum"] > 0.0
