@@ -46,8 +46,7 @@
  * max and min do not depend on the grouping except for which zero a
  * +0.0/-0.0 tie keeps, the diff rule erases that sign (its + 0.0), and
  * NaN is tracked apart from the extrema.  The branches on which terms
- * a plane has are taken per vector; the membrane's shape (no a, no δb,
- * a lower field only) is the same code with them constant.
+ * a plane has are taken once per vector.
  *
  * The body is built twice: for the baseline instruction set of the
  * compile flags, with 16-byte vectors (SSE2 on x86-64), and, on x86-64
@@ -480,8 +479,8 @@ int repro_sweep_join(repro_job *job)
 
 #else /* REPRO_SWEEP_BODY: everything below is instantiated per dtype */
 
-/* A vector of T (four doubles or eight floats), its comparison masks,
- * and the same lanes widened to double. */
+/* A vector of T (VBYTES of it: LANES elements), its comparison masks,
+ * and, for float, the same lanes widened to double. */
 #define LANES (VBYTES / (int)sizeof(T))
 typedef T NAME(vec) __attribute__((vector_size(VBYTES)));
 typedef __typeof__((NAME(vec)){0} < (NAME(vec)){0}) NAME(mask);
@@ -561,8 +560,8 @@ static inline NAME(vec) NAME(minimum)(NAME(vec) v, NAME(vec) bound)
     return NAME(select)(NAME(either)(v != v, v < bound), v, bound);
 }
 
-/* Which terms a plane's update has.  Every branch on it is taken once
- * per vector, and folds away where NAME(plane) passes a constant. */
+/* Which terms a plane's update has; each branch on it is taken once
+ * per vector. */
 typedef struct {
     int gs, has_a, strong, db_kind, lower_kind, upper_kind, below;
 } NAME(shape);
@@ -735,16 +734,10 @@ static inline __attribute__((always_inline)) void NAME(plane)(
         .lower_field = s.lower_kind == 2 ? (const T *)p->lower + z * nn : NULL,
         .upper_field = s.upper_kind == 2 ? (const T *)p->upper + z * nn : NULL,
     };
-    /* The membrane's shape (δ = 1/diag, b = 0, a lower field only)
-     * with constant terms: the same update, its branches folded. */
-    const NAME(shape) lower_only = {.gs = gs, .lower_kind = 2, .below = gs};
     NAME(vec) h = NAME(splat)(*hi), l = NAME(splat)(*lo);
     NAME(mask) bad = (NAME(mask))NAME(splat)((T)0.0);
 
-    if (!memcmp(&s, &lower_only, sizeof s))
-        NAME(rows)(&k, lower_only, y0, y1, c, zb, za, out, &h, &l, &bad);
-    else
-        NAME(rows)(&k, s, y0, y1, c, zb, za, out, &h, &l, &bad);
+    NAME(rows)(&k, s, y0, y1, c, zb, za, out, &h, &l, &bad);
 
     T hs = h[0], ls = l[0];
     int any = 0;
