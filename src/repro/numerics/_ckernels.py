@@ -73,11 +73,28 @@ class Params(ctypes.Structure):
                 "db_field", "lower", "upper")]
 
 
+#: Most histogram bucket bounds a :class:`Stats` holds.
+STATS_BOUNDS = 16
+
+
+class Stats(ctypes.Structure):
+    """What the joins of compiled sweeps counted since it was last
+    drained (``repro_stats``): sweeps, bands, joins, the sums and
+    histogram cells of sweep and join times over ``bounds``."""
+
+    _fields_ = [("bounds", ctypes.c_double * STATS_BOUNDS),
+                ("nbounds", ctypes.c_int64)] + [
+        (name, ctypes.c_int64) for name in ("sweeps", "bands", "joins")] + [
+        (name, ctypes.c_double) for name in ("seconds", "wait")] + [
+        (name, ctypes.c_int64 * (STATS_BOUNDS + 1))
+        for name in ("seconds_counts", "wait_counts")]
+
+
 class Job(ctypes.Structure):
     """One sweep of the worker pool (``repro_job``)."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "kernel", "params", "cur", "nxt", "below", "above")] + [
+        "kernel", "params", "cur", "nxt", "below", "above", "stats")] + [
             ("seconds", ctypes.c_double)] + [(name, ctypes.c_int64) for name in (
                 "status", "bands", "state", "claimed", "finished")] + [
             ("hi", ctypes.c_double), ("lo", ctypes.c_double),
@@ -289,6 +306,8 @@ def _try_load(path: str):
         # workers: every sweep then runs at join, same bits.
         lib.repro_pool_size.restype = ctypes.c_int
         lib.repro_pool_size.argtypes = [ctypes.c_int64]
+        lib.repro_stats_drain.restype = None
+        lib.repro_stats_drain.argtypes = [ctypes.c_void_p] * 2
         lib.bodies = {"baseline": _entry_points(lib, "")}
         if lib.repro_cpu_avx2() == 1:
             lib.bodies["avx2"] = _entry_points(lib, "_avx2")
@@ -351,13 +370,16 @@ class CompiledSweep:
 
     The block holds raw addresses of the workspace's ``db``/``lower``/
     ``upper`` arrays (``fields``), so this object keeps them alive: a
-    worker may still read them after the workspace is gone.
+    worker may still read them after the workspace is gone.  Likewise
+    the :class:`Stats` each order's joins count in (``stats``, by
+    order; none for an order means it is not counted).
     """
 
     __slots__ = ("params", "shape", "plane", "dtype", "kernels", "job",
-                 "_fields", "_lib", "_job", "_arrays")
+                 "_fields", "_lib", "_job", "_arrays", "_stats",
+                 "_stats_at")
 
-    def __init__(self, lib, params, fields, shape, dtype):
+    def __init__(self, lib, params, fields, shape, dtype, stats):
         self.params = params
         self._fields = fields
         self.shape = shape
@@ -369,6 +391,9 @@ class CompiledSweep:
         self._lib = lib
         self._job = ctypes.addressof(self.job)
         self._arrays = None
+        self._stats = stats
+        self._stats_at = {order: ctypes.addressof(counts)
+                          for order, counts in stats.items()}
 
     def start(self, order, cur, nxt, below, above) -> bool:
         """Queue an ``order`` sweep on the worker pool; False (nothing
@@ -391,6 +416,7 @@ class CompiledSweep:
             return False
         job = self.job
         job.kernel = self.kernels[order].address
+        job.stats = self._stats_at.get(order)
         job.cur, job.nxt = id(cur), id(nxt)
         job.below = None if below is None else id(below)
         job.above = None if above is None else id(above)
@@ -403,7 +429,8 @@ class CompiledSweep:
         diff, or None when ``nxt`` overlaps an input (nothing was
         written; take the numpy path).  ``job.bands`` is then how many
         bands it was split into and ``job.seconds`` their run times,
-        summed over the threads that ran them."""
+        summed over the threads that ran them; the join has counted both
+        in the order's :class:`Stats`, if the workspace gave one."""
         if self._arrays is None:
             raise RuntimeError("no sweep of this workspace is in flight")
         status = self._lib.join(self._job)
@@ -423,8 +450,9 @@ class CompiledSweep:
             self.join()
 
 
-def bake(ws):
-    """The compiled form of workspace ``ws``, or None (numpy kernels)."""
+def bake(ws, stats):
+    """The compiled form of workspace ``ws``, or None (numpy kernels);
+    ``stats`` maps an order to the :class:`Stats` its joins count in."""
     lib = load()
     if lib is None:
         return None
@@ -444,4 +472,4 @@ def bake(ws):
         db=float(ws.db) if db_kind == 1 else 0.0,
         db_field=db_field, lower=lower, upper=upper)
     return CompiledSweep(lib, params, (ws.db, ws.lower, ws.upper), shape,
-                         ws.dtype)
+                         ws.dtype, stats)

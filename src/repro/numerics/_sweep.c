@@ -114,6 +114,19 @@ typedef struct {
     int64_t nan;                             /* any change NaN */
 } repro_fold;
 
+/* Mirrors _ckernels.Stats: what the joins of one telemetry registry's
+ * compiled sweeps of one order counted since it was last drained; the
+ * Python side merges it into the registry before each snapshot, so a
+ * sweep costs the interpreter nothing to count. */
+#define REPRO_BOUNDS 16
+typedef struct {
+    double bounds[REPRO_BOUNDS];             /* histogram bucket bounds */
+    int64_t nbounds;
+    int64_t sweeps, bands, joins;            /* joins: of any outcome */
+    double seconds, wait;                    /* band run times, join times */
+    int64_t seconds_counts[REPRO_BOUNDS + 1], wait_counts[REPRO_BOUNDS + 1];
+} repro_stats;
+
 /* The data pointer of the ndarray object at obj (load-time self-test). */
 const void *repro_array_data(const void *obj, int64_t data_off)
 {
@@ -238,6 +251,7 @@ typedef struct repro_job {
     const void *cur;                         /* ndarray objects, then */
     void *nxt;                               /* their data pointers */
     const void *gb, *ga;
+    repro_stats *stats;                      /* counted there, or NULL */
     double seconds;                          /* out: band run times, summed */
     int64_t status;                          /* out: the kernel's result */
     int64_t bands;                           /* out: bands it was split into */
@@ -297,23 +311,28 @@ static int64_t claim(repro_job *job)
     return band;
 }
 
+static double now(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
 /* Run a claimed band, timing the kernel, and fold it into its job; the
  * last band sets the diff and marks the job done (lock held on entry
  * and exit). */
 static void run_band(repro_job *job, int64_t band)
 {
     const repro_sweep_params *p = job->p;
-    struct timespec t0, t1;
     repro_fold fold;
     pthread_mutex_unlock(&pool_lock);
-    clock_gettime(CLOCK_MONOTONIC, &t0);
+    const double t0 = now();
     const int status = job->kernel(p, job->cur, job->nxt, job->gb, job->ga,
                                    band * p->n / job->bands,
                                    (band + 1) * p->n / job->bands, &fold);
-    clock_gettime(CLOCK_MONOTONIC, &t1);
+    const double t1 = now();
     pthread_mutex_lock(&pool_lock);
-    job->seconds += (double)(t1.tv_sec - t0.tv_sec)
-                    + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+    job->seconds += t1 - t0;
     job->status |= status;
     if (fold.hi > job->fold.hi)
         job->fold.hi = fold.hi;
@@ -454,11 +473,22 @@ void repro_sweep_start(repro_job *job)
     pthread_mutex_unlock(&pool_lock);
 }
 
-/* Wait for a started job, running what is left of it; returns its
- * kernel's result (0: done, 1: nxt overlaps an input and nothing was
- * written). */
+/* The histogram cell of value: bisect_left over the bounds. */
+static int64_t cell(const repro_stats *s, double value)
+{
+    int64_t i = 0;
+    while (i < s->nbounds && s->bounds[i] < value)
+        i++;
+    return i;
+}
+
+/* Wait for a started job, running what is left of it, and count it in
+ * job->stats; returns its kernel's result (0: done, 1: nxt overlaps an
+ * input and nothing was written, so no sweep is counted, only the
+ * join). */
 int repro_sweep_join(repro_job *job)
 {
+    const double t0 = now();
     pthread_mutex_lock(&pool_lock);
     while (job->state != JOB_DONE) {
         if (pool_forking) {
@@ -472,9 +502,34 @@ int repro_sweep_join(repro_job *job)
             pthread_cond_wait(&pool_done, &pool_lock);
         }
     }
+    repro_stats *stats = job->stats;
+    if (stats) {
+        const double wait = now() - t0;
+        stats->joins++;
+        stats->wait += wait;
+        stats->wait_counts[cell(stats, wait)]++;
+        if (job->status == 0) {
+            stats->sweeps++;
+            stats->bands += job->bands;
+            stats->seconds += job->seconds;
+            stats->seconds_counts[cell(stats, job->seconds)]++;
+        }
+    }
     job->state = JOB_IDLE;
     pthread_mutex_unlock(&pool_lock);
     return (int)job->status;
+}
+
+/* Copy what stats counted into out and zero its counts. */
+void repro_stats_drain(repro_stats *stats, repro_stats *out)
+{
+    pthread_mutex_lock(&pool_lock);
+    *out = *stats;
+    stats->sweeps = stats->bands = stats->joins = 0;
+    stats->seconds = stats->wait = 0.0;
+    memset(stats->seconds_counts, 0, sizeof stats->seconds_counts);
+    memset(stats->wait_counts, 0, sizeof stats->wait_counts);
+    pthread_mutex_unlock(&pool_lock);
 }
 
 #else /* REPRO_SWEEP_BODY: everything below is instantiated per dtype */

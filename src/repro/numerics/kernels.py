@@ -76,7 +76,10 @@ compiled sweep's seconds are its bands' run times, summed over the
 threads that ran them (one observation per sweep).
 ``repro_kernel_join_wait_seconds`` holds what the caller spent in each
 join of a compiled sweep, running its own queued bands or blocked on
-the others (the rest of the sweep overlapped its other work).
+the others (the rest of the sweep overlapped its other work).  The
+library counts compiled sweeps as it joins them, and the telemetry
+registry collects those counts before each snapshot; a handle's own
+``value`` lags until then.
 
 The compiled library holds its sweeps twice, for the baseline
 instruction set and for AVX2, and the loader binds the one this CPU
@@ -129,12 +132,14 @@ live in :mod:`repro.numerics.tolerances`.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from typing import Optional
 
 import numpy as np
 
 from ..resources import resolve_context
+from ..telemetry import SECONDS_BUCKETS, metric_key
 from . import _ckernels
 from .obstacle import ObstacleProblem
 from .tolerances import check_dtype, resolve_dtype
@@ -158,13 +163,17 @@ class _KernelProbe:
     """Pre-resolved telemetry handles for the sweep hot path.
 
     Built once per workspace (when the owning context's telemetry is
-    enabled) so a sweep pays two perf-counter reads plus two counter and
-    one or two histogram updates — no name/label resolution per call.
-    The overhead of this default-on path is gated at ≤3% by the
-    ``telemetry_overhead`` section of ``BENCH_micro.json``.
+    enabled) so a numpy sweep pays two perf-counter reads plus two
+    counter and one histogram updates — no name/label resolution per
+    call.  Compiled sweeps are counted by the library itself, in the
+    :class:`_ckernels.Stats` of ``stats`` (by order), as it joins them;
+    the registry merges those in before every snapshot
+    (:class:`_CompiledCounts`), so counting one costs the interpreter
+    nothing.  The overhead of this default-on path is gated at ≤3% by
+    the ``telemetry_overhead`` section of ``BENCH_micro.json``.
     """
 
-    __slots__ = ("sweeps", "bands", "seconds", "join_wait")
+    __slots__ = ("sweeps", "bands", "seconds", "join_wait", "stats")
 
     def __init__(self, telemetry, lib):
         # Compiled sweeps are labelled with the instruction set of the
@@ -190,11 +199,47 @@ class _KernelProbe:
                 isa=labels[backend])
             for order, backend in keys}
         self.join_wait = telemetry.histogram("repro_kernel_join_wait_seconds")
+        self.stats = {
+            order: telemetry.collector(
+                ("repro_kernel", order, lib.isa),
+                lambda order=order: _CompiledCounts(lib, order)).stats
+            for order, backend in keys if backend == "c"}
 
-    def sweep_done(self, order, backend, elapsed, bands=1):
+    def sweep_done(self, order, backend, elapsed):
+        """A numpy sweep: one band."""
         self.sweeps[order, backend].inc()
-        self.bands[order, backend].inc(bands)
+        self.bands[order, backend].inc()
         self.seconds[order, backend].observe(elapsed)
+
+
+class _CompiledCounts:
+    """A registry's collector of the compiled sweeps of one order on the
+    loaded body: the library counts them in ``stats`` as it joins them,
+    and :meth:`collect` hands what it counted to the registry."""
+
+    def __init__(self, lib, order):
+        self.stats = _ckernels.Stats(nbounds=len(SECONDS_BUCKETS))
+        self.stats.bounds[:len(SECONDS_BUCKETS)] = SECONDS_BUCKETS
+        self._drain = lib.repro_stats_drain
+        labels = {"order": order, "backend": "c", "isa": lib.isa}
+        self._keys = [metric_key(name, labels) for name in (
+            "repro_kernel_sweeps_total", "repro_kernel_bands_total",
+            "repro_kernel_sweep_seconds")]
+
+    def collect(self):
+        got = _ckernels.Stats()
+        self._drain(ctypes.addressof(self.stats), ctypes.addressof(got))
+        sweeps, bands, seconds = self._keys
+        cells = len(SECONDS_BUCKETS) + 1
+        return {
+            "counters": {sweeps: float(got.sweeps), bands: float(got.bands)},
+            "histograms": {
+                seconds: {"buckets": SECONDS_BUCKETS, "sum": got.seconds,
+                          "counts": got.seconds_counts[:cells],
+                          "count": got.sweeps},
+                "repro_kernel_join_wait_seconds": {
+                    "buckets": SECONDS_BUCKETS, "sum": got.wait,
+                    "counts": got.wait_counts[:cells], "count": got.joins}}}
 
 
 def _default_slab(n: int, n_planes: int, itemsize: int = 8,
@@ -270,7 +315,8 @@ class SweepWorkspace:
         self._upper_planes = self._plane_views(self.upper)
         # The compiled argument block points into db/lower/upper, so it
         # is built after them; None selects the numpy kernels.
-        self._compiled = _ckernels.bake(self)
+        self._compiled = _ckernels.bake(
+            self, {} if self._tele is None else self._tele.stats)
 
         # Scratch of the numpy kernels, allocated on their first use (so
         # never on the compiled path): the slab buffer (neighbour sums,
@@ -565,19 +611,9 @@ def finish_block_sweep(ws: SweepWorkspace) -> float:
     ws._inflight = None
     if arrays is None:
         return diff  # the numpy kernel ran at the begin
-    compiled = ws._compiled
-    probe = ws._tele
-    if probe is None:
-        diff = compiled.join()
-    else:
-        t_start = time.perf_counter()
-        diff = compiled.join()
-        probe.join_wait.observe(time.perf_counter() - t_start)
+    diff = ws._compiled.join()
     if diff is None:  # nxt overlaps an input: nothing was written
         return _numpy_sweep(ws, order, *arrays)
-    if probe is not None:
-        job = compiled.job
-        probe.sweep_done(order, "c", job.seconds, job.bands)
     return diff
 
 

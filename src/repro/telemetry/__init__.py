@@ -84,6 +84,9 @@ class Telemetry:
     def histogram(self, name, buckets=SECONDS_BUCKETS, **labels):
         return self.registry.histogram(name, buckets=buckets, **labels)
 
+    def collector(self, key, make):
+        return self.registry.collector(key, make)
+
     # -- spans ------------------------------------------------------
     def span(self, name, **attrs):
         """Recording context manager, or a shared no-op when spans are

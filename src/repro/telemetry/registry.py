@@ -156,6 +156,7 @@ class MetricsRegistry:
         self._counters = {}
         self._gauges = {}
         self._histograms = {}
+        self._collectors = {}
 
     def counter(self, name, **labels):
         key = metric_key(name, labels)
@@ -181,9 +182,25 @@ class MetricsRegistry:
                 handle = self._histograms[key] = Histogram(self._lock, buckets)
         return handle
 
+    def collector(self, key, make):
+        """The collector registered under ``key``, made by ``make()`` on
+        first use: an object whose ``collect()`` returns what it counted
+        since its last call as a partial snapshot (``counters`` and
+        ``histograms``, laid out as :meth:`snapshot` lays them out).
+        Every snapshot merges each collector's in first, so a hot path
+        can count outside the interpreter instead of taking the lock per
+        event."""
+        with self._lock:
+            found = self._collectors.get(key)
+            if found is None:
+                found = self._collectors[key] = make()
+            return found
+
     def snapshot(self):
         """Picklable, JSON-safe copy of every metric's current state."""
         with self._lock:
+            for found in self._collectors.values():
+                self.merge_snapshot(found.collect())
             return {
                 "version": SNAPSHOT_VERSION,
                 "counters": {k: c.value for k, c in self._counters.items()},
