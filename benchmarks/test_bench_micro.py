@@ -335,13 +335,9 @@ def test_bench_gauss_seidel_sweep_parallelism(benchmark):
     join.  The median is ``sweep_parallelism`` in ``BENCH_micro.json``,
     gated at >= 1.3 by ``run_bench.py --check`` where this process may
     use two CPUs or more."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        pytest.skip(f"{cpus} usable CPU: the pool has no worker to run "
-                    "bands beside the joining thread")
+    if _ckernels.pool_workers() == 0:
+        pytest.skip("1 usable CPU: the pool has no worker to run bands "
+                    "beside the joining thread")
     problem = membrane_problem(SWEEP_N)
     ws = SweepWorkspace(problem, problem.jacobi_delta())
     if ws._compiled is None:

@@ -374,8 +374,10 @@ class TestLongPoll:
         on the idle driver at once — not when the busy one reports."""
         service = CampaignService(drivers=2, max_queue=8)
         try:
+            # long enough (~0.3 s on a 2-vCPU VM) to keep its driver
+            # busy through the sleep and the second dispatch below
             slow = service.submit(Submission(
-                jobs=(job(10, n=32, tol=1e-7),)))
+                jobs=(job(10, n=48, tol=1e-9),)))
             assert eventually(
                 lambda: service.status(slow)["status"] == "running")
             time.sleep(0.05)  # the scheduler thread is in collect() now
