@@ -2,8 +2,8 @@
 
 Regenerates the paper's Table I by auditing live sessions (every scheme
 × connection cell) and benchmarks the controller's decision path — the
-rule engine evaluated per session opening — plus a live
-micro-protocol-substitution reconfiguration.
+rule engine evaluated per session opening, the only time a session's
+config is decided.
 """
 
 from repro.experiments.reporting import format_table
@@ -40,33 +40,3 @@ def test_bench_rule_engine_decision(benchmark):
 
     configs = benchmark(decide_all)
     assert len(configs) == 6
-
-
-def test_bench_live_reconfiguration(benchmark, show):
-    """Latency of a coordinated sync→async reconfiguration on a live
-    WAN session (control round-trip + micro-protocol substitution)."""
-    from repro.p2psap import P2PSAP
-    from repro.simnet import Simulator, nicta_testbed
-
-    def reconfigure_once():
-        sim = Simulator()
-        net = nicta_testbed(sim, 2, n_clusters=2)
-        protos = {n: P2PSAP(sim, net, n) for n in net.nodes}
-        out = {}
-
-        def scenario():
-            sock = protos["peer00"].socket(scheme="synchronous")
-            yield sock.connect("peer01")
-            t0 = sim.now
-            sock.setsockopt("scheme", "asynchronous")
-            while sock.getsockopt("config").reliable:
-                yield sim.timeout(0.01)
-            out["latency"] = sim.now - t0
-
-        sim.spawn(scenario())
-        sim.run(until=30)
-        return out["latency"]
-
-    latency = benchmark.pedantic(reconfigure_once, rounds=3, iterations=1)
-    show(f"virtual reconfiguration latency on 100 ms WAN: {latency:.3f} s")
-    assert latency < 5.0

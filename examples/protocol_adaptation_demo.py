@@ -1,17 +1,19 @@
 #!/usr/bin/env python
-"""P2PSAP self-adaptation in action: Table I live, plus a topology change.
+"""P2PSAP self-adaptation in action: Table I, decided at session open.
 
 Opens sessions for every scheme × connection combination on a
 two-cluster testbed and prints the configuration the controller chose
-(Table I of the paper); then changes the application's scheme option on
-a live session and migrates a peer across clusters, showing the data
-channel reconfiguring on the fly — micro-protocol substitution included.
+(Table I of the paper).  Then peer01 moves to the other cluster and a
+*new* hybrid session to it gets the hybrid/inter-cluster cell, while the
+session opened before the move keeps its config.  Finally, changing the
+scheme on a live socket is refused: a session's configuration is decided
+once, when it opens.
 
 Run:  python examples/protocol_adaptation_demo.py
 """
 
 from repro.experiments.reporting import format_table
-from repro.p2psap import P2PSAP, Scheme
+from repro.p2psap import P2PSAP, Scheme, SocketError
 from repro.simnet import Simulator, nicta_testbed
 
 
@@ -43,25 +45,27 @@ def main():
         title="Table I, observed on live sessions",
     ))
 
-    # -- dynamic adaptation 1: the application changes its scheme -----------
-    sock = live[(Scheme.SYNCHRONOUS, "inter")]
-    before = sock.getsockopt("config").describe()
-    sock.setsockopt("scheme", "asynchronous")
-    sim.run(until=sim.now + 5)
-    after = sock.getsockopt("config").describe()
-    print(f"\nscheme change on a live WAN session: {before}  ->  {after}")
+    # -- the context changes: a new session sees it -----------------------------
+    old = live[(Scheme.HYBRID, "intra")]
+    net.nodes["peer01"].cluster = "cluster1"  # peer01 migrates
+    new = protos["peer00"].socket(scheme=Scheme.HYBRID)
 
-    # -- dynamic adaptation 2: topology change trigger ------------------------
-    sock2 = live[(Scheme.HYBRID, "intra")]
-    before = sock2.getsockopt("config").describe()
-    net.nodes["peer01"].cluster = "cluster1"  # peer migrates
-    protos["peer00"].monitor.notify_topology_change()
+    def reopen():
+        yield new.connect("peer01")
+
+    sim.spawn(reopen())
     sim.run(until=sim.now + 5)
-    after = sock2.getsockopt("config").describe()
-    print(f"peer migrated across clusters (hybrid session): "
-          f"{before}  ->  {after}")
-    print("\nThe same P2P_Send is now asynchronous where it used to be "
-          "synchronous — no application change.")
+    print("\npeer01 migrated across clusters (hybrid scheme):")
+    print(f"  session opened before the move: {old.getsockopt('config').describe()}")
+    print(f"  session opened after the move:  {new.getsockopt('config').describe()}")
+
+    # -- a live session keeps its config -------------------------------------------
+    sock = live[(Scheme.SYNCHRONOUS, "inter")]
+    try:
+        sock.setsockopt("scheme", "asynchronous")
+    except SocketError as exc:
+        print(f"\nscheme change on a live WAN session refused: {exc}")
+    print(f"  the session is still {sock.getsockopt('config').describe()}")
 
 
 if __name__ == "__main__":

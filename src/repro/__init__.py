@@ -10,14 +10,14 @@ Subpackages
     descriptions.
 ``repro.cactus``
     The Cactus-like micro-protocol framework P2PSAP is built on
-    (events, zero-copy messages, composite protocols, live
-    reconfiguration).
+    (events, zero-copy messages, composite protocols, micro-protocol
+    removal and substitution).
 ``repro.p2psap``
     The self-adaptive transport protocol: socket API, data channel
     (sync/async modes, buffers, reliability, ordering, TCP-Tahoe /
     New-Reno / H-TCP / SCP congestion control, Ethernet / InfiniBand /
-    Myrinet physical layers), control channel (context monitor,
-    controller with the Table I rule engine, reconfiguration,
+    Myrinet physical layers), control channel (context monitor, the
+    Table I rule engine deciding each session's config at open,
     coordination).
 ``repro.core``
     The P2PDC environment: topology manager, task manager, task

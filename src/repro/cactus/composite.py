@@ -8,7 +8,9 @@ substituting micro-protocols or composite protocols."
 
 :class:`CompositeProtocol`
     owns an :class:`~repro.cactus.events.EventBus` and a set of live
-    micro-protocols; supports add / remove / substitute at run time.
+    micro-protocols; supports add / remove at run time.  ``remove`` is
+    what session close (:meth:`CompositeProtocol.teardown`) and the data
+    channel's substitution primitive are built on.
 
 :class:`ProtocolStack`
     an ordered list of composite protocols.  Messages move down with
@@ -76,15 +78,6 @@ class CompositeProtocol:
             ) from None
         micro.remove()
         return micro
-
-    def substitute_micro(self, old_name: str, new: MicroProtocol) -> MicroProtocol:
-        """Atomically replace ``old_name`` with ``new``.
-
-        This is the primitive the reconfiguration component uses when the
-        controller switches, say, New-Reno → H-TCP on a WAN path.
-        """
-        self.remove_micro(old_name)
-        return self.add_micro(new)
 
     def micro(self, name: str) -> MicroProtocol:
         try:

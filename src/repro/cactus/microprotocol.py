@@ -12,9 +12,10 @@ unbinds all its handlers and releases its own resources."
 handlers through :meth:`bind` (which records the binding) and override
 :meth:`on_init` / :meth:`on_remove` for resource setup/teardown;
 :meth:`remove` unbinds everything automatically, then calls
-``on_remove()``.  Removal is what makes live reconfiguration safe — the
-control channel swaps congestion controllers or communication-mode
-micro-protocols mid-session by calling ``remove()`` on the old one and
+``on_remove()``.  Session close removes every micro-protocol this way
+(:meth:`~repro.cactus.composite.CompositeProtocol.teardown`), and
+:meth:`~repro.p2psap.data_channel.DataChannel.reconfigure` swaps
+micro-protocols in place by calling ``remove()`` on the old one and
 ``init()`` on the new.
 """
 

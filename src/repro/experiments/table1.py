@@ -3,9 +3,9 @@
 Unlike the figure harness (which measures), this experiment *audits*:
 it opens live P2PSAP sessions for every scheme × connection cell on a
 two-cluster testbed and records the data-channel configuration each
-session actually received, then diffs against Table I.  It also
-exercises the dynamic path: changing the scheme socket option mid-
-session must reconfigure the live channel to the new cell.
+session actually received, then diffs against Table I.  Each session's
+config is decided once, when it opens, so the audit covers every path
+a config can take.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """P2PSAP — the Peer-To-Peer Self-Adaptive communication Protocol.
 
-The protocol configures itself automatically and dynamically as a
-function of application requirements (scheme of computation) and
-elements of context (topology), choosing the most appropriate
-communication mode between peers (Table I of the paper).
+The protocol configures each session automatically as a function of
+application requirements (scheme of computation) and elements of
+context (topology), choosing the most appropriate communication mode
+between peers (Table I of the paper).  The choice is made when the
+session opens and holds for the session's life.
 
 Public surface:
 
@@ -12,8 +13,8 @@ Public surface:
 - :class:`ChannelConfig`, :class:`Scheme`, :class:`CommMode`,
   :class:`ConnectionKind`, :class:`ContextSnapshot` — the context and
   configuration vocabulary;
-- :class:`RuleEngine`, :data:`TABLE_I` — the controller's decision
-  rules;
+- :class:`ContextMonitor`, :class:`RuleEngine`, :data:`TABLE_I` — the
+  context and the decision rules a session's config comes from;
 - :class:`DataChannel` and the micro-protocols — for tests, ablations
   and protocol extensions.
 """
@@ -25,12 +26,7 @@ from .context import (
     ContextSnapshot,
     Scheme,
 )
-from .control_channel import (
-    ContextMonitor,
-    Controller,
-    Reconfiguration,
-    ReliableControlLink,
-)
+from .control_channel import ContextMonitor, ReliableControlLink
 from .data_channel import DataChannel
 from .rules import TABLE_I, Rule, RuleEngine, default_rules
 from .session import CONTROL_PORT, Session, SessionState, allocate_port
@@ -38,7 +34,7 @@ from .socket_api import P2PSAP, P2PSAPSocket, SocketError
 
 __all__ = [
     "ChannelConfig", "CommMode", "ConnectionKind", "ContextSnapshot", "Scheme",
-    "ContextMonitor", "Controller", "Reconfiguration", "ReliableControlLink",
+    "ContextMonitor", "ReliableControlLink",
     "DataChannel",
     "TABLE_I", "Rule", "RuleEngine", "default_rules",
     "CONTROL_PORT", "Session", "SessionState", "allocate_port",

@@ -5,14 +5,14 @@ level, i.e. synchronous or asynchronous schemes of computation.  Context
 data can also be related to peers location and machine loads."
 
 This module defines the vocabulary shared by the context monitor, the
-rule engine and the reconfiguration component:
+rule engine and the data channel:
 
 - :class:`Scheme` — the application-level computation scheme requirement
   (synchronous / asynchronous / hybrid);
 - :class:`ConnectionKind` — intra- vs inter-cluster topology;
 - :class:`CommMode` — the communication mode a data channel implements;
 - :class:`ChannelConfig` — a complete data-channel configuration (the
-  rule engine's output, the reconfiguration component's input);
+  rule engine's output at session open, the data channel's input);
 - :class:`ContextSnapshot` — one observation of all context data.
 """
 
@@ -69,8 +69,9 @@ class CommMode(enum.Enum):
 class ChannelConfig:
     """A complete data-channel configuration.
 
-    The controller emits one of these; the reconfiguration component
-    realizes it by adding/removing/substituting micro-protocols.
+    The rule engine emits one of these when a session opens; the data
+    channel realizes it by stacking the matching micro-protocols, and
+    it holds for the session's life.
 
     Attributes
     ----------

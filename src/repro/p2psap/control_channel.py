@@ -6,40 +6,36 @@ operation time.  It is also responsible for coordination between peers
 during reconfiguration process.  Note that we use the TCP/IP protocol to
 exchange control messages since those messages must not be lost."
 
-Four components, mirroring Section II.C:
+Here a session's configuration is decided once, when it opens: Table I
+reads only the scheme and the connection kind, and neither changes
+during a session's life.  The components:
 
 :class:`ContextMonitor`
     collects context data: the application's scheme requirement, peer
-    location (intra/inter-cluster), measured latency and loads.
-:class:`Controller`
-    combines context into a :class:`ChannelConfig` via the rule engine
-    (Table I by default) at session opening, and takes reconfiguration
-    decisions when context changes.
-:class:`Reconfiguration`
-    realizes configuration changes on the data channel (micro-protocol
-    substitution), quiescing reliable channels first.
-:class:`Coordination`
-    the inter-peer protocol (OPEN / OPEN_ACK / RECONFIG / RECONFIG_ACK /
-    CLOSE) riding on :class:`ReliableControlLink`, a stop-loss
+    location (intra/inter-cluster), link latency and loss, local load.
+:class:`~repro.p2psap.socket_api.P2PSAP`
+    the controller: at session opening it feeds one context snapshot to
+    the rule engine (Table I by default), and the resulting
+    :class:`~repro.p2psap.context.ChannelConfig` is fixed for the
+    session's life.
+:class:`ReliableControlLink`
+    carries the inter-peer protocol (OPEN / OPEN_ACK / CLOSE), a
     retransmit-until-acked transport standing in for TCP.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable
 
 from ..cactus.messages import payload_nbytes
 from ..simnet.kernel import Simulator
 from ..simnet.network import Network, Node
-from .context import ChannelConfig, ConnectionKind, ContextSnapshot, Scheme
-from .rules import RuleEngine
-from .session import CONTROL_PORT, Session
+from .context import ConnectionKind, ContextSnapshot, Scheme
+from .session import CONTROL_PORT
 
 __all__ = [
     "ContextMonitor",
-    "Controller",
-    "Reconfiguration",
     "ReliableControlLink",
 ]
 
@@ -48,96 +44,29 @@ class ContextMonitor:
     """Collects the context data the controller decides from.
 
     "Context data are collected at specific times, periodically or by
-    means of triggers."  Triggers are modelled by
-    :meth:`notify_topology_change`, which interested parties (the
-    controller) subscribe to.
+    means of triggers."  Here they are collected once, when a session
+    opens.
     """
 
     def __init__(self, network: Network, node: Node):
         self.network = network
         self.node = node
-        self._listeners: list[Callable[[], None]] = []
 
     def connection_kind(self, remote: str) -> ConnectionKind:
         if self.network.same_cluster(self.node.name, remote):
             return ConnectionKind.INTRA_CLUSTER
         return ConnectionKind.INTER_CLUSTER
 
-    def snapshot(self, scheme: Scheme, remote: str,
-                 session: Optional[Session] = None) -> ContextSnapshot:
+    def snapshot(self, scheme: Scheme, remote: str) -> ContextSnapshot:
         """One observation, aggregating static and measured context."""
         link = self.network.link(self.node.name, remote)
-        latency = link.netem.delay
-        if session is not None and session.channel is not None:
-            srtt = session.channel.transport.shared.get("srtt")
-            if srtt:
-                latency = srtt / 2.0
         return ContextSnapshot(
             scheme=scheme,
             connection=self.connection_kind(remote),
-            latency_estimate=latency,
+            latency_estimate=link.netem.delay,
             loss_estimate=link.netem.loss,
             local_load=self.node.background_load,
         )
-
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        self._listeners.append(listener)
-
-    def notify_topology_change(self) -> None:
-        """Trigger-based context acquisition: something moved clusters."""
-        for listener in self._listeners:
-            listener()
-
-
-class Controller:
-    """Combines context and rules into configuration decisions."""
-
-    def __init__(self, monitor: ContextMonitor, rules: Optional[RuleEngine] = None):
-        self.monitor = monitor
-        self.rules = rules if rules is not None else RuleEngine()
-
-    def decide(self, scheme: Scheme, remote: str,
-               session: Optional[Session] = None) -> ChannelConfig:
-        ctx = self.monitor.snapshot(scheme, remote, session)
-        return self.rules.decide(ctx)
-
-    def needs_reconfiguration(self, session: Session) -> Optional[ChannelConfig]:
-        """Re-evaluate a session's configuration; None if unchanged."""
-        new = self.decide(session.scheme, session.remote, session)
-        return new if new != session.config else None
-
-
-class Reconfiguration:
-    """Applies configuration changes to a data channel.
-
-    "Reconfiguration is mainly made at the transport layer by
-    substituting or removing and adding micro-protocols that support
-    communication mode."
-
-    Reliable channels are quiesced first (all in-flight segments
-    acknowledged) so no acknowledged-delivery promise is broken by the
-    epoch switch.
-    """
-
-    QUIESCE_POLL = 0.01
-    QUIESCE_LIMIT = 10.0
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.stats_applied = 0
-
-    def apply(self, session: Session, config: ChannelConfig):
-        """Generator process: quiesce if needed, then swap micro-protocols."""
-        channel = session.require_open()
-        deadline = self.sim.now + self.QUIESCE_LIMIT
-        if channel.config.reliable and channel.transport.has_micro("reliability"):
-            rel = channel.transport.micro("reliability")
-            while rel.unacked_count > 0 and self.sim.now < deadline:
-                yield self.sim.timeout(self.QUIESCE_POLL)
-        channel.reconfigure(config)
-        session.config = config
-        self.stats_applied += 1
-        return config
 
 
 class ReliableControlLink:
@@ -189,7 +118,9 @@ class ReliableControlLink:
 
     def _retransmit_loop(self, dst: str, packet: dict, seq: int, size: int):
         for attempt in range(self.MAX_TRIES):
-            if self._closed or seq in self._acked:
+            # A message sent before close() still goes out once (the
+            # CLOSEs of P2PSAP.close, say); close() stops retransmissions.
+            if seq in self._acked or (attempt > 0 and self._closed):
                 return
             if attempt > 0:
                 self.stats_retries += 1

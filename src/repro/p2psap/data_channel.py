@@ -22,10 +22,10 @@ acknowledgement, synchronous mode).  Data segments are transmitted as
 fresh *shell* messages sharing the payload object (zero-copy) so that
 retransmissions never mutate shared header state.
 
-Reconfiguration (:meth:`reconfigure`) substitutes micro-protocols in
-place while buffered data survives in the composite's shared state —
-this is what lets "the same P2P_Send from peer A to peer B ... be first
-synchronous and then become asynchronous".
+A channel's config is fixed by the session that opens it.
+:meth:`DataChannel.reconfigure`, the channel-level Cactus substitution
+primitive, is kept for the tests that swap configs mid-stream; no
+session path calls it.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class DataChannel:
         remote_name: str,
         port: int,
         config: ChannelConfig,
-        rx_capacity: int = 1024,
     ):
         self.sim = sim
         self.network = network
@@ -69,7 +68,6 @@ class DataChannel:
         self.remote_name = remote_name
         self.port = port
         self.config: Optional[ChannelConfig] = None
-        self.rx_capacity = rx_capacity
         self.closed = False
         self.stats_reconfigurations = 0
         #: Configuration epoch.  Sequence numbers are scoped to an epoch;
@@ -91,7 +89,7 @@ class DataChannel:
         self.transport.bus.bind("TxSegment", self._transmit_data, order=100)
         self.transport.bus.bind("SendControl", self._transmit_control, order=100)
         self.transport.bus.bind("FromBelow", self._dispatch, order=0)
-        self.buffers = BufferManagement(rx_capacity=rx_capacity)
+        self.buffers = BufferManagement()
         self.transport.add_micro(self.buffers)
 
         self._apply_config(config)
@@ -132,6 +130,12 @@ class DataChannel:
         Queued outgoing messages and undelivered received messages are
         preserved (they live in the composite's shared state, which only
         buffer management owns, and buffer management is permanent).
+
+        This is the channel-level Cactus primitive (micro-protocol and
+        layer substitution under a new epoch).  No session path calls
+        it: a session's config is decided once, at open.  It stays for
+        the delivery-invariance tests, which swap configs mid-stream,
+        and for the end-to-end tracer, which counts its calls.
         """
         if self.closed:
             raise RuntimeError("reconfigure on a closed channel")

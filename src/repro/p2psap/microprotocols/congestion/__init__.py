@@ -18,7 +18,7 @@ __all__ = [
 
 
 def make_congestion(name: str) -> CongestionControl:
-    """Factory used by the reconfiguration component.
+    """The congestion controller named ``name`` (the data channel stacks it).
 
     ``name`` follows :class:`~repro.p2psap.context.ChannelConfig`:
     one of ``newreno``, ``htcp``, ``tahoe``, ``scp``.

@@ -205,7 +205,7 @@ class SynchronousMode(_ModeBase):
 
 
 def make_mode(mode: CommMode) -> _ModeBase:
-    """Factory used by the reconfiguration component."""
+    """The mode micro-protocol for ``mode`` (the data channel stacks it)."""
     if mode is CommMode.SYNCHRONOUS:
         return SynchronousMode()
     if mode is CommMode.ASYNCHRONOUS:

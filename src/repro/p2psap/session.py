@@ -30,7 +30,6 @@ def allocate_port(network: Network) -> int:
 class SessionState(enum.Enum):
     OPENING = "opening"
     ESTABLISHED = "established"
-    RECONFIGURING = "reconfiguring"
     CLOSED = "closed"
 
 

@@ -10,9 +10,11 @@ data exchange commands, i.e. send and receive commands are directed to
 Data channel."
 
 :class:`P2PSAP` is one node's protocol instance (control agent + session
-table); :class:`P2PSAPSocket` is the application handle.  All blocking
-operations return kernel events to ``yield`` on, mirroring the
-generator-process style of the substrate.
+table); :class:`P2PSAPSocket` is the application handle.  The one
+option, ``scheme``, is read when a session opens and is fixed from then
+on, like the configuration it selects.  All blocking operations return
+kernel events to ``yield`` on, mirroring the generator-process style of
+the substrate.
 """
 
 from __future__ import annotations
@@ -23,12 +25,7 @@ from typing import Any, Optional
 from ..simnet.kernel import NORMAL, Channel, Event, Simulator
 from ..simnet.network import Network
 from .context import ChannelConfig, Scheme
-from .control_channel import (
-    ContextMonitor,
-    Controller,
-    Reconfiguration,
-    ReliableControlLink,
-)
+from .control_channel import ContextMonitor, ReliableControlLink
 from .data_channel import DataChannel
 from .rules import RuleEngine
 from .session import Session, SessionState, allocate_port
@@ -43,28 +40,16 @@ class SocketError(RuntimeError):
 class P2PSAP:
     """One node's P2PSAP protocol instance."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_name: str,
-        rules: Optional[RuleEngine] = None,
-        default_scheme: Scheme = Scheme.HYBRID,
-        rx_capacity: int = 1024,
-    ):
+    def __init__(self, sim: Simulator, network: Network, node_name: str):
         self.sim = sim
         self.network = network
         self.node = network.nodes[node_name]
-        self.default_scheme = default_scheme
-        self.rx_capacity = rx_capacity
         self.monitor = ContextMonitor(network, self.node)
-        self.controller = Controller(self.monitor, rules)
-        self.reconfiguration = Reconfiguration(sim)
+        self.rules = RuleEngine()
         self.control = ReliableControlLink(sim, network, self.node, self._on_control)
         self.sessions: dict[str, Session] = {}
         self._session_counter = itertools.count()
         self._accept_queue: Channel = sim.channel(name=f"accept-{node_name}")
-        self.monitor.subscribe(self._on_topology_change)
         self._closed = False
 
     # -- public API ---------------------------------------------------------------
@@ -89,12 +74,16 @@ class P2PSAP:
     # -- session opening -------------------------------------------------------------
 
     def open_session(self, remote: str, scheme: Scheme) -> Session:
-        """Initiator side: decide config, build channel, send OPEN."""
+        """Initiator side: decide config, build channel, send OPEN.
+
+        The config decided here is the session's for its whole life; the
+        responder adopts it from the OPEN message.
+        """
         if remote == self.node.name:
             raise SocketError("P2PSAP sessions are between distinct peers")
         if remote not in self.network.nodes:
             raise SocketError(f"unknown peer {remote!r}")
-        config = self.controller.decide(scheme, remote)
+        config = self.rules.decide(self.monitor.snapshot(scheme, remote))
         port = allocate_port(self.network)
         session_id = f"{self.node.name}/{remote}#{next(self._session_counter)}"
         session = Session(
@@ -103,7 +92,6 @@ class P2PSAP:
         )
         session.channel = DataChannel(
             self.sim, self.network, self.node, remote, port, config,
-            rx_capacity=self.rx_capacity,
         )
         self.sessions[session_id] = session
         self.control.send(remote, {
@@ -123,10 +111,6 @@ class P2PSAP:
             self._handle_open(src, body)
         elif kind == "OPEN_ACK":
             self._handle_open_ack(body)
-        elif kind == "RECONFIG":
-            self._handle_reconfig(src, body)
-        elif kind == "RECONFIG_ACK":
-            pass  # informational; initiator already applied
         elif kind == "CLOSE":
             self._handle_close(body)
         else:
@@ -144,7 +128,6 @@ class P2PSAP:
         )
         session.channel = DataChannel(
             self.sim, self.network, self.node, src, body["port"], config,
-            rx_capacity=self.rx_capacity,
         )
         self.sessions[session_id] = session
         self._accept_queue.put(session)
@@ -158,24 +141,6 @@ class P2PSAP:
         if session.established is not None and not session.established.triggered:
             session.established.succeed(session)
 
-    def _handle_reconfig(self, src: str, body: dict) -> None:
-        session = self.sessions.get(body["session_id"])
-        if session is None or session.state is SessionState.CLOSED:
-            return
-        config: ChannelConfig = body["config"]
-        if "scheme" in body:
-            session.scheme = Scheme.parse(body["scheme"])
-
-        def apply_and_ack():
-            yield from self.reconfiguration.apply(session, config)
-            session.state = SessionState.ESTABLISHED
-            self.control.send(src, {
-                "kind": "RECONFIG_ACK", "session_id": session.session_id,
-            })
-
-        session.state = SessionState.RECONFIGURING
-        self.sim.spawn(apply_and_ack(), name=f"reconfig-{session.session_id}")
-
     def _handle_close(self, body: dict) -> None:
         session = self.sessions.get(body["session_id"])
         if session is not None and session.state is not SessionState.CLOSED:
@@ -185,45 +150,10 @@ class P2PSAP:
         session.state = SessionState.CLOSED
         if session.channel is not None:
             session.channel.close()
-        if notify_peer and not self._closed or notify_peer:
+        if notify_peer:
             self.control.send(session.remote, {
                 "kind": "CLOSE", "session_id": session.session_id,
             })
-
-    # -- reconfiguration decisions -------------------------------------------------------
-
-    def request_reconfiguration(self, session: Session,
-                                scheme: Optional[Scheme] = None) -> bool:
-        """Re-evaluate (initiator side) and coordinate if config changed.
-
-        Returns True if a reconfiguration was initiated.
-        """
-        if scheme is not None:
-            session.scheme = scheme
-        new_config = self.controller.needs_reconfiguration(session)
-        if new_config is None:
-            return False
-        session.state = SessionState.RECONFIGURING
-        # Coordinate: tell the peer, and apply locally.
-        self.control.send(session.remote, {
-            "kind": "RECONFIG",
-            "session_id": session.session_id,
-            "config": new_config,
-            "scheme": session.scheme.value,
-        })
-
-        def apply_local():
-            yield from self.reconfiguration.apply(session, new_config)
-            session.state = SessionState.ESTABLISHED
-
-        self.sim.spawn(apply_local(), name=f"reconfig-{session.session_id}")
-        return True
-
-    def _on_topology_change(self) -> None:
-        """Trigger: re-evaluate every initiator session against the rules."""
-        for session in self.sessions.values():
-            if session.initiator and session.state is SessionState.ESTABLISHED:
-                self.request_reconfiguration(session)
 
 
 class _PayloadRequest(Event):
@@ -242,29 +172,23 @@ class P2PSAPSocket:
     def __init__(self, protocol: P2PSAP):
         self.protocol = protocol
         self.sim = protocol.sim
-        self._options: dict[str, Any] = {
-            "scheme": protocol.default_scheme,
-            "rx_capacity": protocol.rx_capacity,
-        }
+        self._options: dict[str, Any] = {"scheme": Scheme.HYBRID}
         self.session: Optional[Session] = None
 
     # -- socket options (control channel) ------------------------------------------
 
     def setsockopt(self, name: str, value: Any) -> None:
-        """Set an option; changing ``scheme`` on a connected socket
-        triggers a controller re-evaluation (possible live reconfiguration
-        of the data channel)."""
-        if name == "scheme":
-            value = Scheme.parse(value)
-            self._options["scheme"] = value
-            if self.session is not None and self.session.initiator:
-                self.protocol.request_reconfiguration(self.session, scheme=value)
-        elif name == "rx_capacity":
-            if int(value) < 1:
-                raise ValueError("rx_capacity must be >= 1")
-            self._options["rx_capacity"] = int(value)
-        else:
+        """Set an option before ``connect``.  ``scheme`` feeds the
+        session's configuration decision at open, so a socket with a
+        session refuses to change it."""
+        if name != "scheme":
             raise SocketError(f"unknown socket option {name!r}")
+        if self.session is not None:
+            raise SocketError(
+                "the scheme is fixed when the session opens; "
+                "open a new session for another scheme"
+            )
+        self._options["scheme"] = Scheme.parse(value)
 
     def getsockopt(self, name: str) -> Any:
         if name == "state":

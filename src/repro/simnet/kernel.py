@@ -69,8 +69,9 @@ class Interrupt(Exception):
     """Thrown into a process by :meth:`Process.interrupt`.
 
     The ``cause`` attribute carries the value passed by the interrupter.
-    Used by the fault-tolerance layer to model peer failure and by the
-    control channel to abort blocking waits during reconfiguration.
+    Used by task execution to model a peer crash, and at close to stop
+    long-running service processes (accept pump, pingers, the scenario
+    injector).
     """
 
     def __init__(self, cause: Any = None):

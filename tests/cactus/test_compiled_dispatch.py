@@ -13,7 +13,6 @@ import pytest
 from repro.cactus.composite import CompositeProtocol, CompositionError, ProtocolStack
 from repro.cactus.events import EventBus
 from repro.cactus.messages import Message, payload_nbytes
-from repro.cactus.microprotocol import MicroProtocol
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
 from repro.p2psap.physical import ETHERNET, PhysicalProtocol
@@ -78,35 +77,7 @@ class TestSnapshotSemantics:
         assert bus.raise_event("E", 1) == [(1, None)]
 
 
-class Recorder(MicroProtocol):
-    def __init__(self, name, log):
-        super().__init__()
-        self.name = name
-        self.log = log
-
-    def on_init(self):
-        self.bind("Ping", self._on_ping)
-
-    def _on_ping(self, value):
-        self.log.append((self.name, value))
-
-
 class TestSubstitutionInvalidates:
-    def test_substitute_micro_mid_dispatch(self):
-        sim = Simulator()
-        comp = CompositeProtocol(sim, "t")
-        log = []
-        comp.add_micro(Recorder("old", log))
-
-        def swap(value):
-            if comp.has_micro("old"):
-                comp.substitute_micro("old", Recorder("new", log))
-
-        comp.bus.bind("Ping", swap, order=-1)
-        comp.bus.raise_event("Ping", 1)  # in flight: finishes on the old chain
-        comp.bus.raise_event("Ping", 2)  # after the swap: the new handler
-        assert log == [("old", 1), ("new", 2)]
-
     def test_substitute_layer_relinks_neighbours(self):
         sim = Simulator()
         top, mid, bottom = (CompositeProtocol(sim, n) for n in ("top", "mid", "bottom"))

@@ -93,14 +93,6 @@ class TestMicroProtocolLifecycle:
         with pytest.raises(CompositionError):
             composite.add_micro(Recorder())
 
-    def test_substitute_swaps_behavior(self, composite):
-        a = Recorder(order=0)
-        composite.add_micro(a)
-        b = Recorder(order=0)
-        composite.substitute_micro("recorder", b)
-        composite.bus.raise_event("Ping", 9)
-        assert a.log == [] and b.log == [9]
-
     def test_find_micro_by_class(self, composite):
         rec = composite.add_micro(Recorder())
         assert composite.find_micro(Recorder) is rec

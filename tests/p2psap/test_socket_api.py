@@ -1,9 +1,11 @@
-"""Socket API + control channel: sessions, options, live adaptation."""
+"""Socket API + control channel: sessions, options, adaptation at open."""
 
 import pytest
 
 from repro.p2psap import (
+    TABLE_I,
     CommMode,
+    ConnectionKind,
     P2PSAP,
     Scheme,
     SessionState,
@@ -94,6 +96,42 @@ class TestSessionLifecycle:
         assert c_state is SessionState.CLOSED
         assert s_state is SessionState.CLOSED
 
+    def test_protocol_close_closes_every_session_on_both_ends(self, deployment):
+        sim, net, protos = deployment
+        proto = protos["peer00"]
+        sent = []
+        real_send = proto.control.send
+
+        def spy(dst, body):
+            sent.append((dst, body["kind"], body["session_id"]))
+            real_send(dst, body)
+
+        def scenario():
+            listeners = {r: protos[r].socket() for r in ("peer01", "peer02")}
+            accepts = {r: listeners[r].accept() for r in listeners}
+            clients = []
+            for remote in ("peer01", "peer02"):
+                client = proto.socket()
+                yield client.connect(remote)
+                clients.append(client)
+            servers = []
+            for remote in ("peer01", "peer02"):
+                servers.append((yield accepts[remote]))
+            proto.control.send = spy
+            proto.close()
+            proto.close()  # idempotent: sends nothing more
+            yield sim.timeout(2.0)
+            return clients, servers
+
+        clients, servers = run_scenario(sim, scenario())
+        assert sorted(sent) == sorted(
+            (s.remote, "CLOSE", s.session_id) for s in proto.sessions.values()
+        )
+        assert len(sent) == len(proto.sessions) == 2
+        for sock in clients + servers:
+            assert sock.getsockopt("state") is SessionState.CLOSED
+            assert sock.session.channel.closed
+
     def test_send_before_connect_rejected(self, deployment):
         _, _, protos = deployment
         with pytest.raises(SocketError):
@@ -142,85 +180,81 @@ class TestAdaptationAtOpen:
         assert c1 == c2
 
 
-class TestDynamicAdaptation:
-    def test_scheme_change_reconfigures_both_ends(self, deployment):
-        sim, net, protos = deployment
+class TestConfigFixedAtOpen:
+    """A session's config is decided once, when it opens."""
 
+    @staticmethod
+    def _connected_pair(sim, protos):
         def scenario():
             listener = protos["peer02"].socket()
             accept_ev = listener.accept()
-            sock = protos["peer00"].socket(scheme="synchronous")
-            yield sock.connect("peer02")
+            client = protos["peer00"].socket(scheme="synchronous")
+            yield client.connect("peer02")
             server = yield accept_ev
-            assert sock.getsockopt("config").mode is CommMode.SYNCHRONOUS
-            sock.setsockopt("scheme", "asynchronous")
-            yield sim.timeout(5.0)
-            return (sock.getsockopt("config"), server.getsockopt("config"))
+            return client, server
 
-        c1, c2 = run_scenario(sim, scenario())
-        assert c1.mode is CommMode.ASYNCHRONOUS
-        assert not c1.reliable
-        assert c1 == c2
+        return run_scenario(sim, scenario())
 
-    def test_messages_flow_across_reconfiguration(self, deployment):
+    @pytest.mark.parametrize("end", ["initiator", "responder"])
+    def test_scheme_change_on_a_connected_socket_is_refused(self, deployment, end):
         sim, net, protos = deployment
-        results = []
-
-        def server_proc():
-            listener = protos["peer01"].socket()
-            server = yield listener.accept()
-            m1 = yield server.recv()
-            results.append(m1)
-            yield sim.timeout(8.0)
-            ok, m2 = server.recv_nowait()
-            results.append((ok, m2))
-
-        def scenario():
-            sock = protos["peer00"].socket(scheme="synchronous")
-            yield sock.connect("peer01")
-            yield sock.send("before")  # rendezvous with the server's recv
+        client, server = self._connected_pair(sim, protos)
+        sock = client if end == "initiator" else server
+        before = sock.getsockopt("config")
+        with pytest.raises(SocketError, match="fixed when the session opens"):
             sock.setsockopt("scheme", "asynchronous")
-            yield sim.timeout(3.0)
-            yield sock.send("after")
-            return True
+        sim.run(until=sim.now + 5.0)
+        assert sock.getsockopt("config") == before
+        assert sock.getsockopt("scheme") is Scheme.SYNCHRONOUS
+        assert client.getsockopt("config") == server.getsockopt("config")
 
-        sim.spawn(server_proc())
-        run_scenario(sim, scenario())
-        sim.run(until=30)
-        m1, (ok, m2) = results
-        assert m1 == "before"
-        assert ok and m2 == "after"
-
-    def test_topology_change_triggers_reconfiguration(self, deployment):
-        """Moving a peer across clusters re-evaluates Table I."""
+    def test_preset_before_connect_decides_the_config(self, deployment):
         sim, net, protos = deployment
 
         def scenario():
-            sock = protos["peer00"].socket(scheme="hybrid")
-            yield sock.connect("peer01")  # intra: hybrid -> sync/reliable
-            assert sock.getsockopt("config").mode is CommMode.SYNCHRONOUS
-            # peer01 migrates to the other cluster.
-            net.nodes["peer01"].cluster = "cluster1"
-            protos["peer00"].monitor.notify_topology_change()
-            yield sim.timeout(5.0)
+            sock = protos["peer00"].socket()
+            sock.setsockopt("scheme", "asynchronous")
+            yield sock.connect("peer02")
             return sock.getsockopt("config")
 
-        config = run_scenario(sim, scenario())
-        assert config.mode is CommMode.ASYNCHRONOUS  # hybrid/inter cell
-        assert not config.reliable
+        assert run_scenario(sim, scenario()) == TABLE_I[
+            (Scheme.ASYNCHRONOUS, ConnectionKind.INTER_CLUSTER)
+        ]
 
-    def test_unchanged_context_means_no_reconfiguration(self, deployment):
+    def test_socket_scheme_argument_decides_the_config(self, deployment):
         sim, net, protos = deployment
 
         def scenario():
-            sock = protos["peer00"].socket(scheme="synchronous")
-            yield sock.connect("peer01")
-            channel = sock.session.channel
-            protos["peer00"].monitor.notify_topology_change()
-            yield sim.timeout(3.0)
-            return channel.stats_reconfigurations
+            sock = protos["peer00"].socket(scheme=Scheme.SYNCHRONOUS)
+            assert sock.getsockopt("scheme") is Scheme.SYNCHRONOUS
+            yield sock.connect("peer02")
+            return sock.getsockopt("config")
 
-        assert run_scenario(sim, scenario()) == 0
+        assert run_scenario(sim, scenario()) == TABLE_I[
+            (Scheme.SYNCHRONOUS, ConnectionKind.INTER_CLUSTER)
+        ]
+
+    def test_a_new_session_sees_the_new_topology(self, deployment):
+        """Moving a peer across clusters changes the cell the *next*
+        session to it gets; the open one keeps its config."""
+        sim, net, protos = deployment
+
+        def scenario():
+            first = protos["peer00"].socket(scheme="hybrid")
+            yield first.connect("peer01")
+            net.nodes["peer01"].cluster = "cluster1"
+            second = protos["peer00"].socket(scheme="hybrid")
+            yield second.connect("peer01")
+            return first.getsockopt("config"), second.getsockopt("config")
+
+        first, second = run_scenario(sim, scenario())
+        assert first == TABLE_I[(Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER)]
+        assert second == TABLE_I[(Scheme.HYBRID, ConnectionKind.INTER_CLUSTER)]
+
+    def test_reconfig_control_message_is_unknown(self, deployment):
+        _, _, protos = deployment
+        with pytest.raises(SocketError, match="unknown control message kind"):
+            protos["peer00"]._on_control("peer01", {"kind": "RECONFIG"})
 
 
 class TestSocketOptions:
@@ -244,11 +278,13 @@ class TestSocketOptions:
         assert sock.getsockopt("state") is SessionState.CLOSED
         assert sock.getsockopt("config") is None
 
-    def test_rx_capacity_validation(self, deployment):
+    def test_rx_capacity_is_not_an_option(self, deployment):
         _, _, protos = deployment
         sock = protos["peer00"].socket()
-        with pytest.raises(ValueError):
-            sock.setsockopt("rx_capacity", 0)
+        with pytest.raises(SocketError, match="unknown socket option"):
+            sock.setsockopt("rx_capacity", 8)
+        with pytest.raises(SocketError, match="unknown socket option"):
+            sock.getsockopt("rx_capacity")
 
 
 class TestControlLink:

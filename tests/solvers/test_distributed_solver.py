@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import P2PDC
 from repro.numerics import membrane_problem, projected_richardson
+from repro.p2psap import TABLE_I, CommMode, ConnectionKind, Scheme
 from repro.simnet import Simulator, nicta_testbed
 from repro.solvers import ObstacleApplication
 from repro.resources import ResourceContext
@@ -32,23 +33,38 @@ def _solve(n_peers, scheme, clusters=1, n=N, tol=TOL, extra=None,
         "obstacle", params=params, n_peers=n_peers, scheme=scheme,
         timeout=timeout,
     )
-    return run
+    return run, env
 
 
 @pytest.fixture(scope="module")
 def solve():
     """``_solve`` memoized for this module: the DES is deterministic and no
     test mutates a result, so each configuration is solved once however
-    many tests read it."""
+    many tests read it.  ``solve(...)`` is the run; ``solve.env(...)``
+    the deployment that ran it."""
     runs = {}
 
-    def memoized(n_peers, scheme, clusters=1, **kwargs):
+    def solved(n_peers, scheme, clusters=1, **kwargs):
         key = (n_peers, scheme, clusters, repr(sorted(kwargs.items())))
         if key not in runs:
             runs[key] = _solve(n_peers, scheme, clusters, **kwargs)
         return runs[key]
 
+    def memoized(*args, **kwargs):
+        return solved(*args, **kwargs)[0]
+
+    memoized.env = lambda *args, **kwargs: solved(*args, **kwargs)[1]
     return memoized
+
+
+def _sessions(env):
+    """Every P2PSAP session of a deployment, by id: (initiator, responder)."""
+    ends = {}
+    for executor in env.executors.values():
+        for sid, session in executor.protocol.sessions.items():
+            pair = ends.setdefault(sid, [None, None])
+            pair[0 if session.initiator else 1] = (executor.node.name, session)
+    return ends
 
 
 class TestCorrectness:
@@ -119,14 +135,46 @@ class TestSchemeBehaviour:
     def test_hybrid_mixes_modes(self, solve):
         """Hybrid on 2 clusters: intra edges sync, the WAN edge async."""
         run = solve(4, "hybrid", clusters=2)
-        report = run.output
-        # WAN edge is between ranks 1 and 2 (clusters split 2+2): those
-        # peers pulled asynchronously at least once.
-        assert report.residual < 10 * TOL
+        assert run.output.residual < 10 * TOL
+        # Clusters split 2+2, so the WAN edge is between ranks 1 and 2.
+        rank = run.peer_names.index
+        modes = {
+            (rank(a), rank(session.remote)): session.config.mode
+            for (a, session), _ in _sessions(solve.env(4, "hybrid", clusters=2)).values()
+        }
+        assert modes == {
+            (0, 1): CommMode.SYNCHRONOUS,
+            (1, 2): CommMode.ASYNCHRONOUS,
+            (2, 3): CommMode.SYNCHRONOUS,
+        }
 
     def test_wait_time_dominates_sync_on_wan(self, solve):
         run = solve(4, "synchronous", clusters=2)
         assert run.output.max_wait_time > 0.5 * run.elapsed
+
+
+class TestTableIAtOpen:
+    @pytest.mark.parametrize("clusters,n_peers", [(1, 3), (2, 4)])
+    @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
+    def test_every_session_gets_its_table1_cell(self, solve, scheme, clusters,
+                                                n_peers):
+        """Both ends of every session a solve opens hold the Table I cell
+        of the solve's scheme and the session's connection kind."""
+        env = solve.env(n_peers, scheme, clusters=clusters)
+        sessions = _sessions(env)
+        assert len(sessions) >= n_peers - 1
+        kinds = set()
+        for sid, (initiator, responder) in sessions.items():
+            assert initiator is not None and responder is not None, sid
+            (a, out), (b, back) = initiator, responder
+            assert (out.remote, back.remote) == (b, a)
+            kind = (ConnectionKind.INTRA_CLUSTER if env.network.same_cluster(a, b)
+                    else ConnectionKind.INTER_CLUSTER)
+            kinds.add(kind)
+            expected = TABLE_I[(Scheme.parse(scheme), kind)]
+            assert out.scheme is back.scheme is Scheme.parse(scheme)
+            assert out.config == back.config == expected, sid
+        assert (ConnectionKind.INTER_CLUSTER in kinds) == (clusters == 2)
 
 
 class TestInstrumentation:
