@@ -60,7 +60,7 @@ class TestA2AsyncReliabilityOnLAN:
         net = Network(sim, intra_netem=Netem(delay=0.0001, loss=loss))
         a, b = net.add_node("a"), net.add_node("b")
         cfg = ChannelConfig(
-            mode=CommMode.ASYNCHRONOUS, reliable=reliable, ordered=reliable,
+            mode=CommMode.ASYNCHRONOUS, reliable=reliable,
             congestion="newreno" if reliable else "none",
         )
         return sim, DataChannel(sim, net, a, "b", 3, cfg), DataChannel(
@@ -90,8 +90,7 @@ class TestA3CongestionOnWAN:
         net = Network(sim, intra_netem=Netem(delay=0.05), intra_bandwidth_bps=1e9)
         a, b = net.add_node("a"), net.add_node("b")
         cfg = ChannelConfig(
-            mode=CommMode.ASYNCHRONOUS, reliable=True, ordered=True,
-            congestion=cc_name,
+            mode=CommMode.ASYNCHRONOUS, reliable=True, congestion=cc_name,
         )
         cha = DataChannel(sim, net, a, "b", 3, cfg)
         chb = DataChannel(sim, net, b, "a", 3, cfg)

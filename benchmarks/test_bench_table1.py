@@ -1,15 +1,12 @@
-"""Table I — adaptation-rule verification and decision latency.
+"""Table I — adaptation-rule verification.
 
 Regenerates the paper's Table I by auditing live sessions (every scheme
-× connection cell) and benchmarks the controller's decision path — the
-rule engine evaluated per session opening, the only time a session's
-config is decided.
+× connection cell).  A session's config is its cell of
+:data:`~repro.p2psap.rules.TABLE_I`, looked up once when it opens.
 """
 
 from repro.experiments.reporting import format_table
 from repro.experiments.table1 import audit_table1
-from repro.p2psap.context import ConnectionKind, ContextSnapshot, Scheme
-from repro.p2psap.rules import RuleEngine
 
 
 def test_bench_table1_audit(benchmark, show):
@@ -26,17 +23,3 @@ def test_bench_table1_audit(benchmark, show):
     ))
     benchmark.extra_info["cells_verified"] = len(audit.observed)
 
-
-def test_bench_rule_engine_decision(benchmark):
-    """Controller decision latency (pure rule evaluation)."""
-    engine = RuleEngine()
-    contexts = [
-        ContextSnapshot(scheme=s, connection=c)
-        for s in Scheme for c in ConnectionKind
-    ]
-
-    def decide_all():
-        return [engine.decide(ctx) for ctx in contexts]
-
-    configs = benchmark(decide_all)
-    assert len(configs) == 6

@@ -14,11 +14,10 @@ Subpackages
     removal and substitution).
 ``repro.p2psap``
     The self-adaptive transport protocol: socket API, data channel
-    (sync/async modes, buffers, reliability, ordering, TCP-Tahoe /
-    New-Reno / H-TCP / SCP congestion control, Ethernet / InfiniBand /
-    Myrinet physical layers), control channel (context monitor, the
-    Table I rule engine deciding each session's config at open,
-    coordination).
+    (sync/async modes, buffers, reliability, ordering, New-Reno / H-TCP
+    congestion control, an Ethernet physical layer), control channel
+    (session open/close; each session's config is its Table I cell,
+    looked up at open).
 ``repro.core``
     The P2PDC environment: topology manager, task manager, task
     execution, the three-function programming model with P2P_Send /

@@ -10,7 +10,7 @@ substituting micro-protocols or composite protocols."
     owns an :class:`~repro.cactus.events.EventBus` and a set of live
     micro-protocols; supports add / remove at run time.  ``remove`` is
     what session close (:meth:`CompositeProtocol.teardown`) and the data
-    channel's substitution primitive are built on.
+    channel's micro-protocol substitution are built on.
 
 :class:`ProtocolStack`
     an ordered list of composite protocols.  Messages move down with
@@ -18,14 +18,14 @@ substituting micro-protocols or composite protocols."
     :meth:`ProtocolStack.deliver_up`; each hop raises the conventional
     events ``"FromAbove"`` / ``"FromBelow"`` on the next layer's bus,
     passing the *same* :class:`~repro.cactus.messages.Message` object
-    (the zero-copy rule).  Whole layers can be substituted live, which is
-    how the data channel is "triggered between the different types of
-    networks; one composite protocol is then substituted to another."
+    (the zero-copy rule).  Layers are fixed once stacked: the data channel
+    runs on one network type, so no composite protocol is ever
+    substituted for another.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Type
+from typing import Any, Iterator, Optional
 
 from ..simnet.kernel import Simulator
 from .events import EventBus
@@ -89,13 +89,6 @@ class CompositeProtocol:
 
     def has_micro(self, name: str) -> bool:
         return name in self._micros
-
-    def find_micro(self, cls: Type[MicroProtocol]) -> Optional[MicroProtocol]:
-        """First live micro-protocol that is an instance of ``cls``."""
-        for m in self._micros.values():
-            if isinstance(m, cls):
-                return m
-        return None
 
     def micros(self) -> Iterator[MicroProtocol]:
         return iter(self._micros.values())
@@ -172,27 +165,6 @@ class ProtocolStack:
     def below(self, layer: CompositeProtocol) -> Optional[CompositeProtocol]:
         self._index(layer)
         return layer._below
-
-    def substitute_layer(
-        self, old: CompositeProtocol, new: CompositeProtocol
-    ) -> CompositeProtocol:
-        """Swap a whole composite protocol in place (e.g. Ethernet→Myrinet).
-
-        The old layer's micro-protocols are torn down; neighbours keep
-        their positions so in-flight messages route through ``new``.
-        """
-        i = self._index(old)
-        if new.stack is not None:
-            raise CompositionError(f"{new.name} is already in a stack")
-        old.teardown()
-        old.stack = old._above = old._below = None
-        new.stack = self
-        self._layers[i] = new
-        self._relink()
-        return new
-
-    def layers(self) -> list[CompositeProtocol]:
-        return list(self._layers)
 
     def _index(self, layer: CompositeProtocol) -> int:
         for i, l in enumerate(self._layers):

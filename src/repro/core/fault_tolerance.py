@@ -21,7 +21,7 @@ current version:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = ["Checkpoint", "CheckpointStore", "FaultToleranceManager"]
 
@@ -71,7 +71,6 @@ class FaultToleranceManager:
         self.store = CheckpointStore()
         self.failed_peers: list[str] = []
         self._watching: list[str] = []
-        self._on_failure: list[Callable[[str], None]] = []
         topology.on_eviction(self._handle_eviction)
 
     # -- wiring -------------------------------------------------------------------
@@ -81,9 +80,6 @@ class FaultToleranceManager:
         self._watching = list(peer_names)
         self.failed_peers.clear()
         self.store.clear()
-
-    def on_failure(self, hook: Callable[[str], None]) -> None:
-        self._on_failure.append(hook)
 
     def checkpoint_sink(self, rank: int, state: Any) -> None:
         """Executor-side sink: accept a checkpoint from a peer."""
@@ -95,8 +91,6 @@ class FaultToleranceManager:
         if name not in self._watching:
             return
         self.failed_peers.append(name)
-        for hook in self._on_failure:
-            hook(name)
 
     def recovery_states(self, n_ranks: int) -> list[Optional[Any]]:
         """Per-rank warm-start states (None where no checkpoint exists)."""
@@ -104,7 +98,3 @@ class FaultToleranceManager:
             (cp.state if (cp := self.store.latest(rank)) is not None else None)
             for rank in range(n_ranks)
         ]
-
-    @property
-    def any_failures(self) -> bool:
-        return bool(self.failed_peers)

@@ -10,12 +10,11 @@ Here a session's configuration is decided once, when it opens: Table I
 reads only the scheme and the connection kind, and neither changes
 during a session's life.  The components:
 
-:class:`ContextMonitor`
-    collects context data: the application's scheme requirement, peer
-    location (intra/inter-cluster), link latency and loss, local load.
 :class:`~repro.p2psap.socket_api.P2PSAP`
-    the controller: at session opening it feeds one context snapshot to
-    the rule engine (Table I by default), and the resulting
+    the controller: at session opening it reads the application's scheme
+    (a socket option) and the peers' location (same cluster or not, from
+    the network), looks the pair up in
+    :data:`~repro.p2psap.rules.TABLE_I`, and the resulting
     :class:`~repro.p2psap.context.ChannelConfig` is fixed for the
     session's life.
 :class:`ReliableControlLink`
@@ -31,42 +30,9 @@ from typing import Callable
 from ..cactus.messages import payload_nbytes
 from ..simnet.kernel import Simulator
 from ..simnet.network import Network, Node
-from .context import ConnectionKind, ContextSnapshot, Scheme
 from .session import CONTROL_PORT
 
-__all__ = [
-    "ContextMonitor",
-    "ReliableControlLink",
-]
-
-
-class ContextMonitor:
-    """Collects the context data the controller decides from.
-
-    "Context data are collected at specific times, periodically or by
-    means of triggers."  Here they are collected once, when a session
-    opens.
-    """
-
-    def __init__(self, network: Network, node: Node):
-        self.network = network
-        self.node = node
-
-    def connection_kind(self, remote: str) -> ConnectionKind:
-        if self.network.same_cluster(self.node.name, remote):
-            return ConnectionKind.INTRA_CLUSTER
-        return ConnectionKind.INTER_CLUSTER
-
-    def snapshot(self, scheme: Scheme, remote: str) -> ContextSnapshot:
-        """One observation, aggregating static and measured context."""
-        link = self.network.link(self.node.name, remote)
-        return ContextSnapshot(
-            scheme=scheme,
-            connection=self.connection_kind(remote),
-            latency_estimate=link.netem.delay,
-            loss_estimate=link.netem.loss,
-            local_load=self.node.background_load,
-        )
+__all__ = ["ReliableControlLink"]
 
 
 class ReliableControlLink:

@@ -8,10 +8,9 @@ layer; each layer corresponds to a Cactus composite protocol."
 
 - a *transport* composite protocol composed of micro-protocols chosen
   from a :class:`~repro.p2psap.context.ChannelConfig` — communication
-  mode (sync/async), buffer management, optionally reliability and
-  ordering, optionally a congestion controller;
-- a *physical* composite protocol (Ethernet / InfiniBand / Myrinet)
-  below it;
+  mode (sync/async), buffer management, reliability and ordering if the
+  config is reliable, optionally a congestion controller;
+- the *physical* composite protocol (the testbed's Ethernet) below it;
 - glue handlers that frame outgoing segments and dispatch incoming ones
   into the receive pipeline.
 
@@ -24,8 +23,9 @@ retransmissions never mutate shared header state.
 
 A channel's config is fixed by the session that opens it.
 :meth:`DataChannel.reconfigure`, the channel-level Cactus substitution
-primitive, is kept for the tests that swap configs mid-stream; no
-session path calls it.
+primitive, swaps the transport micro-protocols under a new epoch; it is
+kept for the tests that swap modes mid-stream, and no session path
+calls it.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from .microprotocols.congestion import make_congestion
 from .microprotocols.modes import make_mode
 from .microprotocols.ordering import Ordering
 from .microprotocols.reliability import Reliability
-from .physical import make_physical
+from .physical import ETHERNET, PhysicalProtocol
 
 __all__ = ["DataChannel"]
 
 _MODE_MICRO_NAMES = ("mode-sync", "mode-async")
-_CC_MICRO_NAMES = ("cc-newreno", "cc-htcp", "cc-tahoe", "cc-scp")
+_CC_MICRO_NAMES = ("cc-newreno", "cc-htcp")
 
 
 class DataChannel:
@@ -63,7 +63,6 @@ class DataChannel:
         config: ChannelConfig,
     ):
         self.sim = sim
-        self.network = network
         self.local = local
         self.remote_name = remote_name
         self.port = port
@@ -80,8 +79,8 @@ class DataChannel:
         self.transport = CompositeProtocol(
             sim, f"transport[{local.name}->{remote_name}:{port}]"
         )
-        self.physical = make_physical(
-            config.physical, sim, network, local, remote_name, port
+        self.physical = PhysicalProtocol(
+            sim, network, local, remote_name, port, ETHERNET
         )
         self.stack = ProtocolStack([self.transport, self.physical])
 
@@ -98,13 +97,9 @@ class DataChannel:
 
     def _apply_config(self, config: ChannelConfig) -> None:
         """Stack the config's micro-protocols into the transport layer."""
-        # Receive pipeline: Rx entry -> [reliability] -> [ordering] -> RxDeliver.
-        after_reliability = "RxOrdered" if config.ordered else "RxDeliver"
+        # Receive pipeline: Rx entry -> [reliability -> ordering] -> RxDeliver.
         if config.reliable:
-            self.transport.add_micro(
-                Reliability(next_stage=after_reliability)
-            )
-        if config.ordered:
+            self.transport.add_micro(Reliability(next_stage="RxOrdered"))
             self.transport.add_micro(
                 Ordering(input_stage="RxOrdered", next_stage="RxDeliver")
             )
@@ -131,25 +126,16 @@ class DataChannel:
         preserved (they live in the composite's shared state, which only
         buffer management owns, and buffer management is permanent).
 
-        This is the channel-level Cactus primitive (micro-protocol and
-        layer substitution under a new epoch).  No session path calls
-        it: a session's config is decided once, at open.  It stays for
-        the delivery-invariance tests, which swap configs mid-stream,
-        and for the end-to-end tracer, which counts its calls.
+        This is the channel-level Cactus primitive (micro-protocol
+        substitution under a new epoch).  No session path calls it: a
+        session's config is decided once, at open.  It stays for the
+        delivery-invariance tests, which swap modes mid-stream, and for
+        the end-to-end tracer, which counts its calls.
         """
         if self.closed:
             raise RuntimeError("reconfigure on a closed channel")
         if new_config == self.config:
             return
-        if new_config.physical != self.config.physical:
-            new_phys = make_physical(
-                new_config.physical, self.sim, self.network,
-                self.local, self.remote_name, self.port,
-            )
-            old_phys = self.physical
-            self.stack.substitute_layer(old_phys, new_phys)
-            old_phys.close()
-            self.physical = new_phys
         self._strip_config()
         self._apply_config(new_config)
         self.stats_reconfigurations += 1
@@ -253,11 +239,7 @@ class DataChannel:
             raise ValueError(f"unknown segment kind {kind!r}")
 
     def _rx_entry(self) -> str:
-        if self.config.reliable:
-            return "RxData"
-        if self.config.ordered:
-            return "RxOrdered"
-        return "RxDeliver"
+        return "RxData" if self.config.reliable else "RxDeliver"
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -268,9 +250,3 @@ class DataChannel:
         self.closed = True
         self.transport.teardown()
         self.physical.close()
-
-    def describe(self) -> str:
-        return (
-            f"{self.local.name}->{self.remote_name}:{self.port} "
-            f"[{self.config.describe()}/{self.config.physical}]"
-        )

@@ -5,8 +5,6 @@ from .congestion import (
     CongestionControl,
     HTCPCongestion,
     NewRenoCongestion,
-    SCPCongestion,
-    TahoeCongestion,
     make_congestion,
 )
 from .modes import AsynchronousMode, SynchronousMode, make_mode
@@ -18,8 +16,6 @@ __all__ = [
     "CongestionControl",
     "HTCPCongestion",
     "NewRenoCongestion",
-    "SCPCongestion",
-    "TahoeCongestion",
     "make_congestion",
     "AsynchronousMode",
     "SynchronousMode",

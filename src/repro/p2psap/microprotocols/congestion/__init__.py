@@ -1,10 +1,13 @@
-"""Congestion-control micro-protocols for the P2PSAP data channel."""
+"""Congestion-control micro-protocols for the P2PSAP data channel.
+
+Table I uses two: New-Reno on the low-latency intra-cluster paths and
+H-TCP on the high speed-latency inter-cluster path.  Unreliable
+channels carry none.
+"""
 
 from .base import CWND_KEY, SSTHRESH_KEY, CongestionControl
 from .htcp import HTCPCongestion
 from .newreno import NewRenoCongestion
-from .scp import SCPCongestion
-from .tahoe import TahoeCongestion
 
 __all__ = [
     "CongestionControl",
@@ -12,8 +15,6 @@ __all__ = [
     "SSTHRESH_KEY",
     "HTCPCongestion",
     "NewRenoCongestion",
-    "SCPCongestion",
-    "TahoeCongestion",
 ]
 
 
@@ -21,13 +22,11 @@ def make_congestion(name: str) -> CongestionControl:
     """The congestion controller named ``name`` (the data channel stacks it).
 
     ``name`` follows :class:`~repro.p2psap.context.ChannelConfig`:
-    one of ``newreno``, ``htcp``, ``tahoe``, ``scp``.
+    ``newreno`` or ``htcp``.
     """
     table = {
         "newreno": NewRenoCongestion,
         "htcp": HTCPCongestion,
-        "tahoe": TahoeCongestion,
-        "scp": SCPCongestion,
     }
     try:
         return table[name]()

@@ -14,10 +14,10 @@ reliability micro-protocol:
 ``SegmentTimeout(seq)``
     a retransmission timer expired.
 
-Each concrete controller implements the classic state machines; unit
-tests drive them directly through :meth:`on_ack` / :meth:`on_dupack` /
-:meth:`on_timeout` and assert the window traces, independent of any
-stack.
+Each concrete controller (New-Reno, H-TCP) implements its state
+machine; unit tests drive them directly through :meth:`on_ack` /
+:meth:`on_dupack` / :meth:`on_timeout` and assert the window traces,
+independent of any stack.
 """
 
 from __future__ import annotations
@@ -121,27 +121,10 @@ class CongestionControl(MicroProtocol):
         raise NotImplementedError
 
     def on_dupack(self, count: int) -> None:
-        """Duplicate ack; default ignores (Tahoe-era fast retransmit is
-        opt-in per controller)."""
-
-    def on_timeout(self) -> None:
-        """Retransmission timeout.  Subclasses implement collapse."""
+        """Duplicate ack (``count`` consecutive).  Subclasses implement
+        fast retransmit."""
         raise NotImplementedError
 
-    # -- common moves ------------------------------------------------------------
-
-    def _slow_start_or_avoid(self) -> None:
-        """The standard TCP increase rule."""
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0  # slow start: +1 per ack (doubling per RTT)
-        else:
-            self.cwnd += 1.0 / self.cwnd  # congestion avoidance
-        self.cwnd = min(self.cwnd, float(MAX_WINDOW))
-
-    def _collapse(self) -> None:
-        """RTO reaction shared by Tahoe/New-Reno: multiplicative ssthresh,
-        window back to one segment."""
-        self.ssthresh = max(self.cwnd / 2.0, 2.0)
-        self.cwnd = self.MIN_WINDOW
-        self.stats_timeouts += 1
-        self.rto = min(self.rto * 2.0, 60.0)  # RFC 6298 backoff
+    def on_timeout(self) -> None:
+        """Retransmission timeout.  Subclasses implement the backoff."""
+        raise NotImplementedError

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import CongestionControl
+from .base import MAX_WINDOW, CongestionControl
 
 __all__ = ["NewRenoCongestion"]
 
@@ -47,7 +47,11 @@ class NewRenoCongestion(CongestionControl):
             self.in_fast_recovery = False
             self.cwnd = self.ssthresh
             return
-        self._slow_start_or_avoid()
+        if self.cwnd < self.ssthresh:
+            self.cwnd += 1.0  # slow start: +1 per ack (doubling per RTT)
+        else:
+            self.cwnd += 1.0 / self.cwnd  # congestion avoidance
+        self.cwnd = min(self.cwnd, float(MAX_WINDOW))
 
     def on_dupack(self, count: int) -> None:
         if self.in_fast_recovery:
@@ -63,5 +67,9 @@ class NewRenoCongestion(CongestionControl):
             self.in_fast_recovery = True
 
     def on_timeout(self) -> None:
+        """Multiplicative ssthresh, window back to one segment."""
         self.in_fast_recovery = False
-        self._collapse()
+        self.ssthresh = max(self.cwnd / 2.0, 2.0)
+        self.cwnd = self.MIN_WINDOW
+        self.stats_timeouts += 1
+        self.rto = min(self.rto * 2.0, 60.0)  # RFC 6298 backoff

@@ -1,55 +1,18 @@
-"""Physical-layer composite protocols: Ethernet, InfiniBand, Myrinet.
+"""The physical-layer composite protocol of the data channel: Ethernet.
 
-Each technology is a :class:`~repro.p2psap.physical.base.PhysicalSpec`;
-the numbers are representative of the era's fabrics (the NICTA testbed
-is 100 Mbit Ethernet; InfiniBand SDR 4x and Myrinet-2000 are included so
-the data channel's layer-substitution path has real alternatives to swap
-in, as Section II.B describes).
+The paper's physical layer supports Ethernet, InfiniBand and Myrinet,
+one composite protocol each, substituted for one another when the data
+channel moves between network types.  The testbed it reports on
+(NICTA) is 100 Mbit Ethernet, and every session here runs on it, so
+:data:`ETHERNET` is the one :class:`~repro.p2psap.physical.base.PhysicalSpec`
+a data channel uses.  Another fabric is another spec (framing bytes and
+host cost) on links of its bandwidth.
 """
 
-from ...simnet.kernel import Simulator
-from ...simnet.network import Network, Node
 from .base import PhysicalProtocol, PhysicalSpec
 
-__all__ = [
-    "PhysicalProtocol",
-    "PhysicalSpec",
-    "ETHERNET",
-    "INFINIBAND",
-    "MYRINET",
-    "make_physical",
-]
+__all__ = ["PhysicalProtocol", "PhysicalSpec", "ETHERNET"]
 
 #: 100 Mbit switched Ethernet — the testbed fabric.  Bandwidth is left to
 #: the link (the topology builder already sets 100 Mbit/s).
 ETHERNET = PhysicalSpec(name="ethernet", header_bytes=18, per_message_cost=10e-6)
-
-#: InfiniBand SDR 4x: 8 Gbit/s effective, tiny host overhead.
-INFINIBAND = PhysicalSpec(
-    name="infiniband", header_bytes=30, per_message_cost=1e-6, bandwidth_bps=8e9,
-)
-
-#: Myrinet-2000: 2 Gbit/s, low latency, small frames.
-MYRINET = PhysicalSpec(
-    name="myrinet", header_bytes=8, per_message_cost=2e-6, bandwidth_bps=2e9,
-)
-
-_SPECS = {"ethernet": ETHERNET, "infiniband": INFINIBAND, "myrinet": MYRINET}
-
-
-def make_physical(
-    name: str,
-    sim: Simulator,
-    network: Network,
-    local: Node,
-    remote_name: str,
-    port: int,
-) -> PhysicalProtocol:
-    """Build the physical composite protocol for technology ``name``."""
-    try:
-        spec = _SPECS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown physical protocol {name!r}; expected one of {sorted(_SPECS)}"
-        ) from None
-    return PhysicalProtocol(sim, network, local, remote_name, port, spec)

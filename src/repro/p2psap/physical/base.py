@@ -2,9 +2,9 @@
 
 "We encompass the physical layer to support communications on different
 networks, i.e. Ethernet, InfiniBand and Myrinet.  Each communication
-type is carried out via a composite protocol.  The data channel can be
-triggered between the different types of networks; one composite
-protocol is then substituted to another."
+type is carried out via a composite protocol."  A
+:class:`PhysicalSpec` holds what sets one type apart here — framing
+bytes and host cost; the link carries the bandwidth.
 
 A :class:`PhysicalProtocol` is the bottom layer of a data channel's
 stack at one endpoint.  Downwards it frames messages (header overhead)
@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
-from typing import Optional
 
 from ...cactus.composite import CompositeProtocol
 from ...cactus.messages import Message
@@ -56,19 +55,15 @@ class PhysicalSpec:
 
     ``header_bytes`` is added to every frame on the wire;
     ``per_message_cost`` models host-side framing/interrupt overhead in
-    seconds; ``bandwidth_bps``/``extra_delay`` optionally override the
-    link defaults (InfiniBand and Myrinet are faster fabrics than the
-    testbed's 100 Mbit Ethernet).
+    seconds.
     """
 
     name: str
     header_bytes: int = 18
     per_message_cost: float = 5e-6
-    bandwidth_bps: Optional[float] = None
-    extra_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.header_bytes < 0 or self.per_message_cost < 0 or self.extra_delay < 0:
+        if self.header_bytes < 0 or self.per_message_cost < 0:
             raise ValueError("physical spec fields must be non-negative")
 
 
@@ -103,10 +98,6 @@ class PhysicalProtocol(CompositeProtocol):
         self._rx_busy = False
         self._rx_backlog: deque[Packet] = deque()
         self.bus.bind("FromAbove", self._on_from_above)
-        if spec.bandwidth_bps is not None:
-            # Fabric override: this endpoint's outgoing link runs at the
-            # fabric's rate rather than the testbed default.
-            self.network.link(local.name, remote_name).bandwidth_bps = spec.bandwidth_bps
         local.attach(port, self._on_packet)
 
     # -- transmit ---------------------------------------------------------------
@@ -121,17 +112,7 @@ class PhysicalProtocol(CompositeProtocol):
         )
         size = msg.size_bytes + self.spec.header_bytes
         packet = Packet(self.local.name, self.remote_name, wire, size, self.port)
-        if self.spec.extra_delay:
-            # Model slower media attach points by inflating propagation via
-            # a deferred transmit.
-            self.sim.timeout(self.spec.extra_delay, packet).callbacks.append(
-                self._transmit_deferred
-            )
-        else:
-            self.network.link(self.local.name, self.remote_name).transmit(packet)
-
-    def _transmit_deferred(self, ev: Event) -> None:
-        self.network.link(self.local.name, self.remote_name).transmit(ev.value)
+        self.network.link(self.local.name, self.remote_name).transmit(packet)
 
     # -- receive -------------------------------------------------------------------
 

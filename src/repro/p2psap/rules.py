@@ -1,87 +1,24 @@
-"""The controller's decision rules — Table I as an ECA rule engine.
+"""The controller's decision rule: Table I of the paper.
 
 "The choice of the most appropriate configuration is determined by a set
 of rules that are described by a specification language such as OWL,
 ECA, etc.  These rules specify new configuration and actions needed to
 realize it."
 
-The paper leaves the specification language for future work; we provide
-a small Event-Condition-Action engine: each :class:`Rule` has a guard
-over :class:`~repro.p2psap.context.ContextSnapshot` and produces a
-:class:`~repro.p2psap.context.ChannelConfig`.  Rules are evaluated in
-priority order; the first match wins.  :func:`default_rules` encodes
-Table I exactly, including the H-TCP-for-WAN refinement described in
-Section II.D.
+Table I reads two elements of context, the scheme of computation and
+whether a session crosses a cluster boundary, and neither changes during
+a session's life.  So the rule set is a table: :data:`TABLE_I` maps each
+(scheme, connection kind) cell to its
+:class:`~repro.p2psap.context.ChannelConfig`, and
+:meth:`~repro.p2psap.socket_api.P2PSAP.open_session` looks the session's
+cell up once, when it opens.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Iterable, Optional
+from .context import ChannelConfig, CommMode, ConnectionKind, Scheme
 
-from .context import ChannelConfig, CommMode, ConnectionKind, ContextSnapshot, Scheme
-
-__all__ = ["Rule", "RuleEngine", "default_rules", "TABLE_I"]
-
-Condition = Callable[[ContextSnapshot], bool]
-
-
-@dataclasses.dataclass(frozen=True)
-class Rule:
-    """One Event-Condition-Action rule.
-
-    ``priority`` orders evaluation (lower first); ``name`` shows up in
-    decision traces so experiments can audit why a channel was
-    configured the way it was.
-    """
-
-    name: str
-    condition: Condition
-    config: ChannelConfig
-    priority: int = 100
-
-    def matches(self, ctx: ContextSnapshot) -> bool:
-        return self.condition(ctx)
-
-
-class RuleEngine:
-    """First-match rule evaluation with a decision trace."""
-
-    def __init__(self, rules: Optional[Iterable[Rule]] = None):
-        self._rules: list[Rule] = sorted(
-            rules if rules is not None else default_rules(),
-            key=lambda r: r.priority,
-        )
-        #: (context, rule name) pairs, newest last — the audit trail.
-        self.decisions: list[tuple[ContextSnapshot, str]] = []
-
-    def add_rule(self, rule: Rule) -> None:
-        """Insert a rule, keeping priority order stable."""
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: r.priority)
-
-    def rules(self) -> list[Rule]:
-        return list(self._rules)
-
-    def decide(self, ctx: ContextSnapshot) -> ChannelConfig:
-        """The configuration for ``ctx``; raises if no rule matches.
-
-        A complete rule set (like Table I) is total over scheme ×
-        connection, so a miss means the rule set was edited incorrectly —
-        fail loudly rather than guess.
-        """
-        for rule in self._rules:
-            if rule.matches(ctx):
-                self.decisions.append((ctx, rule.name))
-                return rule.config
-        raise LookupError(
-            f"no rule matches context scheme={ctx.scheme.value} "
-            f"connection={ctx.connection.value}"
-        )
-
-
-def _match(scheme: Scheme, connection: ConnectionKind) -> Condition:
-    return lambda ctx: ctx.scheme is scheme and ctx.connection is connection
+__all__ = ["TABLE_I"]
 
 
 #: Table I of the paper, cell by cell.  Congestion control follows
@@ -90,36 +27,21 @@ def _match(scheme: Scheme, connection: ConnectionKind) -> Condition:
 #: Unreliable channels carry no congestion controller (nothing acks).
 TABLE_I: dict[tuple[Scheme, ConnectionKind], ChannelConfig] = {
     (Scheme.SYNCHRONOUS, ConnectionKind.INTRA_CLUSTER): ChannelConfig(
-        mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True, congestion="newreno",
+        mode=CommMode.SYNCHRONOUS, reliable=True, congestion="newreno",
     ),
     (Scheme.SYNCHRONOUS, ConnectionKind.INTER_CLUSTER): ChannelConfig(
-        mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True, congestion="htcp",
+        mode=CommMode.SYNCHRONOUS, reliable=True, congestion="htcp",
     ),
     (Scheme.ASYNCHRONOUS, ConnectionKind.INTRA_CLUSTER): ChannelConfig(
-        mode=CommMode.ASYNCHRONOUS, reliable=True, ordered=True, congestion="newreno",
+        mode=CommMode.ASYNCHRONOUS, reliable=True, congestion="newreno",
     ),
     (Scheme.ASYNCHRONOUS, ConnectionKind.INTER_CLUSTER): ChannelConfig(
-        mode=CommMode.ASYNCHRONOUS, reliable=False, ordered=False, congestion="none",
+        mode=CommMode.ASYNCHRONOUS, reliable=False, congestion="none",
     ),
     (Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER): ChannelConfig(
-        mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True, congestion="newreno",
+        mode=CommMode.SYNCHRONOUS, reliable=True, congestion="newreno",
     ),
     (Scheme.HYBRID, ConnectionKind.INTER_CLUSTER): ChannelConfig(
-        mode=CommMode.ASYNCHRONOUS, reliable=False, ordered=False, congestion="none",
+        mode=CommMode.ASYNCHRONOUS, reliable=False, congestion="none",
     ),
 }
-
-
-def default_rules() -> list[Rule]:
-    """Table I as an ordered rule list, one rule per cell."""
-    rules = []
-    for prio, ((scheme, conn), config) in enumerate(TABLE_I.items()):
-        rules.append(
-            Rule(
-                name=f"table1:{scheme.value}/{conn.value}",
-                condition=_match(scheme, conn),
-                config=config,
-                priority=10 + prio,
-            )
-        )
-    return rules

@@ -24,10 +24,10 @@ from typing import Any, Optional
 
 from ..simnet.kernel import NORMAL, Channel, Event, Simulator
 from ..simnet.network import Network
-from .context import ChannelConfig, Scheme
-from .control_channel import ContextMonitor, ReliableControlLink
+from .context import ChannelConfig, ConnectionKind, Scheme
+from .control_channel import ReliableControlLink
 from .data_channel import DataChannel
-from .rules import RuleEngine
+from .rules import TABLE_I
 from .session import Session, SessionState, allocate_port
 
 __all__ = ["P2PSAP", "P2PSAPSocket", "SocketError"]
@@ -44,8 +44,6 @@ class P2PSAP:
         self.sim = sim
         self.network = network
         self.node = network.nodes[node_name]
-        self.monitor = ContextMonitor(network, self.node)
-        self.rules = RuleEngine()
         self.control = ReliableControlLink(sim, network, self.node, self._on_control)
         self.sessions: dict[str, Session] = {}
         self._session_counter = itertools.count()
@@ -74,16 +72,19 @@ class P2PSAP:
     # -- session opening -------------------------------------------------------------
 
     def open_session(self, remote: str, scheme: Scheme) -> Session:
-        """Initiator side: decide config, build channel, send OPEN.
+        """Initiator side: look up the Table I cell, build channel, send OPEN.
 
-        The config decided here is the session's for its whole life; the
-        responder adopts it from the OPEN message.
+        The config looked up here is the session's for its whole life;
+        the responder adopts it from the OPEN message.
         """
         if remote == self.node.name:
             raise SocketError("P2PSAP sessions are between distinct peers")
         if remote not in self.network.nodes:
             raise SocketError(f"unknown peer {remote!r}")
-        config = self.rules.decide(self.monitor.snapshot(scheme, remote))
+        kind = (ConnectionKind.INTRA_CLUSTER
+                if self.network.same_cluster(self.node.name, remote)
+                else ConnectionKind.INTER_CLUSTER)
+        config = TABLE_I[(scheme, kind)]
         port = allocate_port(self.network)
         session_id = f"{self.node.name}/{remote}#{next(self._session_counter)}"
         session = Session(
@@ -117,9 +118,8 @@ class P2PSAP:
             raise SocketError(f"unknown control message kind {kind!r}")
 
     def _handle_open(self, src: str, body: dict) -> None:
+        # The control link dispatches each message once, so an OPEN is new.
         session_id = body["session_id"]
-        if session_id in self.sessions:  # duplicate OPEN (control retry)
-            return
         config: ChannelConfig = body["config"]
         session = Session(
             session_id=session_id, remote=src, port=body["port"],
@@ -148,6 +148,7 @@ class P2PSAP:
 
     def _close_session(self, session: Session, notify_peer: bool) -> None:
         session.state = SessionState.CLOSED
+        del self.sessions[session.session_id]
         if session.channel is not None:
             session.channel.close()
         if notify_peer:

@@ -433,8 +433,8 @@ class Network:
     The paper's topology is flat IP over Ethernet with optional Netem
     between clusters, so the model is: any two distinct nodes are
     connected; the link parameters depend on whether they share a cluster.
-    Explicit per-pair links (heterogeneous setups, the InfiniBand/Myrinet
-    physical protocols) override the defaults.
+    Explicit per-pair links (heterogeneous setups, faster fabrics)
+    override the defaults.
     """
 
     def __init__(

@@ -93,15 +93,6 @@ class TestMicroProtocolLifecycle:
         with pytest.raises(CompositionError):
             composite.add_micro(Recorder())
 
-    def test_find_micro_by_class(self, composite):
-        rec = composite.add_micro(Recorder())
-        assert composite.find_micro(Recorder) is rec
-
-        class Other(MicroProtocol):
-            name = "other"
-
-        assert composite.find_micro(Other) is None
-
     def test_teardown_removes_all(self, composite):
         r1, r2 = Recorder("r1"), Recorder("r2")
         composite.add_micro(r1)
@@ -170,32 +161,10 @@ class TestProtocolStack:
         with pytest.raises(CompositionError):
             comp.send_down(Message())
 
-    def test_substitute_layer(self):
-        sim, stack, top, mid, bot = self.make_stack()
-        rec = Recorder()
-        bot.add_micro(rec)
-        new_bot = CompositeProtocol(sim, "myrinet")
-        seen = []
-        stack.substitute_layer(bot, new_bot)
-        new_bot.bus.bind("FromAbove", lambda m: seen.append(m))
-        msg = Message()
-        mid.send_down(msg)
-        assert seen == [msg]
-        assert rec.removed  # old layer torn down
-        assert bot.stack is None
-
     def test_cannot_reuse_stacked_layer(self):
         sim, stack, top, mid, bot = self.make_stack()
         with pytest.raises(CompositionError):
             ProtocolStack([top])
-
-    def test_substitute_refuses_a_layer_of_another_stack(self):
-        sim, stack, top, mid, bot = self.make_stack()
-        _, _, other_top, *_ = self.make_stack()
-        with pytest.raises(CompositionError, match="already in a stack"):
-            stack.substitute_layer(bot, other_top)
-        assert stack.layers() == [top, mid, bot]
-        assert bot.stack is stack
 
     def test_foreign_layer_lookup_fails(self):
         _, stack, *_ = self.make_stack()

@@ -52,21 +52,10 @@ class TestFaultToleranceManager:
         sim.run(until=2.0)
         net.nodes["peer02"].fail()  # not watched
         sim.run(until=10.0)
-        assert not ft.any_failures
+        assert ft.failed_peers == []
         net.nodes["peer01"].fail()
         sim.run(until=20.0)
         assert ft.failed_peers == ["peer01"]
-
-    def test_failure_hook(self):
-        sim, net, env = self.make()
-        ft = env.fault_tolerance
-        seen = []
-        ft.on_failure(seen.append)
-        ft.watch(["peer01", "peer02"])
-        sim.run(until=2.0)
-        net.nodes["peer02"].fail()
-        sim.run(until=10.0)
-        assert seen == ["peer02"]
 
     def test_recovery_states_partial(self):
         sim, net, env = self.make()

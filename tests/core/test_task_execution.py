@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import Application, P2PDC, ProblemDefinition
+from repro.core.task_execution import TaskExecutor
+from repro.p2psap import SessionState
 from repro.p2psap.context import Scheme
 from repro.simnet import Interrupt, Simulator, nicta_testbed
 
@@ -88,6 +90,24 @@ class TestSessionManagement:
         assert obs0["bandwidth"] == pytest.approx(100e6)
         assert obs1["got"] == "direct"
         assert run.output == [0, 1]
+
+    def test_closed_sessions_are_forgotten(self):
+        """A deployment that runs task after task holds the sessions that
+        are open, not every session it ever opened: once the linger after
+        the last task has passed, no protocol instance keeps a CLOSED one."""
+        SessionProbe.observations = {}
+        sim, env = make_env(2)
+        env.register_everywhere(SessionProbe())
+        opened = 0
+        for _ in range(4):
+            env.run_to_completion("probe", n_peers=2, timeout=sim.now + 500)
+            opened += sum(len(ex.protocol.sessions)
+                          for ex in env.executors.values())
+        assert opened >= 4  # each task opened a session, seen at both ends
+        sim.run(until=sim.now + TaskExecutor.LINGER + 1.0)
+        held = [session for ex in env.executors.values()
+                for session in ex.protocol.sessions.values()]
+        assert [s for s in held if s.state is SessionState.CLOSED] == []
 
     def test_rank_out_of_range(self):
         class BadRank(Application):

@@ -1,4 +1,4 @@
-"""Window-dynamics tests for the four congestion controllers."""
+"""Window-dynamics tests for the two congestion controllers."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.p2psap.microprotocols.congestion import (
     CWND_KEY,
     HTCPCongestion,
     NewRenoCongestion,
-    SCPCongestion,
-    TahoeCongestion,
     make_congestion,
 )
 from repro.simnet.kernel import Simulator
@@ -20,8 +18,6 @@ class TestFactory:
         [
             ("newreno", NewRenoCongestion),
             ("htcp", HTCPCongestion),
-            ("tahoe", TahoeCongestion),
-            ("scp", SCPCongestion),
         ],
     )
     def test_make(self, name, cls):
@@ -33,8 +29,7 @@ class TestFactory:
 
 
 class TestSlowStart:
-    @pytest.mark.parametrize("cls", [NewRenoCongestion, TahoeCongestion,
-                                     HTCPCongestion, SCPCongestion])
+    @pytest.mark.parametrize("cls", [NewRenoCongestion, HTCPCongestion])
     def test_doubles_per_ack_below_ssthresh(self, cls):
         cc = cls()
         cc.ssthresh = 64.0
@@ -49,29 +44,6 @@ class TestSlowStart:
         cc.cwnd = 10.0
         cc.on_ack(rtt=0.01)
         assert cc.cwnd == pytest.approx(10.0 + 1.0 / 10.0)
-
-
-class TestTahoe:
-    def test_timeout_collapses_to_one(self):
-        cc = TahoeCongestion()
-        cc.cwnd, cc.ssthresh = 32.0, 64.0
-        cc.on_timeout()
-        assert cc.cwnd == 1.0
-        assert cc.ssthresh == 16.0
-
-    def test_triple_dupack_also_collapses(self):
-        """Tahoe has fast retransmit but no fast recovery."""
-        cc = TahoeCongestion()
-        cc.cwnd, cc.ssthresh = 20.0, 64.0
-        cc.on_dupack(3)
-        assert cc.cwnd == 1.0
-        assert cc.ssthresh == 10.0
-
-    def test_two_dupacks_do_nothing(self):
-        cc = TahoeCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(2)
-        assert cc.cwnd == 20.0
 
 
 class TestNewReno:
@@ -191,54 +163,6 @@ class TestHTCP:
         assert cc.cwnd == pytest.approx(20.0)
 
 
-class TestSCP:
-    def test_backs_off_before_loss_when_queue_builds(self):
-        """Vegas-like proactivity: rising RTT shrinks the window without
-        any loss event."""
-        cc = SCPCongestion()
-        cc.ssthresh = 1.0
-        cc.cwnd = 50.0
-        cc.on_ack(rtt=0.010)  # base RTT
-        w0 = cc.cwnd
-        for _ in range(20):
-            cc.on_ack(rtt=0.050)  # heavy queueing
-        assert cc.cwnd < w0
-
-    def test_holds_at_equilibrium(self):
-        cc = SCPCongestion()
-        cc.ssthresh = 1.0
-        cc.cwnd = 10.0
-        cc.on_ack(rtt=0.0100)
-        # Small backlog between alpha and beta thresholds: hold.
-        cc.srtt = None
-        cc.on_ack(rtt=0.0102)
-        within = cc.cwnd
-        cc.on_ack(rtt=0.0102)
-        assert cc.cwnd == pytest.approx(within, rel=0.05)
-
-    def test_timeout_collapses(self):
-        cc = SCPCongestion()
-        cc.cwnd = 30.0
-        cc.on_timeout()
-        assert cc.cwnd == 1.0
-
-    def test_triple_dupack_halves_without_collapsing(self):
-        cc = SCPCongestion()
-        cc.cwnd = 30.0
-        cc.on_dupack(2)
-        assert cc.cwnd == 30.0
-        cc.on_dupack(3)
-        assert cc.cwnd == cc.ssthresh == 15.0
-        assert cc.stats_fast_retransmits == 1
-
-    def test_avoidance_without_rtt_sample_is_linear(self):
-        cc = SCPCongestion()
-        cc.ssthresh = 1.0
-        cc.cwnd = 10.0
-        cc.on_ack()
-        assert cc.cwnd == pytest.approx(10.0 + 1.0 / 10.0)
-
-
 class TestSharedState:
     def test_publishes_cwnd_and_rto_to_composite(self):
         sim = Simulator()
@@ -276,11 +200,12 @@ class TestSharedState:
     def test_dupack_events_reach_the_controller(self):
         sim = Simulator()
         comp = CompositeProtocol(sim, "t")
-        cc = comp.add_micro(TahoeCongestion())
+        cc = comp.add_micro(NewRenoCongestion())
         cc.cwnd = 20.0
         pumped = []
         comp.bus.bind("TrySend", lambda: pumped.append(1))
         comp.bus.raise_event("DupAck", 7, 3)
-        assert cc.cwnd == 1.0
-        assert comp.shared[CWND_KEY] == 1.0
+        assert cc.in_fast_recovery
+        assert cc.cwnd == 13.0  # ssthresh 10 + 3 (window inflation)
+        assert comp.shared[CWND_KEY] == 13.0
         assert pumped

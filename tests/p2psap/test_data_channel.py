@@ -8,12 +8,10 @@ from repro.p2psap.data_channel import DataChannel
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
 
-SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True)
-ASYNC_RELIABLE = ChannelConfig(
-    mode=CommMode.ASYNCHRONOUS, reliable=True, ordered=True
-)
+SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True)
+ASYNC_RELIABLE = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=True)
 ASYNC_UNRELIABLE = ChannelConfig(
-    mode=CommMode.ASYNCHRONOUS, reliable=False, ordered=False, congestion="none"
+    mode=CommMode.ASYNCHRONOUS, reliable=False, congestion="none"
 )
 
 
@@ -250,31 +248,35 @@ class TestReconfiguration:
         # is the contract; here we only assert cha flushed its queue.
         assert cha.buffers.pending_tx() == 0
 
-    def test_physical_layer_substitution(self):
+    def test_mode_substitution_keeps_the_physical_layer(self):
         sim, cha, chb = make_pair(SYNC)
-        infiniband = ChannelConfig(
-            mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True,
-            physical="infiniband",
-        )
+        physical = (cha.physical, chb.physical)
 
         def scenario():
-            yield cha.user_send("over-ethernet")
-            cha.reconfigure(infiniband)
-            chb.reconfigure(infiniband)
-            yield cha.user_send("over-infiniband")
+            yield cha.user_send("in-sync-mode")
+            cha.reconfigure(ASYNC_RELIABLE)
+            chb.reconfigure(ASYNC_RELIABLE)
+            yield cha.user_send("in-async-mode")
 
         got = []
 
         def receiver():
-            for _ in range(2):
+            msg = yield chb.user_receive()
+            got.append(msg.payload)
+            while len(got) < 2:
                 msg = yield chb.user_receive()
+                if msg is None:  # empty asynchronous receive
+                    yield sim.timeout(0.01)
+                    continue
                 got.append(msg.payload)
 
         sim.spawn(scenario())
         sim.spawn(receiver())
         sim.run(until=60)
-        assert got == ["over-ethernet", "over-infiniband"]
-        assert cha.physical.spec.name == "infiniband"
+        assert got == ["in-sync-mode", "in-async-mode"]
+        assert (cha.physical, chb.physical) == physical
+        assert cha.transport.has_micro("mode-async")
+        assert not cha.transport.has_micro("mode-sync")
 
     def test_noop_reconfigure_is_free(self):
         sim, cha, chb = make_pair(SYNC)

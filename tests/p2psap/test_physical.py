@@ -1,27 +1,21 @@
-"""Physical-layer composite protocols: framing, pumps, fabric swapping."""
+"""The physical-layer composite protocol: framing, host cost, close."""
 
 
 import pytest
 
 from repro.cactus.composite import CompositeProtocol, ProtocolStack
 from repro.cactus.messages import Message
-from repro.p2psap.physical import (
-    ETHERNET,
-    INFINIBAND,
-    MYRINET,
-    PhysicalSpec,
-    make_physical,
-)
+from repro.p2psap.physical import ETHERNET, PhysicalProtocol, PhysicalSpec
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
 
 
-def make_link(spec_name="ethernet", delay=0.001):
+def make_link(delay=0.001):
     sim = Simulator()
     net = Network(sim, intra_netem=Netem(delay=delay))
     a, b = net.add_node("a"), net.add_node("b")
-    phy_a = make_physical(spec_name, sim, net, a, "b", 7)
-    phy_b = make_physical(spec_name, sim, net, b, "a", 7)
+    phy_a = PhysicalProtocol(sim, net, a, "b", 7, ETHERNET)
+    phy_b = PhysicalProtocol(sim, net, b, "a", 7, ETHERNET)
     # Minimal transport layer above each physical to observe deliveries.
     top_a = CompositeProtocol(sim, "top-a")
     top_b = CompositeProtocol(sim, "top-b")
@@ -31,19 +25,6 @@ def make_link(spec_name="ethernet", delay=0.001):
 
 
 class TestSpecs:
-    def test_known_fabrics(self):
-        assert ETHERNET.name == "ethernet"
-        assert INFINIBAND.bandwidth_bps == pytest.approx(8e9)
-        assert MYRINET.header_bytes == 8
-
-    def test_unknown_fabric(self):
-        sim = Simulator()
-        net = Network(sim)
-        net.add_node("a")
-        net.add_node("b")
-        with pytest.raises(ValueError):
-            make_physical("token-ring", sim, net, net.nodes["a"], "b", 1)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PhysicalSpec(name="bad", header_bytes=-1)
@@ -112,23 +93,3 @@ class TestFraming:
         sim.run(until=1.0)
         assert phy_a.stats_tx_frames == 3
         assert phy_b.stats_rx_frames == 3
-
-
-class TestFabricDifferences:
-    def test_infiniband_overrides_link_bandwidth(self):
-        sim = Simulator()
-        net = Network(sim, intra_bandwidth_bps=100e6)
-        a, b = net.add_node("a"), net.add_node("b")
-        make_physical("infiniband", sim, net, a, "b", 1)
-        assert net.link("a", "b").bandwidth_bps == pytest.approx(8e9)
-
-    def test_faster_fabric_delivers_sooner(self):
-        def first_delivery(fabric):
-            sim, net, (top_a, _), (top_b, _) = make_link(fabric, delay=0.0)
-            times = []
-            top_b.bus.bind("FromBelow", lambda m: times.append(sim.now))
-            top_a.send_down(Message(bytes(125_000)))  # 1 Mbit payload
-            sim.run(until=5.0)
-            return times[0]
-
-        assert first_delivery("myrinet") < first_delivery("ethernet")

@@ -1,19 +1,12 @@
-"""Table I and the ECA rule engine — every cell, plus engine mechanics."""
+"""Table I — every cell, and the context vocabulary it is written in."""
 
 import pytest
 
-from repro.p2psap.context import (
-    ChannelConfig,
-    CommMode,
-    ConnectionKind,
-    ContextSnapshot,
-    Scheme,
-)
-from repro.p2psap.rules import TABLE_I, Rule, RuleEngine
-
-
-def ctx(scheme, conn, **kw):
-    return ContextSnapshot(scheme=scheme, connection=conn, **kw)
+from repro.p2psap.context import ChannelConfig, CommMode, ConnectionKind, Scheme
+from repro.p2psap.data_channel import DataChannel
+from repro.p2psap.rules import TABLE_I
+from repro.simnet.kernel import Simulator
+from repro.simnet.network import Network
 
 
 class TestTableI:
@@ -31,72 +24,39 @@ class TestTableI:
         ],
     )
     def test_cell(self, scheme, conn, mode, reliable):
-        config = RuleEngine().decide(ctx(scheme, conn))
+        config = TABLE_I[(scheme, conn)]
         assert config.mode is mode
         assert config.reliable is reliable
 
     def test_htcp_on_synchronous_wan(self):
         """Section II.D: H-TCP for the high speed-latency network."""
-        config = RuleEngine().decide(
-            ctx(Scheme.SYNCHRONOUS, ConnectionKind.INTER_CLUSTER)
-        )
+        config = TABLE_I[(Scheme.SYNCHRONOUS, ConnectionKind.INTER_CLUSTER)]
         assert config.congestion == "htcp"
 
     def test_newreno_on_lan(self):
-        config = RuleEngine().decide(
-            ctx(Scheme.SYNCHRONOUS, ConnectionKind.INTRA_CLUSTER)
-        )
+        config = TABLE_I[(Scheme.SYNCHRONOUS, ConnectionKind.INTRA_CLUSTER)]
         assert config.congestion == "newreno"
 
     def test_unreliable_cells_have_no_congestion_control(self):
         for scheme in (Scheme.ASYNCHRONOUS, Scheme.HYBRID):
-            config = RuleEngine().decide(ctx(scheme, ConnectionKind.INTER_CLUSTER))
+            config = TABLE_I[(scheme, ConnectionKind.INTER_CLUSTER)]
             assert config.congestion == "none"
 
     def test_reliable_cells_are_ordered(self):
-        """Paper: 'some reliability and order micro-protocols'."""
-        for (scheme, conn), config in TABLE_I.items():
-            assert config.ordered == config.reliable
+        """Paper: 'some reliability and order micro-protocols' -- a
+        reliable cell's channel stacks both, an unreliable one neither."""
+        sim = Simulator()
+        net = Network(sim)
+        a = net.add_node("a")
+        net.add_node("b")
+        for port, config in enumerate(TABLE_I.values(), start=1):
+            transport = DataChannel(sim, net, a, "b", port, config).transport
+            assert transport.has_micro("reliability") is config.reliable
+            assert transport.has_micro("ordering") is config.reliable
 
     def test_table_is_total(self):
-        engine = RuleEngine()
-        for scheme in Scheme:
-            for conn in ConnectionKind:
-                engine.decide(ctx(scheme, conn))  # must not raise
-
-
-class TestRuleEngine:
-    def test_first_match_by_priority(self):
-        special = ChannelConfig(
-            mode=CommMode.ASYNCHRONOUS, reliable=False, ordered=False,
-            congestion="none",
-        )
-        engine = RuleEngine()
-        engine.add_rule(Rule(
-            name="override-lossy",
-            condition=lambda c: c.loss_estimate > 0.05,
-            config=special,
-            priority=1,  # before all Table I rules
-        ))
-        got = engine.decide(ctx(
-            Scheme.SYNCHRONOUS, ConnectionKind.INTRA_CLUSTER, loss_estimate=0.2,
-        ))
-        assert got is special
-
-    def test_decision_trace_records_rule_names(self):
-        engine = RuleEngine()
-        engine.decide(ctx(Scheme.HYBRID, ConnectionKind.INTER_CLUSTER))
-        assert engine.decisions[-1][1] == "table1:hybrid/inter-cluster"
-
-    def test_no_match_raises(self):
-        engine = RuleEngine(rules=[])
-        with pytest.raises(LookupError):
-            engine.decide(ctx(Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER))
-
-    def test_rules_listing_sorted_by_priority(self):
-        engine = RuleEngine()
-        priorities = [r.priority for r in engine.rules()]
-        assert priorities == sorted(priorities)
+        assert set(TABLE_I) == {(scheme, conn) for scheme in Scheme
+                                for conn in ConnectionKind}
 
 
 class TestContextValidation:
@@ -108,21 +68,10 @@ class TestContextValidation:
 
     def test_channel_config_validation(self):
         with pytest.raises(ValueError):
-            ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True,
+            ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True,
                           congestion="bogus")
-        with pytest.raises(ValueError):
-            ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True,
-                          physical="carrier-pigeon")
 
     def test_describe(self):
         c = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
-                          ordered=False, congestion="none")
+                          congestion="none")
         assert c.describe() == "async/unreliable/none"
-
-    def test_snapshot_validation(self):
-        with pytest.raises(ValueError):
-            ContextSnapshot(Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER,
-                            latency_estimate=-1)
-        with pytest.raises(ValueError):
-            ContextSnapshot(Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER,
-                            loss_estimate=2.0)

@@ -22,7 +22,7 @@ from repro.p2psap.microprotocols.reliability import Reliability
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
 
-SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True)
+SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True)
 
 
 def test_acknowledged_messages_release_their_timers():

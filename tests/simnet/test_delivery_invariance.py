@@ -17,7 +17,8 @@ against digests recorded before the fold existed:
   the link and endpoint counters;
 - two :class:`DataChannel` endpoints: every frame each transport layer
   received, with its time, the application's receive times, the
-  retransmission count and the link counters.
+  retransmission count and the link counters -- also across a mid-stream
+  mode swap and a receiving endpoint that closes mid-stream.
 
 The six scenario smoke seeds (crashes, restarts, churn and degraded
 links under a live solve) are pinned the same way: final iterate,
@@ -33,7 +34,6 @@ and paste the printed table over ``PINS``.  A perf change that needs to
 re-record is wrong by construction.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -43,7 +43,7 @@ from repro.cactus.composite import CompositeProtocol, ProtocolStack
 from repro.cactus.messages import Message
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
-from repro.p2psap.physical import ETHERNET, INFINIBAND, MYRINET, PhysicalProtocol
+from repro.p2psap.physical import ETHERNET, PhysicalProtocol, PhysicalSpec
 from repro.scenarios import generate_script, run_scenario
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
@@ -54,6 +54,10 @@ N_FRAMES = 120
 #: form and drain.
 GAPS = (1e-6, 4e-6, 3e-5, 3e-4)
 LAN = Netem(delay=1e-4)
+#: Fabrics faster than the testbed's Ethernet: smaller host costs, other
+#: framing, and (through ``RawPair``'s bandwidth) faster links.
+INFINIBAND = PhysicalSpec("infiniband", header_bytes=30, per_message_cost=1e-6)
+MYRINET = PhysicalSpec("myrinet", header_bytes=8, per_message_cost=2e-6)
 
 
 # -- raw frames between two physical endpoints ---------------------------------
@@ -170,9 +174,9 @@ RAW_CASES = {
     "reorder-dup-s0": (dict(seed=0), [(30, 0.0, link_netem(delay=1e-4, reorder=0.3)),
                                       (60, 0.0, link_netem(delay=1e-4, duplicate=0.3)),
                                       (80, 0.0, link_netem(delay=1e-4))]),
-    "infiniband-s0": (dict(seed=0, spec=INFINIBAND),
+    "infiniband-s0": (dict(seed=0, spec=INFINIBAND, bandwidth=8e9),
                       [(40, 2e-5, fail), (70, 0.0, recover)]),
-    "myrinet-s1": (dict(seed=1, spec=MYRINET),
+    "myrinet-s1": (dict(seed=1, spec=MYRINET, bandwidth=2e9),
                    [(40, 1e-5, take_over), (40, 1.5e-5, close_first)]),
     "instant-link-s0": (dict(seed=0, netem=Netem(), bandwidth=0.0),
                         [(30, 0.0, fail), (31, 0.0, recover), (60, 0.0, close_first)]),
@@ -192,16 +196,18 @@ def raw_case(name):
 
 # -- two data-channel endpoints ------------------------------------------------
 
-SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True, ordered=True)
-ASYNC_RELIABLE = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=True, ordered=True)
-ASYNC_MYRINET = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
-                              ordered=False, congestion="none", physical="myrinet")
+SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True)
+ASYNC_RELIABLE = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=True)
+ASYNC_UNRELIABLE = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
+                                 congestion="none")
 N_MESSAGES = 150
 
 
-def channel_case(config, netem=LAN, swaps=(), horizon=5.0):
+def channel_case(config, netem=LAN, swaps=(), close_rx_after=None, horizon=5.0):
     """A one-way stream of ``N_MESSAGES`` ints; ``swaps`` maps a message
-    index to the config both ends switch to just before sending it."""
+    index to the config both ends switch to just before sending it, and
+    the receiving endpoint closes once it has taken ``close_rx_after``
+    messages (frames still on the wire then land on a port nobody holds)."""
     sim = Simulator()
     net = Network(sim, intra_netem=netem)
     a, b = net.add_node("a"), net.add_node("b")
@@ -228,6 +234,9 @@ def channel_case(config, netem=LAN, swaps=(), horizon=5.0):
 
     def receiver():
         while len(received) < N_MESSAGES:
+            if len(received) == close_rx_after:
+                chb.close()
+                return
             msg = yield chb.user_receive()
             if msg is None:  # empty asynchronous receive
                 yield sim.timeout(1e-4)
@@ -244,7 +253,7 @@ def channel_case(config, netem=LAN, swaps=(), horizon=5.0):
     sim.spawn(receiver())
     sim.spawn(sender())
     sim.run(until=horizon)
-    if not swaps:  # a swap may strand frames on the old physical layer
+    if not swaps and close_rx_after is None:  # else frames may be lost
         assert [p for _, p in received] == list(range(N_MESSAGES))
     rel = cha.transport.micro("reliability") \
         if cha.transport.has_micro("reliability") else None
@@ -258,9 +267,8 @@ CHANNEL_CASES = {
     "channel-sync-loss2": dict(config=SYNC, netem=Netem(delay=1e-4, loss=0.02),
                                horizon=100.0),
     "channel-async-reliable": dict(config=ASYNC_RELIABLE),
-    "channel-sync-infiniband": dict(config=dataclasses.replace(SYNC, physical="infiniband")),
-    "channel-sync-myrinet": dict(config=dataclasses.replace(SYNC, physical="myrinet")),
-    "channel-physical-swap": dict(config=SYNC, swaps={60: ASYNC_MYRINET, 110: SYNC}),
+    "channel-mode-swap": dict(config=SYNC, swaps={60: ASYNC_UNRELIABLE, 110: SYNC}),
+    "channel-close-midstream": dict(config=ASYNC_RELIABLE, close_rx_after=75),
 }
 
 CASES = {**{name: (lambda name=name: raw_case(name)) for name in RAW_CASES},
@@ -273,14 +281,15 @@ def digest(log):
     return entries, hashlib.sha256(repr(log).encode()).hexdigest()
 
 
-#: case -> (entries, sha256(repr(log))), recorded before the fold existed.
+#: case -> (entries, sha256(repr(log))), recorded before the fold existed;
+#: ``channel-mode-swap`` and ``channel-close-midstream`` were recorded while
+#: a channel could still swap its physical layer, and hold without it.
 PINS = {
     'channel-async-reliable': (300, 'fb507d120d213eeddcacb1daa3a29c86396bb48f3492bcf805cb48844b4e4f96'),
-    'channel-physical-swap': (350, '301c9e104fca5176c1cf91d7817d5b7d5f3bb69e3d43f0aba349bfd06b073fa3'),
+    'channel-close-midstream': (156, '55b1eabbe0d56ffd2adbdde0a299fa32bf5d115dfcf0e79b62ccc27dde6e6d71'),
+    'channel-mode-swap': (350, 'f03cbe7f1619c75542cdcc12b8670fb70c527bd1aa3ce59f977289ada415124d'),
     'channel-sync-ethernet': (450, 'eacd5895a2e10b568f173f871fc4e0a17bb717e276ff891759d47e8c2a663012'),
-    'channel-sync-infiniband': (450, 'a5f49e1210f148912ab9b988cb95a132c92a8c297766edc6cd2701999ef9ad42'),
     'channel-sync-loss2': (451, '5612b47a082bc4e9c58eab1d862194913f7c7371343796ff604ff127c8516691'),
-    'channel-sync-myrinet': (450, 'ff16c33c26769cbcf21231ef4fa760107bfff09e38cf72369dd9e65e94235288'),
     'close-s0': (121, '9959510301816cc91dfb58c6e503fbbeb855e70c8c9513ee065cab8593d438f6'),
     'close-s1': (121, '60144735d97525f5e997842d3abaaef7fb18b818ae6214ff309792dc91cac905'),
     'fail-recover-s0': (121, 'ebe09a4acfdb56a06cfffe51d1b513087241993b77b492d1586672a7fa32e719'),

@@ -1,11 +1,14 @@
 """Integration: the distributed obstacle solver over the full stack."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import P2PDC
 from repro.numerics import membrane_problem, projected_richardson
-from repro.p2psap import TABLE_I, CommMode, ConnectionKind, Scheme
+from repro.p2psap import P2PSAP, TABLE_I, CommMode, ConnectionKind, Scheme
 from repro.simnet import Simulator, nicta_testbed
 from repro.solvers import ObstacleApplication
 from repro.resources import ResourceContext
@@ -29,11 +32,37 @@ def _solve(n_peers, scheme, clusters=1, n=N, tol=TOL, extra=None,
     params = {"n": n, "tol": tol}
     if extra:
         params.update(extra)
-    run = env.run_to_completion(
-        "obstacle", params=params, n_peers=n_peers, scheme=scheme,
-        timeout=timeout,
-    )
-    return run, env
+    with _recording_sessions() as sessions:
+        run = env.run_to_completion(
+            "obstacle", params=params, n_peers=n_peers, scheme=scheme,
+            timeout=timeout,
+        )
+    return run, env, sessions
+
+
+@contextlib.contextmanager
+def _recording_sessions():
+    """Yield a dict that records every P2PSAP session opened meanwhile,
+    by id: ``[(node, initiator session), (node, responder session)]``."""
+    ends = {}
+    open_session, handle_open = P2PSAP.open_session, P2PSAP._handle_open
+
+    def record(proto, session):
+        pair = ends.setdefault(session.session_id, [None, None])
+        pair[0 if session.initiator else 1] = (proto.node.name, session)
+
+    def opened(proto, remote, scheme):
+        session = open_session(proto, remote, scheme)
+        record(proto, session)
+        return session
+
+    def accepted(proto, src, body):
+        handle_open(proto, src, body)
+        record(proto, proto.sessions[body["session_id"]])
+
+    with mock.patch.object(P2PSAP, "open_session", opened), \
+            mock.patch.object(P2PSAP, "_handle_open", accepted):
+        yield ends
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +70,8 @@ def solve():
     """``_solve`` memoized for this module: the DES is deterministic and no
     test mutates a result, so each configuration is solved once however
     many tests read it.  ``solve(...)`` is the run; ``solve.env(...)``
-    the deployment that ran it."""
+    the deployment that ran it, and ``solve.sessions(...)`` the sessions
+    it opened (see :func:`_recording_sessions`)."""
     runs = {}
 
     def solved(n_peers, scheme, clusters=1, **kwargs):
@@ -54,17 +84,8 @@ def solve():
         return solved(*args, **kwargs)[0]
 
     memoized.env = lambda *args, **kwargs: solved(*args, **kwargs)[1]
+    memoized.sessions = lambda *args, **kwargs: solved(*args, **kwargs)[2]
     return memoized
-
-
-def _sessions(env):
-    """Every P2PSAP session of a deployment, by id: (initiator, responder)."""
-    ends = {}
-    for executor in env.executors.values():
-        for sid, session in executor.protocol.sessions.items():
-            pair = ends.setdefault(sid, [None, None])
-            pair[0 if session.initiator else 1] = (executor.node.name, session)
-    return ends
 
 
 class TestCorrectness:
@@ -140,7 +161,7 @@ class TestSchemeBehaviour:
         rank = run.peer_names.index
         modes = {
             (rank(a), rank(session.remote)): session.config.mode
-            for (a, session), _ in _sessions(solve.env(4, "hybrid", clusters=2)).values()
+            for (a, session), _ in solve.sessions(4, "hybrid", clusters=2).values()
         }
         assert modes == {
             (0, 1): CommMode.SYNCHRONOUS,
@@ -161,7 +182,7 @@ class TestTableIAtOpen:
         """Both ends of every session a solve opens hold the Table I cell
         of the solve's scheme and the session's connection kind."""
         env = solve.env(n_peers, scheme, clusters=clusters)
-        sessions = _sessions(env)
+        sessions = solve.sessions(n_peers, scheme, clusters=clusters)
         assert len(sessions) >= n_peers - 1
         kinds = set()
         for sid, (initiator, responder) in sessions.items():
