@@ -57,6 +57,22 @@ class TestFaultToleranceManager:
         sim.run(until=20.0)
         assert ft.failed_peers == ["peer01"]
 
+    def test_watch_starts_a_clean_run(self):
+        """Arming the next run forgets the last run's failures and
+        checkpoints."""
+        sim, net, env = self.make()
+        ft = env.fault_tolerance
+        ft.watch(["peer01", "peer02"])
+        ft.checkpoint_sink(0, {"block": "b0"})
+        sim.run(until=2.0)
+        net.nodes["peer02"].fail()
+        sim.run(until=10.0)
+        assert ft.failed_peers == ["peer02"]
+        ft.watch(["peer01"])
+        assert ft.failed_peers == []
+        assert len(ft.store) == 0
+        assert ft.recovery_states(2) == [None, None]
+
     def test_recovery_states_partial(self):
         sim, net, env = self.make()
         ft = env.fault_tolerance

@@ -5,6 +5,7 @@ import pytest
 from repro.cactus.composite import CompositeProtocol
 from repro.p2psap.microprotocols.congestion import (
     CWND_KEY,
+    SSTHRESH_KEY,
     HTCPCongestion,
     NewRenoCongestion,
     make_congestion,
@@ -90,6 +91,54 @@ class TestNewReno:
         assert not cc.in_fast_recovery
         assert cc.cwnd == 1.0
 
+    def test_two_dupacks_do_nothing(self):
+        cc = NewRenoCongestion()
+        cc.cwnd = 20.0
+        cc.on_dupack(2)
+        assert cc.cwnd == 20.0
+        assert not cc.in_fast_recovery
+        assert cc.stats_fast_retransmits == 0
+
+    def test_timeout_halves_ssthresh_and_restarts_slow_start(self):
+        cc = NewRenoCongestion()
+        cc.cwnd, cc.ssthresh = 32.0, 64.0
+        cc.on_timeout()
+        assert cc.cwnd == 1.0
+        assert cc.ssthresh == 16.0
+        cc.on_ack(rtt=0.01)
+        assert cc.cwnd == 2.0  # below ssthresh again: +1 per ack
+
+    def test_ssthresh_never_below_two_segments(self):
+        cc = NewRenoCongestion()
+        cc.cwnd = 3.0
+        cc.on_dupack(3)
+        assert cc.ssthresh == 2.0
+        assert cc.cwnd == 5.0
+        cc.on_timeout()
+        assert cc.ssthresh == 2.5  # half of the inflated window
+        cc.cwnd = 1.0
+        cc.on_timeout()
+        assert cc.ssthresh == 2.0
+
+    def test_partial_ack_deflation_stops_at_one_segment(self):
+        cc = NewRenoCongestion()
+        cc.cwnd = 4.0
+        cc.on_dupack(3)  # ssthresh 2, cwnd 5
+        for _ in range(10):
+            cc.on_ack(rtt=0.01, partial=True)
+        assert cc.in_fast_recovery
+        assert cc.cwnd == NewRenoCongestion.MIN_WINDOW
+        assert cc.stats_fast_retransmits == 11  # the fast one + 10 partials
+
+    def test_avoidance_without_rtt_sample_is_linear(self):
+        cc = NewRenoCongestion()
+        cc.ssthresh = 1.0
+        cc.cwnd = 10.0
+        cc.on_ack()
+        assert cc.cwnd == pytest.approx(10.0 + 1.0 / 10.0)
+        assert cc.srtt is None
+        assert cc.rto == 1.0  # no sample, no estimate
+
 
 class TestHTCP:
     def test_alpha_is_one_in_low_speed_regime(self):
@@ -162,6 +211,87 @@ class TestHTCP:
         assert cc.beta == HTCPCongestion.BETA_MIN
         assert cc.cwnd == pytest.approx(20.0)
 
+    def test_two_dupacks_do_nothing(self):
+        cc = HTCPCongestion()
+        cc.cwnd = 40.0
+        cc.on_dupack(2)
+        assert cc.cwnd == 40.0
+        assert cc.stats_fast_retransmits == 0
+
+    def test_rtt_extremes_track_the_samples(self):
+        cc = HTCPCongestion()
+        for rtt in (0.12, 0.10, 0.15, 0.11):
+            cc.on_ack(rtt=rtt)
+        assert (cc.rtt_min, cc.rtt_max) == (0.10, 0.15)
+        cc.on_ack()  # an ack without a sample leaves them alone
+        assert (cc.rtt_min, cc.rtt_max) == (0.10, 0.15)
+
+    def test_without_a_composite_growth_is_standard_tcp(self):
+        """Unstacked, the controller has no clock: Δ stays 0, α stays 1,
+        and avoidance grows like New-Reno."""
+        cc = HTCPCongestion()
+        cc.ssthresh = 1.0
+        cc.cwnd = 10.0
+        cc.on_ack(rtt=0.1)
+        assert cc.elapsed_since_congestion() == 0.0
+        assert cc.cwnd == pytest.approx(10.0 + 1.0 / 10.0)
+
+    def test_congestion_event_restarts_the_epoch(self):
+        """Δ counts from the last congestion event, so right after a loss
+        H-TCP grows like standard TCP again, however long the run."""
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        cc = comp.add_micro(HTCPCongestion())
+        cc.ssthresh = 1.0
+        cc.cwnd = 100.0
+        sim.timeout(10.0)
+        sim.run()
+        assert cc.elapsed_since_congestion() == 10.0
+        cc.on_timeout()
+        assert cc.elapsed_since_congestion() == 0.0
+        window = cc.cwnd
+        cc.on_ack()
+        assert cc.cwnd == pytest.approx(window + 1.0 / window)
+
+
+@pytest.mark.parametrize("cls", [NewRenoCongestion, HTCPCongestion])
+class TestEveryController:
+    def test_timeout_backs_the_rto_off_up_to_a_minute(self, cls):
+        cc = cls()
+        rtos = []
+        for _ in range(8):
+            cc.on_timeout()
+            rtos.append(cc.rto)
+        assert rtos == [2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0, 60.0]
+        assert cc.stats_timeouts == 8
+
+    def test_counts_acks_fast_retransmits_and_timeouts(self, cls):
+        cc = cls()
+        cc.cwnd = 40.0
+        for _ in range(5):
+            cc.on_ack(rtt=0.01)
+        cc.on_dupack(3)
+        cc.on_ack(rtt=0.01)
+        cc.on_timeout()
+        assert cc.stats_acks == 6
+        assert cc.stats_fast_retransmits == 1
+        assert cc.stats_timeouts == 1
+
+    def test_segment_timeout_events_reach_the_controller(self, cls):
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        cc = comp.add_micro(cls())
+        cc.cwnd = 40.0
+        pumped = []
+        comp.bus.bind("TrySend", lambda: pumped.append(1))
+        comp.bus.raise_event("SegmentTimeout", 3)
+        assert cc.stats_timeouts == 1
+        assert cc.cwnd < 40.0
+        assert comp.shared[CWND_KEY] == cc.cwnd
+        assert comp.shared[SSTHRESH_KEY] == cc.ssthresh
+        assert comp.shared["rto"] == cc.rto == 2.0
+        assert pumped
+
 
 class TestSharedState:
     def test_publishes_cwnd_and_rto_to_composite(self):
@@ -179,6 +309,29 @@ class TestSharedState:
         comp.remove_micro("cc-newreno")
         assert CWND_KEY not in comp.shared
         assert "rto" not in comp.shared
+
+    def test_ssthresh_published_after_a_fast_retransmit(self):
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        cc = comp.add_micro(NewRenoCongestion())
+        assert comp.shared[SSTHRESH_KEY] == cc.ssthresh
+        cc.cwnd = 20.0
+        comp.bus.raise_event("DupAck", 1, 3)
+        assert comp.shared[SSTHRESH_KEY] == 10.0
+
+    def test_non_positive_rtt_sample_is_ignored(self):
+        cc = NewRenoCongestion()
+        cc.observe_rtt(0.0)
+        cc.observe_rtt(-0.5)
+        assert cc.srtt is None and cc.rttvar is None
+        assert cc.rto == 1.0
+
+    def test_rto_floor_is_200_ms(self):
+        cc = NewRenoCongestion()
+        for _ in range(50):
+            cc.observe_rtt(0.001)
+        assert cc.srtt == pytest.approx(0.001)
+        assert cc.rto == 0.2
 
     def test_rtt_estimator_rfc6298(self):
         cc = NewRenoCongestion()

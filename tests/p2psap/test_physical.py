@@ -10,12 +10,12 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
 
 
-def make_link(delay=0.001):
+def make_link(delay=0.001, spec=ETHERNET):
     sim = Simulator()
     net = Network(sim, intra_netem=Netem(delay=delay))
     a, b = net.add_node("a"), net.add_node("b")
-    phy_a = PhysicalProtocol(sim, net, a, "b", 7, ETHERNET)
-    phy_b = PhysicalProtocol(sim, net, b, "a", 7, ETHERNET)
+    phy_a = PhysicalProtocol(sim, net, a, "b", 7, spec)
+    phy_b = PhysicalProtocol(sim, net, b, "a", 7, spec)
     # Minimal transport layer above each physical to observe deliveries.
     top_a = CompositeProtocol(sim, "top-a")
     top_b = CompositeProtocol(sim, "top-b")
@@ -25,6 +25,15 @@ def make_link(delay=0.001):
 
 
 class TestSpecs:
+    def test_ethernet_is_the_testbed_fabric(self):
+        assert ETHERNET.name == "ethernet"
+        assert ETHERNET.header_bytes == 18
+        assert ETHERNET.per_message_cost == pytest.approx(10e-6)
+
+    def test_spec_is_frozen(self):
+        with pytest.raises(AttributeError):
+            ETHERNET.header_bytes = 0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PhysicalSpec(name="bad", header_bytes=-1)
@@ -93,3 +102,44 @@ class TestFraming:
         sim.run(until=1.0)
         assert phy_a.stats_tx_frames == 3
         assert phy_b.stats_rx_frames == 3
+
+    def test_back_to_back_frames_queue_for_the_host(self):
+        """The receive side is a FIFO server: a frame that lands while
+        another is in service waits for it, and order is kept."""
+        sim, net, (top_a, _), (top_b, _) = make_link(delay=0.0)
+        got = []
+        top_b.bus.bind("FromBelow", lambda m: got.append((sim.now, m.payload)))
+        for i in range(3):
+            top_a.send_down(Message(i))
+        sim.run(until=1.0)
+        assert [payload for _, payload in got] == [0, 1, 2]
+        times = [t for t, _ in got]
+        for earlier, later in zip(times, times[1:]):
+            assert later - earlier >= ETHERNET.per_message_cost * (1 - 1e-9)
+
+    def test_free_host_delivers_on_arrival(self):
+        spec = PhysicalSpec(name="free", header_bytes=0, per_message_cost=0.0)
+        sim, net, (top_a, _), (top_b, _) = make_link(delay=0.002, spec=spec)
+        times = []
+        top_b.bus.bind("FromBelow", lambda m: times.append(sim.now))
+        top_a.send_down(Message(b""))
+        sim.run(until=1.0)
+        link = net.link("a", "b")
+        assert link.stats_bytes == Message(b"").size_bytes
+        assert times == [pytest.approx(0.002 + link.stats_bytes * 8
+                                       / link.bandwidth_bps)]
+
+    def test_close_hands_the_port_back(self):
+        """Once closed, an endpoint no longer takes the port's traffic;
+        a new endpoint on the same port does."""
+        sim, net, (top_a, _), (_, phy_b) = make_link()
+        phy_b.close()
+        fresh = PhysicalProtocol(sim, net, net.nodes["b"], "a", 7, ETHERNET)
+        top = CompositeProtocol(sim, "top-fresh")
+        ProtocolStack([top, fresh])
+        got = []
+        top.bus.bind("FromBelow", lambda m: got.append(m.payload))
+        top_a.send_down(Message(b"after-close"))
+        sim.run(until=1.0)
+        assert got == [b"after-close"]
+        assert phy_b.stats_rx_frames == 0

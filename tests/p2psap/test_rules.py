@@ -75,3 +75,37 @@ class TestContextValidation:
         c = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
                           congestion="none")
         assert c.describe() == "async/unreliable/none"
+
+    def test_scheme_parse_rejects_what_is_not_a_name(self):
+        for value in (None, 3, "sync"):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                Scheme.parse(value)
+
+    def test_congestion_defaults_to_newreno(self):
+        assert ChannelConfig(mode=CommMode.SYNCHRONOUS,
+                             reliable=True).congestion == "newreno"
+
+    def test_channel_config_is_a_frozen_value(self):
+        """A session's config is fixed for its life: no field can be set,
+        and equal configs are interchangeable as dict keys."""
+        config = TABLE_I[(Scheme.HYBRID, ConnectionKind.INTER_CLUSTER)]
+        with pytest.raises(AttributeError):
+            config.reliable = True
+        twin = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=False,
+                             congestion="none")
+        assert {config: "cell"}[twin] == "cell"
+
+    @pytest.mark.parametrize(
+        "scheme,conn,text",
+        [
+            (Scheme.SYNCHRONOUS, ConnectionKind.INTRA_CLUSTER, "sync/reliable/newreno"),
+            (Scheme.SYNCHRONOUS, ConnectionKind.INTER_CLUSTER, "sync/reliable/htcp"),
+            (Scheme.ASYNCHRONOUS, ConnectionKind.INTRA_CLUSTER, "async/reliable/newreno"),
+            (Scheme.ASYNCHRONOUS, ConnectionKind.INTER_CLUSTER, "async/unreliable/none"),
+            (Scheme.HYBRID, ConnectionKind.INTRA_CLUSTER, "sync/reliable/newreno"),
+            (Scheme.HYBRID, ConnectionKind.INTER_CLUSTER, "async/unreliable/none"),
+        ],
+    )
+    def test_describe_every_cell(self, scheme, conn, text):
+        """The Table I audit reports cells in this form."""
+        assert TABLE_I[(scheme, conn)].describe() == text

@@ -132,6 +132,30 @@ class TestSessionLifecycle:
             assert sock.getsockopt("state") is SessionState.CLOSED
             assert sock.session.channel.closed
 
+    @pytest.mark.parametrize("closer", ["initiator", "responder"])
+    def test_closed_session_leaves_both_session_tables(self, deployment, closer):
+        """A closed session is forgotten at both ends, whichever end
+        closes it, so a long-lived peer holds only open sessions."""
+        sim, net, protos = deployment
+
+        def scenario():
+            listener = protos["peer01"].socket()
+            accept_ev = listener.accept()
+            client = protos["peer00"].socket()
+            yield client.connect("peer01")
+            server = yield accept_ev
+            sid = client.session.session_id
+            assert sid in protos["peer00"].sessions
+            assert sid in protos["peer01"].sessions
+            (client if closer == "initiator" else server).close()
+            yield sim.timeout(2.0)
+            return client, server
+
+        client, server = run_scenario(sim, scenario())
+        assert protos["peer00"].sessions == {}
+        assert protos["peer01"].sessions == {}
+        assert client.session.channel.closed and server.session.channel.closed
+
     def test_send_before_connect_rejected(self, deployment):
         _, _, protos = deployment
         with pytest.raises(SocketError):
@@ -164,6 +188,37 @@ class TestAdaptationAtOpen:
         assert config.mode is mode
         assert config.reliable is reliable
         assert config.congestion == cc
+
+    @pytest.mark.parametrize("scheme", ["synchronous", "asynchronous", "hybrid"])
+    @pytest.mark.parametrize("remote", ["peer01", "peer02"])
+    def test_both_ends_stack_the_micro_protocols_of_their_cell(
+        self, deployment, scheme, remote
+    ):
+        """The data channel realizes the cell: the mode micro-protocol,
+        reliability and ordering together iff the cell is reliable, and
+        its congestion controller, at both ends of the session."""
+        sim, net, protos = deployment
+
+        def scenario():
+            listener = protos[remote].socket()
+            accept_ev = listener.accept()
+            sock = protos["peer00"].socket(scheme=scheme)
+            yield sock.connect(remote)
+            server = yield accept_ev
+            return sock, server
+
+        kind = (ConnectionKind.INTRA_CLUSTER if remote == "peer01"
+                else ConnectionKind.INTER_CLUSTER)
+        cell = TABLE_I[(Scheme.parse(scheme), kind)]
+        mode = "mode-sync" if cell.mode is CommMode.SYNCHRONOUS else "mode-async"
+        expected = {"buffers", mode}
+        if cell.reliable:
+            expected |= {"reliability", "ordering"}
+        if cell.congestion != "none":
+            expected.add(f"cc-{cell.congestion}")
+        for sock in run_scenario(sim, scenario()):
+            transport = sock.session.channel.transport
+            assert {m.name for m in transport.micros()} == expected
 
     def test_responder_mirrors_initiator_config(self, deployment):
         sim, net, protos = deployment
