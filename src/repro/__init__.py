@@ -14,7 +14,7 @@ Subpackages
     removal and substitution).
 ``repro.p2psap``
     The self-adaptive transport protocol: socket API, data channel
-    (sync/async modes, buffers, reliability, ordering, New-Reno / H-TCP
+    (sync/async modes, buffers, in-sequence reliability, New-Reno / H-TCP
     congestion control, an Ethernet physical layer), control channel
     (session open/close; each session's config is its Table I cell,
     looked up at open).

@@ -18,6 +18,10 @@ to that event are executed."
 - cancellable timers (a deferred event can be cancelled before firing),
   which Cactus exposes for round-trip timers.
 
+A raise is only the handler calls: it returns nothing and counts
+nothing (handlers communicate through their side effects and the
+composite's shared state).
+
 The paper's first Cactus modification — concurrent handler execution —
 maps here to handlers spawning kernel processes for long-running work
 (see :meth:`EventBus.spawn`) instead of blocking the dispatch loop;
@@ -90,7 +94,6 @@ class EventBus:
         # replaced, never mutated, on bind/unbind.
         self._compiled: dict[str, tuple[Handler, ...]] = {}
         self._seq = itertools.count()
-        self.stats_raised: dict[str, int] = {}
 
     # -- binding ---------------------------------------------------------
 
@@ -126,22 +129,18 @@ class EventBus:
 
     # -- dispatch ------------------------------------------------------------
 
-    def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Execute all bound handlers now; returns their return values.
+    def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> None:
+        """Execute all bound handlers now; their return values are dropped.
 
         Runs the handler tuple compiled at the last ``bind``/``unbind``;
         handlers may rebind without affecting the in-flight dispatch.
         """
-        stats = self.stats_raised
-        stats[event_name] = stats.get(event_name, 0) + 1
-        results = []
         if kwargs:
             for handler in self._compiled.get(event_name, ()):
-                results.append(handler(*args, **kwargs))
+                handler(*args, **kwargs)
         else:  # positional-only: the protocol stack's every raise
             for handler in self._compiled.get(event_name, ()):
-                results.append(handler(*args))
-        return results
+                handler(*args)
 
     def raise_later(
         self, delay: float, event_name: str, *args: Any, **kwargs: Any

@@ -18,7 +18,7 @@ from ..simnet.network import Network
 
 __all__ = ["EnvBus", "ENV_PORT"]
 
-#: Node-inbox port for P2PDC environment messages (P2PSAP's own control
+#: Node port for P2PDC environment messages (P2PSAP's own control
 #: channel owns port 0).
 ENV_PORT = 1
 

@@ -62,12 +62,9 @@ class CheckpointStore:
 class FaultToleranceManager:
     """Watches for evictions during a run and drives recovery."""
 
-    def __init__(self, sim, topology, checkpoint_every: float = 5.0):
-        if checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
+    def __init__(self, sim, topology):
         self.sim = sim
         self.topology = topology
-        self.checkpoint_every = checkpoint_every
         self.store = CheckpointStore()
         self.failed_peers: list[str] = []
         self._watching: list[str] = []

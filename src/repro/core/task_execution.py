@@ -97,8 +97,6 @@ class TaskExecutor:
         self._ops_epoch = 0
         self._accept_pump = sim.spawn(self._accept_loop(), name=f"accept-{node_name}")
         self._checkpoint_sink: Optional[Callable[[int, Any], None]] = None
-        self._result_sink: Optional[Callable[[int, Any], None]] = None
-        self.stats_tasks_run = 0
 
     # -- registry ---------------------------------------------------------------
 
@@ -145,7 +143,6 @@ class TaskExecutor:
         self._force_initiate = restart
         if not restart:
             self.app_inbox.clear()  # no stale coordination from a prior task
-        self.stats_tasks_run += 1
         ctx = TaskContext(
             executor=self,
             rank=self._rank,

@@ -76,10 +76,10 @@ class ChannelConfig:
     mode:
         Synchronous or asynchronous communication micro-protocol.
     reliable:
-        Whether the reliability (ack/retransmit) and ordering
-        micro-protocols are stacked ("some reliability and order
-        micro-protocols").  Table I: all cells except async/inter-cluster
-        and hybrid/inter-cluster are reliable.
+        Whether the reliability micro-protocol (ack/retransmit and
+        in-sequence delivery: "some reliability and order
+        micro-protocols") is stacked.  Table I: all cells except
+        async/inter-cluster and hybrid/inter-cluster are reliable.
     congestion:
         Congestion-control micro-protocol name: ``"newreno"`` for
         low-latency paths, ``"htcp"`` for the high speed-latency

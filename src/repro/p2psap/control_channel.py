@@ -24,7 +24,6 @@ during a session's life.  The components:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from ..cactus.messages import payload_nbytes
@@ -42,6 +41,13 @@ class ReliableControlLink:
     the same latency) on the reserved control port, but with their own
     acknowledgement/dedup layer so that "those messages must not be
     lost" holds even on impaired paths.
+
+    Messages are numbered per destination.  The sender keeps the numbers
+    not yet acknowledged (an ACK or giving up removes one), and every
+    frame carries the lowest of them, so the receiver knows that nothing
+    below it will be retransmitted.  The receiver keeps, per source, a
+    low watermark plus the numbers dispatched above it.  Both ends hold
+    what is in flight, not every message ever exchanged.
     """
 
     RTO = 0.5
@@ -55,9 +61,14 @@ class ReliableControlLink:
         self.node = node
         self.dispatch = dispatch
         self.port = port
-        self._seq = itertools.count()
-        self._acked: set[int] = set()
-        self._seen: dict[str, set[int]] = {}
+        # Sender side, per destination: the next number, and the numbers
+        # neither acknowledged nor given up on.
+        self._next_seq: dict[str, int] = {}
+        self._unacked: dict[str, set[int]] = {}
+        # Receiver side, per source: everything below the watermark is
+        # settled; the set holds the numbers dispatched above it.
+        self._rx_low: dict[str, int] = {}
+        self._rx_above: dict[str, set[int]] = {}
         self.stats_tx = 0
         self.stats_retries = 0
         self._closed = False
@@ -66,12 +77,16 @@ class ReliableControlLink:
     def send(self, dst: str, body: dict) -> None:
         """Fire-and-forget reliable send (delivery order not guaranteed,
         matching independent TCP connections per message exchange)."""
-        seq = next(self._seq)
-        packet = {"ctrl": "MSG", "seq": seq, "src": self.node.name, "body": body}
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
+        unacked = self._unacked.setdefault(dst, set())
+        unacked.add(seq)
+        packet = {"ctrl": "MSG", "seq": seq, "low": min(unacked),
+                  "src": self.node.name, "body": body}
         size = 64 + payload_nbytes(body)
         self.stats_tx += 1
-        self.sim.spawn(self._retransmit_loop(dst, packet, seq, size),
-                       name=f"ctrl-tx-{self.node.name}-{seq}")
+        self.sim.spawn(self._retransmit_loop(dst, packet, unacked, size),
+                       name=f"ctrl-tx-{self.node.name}-{dst}-{seq}")
 
     def send_volatile(self, dst: str, body: dict) -> None:
         """Unacknowledged, undeduplicated one-shot send (e.g. pings,
@@ -82,22 +97,30 @@ class ReliableControlLink:
             64 + payload_nbytes(body), port=self.port,
         )
 
-    def _retransmit_loop(self, dst: str, packet: dict, seq: int, size: int):
+    def _retransmit_loop(self, dst: str, packet: dict, unacked: set[int],
+                         size: int):
+        seq = packet["seq"]
         for attempt in range(self.MAX_TRIES):
+            if seq not in unacked:
+                return
             # A message sent before close() still goes out once (the
             # CLOSEs of P2PSAP.close, say); close() stops retransmissions.
-            if seq in self._acked or (attempt > 0 and self._closed):
-                return
+            if attempt > 0 and self._closed:
+                break
             if attempt > 0:
                 self.stats_retries += 1
             self.network.send(self.node.name, dst, packet, size, port=self.port)
             yield self.sim.timeout(self.RTO * (1.5 ** min(attempt, 8)))
-        # Peer unreachable; session-level fault tolerance deals with it.
+        # Given up (peer unreachable, or closed); session-level fault
+        # tolerance deals with it.
+        unacked.discard(seq)
 
     def _on_packet(self, pkt) -> None:
         frame = pkt.payload
         if frame.get("ctrl") == "ACK":
-            self._acked.add(frame["seq"])
+            unacked = self._unacked.get(pkt.src)
+            if unacked is not None:
+                unacked.discard(frame["seq"])
             return
         if frame.get("ctrl") == "VOLATILE":
             self.dispatch(frame["src"], frame["body"])
@@ -107,11 +130,18 @@ class ReliableControlLink:
             self.node.name, src,
             {"ctrl": "ACK", "seq": seq}, 64, port=self.port,
         )
-        seen = self._seen.setdefault(src, set())
-        if seq in seen:
-            return
-        seen.add(seq)
-        self.dispatch(src, frame["body"])
+        low = max(self._rx_low.get(src, 0), frame["low"])
+        above = {n for n in self._rx_above.get(src, ()) if n >= low}
+        fresh = seq >= low and seq not in above
+        if fresh:
+            above.add(seq)
+            while low in above:
+                above.remove(low)
+                low += 1
+        self._rx_low[src] = low
+        self._rx_above[src] = above
+        if fresh:
+            self.dispatch(src, frame["body"])
 
     def close(self) -> None:
         self._closed = True

@@ -8,8 +8,9 @@ layer; each layer corresponds to a Cactus composite protocol."
 
 - a *transport* composite protocol composed of micro-protocols chosen
   from a :class:`~repro.p2psap.context.ChannelConfig` — communication
-  mode (sync/async), buffer management, reliability and ordering if the
-  config is reliable, optionally a congestion controller;
+  mode (sync/async), buffer management, reliability (which also delivers
+  in sequence) if the config is reliable, optionally a congestion
+  controller;
 - the *physical* composite protocol (the testbed's Ethernet) below it;
 - glue handlers that frame outgoing segments and dispatch incoming ones
   into the receive pipeline.
@@ -40,7 +41,6 @@ from .context import ChannelConfig
 from .microprotocols.buffers import BufferManagement
 from .microprotocols.congestion import make_congestion
 from .microprotocols.modes import make_mode
-from .microprotocols.ordering import Ordering
 from .microprotocols.reliability import Reliability
 from .physical import ETHERNET, PhysicalProtocol
 
@@ -71,8 +71,8 @@ class DataChannel:
         self.stats_reconfigurations = 0
         #: Configuration epoch.  Sequence numbers are scoped to an epoch;
         #: segments from another epoch are dropped on arrival, so a
-        #: reconfiguration gives reliability/ordering a clean sequence
-        #: space even with old segments still in flight.
+        #: reconfiguration gives reliability a clean sequence space even
+        #: with old segments still in flight.
         self.epoch = 0
         self.stats_stale_epoch = 0
 
@@ -97,12 +97,9 @@ class DataChannel:
 
     def _apply_config(self, config: ChannelConfig) -> None:
         """Stack the config's micro-protocols into the transport layer."""
-        # Receive pipeline: Rx entry -> [reliability -> ordering] -> RxDeliver.
+        # Receive pipeline: Rx entry -> [reliability] -> RxDeliver.
         if config.reliable:
-            self.transport.add_micro(Reliability(next_stage="RxOrdered"))
-            self.transport.add_micro(
-                Ordering(input_stage="RxOrdered", next_stage="RxDeliver")
-            )
+            self.transport.add_micro(Reliability())
         if config.congestion != "none":
             self.transport.add_micro(make_congestion(config.congestion))
         self.transport.add_micro(make_mode(config.mode))
@@ -110,12 +107,7 @@ class DataChannel:
 
     def _strip_config(self) -> None:
         """Remove all configuration-dependent micro-protocols."""
-        for name in (
-            *_MODE_MICRO_NAMES,
-            "reliability",
-            "ordering",
-            *_CC_MICRO_NAMES,
-        ):
+        for name in (*_MODE_MICRO_NAMES, "reliability", *_CC_MICRO_NAMES):
             if self.transport.has_micro(name):
                 self.transport.remove_micro(name)
 

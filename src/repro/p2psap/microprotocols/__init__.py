@@ -1,4 +1,9 @@
-"""Transport-layer micro-protocols of the P2PSAP data channel."""
+"""Transport-layer micro-protocols of the P2PSAP data channel.
+
+A reliable channel stacks :class:`Reliability`, which acknowledges,
+retransmits and delivers in sequence; there is no separate ordering
+micro-protocol.
+"""
 
 from .buffers import BufferManagement
 from .congestion import (
@@ -8,7 +13,6 @@ from .congestion import (
     make_congestion,
 )
 from .modes import AsynchronousMode, SynchronousMode, make_mode
-from .ordering import Ordering
 from .reliability import Reliability
 
 __all__ = [
@@ -20,6 +24,5 @@ __all__ = [
     "AsynchronousMode",
     "SynchronousMode",
     "make_mode",
-    "Ordering",
     "Reliability",
 ]

@@ -10,8 +10,8 @@ application and network."
 Responsibilities here:
 
 - assign transmission sequence numbers at ``UserSend`` time (FIFO, so
-  sequence order == application send order — the ordering micro-protocol
-  relies on this);
+  sequence order == application send order — reliability's in-sequence
+  delivery relies on this);
 - hold messages in the *send queue* until the congestion window (if a
   congestion controller is stacked) admits them, pumping on ``TrySend``;
 - hold received messages in the *receive buffer* until the application

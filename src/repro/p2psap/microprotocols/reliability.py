@@ -1,9 +1,14 @@
-"""Reliability micro-protocol: per-segment acknowledgement + retransmit.
+"""Reliability micro-protocol: acknowledgement, retransmission and
+in-sequence delivery.
 
 Table I stacks reliability on every cell except the inter-cluster
 asynchronous ones, where "message losses recovery time may be comparable
 with updating time, thus those messages can become obsolete.  Hence,
-reliability micro protocols are not needed in this case."
+reliability micro protocols are not needed in this case."  The paper's
+reliable cells stack "some reliability and order micro-protocols"; here
+the two are one micro-protocol, because both keep the same receive
+watermark over the same sequence numbers and every reliable cell is an
+ordered one.
 
 Sender side
     every outgoing DATA segment (``TxSegment``) is registered in the
@@ -27,10 +32,14 @@ Sender side
 
 Receiver side
     every DATA segment is acknowledged (including duplicates — the ack
-    may have been the casualty), deduplicated by sequence number, and
-    fresh segments continue down the receive pipeline.  Dedup state is
-    a low watermark (everything below it was seen) plus the sparse set
-    seen above it: the size of the reorder window, not of the session.
+    may have been the casualty) and deduplicated by sequence number.
+    Fresh segments go on to ``RxDeliver`` in sequence order: the state
+    is a low watermark (everything below it was delivered) plus the
+    segments held above it, waiting for the gap below them to fill —
+    the size of the reorder window, not of the session.  Sequence
+    numbers are buffer management's transmission order, which is FIFO
+    in application send order, so in-sequence delivery reconstructs the
+    sender's ``P2P_Send`` order even when retransmissions arrive late.
 """
 
 from __future__ import annotations
@@ -53,13 +62,12 @@ class Reliability(MicroProtocol):
     #: Give-up threshold; a segment retransmitted this many times is
     #: abandoned (the peer is presumed dead — fault tolerance's problem).
     MAX_RETRANSMITS = 50
+    #: Retransmission timeout while no congestion controller publishes
+    #: an estimate (``shared["rto"]``).
+    DEFAULT_RTO = 1.0
 
-    def __init__(self, default_rto: float = 1.0, next_stage: str = "RxDeliver"):
+    def __init__(self) -> None:
         super().__init__()
-        if default_rto <= 0:
-            raise ValueError("default_rto must be positive")
-        self.default_rto = default_rto
-        self.next_stage = next_stage
         self._unacked: dict[int, Message] = {}
         self._retransmit_counts: dict[int, int] = {}
         # (deadline, transmit order, seq) per transmission, earliest first,
@@ -68,8 +76,9 @@ class Reliability(MicroProtocol):
         self._tx_order = itertools.count()
         self._timer: Optional[Timer] = None
         self._timer_at = math.inf
+        # Receive watermark and the fresh segments held above it.
         self._rx_low = 0
-        self._rx_above: set[int] = set()
+        self._rx_above: dict[int, tuple[Message, dict]] = {}
         self.stats_retransmits = 0
         self.stats_abandoned = 0
         self.stats_dup_rx = 0
@@ -86,8 +95,13 @@ class Reliability(MicroProtocol):
     def on_remove(self) -> None:
         # Reconfiguration away from reliable mode forgets in-flight state;
         # messages already queued are delivered unreliably from here on.
-        if self.composite is not None:
-            self.composite.shared.pop("in_flight", None)
+        # Held segments are flushed in sequence order (past the gap that
+        # held them) rather than swallowed.
+        held = self._rx_above
+        for seq in sorted(held):
+            self.composite.bus.raise_event("RxDeliver", *held[seq])
+        held.clear()
+        self.composite.shared.pop("in_flight", None)
         self._unacked.clear()
         self._deadlines.clear()
         self._timer, self._timer_at = None, math.inf  # remove() cancelled it
@@ -95,7 +109,7 @@ class Reliability(MicroProtocol):
     # -- sender side -------------------------------------------------------------
 
     def _rto(self) -> float:
-        return self.composite.shared.get("rto", self.default_rto)
+        return self.composite.shared.get("rto", self.DEFAULT_RTO)
 
     def _on_tx_segment(self, msg: Message) -> None:
         seq = msg.meta["seq"]
@@ -180,19 +194,21 @@ class Reliability(MicroProtocol):
         self.composite.bus.raise_event(
             "SendControl", "ACK", {"seq": seq, "echo_ts": fields.get("ts")}
         )
-        above = self._rx_above
-        if seq < self._rx_low or seq in above:
-            self.stats_dup_rx += 1
+        low, held = self._rx_low, self._rx_above
+        if seq != low:
+            if seq < low or seq in held:
+                self.stats_dup_rx += 1
+            else:
+                held[seq] = (msg, fields)
             return
-        if seq == self._rx_low:
-            seq += 1
-            while seq in above:
-                above.remove(seq)
-                seq += 1
-            self._rx_low = seq
-        else:
-            above.add(seq)
-        self.composite.bus.raise_event(self.next_stage, msg, fields)
+        raise_event = self.composite.bus.raise_event
+        while True:
+            low += 1
+            self._rx_low = low
+            raise_event("RxDeliver", msg, fields)
+            if low not in held:
+                return
+            msg, fields = held.pop(low)
 
     @property
     def unacked_count(self) -> int:

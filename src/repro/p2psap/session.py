@@ -13,7 +13,7 @@ from .data_channel import DataChannel
 
 __all__ = ["SessionState", "Session", "allocate_port", "CONTROL_PORT"]
 
-#: Reserved node-inbox port for control-channel traffic ("we use the
+#: Reserved node port for control-channel traffic ("we use the
 #: TCP/IP protocol to exchange control messages").
 CONTROL_PORT = 0
 
@@ -21,7 +21,7 @@ _PORT_ATTR = "_p2psap_next_port"
 
 
 def allocate_port(network: Network) -> int:
-    """A network-unique data port (ports are node-inbox namespaces)."""
+    """A network-unique data port (ports are per-node namespaces)."""
     nxt = getattr(network, _PORT_ATTR, 1000)
     setattr(network, _PORT_ATTR, nxt + 1)
     return nxt

@@ -9,7 +9,8 @@ a pure function of (event time, priority, sequence number), a simulation
 with a fixed RNG seed is exactly reproducible.  (One deliberate exception
 to the queue ordering: a :meth:`Channel.get` on a non-empty channel hands
 the item over synchronously, already processed, without entering the event
-queue — see :meth:`Channel.get`.  Determinism is unaffected.)
+queue — see :meth:`Channel.get`.  Determinism is unaffected.)  Every
+timeout is a fresh object: the kernel recycles no processed events.
 
 The programming model is generator-based cooperative processes, in the
 style of SimPy:
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -86,10 +86,6 @@ class Interrupt(Exception):
 URGENT = 0
 NORMAL = 1
 LOW = 2
-
-# CPython refcount introspection, used by the Timeout recycling fast path;
-# absent on some interpreters, in which case recycling is disabled.
-_getrefcount = getattr(sys, "getrefcount", None)
 
 # The value of an event that has not been triggered yet.  The hot paths
 # compare ``_value`` against it directly rather than through
@@ -193,33 +189,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         sim._schedule(self, priority, delay=delay)
-
-    def _rearm(self, delay: float, value: Any) -> None:
-        """Re-initialize a recycled instance (kernel-internal; only ever
-        called on a processed Timeout nobody else references)."""
-        if not delay >= 0:  # negative or NaN
-            raise ValueError(f"negative timeout delay {delay!r}" if delay < 0
-                             else "timeout delay is NaN")
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self.delay = delay
-        sim = self.sim
-        heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._seq), self))
-
-    def _arm_at(self, when: float, seq: int, value: Any) -> None:
-        """(Re-)initialize as a timeout keyed ``(when, NORMAL, seq)``
-        (kernel-internal; see :meth:`Simulator.timeout_at`)."""
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        sim = self.sim
-        self.delay = when - sim._now
-        heappush(sim._queue, (when, NORMAL, seq, self))
 
 
 class Process(Event):
@@ -536,17 +505,11 @@ class Simulator:
     the whole simulation deterministic.
     """
 
-    #: Cap on recycled Timeout instances kept per simulator (see
-    #: :meth:`timeout`); small — a pool this size already absorbs every
-    #: timeout chain the protocol stack creates.
-    _TIMEOUT_POOL_MAX = 64
-
     def __init__(self):
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._n_live_processes = 0
-        self._timeout_pool: list[Timeout] = []
         # Priority and seq of the entry processed last: with _now, the
         # key every processed entry sorts at or below (see _passed).
         self._now_prio = URGENT
@@ -573,23 +536,11 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` time units from now.
-
-        Allocation-light: processed timeouts that provably have no
-        remaining references (see :meth:`step`) are recycled instead of
-        constructing a fresh object per call — the dominant allocation
-        of timeout-chain-heavy simulations.
-        """
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t._rearm(delay, value)
-            return t
+        """An event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """An event firing at the absolute time ``when``; pooled like
-        :meth:`timeout`.
+        """An event firing at the absolute time ``when``.
 
         ``when`` goes onto the queue unchanged — not re-derived as
         ``now + (when - now)``, which can round differently — so a time
@@ -606,13 +557,11 @@ class Simulator:
     def _timeout_keyed(self, when: float, seq: int, value: Any) -> Timeout:
         """:meth:`timeout_at` with a ``seq`` taken from ``_seq`` earlier:
         the entry sorts exactly where one created back then would have."""
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-        else:
-            t = Timeout.__new__(Timeout)
-            t.sim = self
-        t._arm_at(when, seq, value)
+        t = Timeout.__new__(Timeout)
+        Event.__init__(t, self)
+        t._value = value
+        t.delay = when - self._now
+        heappush(self._queue, (when, NORMAL, seq, t))
         return t
 
     def _passed(self, when: float, seq: int) -> bool:
@@ -672,17 +621,6 @@ class Simulator:
         if not event._ok and not event._defused:
             # Nobody waited on a failed event: surface the error.
             raise event._value
-        # Recycle plain Timeouts nobody references any more (refcount 2 =
-        # the local variable + getrefcount's argument): the next
-        # sim.timeout() reuses the object instead of allocating.
-        if (
-            type(event) is Timeout
-            and _getrefcount is not None
-            and _getrefcount(event) == 2
-            and len(self._timeout_pool) < self._TIMEOUT_POOL_MAX
-        ):
-            event._value = None  # don't pin the payload while pooled
-            self._timeout_pool.append(event)
 
     def run_until(self, event: Event, horizon: float = math.inf) -> bool:
         """Step until ``event`` has been processed (True), or the next

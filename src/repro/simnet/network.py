@@ -21,6 +21,11 @@ service will complete, so it hands the packet over then and the packet
 costs one event at its service completion (see :meth:`Link.transmit`
 and :mod:`repro.p2psap.physical.base`); simulated times are unchanged.
 
+A node hands each arrived packet to the one receiver attached to its
+port (:meth:`Node.attach`).  A packet for a port with no receiver, such
+as a late ACK to a closed control link, is dropped and counted in
+:attr:`Node.stats_unclaimed`; the link still counts it as delivered.
+
 Compute costs are modeled by :meth:`Node.compute`, which converts a flop
 count into virtual seconds using the node's clock rate and a
 flops-per-cycle factor.  The distributed solver charges its *real* NumPy
@@ -38,7 +43,7 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from .kernel import Channel, Event, Simulator
+from .kernel import Event, Simulator
 
 __all__ = [
     "Netem",
@@ -112,10 +117,10 @@ class Packet:
     """
 
     __slots__ = ("src", "dst", "payload", "size_bytes", "port",
-                 "packet_id", "sent_at", "hops")
+                 "packet_id", "sent_at")
 
     def __init__(self, src: str, dst: str, payload: Any, size_bytes: int,
-                 port: int = 0, sent_at: float = 0.0, hops: int = 0):
+                 port: int = 0, sent_at: float = 0.0):
         if size_bytes < 0:
             raise ValueError("packet size must be non-negative")
         self.src = src
@@ -125,7 +130,6 @@ class Packet:
         self.port = port
         self.packet_id = next(_packet_ids)
         self.sent_at = sent_at
-        self.hops = hops
 
 
 class Node:
@@ -146,6 +150,10 @@ class Node:
     cluster:
         Cluster label used by the topology manager and by P2PSAP's
         intra/inter-cluster context detection.
+
+    Each port has at most one receiver (:meth:`attach`).  A packet that
+    arrives on a port with no receiver is dropped and counted in
+    :attr:`stats_unclaimed`; nothing queues it for a later taker.
     """
 
     def __init__(
@@ -165,9 +173,8 @@ class Node:
         self.flops_per_cycle = flops_per_cycle
         self.cluster = cluster
         self.mem_bytes = mem_bytes
-        # Per-port delivery: to the attached receiver (physical layer,
-        # control link) or, without one, into an inbox channel.
-        self._inboxes: dict[int, Channel] = {}
+        # Per-port delivery to the attached receiver (physical layer,
+        # control link).
         self._receivers: dict[int, Callable[[Packet], None]] = {}
         # Ports whose receiver is a FIFO server that links may hand
         # packets to at send time (see Link.transmit).
@@ -178,16 +185,12 @@ class Node:
         self.background_load = 0.0
         self.stats_flops = 0.0
         self.stats_busy_time = 0.0
-
-    def inbox(self, port: int = 0) -> Channel:
-        """The FIFO delivery channel for ``port`` (created on demand)."""
-        if port not in self._inboxes:
-            self._inboxes[port] = self.sim.channel(name=f"{self.name}:{port}")
-        return self._inboxes[port]
+        #: Packets that arrived on a port with no receiver (dropped).
+        self.stats_unclaimed = 0
 
     def attach(self, port: int, receiver: Callable[["Packet"], None]) -> None:
-        """Call ``receiver(packet)`` for packets arriving on ``port``
-        (instead of queueing them); a later attach takes over.
+        """Call ``receiver(packet)`` for packets arriving on ``port``;
+        a later attach takes over.
 
         A receiver that is a bound method of a FIFO server (an object
         with ``_fold``/``_unfold``, i.e. a physical-layer endpoint) lets
@@ -209,12 +212,12 @@ class Node:
             self._servers.pop(port, None)
 
     def deliver(self, packet: "Packet") -> None:
-        """Hand an arrived packet to its port's receiver or inbox."""
+        """Hand an arrived packet to its port's receiver, or drop it."""
         receiver = self._receivers.get(packet.port)
         if receiver is not None:
             receiver(packet)
         else:
-            self.inbox(packet.port).put(packet)
+            self.stats_unclaimed += 1
 
     def compute(self, flops: float) -> Event:
         """An event that fires when ``flops`` of work completes.
@@ -368,8 +371,7 @@ class Link:
         if netem.duplicate > 0 and self.rng.random() < netem.duplicate:
             self.stats_duplicated += 1
             dup = Packet(packet.src, packet.dst, packet.payload,
-                         packet.size_bytes, packet.port, packet.sent_at,
-                         packet.hops)
+                         packet.size_bytes, packet.port, packet.sent_at)
             self._schedule_delivery(dup, total + self._propagation_delay())
 
     def reconfigure(
@@ -415,7 +417,6 @@ class Link:
 
     def _count_delivery(self, packet: Packet) -> None:
         """The packet reached its node: count it and run the hooks."""
-        packet.hops += 1
         self.stats_delivered += 1
         for hook in self._delivery_hooks:
             hook(packet)

@@ -66,15 +66,20 @@ class TestSnapshotSemantics:
 
     def test_unbinding_the_last_handler_leaves_a_silent_event(self):
         bus = EventBus(Simulator())
-        bus.bind("E", print)
-        bus.unbind("E", print)
-        assert not bus.has_handlers("E") and bus.raise_event("E", 1) == []
+        got = []
+        record = got.append
+        bus.bind("E", record)
+        bus.unbind("E", record)
+        bus.raise_event("E", 1)
+        assert not bus.has_handlers("E") and got == []
 
     def test_keyword_arguments_still_reach_handlers(self):
         bus = EventBus(Simulator())
-        bus.bind("E", lambda a, k=None: (a, k))
-        assert bus.raise_event("E", 1, k=2) == [(1, 2)]
-        assert bus.raise_event("E", 1) == [(1, None)]
+        got = []
+        bus.bind("E", lambda a, k=None: got.append((a, k)))
+        bus.raise_event("E", 1, k=2)
+        bus.raise_event("E", 1)
+        assert got == [(1, 2), (1, None)]
 
 
 class TestStackLinks:

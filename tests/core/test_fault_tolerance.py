@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import P2PDC
-from repro.core.fault_tolerance import CheckpointStore, FaultToleranceManager
+from repro.core.fault_tolerance import CheckpointStore
 from repro.simnet import Simulator, nicta_testbed
 from repro.solvers import ObstacleApplication
 
@@ -39,11 +39,6 @@ class TestFaultToleranceManager:
         net = nicta_testbed(sim, 3)
         env = P2PDC(sim, net, enable_fault_tolerance=True)
         return sim, net, env
-
-    def test_validation(self):
-        sim, net, env = self.make()
-        with pytest.raises(ValueError):
-            FaultToleranceManager(sim, env.topology, checkpoint_every=0)
 
     def test_watch_scopes_failures(self):
         sim, net, env = self.make()

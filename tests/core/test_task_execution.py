@@ -71,6 +71,16 @@ class EnvMessagingApp(Application):
         return results[0]
 
 
+def held_sequence_numbers(link):
+    """Sequence numbers a control link keeps, over every peer."""
+    held = 0
+    for value in vars(link).values():
+        for part in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(part, set):
+                held += len(part)
+    return held
+
+
 def make_env(n=2):
     sim = Simulator()
     net = nicta_testbed(sim, n)
@@ -108,6 +118,21 @@ class TestSessionManagement:
         held = [session for ex in env.executors.values()
                 for session in ex.protocol.sessions.values()]
         assert [s for s in held if s.state is SessionState.CLOSED] == []
+
+    def test_control_links_hold_what_is_in_flight(self):
+        """The reliable links under P2PSAP's control channel and the
+        environment bus keep per peer what is unacknowledged or held out
+        of order, not a number per message ever exchanged."""
+        SessionProbe.observations = {}
+        sim, env = make_env(2)
+        env.register_everywhere(SessionProbe())
+        links = {name: (ex.protocol.control, env.buses[name].link)
+                 for name, ex in env.executors.items()}
+        for _ in range(20):
+            env.run_to_completion("probe", n_peers=2, timeout=sim.now + 500)
+        sim.run(until=sim.now + 5.0)  # let the last ACKs land
+        for name, ends in links.items():
+            assert sum(map(held_sequence_numbers, ends)) == 0, name
 
     def test_rank_out_of_range(self):
         class BadRank(Application):

@@ -143,7 +143,7 @@ class TestAsyncChannel:
 
 class TestWholeMessages:
     """The stack has no MTU: a message of any size is one segment, and
-    reliability and ordering act on it whole."""
+    reliability acts on it whole."""
 
     @pytest.mark.parametrize("payload", [
         b"tiny",
@@ -197,12 +197,35 @@ class TestWholeMessages:
         assert got == blobs
         assert cha.transport.micro("reliability").stats_retransmits > 0
 
+    def test_reordering_link_delivers_in_send_order(self):
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        link = cha.physical.network.link("a", "b")
+        link.reconfigure(netem=Netem(delay=0.001, jitter=0.0008, reorder=0.3))
+        arrivals = []
+        chb.transport.bus.bind("RxData", lambda msg, f: arrivals.append(f["seq"]),
+                               order=0)
+
+        def sender():
+            for i in range(50):
+                yield cha.user_send(i)
+                yield sim.timeout(0.0002)
+
+        sim.spawn(sender())
+        sim.run(until=30)
+        got = []
+        while True:
+            ok, payload = chb.user_receive_nowait()
+            if not ok:
+                break
+            got.append(payload)
+        assert arrivals != sorted(arrivals)  # the link did reorder
+        assert got == list(range(50))
+
     def test_reconfigured_to_plain_channel_still_delivers_whole(self):
         sim, cha, chb = make_pair(ASYNC_RELIABLE)
         for ch in (cha, chb):
             ch.reconfigure(ASYNC_UNRELIABLE)
             assert not ch.transport.has_micro("reliability")
-            assert not ch.transport.has_micro("ordering")
         big = bytes(1000)
 
         def sender():

@@ -1,4 +1,5 @@
-"""Unit tests for buffer management, reliability, ordering and modes."""
+"""Unit tests for buffer management, reliability (in-sequence delivery
+included) and modes."""
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.p2psap.microprotocols.modes import (
     SynchronousMode,
     make_mode,
 )
-from repro.p2psap.microprotocols.ordering import Ordering
 from repro.p2psap.microprotocols.reliability import Reliability
 from repro.simnet.kernel import Simulator
 
@@ -98,7 +98,8 @@ class TestBufferManagement:
 
 class TestReliability:
     def make(self, comp):
-        rel = comp.add_micro(Reliability(default_rto=0.5))
+        rel = comp.add_micro(Reliability())
+        comp.shared["rto"] = 0.5
         outbox = []
         comp.bus.bind("SendControl", lambda kind, f: outbox.append((kind, f)))
         resent = []
@@ -116,7 +117,7 @@ class TestReliability:
         delivered = []
         comp.bus.bind("RxDeliver", lambda m, f: delivered.append(m))
         for _ in range(3):
-            comp.bus.raise_event("RxData", Message("p"), {"seq": 7, "ts": None})
+            comp.bus.raise_event("RxData", Message("p"), {"seq": 0, "ts": None})
         assert len(outbox) == 3       # every copy acked
         assert len(delivered) == 1    # delivered once
         assert rel.stats_dup_rx == 2
@@ -197,49 +198,48 @@ class TestReliability:
         sim.run(until=1.2)
         assert 0 in timeouts
 
-    def test_invalid_rto(self):
-        with pytest.raises(ValueError):
-            Reliability(default_rto=0)
 
+class TestInSequenceDelivery:
+    """Reliability releases fresh segments to ``RxDeliver`` in sequence."""
 
-class TestOrdering:
+    def make(self, comp):
+        rel = comp.add_micro(Reliability())
+        out = []
+        comp.bus.bind("RxDeliver", lambda m, f: out.append(f["seq"]))
+        return rel, out
+
     def deliver(self, comp, seq):
-        comp.bus.raise_event("RxOrdered", Message(seq), {"seq": seq})
+        comp.bus.raise_event("RxData", Message(seq), {"seq": seq, "ts": None})
 
     def test_in_order_passthrough(self, comp):
-        comp.add_micro(Ordering())
-        out = []
-        comp.bus.bind("RxDeliver", lambda m, f: out.append(f["seq"]))
+        rel, out = self.make(comp)
         for s in (0, 1, 2):
             self.deliver(comp, s)
-        assert out == [0, 1, 2]
+            assert out[-1] == s  # released on arrival, nothing held
+        assert out == [0, 1, 2] and not rel._rx_above
 
-    def test_reorders_gap(self, comp):
-        ord_ = comp.add_micro(Ordering())
-        out = []
-        comp.bus.bind("RxDeliver", lambda m, f: out.append(f["seq"]))
-        for s in (2, 0, 1):
-            self.deliver(comp, s)
+    def test_gap_is_held_then_released(self, comp):
+        rel, out = self.make(comp)
+        self.deliver(comp, 2)
+        self.deliver(comp, 1)
+        assert out == [] and sorted(rel._rx_above) == [1, 2]
+        self.deliver(comp, 0)
         assert out == [0, 1, 2]
-        assert ord_.stats_reordered == 1
-        assert ord_.held_count == 0
+        assert not rel._rx_above and rel._rx_low == 3
 
-    def test_below_window_duplicate_dropped(self, comp):
-        comp.add_micro(Ordering())
-        out = []
-        comp.bus.bind("RxDeliver", lambda m, f: out.append(f["seq"]))
+    def test_duplicate_below_the_watermark_dropped(self, comp):
+        rel, out = self.make(comp)
         self.deliver(comp, 0)
         self.deliver(comp, 0)
         assert out == [0]
+        assert rel.stats_dup_rx == 1
 
     def test_remove_flushes_held_segments(self, comp):
-        ord_ = comp.add_micro(Ordering())
-        out = []
-        comp.bus.bind("RxDeliver", lambda m, f: out.append(f["seq"]))
+        rel, out = self.make(comp)
         self.deliver(comp, 3)
         self.deliver(comp, 1)
         assert out == []
-        comp.remove_micro("ordering")
+        comp.remove_micro("reliability")
         assert out == [1, 3]  # flushed in seq order
 
 

@@ -11,7 +11,9 @@ of the first:
   longer than what is unacknowledged plus the head an ACK has not pruned
   yet;
 - reliability's receive-side dedup remembered every sequence number of
-  the session in one ever-growing set.
+  the session in one ever-growing set.  Its receive state is now a
+  watermark plus the segments held above it, waiting for a gap to fill:
+  the reorder window, not the history.
 """
 
 from repro.cactus.composite import CompositeProtocol
@@ -87,7 +89,7 @@ def test_fired_and_cancelled_timers_leave_the_armed_set():
 
 def make_receiver():
     comp = CompositeProtocol(Simulator(), "transport")
-    rel = comp.add_micro(Reliability(next_stage="RxDeliver"))
+    rel = comp.add_micro(Reliability())
     delivered, acks = [], []
     comp.bus.bind("RxDeliver", lambda msg, fields: delivered.append(fields["seq"]))
     comp.bus.bind("SendControl", lambda kind, fields: acks.append(fields["seq"]))
@@ -119,7 +121,7 @@ def test_reordered_segments_collapse_into_the_watermark():
     for seq in order:
         rx(comp, seq)
         peak = max(peak, len(rel._rx_above))
-    assert delivered == order  # dedup passes fresh segments straight on
+    assert delivered == list(range(800))  # each block released in sequence
     assert peak == window - 1
     assert len(rel._rx_above) == 0 and rel._rx_low == 800
 
@@ -128,12 +130,13 @@ def test_late_duplicates_below_the_watermark_are_counted_and_reacked():
     comp, rel, delivered, acks = make_receiver()
     for seq in (0, 1, 2, 5, 3):
         rx(comp, seq)
-    assert rel._rx_low == 4 and rel._rx_above == {5}
-    for seq in (1, 5, 0):  # below the watermark, above it, below again
+    assert rel._rx_low == 4 and list(rel._rx_above) == [5]
+    for seq in (1, 5, 0):  # below the watermark, held above it, below again
         rx(comp, seq)
     assert rel.stats_dup_rx == 3
-    assert delivered == [0, 1, 2, 5, 3]
+    assert delivered == [0, 1, 2, 3]  # 5 waits for 4
     assert acks == [0, 1, 2, 5, 3, 1, 5, 0]  # duplicates are re-ACKed
     assert rel.stats_acks_tx == 8
     rx(comp, 4)
     assert rel._rx_low == 6 and not rel._rx_above
+    assert delivered == [0, 1, 2, 3, 4, 5]

@@ -11,7 +11,7 @@ from repro.p2psap import (
     SessionState,
     SocketError,
 )
-from repro.simnet import Simulator, nicta_testbed
+from repro.simnet import Channel, Simulator, nicta_testbed
 
 
 @pytest.fixture
@@ -132,6 +132,31 @@ class TestSessionLifecycle:
             assert sock.getsockopt("state") is SessionState.CLOSED
             assert sock.session.channel.closed
 
+    def test_late_acks_to_a_closed_control_port_are_not_kept(self, deployment):
+        """``P2PSAP.close()`` sends its CLOSEs, then stops listening on
+        the control port, so their ACKs land on a port with no receiver:
+        the node drops and counts them rather than keeping them for the
+        rest of the simulation."""
+        sim, net, protos = deployment
+        proto = protos["peer00"]
+
+        def scenario():
+            listeners = {r: protos[r].socket() for r in ("peer01", "peer02")}
+            accepts = {r: listeners[r].accept() for r in listeners}
+            for remote in ("peer01", "peer02"):
+                yield proto.socket().connect(remote)
+            for remote in ("peer01", "peer02"):
+                yield accepts[remote]
+            proto.close()
+            yield sim.timeout(5.0)
+
+        run_scenario(sim, scenario())
+        node = net.nodes["peer00"]
+        queued = [chan for table in vars(node).values() if isinstance(table, dict)
+                  for chan in table.values() if isinstance(chan, Channel)]
+        assert sum(len(chan) for chan in queued) == 0
+        assert node.stats_unclaimed == 2  # the ACKs of the two CLOSEs
+
     @pytest.mark.parametrize("closer", ["initiator", "responder"])
     def test_closed_session_leaves_both_session_tables(self, deployment, closer):
         """A closed session is forgotten at both ends, whichever end
@@ -195,7 +220,7 @@ class TestAdaptationAtOpen:
         self, deployment, scheme, remote
     ):
         """The data channel realizes the cell: the mode micro-protocol,
-        reliability and ordering together iff the cell is reliable, and
+        reliability (in-sequence delivery included) iff the cell is reliable, and
         its congestion controller, at both ends of the session."""
         sim, net, protos = deployment
 
@@ -213,7 +238,7 @@ class TestAdaptationAtOpen:
         mode = "mode-sync" if cell.mode is CommMode.SYNCHRONOUS else "mode-async"
         expected = {"buffers", mode}
         if cell.reliable:
-            expected |= {"reliability", "ordering"}
+            expected.add("reliability")
         if cell.congestion != "none":
             expected.add(f"cc-{cell.congestion}")
         for sock in run_scenario(sim, scenario()):
@@ -373,3 +398,114 @@ class TestControlLink:
         la.send("b", {"x": 1})
         sim.run(until=30)
         assert got == [{"x": 1}]
+
+    def test_lossy_reordering_link_dispatches_each_message_once(self):
+        from repro.p2psap.control_channel import ReliableControlLink
+        from repro.simnet.network import Netem, Network
+
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01, jitter=0.008, loss=0.3,
+                                             duplicate=0.2, reorder=0.2))
+        a, b = net.add_node("a"), net.add_node("b")
+        got = {"a": [], "b": []}
+        la = ReliableControlLink(sim, net, a, lambda s, m: got["a"].append(m["i"]))
+        lb = ReliableControlLink(sim, net, b, lambda s, m: got["b"].append(m["i"]))
+
+        def chatter():
+            for i in range(60):
+                la.send("b", {"i": i})
+                if i % 3 == 0:
+                    lb.send("a", {"i": i})
+                yield sim.timeout(0.003)
+
+        sim.spawn(chatter())
+        sim.run(until=300)
+        assert sorted(got["b"]) == list(range(60))
+        assert sorted(got["a"]) == list(range(0, 60, 3))
+        assert got["b"] != list(range(60))  # the link did reorder
+        assert la.stats_retries > 0
+        # Everything was acknowledged: neither end keeps a number.
+        for link in (la, lb):
+            assert not any(link._unacked.values())
+            assert not any(link._rx_above.values())
+
+    def test_messages_are_numbered_per_destination(self):
+        from repro.p2psap.control_channel import ReliableControlLink
+        from repro.simnet.network import Netem, Network
+
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01))
+        a, b, c = (net.add_node(name) for name in "abc")
+        got = []
+        la = ReliableControlLink(sim, net, a, lambda s, m: None)
+        for node in (b, c):
+            ReliableControlLink(sim, net, node,
+                                lambda s, m, n=node.name: got.append((n, m["i"])))
+        numbers = {"b": [], "c": []}
+        for dst in numbers:
+            net.link("a", dst).add_delivery_hook(
+                lambda pkt, d=dst: numbers[d].append(pkt.payload["seq"]))
+        for i, dst in enumerate("bcb"):
+            la.send(dst, {"i": i})
+        sim.run(until=5)
+        assert numbers == {"b": [0, 1], "c": [0]}
+        assert sorted(got) == [("b", 0), ("b", 2), ("c", 1)]
+
+    def test_close_gives_up_unacknowledged_messages(self):
+        """A message sent before close() goes out once; close() stops its
+        retransmissions and the sender forgets it."""
+        from repro.p2psap.control_channel import ReliableControlLink
+        from repro.simnet.network import Netem, Network
+
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01))
+        a, b = net.add_node("a"), net.add_node("b")
+        la = ReliableControlLink(sim, net, a, lambda s, m: None)
+        b.fail()
+        la.send("b", {"x": 1})
+        la.close()
+        sim.run(until=60)
+        assert net.link("a", "b").stats_sent == 1
+        assert la.stats_retries == 0 and not la._unacked["b"]
+
+    def test_ack_reaching_a_link_that_never_sent_is_ignored(self):
+        """A link that takes over a port also receives the ACKs of what
+        the previous holder sent; they acknowledge nothing of its own."""
+        from repro.p2psap.control_channel import ReliableControlLink
+        from repro.simnet.network import Netem, Network
+
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01))
+        a, b = net.add_node("a"), net.add_node("b")
+        got = []
+        old = ReliableControlLink(sim, net, a, lambda s, m: None)
+        ReliableControlLink(sim, net, b, lambda s, m: got.append(m))
+        old.send("b", {"x": 1})
+        new = ReliableControlLink(sim, net, a, lambda s, m: None)
+        sim.run(until=5)
+        assert got == [{"x": 1}]
+        assert new._unacked == {} and new.stats_tx == 0
+
+    def test_watermark_moves_past_an_abandoned_message(self):
+        """A message the sender gave up on leaves no gap at the receiver:
+        later frames carry the sender's lowest unacknowledged number."""
+        from repro.p2psap.control_channel import ReliableControlLink
+        from repro.simnet.network import Netem, Network
+
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01))
+        a, b = net.add_node("a"), net.add_node("b")
+        got = []
+        la = ReliableControlLink(sim, net, a, lambda s, m: None)
+        lb = ReliableControlLink(sim, net, b, lambda s, m: got.append(m["i"]))
+        la.MAX_TRIES = 2
+        b.fail()
+        la.send("b", {"i": 0})
+        sim.run(until=10)
+        assert not la._unacked["b"]  # given up
+        b.recover()
+        la.send("b", {"i": 1})
+        la.send("b", {"i": 2})
+        sim.run(until=20)
+        assert got == [1, 2]
+        assert lb._rx_low == {"a": 3} and not lb._rx_above["a"]

@@ -11,7 +11,8 @@ against digests recorded before the fold existed:
 
 - raw frames between two :class:`PhysicalProtocol` endpoints: served
   time, port, payload id and outcome -- ``delivered:<endpoint>``,
-  ``inbox`` (no receiver on the port), ``dropped-dead`` (never reached a
+  ``inbox`` (no receiver on the port: the node drops and counts it, and
+  the test keeps it in a channel of its own), ``dropped-dead`` (never reached a
   live node: dead at arrival, or lost on the wire) or ``dropped-closed``
   (reached the node, but its endpoint closed before serving it) -- then
   the link and endpoint counters;
@@ -76,6 +77,18 @@ class RawPair:
         self.link = self.net.link("a", "b")
         self.log, self.hooked, self.ends = [], set(), []
         self.link.add_delivery_hook(lambda pkt: self.hooked.add(pkt.payload[1]))
+        self.unclaimed = sim.channel()
+        node_deliver = self.b.deliver
+
+        def deliver(packet):
+            # b drops a packet that finds no receiver on its port; keep
+            # it for the log instead.
+            dropped = self.b.stats_unclaimed
+            node_deliver(packet)
+            if self.b.stats_unclaimed != dropped:
+                self.unclaimed.put(packet)
+
+        self.b.deliver = deliver
         self.endpoint("first")
         gaps = np.random.default_rng(seed).choice(GAPS, size=N_FRAMES)
         self.gaps = [float(g) for g in gaps]
@@ -109,7 +122,7 @@ class RawPair:
 
         def inbox():
             while True:
-                pkt = yield self.b.inbox(PORT).get()
+                pkt = yield self.unclaimed.get()
                 self.log.append((sim.now, pkt.port, pkt.payload[1], "inbox"))
 
         def act(when, fn):

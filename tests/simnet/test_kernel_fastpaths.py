@@ -1,8 +1,8 @@
-"""DES kernel fast paths: Timeout recycling and channel direct handoff.
+"""DES kernel fast paths: absolute-time timeouts and channel direct handoff.
 
-These optimizations must be invisible at the semantic level — same
-values, same virtual times, same determinism — so the tests here pin
-the observable behaviour while poking at the reuse machinery directly.
+These must be invisible at the semantic level — same values, same
+virtual times, same determinism — so the tests here pin the observable
+behaviour.  Every timeout is a fresh object; the kernel recycles none.
 """
 
 import pytest
@@ -15,26 +15,8 @@ from repro.simnet.kernel import (
 )
 
 
-class TestTimeoutRecycling:
-    def test_chain_reuses_timeout_objects(self):
-        """A timeout chain must not allocate one Timeout per tick."""
-        sim = Simulator()
-        ids = []
-
-        def ticker():
-            for _ in range(50):
-                t = sim.timeout(1.0)
-                ids.append(id(t))
-                yield t
-                del t  # drop our reference so the kernel may recycle it
-
-        sim.spawn(ticker())
-        sim.run()
-        assert sim.now == 50.0
-        # Far fewer distinct objects than ticks (recycling kicked in).
-        assert len(set(ids)) < len(ids)
-
-    def test_recycled_timeout_validates_delay(self):
+class TestTimeout:
+    def test_delay_is_validated_after_a_run(self):
         sim = Simulator()
 
         def proc():
@@ -46,47 +28,6 @@ class TestTimeoutRecycling:
             sim.timeout(-1.0)
         with pytest.raises(ValueError):
             sim.timeout(float("nan"))
-
-    def test_recycled_timeout_carries_fresh_value(self):
-        sim = Simulator()
-        got = []
-
-        def proc():
-            for i in range(10):
-                v = yield sim.timeout(0.5, value=i)
-                got.append(v)
-
-        sim.spawn(proc())
-        sim.run()
-        assert got == list(range(10))
-
-    def test_referenced_timeout_is_not_recycled(self):
-        """Holding a reference must keep the event's value stable."""
-        sim = Simulator()
-        held = []
-
-        def proc():
-            for i in range(5):
-                t = sim.timeout(1.0, value=i)
-                held.append(t)
-                yield t
-
-        sim.spawn(proc())
-        sim.run()
-        assert [t.value for t in held] == [0, 1, 2, 3, 4]
-        assert len({id(t) for t in held}) == 5
-        assert all(t.processed for t in held)
-
-    def test_pool_is_bounded(self):
-        sim = Simulator()
-
-        def burst():
-            for _ in range(300):
-                yield sim.timeout(0.001)
-
-        sim.spawn(burst())
-        sim.run()
-        assert len(sim._timeout_pool) <= Simulator._TIMEOUT_POOL_MAX
 
 
 class TestTimeoutAt:
@@ -105,22 +46,6 @@ class TestTimeoutAt:
         sim.run()
         assert fired == ["v", 0.9]
 
-    def test_reuses_pooled_timeouts(self):
-        sim = Simulator()
-        ids = []
-
-        def proc():
-            for k in range(1, 20):
-                t = sim.timeout_at(float(k), k)
-                ids.append(id(t))
-                assert (yield t) == k
-                del t
-
-        sim.spawn(proc())
-        sim.run()
-        assert sim.now == 19.0
-        assert len(set(ids)) < len(ids)
-
     def test_orders_with_relative_timeouts_by_creation(self):
         sim = Simulator()
         order = []
@@ -133,11 +58,8 @@ class TestTimeoutAt:
     def test_rejects_past_and_nan(self, when):
         sim = Simulator()
         sim.run(until=1.0)
-        for _ in range(2):  # fresh, then with a pooled timeout available
-            with pytest.raises(ValueError):
-                sim.timeout_at(when)
-            sim.timeout(0.1)
-            sim.run()
+        with pytest.raises(ValueError):
+            sim.timeout_at(when)
         assert sim.timeout_at(sim.now).delay == 0.0
 
 
@@ -224,17 +146,6 @@ class TestSemanticsUnchanged:
         sim.spawn(stuck())
         with pytest.raises(DeadlockError):
             sim.run()
-
-    def test_run_until_with_recycling(self):
-        sim = Simulator()
-
-        def ticker():
-            while True:
-                yield sim.timeout(1.0)
-
-        sim.spawn(ticker())
-        sim.run(until=100.5)
-        assert sim.now == 100.5
 
     def test_determinism_with_fastpaths(self):
         def build():

@@ -14,6 +14,13 @@ from repro.simnet.network import (
 )
 
 
+def receive(node, port=0):
+    """A test-local channel that takes ``node``'s packets on ``port``."""
+    chan = node.sim.channel()
+    node.attach(port, chan.put)
+    return chan
+
+
 def make_net(**kwargs):
     sim = Simulator()
     net = Network(sim, **kwargs)
@@ -86,11 +93,12 @@ class TestNodeCompute:
 class TestLinkTiming:
     def test_propagation_delay_only(self):
         sim, net = make_net(intra_netem=Netem(delay=0.05), intra_bandwidth_bps=math.inf)
+        inbox = receive(net.nodes["b"])
         net.send("a", "b", "hello", size_bytes=1000)
         received = []
 
         def rx():
-            pkt = yield net.nodes["b"].inbox().get()
+            pkt = yield inbox.get()
             received.append((sim.now, pkt.payload))
 
         sim.spawn(rx())
@@ -100,11 +108,12 @@ class TestLinkTiming:
     def test_serialization_delay(self):
         # 100 Mbit/s, 12500 bytes = 100000 bits -> 1 ms serialization
         sim, net = make_net(intra_netem=Netem(delay=0.0), intra_bandwidth_bps=100e6)
+        inbox = receive(net.nodes["b"])
         net.send("a", "b", "x", size_bytes=12500)
         times = []
 
         def rx():
-            yield net.nodes["b"].inbox().get()
+            yield inbox.get()
             times.append(sim.now)
 
         sim.spawn(rx())
@@ -113,6 +122,7 @@ class TestLinkTiming:
 
     def test_fifo_serialization_queues_packets(self):
         sim, net = make_net(intra_netem=Netem(delay=0.0), intra_bandwidth_bps=100e6)
+        inbox = receive(net.nodes["b"])
         # Two back-to-back packets of 1 ms each must arrive at 1 ms and 2 ms.
         net.send("a", "b", 1, size_bytes=12500)
         net.send("a", "b", 2, size_bytes=12500)
@@ -120,7 +130,7 @@ class TestLinkTiming:
 
         def rx():
             for _ in range(2):
-                yield net.nodes["b"].inbox().get()
+                yield inbox.get()
                 times.append(sim.now)
 
         sim.spawn(rx())
@@ -129,6 +139,7 @@ class TestLinkTiming:
 
     def test_interleaved_sends_respect_transmitter_free_time(self):
         sim, net = make_net(intra_netem=Netem(delay=0.0), intra_bandwidth_bps=100e6)
+        inbox = receive(net.nodes["b"])
         times = []
 
         def tx():
@@ -138,7 +149,7 @@ class TestLinkTiming:
 
         def rx():
             for _ in range(2):
-                yield net.nodes["b"].inbox().get()
+                yield inbox.get()
                 times.append(sim.now)
 
         sim.spawn(tx())
@@ -151,6 +162,7 @@ class TestLinkTiming:
         on the wire keeps the delay it was transmitted with."""
         sim, net = make_net(intra_netem=Netem(delay=0.1),
                             intra_bandwidth_bps=math.inf)
+        inbox = receive(net.nodes["b"])
         net.send("a", "b", "before", size_bytes=100)
         net.link("a", "b").reconfigure(netem=Netem(delay=0.5))
         net.send("a", "b", "after", size_bytes=100)
@@ -158,7 +170,7 @@ class TestLinkTiming:
 
         def rx():
             for _ in range(2):
-                pkt = yield net.nodes["b"].inbox().get()
+                pkt = yield inbox.get()
                 received.append((sim.now, pkt.payload))
 
         sim.spawn(rx())
@@ -170,13 +182,14 @@ class TestLinkTiming:
 class TestLoss:
     def test_total_loss_drops_everything(self):
         sim, net = make_net()
+        inbox = receive(net.nodes["b"])
         link = net.add_link("a", "b", netem=Netem(loss=1.0))
         for i in range(10):
             link.transmit(Packet("a", "b", i, size_bytes=100))
         sim.run()
         assert link.stats_dropped == 10
         assert link.stats_delivered == 0
-        assert len(net.nodes["b"].inbox()) == 0
+        assert len(inbox) == 0
 
     def test_loss_rate_statistics(self):
         sim, net = make_net()
@@ -190,21 +203,46 @@ class TestLoss:
 
     def test_duplication_delivers_twice(self):
         sim, net = make_net()
+        inbox = receive(net.nodes["b"])
         link = net.add_link("a", "b", netem=Netem(duplicate=1.0))
         link.transmit(Packet("a", "b", "dup", size_bytes=10))
         sim.run()
-        assert len(net.nodes["b"].inbox()) == 2
+        assert len(inbox) == 2
 
     def test_dead_node_drops_deliveries(self):
         sim, net = make_net()
+        inbox = receive(net.nodes["b"])
         net.nodes["b"].fail()
         net.send("a", "b", "lost", size_bytes=10)
         sim.run()
-        assert len(net.nodes["b"].inbox()) == 0
+        assert len(inbox) == 0
         net.nodes["b"].recover()
         net.send("a", "b", "found", size_bytes=10)
         sim.run()
-        assert len(net.nodes["b"].inbox()) == 1
+        assert len(inbox) == 1
+
+
+class TestPortsWithoutReceiver:
+    def test_packet_is_dropped_and_counted_on_the_node(self):
+        sim, net = make_net()
+        net.send("a", "b", "nobody", size_bytes=10, port=5)
+        sim.run()
+        link = net.link("a", "b")
+        assert net.nodes["b"].stats_unclaimed == 1
+        # The link delivered it: the packet reached the node.
+        assert (link.stats_delivered, link.stats_dropped) == (1, 0)
+
+    def test_a_detached_port_keeps_nothing(self):
+        sim, net = make_net()
+        b = net.nodes["b"]
+        inbox = receive(b, port=3)
+        net.send("a", "b", "before", size_bytes=10, port=3)
+        sim.run()
+        b.detach(3, inbox.put)
+        net.send("a", "b", "after", size_bytes=10, port=3)
+        sim.run()
+        assert inbox.get_nowait()[1].payload == "before" and len(inbox) == 0
+        assert b.stats_unclaimed == 1
 
 
 class TestClusters:
@@ -290,22 +328,25 @@ class TestValidation:
 
     def test_ports_isolate_traffic(self):
         sim, net = make_net()
+        inbox1 = receive(net.nodes["b"], port=1)
+        inbox2 = receive(net.nodes["b"], port=2)
         net.send("a", "b", "data", size_bytes=10, port=1)
         net.send("a", "b", "ctrl", size_bytes=10, port=2)
         sim.run()
-        assert net.nodes["b"].inbox(1).get_nowait()[1].payload == "data"
-        assert net.nodes["b"].inbox(2).get_nowait()[1].payload == "ctrl"
+        assert inbox1.get_nowait()[1].payload == "data"
+        assert inbox2.get_nowait()[1].payload == "ctrl"
 
     def test_determinism_across_runs(self):
         def run_once():
             sim, net = make_net()
+            inbox = receive(net.nodes["b"])
             link = net.add_link("a", "b", netem=Netem(loss=0.5, jitter=0.01, delay=0.02))
             for i in range(100):
                 link.transmit(Packet("a", "b", i, size_bytes=10))
             sim.run()
             got = []
             while True:
-                ok, pkt = net.nodes["b"].inbox().get_nowait()
+                ok, pkt = inbox.get_nowait()
                 if not ok:
                     break
                 got.append(pkt.payload)
