@@ -1,14 +1,20 @@
 #!/usr/bin/env python
 """Exact per-message work counts of the protocol stack's hot path.
 
-    PYTHONPATH=src python benchmarks/protocol_path.py
+    PYTHONPATH=src python benchmarks/protocol_path.py [--calls]
 
 prints one JSON object: for a fixed 200-message synchronous intra-cluster
 stream and one n=12, alpha=4 asynchronous solve, how many DES events,
-``EventBus.raise_event`` calls, ``payload_nbytes`` calls (recursive ones
+event-handler calls, ``payload_nbytes`` calls (recursive ones
 included), process-generator resumes and timer arms (``set_timer`` calls
 plus per-session timer (re-)arms through ``EventBus.call_at``) one
 application message costs.
+
+Handler calls are counted where the handlers enter the bus: every
+handler bound through ``EventBus.bind`` inside the counted block is
+wrapped, as the end-to-end tracer does, so a raise counts once per
+handler it runs whether it was raised by name (``raise_event``) or
+through the event's compiled callable (``bus.compiled[name]``).
 
 These are counts, not timings: the simulation is deterministic, so they
 are the same integers on every machine and every run.  That makes them
@@ -18,6 +24,13 @@ committed ``protocol_path`` record in ``BENCH_micro.json``, e.g. because
 a change re-added an event per packet.  They say nothing about seconds;
 ``benchmarks/e2e`` measures those.
 
+``--calls`` prints instead the host cost of one message on each cell of
+the ``p2psap_stream`` workload (one-way streams of 400 ``(i, plane)``
+messages, seed 0): interpreter calls per message, Python and C calls as
+``sys.setprofile`` reports them, from the first DES step to the last
+delivery.  It is reported, not gated: the count depends on the CPython
+and numpy versions.
+
 The counters are installed from here, around public names, for the
 duration of one workload; ``src/`` knows nothing about them.
 """
@@ -25,7 +38,9 @@ duration of one workload; ``src/`` knows nothing about them.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
+import sys
 
 import numpy as np
 
@@ -37,6 +52,7 @@ from repro.experiments.harness import run_job
 from repro.p2psap import P2PSAP
 from repro.p2psap.socket_api import P2PSAPSocket
 from repro.simnet import Simulator, nicta_testbed
+from repro.simnet.topology import NICTA_SPEC
 
 STREAM_MESSAGES = 200
 
@@ -64,17 +80,19 @@ class _CountedGenerator:
 @contextlib.contextmanager
 def counting():
     """Count the hot-path calls made inside the block."""
-    counts = {"events": 0, "raise_events": 0, "payload_nbytes_calls": 0,
+    counts = {"events": 0, "handler_calls": 0, "payload_nbytes_calls": 0,
               "generator_resumes": 0, "timer_arms": 0, "messages": 0}
     originals = [
         (Simulator, "step", Simulator.step),
         (Simulator, "spawn", Simulator.spawn),
-        (EventBus, "raise_event", EventBus.raise_event),
+        (EventBus, "bind", EventBus.bind),
+        (EventBus, "unbind", EventBus.unbind),
         (EventBus, "call_at", EventBus.call_at),
         (MicroProtocol, "set_timer", MicroProtocol.set_timer),
         (P2PSAPSocket, "send", P2PSAPSocket.send),
         (messages, "payload_nbytes", messages.payload_nbytes),
     ]
+    bind, unbind = EventBus.bind, EventBus.unbind
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -86,9 +104,22 @@ def counting():
         return originals[1][2](sim, _CountedGenerator(gen, counts),
                                *args, **kwargs)
 
+    def counted_bind(bus, event_name, handler, *args, **kwargs):
+        wrapper = counted("handler_calls", handler)
+        wrapper.counted_handler = handler
+        return bind(bus, event_name, wrapper, *args, **kwargs)
+
+    def counted_unbind(bus, event_name, handler):
+        for bound in bus.handlers_for(event_name):
+            if getattr(bound, "counted_handler", None) == handler:
+                handler = bound
+                break
+        return unbind(bus, event_name, handler)
+
     Simulator.step = counted("events", Simulator.step)
     Simulator.spawn = spawn
-    EventBus.raise_event = counted("raise_events", EventBus.raise_event)
+    EventBus.bind = counted_bind
+    EventBus.unbind = counted_unbind
     EventBus.call_at = counted("timer_arms", EventBus.call_at)
     MicroProtocol.set_timer = counted("timer_arms", MicroProtocol.set_timer)
     P2PSAPSocket.send = counted("messages", P2PSAPSocket.send)
@@ -104,7 +135,7 @@ def counting():
 
 def per_message(counts):
     out = dict(counts)
-    for key in ("events", "raise_events", "payload_nbytes_calls",
+    for key in ("events", "handler_calls", "payload_nbytes_calls",
                 "generator_resumes", "timer_arms"):
         out[f"{key}_per_msg"] = round(counts[key] / counts["messages"], 4)
     return out
@@ -135,10 +166,12 @@ def stream_sync_intra():
         sim.spawn(sender())
         while done.is_alive:
             sim.step()
-    for proto in protos.values():
-        proto.close()
+        result = per_message(counts)
+        # Inside the block: closing unbinds the handlers it wrapped.
+        for proto in protos.values():
+            proto.close()
     assert [i for i, _ in received] == list(range(STREAM_MESSAGES))
-    return per_message(counts)
+    return result
 
 
 def solve_n12_a4_async():
@@ -153,5 +186,69 @@ def measure():
             "solve_n12_a4_async": solve_n12_a4_async()}
 
 
+#: The ``p2psap_stream`` cells: (scheme, link, plane side, WAN loss).
+STREAM_CELLS = [(scheme, link, side, 0.0)
+                for scheme in ("synchronous", "asynchronous")
+                for link in ("intra", "inter")
+                for side in (24, 96)] + [("synchronous", "inter", 24, 0.02)]
+
+
+def stream_calls(scheme, link, side, loss, count=400, seed=0):
+    """Interpreter calls per message of one ``p2psap_stream`` cell."""
+    spec = dataclasses.replace(NICTA_SPEC, wan_loss=loss)
+    sim = Simulator()
+    net = nicta_testbed(sim, 4, n_clusters=2, spec=spec, seed=seed)
+    src, dst = "peer00", "peer01" if link == "intra" else "peer02"
+    protos = {node: P2PSAP(sim, net, node) for node in (src, dst)}
+    rng = np.random.default_rng(seed)
+    planes = [rng.random((side, side)) for _ in range(4)]
+    poll = side * side * 8 * 8.0 / spec.ethernet_bps
+    received = []
+
+    def receiver():
+        server = yield protos[dst].socket().accept()
+        while len(received) < count:
+            payload = yield server.recv()
+            if payload is None:
+                yield sim.timeout(poll)
+            else:
+                received.append(payload)
+
+    def sender():
+        sock = protos[src].socket(scheme=scheme)
+        yield sock.connect(dst)
+        for i in range(count):
+            yield sock.send((i, planes[i % 4]))
+
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    done = sim.spawn(receiver())
+    sim.spawn(sender())
+    sys.setprofile(profile)
+    try:
+        while done.is_alive:
+            sim.step()
+    finally:
+        sys.setprofile(None)
+    for proto in protos.values():
+        proto.close()
+    assert sorted(i for i, _ in received) == list(range(count))
+    return round(calls / count, 1)
+
+
+def measure_calls():
+    cells = {f"{scheme[:5]}-{link}-{side}" + ("-lossy" if loss else ""):
+             stream_calls(scheme, link, side, loss)
+             for scheme, link, side, loss in STREAM_CELLS}
+    return {"calls_per_msg": cells,
+            "mean": round(sum(cells.values()) / len(cells), 1)}
+
+
 if __name__ == "__main__":
-    print(json.dumps(measure(), sort_keys=True))
+    print(json.dumps(measure_calls() if "--calls" in sys.argv[1:]
+                     else measure(), sort_keys=True))

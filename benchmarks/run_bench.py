@@ -25,7 +25,7 @@ in one process — gated by
 vs through the campaign ladder, all stages timed — gated by
 ``--check`` at an absolute ≥ 1.5x floor), and the protocol stack's
 exact per-message work counts (``protocol_path``, from
-``benchmarks/protocol_path.py``: DES events, ``raise_event`` calls,
+``benchmarks/protocol_path.py``: DES events, event-handler calls,
 ``payload_nbytes`` calls, generator resumes and timer arms per application message
 on a fixed stream and a fixed solve — deterministic integers, so
 ``--check`` gates them with zero tolerance upward on any machine), and

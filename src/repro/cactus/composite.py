@@ -16,7 +16,8 @@ substituting micro-protocols or composite protocols."
     an ordered list of composite protocols.  Messages move down with
     :meth:`ProtocolStack.send_down` and up with
     :meth:`ProtocolStack.deliver_up`; each hop raises the conventional
-    events ``"FromAbove"`` / ``"FromBelow"`` on the next layer's bus,
+    events ``"FromAbove"`` / ``"FromBelow"`` on the next layer's bus
+    (one call to the event's compiled callable),
     passing the *same* :class:`~repro.cactus.messages.Message` object
     (the zero-copy rule).  Layers are fixed once stacked: the data channel
     runs on one network type, so no composite protocol is ever
@@ -105,14 +106,14 @@ class CompositeProtocol:
         below = self._below
         if below is None:
             raise self._no_neighbour("bottom")
-        below.bus.raise_event("FromAbove", msg)
+        below.bus.compiled["FromAbove"](msg)
 
     def deliver_up(self, msg: Message) -> None:
         """Hand ``msg`` to the layer above (or raise if top)."""
         above = self._above
         if above is None:
             raise self._no_neighbour("top")
-        above.bus.raise_event("FromBelow", msg)
+        above.bus.compiled["FromBelow"](msg)
 
     def _no_neighbour(self, edge: str) -> CompositionError:
         if self.stack is None:

@@ -9,18 +9,28 @@ to that event are executed."
 
 - ordered handler execution (a handler binds with an ``order`` key;
   ties run in binding order);
+- compiled dispatch: every ``bind``/``unbind`` rebuilds the event's one
+  callable in :attr:`EventBus.compiled` — the handler itself when one is
+  bound, a fan-out over the ordered handler tuple when several are, a
+  no-op when none is — so raising an event is one call to that
+  callable: ``bus.compiled["TxSegment"](msg)``.  The protocol stack's
+  per-packet raise sites call it so; :meth:`EventBus.raise_event` is the
+  by-name spelling (timers, cold paths, tests) and goes through the same
+  table, so there is one dispatch mechanism;
 - deferred events (``raise_later``) and deferred calls at an absolute
   time (``call_at``), which per-session timers re-arm through;
 - re-entrancy safety: handlers may bind/unbind handlers and raise
-  further events while a dispatch is in progress: each event keeps one
-  immutable *compiled* handler tuple, rebuilt on ``bind``/``unbind``, and
-  a dispatch iterates the tuple it started with — the snapshot is free;
+  further events while a dispatch is in progress: a bind or unbind
+  replaces the event's callable, never mutates the handler tuple a
+  fan-out closed over, so a dispatch runs the handlers it started with;
 - cancellable timers (a deferred event can be cancelled before firing),
   which Cactus exposes for round-trip timers.
 
-A raise is only the handler calls: it returns nothing and counts
-nothing (handlers communicate through their side effects and the
-composite's shared state).
+Handlers enter only through :meth:`EventBus.bind`, so what ``bind`` was
+given is exactly what a raise calls (a tracer that wraps handlers at
+bind time sees every call).  A raise is only the handler calls: it
+returns nothing and counts nothing (handlers communicate through their
+side effects and the composite's shared state).
 
 The paper's first Cactus modification — concurrent handler execution —
 maps here to handlers spawning kernel processes for long-running work
@@ -31,6 +41,7 @@ the dispatch itself stays deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Any, Callable, Generator, Optional
 
 from ..simnet.kernel import Event as KernelEvent
@@ -82,6 +93,23 @@ class Timer:
         self._fn(*self._args, **self._kwargs)
 
 
+def _silent(*args: Any, **kwargs: Any) -> None:
+    """The compiled callable of an event with no handler bound."""
+
+
+def _fan_out(handlers: tuple[Handler, ...]) -> Handler:
+    """One callable running ``handlers`` in order, each with the raise's
+    arguments."""
+    def fan_out(*args: Any, **kwargs: Any) -> None:
+        if kwargs:
+            for handler in handlers:
+                handler(*args, **kwargs)
+        else:  # positional-only: the protocol stack's every raise
+            for handler in handlers:
+                handler(*args)
+    return fan_out
+
+
 class EventBus:
     """Named-event dispatcher with ordered handlers and timers."""
 
@@ -90,9 +118,10 @@ class EventBus:
         self.name = name
         # event name -> list of (order, seq, handler), kept sorted
         self._handlers: dict[str, list[tuple[int, int, Handler]]] = {}
-        # event name -> handlers in execution order; an immutable tuple
-        # replaced, never mutated, on bind/unbind.
-        self._compiled: dict[str, tuple[Handler, ...]] = {}
+        #: Event name -> the one callable that runs its handlers, rebuilt
+        #: on every bind/unbind of that event; call it to raise the event.
+        #: An event never bound reads as the no-op.
+        self.compiled: dict[str, Handler] = defaultdict(lambda: _silent)
         self._seq = itertools.count()
 
     # -- binding ---------------------------------------------------------
@@ -108,7 +137,7 @@ class EventBus:
             )
         entries.append((order, next(self._seq), handler))
         entries.sort(key=lambda e: (e[0], e[1]))
-        self._compiled[event_name] = tuple(h for _, _, h in entries)
+        self._compile(event_name)
 
     def unbind(self, event_name: str, handler: Handler) -> None:
         """Remove one binding; unknown bindings raise (catches leaks)."""
@@ -116,31 +145,35 @@ class EventBus:
         for i, (_, _, h) in enumerate(entries):
             if h is handler:
                 del entries[i]
-                self._compiled[event_name] = tuple(h for _, _, h in entries)
+                self._compile(event_name)
                 return
         raise LookupError(f"handler not bound to {event_name!r}")
 
+    def _compile(self, event_name: str) -> None:
+        handlers = tuple(h for _, _, h in self._handlers[event_name])
+        if not handlers:
+            self.compiled[event_name] = _silent
+        elif len(handlers) == 1:
+            self.compiled[event_name] = handlers[0]
+        else:
+            self.compiled[event_name] = _fan_out(handlers)
+
     def handlers_for(self, event_name: str) -> list[Handler]:
         """Handlers currently bound, in execution order."""
-        return list(self._compiled.get(event_name, ()))
+        return [h for _, _, h in self._handlers.get(event_name, ())]
 
     def has_handlers(self, event_name: str) -> bool:
-        return bool(self._compiled.get(event_name))
+        return bool(self._handlers.get(event_name))
 
     # -- dispatch ------------------------------------------------------------
 
     def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> None:
         """Execute all bound handlers now; their return values are dropped.
 
-        Runs the handler tuple compiled at the last ``bind``/``unbind``;
-        handlers may rebind without affecting the in-flight dispatch.
+        The by-name spelling of ``self.compiled[event_name](*args)``:
+        it runs the event's compiled callable.
         """
-        if kwargs:
-            for handler in self._compiled.get(event_name, ()):
-                handler(*args, **kwargs)
-        else:  # positional-only: the protocol stack's every raise
-            for handler in self._compiled.get(event_name, ()):
-                handler(*args)
+        self.compiled[event_name](*args, **kwargs)
 
     def raise_later(
         self, delay: float, event_name: str, *args: Any, **kwargs: Any

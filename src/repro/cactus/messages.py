@@ -15,8 +15,13 @@ the simulated wire.  Tests assert this with ``is`` checks.
 A message's payload is fixed at construction, so its size is measured
 once: the shapes the solvers exchange (a plane, or scalar tags and a
 plane in a tuple) without the recursive :func:`payload_nbytes` walk, and
-a message built around another's payload (the DATA shell made per
-transmission) inherits the size from that ``source``.
+a message framed around another's payload (the DATA shell made per
+transmission, :meth:`Message.framed`) is given that size instead of
+measuring it again.
+
+Only the application's messages draw an id: the shells framed per
+transmission and the messages rebuilt from the wire
+(:meth:`Message.framed`) carry none, because nothing reads one.
 """
 
 from __future__ import annotations
@@ -101,14 +106,27 @@ class Message:
     # header; the exact value only shifts absolute times.
     HEADER_BYTES = 32
 
-    def __init__(self, payload: Any = None, source: Optional["Message"] = None):
-        """``source``: a message with the same payload, whose size this
-        one inherits."""
+    def __init__(self, payload: Any = None):
         self.payload = payload
         self.headers: list[tuple[str, dict]] = []
         self.meta: dict[str, Any] = {}
         self.message_id = next(_message_ids)
-        self._payload_bytes = None if source is None else source.payload_bytes
+        self._payload_bytes = None
+
+    @classmethod
+    def framed(cls, payload: Any, headers: list,
+               payload_bytes: Optional[int] = None) -> "Message":
+        """A message framed for the wire, or rebuilt from it, with the
+        header stack ``headers`` as given and no ``message_id`` (None).
+        ``payload_bytes``: the payload's size, when the caller knows it.
+        """
+        msg = cls.__new__(cls)
+        msg.payload = payload
+        msg.headers = headers
+        msg.meta = {}
+        msg.message_id = None
+        msg._payload_bytes = payload_bytes
+        return msg
 
     # -- header stack ------------------------------------------------------
 
@@ -154,7 +172,10 @@ class Message:
     @property
     def size_bytes(self) -> int:
         """Wire size: payload plus per-header overhead."""
-        return self.payload_bytes + Message.HEADER_BYTES * len(self.headers)
+        size = self._payload_bytes
+        if size is None:
+            size = self.payload_bytes
+        return size + Message.HEADER_BYTES * len(self.headers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         layers = "/".join(name for name, _ in self.headers) or "-"

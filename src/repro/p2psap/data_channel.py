@@ -104,6 +104,7 @@ class DataChannel:
             self.transport.add_micro(make_congestion(config.congestion))
         self.transport.add_micro(make_mode(config.mode))
         self.config = config
+        self._rx_entry = "RxData" if config.reliable else "RxDeliver"
 
     def _strip_config(self) -> None:
         """Remove all configuration-dependent micro-protocols."""
@@ -154,9 +155,9 @@ class DataChannel:
             raise RuntimeError("send on a closed channel")
         msg = Message(payload)
         if completion is None:
-            completion = self.sim.event()
+            completion = Event(self.sim)
         msg.meta["completion"] = completion
-        self.transport.bus.raise_event("UserSend", msg)
+        self.transport.bus.compiled["UserSend"](msg)
         return completion
 
     def user_receive(self, request: Optional[Event] = None) -> Event:
@@ -167,17 +168,21 @@ class DataChannel:
         if self.closed:
             raise RuntimeError("receive on a closed channel")
         if request is None:
-            request = self.sim.event()
-        self.transport.bus.raise_event("UserReceive", request)
+            request = Event(self.sim)
+        self.transport.bus.compiled["UserReceive"](request)
         return request
 
     def user_receive_nowait(self) -> tuple[bool, Any]:
         """Non-blocking receive: ``(True, payload)`` or ``(False, None)``."""
+        if self.closed:
+            raise RuntimeError("receive on a closed channel")
         ok, msg = self.buffers.take_nowait()
         return (True, msg.payload) if ok else (False, None)
 
     def user_receive_latest_nowait(self) -> tuple[bool, Any]:
         """Non-blocking receive of the newest message, dropping staler ones."""
+        if self.closed:
+            raise RuntimeError("receive on a closed channel")
         ok, msg = self.buffers.take_latest_nowait()
         return (True, msg.payload) if ok else (False, None)
 
@@ -192,46 +197,46 @@ class DataChannel:
         A fresh shell message is built per transmission: the payload
         object is shared (zero-copy) and so is its size, measured once
         on ``msg``; the header is new, so retransmissions are isolated.
+        Reliability stamps the transmit time and its lowest
+        unacknowledged sequence number into ``msg.meta`` first; without
+        it the time is now and ``low`` is 0.
         """
-        shell = Message(msg.payload, source=msg)
-        shell.push_header(
-            "transport",
-            kind="DATA",
-            epoch=self.epoch,
-            seq=msg.meta["seq"],
-            msg_id=msg.message_id,
-            needs_appack=bool(msg.meta.get("needs_appack")),
-            ts=msg.meta.get("tx_time", self.sim.now),
-        )
-        self.transport.send_down(shell)
+        meta = msg.meta
+        if "tx_time" in meta:
+            ts, low = meta["tx_time"], meta["low"]
+        else:
+            ts, low = self.sim._now, 0
+        header = {"kind": "DATA", "epoch": self.epoch, "seq": meta["seq"],
+                  "low": low, "msg_id": msg.message_id,
+                  "needs_appack": "needs_appack" in meta, "ts": ts}
+        self.transport.send_down(Message.framed(
+            msg.payload, [("transport", header)], msg.payload_bytes))
 
     def _transmit_control(self, kind: str, fields: dict) -> None:
-        shell = Message(None)
-        shell.push_header("transport", kind=kind, epoch=self.epoch, **fields)
-        self.transport.send_down(shell)
+        header = {"kind": kind, "epoch": self.epoch, **fields}
+        self.transport.send_down(
+            Message.framed(None, [("transport", header)], 0))
 
     # -- glue: receive ---------------------------------------------------------------
 
     def _dispatch(self, msg: Message) -> None:
         fields = msg.pop_header("transport")
-        if fields.get("epoch", 0) != self.epoch:
+        if fields["epoch"] != self.epoch:
             self.stats_stale_epoch += 1
             return
         kind = fields["kind"]
         if kind == "DATA":
-            msg.meta["seq"] = fields["seq"]
-            msg.meta["src_message_id"] = fields["msg_id"]
-            msg.meta["needs_appack_rx"] = fields["needs_appack"]
-            self.transport.bus.raise_event(self._rx_entry(), msg, fields)
+            meta = msg.meta
+            meta["seq"] = fields["seq"]
+            meta["src_message_id"] = fields["msg_id"]
+            meta["needs_appack_rx"] = fields["needs_appack"]
+            self.transport.bus.compiled[self._rx_entry](msg, fields)
         elif kind == "ACK":
-            self.transport.bus.raise_event("RxAck", fields["seq"], fields.get("echo_ts"))
+            self.transport.bus.compiled["RxAck"](fields["seq"], fields["echo_ts"])
         elif kind == "APPACK":
-            self.transport.bus.raise_event("RxAppAck", fields["msg_id"])
+            self.transport.bus.compiled["RxAppAck"](fields["msg_id"])
         else:
             raise ValueError(f"unknown segment kind {kind!r}")
-
-    def _rx_entry(self) -> str:
-        return "RxData" if self.config.reliable else "RxDeliver"
 
     # -- lifecycle -------------------------------------------------------------------
 

@@ -73,28 +73,27 @@ class BufferManagement(MicroProtocol):
         msg.meta["seq"] = self._next_seq
         self._next_seq += 1
         self.composite.shared["tx_queue"].append(msg)
-        self.composite.bus.raise_event("TrySend")
-
-    def _window(self) -> float:
-        return self.composite.shared.get(CWND_KEY, math.inf)
-
-    def _in_flight(self) -> int:
-        in_flight = self.composite.shared.get("in_flight")
-        return len(in_flight) if in_flight is not None else 0
+        self.composite.bus.compiled["TrySend"]()
 
     def _on_try_send(self) -> None:
         """Release queued messages while the window has room.
 
         Without a reliability micro-protocol nothing is ever 'in flight'
-        (fire and forget), so the queue drains immediately.
+        (fire and forget), so the queue drains immediately.  The window
+        is read once: transmitting a segment acknowledges nothing.
         """
-        queue: deque = self.composite.shared["tx_queue"]
-        while queue and self._in_flight() < self._window():
+        shared = self.composite.shared
+        queue: deque = shared["tx_queue"]
+        if not queue:
+            return
+        in_flight = shared.get("in_flight", ())
+        window = shared.get(CWND_KEY, math.inf)
+        while queue and len(in_flight) < window:
             msg = queue.popleft()
             self.stats_sent += 1
             # TxSegment: reliability registers (order<100), the channel's
             # glue handler transmits (order 100).
-            self.composite.bus.raise_event("TxSegment", msg)
+            self.composite.bus.compiled["TxSegment"](msg)
 
     # -- receive path -------------------------------------------------------------
 
@@ -107,7 +106,7 @@ class BufferManagement(MicroProtocol):
             if waiter.triggered:  # abandoned request
                 continue
             self.stats_delivered += 1
-            self.composite.bus.raise_event("AppDelivered", msg)
+            self.composite.bus.compiled["AppDelivered"](msg)
             waiter.succeed(msg)
             return
         buffer: deque = shared["rx_buffer"]
@@ -124,7 +123,7 @@ class BufferManagement(MicroProtocol):
         if buffer:
             msg = buffer.popleft()
             self.stats_delivered += 1
-            self.composite.bus.raise_event("AppDelivered", msg)
+            self.composite.bus.compiled["AppDelivered"](msg)
             return True, msg
         return False, None
 
@@ -142,7 +141,7 @@ class BufferManagement(MicroProtocol):
             self.stats_rx_dropped += 1
         msg = buffer.popleft()
         self.stats_delivered += 1
-        self.composite.bus.raise_event("AppDelivered", msg)
+        self.composite.bus.compiled["AppDelivered"](msg)
         return True, msg
 
     def pending_rx(self) -> int:

@@ -14,6 +14,12 @@ reliability micro-protocol:
 ``SegmentTimeout(seq)``
     a retransmission timer expired.
 
+After a dup-ACK or a timeout the controller raises ``TrySend`` itself,
+since the new window may let queued segments out.  After an ACK it does
+not: reliability raises ``TrySend`` right after ``AckReceived``, with
+the window updated and the segment out of flight, and a second pump
+in between would find nothing changed.  One send pump per ACK.
+
 Each concrete controller (New-Reno, H-TCP) implements its state
 machine; unit tests drive them directly through :meth:`on_ack` /
 :meth:`on_dupack` / :meth:`on_timeout` and assert the window traces,
@@ -81,9 +87,10 @@ class CongestionControl(MicroProtocol):
     # -- bus handlers -----------------------------------------------------------
 
     def _handle_ack(self, seq: int, rtt: Optional[float] = None) -> None:
+        # No pump here: reliability raises TrySend right after
+        # AckReceived, once per ACK (see the module docstring).
         self.on_ack(rtt)
         self._publish()
-        self._pump()
 
     def _handle_dupack(self, seq: int, count: int = 1) -> None:
         self.on_dupack(count)

@@ -50,7 +50,7 @@ class HTCPCongestion(CongestionControl):
         # elapsed-time feature degrades gracefully to standard TCP.
         if self.composite is None:
             return 0.0
-        return self.composite.sim.now
+        return self.composite.sim._now
 
     def elapsed_since_congestion(self) -> float:
         if self._last_congestion_at is None:

@@ -88,7 +88,7 @@ class AsynchronousMode(_ModeBase):
         buffer: deque = self.composite.shared["rx_buffer"]
         if buffer:
             msg = buffer.popleft()
-            self.composite.bus.raise_event("AppDelivered", msg)
+            self.composite.bus.compiled["AppDelivered"](msg)
             request.succeed(msg)
         else:
             request.succeed(None)
@@ -140,7 +140,7 @@ class SynchronousMode(_ModeBase):
             msg.meta["needs_appack"] = True
             # Deadlock safety valve for misconfigured (sync + unreliable)
             # channels on lossy paths: never block the application forever.
-            deadline = self.composite.sim.now + self.appack_timeout
+            deadline = self.composite.sim._now + self.appack_timeout
             self._pending_appack[msg.message_id] = completion
             self._deadlines.append((deadline, msg.message_id))
             if self._timer is None:
@@ -152,11 +152,11 @@ class SynchronousMode(_ModeBase):
     def _on_timer(self) -> None:
         """Time out every send due now, in send order; re-arm."""
         deadlines = self._deadlines
-        now = self.composite.sim.now
+        now = self.composite.sim._now
         while deadlines and deadlines[0][0] <= now:
             msg_id = deadlines.popleft()[1]
             if msg_id in self._pending_appack:
-                self.composite.bus.raise_event("AppAckTimeout", msg_id)
+                self.composite.bus.compiled["AppAckTimeout"](msg_id)
         self._timer = None  # only now: no send arms a timer mid-loop
         self._prune()
         if deadlines:
@@ -189,7 +189,7 @@ class SynchronousMode(_ModeBase):
         buffer: deque = self.composite.shared["rx_buffer"]
         if buffer:
             msg = buffer.popleft()
-            self.composite.bus.raise_event("AppDelivered", msg)
+            self.composite.bus.compiled["AppDelivered"](msg)
             request.succeed(msg)
         else:
             self.composite.shared["rx_waiters"].append(request)
@@ -199,9 +199,8 @@ class SynchronousMode(_ModeBase):
         sending application."""
         if msg.meta.get("needs_appack_rx"):
             self.stats_appacks_tx += 1
-            self.composite.bus.raise_event(
-                "SendControl", "APPACK", {"msg_id": msg.meta["src_message_id"]}
-            )
+            self.composite.bus.compiled["SendControl"](
+                "APPACK", {"msg_id": msg.meta["src_message_id"]})
 
 
 def make_mode(mode: CommMode) -> _ModeBase:

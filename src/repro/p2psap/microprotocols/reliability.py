@@ -40,6 +40,14 @@ Receiver side
     numbers are buffer management's transmission order, which is FIFO
     in application send order, so in-sequence delivery reconstructs the
     sender's ``P2P_Send`` order even when retransmissions arrive late.
+
+    A segment the sender gives up on (``SegmentAbandoned``) never
+    arrives, so the watermark must not wait for it.  Every DATA header
+    carries the sender's lowest unacknowledged sequence number
+    (``low``), as the control channel's frames do: nothing below it
+    will be sent again, so the receiver moves its watermark up to it and
+    delivers, in order, what it held below.  A header field costs no
+    wire bytes (a header's size is fixed, whatever its fields).
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ class Reliability(MicroProtocol):
         self._tx_order = itertools.count()
         self._timer: Optional[Timer] = None
         self._timer_at = math.inf
+        # Everything below _tx_low is acknowledged or given up on;
+        # _tx_next is one past the highest sequence number sent.
+        self._tx_low = 0
+        self._tx_next = 0
         # Receive watermark and the fresh segments held above it.
         self._rx_low = 0
         self._rx_above: dict[int, tuple[Message, dict]] = {}
@@ -99,7 +111,7 @@ class Reliability(MicroProtocol):
         # held them) rather than swallowed.
         held = self._rx_above
         for seq in sorted(held):
-            self.composite.bus.raise_event("RxDeliver", *held[seq])
+            self.composite.bus.compiled["RxDeliver"](*held[seq])
         held.clear()
         self.composite.shared.pop("in_flight", None)
         self._unacked.clear()
@@ -108,17 +120,19 @@ class Reliability(MicroProtocol):
 
     # -- sender side -------------------------------------------------------------
 
-    def _rto(self) -> float:
-        return self.composite.shared.get("rto", self.DEFAULT_RTO)
-
     def _on_tx_segment(self, msg: Message) -> None:
-        seq = msg.meta["seq"]
+        meta = msg.meta
+        seq = meta["seq"]
         if seq not in self._unacked:  # first transmission
             self._unacked[seq] = msg
             self._retransmit_counts[seq] = 0
             self.composite.shared["in_flight"].add(seq)
-        now = msg.meta["tx_time"] = self.composite.sim.now
-        deadline = now + self._rto()
+            if seq >= self._tx_next:
+                self._tx_next = seq + 1
+        now = meta["tx_time"] = self.composite.sim._now
+        # What the DATA header tells the receiver (_on_rx_data).
+        meta["low"] = self._tx_low
+        deadline = now + self.composite.shared.get("rto", self.DEFAULT_RTO)
         heappush(self._deadlines, (deadline, next(self._tx_order), seq))
         if deadline < self._timer_at:
             self._arm(deadline)
@@ -134,11 +148,11 @@ class Reliability(MicroProtocol):
         self._timer = None
         self._timer_at = -math.inf  # no re-arm while retransmitting
         deadlines = self._deadlines
-        now = self.composite.sim.now
+        now = self.composite.sim._now
         while deadlines and deadlines[0][0] <= now:
             seq = heappop(deadlines)[2]
             if seq in self._unacked:
-                self.composite.bus.raise_event("RetransmitCheck", seq)
+                self.composite.bus.compiled["RetransmitCheck"](seq)
         self._timer_at = math.inf
         self._prune()
         if deadlines:
@@ -154,46 +168,58 @@ class Reliability(MicroProtocol):
             return  # acked in the meantime
         count = self._retransmit_counts[seq] + 1
         self._retransmit_counts[seq] = count
+        compiled = self.composite.bus.compiled
         if count > self.MAX_RETRANSMITS:
             self.stats_abandoned += 1
             self._forget(seq)
-            self.composite.bus.raise_event("SegmentAbandoned", seq)
+            compiled["SegmentAbandoned"](seq)
             return
         self.stats_retransmits += 1
         # Tell the congestion controller first (window collapse), then
         # put the segment back on the wire.
-        self.composite.bus.raise_event("SegmentTimeout", seq)
+        compiled["SegmentTimeout"](seq)
         msg = self._unacked[seq]
-        msg.meta["tx_time"] = self.composite.sim.now
         msg.meta["is_retransmit"] = True
-        self.composite.bus.raise_event("TxSegment", msg)
+        compiled["TxSegment"](msg)
 
     def _on_rx_ack(self, seq: int, echo_ts: Optional[float]) -> None:
         if seq not in self._unacked:
             return  # stale ack (already acked, or from before a reconfig)
         # Karn's algorithm: only un-retransmitted segments give RTT samples.
         rtt = None
-        if echo_ts is not None and self._retransmit_counts.get(seq, 0) == 0:
-            rtt = self.composite.sim.now - echo_ts
+        if echo_ts is not None and self._retransmit_counts[seq] == 0:
+            rtt = self.composite.sim._now - echo_ts
         self._forget(seq)
-        self.composite.bus.raise_event("AckReceived", seq, rtt)
-        self.composite.bus.raise_event("TrySend")
+        compiled = self.composite.bus.compiled
+        compiled["AckReceived"](seq, rtt)
+        # The one send pump per ACK: the window (if a controller keeps
+        # one) has taken the ACK in, and the segment left in_flight.
+        compiled["TrySend"]()
 
     def _forget(self, seq: int) -> None:
-        self._unacked.pop(seq, None)
-        self._retransmit_counts.pop(seq, None)
+        """``seq`` is acknowledged or given up on: it leaves every record,
+        and the lowest unacknowledged number moves past it."""
+        unacked = self._unacked
+        del unacked[seq]
+        del self._retransmit_counts[seq]
         self.composite.shared["in_flight"].discard(seq)
+        if seq == self._tx_low:
+            low, end = seq + 1, self._tx_next
+            while low < end and low not in unacked:
+                low += 1
+            self._tx_low = low
         self._prune()
 
     # -- receiver side -----------------------------------------------------------
 
     def _on_rx_data(self, msg: Message, fields: dict) -> None:
         seq = fields["seq"]
+        compiled = self.composite.bus.compiled
         # Always ack — a duplicate usually means our previous ack was lost.
         self.stats_acks_tx += 1
-        self.composite.bus.raise_event(
-            "SendControl", "ACK", {"seq": seq, "echo_ts": fields.get("ts")}
-        )
+        compiled["SendControl"]("ACK", {"seq": seq, "echo_ts": fields["ts"]})
+        if fields.get("low", 0) > self._rx_low:
+            self._pass_abandoned(fields["low"])
         low, held = self._rx_low, self._rx_above
         if seq != low:
             if seq < low or seq in held:
@@ -201,14 +227,32 @@ class Reliability(MicroProtocol):
             else:
                 held[seq] = (msg, fields)
             return
-        raise_event = self.composite.bus.raise_event
         while True:
             low += 1
             self._rx_low = low
-            raise_event("RxDeliver", msg, fields)
+            compiled["RxDeliver"](msg, fields)
             if low not in held:
                 return
             msg, fields = held.pop(low)
+
+    def _pass_abandoned(self, floor: int) -> None:
+        """Move the watermark up to the sender's lowest unacknowledged
+        number ``floor``, delivering in order what is held on the way.
+
+        The sender has every segment below ``floor`` acknowledged or
+        abandoned (``MAX_RETRANSMITS``), so none of them comes again: a
+        gap below it is a segment given up on, and waiting for it would
+        hold everything above it for the session's life.
+        """
+        held = self._rx_above
+        compiled = self.composite.bus.compiled
+        for seq in sorted(seq for seq in held if seq < floor):
+            compiled["RxDeliver"](*held.pop(seq))
+        low = floor
+        while low in held:
+            compiled["RxDeliver"](*held.pop(low))
+            low += 1
+        self._rx_low = low
 
     @property
     def unacked_count(self) -> int:

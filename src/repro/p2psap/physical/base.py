@@ -29,10 +29,14 @@ folded packets that have not arrived yet go back to being ordinary
 arrival events at their original place in time (:meth:`_unfold`),
 served by :meth:`_on_packet` as before.
 
-Messages cross the wire as ``(headers, payload)`` snapshots: the payload
-object itself is shared (zero-copy — the simulation's analogue of DMA),
-while the tiny header dicts are copied once, at transmission, so that
-endpoints never alias mutable state; the receiver only reads them.
+Messages cross the wire as ``(headers, payload)`` frames and nothing on
+the way is copied.  The payload object is shared (zero-copy — the
+simulation's analogue of DMA), and so are the header dicts: the frame
+holds ``tuple(msg.headers)``, a snapshot of the header *stack*, so a
+layer that pops a header pops it from its own list.  That needs no
+copy of the dicts because nobody writes them after ``send_down``: the
+transport frames each transmission in a fresh shell message it never
+touches again, and the receiver only reads the fields.
 """
 
 from __future__ import annotations
@@ -106,10 +110,7 @@ class PhysicalProtocol(CompositeProtocol):
         if self._closed:
             return
         self.stats_tx_frames += 1
-        wire = (
-            tuple([(layer, dict(fields)) for layer, fields in msg.headers]),
-            msg.payload,
-        )
+        wire = (tuple(msg.headers), msg.payload)
         size = msg.size_bytes + self.spec.header_bytes
         packet = Packet(self.local.name, self.remote_name, wire, size, self.port)
         self.network.link(self.local.name, self.remote_name).transmit(packet)
@@ -132,7 +133,8 @@ class PhysicalProtocol(CompositeProtocol):
         if (not cost or self._closed or self._rx_busy or self._rx_backlog
                 or (folded and arrival < folded[-1][0])):
             return False
-        done = max(arrival, self._rx_free_at) + cost
+        free = self._rx_free_at
+        done = (free if free > arrival else arrival) + cost  # max(arrival, free)
         self._rx_free_at = done
         record = (arrival, seq, done, packet, link)
         folded.append(record)
@@ -154,7 +156,7 @@ class PhysicalProtocol(CompositeProtocol):
 
     def _rx_served(self, ev: Event) -> None:
         """A folded packet's service completes: arrival, framing, delivery."""
-        record = ev.value
+        record = ev._value  # processed: no pending check
         folded = self._folded
         if not folded or folded[0] is not record:
             return  # given back to its link, or dropped by close()
@@ -181,10 +183,8 @@ class PhysicalProtocol(CompositeProtocol):
 
     def _rebuild(self, packet: Packet) -> Message:
         headers, payload = packet.payload
-        msg = Message(payload)
-        msg.headers = list(headers)
         self.stats_rx_frames += 1
-        return msg
+        return Message.framed(payload, list(headers))
 
     def _rx_start(self, packet: Packet) -> None:
         """Rebuild the message and charge the host-side cost for it."""
@@ -199,7 +199,7 @@ class PhysicalProtocol(CompositeProtocol):
     def _rx_done(self, ev: Event) -> None:
         if self._closed:
             return
-        self.deliver_up(ev.value)  # may close us, emptying the backlog
+        self.deliver_up(ev._value)  # may close us, emptying the backlog
         if self._rx_backlog:
             self._rx_start(self._rx_backlog.popleft())
         else:

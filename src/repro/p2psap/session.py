@@ -52,8 +52,3 @@ class Session:
     state: SessionState = SessionState.OPENING
     config: Optional[ChannelConfig] = None
     established: Optional[Event] = None  # fires when OPEN_ACK arrives
-
-    def require_open(self) -> DataChannel:
-        if self.state is SessionState.CLOSED or self.channel is None:
-            raise RuntimeError(f"session {self.session_id} is not open")
-        return self.channel

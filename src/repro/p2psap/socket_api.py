@@ -233,9 +233,11 @@ class P2PSAPSocket:
     # -- data exchange (data channel) ----------------------------------------------------
 
     def _channel(self) -> DataChannel:
+        # A session has its channel from the start and closes it when it
+        # closes, so the channel's own closed check is the session check.
         if self.session is None:
             raise SocketError("socket not connected")
-        return self.session.require_open()
+        return self.session.channel
 
     def send(self, payload: Any, completion: Optional[Event] = None) -> Event:
         """P2P-style send; completion semantics follow the configured

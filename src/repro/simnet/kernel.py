@@ -180,15 +180,25 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        if math.isnan(delay):
-            raise ValueError("timeout delay is NaN")
-        super().__init__(sim)
-        self.delay = delay
-        self._value = value
-        self._ok = True
-        sim._schedule(self, priority, delay=delay)
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"negative timeout delay {delay!r}"
+                             if delay < 0 else "timeout delay is NaN")
+        _init_timeout(self, sim, delay, value)
+        heappush(sim._queue, (sim._now + delay, priority, next(sim._seq), self))
+
+
+def _init_timeout(t: Timeout, sim: "Simulator", delay: float, value: Any) -> None:
+    """Set every slot of the triggered timeout ``t``: :meth:`Event.__init__`
+    and :class:`Timeout`'s own in one call, as a timeout is made per
+    packet and per timer.  Its one spelling, for ``Timeout.__init__`` and
+    :meth:`Simulator._timeout_keyed`."""
+    t.sim = sim
+    t.callbacks = []
+    t._value = value
+    t._ok = True
+    t._processed = False
+    t._defused = False
+    t.delay = delay
 
 
 class Process(Event):
@@ -526,7 +536,9 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        """Current virtual time (seconds by convention)."""
+        """Current virtual time (seconds by convention).  Read-only: only
+        the loop (:meth:`step`, :meth:`run`) moves it.  The protocol
+        stack's per-packet paths read ``_now`` itself, which is no call."""
         return self._now
 
     # -- event constructors --------------------------------------------------
@@ -558,9 +570,7 @@ class Simulator:
         """:meth:`timeout_at` with a ``seq`` taken from ``_seq`` earlier:
         the entry sorts exactly where one created back then would have."""
         t = Timeout.__new__(Timeout)
-        Event.__init__(t, self)
-        t._value = value
-        t.delay = when - self._now
+        _init_timeout(t, self, when - self._now, value)
         heappush(self._queue, (when, NORMAL, seq, t))
         return t
 

@@ -36,7 +36,6 @@ only wall-clock time is synthetic.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import zlib
 from typing import Any, Callable, Iterator, Optional
@@ -103,9 +102,6 @@ class Netem:
                 raise ValueError(f"{name} must be a probability, got {p}")
 
 
-_packet_ids = itertools.count()
-
-
 class Packet:
     """One unit of data in flight on the simulated network.
 
@@ -116,8 +112,7 @@ class Packet:
     to Cactus.
     """
 
-    __slots__ = ("src", "dst", "payload", "size_bytes", "port",
-                 "packet_id", "sent_at")
+    __slots__ = ("src", "dst", "payload", "size_bytes", "port", "sent_at")
 
     def __init__(self, src: str, dst: str, payload: Any, size_bytes: int,
                  port: int = 0, sent_at: float = 0.0):
@@ -128,7 +123,6 @@ class Packet:
         self.payload = payload
         self.size_bytes = size_bytes
         self.port = port
-        self.packet_id = next(_packet_ids)
         self.sent_at = sent_at
 
 
@@ -304,11 +298,6 @@ class Link:
 
     # -- timing --------------------------------------------------------------
 
-    def _serialization_delay(self, size_bytes: int) -> float:
-        if self.bandwidth_bps == 0 or math.isinf(self.bandwidth_bps):
-            return 0.0
-        return (size_bytes * 8.0) / self.bandwidth_bps
-
     def _propagation_delay(self) -> float:
         d = self.netem.delay
         if self.netem.jitter > 0:
@@ -336,8 +325,9 @@ class Link:
         they would have been.
         """
         self.stats_sent += 1
-        self.stats_bytes += packet.size_bytes
-        now = packet.sent_at = self.sim.now
+        size = packet.size_bytes
+        self.stats_bytes += size
+        now = packet.sent_at = self.sim._now
         netem = self.netem
 
         if not self.src.alive:
@@ -351,14 +341,27 @@ class Link:
             return
 
         reordered = netem.reorder > 0 and self.rng.random() < netem.reorder
-        ser = self._serialization_delay(packet.size_bytes)
+        # _propagation_delay, inlined with the same float operations:
+        # once per packet.
+        prop = netem.delay
+        if netem.jitter > 0:
+            prop += float(self.rng.uniform(-netem.jitter, netem.jitter))
+        if 0.0 > prop:  # max(prop, 0.0)
+            prop = 0.0
         if reordered:
             # Skips the queue: pure propagation delay.
-            total = self._propagation_delay()
+            total = prop
         else:
-            start = max(now, self._tx_free_at)
+            # Serialization (size / bandwidth), inlined likewise.
+            bandwidth = self.bandwidth_bps
+            if bandwidth == 0 or bandwidth == math.inf:
+                ser = 0.0
+            else:
+                ser = (size * 8.0) / bandwidth
+            free = self._tx_free_at
+            start = free if free > now else now  # max(now, free)
             self._tx_free_at = start + ser
-            total = (start - now) + ser + self._propagation_delay()
+            total = (start - now) + ser + prop
             dst = self.dst
             server = dst._servers.get(packet.port)
             if (server is not None and dst.alive
@@ -407,7 +410,7 @@ class Link:
         self.sim._timeout_keyed(when, seq, packet).callbacks.append(self._deliver)
 
     def _deliver(self, arrival: Event) -> None:
-        packet: Packet = arrival.value
+        packet: Packet = arrival._value  # processed: no pending check
         dst = self.dst
         if not dst.alive:
             self.stats_dropped += 1

@@ -1,7 +1,7 @@
 """Dispatch semantics under compilation.
 
-The bus keeps one compiled handler tuple per event and the stack caches
-each layer's neighbours.  Both are caches of mutable structure, so every
+The bus keeps one compiled callable per event and the stack caches each
+layer's neighbours.  Both are caches of mutable structure, so every
 mutation path has to invalidate them, and a dispatch already running has
 to finish on the chain it started with — the per-raise snapshot
 behaviour the uncompiled bus had.
@@ -16,6 +16,7 @@ from repro.cactus.messages import Message, payload_nbytes
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
 from repro.p2psap.physical import ETHERNET, PhysicalProtocol
+from repro.p2psap.rules import TABLE_I
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network, Packet
 
@@ -82,6 +83,152 @@ class TestSnapshotSemantics:
         assert got == [(1, 2), (1, None)]
 
 
+class TestCompiledCallable:
+    """``bus.compiled[name]`` is the one callable a raise runs."""
+
+    def test_no_handler_compiles_to_a_no_op(self):
+        bus = EventBus(Simulator())
+        assert bus.compiled["Never"]() is None
+        assert bus.compiled["Never"] is bus.compiled["Other"]
+        assert not bus.has_handlers("Never") and bus.handlers_for("Never") == []
+
+    def test_one_handler_is_called_as_is(self):
+        bus = EventBus(Simulator())
+        got = []
+        record = got.append
+        bus.bind("E", record)
+        assert bus.compiled["E"] is record
+        bus.compiled["E"](1)
+        assert got == [1]
+
+    def test_many_handlers_run_by_order_then_binding_order(self):
+        bus = EventBus(Simulator())
+        log = []
+        for name, order in (("b", 5), ("a", 0), ("c", 5), ("d", -1), ("e", 0)):
+            bus.bind("E", lambda x, name=name: log.append((name, x)),
+                     order=order)
+        bus.compiled["E"](7)
+        assert [name for name, _ in log] == ["d", "a", "e", "b", "c"]
+        assert {x for _, x in log} == {7}
+
+    def test_every_bind_and_unbind_recompiles(self):
+        bus = EventBus(Simulator())
+        got = []
+        first = lambda: got.append("first")  # noqa: E731
+        second = lambda: got.append("second")  # noqa: E731
+        bus.compiled["E"]()  # a raise before any bind
+        bus.bind("E", first)
+        bus.bind("E", second)
+        bus.compiled["E"]()
+        bus.unbind("E", first)
+        assert bus.compiled["E"] is second
+        bus.unbind("E", second)
+        bus.compiled["E"]()
+        assert got == ["first", "second"]
+
+    def test_a_handler_that_unbinds_itself_runs_once(self):
+        bus = EventBus(Simulator())
+        log = []
+
+        def once(x):
+            log.append(("once", x))
+            bus.unbind("E", once)
+
+        def always(x):
+            log.append(("always", x))
+
+        bus.bind("E", once)
+        bus.bind("E", always, order=1)
+        bus.compiled["E"](1)
+        bus.compiled["E"](2)
+        assert log == [("once", 1), ("always", 1), ("always", 2)]
+
+    def test_a_lone_handler_that_unbinds_itself_runs_once(self):
+        bus = EventBus(Simulator())
+        log = []
+
+        def once(x):
+            log.append(x)
+            bus.unbind("E", once)
+
+        bus.bind("E", once)
+        bus.compiled["E"](1)
+        bus.compiled["E"](2)
+        assert log == [1] and not bus.has_handlers("E")
+
+    def test_a_handler_bound_mid_dispatch_waits_for_the_next_raise(self):
+        bus = EventBus(Simulator())
+        log = []
+
+        def late(x):
+            log.append(("late", x))
+
+        def binder(x):
+            log.append(("binder", x))
+            if x == 1:
+                bus.bind("E", late, order=10)
+
+        bus.bind("E", binder)
+        bus.bind("E", lambda x: log.append(("tail", x)), order=5)
+        bus.compiled["E"](1)
+        bus.compiled["E"](2)
+        assert log == [("binder", 1), ("tail", 1),
+                       ("binder", 2), ("tail", 2), ("late", 2)]
+
+    def test_raise_event_by_name_runs_the_compiled_callable(self):
+        bus = EventBus(Simulator())
+        got = []
+        bus.bind("E", lambda x: got.append(("one", x)))
+        bus.bind("E", lambda x: got.append(("two", x)), order=1)
+        bus.raise_event("E", 1)
+        bus.compiled["E"](2)
+        assert got == [("one", 1), ("two", 1), ("one", 2), ("two", 2)]
+        del got[:]
+        bus.unbind("E", bus.handlers_for("E")[0])
+        bus.raise_event("E", 3)
+        bus.compiled["E"](4)
+        assert got == [("two", 3), ("two", 4)]
+
+    def test_a_wrapper_bound_through_bind_is_what_runs(self, monkeypatch):
+        """A tracer that wraps handlers at bind time (as the end-to-end
+        benchmark's does) sees every call of the protocol stack."""
+        seen = []
+        real_bind = EventBus.bind
+
+        def wrapping_bind(bus, event_name, handler, order=0):
+            def wrapper(*args):
+                seen.append(event_name)
+                return handler(*args)
+            return real_bind(bus, event_name, wrapper, order)
+
+        monkeypatch.setattr(EventBus, "bind", wrapping_bind)
+        sim, net, cha, chb = make_pair(SYNC)
+        sim.spawn(_sync_stream(sim, cha, chb, 3))
+        sim.run(until=5.0)
+        events = ("UserSend", "TxSegment", "FromAbove", "FromBelow",
+                  "RxData", "RxDeliver", "SendControl", "RxAck",
+                  "AckReceived", "TrySend", "AppDelivered", "RxAppAck")
+        for event in events:
+            assert event in seen, event
+        # Nothing but the wrappers is bound anywhere in either stack.
+        assert all(h.__name__ == "wrapper"
+                   for ch in (cha, chb)
+                   for layer in (ch.transport, ch.physical)
+                   for event in events + ("UserReceive", "RetransmitCheck",
+                                          "SegmentTimeout", "AppAckTimeout")
+                   for h in layer.bus.handlers_for(event))
+
+
+def _sync_stream(sim, cha, chb, count):
+    def receiver():
+        for _ in range(count):
+            yield chb.user_receive()
+
+    sim.spawn(receiver())
+    for i in range(count):
+        yield cha.user_send(i)
+
+
 class TestStackLinks:
     def test_push_bottom_extends_the_cached_chain(self):
         sim = Simulator()
@@ -145,6 +292,50 @@ class TestReconfigureMidStream:
         sim.run(until=5.0)
         assert got == ["one", "two"]
         assert chb.physical.stats_rx_frames == received[0] + 1
+
+
+class TestNoDefensiveCopy:
+    """The wire carries the shell's header dicts themselves; that is
+    sound only because no one writes them after ``send_down``."""
+
+    @pytest.mark.parametrize("cell", sorted(TABLE_I, key=str),
+                             ids=lambda cell: "-".join(k.value for k in cell))
+    def test_sent_headers_are_never_written(self, cell):
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.001, loss=0.1))
+        a, b = net.add_node("a"), net.add_node("b")
+        config = TABLE_I[cell]
+        cha = DataChannel(sim, net, a, "b", 9, config)
+        chb = DataChannel(sim, net, b, "a", 9, config)
+        sent = []
+
+        def tap(msg):
+            for _layer, fields in msg.headers:
+                sent.append((fields, dict(fields)))
+
+        for ch in (cha, chb):
+            ch.physical.bus.bind("FromAbove", tap, order=-1)
+        got = []
+
+        def receiver():
+            while len(got) < 30:
+                msg = yield chb.user_receive()
+                if msg is None:
+                    yield sim.timeout(0.001)
+                else:
+                    got.append(msg.payload)
+
+        def sender():
+            for i in range(40):
+                yield cha.user_send(i)
+
+        sim.spawn(receiver())
+        sim.spawn(sender())
+        sim.run(until=200.0)
+        kinds = {fields["kind"] for fields, _ in sent}
+        assert len(got) >= 30 and "DATA" in kinds
+        assert kinds >= ({"DATA", "ACK"} if config.reliable else {"DATA"})
+        assert all(fields == snapshot for fields, snapshot in sent)
 
 
 class TestPhysicalClose:
@@ -222,8 +413,8 @@ class TestMessageSizing:
         monkeypatch.setattr(messages, "payload_nbytes",
                             lambda p: calls.append(p) or real(p))
         msg = Message({"k": [1, 2, 3]})  # no fast path: needs the walk
-        shell = Message(msg.payload, source=msg)
-        shell.push_header("transport", kind="DATA")
+        shell = Message.framed(msg.payload, [("transport", {"kind": "DATA"})],
+                               msg.payload_bytes)
         assert shell.size_bytes == msg.payload_bytes + Message.HEADER_BYTES
         assert shell.payload_bytes == msg.size_bytes
         assert sum(p is msg.payload for p in calls) == 1  # one walk in all

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cactus.composite import CompositeProtocol
+from repro.cactus.messages import Message
 from repro.p2psap.microprotocols.congestion import (
     CWND_KEY,
     SSTHRESH_KEY,
@@ -10,6 +11,7 @@ from repro.p2psap.microprotocols.congestion import (
     NewRenoCongestion,
     make_congestion,
 )
+from repro.p2psap.microprotocols.reliability import Reliability
 from repro.simnet.kernel import Simulator
 
 
@@ -341,14 +343,23 @@ class TestSharedState:
         cc.observe_rtt(0.2)
         assert 0.1 < cc.srtt < 0.2
 
-    def test_ack_events_pump_try_send(self):
+    def test_an_ack_pumps_try_send_once_with_the_new_window(self):
+        """Reliability pumps after ``AckReceived``; the controller does
+        not pump on an ACK as well."""
         sim = Simulator()
         comp = CompositeProtocol(sim, "t")
-        comp.add_micro(NewRenoCongestion())
+        cc = comp.add_micro(NewRenoCongestion())
+        comp.add_micro(Reliability())
+        msg = Message("x")
+        msg.meta["seq"] = 0
+        comp.bus.raise_event("TxSegment", msg)
         pumped = []
-        comp.bus.bind("TrySend", lambda: pumped.append(1))
+        comp.bus.bind("TrySend", lambda: pumped.append(
+            (comp.shared[CWND_KEY], set(comp.shared["in_flight"]))))
         comp.bus.raise_event("AckReceived", 0, 0.01)
-        assert pumped
+        assert pumped == []  # the controller does not pump on an ACK
+        comp.bus.raise_event("RxAck", 0, None)
+        assert pumped == [(cc.cwnd, set())] and cc.cwnd > cc.INITIAL_WINDOW
 
     def test_dupack_events_reach_the_controller(self):
         sim = Simulator()

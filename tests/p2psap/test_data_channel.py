@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cactus.messages import Message
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
 from repro.simnet.kernel import Simulator
@@ -139,6 +140,51 @@ class TestAsyncChannel:
         ok, payload = chb.user_receive_latest_nowait()
         assert ok and payload == 4
         assert chb.user_receive_nowait() == (False, None)
+
+
+class TestAbandonedSegment:
+    def test_delivery_moves_past_a_segment_the_sender_gave_up_on(self):
+        """The sender gives message 0 up after ``MAX_RETRANSMITS``; the
+        receiver must not wait for it: the 20 messages sent after it are
+        delivered in order and none is left held."""
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        sender = cha.transport.micro("reliability")
+        receiver = chb.transport.micro("reliability")
+        sender.MAX_RETRANSMITS = 3
+        link = cha.physical.network.link("a", "b")
+        link.reconfigure(netem=Netem(delay=0.001, loss=1.0))
+        cha.user_send(0)
+        sim.run(until=100.0)
+        assert sender.stats_abandoned == 1 and sender.unacked_count == 0
+        link.reconfigure(netem=Netem(delay=0.001))
+        for i in range(1, 21):
+            cha.user_send(i)
+        sim.run(until=sim.now + 200.0)
+        got = [chb.user_receive_nowait()[1] for _ in range(chb.pending_rx())]
+        assert got == list(range(1, 21))
+        assert receiver._rx_above == {} and receiver._rx_low == 21
+
+    def test_segments_held_behind_the_gap_are_released_in_order(self):
+        """Segments 1..3 wait above the gap of segment 0; once a header
+        says that nothing below 1 comes again, they go up in order, and
+        the watermark is where the next gap (4) begins."""
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        comp = chb.transport
+        receiver = comp.micro("reliability")
+        got = []
+        comp.bus.bind("RxDeliver", lambda msg, fields: got.append(msg.payload),
+                      order=0)
+        for seq in (1, 2, 3):
+            comp.bus.raise_event("RxData", Message(seq),
+                                 {"seq": seq, "low": 0, "ts": None})
+        assert got == [] and sorted(receiver._rx_above) == [1, 2, 3]
+        comp.bus.raise_event("RxData", Message(5),
+                             {"seq": 5, "low": 1, "ts": None})
+        assert got == [1, 2, 3] and receiver._rx_low == 4
+        assert sorted(receiver._rx_above) == [5]
+        comp.bus.raise_event("RxData", Message(4),
+                             {"seq": 4, "low": 4, "ts": None})
+        assert got == [1, 2, 3, 4, 5] and receiver._rx_above == {}
 
 
 class TestWholeMessages:
@@ -316,6 +362,10 @@ class TestReconfiguration:
             cha.user_receive()
         with pytest.raises(RuntimeError):
             cha.reconfigure(ASYNC_UNRELIABLE)
+        with pytest.raises(RuntimeError):
+            cha.user_receive_nowait()
+        with pytest.raises(RuntimeError):
+            cha.user_receive_latest_nowait()
         cha.close()  # idempotent
 
 

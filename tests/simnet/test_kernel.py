@@ -19,6 +19,12 @@ class TestTimeout:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
 
+    def test_clock_is_read_only(self):
+        sim = Simulator()
+        with pytest.raises(AttributeError):
+            sim.now = 1.0
+        assert sim.now == 0.0
+
     def test_single_timeout_advances_clock(self):
         sim = Simulator()
         sim.timeout(2.5)
