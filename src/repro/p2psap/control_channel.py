@@ -19,15 +19,19 @@ during a session's life.  The components:
     session's life.
 :class:`ReliableControlLink`
     carries the inter-peer protocol (OPEN / OPEN_ACK / CLOSE), a
-    retransmit-until-acked transport standing in for TCP.
+    retransmit-until-acked transport standing in for TCP.  It runs no
+    process per message: a message's first attempt goes out from an
+    URGENT event at the instant it is sent, and each retry from the
+    callback of the previous attempt's RTO timeout.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..cactus.messages import payload_nbytes
-from ..simnet.kernel import Simulator
+from ..simnet.kernel import URGENT, Simulator, Timeout
 from ..simnet.network import Network, Node
 from .session import CONTROL_PORT
 
@@ -76,7 +80,12 @@ class ReliableControlLink:
 
     def send(self, dst: str, body: dict) -> None:
         """Fire-and-forget reliable send (delivery order not guaranteed,
-        matching independent TCP connections per message exchange)."""
+        matching independent TCP connections per message exchange).
+
+        The first attempt goes out from an URGENT event at the current
+        instant, so a message sent mid-event leaves after the sender's
+        own statements, in send order; each retry runs from its RTO
+        timeout's callback.  No process is spawned."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         unacked = self._unacked.setdefault(dst, set())
@@ -85,8 +94,8 @@ class ReliableControlLink:
                   "src": self.node.name, "body": body}
         size = 64 + payload_nbytes(body)
         self.stats_tx += 1
-        self.sim.spawn(self._retransmit_loop(dst, packet, unacked, size),
-                       name=f"ctrl-tx-{self.node.name}-{dst}-{seq}")
+        Timeout(self.sim, 0.0, priority=URGENT).callbacks.append(
+            partial(self._attempt, dst, packet, unacked, size, 0))
 
     def send_volatile(self, dst: str, body: dict) -> None:
         """Unacknowledged, undeduplicated one-shot send (e.g. pings,
@@ -97,23 +106,25 @@ class ReliableControlLink:
             64 + payload_nbytes(body), port=self.port,
         )
 
-    def _retransmit_loop(self, dst: str, packet: dict, unacked: set[int],
-                         size: int):
+    def _attempt(self, dst: str, packet: dict, unacked: set[int], size: int,
+                 attempt: int, _event=None) -> None:
+        """Send attempt ``attempt`` of ``packet`` unless it was acknowledged,
+        and wait ``RTO * 1.5**min(attempt, 8)`` for the next one."""
         seq = packet["seq"]
-        for attempt in range(self.MAX_TRIES):
-            if seq not in unacked:
-                return
-            # A message sent before close() still goes out once (the
-            # CLOSEs of P2PSAP.close, say); close() stops retransmissions.
-            if attempt > 0 and self._closed:
-                break
-            if attempt > 0:
-                self.stats_retries += 1
-            self.network.send(self.node.name, dst, packet, size, port=self.port)
-            yield self.sim.timeout(self.RTO * (1.5 ** min(attempt, 8)))
-        # Given up (peer unreachable, or closed); session-level fault
-        # tolerance deals with it.
-        unacked.discard(seq)
+        if seq not in unacked:
+            return
+        # A message sent before close() still goes out once (the CLOSEs
+        # of P2PSAP.close, say); close() stops retransmissions.  Given up
+        # (peer unreachable, or closed): session-level fault tolerance
+        # deals with it.
+        if attempt == self.MAX_TRIES or (attempt > 0 and self._closed):
+            unacked.discard(seq)
+            return
+        if attempt > 0:
+            self.stats_retries += 1
+        self.network.send(self.node.name, dst, packet, size, port=self.port)
+        self.sim.timeout(self.RTO * (1.5 ** min(attempt, 8))).callbacks.append(
+            partial(self._attempt, dst, packet, unacked, size, attempt + 1))
 
     def _on_packet(self, pkt) -> None:
         frame = pkt.payload

@@ -80,9 +80,11 @@ class Interrupt(Exception):
 
 
 # Event priorities: ties at the same virtual time are broken by priority
-# first, then by creation order.  URGENT is reserved for kernel-internal
-# bookkeeping (e.g. process termination wake-ups) so that user timeouts at
-# the same instant observe a consistent state.
+# first, then by creation order.  URGENT is for kernel-internal
+# bookkeeping (process boot and termination wake-ups) so that user
+# timeouts at the same instant observe a consistent state, and for work
+# that stands where a process's boot event would (the control link's
+# first send).
 URGENT = 0
 NORMAL = 1
 LOW = 2

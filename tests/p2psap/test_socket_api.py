@@ -11,7 +11,9 @@ from repro.p2psap import (
     SessionState,
     SocketError,
 )
+from repro.p2psap.control_channel import ReliableControlLink
 from repro.simnet import Channel, Simulator, nicta_testbed
+from repro.simnet.network import Netem, Network
 
 
 @pytest.fixture
@@ -509,3 +511,71 @@ class TestControlLink:
         sim.run(until=20)
         assert got == [1, 2]
         assert lb._rx_low == {"a": 3} and not lb._rx_above["a"]
+
+
+class TestControlLinkRetries:
+    """The control link's retransmission schedule, run from timer
+    callbacks: no process per message."""
+
+    RTO = ReliableControlLink.RTO
+
+    def pair(self):
+        sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01))
+        a, b = net.add_node("a"), net.add_node("b")
+        got = []
+        la = ReliableControlLink(sim, net, a, lambda s, m: None)
+        ReliableControlLink(sim, net, b, lambda s, m: got.append(m))
+        return sim, net, la, got
+
+    def test_a_lost_message_is_retried_with_backoff_until_acknowledged(self):
+        sim, net, la, got = self.pair()
+        link = net.link("a", "b")
+        sent, transmit = [], link.transmit
+
+        def lose_three(packet):
+            sent.append(sim.now)
+            if len(sent) > 3:
+                transmit(packet)
+
+        link.transmit = lose_three
+        la.send("b", {"x": 1})
+        sim.run(until=60)
+        expected = [0.0]
+        for attempt in range(3):
+            expected.append(expected[-1] + self.RTO * 1.5 ** attempt)
+        assert sent == expected
+        assert got == [{"x": 1}]
+        assert la.stats_retries == 3 and not la._unacked["b"]
+
+    def test_backoff_is_capped_and_the_sender_gives_up_after_max_tries(self):
+        sim, net, la, got = self.pair()
+        net.nodes["b"].fail()
+        la.send("b", {"x": 1})
+        sim.run()  # drains at the last attempt's timeout
+        tries = ReliableControlLink.MAX_TRIES
+        assert net.link("a", "b").stats_sent == tries
+        assert la.stats_retries == tries - 1 and not la._unacked["b"]
+        waited = 0.0
+        for attempt in range(tries):
+            waited += self.RTO * 1.5 ** min(attempt, 8)
+        assert sim.now == pytest.approx(waited)
+
+    def test_close_stops_retries_in_progress(self):
+        sim, net, la, got = self.pair()
+        net.nodes["b"].fail()
+        la.send("b", {"x": 1})
+        sim.run(until=1.0)  # attempts at 0 and RTO
+        la.close()
+        sim.run(until=60)
+        assert net.link("a", "b").stats_sent == 2
+        assert la.stats_retries == 1 and not la._unacked["b"]
+
+    def test_a_send_spawns_no_process(self):
+        sim, net, la, got = self.pair()
+        la.send("b", {"x": 1})
+        assert sim._n_live_processes == 0
+        sim.run()
+        # The first attempt, its arrival, the ACK's arrival and the RTO
+        # timeout that finds it acknowledged: no process boot or end.
+        assert got == [{"x": 1}] and sim.events_processed == 4
