@@ -17,8 +17,9 @@ layer; each layer corresponds to a Cactus composite protocol."
 
 Segment format: every frame carries a single ``transport`` header with a
 ``kind`` discriminator — ``DATA`` (application payload), ``ACK``
-(transport acknowledgement, reliability), ``APPACK`` (application-level
-acknowledgement, synchronous mode).  Data segments are transmitted as
+(transport acknowledgement, reliability), ``LOW`` (reliability gave a
+segment up: nothing below ``low`` comes again), ``APPACK``
+(application-level acknowledgement, synchronous mode).  Data segments are transmitted as
 fresh *shell* messages sharing the payload object (zero-copy) so that
 retransmissions never mutate shared header state.
 
@@ -235,6 +236,8 @@ class DataChannel:
             self.transport.bus.compiled["RxAck"](fields["seq"], fields["echo_ts"])
         elif kind == "APPACK":
             self.transport.bus.compiled["RxAppAck"](fields["msg_id"])
+        elif kind == "LOW":
+            self.transport.bus.compiled["RxLow"](fields["low"])
         else:
             raise ValueError(f"unknown segment kind {kind!r}")
 

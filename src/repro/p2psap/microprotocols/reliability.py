@@ -47,7 +47,11 @@ Receiver side
     (``low``), as the control channel's frames do: nothing below it
     will be sent again, so the receiver moves its watermark up to it and
     delivers, in order, what it held below.  A header field costs no
-    wire bytes (a header's size is fixed, whatever its fields).
+    wire bytes (a header's size is fixed, whatever its fields).  Nothing
+    may be sent after the give-up, so the sender also says it at once:
+    one header-only ``LOW`` frame carrying the new ``low`` (``RxLow`` at
+    the receiver).  If that frame is lost, the next DATA header still
+    carries it.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ class Reliability(MicroProtocol):
         self.bind("RxData", self._on_rx_data, order=10)
         self.bind("RxAck", self._on_rx_ack, order=10)
         self.bind("RetransmitCheck", self._on_retransmit_check, order=10)
+        self.bind("RxLow", self._on_rx_low, order=10)
 
     def on_remove(self) -> None:
         # Reconfiguration away from reliable mode forgets in-flight state;
@@ -173,6 +178,8 @@ class Reliability(MicroProtocol):
             self.stats_abandoned += 1
             self._forget(seq)
             compiled["SegmentAbandoned"](seq)
+            # Nothing may follow to carry the new ``low``: say it now.
+            compiled["SendControl"]("LOW", {"low": self._tx_low})
             return
         self.stats_retransmits += 1
         # Tell the congestion controller first (window collapse), then
@@ -234,6 +241,11 @@ class Reliability(MicroProtocol):
             if low not in held:
                 return
             msg, fields = held.pop(low)
+
+    def _on_rx_low(self, floor: int) -> None:
+        """A ``LOW`` frame: the sender gave a segment up."""
+        if floor > self._rx_low:
+            self._pass_abandoned(floor)
 
     def _pass_abandoned(self, floor: int) -> None:
         """Move the watermark up to the sender's lowest unacknowledged

@@ -164,6 +164,32 @@ class TestAbandonedSegment:
         assert got == list(range(1, 21))
         assert receiver._rx_above == {} and receiver._rx_low == 21
 
+    def test_held_segments_are_released_when_nothing_follows_the_gap(self):
+        """Every transmission of DATA seq 0 is lost and the other 20 land
+        and wait above the gap; nothing is sent after the sender gives 0
+        up, so its ``LOW`` frame alone must tell the receiver to move
+        its watermark: the 20 are delivered in order, none is held."""
+        sim, cha, chb = make_pair(ASYNC_RELIABLE)
+        sender = cha.transport.micro("reliability")
+        receiver = chb.transport.micro("reliability")
+        sender.MAX_RETRANSMITS = 3
+        link = cha.physical.network.link("a", "b")
+        transmit = link.transmit
+
+        def drop_seq0(packet):
+            fields = packet.payload[0][-1][1]
+            if not (fields["kind"] == "DATA" and fields["seq"] == 0):
+                transmit(packet)
+
+        link.transmit = drop_seq0
+        for i in range(21):
+            cha.user_send(i)
+        sim.run(until=200.0)
+        assert sender.stats_abandoned == 1 and sender.unacked_count == 0
+        got = [chb.user_receive_nowait()[1] for _ in range(chb.pending_rx())]
+        assert got == list(range(1, 21))
+        assert receiver._rx_above == {} and receiver._rx_low == 21
+
     def test_segments_held_behind_the_gap_are_released_in_order(self):
         """Segments 1..3 wait above the gap of segment 0; once a header
         says that nothing below 1 comes again, they go up in order, and
