@@ -19,9 +19,25 @@ Segment format: every frame carries a single ``transport`` header with a
 ``kind`` discriminator — ``DATA`` (application payload), ``ACK``
 (transport acknowledgement, reliability), ``LOW`` (reliability gave a
 segment up: nothing below ``low`` comes again), ``APPACK``
-(application-level acknowledgement, synchronous mode).  Data segments are transmitted as
-fresh *shell* messages sharing the payload object (zero-copy) so that
-retransmissions never mutate shared header state.
+(application-level acknowledgement, synchronous mode) and
+``ACK+APPACK`` (both in one header: ``seq``/``echo_ts`` and
+``msg_id``).  Data segments are transmitted as fresh *shell* messages
+sharing the payload object (zero-copy) so that retransmissions never
+mutate shared header state.
+
+A DATA segment that needs an APPACK holds its ACK until the end of its
+own receive chain — TCP's delayed ACK riding on a reply (RFC 1122
+section 4.2.3.2), with the chain as the delay and no timer.  If the
+receiving application takes the message inside the chain (its receive
+was already posted), the APPACK carries the ACK: one ``ACK+APPACK``
+frame, one header, where two frames went before.  Otherwise the ACK
+goes alone at the end of the chain and the APPACK follows when the
+message is taken.  The receiving end raises ``RxAck`` and then
+``RxAppAck``, the order in which the two frames arrived.  A lost
+merged frame is a lost ACK and a lost APPACK: reliability retransmits
+the DATA (whose duplicate is ACKed alone) and the send completes by
+``appack_timeout``.  Reliability and the mode micro-protocols do not
+know of it; asynchronous channels never hold an ACK.
 
 A channel's config is fixed by the session that opens it.
 :meth:`DataChannel.reconfigure`, the channel-level Cactus substitution
@@ -76,6 +92,10 @@ class DataChannel:
         #: with old segments still in flight.
         self.epoch = 0
         self.stats_stale_epoch = 0
+        # While a DATA segment that needs an APPACK runs its receive
+        # chain: its message id, and its ACK once reliability sends it.
+        self._appack_due: Optional[int] = None
+        self._held_ack: Optional[dict] = None
 
         self.transport = CompositeProtocol(
             sim, f"transport[{local.name}->{remote_name}:{port}]"
@@ -214,6 +234,17 @@ class DataChannel:
             msg.payload, [("transport", header)], msg.payload_bytes))
 
     def _transmit_control(self, kind: str, fields: dict) -> None:
+        """Send a header-only segment; inside the receive chain of a
+        DATA segment that needs an APPACK, hold its ACK for the APPACK
+        to carry (:meth:`_dispatch`)."""
+        if self._appack_due is not None:
+            if kind == "ACK":
+                self._held_ack = fields
+                return
+            if (kind == "APPACK" and self._held_ack is not None
+                    and fields["msg_id"] == self._appack_due):
+                kind, fields = "ACK+APPACK", {**self._held_ack, **fields}
+                self._held_ack = None
         header = {"kind": kind, "epoch": self.epoch, **fields}
         self.transport.send_down(
             Message.framed(None, [("transport", header)], 0))
@@ -226,18 +257,34 @@ class DataChannel:
             self.stats_stale_epoch += 1
             return
         kind = fields["kind"]
+        compiled = self.transport.bus.compiled
         if kind == "DATA":
             meta = msg.meta
             meta["seq"] = fields["seq"]
             meta["src_message_id"] = fields["msg_id"]
-            meta["needs_appack_rx"] = fields["needs_appack"]
-            self.transport.bus.compiled[self._rx_entry](msg, fields)
+            meta["needs_appack_rx"] = needs_appack = fields["needs_appack"]
+            if not needs_appack:
+                compiled[self._rx_entry](msg, fields)
+                return
+            # The segment's ACK waits for the end of its receive chain:
+            # an application that takes the message inside it sends the
+            # APPACK, and the ACK rides on it; otherwise it goes alone.
+            self._appack_due = fields["msg_id"]
+            compiled[self._rx_entry](msg, fields)
+            self._appack_due = None
+            held = self._held_ack
+            if held is not None:
+                self._held_ack = None
+                self._transmit_control("ACK", held)
         elif kind == "ACK":
-            self.transport.bus.compiled["RxAck"](fields["seq"], fields["echo_ts"])
+            compiled["RxAck"](fields["seq"], fields["echo_ts"])
+        elif kind == "ACK+APPACK":
+            compiled["RxAck"](fields["seq"], fields["echo_ts"])
+            compiled["RxAppAck"](fields["msg_id"])
         elif kind == "APPACK":
-            self.transport.bus.compiled["RxAppAck"](fields["msg_id"])
+            compiled["RxAppAck"](fields["msg_id"])
         elif kind == "LOW":
-            self.transport.bus.compiled["RxLow"](fields["low"])
+            compiled["RxLow"](fields["low"])
         else:
             raise ValueError(f"unknown segment kind {kind!r}")
 

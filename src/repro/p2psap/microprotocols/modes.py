@@ -24,7 +24,10 @@ micro-protocol decides when it fires:
   acknowledgement (APPACK) comes back — sent by the *receiver's* mode
   micro-protocol at the moment the receiving application actually takes
   the message (the ``AppDelivered`` event), which is strictly stronger
-  than transport-level acknowledgement.
+  than transport-level acknowledgement.  When the application takes
+  the message inside the DATA segment's receive chain, the data
+  channel sends that APPACK with the segment's transport ACK in one
+  ``ACK+APPACK`` frame; this micro-protocol only sees ``RxAppAck``.
 
 A synchronous send that never sees its APPACK is released after
 ``appack_timeout`` (``AppAckTimeout``).  Those deadlines share one timer

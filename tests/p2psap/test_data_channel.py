@@ -430,3 +430,99 @@ class TestCongestionIntegration:
         sim.run(until=600)
         cc = cha.transport.micro("cc-newreno")
         assert cc.stats_timeouts > 0
+
+
+def tap_wire(cha, chb):
+    """Every frame either endpoint puts on the wire, lost or not, as
+    ``(sender, kind)``; ``drop(sender, kind)`` loses the next such frame."""
+    sent, drops = [], []
+    for ch in (cha, chb):
+        name = ch.local.name
+        link = ch.physical.network.link(name, ch.remote_name)
+
+        def tapped(packet, transmit=link.transmit, name=name):
+            frame = (name, packet.payload[0][-1][1]["kind"])
+            sent.append(frame)
+            if frame in drops:
+                drops.remove(frame)
+            else:
+                transmit(packet)
+
+        link.transmit = tapped
+    return sent, drops.append
+
+
+class TestMergedAck:
+    """A synchronous DATA segment holds its transport ACK until the end
+    of its receive chain; if the application takes the message inside
+    it, the ACK rides on the APPACK as one ``ACK+APPACK`` frame."""
+
+    def stream(self, config, receive_at, messages=1, drop=None, until=60.0):
+        sim, cha, chb = make_pair(config)
+        sent, drop_next = tap_wire(cha, chb)
+        if drop is not None:
+            drop_next(drop)
+        done, got = [], []
+
+        def sender():
+            for i in range(messages):
+                done.append((yield cha.user_send(i)))
+
+        def receiver():
+            yield sim.timeout(receive_at)
+            while len(got) < messages:
+                msg = yield chb.user_receive()
+                if msg is None:  # empty asynchronous receive
+                    yield sim.timeout(1e-4)
+                    continue
+                got.append(msg.payload)
+
+        sim.spawn(receiver())
+        sim.spawn(sender())
+        sim.run(until=until)
+        return sim, cha, sent, done, got
+
+    def test_a_posted_receive_costs_two_wire_packets(self):
+        sim, cha, sent, done, got = self.stream(SYNC, receive_at=0.0)
+        assert sent == [("a", "DATA"), ("b", "ACK+APPACK")]
+        assert got == [0] and len(done) == 1 and done[0] is not None
+        mode = cha.transport.micro("mode-sync")
+        assert mode.stats_appacks_rx == 1 and mode.stats_appack_timeouts == 0
+        assert cha.transport.micro("reliability").unacked_count == 0
+
+    def test_a_receive_posted_later_costs_three(self):
+        sim, cha, sent, done, got = self.stream(SYNC, receive_at=1.0)
+        assert sent == [("a", "DATA"), ("b", "ACK"), ("b", "APPACK")]
+        assert got == [0] and len(done) == 1 and done[0] is not None
+        assert cha.transport.micro("reliability").stats_retransmits == 0
+        assert cha.transport.micro("mode-sync").stats_appacks_rx == 1
+
+    def test_the_merged_frame_raises_the_ack_then_the_appack(self):
+        sim, cha, chb = make_pair(SYNC)
+        seen = []
+        for event in ("RxAck", "RxAppAck"):
+            cha.transport.bus.bind(
+                event, lambda *args, event=event: seen.append(event), order=0)
+        chb.user_receive()
+        cha.user_send("x")
+        sim.run(until=5.0)
+        assert seen == ["RxAck", "RxAppAck"]
+
+    def test_losing_the_merged_frame_is_losing_an_appack(self):
+        """DATA is retransmitted, its duplicate is ACKed alone, the message
+        is delivered once, and the send completes by ``appack_timeout``."""
+        sim, cha, sent, done, got = self.stream(
+            SYNC, receive_at=0.0, drop=("b", "ACK+APPACK"))
+        assert sent == [("a", "DATA"), ("b", "ACK+APPACK"),
+                        ("a", "DATA"), ("b", "ACK")]
+        assert got == [0] and done == [None]
+        mode = cha.transport.micro("mode-sync")
+        assert mode.stats_appack_timeouts == 1 and mode.stats_appacks_rx == 0
+        rel = cha.transport.micro("reliability")
+        assert rel.stats_retransmits == 1 and rel.unacked_count == 0
+
+    def test_an_asynchronous_channel_sends_what_it_sent_before(self):
+        sim, cha, sent, done, got = self.stream(ASYNC_RELIABLE, receive_at=0.0,
+                                                messages=5)
+        assert got == list(range(5))
+        assert sorted(sent) == [("a", "DATA")] * 5 + [("b", "ACK")] * 5
