@@ -42,7 +42,7 @@ STREAM_SIDE = 24
 #: (alpha, scheme, clusters) -> (relaxations, elapsed, sha256(iterate))
 SOLVES = {
     (2, 'synchronous', 1): (45.0, 0.9388615199999998, 'effc97a598b9ce1fb9384a672eb818efe7247ff5d0924bd898f06e1398b310d5'),
-    (2, 'synchronous', 2): (45.0, 10.129576079999989, 'effc97a598b9ce1fb9384a672eb818efe7247ff5d0924bd898f06e1398b310d5'),
+    (2, 'synchronous', 2): (45.0, 10.118056079999983, 'effc97a598b9ce1fb9384a672eb818efe7247ff5d0924bd898f06e1398b310d5'),
     (2, 'asynchronous', 1): (53.5, 0.7267331200000005, '3c8430e4dfc4a909c8d3b080a553ccf7c05eb7b12b391d1ecbeca3e9d45a44d4'),
     (2, 'asynchronous', 2): (103.0, 1.682982400000001, 'c5c5ccd8e84fe62da5aa792e8e21e17e8ff90b5db7b4bd69782b7bc003559270'),
     (2, 'hybrid', 1): (48.0, 0.9806063200000001, 'ec3e6db22cdcf02886b613a564c0081257f9def9a8926f9a63bc4c447bf36348'),
