@@ -45,7 +45,7 @@ SOLVES = {
     (2, 'synchronous', 2): (45.0, 10.118056079999983, 'effc97a598b9ce1fb9384a672eb818efe7247ff5d0924bd898f06e1398b310d5'),
     (2, 'asynchronous', 1): (53.5, 0.7267331200000005, '3c8430e4dfc4a909c8d3b080a553ccf7c05eb7b12b391d1ecbeca3e9d45a44d4'),
     (2, 'asynchronous', 2): (103.0, 1.682982400000001, 'c5c5ccd8e84fe62da5aa792e8e21e17e8ff90b5db7b4bd69782b7bc003559270'),
-    (2, 'hybrid', 1): (48.0, 0.9806063200000001, 'ec3e6db22cdcf02886b613a564c0081257f9def9a8926f9a63bc4c447bf36348'),
+    (2, 'hybrid', 1): (48.0, 0.9683183199999987, 'ec3e6db22cdcf02886b613a564c0081257f9def9a8926f9a63bc4c447bf36348'),
     (2, 'hybrid', 2): (103.0, 1.6828902400000012, 'c5c5ccd8e84fe62da5aa792e8e21e17e8ff90b5db7b4bd69782b7bc003559270'),
     (4, 'synchronous', 1): (46.0, 0.6612501600000004, 'f1029158e1ab4d049dfae72d2153bc25dfb40ad159bf9ca8c0ca5eef8bd5c406'),
     (4, 'synchronous', 2): (46.0, 10.034051999999981, 'b6e52e066c6366a02021ea673154cc02147629781a7d0c160fb1232349318b78'),
