@@ -48,7 +48,7 @@ SOLVES = {
     (2, 'hybrid', 1): (48.0, 0.9683183199999987, 'ec3e6db22cdcf02886b613a564c0081257f9def9a8926f9a63bc4c447bf36348'),
     (2, 'hybrid', 2): (103.0, 1.6828902400000012, 'c5c5ccd8e84fe62da5aa792e8e21e17e8ff90b5db7b4bd69782b7bc003559270'),
     (4, 'synchronous', 1): (46.0, 0.6494741600000001, 'f1029158e1ab4d049dfae72d2153bc25dfb40ad159bf9ca8c0ca5eef8bd5c406'),
-    (4, 'synchronous', 2): (46.0, 10.034051999999981, 'b6e52e066c6366a02021ea673154cc02147629781a7d0c160fb1232349318b78'),
+    (4, 'synchronous', 2): (46.0, 10.022275999999977, 'b6e52e066c6366a02021ea673154cc02147629781a7d0c160fb1232349318b78'),
     (4, 'asynchronous', 1): (61.5, 0.4316832, 'b3613f416c74622df3b160510dd233f710c6587d87b1056b609fb7ac4aee0d63'),
     (4, 'asynchronous', 2): (151.75, 1.2621111999999957, '31d89a3380f1b1a494ac2df72f44f3e1a6d1cf7ebef6623e1626765ec510989d'),
     (4, 'hybrid', 1): (49.75, 0.6902664800000003, '28e062b72cd0d00cec2142fd968f101c36b0bb311bceb4932c2e8399793af43a'),
