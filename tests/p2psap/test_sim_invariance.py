@@ -52,7 +52,7 @@ SOLVES = {
     (4, 'asynchronous', 1): (61.5, 0.4316832, 'b3613f416c74622df3b160510dd233f710c6587d87b1056b609fb7ac4aee0d63'),
     (4, 'asynchronous', 2): (151.75, 1.2621111999999957, '31d89a3380f1b1a494ac2df72f44f3e1a6d1cf7ebef6623e1626765ec510989d'),
     (4, 'hybrid', 1): (49.75, 0.6777224799999992, '28e062b72cd0d00cec2142fd968f101c36b0bb311bceb4932c2e8399793af43a'),
-    (4, 'hybrid', 2): (97.5, 1.635250400000007, 'bd3bacd9b98cab2ca1bb4e66fde16e4d613db9d83990e47ec1ad1dc539e4b4a7'),
+    (4, 'hybrid', 2): (97.5, 1.6095529600000016, 'bd3bacd9b98cab2ca1bb4e66fde16e4d613db9d83990e47ec1ad1dc539e4b4a7'),
 }
 
 #: (scheme, link, loss) -> (sim time of last delivery, retransmits,
