@@ -58,7 +58,7 @@ SOLVES = {
 #: (scheme, link, loss) -> (sim time of last delivery, retransmits,
 #: config.describe())
 STREAMS = {
-    ('synchronous', 'intra', 0.0): (0.09139656000000006, 0, 'sync/reliable/newreno'),
+    ('synchronous', 'intra', 0.0): (0.08990656000000011, 0, 'sync/reliable/newreno'),
     ('synchronous', 'inter', 0.0): (30.161296559999688, 0, 'sync/reliable/htcp'),
     ('asynchronous', 'intra', 0.0): (0.05688760000000023, 0, 'async/reliable/newreno'),
     ('asynchronous', 'inter', 0.0): (0.3565904799999943, 0, 'async/unreliable/none'),
