@@ -59,7 +59,7 @@ SOLVES = {
 #: config.describe())
 STREAMS = {
     ('synchronous', 'intra', 0.0): (0.08990656000000011, 0, 'sync/reliable/newreno'),
-    ('synchronous', 'inter', 0.0): (30.161296559999688, 0, 'sync/reliable/htcp'),
+    ('synchronous', 'inter', 0.0): (30.159806559999737, 0, 'sync/reliable/htcp'),
     ('asynchronous', 'intra', 0.0): (0.05688760000000023, 0, 'async/reliable/newreno'),
     ('asynchronous', 'inter', 0.0): (0.3565904799999943, 0, 'async/unreliable/none'),
     ('synchronous', 'inter', 0.02): (90.9315665408875, 6, 'sync/reliable/htcp'),
