@@ -62,7 +62,7 @@ STREAMS = {
     ('synchronous', 'inter', 0.0): (30.159806559999737, 0, 'sync/reliable/htcp'),
     ('asynchronous', 'intra', 0.0): (0.05688760000000023, 0, 'async/reliable/newreno'),
     ('asynchronous', 'inter', 0.0): (0.3565904799999943, 0, 'async/unreliable/none'),
-    ('synchronous', 'inter', 0.02): (90.9315665408875, 6, 'sync/reliable/htcp'),
+    ('synchronous', 'inter', 0.02): (90.93010660716186, 7, 'sync/reliable/htcp'),
 }
 
 
