@@ -302,7 +302,7 @@ PINS = {
     'channel-close-midstream': (156, '55b1eabbe0d56ffd2adbdde0a299fa32bf5d115dfcf0e79b62ccc27dde6e6d71'),
     'channel-mode-swap': (250, '576b851db36fe9327a35fd6683c4d96b3e0d64b9468e66c9a77c190b8244739b'),
     'channel-sync-ethernet': (300, '248e7c2fb992e5eeb5e0c34d29a9a952edab10f00f90beafb05f20d6ebb84a51'),
-    'channel-sync-loss2': (451, '5612b47a082bc4e9c58eab1d862194913f7c7371343796ff604ff127c8516691'),
+    'channel-sync-loss2': (302, '43dd8c5886b9ee032754b332a38d3274112f4835d89c550cfb9a5c8c4ec1ac90'),
     'close-s0': (121, '9959510301816cc91dfb58c6e503fbbeb855e70c8c9513ee065cab8593d438f6'),
     'close-s1': (121, '60144735d97525f5e997842d3abaaef7fb18b818ae6214ff309792dc91cac905'),
     'fail-recover-s0': (121, 'ebe09a4acfdb56a06cfffe51d1b513087241993b77b492d1586672a7fa32e719'),
