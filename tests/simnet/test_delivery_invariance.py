@@ -328,7 +328,7 @@ SCENARIOS = {
     2: ('65f8e727e68b8376b7a77062a79334b94d5cdaded330593fb0e7d14811ad40be', (38.333333333333336,), (6.1905736800000115,)),
     3: ('b2de83de5692820d66b26734ba44d67ee90c03e5649e8023e0feb91093c301e4', (14.0,), (5.273978277089748,)),
     4: ('fcafe1ffb981e3db101ee7f68a01c7ee41d368e43d56e9ced6579ba9b78a6852', (33.0,), (2.5809755999999995,)),
-    5: ('e97ba3faf366720c41cf042037088b05c78c1996236a97bfc34814482e62c8ad', (14.0, 19.5), (1.3521736799999995, 1.1286726400000116)),
+    5: ('7dd249c904b658e4aac3b344a202bfa27cba2d99e63902f6e73c89ea1dcb3187', (14.0, 19.5), (1.3521736799999995, 1.12844264000001)),
 }
 
 
