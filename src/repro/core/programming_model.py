@@ -160,8 +160,10 @@ class TaskContext:
         return self._executor.ensure_session(rank)
 
     def session_mode(self, rank: int) -> CommMode:
-        """The *current* communication mode of the session to ``rank``
-        (may change over the session's life under the hybrid scheme)."""
+        """The communication mode of the session to ``rank``, fixed when
+        the session opens by its Table I cell: under the hybrid scheme,
+        synchronous within a cluster and asynchronous between clusters.
+        Raises ``LookupError`` before the session exists."""
         return self._executor.session_mode(rank)
 
     def link_bandwidth(self, rank: int) -> float:
