@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable
 
 from ..cactus.messages import payload_nbytes
-from ..simnet.kernel import URGENT, Simulator, Timeout
+from ..simnet.kernel import URGENT, Event, Simulator, Timeout
 from ..simnet.network import Network, Node
 from .session import CONTROL_PORT
 
@@ -107,9 +107,10 @@ class ReliableControlLink:
         )
 
     def _attempt(self, dst: str, packet: dict, unacked: set[int], size: int,
-                 attempt: int, _event=None) -> None:
+                 attempt: int, _event: Event) -> None:
         """Send attempt ``attempt`` of ``packet`` unless it was acknowledged,
-        and wait ``RTO * 1.5**min(attempt, 8)`` for the next one."""
+        and wait ``RTO * 1.5**min(attempt, 8)`` for the next one.  Runs
+        as a callback: ``_event`` is the event that fired."""
         seq = packet["seq"]
         if seq not in unacked:
             return

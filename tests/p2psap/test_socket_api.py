@@ -371,9 +371,6 @@ class TestSocketOptions:
 
 class TestControlLink:
     def test_control_survives_loss(self):
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01, loss=0.5))
         a, b = net.add_node("a"), net.add_node("b")
@@ -387,9 +384,6 @@ class TestControlLink:
         assert la.stats_retries > 0
 
     def test_control_dedups(self):
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         # Duplicating network: every packet delivered twice.
         net = Network(sim, intra_netem=Netem(delay=0.01, duplicate=1.0))
@@ -402,9 +396,6 @@ class TestControlLink:
         assert got == [{"x": 1}]
 
     def test_lossy_reordering_link_dispatches_each_message_once(self):
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01, jitter=0.008, loss=0.3,
                                              duplicate=0.2, reorder=0.2))
@@ -432,9 +423,6 @@ class TestControlLink:
             assert not any(link._rx_above.values())
 
     def test_messages_are_numbered_per_destination(self):
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01))
         a, b, c = (net.add_node(name) for name in "abc")
@@ -456,9 +444,6 @@ class TestControlLink:
     def test_close_gives_up_unacknowledged_messages(self):
         """A message sent before close() goes out once; close() stops its
         retransmissions and the sender forgets it."""
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01))
         a, b = net.add_node("a"), net.add_node("b")
@@ -473,9 +458,6 @@ class TestControlLink:
     def test_ack_reaching_a_link_that_never_sent_is_ignored(self):
         """A link that takes over a port also receives the ACKs of what
         the previous holder sent; they acknowledge nothing of its own."""
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01))
         a, b = net.add_node("a"), net.add_node("b")
@@ -491,9 +473,6 @@ class TestControlLink:
     def test_watermark_moves_past_an_abandoned_message(self):
         """A message the sender gave up on leaves no gap at the receiver:
         later frames carry the sender's lowest unacknowledged number."""
-        from repro.p2psap.control_channel import ReliableControlLink
-        from repro.simnet.network import Netem, Network
-
         sim = Simulator()
         net = Network(sim, intra_netem=Netem(delay=0.01))
         a, b = net.add_node("a"), net.add_node("b")
