@@ -6,9 +6,9 @@
 prints one JSON object: for a fixed 200-message synchronous intra-cluster
 stream and one n=12, alpha=4 asynchronous solve, how many DES events,
 event-handler calls, ``payload_nbytes`` calls (recursive ones
-included), process-generator resumes and timer arms (``set_timer`` calls
-plus per-session timer (re-)arms through ``EventBus.call_at``) one
-application message costs.
+included), process-generator resumes and timer arms (per-session timer
+(re-)arms through ``EventBus.call_at``, the one way a micro-protocol arms
+its timer) one application message costs.
 
 Handler calls are counted where the handlers enter the bus: every
 handler bound through ``EventBus.bind`` inside the counted block is
@@ -46,7 +46,6 @@ import numpy as np
 
 import repro.cactus.messages as messages
 from repro.cactus.events import EventBus
-from repro.cactus.microprotocol import MicroProtocol
 from repro.campaign import CampaignJob
 from repro.experiments.harness import run_job
 from repro.p2psap import P2PSAP
@@ -88,7 +87,6 @@ def counting():
         (EventBus, "bind", EventBus.bind),
         (EventBus, "unbind", EventBus.unbind),
         (EventBus, "call_at", EventBus.call_at),
-        (MicroProtocol, "set_timer", MicroProtocol.set_timer),
         (P2PSAPSocket, "send", P2PSAPSocket.send),
         (messages, "payload_nbytes", messages.payload_nbytes),
     ]
@@ -121,7 +119,6 @@ def counting():
     EventBus.bind = counted_bind
     EventBus.unbind = counted_unbind
     EventBus.call_at = counted("timer_arms", EventBus.call_at)
-    MicroProtocol.set_timer = counted("timer_arms", MicroProtocol.set_timer)
     P2PSAPSocket.send = counted("messages", P2PSAPSocket.send)
     # Recursive calls resolve the module global, so they count too.
     messages.payload_nbytes = counted("payload_nbytes_calls",

@@ -15,8 +15,6 @@ workload:
 Run:  python examples/volatile_peers.py
 """
 
-import numpy as np
-
 from repro.core import P2PDC
 from repro.experiments.harness import scaled_spec
 from repro.simnet import Simulator, heterogeneous_testbed

@@ -5,9 +5,8 @@ Jourjon, Chau — IEEE IPDPSW 2010).
 Subpackages
 -----------
 ``repro.simnet``
-    Deterministic discrete-event substrate: virtual-time kernel, the
-    simulated NICTA testbed (nodes, links, Netem) and OEDL experiment
-    descriptions.
+    Deterministic discrete-event substrate: virtual-time kernel and the
+    simulated NICTA testbed (nodes, links, Netem).
 ``repro.cactus``
     The Cactus-like micro-protocol framework P2PSAP is built on
     (events, zero-copy messages, composite protocols, micro-protocol

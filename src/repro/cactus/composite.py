@@ -26,7 +26,7 @@ substituting micro-protocols or composite protocols."
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from ..simnet.kernel import Simulator
 from .events import EventBus
@@ -91,9 +91,6 @@ class CompositeProtocol:
     def has_micro(self, name: str) -> bool:
         return name in self._micros
 
-    def micros(self) -> Iterator[MicroProtocol]:
-        return iter(self._micros.values())
-
     def teardown(self) -> None:
         """Remove every micro-protocol (session close)."""
         for name in list(self._micros):
@@ -146,35 +143,6 @@ class ProtocolStack:
         for i, layer in enumerate(layers):
             layer._above = layers[i - 1] if i > 0 else None
             layer._below = layers[i + 1] if i + 1 < len(layers) else None
-
-    @property
-    def top(self) -> CompositeProtocol:
-        if not self._layers:
-            raise CompositionError("empty stack")
-        return self._layers[0]
-
-    @property
-    def bottom(self) -> CompositeProtocol:
-        if not self._layers:
-            raise CompositionError("empty stack")
-        return self._layers[-1]
-
-    def above(self, layer: CompositeProtocol) -> Optional[CompositeProtocol]:
-        self._index(layer)  # raises for a foreign layer
-        return layer._above
-
-    def below(self, layer: CompositeProtocol) -> Optional[CompositeProtocol]:
-        self._index(layer)
-        return layer._below
-
-    def _index(self, layer: CompositeProtocol) -> int:
-        for i, l in enumerate(self._layers):
-            if l is layer:
-                return i
-        raise CompositionError(f"{layer.name} is not in this stack")
-
-    def __len__(self) -> int:
-        return len(self._layers)
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<Stack " + " / ".join(layer.name for layer in self._layers) + ">"

@@ -17,14 +17,16 @@ to that event are executed."
   per-packet raise sites call it so; :meth:`EventBus.raise_event` is the
   by-name spelling (timers, cold paths, tests) and goes through the same
   table, so there is one dispatch mechanism;
-- deferred events (``raise_later``) and deferred calls at an absolute
-  time (``call_at``), which per-session timers re-arm through;
+- deferred calls at an absolute time (``call_at``), which per-session
+  timers arm and re-arm through;
 - re-entrancy safety: handlers may bind/unbind handlers and raise
   further events while a dispatch is in progress: a bind or unbind
   replaces the event's callable, never mutates the handler tuple a
   fan-out closed over, so a dispatch runs the handlers it started with;
-- cancellable timers (a deferred event can be cancelled before firing),
-  which Cactus exposes for round-trip timers.
+- cancellable timers (a deferred call can be cancelled before firing),
+  which Cactus exposes for round-trip timers.  A micro-protocol keeps at
+  most one armed timer for all its deadlines and cancels it in its own
+  ``on_remove``.
 
 Handlers enter only through :meth:`EventBus.bind`, so what ``bind`` was
 given is exactly what a raise calls (a tracer that wraps handlers at
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from ..simnet.kernel import Event as KernelEvent
 from ..simnet.kernel import Process, Simulator
@@ -53,44 +55,22 @@ Handler = Callable[..., Any]
 
 
 class Timer:
-    """Handle for a deferred call — an event raise or a callback — that
-    may be cancelled before it fires.
+    """Handle for a deferred call that may be cancelled before it fires."""
 
-    A timer owned by a micro-protocol (:meth:`MicroProtocol.set_timer`)
-    leaves its owner's set of armed timers when it fires or is cancelled.
-    """
+    __slots__ = ("_fn", "_args", "_cancelled")
 
-    __slots__ = ("_fn", "_args", "_kwargs", "_cancelled", "_fired", "_home")
-
-    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict):
+    def __init__(self, fn: Callable[..., Any], args: tuple):
         self._fn = fn
         self._args = args
-        self._kwargs = kwargs
         self._cancelled = False
-        self._fired = False
-        self._home: Optional[set] = None
-
-    @property
-    def active(self) -> bool:
-        return not self._cancelled and not self._fired
 
     def cancel(self) -> None:
         """Prevent the deferred call from happening (idempotent)."""
         self._cancelled = True
-        self._leave_home()
-
-    def _leave_home(self) -> None:
-        home = self._home
-        if home is not None:
-            home.discard(self)
-            self._home = None
 
     def _fire(self, _ev: KernelEvent) -> None:
-        if self._cancelled:
-            return
-        self._fired = True
-        self._leave_home()
-        self._fn(*self._args, **self._kwargs)
+        if not self._cancelled:
+            self._fn(*self._args)
 
 
 def _silent(*args: Any, **kwargs: Any) -> None:
@@ -162,9 +142,6 @@ class EventBus:
         """Handlers currently bound, in execution order."""
         return [h for _, _, h in self._handlers.get(event_name, ())]
 
-    def has_handlers(self, event_name: str) -> bool:
-        return bool(self._handlers.get(event_name))
-
     # -- dispatch ------------------------------------------------------------
 
     def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> None:
@@ -175,14 +152,6 @@ class EventBus:
         """
         self.compiled[event_name](*args, **kwargs)
 
-    def raise_later(
-        self, delay: float, event_name: str, *args: Any, **kwargs: Any
-    ) -> Timer:
-        """Schedule ``event_name`` to be raised after ``delay`` sim-seconds."""
-        timer = Timer(self.raise_event, (event_name, *args), kwargs)
-        self.sim.timeout(delay).callbacks.append(timer._fire)
-        return timer
-
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Call ``callback(*args)`` at the absolute sim time ``when``.
 
@@ -192,7 +161,7 @@ class EventBus:
         events (``RetransmitCheck``, ``AppAckTimeout``) for what is due.
         ``when`` is used as is (no ``now + delay`` re-rounding).
         """
-        timer = Timer(callback, args, {})
+        timer = Timer(callback, args)
         self.sim.timeout_at(when).callbacks.append(timer._fire)
         return timer
 

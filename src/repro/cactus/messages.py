@@ -150,13 +150,6 @@ class Message:
         self.headers.pop()
         return fields
 
-    def peek_header(self, layer: str) -> Optional[dict]:
-        """The topmost header for ``layer`` without removing it, or None."""
-        for name, fields in reversed(self.headers):
-            if name == layer:
-                return fields
-        return None
-
     # -- sizing --------------------------------------------------------------
 
     @property

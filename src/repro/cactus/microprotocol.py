@@ -10,7 +10,8 @@ unbinds all its handlers and releases its own resources."
 
 :class:`MicroProtocol` provides exactly that contract.  Subclasses bind
 handlers through :meth:`bind` (which records the binding) and override
-:meth:`on_init` / :meth:`on_remove` for resource setup/teardown;
+:meth:`on_init` / :meth:`on_remove` for resource setup/teardown (an
+armed timer is such a resource: ``on_remove`` cancels it);
 :meth:`remove` unbinds everything automatically, then calls
 ``on_remove()``.  Session close removes every micro-protocol this way
 (:meth:`~repro.cactus.composite.CompositeProtocol.teardown`), and
@@ -21,9 +22,9 @@ micro-protocols in place by calling ``remove()`` on the old one and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from .events import Handler, Timer
+from .events import Handler
 
 if TYPE_CHECKING:  # pragma: no cover
     from .composite import CompositeProtocol
@@ -40,7 +41,9 @@ class MicroProtocol:
 
     Lifecycle: ``__init__`` (pure construction, no side effects) →
     ``init(composite)`` (bind handlers, allocate resources) →
-    ``remove()`` (unbind all handlers, cancel timers, release resources).
+    ``remove()`` (unbind all handlers, release resources).  A subclass
+    that arms a timer (:meth:`~repro.cactus.events.EventBus.call_at`)
+    cancels it in its ``on_remove``.
     """
 
     #: Human-readable protocol name; subclasses override.
@@ -49,8 +52,6 @@ class MicroProtocol:
     def __init__(self) -> None:
         self.composite: Optional["CompositeProtocol"] = None
         self._bindings: list[tuple[str, Handler]] = []
-        # Armed timers; one leaves the set when it fires or is cancelled.
-        self._timers: set[Timer] = set()
         self._initialized = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -64,21 +65,15 @@ class MicroProtocol:
         self.on_init()
 
     def remove(self) -> None:
-        """Unbind all handlers, cancel all timers, release resources."""
+        """Unbind all handlers, then release resources (:meth:`on_remove`)."""
         if not self._initialized:
             raise MicroProtocolError(f"{self.name} removed before init")
         for event_name, handler in self._bindings:
             self.composite.bus.unbind(event_name, handler)
         self._bindings.clear()
-        for timer in list(self._timers):
-            timer.cancel()
         self.on_remove()
         self._initialized = False
         self.composite = None
-
-    @property
-    def initialized(self) -> bool:
-        return self._initialized
 
     # -- subclass hooks -----------------------------------------------------
 
@@ -86,7 +81,8 @@ class MicroProtocol:
         """Bind handlers and allocate resources.  Subclasses override."""
 
     def on_remove(self) -> None:
-        """Release subclass-specific resources.  Subclasses may override."""
+        """Release subclass-specific resources, timers included.
+        Subclasses may override."""
 
     # -- helpers -------------------------------------------------------------
 
@@ -96,18 +92,6 @@ class MicroProtocol:
             raise MicroProtocolError(f"{self.name}: bind() outside init")
         self.composite.bus.bind(event_name, handler, order=order)
         self._bindings.append((event_name, handler))
-
-    def set_timer(self, delay: float, event_name: str, *args: Any, **kwargs: Any) -> Timer:
-        """Schedule a deferred event, auto-cancelled on removal."""
-        if not self._initialized:
-            raise MicroProtocolError(f"{self.name}: set_timer() outside init")
-        return self._own(self.composite.bus.raise_later(delay, event_name, *args, **kwargs))
-
-    def _own(self, timer: Timer) -> Timer:
-        """Count ``timer`` among the armed ones :meth:`remove` cancels."""
-        timer._home = self._timers
-        self._timers.add(timer)
-        return timer
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "live" if self._initialized else "detached"

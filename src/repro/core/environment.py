@@ -32,8 +32,7 @@ class P2PDC:
     Parameters
     ----------
     sim, network:
-        The substrate (typically from ``ExperimentDescription.materialize``
-        or ``nicta_testbed``).
+        The substrate (typically from ``nicta_testbed``).
     server_name:
         The submitting peer hosting the centralized components; defaults
         to the first node.

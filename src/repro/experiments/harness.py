@@ -1,10 +1,11 @@
 """Experiment harness: one configuration = one measured run.
 
-Reproduces the paper's methodology: an OEDL-style description fixes the
-topology (α peers, 1 or 2 clusters, 100 ms WAN) and application
-parameters (problem size n, scheme); the harness materializes it, runs
-the obstacle application through P2PDC, and reports time / relaxations /
-speedup / efficiency — the four panels of Figures 5 and 6.
+Reproduces the paper's methodology: a job fixes the topology (α peers, 1
+or 2 clusters, 100 ms WAN) and application parameters (problem size n,
+scheme), as the paper's OEDL description files do; the harness builds
+that testbed, runs the obstacle application through P2PDC, and reports
+time / relaxations / speedup / efficiency — the four panels of Figures
+5 and 6.
 
 Scaled runs
 -----------
@@ -29,8 +30,8 @@ from typing import Any, Optional
 from ..core.environment import P2PDC
 from ..p2psap.context import Scheme
 from ..resources import resolve_context
-from ..simnet.oedl import ExperimentDescription
-from ..simnet.topology import NICTA_SPEC, TestbedSpec
+from ..simnet.kernel import Simulator
+from ..simnet.topology import NICTA_SPEC, TestbedSpec, nicta_testbed
 from ..solvers.distributed_richardson import (
     DistributedSolveReport,
     ObstacleApplication,
@@ -142,17 +143,10 @@ def run_job(
     n, n_peers = job.n, job.n_peers
     spec = NICTA_SPEC if job.n_paper is None or n >= job.n_paper \
         else scaled_spec(n, job.n_paper)
-    desc = ExperimentDescription(
-        name=f"obstacle-n{n}-a{n_peers}-c{job.n_clusters}-{scheme.value}",
-        n_peers=n_peers,
-        n_clusters=job.n_clusters,
-        spec=spec,
-        app_name="obstacle",
-        app_params={"n": n, "tol": job.tol, "problem": job.problem},
-        seed=job.seed,
-    )
-    deployment = desc.materialize()
-    env = P2PDC(deployment.sim, deployment.network, resources=resources)
+    sim = Simulator()
+    net = nicta_testbed(sim, n_peers, n_clusters=job.n_clusters, spec=spec,
+                        seed=job.seed)
+    env = P2PDC(sim, net, resources=resources)
     env.register_everywhere(ObstacleApplication(resources=resources))
     params = {"n": n, "tol": job.tol, "problem": job.problem}
     # Canonical params: a default value never enters the dict, so e.g.
@@ -176,7 +170,6 @@ def run_job(
     # solve span plus post-run DES counter export.  Nothing here touches
     # params or the simulator, so instrumented runs stay bit-identical.
     tele = resolve_context(resources).telemetry
-    sim = deployment.sim
     with tele.span("solve", n=n, peers=n_peers, clusters=job.n_clusters,
                    scheme=scheme.value):
         run = env.run_to_completion(

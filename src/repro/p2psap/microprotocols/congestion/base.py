@@ -4,26 +4,30 @@ Congestion control in the data channel is window-based: the
 buffer-management micro-protocol may have at most ``cwnd`` unacked
 segments in flight.  Controllers adjust ``cwnd`` (stored in the
 composite's shared state so buffer management reads it without coupling
-to a concrete controller) in response to three bus events raised by the
+to a concrete controller) in response to two bus events raised by the
 reliability micro-protocol:
 
 ``AckReceived(seq, rtt)``
     a segment was acknowledged, with a round-trip sample;
-``DupAck(seq, count)``
-    a duplicate acknowledgement (count is consecutive dups for seq);
 ``SegmentTimeout(seq)``
     a retransmission timer expired.
 
-After a dup-ACK or a timeout the controller raises ``TrySend`` itself,
-since the new window may let queued segments out.  After an ACK it does
-not: reliability raises ``TrySend`` right after ``AckReceived``, with
-the window updated and the segment out of flight, and a second pump
-in between would find nothing changed.  One send pump per ACK.
+There is no duplicate-ACK event.  Reliability acknowledges every
+segment by its own sequence number, not cumulatively, and drops an ACK
+for a segment no longer in flight, so the duplicate ACKs that trigger
+TCP's fast retransmit and fast recovery (RFC 6582) never arise here: a
+loss is seen by its retransmission timeout only.
+
+After a timeout the controller raises ``TrySend`` itself, since the new
+window may let queued segments out.  After an ACK it does not:
+reliability raises ``TrySend`` right after ``AckReceived``, with the
+window updated and the segment out of flight, and a second pump in
+between would find nothing changed.  One send pump per ACK.
 
 Each concrete controller (New-Reno, H-TCP) implements its state
 machine; unit tests drive them directly through :meth:`on_ack` /
-:meth:`on_dupack` / :meth:`on_timeout` and assert the window traces,
-independent of any stack.
+:meth:`on_timeout` and assert the window traces, independent of any
+stack.
 """
 
 from __future__ import annotations
@@ -60,13 +64,11 @@ class CongestionControl(MicroProtocol):
         self.rto = 1.0
         self.stats_acks = 0
         self.stats_timeouts = 0
-        self.stats_fast_retransmits = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     def on_init(self) -> None:
         self.bind("AckReceived", self._handle_ack)
-        self.bind("DupAck", self._handle_dupack)
         self.bind("SegmentTimeout", self._handle_timeout)
         self._publish()
 
@@ -91,11 +93,6 @@ class CongestionControl(MicroProtocol):
         # AckReceived, once per ACK (see the module docstring).
         self.on_ack(rtt)
         self._publish()
-
-    def _handle_dupack(self, seq: int, count: int = 1) -> None:
-        self.on_dupack(count)
-        self._publish()
-        self._pump()
 
     def _handle_timeout(self, seq: int) -> None:
         self.on_timeout()
@@ -125,11 +122,6 @@ class CongestionControl(MicroProtocol):
 
     def on_ack(self, rtt: Optional[float] = None) -> None:
         """New-data acknowledgement.  Subclasses implement growth."""
-        raise NotImplementedError
-
-    def on_dupack(self, count: int) -> None:
-        """Duplicate ack (``count`` consecutive).  Subclasses implement
-        fast retransmit."""
         raise NotImplementedError
 
     def on_timeout(self) -> None:

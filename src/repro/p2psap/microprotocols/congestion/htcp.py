@@ -17,7 +17,9 @@ and polynomially aggressively beyond it.  The increase per ack is
 of minimum to maximum observed RTT, β = RTTmin/RTTmax clamped to
 [0.5, 0.8] (0.5 before any RTT sample).  H-TCP's adaptive reset (β
 back to 0.5 when throughput moves by more than 20 % between congestion
-epochs) is not modelled.
+epochs) is not modelled.  The congestion event is the retransmission
+timeout: per-segment ACKs produce no duplicate ACKs (see
+:mod:`~repro.p2psap.microprotocols.congestion.base`).
 """
 
 from __future__ import annotations
@@ -87,18 +89,11 @@ class HTCPCongestion(CongestionControl):
         else:
             self.cwnd += self.alpha(self.elapsed_since_congestion()) / self.cwnd
 
-    def on_dupack(self, count: int) -> None:
-        if count >= 3:
-            self._congestion_event()
-            self.stats_fast_retransmits += 1
-
     def on_timeout(self) -> None:
-        self._congestion_event()
-        self.stats_timeouts += 1
-        self.rto = min(self.rto * 2.0, 60.0)
-
-    def _congestion_event(self) -> None:
+        """The congestion event: back off by β and restart the epoch."""
         self._update_beta()
         self.ssthresh = max(self.cwnd * self.beta, 2.0)
         self.cwnd = max(self.cwnd * self.beta, self.MIN_WINDOW)
         self._last_congestion_at = self._now()
+        self.stats_timeouts += 1
+        self.rto = min(self.rto * 2.0, 60.0)

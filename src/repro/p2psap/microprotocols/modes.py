@@ -131,7 +131,9 @@ class SynchronousMode(_ModeBase):
                 completion.succeed(None)
         self._pending_appack.clear()
         self._deadlines.clear()
-        self._timer = None  # remove() cancelled it
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         super().on_remove()
 
     # -- sender side ---------------------------------------------------------
@@ -150,7 +152,7 @@ class SynchronousMode(_ModeBase):
                 self._arm(deadline)
 
     def _arm(self, when: float) -> None:
-        self._timer = self._own(self.composite.bus.call_at(when, self._on_timer))
+        self._timer = self.composite.bus.call_at(when, self._on_timer)
 
     def _on_timer(self) -> None:
         """Time out every send due now, in send order; re-arm."""

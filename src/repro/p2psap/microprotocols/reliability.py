@@ -121,7 +121,9 @@ class Reliability(MicroProtocol):
         self.composite.shared.pop("in_flight", None)
         self._unacked.clear()
         self._deadlines.clear()
-        self._timer, self._timer_at = None, math.inf  # remove() cancelled it
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer, self._timer_at = None, math.inf
 
     # -- sender side -------------------------------------------------------------
 
@@ -145,7 +147,7 @@ class Reliability(MicroProtocol):
     def _arm(self, when: float) -> None:
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self._own(self.composite.bus.call_at(when, self._on_timer))
+        self._timer = self.composite.bus.call_at(when, self._on_timer)
         self._timer_at = when
 
     def _on_timer(self) -> None:

@@ -59,7 +59,8 @@ class PhysicalSpec:
 
     ``header_bytes`` is added to every frame on the wire;
     ``per_message_cost`` models host-side framing/interrupt overhead in
-    seconds.
+    seconds.  Every fabric has some, so it must be positive: the receive
+    server always serves a packet by an event at its completion.
     """
 
     name: str
@@ -67,8 +68,10 @@ class PhysicalSpec:
     per_message_cost: float = 5e-6
 
     def __post_init__(self) -> None:
-        if self.header_bytes < 0 or self.per_message_cost < 0:
-            raise ValueError("physical spec fields must be non-negative")
+        if self.header_bytes < 0:
+            raise ValueError("header_bytes must be non-negative")
+        if not self.per_message_cost > 0:
+            raise ValueError("per_message_cost must be positive")
 
 
 class PhysicalProtocol(CompositeProtocol):
@@ -128,12 +131,12 @@ class PhysicalProtocol(CompositeProtocol):
         before a packet already folded.  ``seq`` keys its arrival, should
         it have to be put back on that path (:meth:`_unfold`).
         """
-        cost = self.spec.per_message_cost
         folded = self._folded
-        if (not cost or self._closed or self._rx_busy or self._rx_backlog
+        if (self._closed or self._rx_busy or self._rx_backlog
                 or (folded and arrival < folded[-1][0])):
             return False
         free = self._rx_free_at
+        cost = self.spec.per_message_cost
         done = (free if free > arrival else arrival) + cost  # max(arrival, free)
         self._rx_free_at = done
         record = (arrival, seq, done, packet, link)
@@ -188,13 +191,9 @@ class PhysicalProtocol(CompositeProtocol):
 
     def _rx_start(self, packet: Packet) -> None:
         """Rebuild the message and charge the host-side cost for it."""
-        msg = self._rebuild(packet)
-        cost = self.spec.per_message_cost
-        if cost:
-            self._rx_busy = True
-            self.sim.timeout(cost, msg).callbacks.append(self._rx_done)
-        else:
-            self.deliver_up(msg)
+        self._rx_busy = True
+        self.sim.timeout(self.spec.per_message_cost,
+                         self._rebuild(packet)).callbacks.append(self._rx_done)
 
     def _rx_done(self, ev: Event) -> None:
         if self._closed:

@@ -9,8 +9,6 @@ network
     impairments, cluster-aware routing.
 topology
     Builders for the NICTA testbed and heterogeneous variants.
-oedl
-    OEDL-style declarative experiment descriptions.
 """
 
 from .kernel import (
@@ -26,7 +24,6 @@ from .kernel import (
     Timeout,
 )
 from .network import Link, Netem, Network, NetworkError, NoRouteError, Node, Packet
-from .oedl import Deployment, ExperimentDescription
 from .topology import (
     NICTA_SPEC,
     TestbedSpec,
@@ -39,7 +36,6 @@ __all__ = [
     "AllOf", "AnyOf", "Channel", "DeadlockError", "Event", "Interrupt",
     "Process", "SimulationError", "Simulator", "Timeout",
     "Link", "Netem", "Network", "NetworkError", "NoRouteError", "Node", "Packet",
-    "Deployment", "ExperimentDescription",
     "NICTA_SPEC", "TestbedSpec", "heterogeneous_testbed", "nicta_testbed",
     "split_clusters",
 ]

@@ -70,6 +70,10 @@ PROBLEM_FACTORIES: dict[str, Callable[[int], ObstacleProblem]] = {
 # invariants') is evicted and cleared with it.
 _PROBLEM_CACHE_MAX = 16
 
+#: Consecutive below-tol sweeps a peer needs to report local convergence
+#: (CONV) and to confirm it on VERIFY, in the non-synchronous schemes.
+STREAK = 3
+
 
 def get_problem(kind: str, n: int, resources=None) -> ObstacleProblem:
     ctx = resolve_context(resources)
@@ -161,8 +165,6 @@ class ObstacleApplication(Application):
     - ``scheme``: synchronous | asynchronous | hybrid (hybrid);
     - ``tol``: max-diff tolerance (1e-4 scaled to the problem);
     - ``max_relaxations``: safety cap (200000);
-    - ``streak``: consecutive below-tol sweeps for local convergence in
-      asynchronous schemes (3);
     - ``weights``: optional per-peer speed weights (load balancing);
     - ``checkpoint_every``: sweeps between checkpoints, 0 = off (0);
     - ``eager_first_plane``: ablation switch — send U_f(k) *before*
@@ -238,9 +240,8 @@ def assemble_report(reports: list[BlockReport], u: np.ndarray,
     """Build the aggregate report (separated for testability)."""
     n = u.shape[0]
     meta = reports[0]
-    problem = get_problem(meta_extra(meta, "problem"), n,
-                          resources=resources)
-    scheme = Scheme.parse(meta_extra(meta, "scheme"))
+    problem = get_problem(meta.extra["problem"], n, resources=resources)
+    scheme = Scheme.parse(meta.extra["scheme"])
     if scheme is Scheme.SYNCHRONOUS:
         converged = [r.converged_at for r in reports if r.converged_at is not None]
         relaxations = float(max(converged)) if converged else float(
@@ -258,10 +259,6 @@ def assemble_report(reports: list[BlockReport], u: np.ndarray,
         residual=problem.residual_norm(u),
         provenance=dict(meta.extra.get("provenance", {})),
     )
-
-
-def meta_extra(report: BlockReport, key: str) -> Any:
-    return report.extra[key]
 
 
 class _BlockSolver:
@@ -282,7 +279,6 @@ class _BlockSolver:
         self.dtype = resolve_dtype(params.get("dtype"))
         self.tol = check_termination_tol(self.tol, self.dtype)
         self.max_relax = int(params.get("max_relaxations", 200_000))
-        self.streak = int(params.get("streak", 3))
         self.checkpoint_every = int(params.get("checkpoint_every", 0))
         self.eager_first_plane = bool(params.get("eager_first_plane", False))
         # Send conflation for asynchronous edges: a boundary plane is
@@ -293,7 +289,6 @@ class _BlockSolver:
         # Newest-supersedes-oldest at the sender is the standard fix.
         # The per-neighbour interval comes from the *actual* outgoing link
         # bandwidth (context data), resolved once sessions exist.
-        self._send_interval_override = params.get("send_min_interval")
         self._send_interval: dict[int, float] = {}
         self._last_send: dict[int, float] = {}
         # The explicit resource context this solve runs against — it
@@ -356,7 +351,7 @@ class _BlockSolver:
         self.local_diff = float("inf")
         # Termination machinery.
         self.exact_mode = self.scheme is Scheme.SYNCHRONOUS
-        self.criterion = DiffCriterion(self.tol, consecutive=self.streak)
+        self.criterion = DiffCriterion(self.tol, consecutive=STREAK)
         self.locally_converged = False
         # In-flight verification round: [epoch, async-neighbours whose
         # fresh ghost we must still observe, diff-stayed-below-tol].
@@ -561,8 +556,6 @@ class _BlockSolver:
         """Conflation interval towards neighbour ``nb``: ~1 plane's
         serialization time on that link (slightly over, so the queue
         stays empty and staleness stays bounded by one plane)."""
-        if self._send_interval_override is not None:
-            return float(self._send_interval_override)
         cached = self._send_interval.get(nb)
         if cached is None:
             bw = self.ctx.link_bandwidth(nb)
@@ -714,7 +707,7 @@ class _BlockSolver:
             return
         if tag == "VERIFY":
             epoch = body[1]
-            if not self.criterion.streak >= self.streak:
+            if not self.criterion.streak >= STREAK:
                 self._send_term(0, ("VERIFY_ACK", epoch, False))
                 return
             needed = {
@@ -753,9 +746,6 @@ class _BlockSolver:
         self.state.release()
 
     def _report(self) -> BlockReport:
-        converged_at = self.stop_info
-        if self.exact_mode and isinstance(self.stop_info, int):
-            converged_at = self.stop_info
         block = self.state.export_block()
         self.close()
         report = BlockReport(
@@ -764,7 +754,7 @@ class _BlockSolver:
             hi=self.state.hi,
             block=block,
             relaxations=self.sweeps,
-            converged_at=converged_at,
+            converged_at=self.stop_info,
             wait_time=self.wait_time,
             sends=self.sends,
             receives=self.receives,

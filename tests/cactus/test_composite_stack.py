@@ -47,27 +47,7 @@ class TestMicroProtocolLifecycle:
         composite.bus.raise_event("Ping", 1)
         assert rec.log == []
         assert rec.removed
-        assert not rec.initialized
-
-    def test_remove_cancels_timers(self):
-        sim = Simulator()
-        comp = CompositeProtocol(sim, "t")
-
-        class WithTimer(MicroProtocol):
-            name = "timers"
-
-            def __init__(self):
-                super().__init__()
-                self.fired = []
-
-            def on_init(self):
-                self.bind("Tick", lambda: self.fired.append(sim.now))
-                self.set_timer(1.0, "Tick")
-
-        wt = comp.add_micro(WithTimer())
-        comp.remove_micro("timers")
-        sim.run()
-        assert wt.fired == []
+        assert rec.composite is None
 
     def test_double_init_rejected(self, composite):
         rec = Recorder()
@@ -84,10 +64,6 @@ class TestMicroProtocolLifecycle:
         with pytest.raises(MicroProtocolError):
             rec.bind("E", lambda: None)
 
-    def test_set_timer_outside_init_rejected(self):
-        with pytest.raises(MicroProtocolError, match="set_timer"):
-            Recorder().set_timer(1.0, "Ping", 1)
-
     def test_duplicate_name_rejected(self, composite):
         composite.add_micro(Recorder())
         with pytest.raises(CompositionError):
@@ -99,7 +75,7 @@ class TestMicroProtocolLifecycle:
         composite.add_micro(r2)
         composite.teardown()
         assert r1.removed and r2.removed
-        assert list(composite.micros()) == []
+        assert not composite.has_micro("r1") and not composite.has_micro("r2")
 
     def test_micro_lookup_errors(self, composite):
         with pytest.raises(CompositionError):
@@ -120,12 +96,10 @@ class TestProtocolStack:
 
     def test_ordering(self):
         _, stack, top, mid, bot = self.make_stack()
-        assert stack.top is top and stack.bottom is bot
-        assert stack.above(mid) is top
-        assert stack.below(mid) is bot
-        assert stack.above(top) is None
-        assert stack.below(bot) is None
-        assert len(stack) == 3
+        assert (top._above, top._below) == (None, mid)
+        assert (mid._above, mid._below) == (top, bot)
+        assert (bot._above, bot._below) == (mid, None)
+        assert top.stack is mid.stack is bot.stack is stack
 
     def test_message_travels_down_by_reference(self):
         _, stack, top, mid, bot = self.make_stack()
@@ -165,19 +139,6 @@ class TestProtocolStack:
         sim, stack, top, mid, bot = self.make_stack()
         with pytest.raises(CompositionError):
             ProtocolStack([top])
-
-    def test_foreign_layer_lookup_fails(self):
-        _, stack, *_ = self.make_stack()
-        foreign = CompositeProtocol(Simulator(), "foreign")
-        with pytest.raises(CompositionError):
-            stack.above(foreign)
-
-    def test_empty_stack_top_bottom_raise(self):
-        stack = ProtocolStack()
-        with pytest.raises(CompositionError):
-            _ = stack.top
-        with pytest.raises(CompositionError):
-            _ = stack.bottom
 
     def test_shared_state_dict(self):
         comp = CompositeProtocol(Simulator(), "t")

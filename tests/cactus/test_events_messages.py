@@ -72,12 +72,11 @@ class TestEventBus:
         with pytest.raises(TypeError):
             bus.bind("E", 42)
 
-    def test_raise_later_fires_at_delay(self):
+    def test_call_at_fires_at_the_time(self):
         sim = Simulator()
         bus = EventBus(sim)
         fired = []
-        bus.bind("T", lambda: fired.append(sim.now))
-        bus.raise_later(2.5, "T")
+        bus.call_at(2.5, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [2.5]
 
@@ -85,22 +84,29 @@ class TestEventBus:
         sim = Simulator()
         bus = EventBus(sim)
         fired = []
-        bus.bind("T", lambda: fired.append(sim.now))
-        timer = bus.raise_later(2.5, "T")
-        assert timer.active
+        timer = bus.call_at(2.5, lambda: fired.append(sim.now))
         timer.cancel()
         sim.run()
         assert fired == []
-        assert not timer.active
+        timer.cancel()  # idempotent
 
     def test_timer_args_forwarded(self):
         sim = Simulator()
         bus = EventBus(sim)
         got = []
-        bus.bind("T", lambda x, k=None: got.append((x, k)))
-        bus.raise_later(1.0, "T", 5, k="v")
+        bus.call_at(1.0, lambda x, y: got.append((x, y)), 5, "v")
         sim.run()
         assert got == [(5, "v")]
+
+    def test_cancelling_a_fired_timer_is_harmless(self):
+        sim = Simulator()
+        bus = EventBus(sim)
+        got = []
+        timer = bus.call_at(1.0, got.append, "once")
+        sim.run()
+        timer.cancel()
+        sim.run()
+        assert got == ["once"]
 
     def test_spawn_runs_concurrent_process(self):
         sim = Simulator()
@@ -137,14 +143,6 @@ class TestMessage:
     def test_pop_empty_raises(self):
         with pytest.raises(LookupError):
             Message().pop_header("any")
-
-    def test_peek_finds_buried_header(self):
-        msg = Message()
-        msg.push_header("transport", seq=7)
-        msg.push_header("physical", frame=1)
-        assert msg.peek_header("transport") == {"seq": 7}
-        assert msg.peek_header("nothere") is None
-        assert len(msg.headers) == 2
 
     def test_size_accounts_headers(self):
         msg = Message(np.zeros(10))  # 80 bytes

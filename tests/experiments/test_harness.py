@@ -69,6 +69,11 @@ class TestRunJob:
         assert row["speedup"] == pytest.approx(2.0, abs=1e-3)
         assert set(row) >= {"n", "scheme", "time_s", "relaxations"}
 
+    @pytest.mark.parametrize("peers,clusters", [(0, 1), (2, 3), (4, 0), (39, 1)])
+    def test_a_testbed_it_cannot_build_is_rejected(self, peers, clusters):
+        with pytest.raises(ValueError):
+            run_job(CampaignJob(n=8, n_peers=peers, n_clusters=clusters))
+
     def test_run_job_is_the_exported_entry_point(self):
         import repro.experiments as experiments
 

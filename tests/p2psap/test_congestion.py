@@ -11,8 +11,11 @@ from repro.p2psap.microprotocols.congestion import (
     NewRenoCongestion,
     make_congestion,
 )
+from repro.p2psap.context import ChannelConfig, CommMode
+from repro.p2psap.data_channel import DataChannel
 from repro.p2psap.microprotocols.reliability import Reliability
 from repro.simnet.kernel import Simulator
+from repro.simnet.network import Netem, Network
 
 
 class TestFactory:
@@ -50,57 +53,6 @@ class TestSlowStart:
 
 
 class TestNewReno:
-    def test_fast_recovery_halves_not_collapses(self):
-        cc = NewRenoCongestion()
-        cc.cwnd, cc.ssthresh = 20.0, 64.0
-        cc.on_dupack(3)
-        assert cc.in_fast_recovery
-        assert cc.ssthresh == 10.0
-        assert cc.cwnd == 13.0  # ssthresh + 3 (window inflation)
-
-    def test_window_inflates_per_extra_dupack(self):
-        cc = NewRenoCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(3)
-        inflated = cc.cwnd
-        cc.on_dupack(4)
-        assert cc.cwnd == inflated + 1.0
-
-    def test_full_ack_deflates_to_ssthresh(self):
-        cc = NewRenoCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(3)
-        cc.on_ack(rtt=0.01)
-        assert not cc.in_fast_recovery
-        assert cc.cwnd == cc.ssthresh == 10.0
-
-    def test_partial_ack_stays_in_recovery(self):
-        """RFC 2582: partial acks retransmit and deflate without leaving
-        recovery."""
-        cc = NewRenoCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(3)
-        cc.on_ack(rtt=0.01, partial=True)
-        assert cc.in_fast_recovery
-        cc.on_ack(rtt=0.01)
-        assert not cc.in_fast_recovery
-
-    def test_timeout_exits_recovery_and_collapses(self):
-        cc = NewRenoCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(3)
-        cc.on_timeout()
-        assert not cc.in_fast_recovery
-        assert cc.cwnd == 1.0
-
-    def test_two_dupacks_do_nothing(self):
-        cc = NewRenoCongestion()
-        cc.cwnd = 20.0
-        cc.on_dupack(2)
-        assert cc.cwnd == 20.0
-        assert not cc.in_fast_recovery
-        assert cc.stats_fast_retransmits == 0
-
     def test_timeout_halves_ssthresh_and_restarts_slow_start(self):
         cc = NewRenoCongestion()
         cc.cwnd, cc.ssthresh = 32.0, 64.0
@@ -112,25 +64,12 @@ class TestNewReno:
 
     def test_ssthresh_never_below_two_segments(self):
         cc = NewRenoCongestion()
-        cc.cwnd = 3.0
-        cc.on_dupack(3)
-        assert cc.ssthresh == 2.0
-        assert cc.cwnd == 5.0
+        cc.cwnd = 5.0
         cc.on_timeout()
-        assert cc.ssthresh == 2.5  # half of the inflated window
-        cc.cwnd = 1.0
+        assert cc.ssthresh == 2.5
+        assert cc.cwnd == 1.0
         cc.on_timeout()
-        assert cc.ssthresh == 2.0
-
-    def test_partial_ack_deflation_stops_at_one_segment(self):
-        cc = NewRenoCongestion()
-        cc.cwnd = 4.0
-        cc.on_dupack(3)  # ssthresh 2, cwnd 5
-        for _ in range(10):
-            cc.on_ack(rtt=0.01, partial=True)
-        assert cc.in_fast_recovery
-        assert cc.cwnd == NewRenoCongestion.MIN_WINDOW
-        assert cc.stats_fast_retransmits == 11  # the fast one + 10 partials
+        assert cc.ssthresh == 2.0  # half of one segment, floored at two
 
     def test_avoidance_without_rtt_sample_is_linear(self):
         cc = NewRenoCongestion()
@@ -191,34 +130,12 @@ class TestHTCP:
         cc.on_timeout()
         assert cc.beta == pytest.approx(0.5)
 
-    def test_triple_dupack_backs_off_by_beta_without_timeout(self):
-        cc = HTCPCongestion()
-        cc.ssthresh = 1.0
-        cc.cwnd = 100.0
-        cc.on_ack(rtt=0.100)
-        cc.on_ack(rtt=0.125)
-        window, rto = cc.cwnd, cc.rto
-        cc.on_dupack(2)
-        assert cc.cwnd == window
-        cc.on_dupack(3)
-        assert cc.cwnd == pytest.approx(0.8 * window)
-        assert cc.stats_fast_retransmits == 1
-        assert cc.stats_timeouts == 0
-        assert cc.rto == rto  # only a timeout backs the RTO off
-
     def test_beta_defaults_low_without_rtt_samples(self):
         cc = HTCPCongestion()
         cc.cwnd = 40.0
         cc.on_timeout()
         assert cc.beta == HTCPCongestion.BETA_MIN
         assert cc.cwnd == pytest.approx(20.0)
-
-    def test_two_dupacks_do_nothing(self):
-        cc = HTCPCongestion()
-        cc.cwnd = 40.0
-        cc.on_dupack(2)
-        assert cc.cwnd == 40.0
-        assert cc.stats_fast_retransmits == 0
 
     def test_rtt_extremes_track_the_samples(self):
         cc = HTCPCongestion()
@@ -267,17 +184,16 @@ class TestEveryController:
         assert rtos == [2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0, 60.0]
         assert cc.stats_timeouts == 8
 
-    def test_counts_acks_fast_retransmits_and_timeouts(self, cls):
+    def test_counts_acks_and_timeouts(self, cls):
         cc = cls()
         cc.cwnd = 40.0
         for _ in range(5):
             cc.on_ack(rtt=0.01)
-        cc.on_dupack(3)
+        cc.on_timeout()
         cc.on_ack(rtt=0.01)
         cc.on_timeout()
         assert cc.stats_acks == 6
-        assert cc.stats_fast_retransmits == 1
-        assert cc.stats_timeouts == 1
+        assert cc.stats_timeouts == 2
 
     def test_segment_timeout_events_reach_the_controller(self, cls):
         sim = Simulator()
@@ -312,13 +228,13 @@ class TestSharedState:
         assert CWND_KEY not in comp.shared
         assert "rto" not in comp.shared
 
-    def test_ssthresh_published_after_a_fast_retransmit(self):
+    def test_ssthresh_published_after_a_timeout(self):
         sim = Simulator()
         comp = CompositeProtocol(sim, "t")
         cc = comp.add_micro(NewRenoCongestion())
         assert comp.shared[SSTHRESH_KEY] == cc.ssthresh
         cc.cwnd = 20.0
-        comp.bus.raise_event("DupAck", 1, 3)
+        comp.bus.raise_event("SegmentTimeout", 1)
         assert comp.shared[SSTHRESH_KEY] == 10.0
 
     def test_non_positive_rtt_sample_is_ignored(self):
@@ -361,15 +277,118 @@ class TestSharedState:
         comp.bus.raise_event("RxAck", 0, None)
         assert pumped == [(cc.cwnd, set())] and cc.cwnd > cc.INITIAL_WINDOW
 
-    def test_dupack_events_reach_the_controller(self):
-        sim = Simulator()
-        comp = CompositeProtocol(sim, "t")
-        cc = comp.add_micro(NewRenoCongestion())
-        cc.cwnd = 20.0
-        pumped = []
-        comp.bus.bind("TrySend", lambda: pumped.append(1))
-        comp.bus.raise_event("DupAck", 7, 3)
-        assert cc.in_fast_recovery
-        assert cc.cwnd == 13.0  # ssthresh 10 + 3 (window inflation)
-        assert comp.shared[CWND_KEY] == 13.0
-        assert pumped
+
+class LossyStream:
+    """``n`` messages streamed one way over a reliable asynchronous
+    channel on a link losing ``loss`` of its packets each way, with the
+    sender's controller state recorded around every timeout."""
+
+    def __init__(self, congestion, n=200, loss=0.3):
+        sim = self.sim = Simulator()
+        net = Network(sim, intra_netem=Netem(delay=0.01, loss=loss))
+        a, b = net.add_node("a"), net.add_node("b")
+        config = ChannelConfig(mode=CommMode.ASYNCHRONOUS, reliable=True,
+                               congestion=congestion)
+        cha = DataChannel(sim, net, a, "b", 9, config)
+        chb = DataChannel(sim, net, b, "a", 9, config)
+        cc = self.cc = cha.transport.micro(f"cc-{congestion}")
+        self.rel = cha.transport.micro("reliability")
+        shared = cha.transport.shared
+        #: (controller state before, after) per SegmentTimeout, in order.
+        self.timeouts = []
+        #: (seq, time, RTO its deadline was set with) per transmission.
+        self.sends = []
+
+        def state():
+            return {"cwnd": cc.cwnd, "ssthresh": cc.ssthresh, "rto": cc.rto,
+                    "published": (shared["cwnd"], shared["rto"]),
+                    "epoch_age": getattr(cc, "elapsed_since_congestion",
+                                         lambda: None)(),
+                    "beta": getattr(cc, "beta", None)}
+
+        bus = cha.transport.bus
+        bus.bind("SegmentTimeout", lambda seq: self.timeouts.append([state()]),
+                 order=-1)
+        bus.bind("SegmentTimeout", lambda seq: self.timeouts[-1].append(state()),
+                 order=1)
+        bus.bind("TxSegment", lambda msg: self.sends.append(
+            (msg.meta["seq"], sim.now, shared["rto"])), order=20)
+
+        def sender():
+            for i in range(n):
+                yield cha.user_send(i)
+
+        sim.spawn(sender())
+        sim.run(until=3600)
+        self.got = []
+        while True:
+            ok, payload = chb.user_receive_nowait()
+            if not ok:
+                break
+            self.got.append(payload)
+        self.n = n
+
+
+@pytest.fixture(scope="module")
+def newreno_stream():
+    return LossyStream("newreno")
+
+
+@pytest.fixture(scope="module")
+def htcp_stream():
+    return LossyStream("htcp")
+
+
+@pytest.fixture(params=["newreno", "htcp"])
+def lossy(request):
+    return request.getfixturevalue(f"{request.param}_stream")
+
+
+class TestOnALossyStream:
+    """The controllers as the stack runs them: losses are seen by the
+    retransmission timeout alone."""
+
+    def test_the_stream_arrives_whole_and_in_order(self, lossy):
+        assert lossy.got == list(range(lossy.n))
+        assert lossy.rel.stats_abandoned == 0
+        # One SegmentTimeout per retransmission, and there were some.
+        assert lossy.cc.stats_timeouts == len(lossy.timeouts) \
+            == lossy.rel.stats_retransmits > 10
+
+    def test_each_timeout_doubles_the_rto_up_to_a_minute(self, lossy):
+        for before, after in lossy.timeouts:
+            assert after["rto"] == min(2.0 * before["rto"], 60.0)
+
+    def test_each_timeout_publishes_the_new_window_and_rto(self, lossy):
+        for _, after in lossy.timeouts:
+            assert after["published"] == (after["cwnd"], after["rto"])
+
+    def test_a_retransmission_waits_the_rto_it_was_sent_with(self, lossy):
+        last = {}
+        waits = 0
+        for seq, at, rto in lossy.sends:
+            if seq in last:
+                sent_at, sent_rto = last[seq]
+                assert at == pytest.approx(sent_at + sent_rto, abs=1e-12)
+                waits += 1
+            last[seq] = (at, rto)
+        assert waits == lossy.rel.stats_retransmits
+
+    def test_the_window_grows_back_after_the_last_timeout(self, lossy):
+        assert lossy.cc.cwnd > lossy.timeouts[-1][1]["cwnd"]
+        assert lossy.cc.stats_acks >= lossy.n
+
+    def test_newreno_collapses_to_one_segment(self, newreno_stream):
+        for before, after in newreno_stream.timeouts:
+            assert after["cwnd"] == NewRenoCongestion.MIN_WINDOW
+            assert after["ssthresh"] == max(before["cwnd"] / 2.0, 2.0)
+
+    def test_htcp_backs_off_by_beta_and_restarts_its_epoch(self, htcp_stream):
+        timeouts = htcp_stream.timeouts
+        for before, after in timeouts:
+            beta = after["beta"]
+            assert HTCPCongestion.BETA_MIN <= beta <= HTCPCongestion.BETA_MAX
+            assert after["cwnd"] == max(before["cwnd"] * beta, 1.0)
+            assert after["ssthresh"] == max(before["cwnd"] * beta, 2.0)
+            assert after["epoch_age"] == 0.0
+        assert any(before["epoch_age"] > 0.0 for before, _ in timeouts)

@@ -7,9 +7,9 @@ of the first:
   synchronous mode) its 30-sim-second ``AppAckTimeout`` timer until the
   timer would have fired.  Now each session keeps per-message deadlines
   and one armed timer per micro-protocol: at most one ``RetransmitCheck``
-  and one ``AppAckTimeout`` timer at any instant, and deadline queues no
-  longer than what is unacknowledged plus the head an ACK has not pruned
-  yet;
+  and one ``AppAckTimeout`` timer on the DES queue at any instant, none
+  once the micro-protocol is removed, and deadline queues no longer than
+  what is unacknowledged plus the head an ACK has not pruned yet;
 - reliability's receive-side dedup remembered every sequence number of
   the session in one ever-growing set.  Its receive state is now a
   watermark plus the segments held above it, waiting for a gap to fill:
@@ -17,9 +17,11 @@ of the first:
 """
 
 from repro.cactus.composite import CompositeProtocol
+from repro.cactus.events import Timer
 from repro.cactus.messages import Message
 from repro.p2psap.context import ChannelConfig, CommMode
 from repro.p2psap.data_channel import DataChannel
+from repro.p2psap.microprotocols.modes import SynchronousMode
 from repro.p2psap.microprotocols.reliability import Reliability
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Netem, Network
@@ -27,15 +29,24 @@ from repro.simnet.network import Netem, Network
 SYNC = ChannelConfig(mode=CommMode.SYNCHRONOUS, reliable=True)
 
 
-def test_acknowledged_messages_release_their_timers():
-    n = 5000
+def armed(sim, micro):
+    """How many timers of ``micro`` wait on the DES queue uncancelled."""
+    count = 0
+    for *_, event in sim._queue:
+        for callback in event.callbacks:
+            timer = getattr(callback, "__self__", None)
+            if (isinstance(timer, Timer) and not timer._cancelled
+                    and getattr(timer._fn, "__self__", None) is micro):
+                count += 1
+    return count
+
+
+def sync_pair(n):
     sim = Simulator()
     net = Network(sim, intra_netem=Netem(delay=0.0001))
     a, b = net.add_node("a"), net.add_node("b")
     cha = DataChannel(sim, net, a, "b", 9, SYNC)
     chb = DataChannel(sim, net, b, "a", 9, SYNC)
-    rel = cha.transport.micro("reliability")
-    mode = cha.transport.micro("mode-sync")
     done = []
 
     def sender():
@@ -49,10 +60,18 @@ def test_acknowledged_messages_release_their_timers():
 
     sim.spawn(sender())
     sim.spawn(receiver())
-    armed = rel_queue = mode_queue = 0
+    return sim, cha, done
+
+
+def test_acknowledged_messages_release_their_timers():
+    n = 5000
+    sim, cha, done = sync_pair(n)
+    rel = cha.transport.micro("reliability")
+    mode = cha.transport.micro("mode-sync")
+    most = rel_queue = mode_queue = 0
     while not done:
         sim.step()
-        armed = max(armed, len(rel._timers), len(mode._timers))
+        most = max(most, armed(sim, rel), armed(sim, mode))
         rel_queue = max(rel_queue, len(rel._deadlines) - rel.unacked_count)
         mode_queue = max(mode_queue,
                          len(mode._deadlines) - len(mode._pending_appack))
@@ -60,31 +79,86 @@ def test_acknowledged_messages_release_their_timers():
     # timer fired and re-armed along the way, and the deadlines of
     # acknowledged messages were pruned rather than left to fire.
     assert done[0] > 1.0 and rel.stats_retransmits == 0
-    assert armed == 1
+    assert most == 1
     assert rel_queue <= 1 and mode_queue <= 1
     for micro in (rel, mode):
-        assert all(t.active for t in micro._timers)
+        assert armed(sim, micro) == (micro._timer is not None)
     assert not mode._pending_appack and len(mode._deadlines) <= 1
 
 
-def test_fired_and_cancelled_timers_leave_the_armed_set():
-    """The armed set is exactly the live timers, however many there are."""
+def test_a_rearmed_timer_leaves_no_live_one_behind():
+    """An earlier deadline cancels the armed timer and arms a new one:
+    whatever the deadlines, one live timer, and none once all is ACKed
+    and it has fired."""
     sim = Simulator()
     comp = CompositeProtocol(sim, "t")
     rel = comp.add_micro(Reliability())
-    fired = []
-    comp.bus.bind("Tick", fired.append)
+    arms = []
+    call_at = comp.bus.call_at
+    comp.bus.call_at = lambda *args: arms.append(call_at(*args)) or arms[-1]
     n = 5000
-    timers = [rel.set_timer(1.0 + k % 7, "Tick", k) for k in range(n)]
-    assert len(rel._timers) == n
-    for timer in timers[::2]:
-        timer.cancel()
-    assert len(rel._timers) == n // 2
-    sim.run(until=4.5)
-    assert len(rel._timers) == sum(1 for k in range(1, n, 2) if 1.0 + k % 7 > 4.5)
-    assert all(t.active for t in rel._timers)
+    for seq in range(n):
+        comp.shared["rto"] = 1.0 + (n - seq) * 1e-3  # each deadline earlier
+        msg = Message(seq)
+        msg.meta["seq"] = seq
+        comp.bus.raise_event("TxSegment", msg)
+        if seq % 250 == 0:
+            assert armed(sim, rel) == 1
+    assert len(arms) == n and armed(sim, rel) == 1
+    for seq in range(0, n, 2):
+        comp.bus.raise_event("RxAck", seq, None)
+    sim.run(until=0.5)
+    assert armed(sim, rel) == 1
+    for seq in range(1, n, 2):
+        comp.bus.raise_event("RxAck", seq, None)
+    assert not rel._deadlines
     sim.run()
-    assert not rel._timers and sorted(fired) == list(range(1, n, 2))
+    assert armed(sim, rel) == 0 and rel._timer is None
+    assert rel.stats_retransmits == 0
+
+
+def test_removing_reliability_cancels_its_timer():
+    sim = Simulator()
+    comp = CompositeProtocol(sim, "t")
+    rel = comp.add_micro(Reliability())
+    checks = []
+    comp.bus.bind("RetransmitCheck", checks.append)
+    msg = Message("x")
+    msg.meta["seq"] = 0
+    comp.bus.raise_event("TxSegment", msg)
+    assert armed(sim, rel) == 1
+    comp.remove_micro("reliability")
+    assert armed(sim, rel) == 0 and rel._timer is None
+    sim.run()
+    assert checks == []
+
+
+def test_removing_synchronous_mode_cancels_its_timer():
+    sim = Simulator()
+    comp = CompositeProtocol(sim, "t")
+    mode = comp.add_micro(SynchronousMode())
+    timeouts = []
+    comp.bus.bind("AppAckTimeout", timeouts.append)
+    msg = Message("x")
+    completion = msg.meta["completion"] = sim.event()
+    comp.bus.raise_event("UserSend", msg)
+    assert armed(sim, mode) == 1
+    comp.remove_micro("mode-sync")
+    assert armed(sim, mode) == 0 and mode._timer is None
+    assert completion.triggered and completion.value is None  # released
+    sim.run()
+    assert timeouts == []
+
+
+def test_closing_a_channel_mid_stream_leaves_no_timer_armed():
+    sim, cha, done = sync_pair(50)
+    rel = cha.transport.micro("reliability")
+    mode = cha.transport.micro("mode-sync")
+    while not (armed(sim, rel) and armed(sim, mode)):
+        sim.step()
+    cha.close()
+    assert armed(sim, rel) == 0 and armed(sim, mode) == 0
+    assert rel._timer is None and mode._timer is None
 
 
 def make_receiver():

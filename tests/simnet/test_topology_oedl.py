@@ -1,9 +1,8 @@
-"""Tests for testbed builders and OEDL descriptions."""
+"""Tests for the testbed builders."""
 
 import pytest
 
 from repro.simnet.kernel import Simulator
-from repro.simnet.oedl import ExperimentDescription
 from repro.simnet.topology import (
     NICTA_SPEC,
     TestbedSpec,
@@ -70,6 +69,17 @@ class TestNictaTestbed:
         with pytest.raises(ValueError):
             nicta_testbed(Simulator(), 4, n_clusters=5)
 
+    def test_zero_peers_rejected(self):
+        with pytest.raises(ValueError):
+            nicta_testbed(Simulator(), 0)
+
+    def test_custom_spec_flows_through(self):
+        spec = TestbedSpec(wan_delay=0.25)
+        net = nicta_testbed(Simulator(), 4, n_clusters=2, spec=spec)
+        names = list(net.nodes)
+        assert names[0] == "peer00"
+        assert net.link(names[0], names[-1]).netem.delay == pytest.approx(0.25)
+
 
 class TestHeterogeneousTestbed:
     def test_speeds_applied(self):
@@ -91,38 +101,3 @@ class TestHeterogeneousTestbed:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             heterogeneous_testbed(Simulator(), [])
-
-
-class TestOEDL:
-    def test_materialize_builds_stack(self):
-        desc = ExperimentDescription(
-            name="fig5-sync", n_peers=8, n_clusters=2,
-            app_name="obstacle", app_params={"n": 96, "scheme": "sync"},
-        )
-        dep = desc.materialize()
-        assert len(dep.network.nodes) == 8
-        assert len(dep.network.clusters()) == 2
-        assert dep.peer_names[0] == "peer00"
-
-    def test_with_params_copies(self):
-        desc = ExperimentDescription(name="e", n_peers=2, app_params={"n": 96})
-        d2 = desc.with_params(scheme="async")
-        assert d2.app_params == {"n": 96, "scheme": "async"}
-        assert desc.app_params == {"n": 96}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentDescription(name="bad", n_peers=0)
-        with pytest.raises(ValueError):
-            ExperimentDescription(name="bad", n_peers=2, n_clusters=3)
-
-    def test_summary_mentions_wan(self):
-        desc = ExperimentDescription(name="e", n_peers=2, n_clusters=2)
-        assert "100ms" in desc.summary()
-
-    def test_custom_spec_flows_through(self):
-        spec = TestbedSpec(wan_delay=0.25)
-        desc = ExperimentDescription(name="e", n_peers=4, n_clusters=2, spec=spec)
-        dep = desc.materialize()
-        names = dep.peer_names
-        assert dep.network.link(names[0], names[-1]).netem.delay == pytest.approx(0.25)
