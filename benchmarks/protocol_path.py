@@ -8,7 +8,14 @@ stream and one n=12, alpha=4 asynchronous solve, how many DES events,
 event-handler calls, ``payload_nbytes`` calls (recursive ones
 included), process-generator resumes and timer arms (per-session timer
 (re-)arms through ``EventBus.call_at``, the one way a micro-protocol arms
-its timer) one application message costs.
+its timer) one application message costs.  For one n=12, alpha=4 hybrid
+solve over two clusters (both edge modes), it also prints what one
+relaxation costs in lookups whose answer a solve fixes: session-mode
+lookups (``TaskExecutor.session_mode``), array validations of the
+compiled sweep dispatch (``_ckernels._fits``) and calls of the span
+factory with spans off; and the ``payload_nbytes`` calls that sizing one
+environment-bus message takes (``ReliableControlLink.send`` on the
+environment port).
 
 Handler calls are counted where the handlers enter the bus: every
 handler bound through ``EventBus.bind`` inside the counted block is
@@ -28,8 +35,10 @@ a change re-added an event per packet.  They say nothing about seconds;
 the ``p2psap_stream`` workload (one-way streams of 400 ``(i, plane)``
 messages, seed 0): interpreter calls per message, Python and C calls as
 ``sys.setprofile`` reports them, from the first DES step to the last
-delivery.  It is reported, not gated: the count depends on the CPython
-and numpy versions.
+delivery; and the host cost of one relaxation over the Fig. 5 grid of
+the ``fig5_n24`` workload (its 19 solves at seed 0, counted on a second
+pass): interpreter calls per relaxation.  Both are reported, not gated:
+the counts depend on the CPython and numpy versions.
 
 The counters are installed from here, around public names, for the
 duration of one workload; ``src/`` knows nothing about them.
@@ -39,19 +48,26 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 
 import numpy as np
 
 import repro.cactus.messages as messages
+import repro.p2psap.control_channel as control_channel
 from repro.cactus.events import EventBus
 from repro.campaign import CampaignJob
+from repro.core.env_bus import ENV_PORT
+from repro.core.task_execution import TaskExecutor
 from repro.experiments.harness import run_job
+from repro.numerics import _ckernels
 from repro.p2psap import P2PSAP
+from repro.p2psap.control_channel import ReliableControlLink
 from repro.p2psap.socket_api import P2PSAPSocket
 from repro.simnet import Simulator, nicta_testbed
 from repro.simnet.topology import NICTA_SPEC
+from repro.telemetry import Telemetry
 
 STREAM_MESSAGES = 200
 
@@ -178,9 +194,82 @@ def solve_n12_a4_async():
     return per_message(counts)
 
 
+@contextlib.contextmanager
+def counting_per_relaxation():
+    """Count, inside the block, the lookups a solve's relaxations make
+    and the ``payload_nbytes`` calls made while an environment-bus
+    message is sized (spans must be off)."""
+    counts = {"session_mode_lookups": 0, "sweep_validations": 0,
+              "span_calls": 0, "env_messages": 0,
+              "env_payload_nbytes_calls": 0}
+    originals = [
+        (TaskExecutor, "session_mode", TaskExecutor.session_mode),
+        (_ckernels, "_fits", _ckernels._fits),
+        (Telemetry, "span_factory", Telemetry.span_factory),
+        (ReliableControlLink, "send", ReliableControlLink.send),
+        (messages, "payload_nbytes", messages.payload_nbytes),
+        (control_channel, "payload_nbytes", control_channel.payload_nbytes),
+    ]
+    sizing = []
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def span_factory(telemetry):
+        factory = originals[2][2](telemetry)
+        return None if factory is None else counted("span_calls", factory)
+
+    def send(link, dst, body):
+        if link.port != ENV_PORT:
+            return originals[3][2](link, dst, body)
+        counts["env_messages"] += 1
+        sizing.append(True)
+        try:
+            return originals[3][2](link, dst, body)
+        finally:
+            sizing.pop()
+
+    def payload_nbytes(payload):
+        if sizing:
+            counts["env_payload_nbytes_calls"] += 1
+        return originals[4][2](payload)
+
+    TaskExecutor.session_mode = counted("session_mode_lookups",
+                                        TaskExecutor.session_mode)
+    _ckernels._fits = counted("sweep_validations", _ckernels._fits)
+    Telemetry.span_factory = span_factory
+    ReliableControlLink.send = send
+    # Recursive calls resolve the module global, so they count too.
+    messages.payload_nbytes = payload_nbytes
+    control_channel.payload_nbytes = payload_nbytes
+    try:
+        yield counts
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def solve_n12_a4_hybrid_relax():
+    """Per-relaxation counts of one hybrid solve over two clusters."""
+    with counting_per_relaxation() as counts:
+        result = run_job(CampaignJob(n=12, n_peers=4, n_clusters=2,
+                                     scheme="hybrid", n_paper=96))
+    relaxations = sum(p.relaxations for p in result.report.per_peer)
+    out = dict(counts, relaxations=relaxations)
+    for key in ("session_mode_lookups", "sweep_validations", "span_calls"):
+        out[f"{key}_per_relax"] = round(counts[key] / relaxations, 4)
+    out["payload_nbytes_calls_per_env_msg"] = round(
+        counts["env_payload_nbytes_calls"] / counts["env_messages"], 4)
+    return out
+
+
 def measure():
     return {"stream_sync_intra_200": stream_sync_intra(),
-            "solve_n12_a4_async": solve_n12_a4_async()}
+            "solve_n12_a4_async": solve_n12_a4_async(),
+            "solve_n12_a4_hybrid_relax": solve_n12_a4_hybrid_relax()}
 
 
 #: The ``p2psap_stream`` cells: (scheme, link, plane side, WAN loss).
@@ -238,12 +327,48 @@ def stream_calls(scheme, link, side, loss, count=400, seed=0):
     return round(calls / count, 1)
 
 
+def fig5_grid(seed=0):
+    """The 19 solves of the ``fig5_n24`` workload."""
+    def job(alpha, clusters, scheme):
+        return CampaignJob(n=24, n_peers=alpha, n_clusters=clusters,
+                           scheme=scheme, n_paper=96, tol=1e-4, seed=seed)
+    return [job(1, 1, "synchronous")] + [
+        job(alpha, clusters, scheme)
+        for alpha, scheme, clusters in itertools.product(
+            (2, 4, 8), ("synchronous", "asynchronous", "hybrid"), (1, 2))]
+
+
+def relaxation_calls():
+    """Interpreter calls per relaxation over the Fig. 5 grid: a first,
+    uncounted pass loads the sweep library and builds the problems."""
+    jobs = fig5_grid()
+    for job in jobs:
+        run_job(job)
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    relaxations = 0
+    for job in jobs:
+        sys.setprofile(profile)
+        try:
+            result = run_job(job)
+        finally:
+            sys.setprofile(None)
+        relaxations += sum(p.relaxations for p in result.report.per_peer)
+    return round(calls / relaxations, 1)
+
+
 def measure_calls():
     cells = {f"{scheme[:5]}-{link}-{side}" + ("-lossy" if loss else ""):
              stream_calls(scheme, link, side, loss)
              for scheme, link, side, loss in STREAM_CELLS}
     return {"calls_per_msg": cells,
-            "mean": round(sum(cells.values()) / len(cells), 1)}
+            "mean": round(sum(cells.values()) / len(cells), 1),
+            "calls_per_relax": {"fig5_n24": relaxation_calls()}}
 
 
 if __name__ == "__main__":

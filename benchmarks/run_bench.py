@@ -27,7 +27,10 @@ vs through the campaign ladder, all stages timed — gated by
 exact per-message work counts (``protocol_path``, from
 ``benchmarks/protocol_path.py``: DES events, event-handler calls,
 ``payload_nbytes`` calls, generator resumes and timer arms per application message
-on a fixed stream and a fixed solve — deterministic integers, so
+on a fixed stream and a fixed solve, and per relaxation of a fixed
+solve the session-mode lookups, sweep array validations and span-factory
+calls with spans off, plus ``payload_nbytes`` calls per environment
+message — deterministic integers, so
 ``--check`` gates them with zero tolerance upward on any machine), and
 the service's exact per-round-trip HTTP counts (``service_path``, from
 ``benchmarks/service_path.py``: TCP connects and requests per
@@ -168,7 +171,8 @@ PARALLELISM_FLOOR = 1.3
 EXACT_SECTIONS = ("protocol_path", "service_path", "cache_path")
 
 #: Keys of the exact-count sections that ``--check`` compares exactly.
-EXACT_SUFFIXES = ("_per_msg", "_per_rt", "_per_wait", "_per_job")
+EXACT_SUFFIXES = ("_per_msg", "_per_env_msg", "_per_relax", "_per_rt",
+                  "_per_wait", "_per_job")
 
 
 def _bench_env() -> dict:
@@ -318,12 +322,7 @@ def print_summary(summary: dict) -> None:
     for label, ratio in summary.get("sweep_parallelism", {}).items():
         print(f"  sweep parallelism {label}: {ratio:.2f} band-seconds "
               "per second")
-    for label, counts in summary.get("protocol_path", {}).items():
-        shown = ", ".join(f"{key[:-len('_per_msg')]} {value:g}"
-                          for key, value in sorted(counts.items())
-                          if key.endswith("_per_msg"))
-        print(f"  protocol path {label}, per message: {shown}")
-    for section in ("service_path", "cache_path"):
+    for section in EXACT_SECTIONS:
         for label, counts in summary.get(section, {}).items():
             shown = ", ".join(f"{key} {value:g}"
                               for key, value in sorted(counts.items())

@@ -73,20 +73,16 @@ class Timer:
             self._fn(*self._args)
 
 
-def _silent(*args: Any, **kwargs: Any) -> None:
+def _silent(*args: Any) -> None:
     """The compiled callable of an event with no handler bound."""
 
 
 def _fan_out(handlers: tuple[Handler, ...]) -> Handler:
     """One callable running ``handlers`` in order, each with the raise's
-    arguments."""
-    def fan_out(*args: Any, **kwargs: Any) -> None:
-        if kwargs:
-            for handler in handlers:
-                handler(*args, **kwargs)
-        else:  # positional-only: the protocol stack's every raise
-            for handler in handlers:
-                handler(*args)
+    (positional) arguments."""
+    def fan_out(*args: Any) -> None:
+        for handler in handlers:
+            handler(*args)
     return fan_out
 
 
@@ -144,13 +140,15 @@ class EventBus:
 
     # -- dispatch ------------------------------------------------------------
 
-    def raise_event(self, event_name: str, *args: Any, **kwargs: Any) -> None:
+    def raise_event(self, event_name: str, /, *args: Any) -> None:
         """Execute all bound handlers now; their return values are dropped.
 
         The by-name spelling of ``self.compiled[event_name](*args)``:
-        it runs the event's compiled callable.
+        it runs the event's compiled callable.  Arguments are positional
+        only, as at every raise site: a keyword argument is a
+        ``TypeError``.
         """
-        self.compiled[event_name](*args, **kwargs)
+        self.compiled[event_name](*args)
 
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Call ``callback(*args)`` at the absolute sim time ``when``.

@@ -17,7 +17,10 @@ once: the shapes the solvers exchange (a plane, or scalar tags and a
 plane in a tuple) without the recursive :func:`payload_nbytes` walk, and
 a message framed around another's payload (the DATA shell made per
 transmission, :meth:`Message.framed`) is given that size instead of
-measuring it again.
+measuring it again.  :func:`payload_nbytes` itself sizes the scalars and
+strings inside a tuple, list or dict in its own loop and recurses only
+into nested containers and other objects; a string's UTF-8 size is
+looked up once it has been measured (tags and frame keys repeat).
 
 Only the application's messages draw an id: the shells framed per
 transmission and the messages rebuilt from the wire
@@ -35,32 +38,72 @@ __all__ = ["Message", "payload_nbytes"]
 
 _message_ids = itertools.count()
 
+#: Wire size of a scalar, by exact type (subclasses take the general
+#: path of :func:`payload_nbytes`, which sizes them the same).
+_SCALAR_NBYTES = {int: 8, float: 8, bool: 8, type(None): 0}
+
+#: UTF-8 sizes of the strings measured so far: message tags and frame
+#: keys, a few dozen distinct ones.  Bounded, for strings that are data.
+_STR_NBYTES: dict[str, int] = {}
+_STR_NBYTES_MAX = 4096
+
+
+def _str_nbytes(text: str) -> int:
+    size = len(text.encode("utf-8"))
+    if len(_STR_NBYTES) < _STR_NBYTES_MAX:
+        _STR_NBYTES[text] = size
+    return size
+
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort size accounting for a payload object.
 
     NumPy arrays report their buffer size; bytes-like objects their
-    length; other objects fall back to a small fixed estimate plus
-    recursive accounting for tuples/lists (the control channel sends
-    small structured tuples).
+    length; strings their UTF-8 length; ints, floats and bools 8 bytes;
+    tuples, lists and dicts 16 bytes plus their items (a dict's keys
+    and values); None 0; anything else a fixed 64.
     """
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
+    kind = type(payload)
+    if kind is tuple or kind is list:
+        groups = (payload,)
+    elif kind is dict:
+        groups = payload.items()
+    elif kind is str:
+        try:
+            return _STR_NBYTES[payload]
+        except KeyError:
+            return _str_nbytes(payload)
+    elif kind in _SCALAR_NBYTES:
+        return _SCALAR_NBYTES[kind]
+    elif isinstance(payload, np.ndarray):
         return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
+    elif isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (int, float, bool)):
+    elif isinstance(payload, str):
+        return _str_nbytes(payload)
+    elif isinstance(payload, (int, float, bool)):
         return 8
-    if isinstance(payload, (tuple, list)):
-        return 16 + sum(payload_nbytes(v) for v in payload)
-    if isinstance(payload, dict):
-        return 16 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items()
-        )
-    return 64
+    elif isinstance(payload, (tuple, list)):
+        groups = (payload,)
+    elif isinstance(payload, dict):
+        groups = payload.items()
+    else:
+        return 64
+    # A container: its items, the scalars and strings sized here.
+    size = 16
+    for group in groups:
+        for item in group:
+            item_kind = type(item)
+            if item_kind is str:
+                try:
+                    size += _STR_NBYTES[item]
+                except KeyError:
+                    size += _str_nbytes(item)
+            elif item_kind in _SCALAR_NBYTES:
+                size += _SCALAR_NBYTES[item_kind]
+            else:
+                size += payload_nbytes(item)
+    return size
 
 
 def _plane_nbytes(payload: Any) -> Optional[int]:
@@ -77,7 +120,10 @@ def _plane_nbytes(payload: Any) -> Optional[int]:
     size = 16 + int(payload[-1].nbytes)
     for tag in payload[:-1]:
         if type(tag) is str:
-            size += len(tag.encode("utf-8"))
+            try:
+                size += _STR_NBYTES[tag]
+            except KeyError:
+                size += _str_nbytes(tag)
         elif type(tag) in (int, float, bool):
             size += 8
         else:

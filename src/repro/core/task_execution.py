@@ -15,12 +15,13 @@ requirement.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..p2psap.context import CommMode, Scheme
 from ..p2psap.session import SessionState
 from ..p2psap.socket_api import P2PSAP, P2PSAPSocket, _PayloadRequest
-from ..simnet.kernel import Event, Interrupt, Simulator
+from ..simnet.kernel import _PENDING, Event, Interrupt, Simulator
 from .env_bus import EnvBus
 from .programming_model import Application, TaskContext
 
@@ -393,13 +394,13 @@ class TaskExecutor:
     def _issue(self, op: _Op) -> Event:
         self._start_op(op)
         outer = op.outer
-        if not outer.triggered:  # else it completed during send: done
+        if outer._value is _PENDING:  # else it completed during send: done
             self._pending_ops.setdefault(op.rank, []).append(op)
-            outer.callbacks.append(lambda _ev: self._retire_op(op))
+            outer.callbacks.append(partial(self._retire_op, op))
         return outer
 
     def _start_op(self, op: _Op) -> None:
-        if op.epoch != self._ops_epoch or op.outer.triggered:
+        if op.epoch != self._ops_epoch or op.outer._value is not _PENDING:
             return  # the issuing task incarnation is gone, or op is done
         sock = self._sockets.get(op.rank)
         if sock is None:
@@ -411,12 +412,12 @@ class TaskExecutor:
                 est.callbacks.append(lambda _ev: self._start_op(op))
             return
         op.sock = sock
-        if isinstance(op.outer, _PayloadRequest):
+        if type(op.outer) is _PayloadRequest:
             sock.recv(op.outer)
         else:
             sock.send(op.payload, op.outer)
 
-    def _retire_op(self, op: _Op) -> None:
+    def _retire_op(self, op: _Op, _event: Event) -> None:
         ops = self._pending_ops.get(op.rank)
         if ops is not None and op in ops:
             ops.remove(op)

@@ -377,7 +377,7 @@ class CompiledSweep:
 
     __slots__ = ("params", "shape", "plane", "dtype", "kernels", "job",
                  "_fields", "_lib", "_job", "_arrays", "_stats",
-                 "_stats_at")
+                 "_stats_at", "_rotations")
 
     def __init__(self, lib, params, fields, shape, dtype, stats):
         self.params = params
@@ -394,6 +394,25 @@ class CompiledSweep:
         self._stats = stats
         self._stats_at = {order: ctypes.addressof(counts)
                           for order, counts in stats.items()}
+        # start_rotating's checked combinations, newest first, at most
+        # two: ((cur, nxt, below, above), order, job fields).
+        self._rotations = ()
+
+    def _accepts(self, cur, nxt, below, above) -> bool:
+        """Whether the compiled sweep may run on these arrays: ndarrays
+        of the workspace's shape and dtype, C-contiguous and aligned,
+        ``nxt`` writeable."""
+        shape, dtype = self.shape, self.dtype
+        return (_fits(cur, shape, dtype) and _fits(nxt, shape, dtype, _WRITABLE)
+                and (below is None or _fits(below, self.plane, dtype))
+                and (above is None or _fits(above, self.plane, dtype)))
+
+    def _job_fields(self, order, cur, nxt, below, above) -> tuple:
+        """The job's (kernel, stats, cur, nxt, below, above) for a sweep
+        of these (accepted) arrays."""
+        return (self.kernels[order].address, self._stats_at.get(order),
+                id(cur), id(nxt), None if below is None else id(below),
+                None if above is None else id(above))
 
     def start(self, order, cur, nxt, below, above) -> bool:
         """Queue an ``order`` sweep on the worker pool; False (nothing
@@ -409,18 +428,46 @@ class CompiledSweep:
         if self._arrays is not None:
             raise RuntimeError("a sweep of this workspace is already in "
                                "flight; join it first")
-        shape, dtype = self.shape, self.dtype
-        if not (_fits(cur, shape, dtype) and _fits(nxt, shape, dtype, _WRITABLE)
-                and (below is None or _fits(below, self.plane, dtype))
-                and (above is None or _fits(above, self.plane, dtype))):
+        if not self._accepts(cur, nxt, below, above):
             return False
         job = self.job
-        job.kernel = self.kernels[order].address
-        job.stats = self._stats_at.get(order)
-        job.cur, job.nxt = id(cur), id(nxt)
-        job.below = None if below is None else id(below)
-        job.above = None if above is None else id(above)
+        (job.kernel, job.stats, job.cur, job.nxt, job.below,
+         job.above) = self._job_fields(order, cur, nxt, below, above)
         self._arrays = (cur, nxt, below, above)
+        self._lib.start(self._job)
+        return True
+
+    def start_rotating(self, order, cur, nxt, below, above) -> bool:
+        """:meth:`start` for a caller whose arrays stay the same objects
+        from sweep to sweep, ``cur`` and ``nxt`` trading places each time
+        (a block and its rotation buffer, ghosts written in place).
+
+        Each combination of arrays and order is checked, and its job
+        fields built, the first time it comes; the two newest are kept,
+        so a rotating caller checks nothing after its first two sweeps.
+        They are kept with their arrays, so no other object can take the
+        identity of one.  The caller must not reshape, re-stride, retype
+        or write-protect those arrays in place (:meth:`start` would see
+        it, this does not); rebinding one to another object is checked
+        afresh.  The in-flight contract is :meth:`start`'s."""
+        if self._arrays is not None:
+            raise RuntimeError("a sweep of this workspace is already in "
+                               "flight; join it first")
+        for entry in self._rotations:
+            arrays = entry[0]
+            if (arrays[0] is cur and arrays[1] is nxt and arrays[2] is below
+                    and arrays[3] is above and entry[1] == order):
+                break
+        else:
+            if not self._accepts(cur, nxt, below, above):
+                return False
+            entry = ((cur, nxt, below, above), order,
+                     self._job_fields(order, cur, nxt, below, above))
+            self._rotations = (entry, *self._rotations[:1])
+        job = self.job
+        (job.kernel, job.stats, job.cur, job.nxt, job.below,
+         job.above) = entry[2]
+        self._arrays = entry[0]
         self._lib.start(self._job)
         return True
 

@@ -150,6 +150,7 @@ __all__ = [
     "gauss_seidel_sweep",
     "block_sweep",
     "begin_block_sweep",
+    "begin_rotating_sweep",
     "finish_block_sweep",
 ]
 
@@ -599,6 +600,27 @@ def begin_block_sweep(ws: SweepWorkspace, cur: np.ndarray, nxt: np.ndarray,
     else:
         ws._inflight = (order, _numpy_sweep(ws, order, cur, nxt, ghost_below,
                                             ghost_above), None)
+
+
+def begin_rotating_sweep(ws: SweepWorkspace, cur: np.ndarray,
+                         nxt: np.ndarray, ghost_below: Optional[np.ndarray],
+                         ghost_above: Optional[np.ndarray],
+                         order: str = "gauss_seidel") -> None:
+    """:func:`begin_block_sweep` for the owner of ``cur``, ``nxt`` and
+    the ghosts, which keeps them the same objects from sweep to sweep,
+    writing the ghosts in place and swapping ``cur`` and ``nxt`` after
+    each (:class:`~repro.solvers.halo.BlockState`): the compiled path
+    checks each of the two rotations once
+    (:meth:`~repro.numerics._ckernels.CompiledSweep.start_rotating`).
+    Anything it refuses takes :func:`begin_block_sweep`."""
+    compiled = ws._compiled
+    if (compiled is not None and ws._inflight is None
+            and order in _NUMPY_KERNELS
+            and compiled.start_rotating(order, cur, nxt, ghost_below,
+                                        ghost_above)):
+        ws._inflight = (order, None, (cur, nxt, ghost_below, ghost_above))
+    else:
+        begin_block_sweep(ws, cur, nxt, ghost_below, ghost_above, order)
 
 
 def finish_block_sweep(ws: SweepWorkspace) -> float:

@@ -38,6 +38,7 @@ from typing import Any, Optional
 
 from ...cactus.messages import Message
 from ...cactus.microprotocol import MicroProtocol
+from ...simnet.kernel import _PENDING
 from .congestion.base import CWND_KEY
 
 __all__ = ["BufferManagement"]
@@ -103,7 +104,7 @@ class BufferManagement(MicroProtocol):
         waiters: deque = shared["rx_waiters"]
         while waiters:
             waiter = waiters.popleft()
-            if waiter.triggered:  # abandoned request
+            if waiter._value is not _PENDING:  # abandoned request
                 continue
             self.stats_delivered += 1
             self.composite.bus.compiled["AppDelivered"](msg)

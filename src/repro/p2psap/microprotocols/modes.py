@@ -49,6 +49,7 @@ from typing import Optional
 from ...cactus.events import Timer
 from ...cactus.messages import Message
 from ...cactus.microprotocol import MicroProtocol
+from ...simnet.kernel import _PENDING
 from ..context import CommMode
 
 __all__ = ["SynchronousMode", "AsynchronousMode", "make_mode"]
@@ -83,7 +84,7 @@ class AsynchronousMode(_ModeBase):
     def _on_user_send(self, msg: Message) -> None:
         """Asynchronous send: control returns to the application at once."""
         completion = msg.meta.get("completion")
-        if completion is not None and not completion.triggered:
+        if completion is not None and completion._value is _PENDING:
             completion.succeed(msg.message_id)
 
     def _on_user_receive(self, request) -> None:
@@ -127,7 +128,7 @@ class SynchronousMode(_ModeBase):
         # behavioural hinge of the hybrid scheme ("the same P2P_Send ...
         # can be first synchronous and then become asynchronous").
         for completion in self._pending_appack.values():
-            if not completion.triggered:
+            if completion._value is _PENDING:
                 completion.succeed(None)
         self._pending_appack.clear()
         self._deadlines.clear()
@@ -177,13 +178,13 @@ class SynchronousMode(_ModeBase):
         if completion is None:
             return
         self._prune()
-        if not completion.triggered:
+        if completion._value is _PENDING:
             self.stats_appacks_rx += 1
             completion.succeed(msg_id)
 
     def _on_appack_timeout(self, msg_id: int) -> None:
         completion = self._pending_appack.pop(msg_id, None)
-        if completion is not None and not completion.triggered:
+        if completion is not None and completion._value is _PENDING:
             self.stats_appack_timeouts += 1
             completion.succeed(None)
 

@@ -232,33 +232,42 @@ class P2PSAPSocket:
 
     # -- data exchange (data channel) ----------------------------------------------------
 
-    def _channel(self) -> DataChannel:
-        # A session has its channel from the start and closes it when it
-        # closes, so the channel's own closed check is the session check.
-        if self.session is None:
-            raise SocketError("socket not connected")
-        return self.session.channel
+    # A session has its channel from the start and closes it when it
+    # closes, so the channel's own closed check is the session check; the
+    # not-connected check is inline on the per-message paths.
 
     def send(self, payload: Any, completion: Optional[Event] = None) -> Event:
         """P2P-style send; completion semantics follow the configured
         communication mode (the application does not choose).
         ``completion``: the event to complete, when the caller brings
         its own."""
-        return self._channel().user_send(payload, completion)
+        session = self.session
+        if session is None:
+            raise SocketError("socket not connected")
+        return session.channel.user_send(payload, completion)
 
     def recv(self, request: Optional[_PayloadRequest] = None) -> Event:
         """Mode-dependent receive; fires with the payload (or None for an
         empty asynchronous receive).  ``request``: the event to complete,
         when the caller brings its own."""
+        session = self.session
+        if session is None:
+            raise SocketError("socket not connected")
         if request is None:
             request = _PayloadRequest(self.sim)
-        return self._channel().user_receive(request)
+        return session.channel.user_receive(request)
 
     def recv_nowait(self) -> tuple[bool, Any]:
-        return self._channel().user_receive_nowait()
+        session = self.session
+        if session is None:
+            raise SocketError("socket not connected")
+        return session.channel.user_receive_nowait()
 
     def recv_latest_nowait(self) -> tuple[bool, Any]:
-        return self._channel().user_receive_latest_nowait()
+        session = self.session
+        if session is None:
+            raise SocketError("socket not connected")
+        return session.channel.user_receive_latest_nowait()
 
     @property
     def remote(self) -> Optional[str]:

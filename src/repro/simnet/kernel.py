@@ -427,7 +427,7 @@ class Channel:
         """Deposit ``item``; wakes the oldest waiting getter, if any."""
         while self._getters:
             getter = self._getters.popleft()
-            if getter.triggered:  # cancelled/interrupted getter
+            if getter._value is not _PENDING:  # cancelled/interrupted getter
                 continue
             self.put_wakeups += 1
             self.sim.put_wakeups += 1

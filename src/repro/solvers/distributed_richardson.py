@@ -42,7 +42,7 @@ from ..numerics.tolerances import check_termination_tol, resolve_dtype
 from ..p2psap.context import CommMode, Scheme
 from ..parallel.trace import active_recorder
 from ..resources import resolve_context
-from ..simnet.kernel import AllOfOr
+from ..simnet.kernel import _PENDING, AllOfOr
 from .halo import BlockState
 from .termination import Action, ExactCoordinator, StreakCoordinator
 
@@ -295,9 +295,10 @@ class _BlockSolver:
         # arrives out-of-band via the executor (TaskContext.resources),
         # never through the params (params are modeled wire payload).
         self.resources = ctx.resources
-        # Span tracing rides the same out-of-band context (no-op unless
+        # Span tracing rides the same out-of-band context (off unless
         # REPRO_TELEMETRY=spans, read once per solve, here): wall-clock
-        # only, so instrumented and bare solves stay bit-identical.
+        # only, so instrumented and bare solves stay bit-identical.  None
+        # when off, so an unrecorded span costs no call (_enter_span).
         self._span = resolve_context(self.resources).telemetry.span_factory()
         self.problem = get_problem(self.kind, self.n,
                                    resources=self.resources)
@@ -339,6 +340,16 @@ class _BlockSolver:
         self.left = self.rank - 1 if self.rank > 0 else None
         self.right = self.rank + 1 if self.rank + 1 < ctx.n_workers else None
         self.scheme = ctx.scheme
+        # Fixed for the whole solve: the machine the compute is charged
+        # to, one sweep's work, and the inbox of termination messages.
+        self._node = ctx.node
+        self._flops = self.state.flops()
+        self._inbox = ctx.env_inbox
+        # Per-neighbour edges, resolved by _resolve_edges once the
+        # sessions are open.
+        self._sends: tuple = ()
+        self._sync_recvs: tuple = ()
+        self._async_recvs: tuple = ()
         # Counters.  A restarted peer resumes its sweep counter from
         # the checkpoint so relaxation counts stay comparable to the
         # fault-free run (re-executed sweeps are counted once).
@@ -435,6 +446,7 @@ class _BlockSolver:
         for nb in (self.left, self.right):
             if nb is not None:
                 yield ctx.connect(nb)
+        self._resolve_edges()
         if self.restarted and not self.exact_mode:
             # The coordinator may still hold this rank's pre-crash
             # CONV(True); a restarted peer must re-earn its streak
@@ -442,8 +454,9 @@ class _BlockSolver:
             self.locally_converged = False
             self._send_term(0, ("CONV", False))
         while not self.stopped and self.sweeps < self.max_relax:
-            with self._span("iteration", peer=self.rank,
-                            iteration=self.sweeps + 1):
+            span = None if self._span is None else \
+                self._enter_span("iteration", self.sweeps + 1)
+            try:
                 self._drain_env_nowait()
                 if self.stopped:
                     break
@@ -457,18 +470,34 @@ class _BlockSolver:
                 if self.stopped:
                     break
                 if exchange_events:
-                    with self._span("ghost-exchange", peer=self.rank,
-                                    iteration=self.sweeps):
+                    exchange = None if self._span is None else \
+                        self._enter_span("ghost-exchange", self.sweeps)
+                    try:
                         yield from self._wait_exchange(exchange_events)
+                    finally:
+                        if exchange is not None:
+                            exchange.__exit__(None, None, None)
                     if self.stopped:
                         break
                     self._apply_sync_ghosts(recv_events)
+            finally:
+                if span is not None:
+                    span.__exit__(None, None, None)
         if (
             self.stopped and self.restarted
             and self.stop_info is not None and self.local_diff > self.tol
         ):
             yield from self._polish_local()
         return self._report()
+
+    def _enter_span(self, name: str, iteration: int):
+        """Enter and return the span ``name`` of this peer's
+        ``iteration``; its caller exits it in a ``finally``, as ``with``
+        would.  Callers test ``self._span`` for None first, so with
+        spans off a span site costs no call at all."""
+        span = self._span(name, peer=self.rank, iteration=iteration)
+        span.__enter__()
+        return span
 
     def _checkpoint_payload(self) -> dict:
         """Everything a restarted peer needs to resume: block, ghost
@@ -535,15 +564,20 @@ class _BlockSolver:
         iteration = self.sweeps + 1
         if self._recorder is not None:
             self._recorder.sweep_begin(self.rank, iteration)
-        with self._span("sweep", peer=self.rank, iteration=iteration):
+        span = None if self._span is None else \
+            self._enter_span("sweep", iteration)
+        try:
             self.state.begin_sweep()
             self.sweeps = iteration
-            yield self.ctx.node.compute(self.state.flops())
+            yield self._node.compute(self._flops)
             diff = self.state.finish_sweep()
             self.local_diff = diff
             if self._recorder is not None:
                 self._recorder.sweep_end(self.rank, iteration, diff)
             return diff
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     # -- communication ----------------------------------------------------------------
 
@@ -563,47 +597,64 @@ class _BlockSolver:
             self._send_interval[nb] = cached
         return cached
 
-    def _edge_mode(self, rank: int) -> CommMode:
-        return self.ctx.session_mode(rank)
+    def _resolve_edges(self) -> None:
+        """Read each neighbour session's mode once, after ``connect``.
+
+        Table I fixes a session's mode when it opens, from the scheme
+        and the pair's clusters, and neither changes during a solve: a
+        neighbour that crashes and rejoins opens a session in the same
+        cell.  So the per-sweep exchange reads these tuples, not the
+        sessions.
+        """
+        edges = [(nb, tag, self.ctx.session_mode(nb))
+                 for nb, tag in ((self.left, "below"), (self.right, "above"))
+                 if nb is not None]
+        # Figure 4 order: U_l(k) to k+1 first, U_f(k) to k−1 delayed
+        # (unless the eager ablation flips it).
+        sends = [(nb, tag == "above", mode is CommMode.SYNCHRONOUS)
+                 for nb, tag, mode in reversed(edges)]
+        if self.eager_first_plane:
+            sends.reverse()
+        self._sends = tuple(sends)
+        self._sync_recvs = tuple((nb, tag) for nb, tag, mode in edges
+                                 if mode is CommMode.SYNCHRONOUS)
+        self._async_recvs = tuple((nb, tag) for nb, tag, mode in edges
+                                  if mode is CommMode.ASYNCHRONOUS)
+        for nb, _tag in self._async_recvs:
+            self._last_send[nb] = -float("inf")
 
     def _send_boundaries(self):
         """Transmit boundary planes; returns (events-to-wait, recv-map).
 
-        Figure 4 order: U_l(k) to k+1 first; U_f(k) to k−1 delayed
-        (unless the eager ablation flips it).  For synchronous edges the
-        send completions and the fresh-ghost receives join the wait set;
-        asynchronous edges are fire-and-forget.
+        Sends go in :meth:`_resolve_edges`' order.  For synchronous
+        edges the send completions and the fresh-ghost receives join the
+        wait set; asynchronous edges are fire-and-forget.
         """
         wait_events = []
         recv_events: dict[str, Any] = {}
-        sends = []
-        if self.right is not None:
-            sends.append((self.right, self.state.last_plane, "above"))
-        if self.left is not None:
-            sends.append((self.left, self.state.first_plane, "below"))
-        if self.eager_first_plane:
-            sends.reverse()
-        for nb, plane, _tag in sends:
-            sync_edge = self._edge_mode(nb) is CommMode.SYNCHRONOUS
+        state = self.state
+        for nb, last_plane, sync_edge in self._sends:
             if not sync_edge:
                 # Conflate: skip this update if the wire is still busy
                 # with the previous one (the neighbour only wants the
                 # freshest plane anyway).
-                last = self._last_send.get(nb, -float("inf"))
-                if self.sim.now - last < self._min_interval(nb):
+                now = self.sim._now
+                try:
+                    interval = self._send_interval[nb]
+                except KeyError:
+                    interval = self._min_interval(nb)
+                if now - self._last_send[nb] < interval:
                     continue
-                self._last_send[nb] = self.sim.now
+                self._last_send[nb] = now
+            plane = state.last_plane if last_plane else state.first_plane
             ev = self.ctx.p2p_send(nb, ("PLANE", self.sweeps, plane.copy()))
             self.sends += 1
             if sync_edge:
                 wait_events.append(ev)
-        for nb, ghost_tag in ((self.left, "below"), (self.right, "above")):
-            if nb is None:
-                continue
-            if self._edge_mode(nb) is CommMode.SYNCHRONOUS:
-                rev = self.ctx.p2p_receive(nb)
-                recv_events[ghost_tag] = rev
-                wait_events.append(rev)
+        for nb, ghost_tag in self._sync_recvs:
+            rev = self.ctx.p2p_receive(nb)
+            recv_events[ghost_tag] = rev
+            wait_events.append(rev)
         return wait_events, recv_events
 
     def _apply_sync_ghosts(self, recv_events) -> None:
@@ -624,11 +675,7 @@ class _BlockSolver:
     def _pull_async_ghosts(self) -> None:
         """Freshest available planes from asynchronous edges (eq. (5):
         delayed components are allowed; newest wins)."""
-        for nb, tag in ((self.left, "below"), (self.right, "above")):
-            if nb is None:
-                continue
-            if self._edge_mode(nb) is not CommMode.ASYNCHRONOUS:
-                continue
+        for nb, tag in self._async_recvs:
             ok, payload = self.ctx.p2p_receive_latest_nowait(nb)
             if ok and payload is not None:
                 _kind, iteration, plane = payload
@@ -644,19 +691,20 @@ class _BlockSolver:
 
     def _wait_exchange(self, events):
         """Wait for the synchronous exchange, interruptible by STOP."""
-        t0 = self.sim.now
-        inbox = self.ctx.env_inbox
+        sim = self.sim
+        t0 = sim._now
+        inbox = self._inbox
         while True:
             inbox_ev = inbox.get()
-            done = AllOfOr(self.sim, events, inbox_ev)
+            done = AllOfOr(sim, events, inbox_ev)
             yield done
-            if inbox_ev.triggered:
-                self._handle_env(*inbox_ev.value)
+            if inbox_ev._value is not _PENDING:
+                self._handle_env(*inbox_ev._value)
             else:
                 inbox.cancel_get(inbox_ev)
             if self.stopped or done.all_fired:
                 break
-        self.wait_time += self.sim.now - t0
+        self.wait_time += sim._now - t0
 
     # -- termination ---------------------------------------------------------------------
 
@@ -688,7 +736,7 @@ class _BlockSolver:
             self.ctx.env_send(rank, body)
 
     def _drain_env_nowait(self) -> None:
-        inbox = self.ctx.env_inbox
+        inbox = self._inbox
         while True:
             ok, item = inbox.get_nowait()
             if not ok:
@@ -710,10 +758,7 @@ class _BlockSolver:
             if not self.criterion.streak >= STREAK:
                 self._send_term(0, ("VERIFY_ACK", epoch, False))
                 return
-            needed = {
-                nb for nb in (self.left, self.right)
-                if nb is not None and self._edge_mode(nb) is CommMode.ASYNCHRONOUS
-            }
+            needed = {nb for nb, _tag in self._async_recvs}
             if not needed:
                 self._send_term(0, ("VERIFY_ACK", epoch, True))
                 return

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics.kernels import (SweepWorkspace, begin_block_sweep,
+from ..numerics.kernels import (SweepWorkspace, begin_rotating_sweep,
                                 finish_block_sweep)
 from ..numerics.obstacle import ObstacleProblem
 from ..numerics.richardson import FLOPS_PER_POINT
@@ -49,6 +49,14 @@ def relax_block_plane(
     return problem.constraint.project_plane(out, z_global, out=out)
 
 
+def _in_flight(what: str) -> RuntimeError:
+    """The error of an operation a sweep in flight forbids."""
+    return RuntimeError(
+        f"cannot {what} while a sweep is in flight; call finish_sweep() "
+        "first (the planes are owned by the sweep until then)"
+    )
+
+
 @dataclasses.dataclass
 class BlockState:
     """A peer's share of the iterate, with ghosts.
@@ -64,7 +72,7 @@ class BlockState:
     fallback runs it on the spot) and returns; :meth:`finish_sweep`
     joins it, rotates the block to the new iterate and returns the
     diff.  Between the two calls the sweep is *in flight*, and the
-    guards of :meth:`_check_idle` are the thread-safety contract: no
+    in-flight guards (:func:`_in_flight`) are the thread-safety contract: no
     ghost may be written and no block warm-started while a worker may
     be reading them, and no boundary plane read nor block exported,
     because the iterate they would show is, in simulated time, still
@@ -135,43 +143,48 @@ class BlockState:
         """True between :meth:`begin_sweep` and :meth:`finish_sweep`."""
         return self._inflight
 
-    def _check_idle(self, what: str) -> None:
-        if self._inflight:
-            raise RuntimeError(
-                f"cannot {what} while a sweep is in flight; call "
-                "finish_sweep() first (the planes are owned by the sweep "
-                "until then)"
-            )
+    # The guards below test ``_inflight`` inline: they run on every
+    # boundary read and ghost write, so the idle case costs no call.
 
     @property
     def first_plane(self) -> np.ndarray:
         """U_f(k): boundary sub-block sent to node k−1."""
-        self._check_idle("read a boundary plane")
+        if self._inflight:
+            raise _in_flight("read a boundary plane")
         return self.block[0]
 
     @property
     def last_plane(self) -> np.ndarray:
         """U_l(k): boundary sub-block sent to node k+1."""
-        self._check_idle("read a boundary plane")
+        if self._inflight:
+            raise _in_flight("read a boundary plane")
         return self.block[-1]
 
     def update_ghost_below(self, plane: np.ndarray) -> None:
-        self._check_idle("write a ghost plane")
-        if self.ghost_below is None:
+        if self._inflight:
+            raise _in_flight("write a ghost plane")
+        ghost = self.ghost_below
+        if ghost is None:
             raise RuntimeError("block touches the domain boundary below")
-        check_dtype(plane, self.dtype, "received ghost plane (below)")
-        np.copyto(self.ghost_below, plane)
+        if plane.dtype != self.dtype:
+            check_dtype(plane, self.dtype, "received ghost plane (below)")
+        # Same dtype, so the copy casts nothing: np.copyto's bits.
+        ghost[...] = plane
 
     def update_ghost_above(self, plane: np.ndarray) -> None:
-        self._check_idle("write a ghost plane")
-        if self.ghost_above is None:
+        if self._inflight:
+            raise _in_flight("write a ghost plane")
+        ghost = self.ghost_above
+        if ghost is None:
             raise RuntimeError("block touches the domain boundary above")
-        check_dtype(plane, self.dtype, "received ghost plane (above)")
-        np.copyto(self.ghost_above, plane)
+        if plane.dtype != self.dtype:
+            check_dtype(plane, self.dtype, "received ghost plane (above)")
+        ghost[...] = plane
 
     def warm_start(self, block: np.ndarray) -> None:
         """Resume from a checkpointed block (fault-tolerance restart)."""
-        self._check_idle("warm-start the block")
+        if self._inflight:
+            raise _in_flight("warm-start the block")
         if block.shape != self.block.shape:
             raise ValueError(
                 f"checkpoint shape {block.shape} != block {self.block.shape}"
@@ -186,16 +199,21 @@ class BlockState:
         A compiled sweep runs on a worker thread from here on, reading
         the block and both ghosts and writing the rotation buffer; the
         block is in flight until :meth:`finish_sweep`, so the
-        consistency guards apply.
+        consistency guards apply.  The block, the rotation buffer and
+        the ghosts stay the same four arrays from sweep to sweep (ghosts
+        are written in place, the two block arrays swap roles), so the
+        compiled path checks them once per rotation
+        (:func:`~repro.numerics.kernels.begin_rotating_sweep`); an array
+        rebound to another object is checked afresh.
         """
         if self._inflight:
             raise RuntimeError(
                 "sweep already in flight for this block; finish_sweep() "
                 "it before beginning another"
             )
-        begin_block_sweep(self._workspace, self.block, self._next_block,
-                          self.ghost_below, self.ghost_above,
-                          order=self.local_sweep)
+        begin_rotating_sweep(self._workspace, self.block, self._next_block,
+                             self.ghost_below, self.ghost_above,
+                             order=self.local_sweep)
         self._inflight = True
 
     def finish_sweep(self) -> float:
@@ -251,7 +269,8 @@ class BlockState:
     def export_block(self) -> np.ndarray:
         """The block, once no sweep is in flight (safe to keep after the
         solve: the buffer is privately owned)."""
-        self._check_idle("export the block")
+        if self._inflight:
+            raise _in_flight("export the block")
         return self.block
 
     def flops(self) -> float:

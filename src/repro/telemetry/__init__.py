@@ -54,10 +54,6 @@ __all__ = [
 _ENV = "REPRO_TELEMETRY"
 
 
-def _noop_span(name, **attrs):
-    return NOOP_SPAN
-
-
 class Telemetry:
     """One owner's registry + span buffer, snapshot/merge as a unit."""
 
@@ -99,9 +95,11 @@ class Telemetry:
 
     def span_factory(self):
         """:meth:`span` with the enablement lookup done now, once: the
-        returned callable records (or not) for its whole life, whatever
-        ``REPRO_TELEMETRY`` says later."""
-        return self.spans.span if spans_enabled() else _noop_span
+        recording factory, or None when spans are not enabled, for the
+        caller's whole life, whatever ``REPRO_TELEMETRY`` says later.  A
+        loop that tests it for None opens no span, and calls nothing,
+        while spans are off."""
+        return self.spans.span if spans_enabled() else None
 
     # -- snapshot / merge -------------------------------------------
     def snapshot(self):

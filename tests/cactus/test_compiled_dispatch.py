@@ -74,13 +74,17 @@ class TestSnapshotSemantics:
         bus.raise_event("E", 1)
         assert bus.handlers_for("E") == [] and got == []
 
-    def test_keyword_arguments_still_reach_handlers(self):
+    @pytest.mark.parametrize("n_handlers", [0, 1, 2])
+    def test_a_keyword_raise_is_rejected(self, n_handlers):
         bus = EventBus(Simulator())
         got = []
-        bus.bind("E", lambda a, k=None: got.append((a, k)))
-        bus.raise_event("E", 1, k=2)
+        for i in range(n_handlers):
+            bus.bind("E", lambda a, k=None, i=i: got.append((i, a, k)))
+        with pytest.raises(TypeError):
+            bus.raise_event("E", 1, k=2)
+        assert got == []
         bus.raise_event("E", 1)
-        assert got == [(1, 2), (1, None)]
+        assert got == [(i, 1, None) for i in range(n_handlers)]
 
 
 class TestCompiledCallable:

@@ -371,7 +371,87 @@ def test_a_workspace_holds_one_sweep_in_flight(compiled_kernels):
         kernels.begin_block_sweep(ws, u, ws.rotation_buffer(), None, None)
     with pytest.raises(RuntimeError, match="already in flight"):
         ws._compiled.start("jacobi", u, ws.rotation_buffer(), None, None)
+    with pytest.raises(RuntimeError, match="already in flight"):
+        ws._compiled.start_rotating("jacobi", u, ws.rotation_buffer(), None,
+                                    None)
     assert kernels.finish_block_sweep(ws) > 0.0
+
+
+def test_a_rotating_state_checks_its_arrays_once_per_rotation(
+        compiled_kernels, monkeypatch):
+    """A BlockState's two rotations are checked on its first two
+    sweeps, then never again; a ghost rebound to another array is
+    checked afresh.  Every sweep gives the oracle's bits."""
+    checks = []
+    fits = _ckernels._fits
+    monkeypatch.setattr(_ckernels, "_fits",
+                        lambda *args: checks.append(args) or fits(*args))
+    state = seeded_state(membrane_problem(N), 8, 24)
+
+    def sweeps(count):
+        del checks[:]
+        for _ in range(count):
+            want_diff, want = oracle(state)
+            assert same_diff(state.sweep(), want_diff)
+            assert same_bits(state.block, want)
+        return len(checks)
+
+    assert sweeps(2) == 2 * 4  # block, rotation buffer, two ghosts
+    assert sweeps(6) == 0
+    state.ghost_below = state.ghost_below.copy()
+    assert sweeps(2) == 2 * 4
+    assert sweeps(6) == 0
+
+
+def rebound_block(state, layout):
+    """A copy of the state's block, strided or misaligned."""
+    shape, dtype = state.block.shape, state.dtype
+    if layout == "strided":
+        copy = np.empty(shape[:2] + (2 * shape[2],), dtype)[:, :, ::2]
+    else:
+        copy = np.empty(state.block.nbytes + 1,
+                        np.uint8)[1:].view(dtype).reshape(shape)
+    copy[...] = state.block
+    return copy
+
+
+@pytest.mark.parametrize("local_sweep", ["gauss_seidel", "jacobi"])
+def test_a_block_rebound_to_a_misaligned_array_takes_the_numpy_path(
+        compiled_kernels, local_sweep):
+    """After its rotations were checked, a state whose block is rebound
+    to a misaligned copy sweeps it by the numpy kernel at begin, with
+    the oracle's bits, and so for the next sweep, whose rotation buffer
+    is that array."""
+    state = seeded_state(membrane_problem(N), 8, 24,
+                         local_sweep=local_sweep)
+    state.sweep()
+    state.sweep()
+    state.block = rebound_block(state, "misaligned")
+    assert not state.block.flags.aligned
+    for _ in range(2):
+        want_diff, want = oracle(state)
+        state.begin_sweep()
+        _order, diff, arrays = state._workspace._inflight
+        assert arrays is None and diff is not None  # numpy, already run
+        assert same_diff(state.finish_sweep(), want_diff)
+        assert same_bits(state.block, want)
+
+
+def test_a_block_rebound_to_a_non_contiguous_array_takes_the_numpy_path(
+        compiled_kernels):
+    """A strided block, after the rotations were checked, is not swept
+    by the compiled path: the numpy kernel takes it and refuses it, as
+    it always has, and nothing is left in flight."""
+    state = seeded_state(membrane_problem(N), 8, 24)
+    state.sweep()
+    state.sweep()
+    before = state.block.copy()
+    state.block = rebound_block(state, "strided")
+    with pytest.raises(ValueError, match="C-contiguous"):
+        state.begin_sweep()
+    assert not state.sweep_in_flight
+    assert state._workspace._inflight is None
+    assert same_bits(state.block, before)
 
 
 @pytest.mark.parametrize("stop", ["abort_sweep", "release"])

@@ -12,7 +12,8 @@ from repro.p2psap import P2PSAP, TABLE_I, CommMode, ConnectionKind, Scheme
 from repro.simnet import Simulator, nicta_testbed
 from repro.solvers import ObstacleApplication
 from repro.resources import ResourceContext
-from repro.solvers.distributed_richardson import get_problem
+from repro.scenarios import generate_script, run_scenario
+from repro.solvers.distributed_richardson import _BlockSolver, get_problem
 
 N = 12
 TOL = 1e-5
@@ -196,6 +197,47 @@ class TestTableIAtOpen:
             assert out.scheme is back.scheme is Scheme.parse(scheme)
             assert out.config == back.config == expected, sid
         assert (ConnectionKind.INTER_CLUSTER in kinds) == (clusters == 2)
+
+
+class TestModesHeldPerSolve:
+    """A solver reads each neighbour session's mode once, after its
+    connects; a neighbour that crashes and rejoins opens a session in
+    the same Table I cell, so the held modes stay right."""
+
+    @pytest.mark.parametrize("seed", [2, 5])  # hybrid, two clusters
+    def test_held_modes_match_the_sessions_across_a_rejoin(self, seed,
+                                                           monkeypatch):
+        checks = []
+        send_boundaries = _BlockSolver._send_boundaries
+
+        def checked(solver):
+            held = {nb: (CommMode.SYNCHRONOUS if sync
+                         else CommMode.ASYNCHRONOUS)
+                    for nb, _last, sync in solver._sends}
+            assert held == {nb: solver.ctx.session_mode(nb) for nb in held}
+            assert {nb for nb, _tag in solver._sync_recvs} == {
+                nb for nb, mode in held.items()
+                if mode is CommMode.SYNCHRONOUS}
+            assert {nb for nb, _tag in solver._async_recvs} == {
+                nb for nb, mode in held.items()
+                if mode is CommMode.ASYNCHRONOUS}
+            checks.append((solver.rank, solver.restarted,
+                           solver.sim._now, frozenset(held.values())))
+            return send_boundaries(solver)
+
+        monkeypatch.setattr(_BlockSolver, "_send_boundaries", checked)
+        script = generate_script(seed)
+        result = run_scenario(script)
+        assert result.ok, "\n".join(result.violations)
+        crash, = (r for r in result.injections
+                  if r.event.kind == "crash" and r.applied)
+        restart, = (r for r in result.injections
+                    if r.event.kind == "restart" and r.applied)
+        assert any(restarted and rank == crash.event.rank
+                   for rank, restarted, _t, _modes in checks)
+        assert any(abs(rank - crash.event.rank) == 1 and t > restart.time
+                   for rank, restarted, t, _modes in checks)
+        assert set().union(*(modes for *_, modes in checks)) == set(CommMode)
 
 
 class TestInstrumentation:

@@ -1,5 +1,9 @@
 """Span recording (env-gated, bounded) and timeline rendering."""
 
+import collections
+import hashlib
+import json
+
 import pytest
 
 from repro.campaign import CampaignJob
@@ -35,6 +39,16 @@ class TestEnablement:
         assert name == "sweep"
         assert t1 >= t0
         assert attrs == {"peer": 3, "diff": 0.5}
+
+    def test_the_span_factory_is_none_while_spans_are_off(self,
+                                                           monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        assert Telemetry().span_factory() is None
+        monkeypatch.setenv("REPRO_TELEMETRY", "spans")
+        tele = Telemetry()
+        with tele.span_factory()("sweep", peer=1):
+            pass
+        assert [r[0] for r in tele.snapshot()["spans"]] == ["sweep"]
 
     def test_off_kills_counters_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "off")
@@ -100,6 +114,24 @@ class TestSolverSweepSpans:
             iterations = [a["iteration"] for a in sweeps
                           if a["peer"] == rank]
             assert iterations == list(range(1, peer.relaxations + 1))
+
+    def test_a_solve_records_the_same_spans_in_the_same_order(
+            self, monkeypatch):
+        """A hybrid solve over two clusters (both edge modes, so all four
+        span names) records the span names, attributes and order it did
+        before the solver's span sites stopped costing a call with spans
+        off: the digest was taken from that earlier solver."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "spans")
+        ctx = ResourceContext(name="span-order")
+        run_job(CampaignJob(n=12, n_peers=4, n_clusters=2, scheme="hybrid",
+                            n_paper=96), resources=ctx)
+        spans = [[name, sorted(attrs.items())] for name, _t0, _t1, attrs
+                 in ctx.telemetry.snapshot()["spans"]]
+        names = collections.Counter(name for name, _attrs in spans)
+        assert names == {"solve": 1, "iteration": 390, "sweep": 390,
+                         "ghost-exchange": 390}
+        assert hashlib.sha256(json.dumps(spans).encode()).hexdigest() == (
+            "43fee8b314ed8c9382cf7a02dedd6dba314674ae44d8ade9e43f930fb39d8b24")
 
 
 def _fake_snapshot():
