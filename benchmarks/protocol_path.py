@@ -17,6 +17,16 @@ factory with spans off; and the ``payload_nbytes`` calls that sizing one
 environment-bus message takes (``ReliableControlLink.send`` on the
 environment port).
 
+Both the synchronous stream (per message) and the hybrid solve (per
+relaxation) also count the wire path's per-packet calls: link lookups
+(``Network.link``; an endpoint holds its link after the first),
+timeout constructions (``Simulator.timeout`` and ``timeout_at``),
+``Link._count_delivery`` calls (the per-packet sites count inline) and
+``Message.framed`` calls; and the hybrid solve counts the completion
+events its asynchronous sends make (``AsynchronousMode`` firing a
+pending completion), per asynchronous send: 0 since the solver posts
+those planes (``TaskContext.p2p_post``).
+
 Handler calls are counted where the handlers enter the bus: every
 handler bound through ``EventBus.bind`` inside the counted block is
 wrapped, as the end-to-end tracer does, so a raise counts once per
@@ -57,6 +67,7 @@ import numpy as np
 import repro.cactus.messages as messages
 import repro.p2psap.control_channel as control_channel
 from repro.cactus.events import EventBus
+from repro.cactus.messages import Message
 from repro.campaign import CampaignJob
 from repro.core.env_bus import ENV_PORT
 from repro.core.task_execution import TaskExecutor
@@ -64,8 +75,11 @@ from repro.experiments.harness import run_job
 from repro.numerics import _ckernels
 from repro.p2psap import P2PSAP
 from repro.p2psap.control_channel import ReliableControlLink
+from repro.p2psap.microprotocols.modes import AsynchronousMode
 from repro.p2psap.socket_api import P2PSAPSocket
 from repro.simnet import Simulator, nicta_testbed
+from repro.simnet.kernel import _PENDING
+from repro.simnet.network import Link, Network
 from repro.simnet.topology import NICTA_SPEC
 from repro.telemetry import Telemetry
 
@@ -90,6 +104,43 @@ class _CountedGenerator:
 
     def close(self):
         return self._gen.close()
+
+
+#: The wire path's per-packet counts (see the module docstring).
+WIRE_KEYS = ("network_links", "timeouts", "delivery_counts", "framed")
+
+
+@contextlib.contextmanager
+def counting_wire(counts):
+    """Count, into ``counts``, the wire path's calls made in the block."""
+    for key in WIRE_KEYS:
+        counts[key] = 0
+    originals = [
+        (Network, "link", Network.link),
+        (Simulator, "timeout", Simulator.timeout),
+        (Simulator, "timeout_at", Simulator.timeout_at),
+        (Link, "_count_delivery", Link._count_delivery),
+        # The classmethod object itself, to put back as it was.
+        (Message, "framed", Message.__dict__["framed"]),
+    ]
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    Network.link = counted("network_links", Network.link)
+    Simulator.timeout = counted("timeouts", Simulator.timeout)
+    Simulator.timeout_at = counted("timeouts", Simulator.timeout_at)
+    Link._count_delivery = counted("delivery_counts", Link._count_delivery)
+    Message.framed = classmethod(
+        counted("framed", Message.__dict__["framed"].__func__))
+    try:
+        yield counts
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
 
 
 @contextlib.contextmanager
@@ -149,8 +200,9 @@ def counting():
 def per_message(counts):
     out = dict(counts)
     for key in ("events", "handler_calls", "payload_nbytes_calls",
-                "generator_resumes", "timer_arms"):
-        out[f"{key}_per_msg"] = round(counts[key] / counts["messages"], 4)
+                "generator_resumes", "timer_arms", *WIRE_KEYS):
+        if key in counts:
+            out[f"{key}_per_msg"] = round(counts[key] / counts["messages"], 4)
     return out
 
 
@@ -174,7 +226,7 @@ def stream_sync_intra():
         for i in range(STREAM_MESSAGES):
             yield sock.send((i, plane))
 
-    with counting() as counts:
+    with counting() as counts, counting_wire(counts):
         done = sim.spawn(receiver())
         sim.spawn(sender())
         while done.is_alive:
@@ -201,8 +253,10 @@ def counting_per_relaxation():
     message is sized (spans must be off)."""
     counts = {"session_mode_lookups": 0, "sweep_validations": 0,
               "span_calls": 0, "env_messages": 0,
-              "env_payload_nbytes_calls": 0}
+              "env_payload_nbytes_calls": 0, "async_sends": 0,
+              "async_completion_events": 0}
     originals = [
+        (AsynchronousMode, "_on_user_send", AsynchronousMode._on_user_send),
         (TaskExecutor, "session_mode", TaskExecutor.session_mode),
         (_ckernels, "_fits", _ckernels._fits),
         (Telemetry, "span_factory", Telemetry.span_factory),
@@ -219,24 +273,33 @@ def counting_per_relaxation():
         return wrapper
 
     def span_factory(telemetry):
-        factory = originals[2][2](telemetry)
+        factory = originals[3][2](telemetry)
         return None if factory is None else counted("span_calls", factory)
 
     def send(link, dst, body):
         if link.port != ENV_PORT:
-            return originals[3][2](link, dst, body)
+            return originals[4][2](link, dst, body)
         counts["env_messages"] += 1
         sizing.append(True)
         try:
-            return originals[3][2](link, dst, body)
+            return originals[4][2](link, dst, body)
         finally:
             sizing.pop()
 
     def payload_nbytes(payload):
         if sizing:
             counts["env_payload_nbytes_calls"] += 1
-        return originals[4][2](payload)
+        return originals[5][2](payload)
 
+    def async_send(mode, msg):
+        # The mode fires a completion still pending: one DES event.
+        counts["async_sends"] += 1
+        completion = msg.meta.get("completion")
+        if completion is not None and completion._value is _PENDING:
+            counts["async_completion_events"] += 1
+        return originals[0][2](mode, msg)
+
+    AsynchronousMode._on_user_send = async_send
     TaskExecutor.session_mode = counted("session_mode_lookups",
                                         TaskExecutor.session_mode)
     _ckernels._fits = counted("sweep_validations", _ckernels._fits)
@@ -254,13 +317,16 @@ def counting_per_relaxation():
 
 def solve_n12_a4_hybrid_relax():
     """Per-relaxation counts of one hybrid solve over two clusters."""
-    with counting_per_relaxation() as counts:
+    with counting_per_relaxation() as counts, counting_wire(counts):
         result = run_job(CampaignJob(n=12, n_peers=4, n_clusters=2,
                                      scheme="hybrid", n_paper=96))
     relaxations = sum(p.relaxations for p in result.report.per_peer)
     out = dict(counts, relaxations=relaxations)
-    for key in ("session_mode_lookups", "sweep_validations", "span_calls"):
+    for key in ("session_mode_lookups", "sweep_validations", "span_calls",
+                *WIRE_KEYS):
         out[f"{key}_per_relax"] = round(counts[key] / relaxations, 4)
+    out["completion_events_per_async_send"] = round(
+        counts["async_completion_events"] / counts["async_sends"], 4)
     out["payload_nbytes_calls_per_env_msg"] = round(
         counts["env_payload_nbytes_calls"] / counts["env_messages"], 4)
     return out

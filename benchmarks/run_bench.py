@@ -172,7 +172,7 @@ EXACT_SECTIONS = ("protocol_path", "service_path", "cache_path")
 
 #: Keys of the exact-count sections that ``--check`` compares exactly.
 EXACT_SUFFIXES = ("_per_msg", "_per_env_msg", "_per_relax", "_per_rt",
-                  "_per_wait", "_per_job")
+                  "_per_wait", "_per_job", "_per_async_send")
 
 
 def _bench_env() -> dict:

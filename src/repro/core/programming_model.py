@@ -9,7 +9,8 @@ functions.  ``calculate`` is a *generator* (it runs as a process on the
 peer's simulated machine) and talks to other peers exclusively through
 the reduced communication API of its :class:`TaskContext` —
 :meth:`TaskContext.p2p_send` and :meth:`TaskContext.p2p_receive` (+
-non-blocking variants), the P2P_Send / P2P_Receive of the paper.  The
+non-blocking variants, and :meth:`TaskContext.p2p_post`, a send whose
+completion nobody waits on), the P2P_Send / P2P_Receive of the paper.  The
 communication *mode* behind those calls is never chosen by the
 programmer: it follows the scheme of computation and the topology, via
 P2PSAP's adaptation rules.
@@ -141,6 +142,12 @@ class TaskContext:
         communication mode (rendezvous if synchronous, immediate if
         asynchronous) — ``yield`` it either way."""
         return self._executor.send_to_rank(rank, payload)
+
+    def p2p_post(self, rank: int, payload: Any) -> None:
+        """P2P_Send for a caller that does not wait on its completion
+        (an asynchronous edge's fire-and-forget plane): the same message
+        on the wire as :meth:`p2p_send`, without an event to yield."""
+        self._executor.post_to_rank(rank, payload)
 
     def p2p_receive(self, rank: int):
         """P2P_Receive (blocking flavour): event firing with a payload."""

@@ -28,6 +28,17 @@ from .programming_model import Application, TaskContext
 __all__ = ["TaskExecutor"]
 
 
+#: The completion of every :meth:`TaskExecutor.post_to_rank`: already
+#: fired and processed, so whatever would complete it finds it done.
+_POSTED = Event.__new__(Event)
+_POSTED.sim = None
+_POSTED.callbacks = None
+_POSTED._value = None
+_POSTED._ok = True
+_POSTED._processed = True
+_POSTED._defused = False
+
+
 class _Op:
     """A rank-addressed send (``payload``) or receive (``outer`` is a
     ``_PayloadRequest``), issued by task incarnation ``epoch`` and last
@@ -386,7 +397,20 @@ class TaskExecutor:
     # on its session fires an event nobody waits on any more.
 
     def send_to_rank(self, rank: int, payload: Any) -> Event:
-        return self._issue(_Op(rank, self.sim.event(), payload, self._ops_epoch))
+        return self._issue(_Op(rank, Event(self.sim), payload, self._ops_epoch))
+
+    def post_to_rank(self, rank: int, payload: Any) -> None:
+        """A send whose completion nobody waits on.  With a session in
+        place it enters the socket with :data:`_POSTED`, a completion
+        that has already fired, so no event is made for it and the
+        asynchronous mode schedules nothing; a synchronous session still
+        runs its APPACK protocol, with nobody to complete.  Without one
+        it is an ordinary send (lazy connect), its completion dropped."""
+        sock = self._sockets.get(rank)
+        if sock is None:
+            self.send_to_rank(rank, payload)
+        else:
+            sock.send(payload, _POSTED)
 
     def receive_from_rank(self, rank: int) -> Event:
         return self._issue(_Op(rank, _PayloadRequest(self.sim), None, self._ops_epoch))

@@ -235,12 +235,22 @@ int repro_cpu_avx2(void) { return 0; }
  * on the grouping except for which zero a +0.0/-0.0 tie keeps, the diff
  * rule erases that sign, and NaN is OR'd.
  *
+ * Wakes are signalled after the lock is released wherever the waker no
+ * longer needs it (a start's pool_work, a finished job's pool_done): a
+ * thread woken under the lock often lands on the waker's CPU and blocks
+ * on it at once.  Every predicate a waiter tests (queue, job state,
+ * pool_busy, pool_forking) is changed under the lock, so a waiter that
+ * tested it before the change is already waiting when the lock is
+ * released, and the later wake reaches it.
+ *
  * fork: the prepare handler stops workers and joiners from claiming
  * bands and waits until no band is running, so the child inherits every
  * band either done or unclaimed, with all of its rows written or none:
  * a job may arrive half done.  The child has no workers (threads do not
  * survive fork); the next start spawns them again, and a join there
- * runs whatever bands of its job are left. */
+ * runs whatever bands of its job are left.  A wake under way in another
+ * thread at the fork leaves nothing behind in the child, which re-makes
+ * the lock and both conditions. */
 
 /* Mirrors _ckernels.Job field for field. */
 typedef struct repro_job {
@@ -320,8 +330,10 @@ static double now(void)
 
 /* Run a claimed band, timing the kernel, and fold it into its job; the
  * last band sets the diff and marks the job done (lock held on entry
- * and exit). */
-static void run_band(repro_job *job, int64_t band)
+ * and exit).  Returns 1 when pool_done must be broadcast (a job is
+ * done, or no band is running): the caller does so once it no longer
+ * needs the lock, so a woken joiner does not block on it. */
+static int run_band(repro_job *job, int64_t band)
 {
     const repro_sweep_params *p = job->p;
     repro_fold fold;
@@ -349,12 +361,14 @@ static void run_band(repro_job *job, int64_t band)
         job->p->diff = job->fold.nan ? (double)NAN
                        : (bottom > top ? bottom : top) + 0.0;
         job->state = JOB_DONE;
-        pthread_cond_broadcast(&pool_done);
-    } else if (pool_busy == 0) {
-        pthread_cond_broadcast(&pool_done);
+        return 1;
     }
+    return pool_busy == 0;
 }
 
+/* A worker wakes the joiners of the job it finished outside the lock
+ * (a joiner woken under it would block on it at once), then takes the
+ * lock back for its next band or its wait. */
 static void *worker(void *unused)
 {
     (void)unused;
@@ -365,7 +379,11 @@ static void *worker(void *unused)
             continue;
         }
         repro_job *job = queue_head;
-        run_band(job, claim(job));
+        if (run_band(job, claim(job))) {
+            pthread_mutex_unlock(&pool_lock);
+            pthread_cond_broadcast(&pool_done);
+            pthread_mutex_lock(&pool_lock);
+        }
     }
     return NULL;
 }
@@ -458,7 +476,7 @@ void repro_sweep_start(repro_job *job)
     job->fold.nan = 0;
     pthread_mutex_lock(&pool_lock);
     spawn_workers();
-    job->bands = band_count(job->p);
+    const int64_t bands = job->bands = band_count(job->p);
     job->state = JOB_QUEUED;
     job->next = NULL;
     if (queue_tail)
@@ -466,11 +484,13 @@ void repro_sweep_start(repro_job *job)
     else
         queue_head = job;
     queue_tail = job;
-    if (job->bands > 1)
+    pthread_mutex_unlock(&pool_lock);
+    /* Woken after the unlock: a worker woken under the lock lands on
+     * this CPU as often as not and blocks on the lock held here. */
+    if (bands > 1)
         pthread_cond_broadcast(&pool_work);
     else
         pthread_cond_signal(&pool_work);
-    pthread_mutex_unlock(&pool_lock);
 }
 
 /* The histogram cell of value: bisect_left over the bounds. */
@@ -489,15 +509,23 @@ static int64_t cell(const repro_stats *s, double value)
 int repro_sweep_join(repro_job *job)
 {
     const double t0 = now();
+    int wake = 0;
     pthread_mutex_lock(&pool_lock);
     while (job->state != JOB_DONE) {
+        /* Another job done, or no band running: wake its waiters before
+         * the next band or wait.  Only the wake of the last band, which
+         * ends this loop, waits for the unlock below. */
+        if (wake) {
+            pthread_cond_broadcast(&pool_done);
+            wake = 0;
+        }
         if (pool_forking) {
             pthread_cond_wait(&pool_done, &pool_lock);
         } else if (job->state == JOB_QUEUED) {
-            run_band(job, claim(job));
+            wake = run_band(job, claim(job));
         } else if (queue_head != NULL) {
             repro_job *other = queue_head;
-            run_band(other, claim(other));
+            wake = run_band(other, claim(other));
         } else {
             pthread_cond_wait(&pool_done, &pool_lock);
         }
@@ -517,6 +545,8 @@ int repro_sweep_join(repro_job *job)
     }
     job->state = JOB_IDLE;
     pthread_mutex_unlock(&pool_lock);
+    if (wake)
+        pthread_cond_broadcast(&pool_done);
     return (int)job->status;
 }
 

@@ -90,9 +90,15 @@ class CongestionControl(MicroProtocol):
 
     def _handle_ack(self, seq: int, rtt: Optional[float] = None) -> None:
         # No pump here: reliability raises TrySend right after
-        # AckReceived, once per ACK (see the module docstring).
+        # AckReceived, once per ACK (see the module docstring).  Three
+        # calls per ACK: this, on_ack and observe_rtt (_publish inline).
         self.on_ack(rtt)
-        self._publish()
+        composite = self.composite
+        if composite is not None:
+            shared = composite.shared
+            shared[CWND_KEY] = self.cwnd
+            shared[SSTHRESH_KEY] = self.ssthresh
+            shared["rto"] = self.rto
 
     def _handle_timeout(self, seq: int) -> None:
         self.on_timeout()
@@ -107,16 +113,22 @@ class CongestionControl(MicroProtocol):
     # -- RTT estimation (shared by all controllers) -------------------------------
 
     def observe_rtt(self, rtt: float) -> None:
-        """RFC 6298 SRTT/RTTVAR/RTO update."""
+        """RFC 6298 SRTT/RTTVAR/RTO update.  Once per ACK, so ``abs`` and
+        ``max`` are spelled as comparisons: the same floats, no call."""
         if rtt <= 0:
             return
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        srtt = self.srtt
+        if srtt is None:
+            srtt = self.srtt = rtt
+            rttvar = self.rttvar = rtt / 2.0
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = max(0.2, self.srtt + 4.0 * self.rttvar)
+            err = srtt - rtt
+            if err < 0.0:  # abs(srtt - rtt)
+                err = -err
+            rttvar = self.rttvar = 0.75 * self.rttvar + 0.25 * err
+            srtt = self.srtt = 0.875 * srtt + 0.125 * rtt
+        rto = srtt + 4.0 * rttvar
+        self.rto = rto if rto > 0.2 else 0.2  # max(0.2, rto)
 
     # -- controller state machine hooks --------------------------------------------
 

@@ -82,8 +82,12 @@ class HTCPCongestion(CongestionControl):
         self.stats_acks += 1
         if rtt is not None:
             self.observe_rtt(rtt)
-            self.rtt_min = rtt if self.rtt_min is None else min(self.rtt_min, rtt)
-            self.rtt_max = rtt if self.rtt_max is None else max(self.rtt_max, rtt)
+            # min/max as comparisons (once per ACK): the same values.
+            low, high = self.rtt_min, self.rtt_max
+            if low is None or rtt < low:
+                self.rtt_min = rtt
+            if high is None or rtt > high:
+                self.rtt_max = rtt
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0  # slow start unchanged
         else:

@@ -20,6 +20,8 @@ from .base import MAX_WINDOW, CongestionControl
 
 __all__ = ["NewRenoCongestion"]
 
+_MAX_CWND = float(MAX_WINDOW)
+
 
 class NewRenoCongestion(CongestionControl):
     name = "cc-newreno"
@@ -28,11 +30,12 @@ class NewRenoCongestion(CongestionControl):
         self.stats_acks += 1
         if rtt is not None:
             self.observe_rtt(rtt)
-        if self.cwnd < self.ssthresh:
-            self.cwnd += 1.0  # slow start: +1 per ack (doubling per RTT)
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
+            cwnd += 1.0  # slow start: +1 per ack (doubling per RTT)
         else:
-            self.cwnd += 1.0 / self.cwnd  # congestion avoidance
-        self.cwnd = min(self.cwnd, float(MAX_WINDOW))
+            cwnd += 1.0 / cwnd  # congestion avoidance
+        self.cwnd = _MAX_CWND if _MAX_CWND < cwnd else cwnd  # min(cwnd, max)
 
     def on_timeout(self) -> None:
         """Multiplicative ssthresh, window back to one segment."""

@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
+from typing import Optional
 
 from ...cactus.composite import CompositeProtocol
 from ...cactus.messages import Message
@@ -51,6 +52,8 @@ from ...simnet.kernel import Event, Simulator
 from ...simnet.network import Link, Network, Node, Packet
 
 __all__ = ["PhysicalSpec", "PhysicalProtocol"]
+
+_new_message = Message.__new__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,6 +98,10 @@ class PhysicalProtocol(CompositeProtocol):
         self.stats_tx_frames = 0
         self.stats_rx_frames = 0
         self._closed = False
+        # The link to the remote node, looked up on the first transmit
+        # (links are made on first use, and each draws its RNG stream
+        # when it is made) and held from then on.
+        self._link: Optional[Link] = None
         # Receive server.  Packets a link handed over at send time, in
         # FIFO order, each (arrival, seq, done, packet, link), served by
         # one event at ``done``; the server is free from _rx_free_at on.
@@ -113,10 +120,18 @@ class PhysicalProtocol(CompositeProtocol):
         if self._closed:
             return
         self.stats_tx_frames += 1
-        wire = (tuple(msg.headers), msg.payload)
-        size = msg.size_bytes + self.spec.header_bytes
-        packet = Packet(self.local.name, self.remote_name, wire, size, self.port)
-        self.network.link(self.local.name, self.remote_name).transmit(packet)
+        headers = msg.headers
+        # Message.size_bytes, inlined: a shell knows its payload's size.
+        size = msg._payload_bytes
+        if size is None:
+            size = msg.payload_bytes
+        size += Message.HEADER_BYTES * len(headers) + self.spec.header_bytes
+        link = self._link
+        if link is None:
+            link = self._link = self.network.link(self.local.name,
+                                                  self.remote_name)
+        link.transmit(Packet(self.local.name, self.remote_name,
+                             (tuple(headers), msg.payload), size, self.port))
 
     # -- receive -------------------------------------------------------------------
 
@@ -165,8 +180,20 @@ class PhysicalProtocol(CompositeProtocol):
             return  # given back to its link, or dropped by close()
         folded.popleft()
         _arrival, _seq, _done, packet, link = record
-        link._count_delivery(packet)
-        self.deliver_up(self._rebuild(packet))  # may close us
+        # Link._count_delivery and _rebuild, inlined: once per packet.
+        link.stats_delivered += 1
+        if link._delivery_hooks:
+            for hook in link._delivery_hooks:
+                hook(packet)
+        # Message.framed(payload, list(headers)), built in place.
+        msg = _new_message(Message)
+        headers, msg.payload = packet.payload
+        msg.headers = list(headers)
+        msg.meta = {}
+        msg.message_id = None
+        msg._payload_bytes = None
+        self.stats_rx_frames += 1
+        self.deliver_up(msg)  # may close us
         if not folded and self._rx_backlog:
             self._rx_start(self._rx_backlog.popleft())
 

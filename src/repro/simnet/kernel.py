@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -177,7 +177,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` units of virtual time in the future."""
+    """An event that fires ``delay`` units of virtual time in the future.
+
+    A timeout is made per packet and per timer, so the hot constructors
+    (:meth:`Simulator.timeout`, :meth:`Simulator.timeout_at` and
+    :meth:`Simulator._timeout_keyed`) each set its slots themselves, in
+    one call, rather than through ``__init__``; all of them set the same
+    slots to the same values."""
 
     __slots__ = ("delay",)
 
@@ -185,22 +191,17 @@ class Timeout(Event):
         if not delay >= 0:  # negative or NaN
             raise ValueError(f"negative timeout delay {delay!r}"
                              if delay < 0 else "timeout delay is NaN")
-        _init_timeout(self, sim, delay, value)
+        self.sim = sim
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._processed = False
+        self._defused = False
+        self.delay = delay
         heappush(sim._queue, (sim._now + delay, priority, next(sim._seq), self))
 
 
-def _init_timeout(t: Timeout, sim: "Simulator", delay: float, value: Any) -> None:
-    """Set every slot of the triggered timeout ``t``: :meth:`Event.__init__`
-    and :class:`Timeout`'s own in one call, as a timeout is made per
-    packet and per timer.  Its one spelling, for ``Timeout.__init__`` and
-    :meth:`Simulator._timeout_keyed`."""
-    t.sim = sim
-    t.callbacks = []
-    t._value = value
-    t._ok = True
-    t._processed = False
-    t._defused = False
-    t.delay = delay
+_new_timeout = Timeout.__new__
 
 
 class Process(Event):
@@ -551,7 +552,19 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        if not delay >= 0:  # negative or NaN
+            raise ValueError(f"negative timeout delay {delay!r}"
+                             if delay < 0 else "timeout delay is NaN")
+        t = _new_timeout(Timeout)
+        t.sim = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._processed = False
+        t._defused = False
+        t.delay = delay
+        heappush(self._queue, (self._now + delay, NORMAL, next(self._seq), t))
+        return t
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """An event firing at the absolute time ``when``.
@@ -562,19 +575,50 @@ class Simulator:
         completion, a retransmission deadline) fires exactly where it
         was computed.  A time in the past, or NaN, raises ``ValueError``.
         """
-        if not when >= self._now:  # past or NaN
+        now = self._now
+        if not when >= now:  # past or NaN
             raise ValueError(
-                f"timeout_at({when!r}) is before now ({self._now!r})"
-                if when < self._now else "timeout time is NaN")
-        return self._timeout_keyed(when, next(self._seq), value)
+                f"timeout_at({when!r}) is before now ({now!r})"
+                if when < now else "timeout time is NaN")
+        t = _new_timeout(Timeout)
+        t.sim = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._processed = False
+        t._defused = False
+        t.delay = when - now
+        heappush(self._queue, (when, NORMAL, next(self._seq), t))
+        return t
 
     def _timeout_keyed(self, when: float, seq: int, value: Any) -> Timeout:
         """:meth:`timeout_at` with a ``seq`` taken from ``_seq`` earlier:
-        the entry sorts exactly where one created back then would have."""
-        t = Timeout.__new__(Timeout)
-        _init_timeout(t, self, when - self._now, value)
+        the entry sorts exactly where one created back then would have.
+        ``when`` must not be before now, which the callers know (a
+        folded packet given back arrives at a key not yet passed, a
+        deadline re-armed is one no processed entry has passed), so it
+        is not checked."""
+        t = _new_timeout(Timeout)
+        t.sim = self
+        t.callbacks = []
+        t._value = value
+        t._ok = True
+        t._processed = False
+        t._defused = False
+        t.delay = when - self._now
         heappush(self._queue, (when, NORMAL, seq, t))
         return t
+
+    def _withdraw(self, when: float, seq: int, event: Event) -> None:
+        """Take the NORMAL-priority entry ``(when, seq, event)`` off the
+        queue before it is processed: its callbacks never run and it
+        counts as no event.  For a timer whose every callback would find
+        nothing to do (a retransmission deadline of an acknowledged
+        message); the other entries keep their keys, hence their order."""
+        queue = self._queue
+        queue[queue.index((when, NORMAL, seq, event))] = queue[-1]
+        queue.pop()
+        heapify(queue)
 
     def _passed(self, when: float, seq: int) -> bool:
         """Whether a NORMAL-priority entry keyed ``(when, seq)`` would

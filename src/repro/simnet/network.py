@@ -415,11 +415,17 @@ class Link:
         if not dst.alive:
             self.stats_dropped += 1
             return
-        self._count_delivery(packet)
+        # _count_delivery, inlined: once per packet.
+        self.stats_delivered += 1
+        if self._delivery_hooks:
+            for hook in self._delivery_hooks:
+                hook(packet)
         dst.deliver(packet)
 
     def _count_delivery(self, packet: Packet) -> None:
-        """The packet reached its node: count it and run the hooks."""
+        """The packet reached its node: count it and run the hooks.  The
+        per-packet sites (:meth:`_deliver`, a physical endpoint's
+        service) do the same inline."""
         self.stats_delivered += 1
         for hook in self._delivery_hooks:
             hook(packet)
@@ -476,7 +482,11 @@ class Network:
         bandwidth_bps: Optional[float] = None,
         netem: Optional[Netem] = None,
     ) -> Link:
-        """Create an explicit unidirectional link, overriding defaults."""
+        """Create an explicit unidirectional link, overriding defaults.
+
+        Add it before any traffic uses the pair: endpoints hold the link
+        they first looked up (change a link in use with
+        :meth:`Link.reconfigure`)."""
         a, b = self._pair(src, dst)
         intra = a.cluster == b.cluster
         bw = bandwidth_bps if bandwidth_bps is not None else (

@@ -628,7 +628,8 @@ class _BlockSolver:
 
         Sends go in :meth:`_resolve_edges`' order.  For synchronous
         edges the send completions and the fresh-ghost receives join the
-        wait set; asynchronous edges are fire-and-forget.
+        wait set; asynchronous edges are fire-and-forget (``p2p_post``:
+        no completion event is made for them).
         """
         wait_events = []
         recv_events: dict[str, Any] = {}
@@ -647,10 +648,12 @@ class _BlockSolver:
                     continue
                 self._last_send[nb] = now
             plane = state.last_plane if last_plane else state.first_plane
-            ev = self.ctx.p2p_send(nb, ("PLANE", self.sweeps, plane.copy()))
+            payload = ("PLANE", self.sweeps, plane.copy())
             self.sends += 1
             if sync_edge:
-                wait_events.append(ev)
+                wait_events.append(self.ctx.p2p_send(nb, payload))
+            else:
+                self.ctx.p2p_post(nb, payload)
         for nb, ghost_tag in self._sync_recvs:
             rev = self.ctx.p2p_receive(nb)
             recv_events[ghost_tag] = rev

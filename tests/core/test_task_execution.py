@@ -1,8 +1,10 @@
 """Task executor: rank-addressed sessions, env messaging, edge cases."""
 
+import numpy as np
 import pytest
 
 from repro.core import Application, P2PDC, ProblemDefinition
+from repro.core.programming_model import TaskContext
 from repro.core.task_execution import TaskExecutor
 from repro.p2psap import SessionState
 from repro.p2psap.context import Scheme
@@ -364,3 +366,98 @@ class TestCompletionRule:
         sim.run(until=3.0)
         assert seen == ["crash"] and ex1._pending_ops == {}
         assert sock.session.channel.transport.micro("mode-sync").stats_appacks_rx == 1
+
+
+class TestPost:
+    """``TaskContext.p2p_post``: a send nobody waits on enters the socket
+    with a completion that has already fired."""
+
+    N = 5
+
+    def stream(self, scheme, post, connect=True):
+        """peer01 sends N planes to rank 0 (posted, or sent with the
+        completion dropped) while peer00 takes them; every packet on
+        both links, with the simulator's event count."""
+        if connect:
+            sim, ex0, ex1 = TestCompletionRule.linked(scheme)
+        else:
+            sim, env = make_env(2)
+            ex0, ex1 = env.executor("peer00"), env.executor("peer01")
+            for rank, ex in enumerate((ex0, ex1)):
+                ex._rank, ex._peer_names = rank, ["peer00", "peer01"]
+                ex._scheme = scheme
+        net = ex1.network
+        log = []
+        for src, dst in (("peer01", "peer00"), ("peer00", "peer01")):
+            net.link(src, dst).add_delivery_hook(
+                lambda pkt, src=src: log.append(self.entry(sim, src, pkt)))
+        ctx = TaskContext(ex1, 1, 2, ["peer00", "peer01"], None, scheme, {})
+        plane = np.arange(16.0).reshape(4, 4)
+        got = []
+
+        def writer():
+            for i in range(self.N):
+                if post:
+                    assert ctx.p2p_post(0, ("PLANE", i, plane)) is None
+                else:
+                    ctx.p2p_send(0, ("PLANE", i, plane))
+                yield sim.timeout(0.001)
+
+        def reader():
+            while len(got) < self.N:
+                payload = yield ex0.receive_from_rank(1)
+                if payload is None:  # an empty asynchronous receive
+                    yield sim.timeout(0.001)
+                else:
+                    got.append(payload[1])
+
+        start = sim.events_processed
+        sim.spawn(writer())
+        sim.spawn(reader())
+        sim.run(until=5.0)
+        assert got == list(range(self.N))
+        return log, sim.events_processed - start, ex0, ex1
+
+    @staticmethod
+    def entry(sim, src, pkt):
+        """A packet as the wire sees it, but the message id (a process
+        global counter) of a data frame's transport header."""
+        if type(pkt.payload) is not tuple:  # a control-link frame
+            return sim.now, src, pkt.port, pkt.size_bytes, repr(pkt.payload)
+        headers, payload = pkt.payload
+        fields = [{k: v for k, v in h.items() if k != "msg_id"}
+                  for _layer, h in headers]
+        data = None if payload is None else payload[:2]
+        return sim.now, src, pkt.port, pkt.size_bytes, repr(fields), data
+
+    def test_an_asynchronous_post_makes_no_event_and_the_same_packets(self):
+        sent_log, sent_events, _, _ = self.stream(Scheme.ASYNCHRONOUS, False)
+        posted_log, posted_events, _, ex1 = self.stream(Scheme.ASYNCHRONOUS,
+                                                        True)
+        assert ex1._sockets[0].session.config.mode.value == "asynchronous"
+        # Same packets, times and modelled bytes; one completion event
+        # fewer per message.
+        assert posted_log == sent_log and len(posted_log) > self.N
+        assert sent_events - posted_events == self.N
+        assert ex1._pending_ops == {}
+
+    def test_a_synchronous_post_still_gets_its_appack(self):
+        sent_log, sent_events, _, _ = self.stream(Scheme.SYNCHRONOUS, False)
+        posted_log, posted_events, ex0, ex1 = self.stream(Scheme.SYNCHRONOUS,
+                                                          True)
+        assert posted_log == sent_log
+        appacks = [e for e in posted_log if "APPACK" in e[4]]
+        assert len(appacks) == self.N
+        receiver = ex0._sockets[1].session.channel.transport.micro("mode-sync")
+        sender = ex1._sockets[0].session.channel.transport.micro("mode-sync")
+        assert receiver.stats_appacks_tx == self.N
+        # Each APPACK found its posted send, completed with nobody to
+        # resume: no completion event, nothing left pending.
+        assert sender._pending_appack == {} and sender.stats_appacks_rx == 0
+        assert sent_events - posted_events == self.N
+
+    def test_a_post_without_a_session_connects_lazily(self):
+        _, _, ex0, ex1 = self.stream(Scheme.ASYNCHRONOUS, True,
+                                     connect=False)
+        assert 0 in ex1._sockets and 1 in ex0._sockets
+        assert ex1._pending_ops == {}

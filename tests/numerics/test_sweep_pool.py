@@ -585,6 +585,62 @@ def test_a_child_forked_with_sweeps_in_flight_sweeps(compiled_kernels):
         thread.join(timeout=60)
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_two_threads_sweep_across_a_fork_and_leave_nothing_in_flight(
+        compiled_kernels):
+    """Two threads start and join banded sweeps while this one forks:
+    the pool signals its wakes after unlocking (a start's, a finished
+    job's), and the prepare handler still finds every band done or
+    unclaimed.  Each thread gets the oracle's bits (what it gets
+    alone), the child sweeps, and every job ends idle with all of its
+    bands run."""
+    problem = membrane_problem(BANDED)
+    rounds = 12
+
+    def fresh(seed):
+        return [seeded_state(problem, lo, hi, seed=seed + lo)
+                for lo, hi in blocks(BANDED, 2)]
+
+    def run(states, started=None):
+        diffs = []
+        for _ in range(rounds):
+            for s in states:
+                s.begin_sweep()
+            if started is not None:
+                started.release()
+            diffs.append([s.finish_sweep() for s in states])
+        return diffs, [s.block.copy() for s in states]
+
+    seeds = (1, 2)
+    alone = [run(fresh(seed)) for seed in seeds]
+    states = [fresh(seed) for seed in seeds]
+    together = [None] * len(seeds)
+    started = threading.Semaphore(0)
+
+    def thread(i):
+        together[i] = run(states[i], started)
+
+    threads = [threading.Thread(target=thread, args=(i,))
+               for i in range(len(seeds))]
+    for t in threads:
+        t.start()
+    try:
+        for _ in threads:  # each thread has sweeps in flight
+            assert started.acquire(timeout=60)
+        assert fork_and_sweep() == 0
+    finally:
+        for t in threads:
+            t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    for (want_diffs, want), (got_diffs, got) in zip(alone, together):
+        assert got_diffs == want_diffs
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+    for state in (s for group in states for s in group):
+        job = state._workspace._compiled.job
+        assert job.state == 0  # JOB_IDLE
+        assert job.claimed == job.finished == job.bands >= 1
+
+
 @needs_a_worker
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_a_child_forked_between_two_bands_of_a_sweep_finishes_it(

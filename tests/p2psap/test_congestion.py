@@ -1,5 +1,7 @@
 """Window-dynamics tests for the two congestion controllers."""
 
+import random
+
 import pytest
 
 from repro.cactus.composite import CompositeProtocol
@@ -258,6 +260,36 @@ class TestSharedState:
         assert cc.rto == pytest.approx(max(0.2, 0.1 + 4 * 0.05))
         cc.observe_rtt(0.2)
         assert 0.1 < cc.srtt < 0.2
+
+    @pytest.mark.parametrize("cls", [NewRenoCongestion, HTCPCongestion])
+    def test_an_ack_keeps_the_rfc6298_floats(self, cls):
+        """The estimator spells ``abs`` and ``max`` (and H-TCP's RTT
+        extremes ``min`` and ``max``) as comparisons; this reference
+        keeps the builtins, in RFC 6298's order, and an ACK must give
+        the very same floats."""
+        rng = random.Random(7)
+        sim = Simulator()
+        comp = CompositeProtocol(sim, "t")
+        cc = comp.add_micro(cls())
+        srtt = rttvar = low = high = None
+        for seq in range(300):
+            rtt = rng.choice((0.0004, 0.001, 0.05, 0.1, 0.3)) * rng.random()
+            if seq % 7 == 0 and srtt is not None:
+                rtt = srtt  # a zero error
+            comp.bus.raise_event("AckReceived", seq, rtt)
+            if srtt is None:
+                srtt, rttvar = rtt, rtt / 2.0
+            else:
+                rttvar = 0.75 * rttvar + 0.25 * abs(srtt - rtt)
+                srtt = 0.875 * srtt + 0.125 * rtt
+            rto = max(0.2, srtt + 4.0 * rttvar)
+            low = rtt if low is None else min(low, rtt)
+            high = rtt if high is None else max(high, rtt)
+            assert (cc.srtt, cc.rttvar, cc.rto) == (srtt, rttvar, rto)
+            assert comp.shared["rto"] == rto
+            assert comp.shared[CWND_KEY] == cc.cwnd
+            if cls is HTCPCongestion:
+                assert (cc.rtt_min, cc.rtt_max) == (low, high)
 
     def test_an_ack_pumps_try_send_once_with_the_new_window(self):
         """Reliability pumps after ``AckReceived``; the controller does

@@ -138,3 +138,59 @@ class TestFraming:
         sim.run(until=1.0)
         assert got == [b"after-close"]
         assert phy_b.stats_rx_frames == 0
+
+
+class TestHeldLink:
+    """An endpoint looks its link up on the first transmit and holds it."""
+
+    def test_the_held_link_is_the_networks_made_on_first_use(self):
+        sim, net, (top_a, phy_a), _ = make_link()
+        assert phy_a._link is None and list(net.iter_links()) == []
+        top_a.send_down(Message(b"x"))
+        assert phy_a._link is net.link("a", "b")
+        top_a.send_down(Message(b"y"))
+        sim.run(until=1.0)
+        assert list(net.iter_links()) == [phy_a._link]
+        assert phy_a._link.stats_sent == 2
+
+    def test_a_reconfigure_mid_stream_is_seen_through_it(self):
+        sim, net, (top_a, _), (top_b, _) = make_link(delay=0.001)
+        got = []
+        top_b.bus.bind("FromBelow", lambda m: got.append(sim.now))
+        top_a.send_down(Message(b""))
+        sim.run(until=1.0)
+        net.link("a", "b").reconfigure(netem=Netem(delay=0.25))
+        top_a.send_down(Message(b""))
+        sim.run(until=2.0)
+        first, second = (t - sent for t, sent in zip(got, (0.0, 1.0)))
+        assert second - first == pytest.approx(0.249)
+
+    def test_a_lossy_link_drops_what_the_networks_own_lookup_drops(self):
+        """The held link draws the same RNG stream as a link looked up
+        per packet (``Network.send``): same packets lost."""
+        def survivors(through_endpoint):
+            sim = Simulator()
+            net = Network(sim, seed=3, intra_netem=Netem(delay=0.001,
+                                                         loss=0.3))
+            a, b = net.add_node("a"), net.add_node("b")
+            got = []
+            if through_endpoint:
+                phy_a = PhysicalProtocol(sim, net, a, "b", 7, ETHERNET)
+                phy_b = PhysicalProtocol(sim, net, b, "a", 7, ETHERNET)
+                top_a, top_b = (CompositeProtocol(sim, f"top-{n}")
+                                for n in "ab")
+                ProtocolStack([top_a, phy_a])
+                ProtocolStack([top_b, phy_b])
+                top_b.bus.bind("FromBelow", lambda m: got.append(m.payload))
+                for i in range(40):
+                    top_a.send_down(Message(i))
+            else:
+                b.attach(7, lambda pkt: got.append(pkt.payload[1]))
+                for i in range(40):
+                    net.send("a", "b", ((), i), 8, port=7)
+            sim.run(until=1.0)
+            return got
+
+        kept = survivors(True)
+        assert 0 < len(kept) < 40
+        assert kept == survivors(False)

@@ -527,6 +527,43 @@ class TestControlLinkRetries:
         assert got == [{"x": 1}]
         assert la.stats_retries == 3 and not la._unacked["b"]
 
+    def test_messages_in_flight_to_one_peer_share_its_timer(self):
+        """Each message keeps its own backoff schedule while they share
+        the destination's one timer: a later message's shorter deadline
+        takes the timer over, and the earlier message's retry still goes
+        out at its own time."""
+        sim, net, la, got = self.pair()
+        link = net.link("a", "b")
+        sent, transmit = {0: [], 1: []}, link.transmit
+        losses = {0: 4, 1: 1}  # first transmissions lost, per message
+
+        def lossy(packet):
+            seq = packet.payload["seq"]
+            sent[seq].append(sim.now)
+            if len(sent[seq]) > losses[seq]:
+                transmit(packet)
+
+        link.transmit = lossy
+        la.send("b", {"i": 0})
+
+        def later():
+            yield sim.timeout(1.0)
+            la.send("b", {"i": 1})
+
+        sim.spawn(later())
+        sim.run()
+
+        def schedule(start, tries):
+            times = [start]
+            for attempt in range(tries - 1):
+                times.append(times[-1] + self.RTO * 1.5 ** min(attempt, 8))
+            return times
+
+        assert sent == {0: schedule(0.0, 5), 1: schedule(1.0, 2)}
+        assert sorted(m["i"] for m in got) == [0, 1]
+        assert la.stats_retries == 5 and not la._unacked["b"]
+        assert la._armed["b"] is None and not sim._queue
+
     def test_backoff_is_capped_and_the_sender_gives_up_after_max_tries(self):
         sim, net, la, got = self.pair()
         net.nodes["b"].fail()
@@ -555,6 +592,8 @@ class TestControlLinkRetries:
         la.send("b", {"x": 1})
         assert sim._n_live_processes == 0
         sim.run()
-        # The first attempt, its arrival, the ACK's arrival and the RTO
-        # timeout that finds it acknowledged: no process boot or end.
-        assert got == [{"x": 1}] and sim.events_processed == 4
+        # The first attempt, its arrival and the ACK's arrival: no
+        # process boot or end, and the ACK took the armed RTO timer off
+        # the queue (it would have found the message acknowledged).
+        assert got == [{"x": 1}] and sim.events_processed == 3
+        assert la._armed["b"] is None and not sim._queue
