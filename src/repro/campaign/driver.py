@@ -68,8 +68,15 @@ def cache_spec(cache) -> Optional[dict]:
     }
 
 
-def _worker_main(conn, index: int, spec: Optional[dict]) -> None:
-    """Driver body: build a private context, serve branches until close."""
+def _worker_main(conn, index: int, spec: Optional[dict],
+                 inherited) -> None:
+    """Driver body: build a private context, serve branches until close.
+
+    ``inherited`` are the pool's handles a forked worker got copies of;
+    it closes them before anything else, so only the owner holds the
+    other end of ``conn`` and the owner's death is EOF here."""
+    for handle in inherited:
+        handle.close()
     # Imported here, not at module top: under spawn/forkserver the
     # worker imports this module fresh, and the engine import would drag
     # the whole solver stack into *every* interpreter that merely
@@ -180,11 +187,21 @@ class DriverPool:
             raise
 
     def _spawn(self, w: int):
-        """Start a worker process for slot ``w``: ``(pipe end, process)``."""
+        """Start a worker process for slot ``w``: ``(pipe end, process)``.
+
+        A forked worker closes its copies of this pool's handles (its own
+        parent end, the wake pair, the other workers' pipes) before it
+        reports ready, so it sees EOF, and exits, once its owner is gone.
+        Workers are daemonic: an owner that exits without :meth:`close`
+        has multiprocessing's exit hook terminate them instead of
+        joining a worker blocked on its pipe."""
         parent, child = self._ctx.Pipe()
+        inherited = ((parent, self._wake_r, self._wake_w, *self._conns)
+                     if self._ctx.get_start_method() == "fork" else ())
         proc = self._ctx.Process(
-            target=_worker_main, args=(child, w, self._cache_spec),
-            name=f"repro-campaign-driver-{w}",
+            target=_worker_main,
+            args=(child, w, self._cache_spec, inherited),
+            name=f"repro-campaign-driver-{w}", daemon=True,
         )
         proc.start()
         child.close()

@@ -7,12 +7,18 @@ outside the DES:
 :class:`TraceRecorder` / :func:`record_schedule`
     record the (peer, iteration, ghost-exchange) schedule of a solve;
 
-:func:`replay_trace`
-    re-run a recorded schedule against per-peer
-    :class:`~repro.solvers.halo.BlockState` objects, bit for bit;
+:class:`Replay`
+    the one executor: per-peer
+    :class:`~repro.solvers.halo.BlockState` s driven by schedule
+    events, from a trace's snapshots or (:meth:`Replay.cold`) the
+    feasible start, with the sup-norm error envelope and the gathered
+    iterate;
 
-:class:`ScheduleHarness` / :func:`random_schedule`
-    drive the same states through synthetic schedules to check the
+:func:`replay_trace`
+    run a recorded schedule through a :class:`Replay`, bit for bit;
+
+:func:`random_schedule`
+    synthetic schedules, valid by construction, to check the
     order-independent invariants of the asynchronous iteration;
 
 :func:`save_trace` / :func:`load_trace`
@@ -20,7 +26,7 @@ outside the DES:
 """
 
 from .trace import (
-    ScheduleHarness,
+    Replay,
     ScheduleTrace,
     TraceRecorder,
     assert_traces_equal,
@@ -32,7 +38,7 @@ from .trace import (
 from .trace_io import load_trace, save_trace
 
 __all__ = [
-    "ScheduleHarness",
+    "Replay",
     "ScheduleTrace",
     "TraceRecorder",
     "assert_traces_equal",

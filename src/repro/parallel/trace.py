@@ -14,22 +14,27 @@ provides that layer:
     event sequence in driver order (which *is* the DES order; the kernel
     is deterministic).
 
-:func:`replay_trace`
-    re-execute a recorded schedule directly against per-peer
-    :class:`~repro.solvers.halo.BlockState` objects, asserting nothing
-    itself but returning every per-sweep diff (and optionally every
-    post-sweep iterate) so tests can compare replay against recording,
-    bit for bit.
+:class:`Replay`
+    the one schedule executor: per-peer
+    :class:`~repro.solvers.halo.BlockState` s driven event by event,
+    seeded from a trace's snapshots or (:meth:`Replay.cold`) from the
+    feasible start, with the sup-norm error envelope
+    (:meth:`Replay.error`) and the assembled iterate
+    (:meth:`Replay.gather`);
 
-:class:`ScheduleHarness` / :func:`random_schedule`
-    the schedule-fuzz layer: drive the same per-peer states through
-    *synthetic* schedules — arbitrary interleavings of split-phase
-    sweeps and boundary exchanges, valid by construction — to check the
-    invariants that must hold under **any** ordering (the asynchronous
-    convergence theory of the paper's eq. (5)): the sup-norm error
-    envelope never grows, convergence is reached from any schedule
-    prefix, and the split-phase state machine neither deadlocks nor
-    permits a consistency-violating access (those raise instead).
+:func:`replay_trace`
+    re-execute a recorded schedule, returning every per-sweep diff so
+    tests can compare replay against recording, bit for bit;
+
+:func:`random_schedule`
+    the schedule fuzz: *synthetic* schedules — arbitrary interleavings
+    of split-phase sweeps and live boundary exchanges, valid by
+    construction — to check the invariants that must hold under
+    **any** ordering (the asynchronous convergence theory of the
+    paper's eq. (5)): the sup-norm error envelope never grows,
+    convergence is reached from any schedule prefix, and the
+    split-phase state machine neither deadlocks nor permits a
+    consistency-violating access (those raise instead).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import random
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +53,10 @@ __all__ = [
     "TraceRecorder",
     "record_schedule",
     "active_recorder",
+    "Replay",
     "replay_trace",
-    "ReplayResult",
     "traces_equal",
     "assert_traces_equal",
-    "ScheduleHarness",
     "random_schedule",
 ]
 
@@ -75,7 +79,10 @@ class TraceEvent:
       checkpoint: ``state`` holds the restored block and ghost planes,
       ``iteration`` the resumed sweep counter.  Replay aborts whatever
       the rank had in flight and installs the restored state, exactly
-      as the live crash path does.
+      as the live crash path does;
+    - ``"xchg"`` — synthetic schedules only (:func:`random_schedule`):
+      the adjacent peer's live boundary plane is copied into ``rank``'s
+      ``side`` ghost.
     """
 
     kind: str
@@ -112,11 +119,6 @@ class ScheduleTrace:
     @property
     def n_sweeps(self) -> int:
         return sum(1 for ev in self.events if ev.kind == "end")
-
-    def ranges(self) -> list[tuple[int, int]]:
-        """The plane partition, ascending."""
-        return [(p.lo, p.hi)
-                for p in sorted(self.peers.values(), key=lambda p: p.lo)]
 
 
 def _plane_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
@@ -302,304 +304,234 @@ def record_schedule():
 # -- replay --------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class ReplayResult:
-    """What a replay produced, aligned with the trace's "end" events."""
+def _set_ghost(st, side: str, plane: np.ndarray) -> None:
+    if side == "below":
+        st.update_ghost_below(plane)
+    else:
+        st.update_ghost_above(plane)
 
-    #: (rank, iteration, diff) per collected sweep, in schedule order.
-    diffs: list[tuple[int, int, float]]
-    #: Final per-peer blocks (private copies).
-    blocks: dict[int, np.ndarray]
-    #: Post-sweep iterate copies, one per "end" event (only when the
-    #: replay ran with ``capture_iterates=True``).
-    iterates: Optional[list[np.ndarray]] = None
 
-    def gather(self, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-        """Assemble the full iterate from the per-peer blocks."""
-        n = max(hi for _lo, hi in ranges)
-        some = next(iter(self.blocks.values()))
-        u = np.empty((n, some.shape[1], some.shape[2]), dtype=some.dtype)
-        for rank, (lo, hi) in enumerate(sorted(ranges)):
-            u[lo:hi] = self.blocks[rank]
+def _install(st, block: np.ndarray, ghost_below: Optional[np.ndarray],
+             ghost_above: Optional[np.ndarray]) -> None:
+    """Seed ``st`` with a snapshot; a ghost of None keeps its start."""
+    st.warm_start(block)
+    if st.ghost_below is not None and ghost_below is not None:
+        st.update_ghost_below(ghost_below)
+    if st.ghost_above is not None and ghost_above is not None:
+        st.update_ghost_above(ghost_above)
+
+
+class Replay:
+    """Per-peer :class:`~repro.solvers.halo.BlockState` s driven by
+    :class:`TraceEvent` s: the one executor of recorded and synthetic
+    schedules.
+
+    ``Replay(trace)`` seeds the states from the trace's solve metadata
+    and peer snapshots; :meth:`cold` starts them from the problem's
+    feasible start instead, as a cold solve does.  :meth:`apply` runs
+    one event:
+
+    - "begin" dispatches the peer's split-phase sweep; "end" collects
+      it, returns its diff and appends ``(rank, iteration, diff)`` to
+      :attr:`diffs`;
+    - "ghost" installs the recorded plane bytes, so staleness — a
+      delayed u^{ρ(p)} — is reproduced exactly, whatever the
+      neighbours hold now;
+    - "xchg" copies the adjacent peer's *live* boundary plane into the
+      ``side`` ghost: zero latency, but at whatever schedule position
+      the fuzz put it, which is the arbitrary staleness the
+      asynchronous model allows;
+    - "restore" (crash recovery) aborts the rank's in-flight sweep, if
+      any, and installs the checkpointed block and ghosts — the abort
+      ends post-rotation, so later sweeps match the live path's fresh
+      post-crash state;
+    - "stop" is metadata only.
+
+    A malformed schedule (double begin, end without begin, a ghost
+    write into or a boundary read from an in-flight peer) raises
+    through the BlockState consistency guards — the same errors a buggy
+    live driver would hit.
+    """
+
+    def __init__(self, trace: ScheduleTrace):
+        from ..solvers.distributed_richardson import get_problem
+        from ..solvers.halo import BlockState
+
+        solve = trace.solve
+        problem = get_problem(solve["problem"], solve["n"])
+        self.n = solve["n"]
+        #: (rank, iteration, diff) per collected sweep, in schedule order.
+        self.diffs: list[tuple[int, int, float]] = []
+        self.states = {}
+        try:
+            for snap in sorted(trace.peers.values(), key=lambda p: p.lo):
+                st = self.states[snap.rank] = BlockState(
+                    problem=problem, lo=snap.lo, hi=snap.hi,
+                    delta=solve["delta"], dtype=solve["dtype"],
+                    local_sweep=solve.get("local_sweep", "gauss_seidel"),
+                )
+                _install(st, snap.block, snap.ghost_below, snap.ghost_above)
+        except BaseException:
+            self.close()
+            raise
+        # The peer across each side's plane boundary, for "xchg".
+        self._neighbour = {}
+        rank_at = {st.lo: rank for rank, st in self.states.items()}
+        for rank, st in self.states.items():
+            above = rank_at.get(st.hi)
+            if above is not None:
+                self._neighbour[rank, "above"] = self.states[above]
+                self._neighbour[above, "below"] = st
+
+    @classmethod
+    def cold(cls, problem_kind: str, n: int,
+             ranges: Sequence[tuple[int, int]],
+             delta: Optional[float] = None, dtype=None,
+             local_sweep: str = "gauss_seidel") -> "Replay":
+        """States at the feasible start, rank ``k`` owning
+        ``ranges[k]``: where a cold solve starts, and what the schedule
+        fuzz drives (``delta`` defaults to the Jacobi step)."""
+        from ..numerics.tolerances import resolve_dtype
+        from ..solvers.distributed_richardson import get_problem
+
+        problem = get_problem(problem_kind, n)
+        if delta is None:
+            delta = problem.jacobi_delta()
+        u0 = problem.feasible_start().astype(resolve_dtype(dtype))
+        return cls(ScheduleTrace(
+            solve={"problem": problem_kind, "n": n, "delta": delta,
+                   "dtype": dtype, "local_sweep": local_sweep},
+            peers={k: PeerSnapshot(rank=k, lo=lo, hi=hi, block=u0[lo:hi],
+                                   ghost_below=None, ghost_above=None)
+                   for k, (lo, hi) in enumerate(ranges)},
+        ))
+
+    def apply(self, ev: TraceEvent) -> Optional[float]:
+        """Run one event; an "end" returns its sweep's diff."""
+        st = self.states[ev.rank]
+        if ev.kind == "begin":
+            st.begin_sweep()
+        elif ev.kind == "end":
+            diff = st.finish_sweep()
+            self.diffs.append((ev.rank, ev.iteration, diff))
+            return diff
+        elif ev.kind == "ghost":
+            _set_ghost(st, ev.side, ev.plane)
+        elif ev.kind == "xchg":
+            src = self._neighbour.get((ev.rank, ev.side))
+            if src is None:
+                raise ValueError(
+                    f"peer {ev.rank} has no neighbour {ev.side!r}")
+            _set_ghost(st, ev.side, src.last_plane if ev.side == "below"
+                       else src.first_plane)
+        elif ev.kind == "restore":
+            st.abort_sweep()
+            _install(st, ev.state["block"], ev.state.get("ghost_below"),
+                     ev.state.get("ghost_above"))
+        elif ev.kind != "stop":
+            raise ValueError(f"unknown trace event kind {ev.kind!r}")
+        return None
+
+    def error(self, reference: np.ndarray,
+              rank: Optional[int] = None) -> float:
+        """Sup-norm distance to ``reference``, in float64, over every
+        value a future sweep may read — owned block *and* ghost planes —
+        of peer ``rank``, or of every peer.
+
+        The asynchronous iteration theory (eq. (5)) says a sweep maps
+        values inside this envelope to values inside it (the operator
+        is sup-norm non-expansive), so no sweep may grow it, under any
+        schedule."""
+        worst = 0.0
+        for st in (self.states.values() if rank is None
+                   else (self.states[rank],)):
+            worst = max(worst, float(np.max(np.abs(
+                np.asarray(st.block, dtype=np.float64)
+                - reference[st.lo:st.hi]))))
+            if st.ghost_below is not None:
+                worst = max(worst, float(np.max(np.abs(
+                    np.asarray(st.ghost_below, dtype=np.float64)
+                    - reference[st.lo - 1]))))
+            if st.ghost_above is not None:
+                worst = max(worst, float(np.max(np.abs(
+                    np.asarray(st.ghost_above, dtype=np.float64)
+                    - reference[st.hi]))))
+        return worst
+
+    def gather(self) -> np.ndarray:
+        """The full iterate, assembled from the per-peer blocks."""
+        some = next(iter(self.states.values()))
+        u = np.empty((self.n, self.n, self.n), dtype=some.dtype)
+        for st in self.states.values():
+            u[st.lo:st.hi] = st.export_block()
         return u
 
-
-def _build_states(problem_kind: str, n: int,
-                  peers: Iterable[PeerSnapshot], delta: float,
-                  dtype, local_sweep: str):
-    """Per-peer BlockStates, seeded from the snapshots."""
-    from ..solvers.distributed_richardson import get_problem
-    from ..solvers.halo import BlockState
-
-    peers = sorted(peers, key=lambda p: p.lo)
-    problem = get_problem(problem_kind, n)
-    states = {}
-    try:
-        for snap in peers:
-            st = BlockState(
-                problem=problem, lo=snap.lo, hi=snap.hi, delta=delta,
-                dtype=dtype, local_sweep=local_sweep,
-            )
-            st.warm_start(snap.block)
-            if st.ghost_below is not None and snap.ghost_below is not None:
-                st.update_ghost_below(snap.ghost_below)
-            if st.ghost_above is not None and snap.ghost_above is not None:
-                st.update_ghost_above(snap.ghost_above)
-            states[snap.rank] = st
-    except BaseException:
-        for st in states.values():
+    def close(self) -> None:
+        """Join any sweep still in flight (its iterate stays in the
+        block) and drop the sweep workspaces; the blocks stay valid."""
+        for st in self.states.values():
             st.release()
-        raise
-    return states
+
+    def __enter__(self) -> "Replay":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
-def replay_trace(trace: ScheduleTrace, capture_iterates: bool = False,
-                 on_event=None) -> ReplayResult:
-    """Re-execute a recorded schedule.
+def replay_trace(trace: ScheduleTrace) -> Replay:
+    """Re-execute a recorded schedule; returns the closed :class:`Replay`,
+    whose :attr:`~Replay.diffs` and :meth:`~Replay.gather` tests compare
+    with the recording, bit for bit.
 
-    Walks the event list exactly as recorded: "begin" dispatches the
-    peer's split-phase sweep, "end" collects it, "ghost" installs the
-    recorded plane bytes (so staleness — a delayed u^{ρ(p)} — is
-    reproduced exactly, independent of what the replay's neighbours
-    hold).  The per-sweep diffs, and with ``capture_iterates=True``
-    every post-sweep block, come back for bit-level comparison against
-    the recording.
-
-    "restore" events (crash recovery) abort the rank's in-flight sweep,
-    if any, and install the checkpointed block/ghosts — the abort ends
-    post-rotation, so the subsequent sweeps are equivalent to the live
-    path's fresh post-crash BlockState.
-
-    ``on_event(event, states)``, when given, is called after each event
-    is applied, with the live per-rank BlockState map — the invariant
-    walkers (e.g. the scenario error-envelope check) hook in here.
-
-    A malformed trace (double begin, end without begin, a ghost write
-    into an in-flight peer) raises through the BlockState consistency
-    guards — the same errors a buggy live driver would hit.
+    A live abort (crash, churn) may interrupt a sweep between its
+    recorded "begin" and "end"; that sweep never landed, and closing
+    the replay joins it just as the live teardown does.
     """
-    solve = trace.solve
-    states = _build_states(
-        solve["problem"], solve["n"], trace.peers.values(),
-        delta=solve["delta"], dtype=solve["dtype"],
-        local_sweep=solve.get("local_sweep", "gauss_seidel"),
-    )
-    diffs: list[tuple[int, int, float]] = []
-    iterates: Optional[list[np.ndarray]] = [] if capture_iterates else None
-    try:
+    with Replay(trace) as replay:
         for ev in trace.events:
-            if ev.kind == "begin":
-                states[ev.rank].begin_sweep()
-            elif ev.kind == "end":
-                diff = states[ev.rank].finish_sweep()
-                diffs.append((ev.rank, ev.iteration, diff))
-                if iterates is not None:
-                    iterates.append(np.array(states[ev.rank].block,
-                                             copy=True))
-            elif ev.kind == "ghost":
-                st = states[ev.rank]
-                if ev.side == "below":
-                    st.update_ghost_below(ev.plane)
-                else:
-                    st.update_ghost_above(ev.plane)
-            elif ev.kind == "restore":
-                st = states[ev.rank]
-                st.abort_sweep()
-                st.warm_start(ev.state["block"])
-                if st.ghost_below is not None \
-                        and ev.state.get("ghost_below") is not None:
-                    st.update_ghost_below(ev.state["ghost_below"])
-                if st.ghost_above is not None \
-                        and ev.state.get("ghost_above") is not None:
-                    st.update_ghost_above(ev.state["ghost_above"])
-            elif ev.kind != "stop":
-                raise ValueError(f"unknown trace event kind {ev.kind!r}")
-            if on_event is not None:
-                on_event(ev, states)
-        # A live abort (crash, churn) may interrupt a sweep between its
-        # recorded "begin" and "end" — that sweep never landed, so drop
-        # any dangling in-flight work just as the live teardown does.
-        for st in states.values():
-            st.abort_sweep()
-        blocks = {rank: np.array(st.export_block(), copy=True)
-                  for rank, st in states.items()}
-    finally:
-        for st in states.values():
-            st.release()
-    return ReplayResult(diffs=diffs, blocks=blocks, iterates=iterates)
+            replay.apply(ev)
+    return replay
 
 
 # -- schedule fuzzing -----------------------------------------------------------
 
 
 def random_schedule(seed: int, n_peers: int, n_ops: int = 60,
-                    p_exchange: float = 0.4) -> list[tuple]:
-    """A random *valid* split-phase schedule over ``n_peers`` peers.
+                    p_exchange: float = 0.4) -> list[TraceEvent]:
+    """A random *valid* split-phase schedule over ``n_peers`` peers, for
+    :meth:`Replay.cold` states (rank ``k`` owns the ``k``-th range).
 
-    Ops are ``("begin", p)``, ``("end", p)`` and ``("xchg", src, dst)``
-    (copy ``src``'s boundary plane facing ``dst`` into ``dst``'s
-    ghost).  Validity is by construction: a peer begins only when idle,
-    ends only when in flight, and no exchange reads or writes a peer
-    whose sweep is in flight — the consistency rules the state machine
-    enforces.  Every in-flight sweep is closed at the end, so the
-    schedule leaves every peer idle.
+    Events are "begin", "end" and "xchg".  Validity is by
+    construction: a peer begins only when idle, ends only when in
+    flight, and no exchange reads or writes a peer whose sweep is in
+    flight — the consistency rules the state machine enforces.  Every
+    in-flight sweep is closed at the end, so the schedule leaves every
+    peer idle.
     """
     rng = random.Random(seed)
+    sweeps = [0] * n_peers
     in_flight: set[int] = set()
-    ops: list[tuple] = []
+    events: list[TraceEvent] = []
     for _ in range(n_ops):
         exchanges = [
-            ("xchg", src, dst)
+            TraceEvent("xchg", dst, 0,
+                       side="below" if dst == src + 1 else "above")
             for src in range(n_peers)
             for dst in (src - 1, src + 1)
             if 0 <= dst < n_peers
             and src not in in_flight and dst not in in_flight
         ]
-        sweeps = [("end", p) if p in in_flight else ("begin", p)
-                  for p in range(n_peers)]
         if exchanges and rng.random() < p_exchange:
-            op = rng.choice(exchanges)
+            events.append(rng.choice(exchanges))
+            continue
+        p = rng.choice(range(n_peers))
+        if p in in_flight:
+            in_flight.discard(p)
+            events.append(TraceEvent("end", p, sweeps[p]))
         else:
-            op = rng.choice(sweeps)
-        ops.append(op)
-        if op[0] == "begin":
-            in_flight.add(op[1])
-        elif op[0] == "end":
-            in_flight.discard(op[1])
-    ops.extend(("end", p) for p in sorted(in_flight))
-    return ops
-
-
-class ScheduleHarness:
-    """Execute explicit split-phase schedules outside the DES.
-
-    The direct-drive counterpart of a recorded replay: per-peer
-    :class:`BlockState` s, driven op by op, with the
-    blocks, ghosts, and per-peer diff history exposed so tests can
-    check order-independent invariants (error-envelope monotonicity,
-    genuine convergence) against a reference solution.  Exchanges here
-    read the *live* neighbour boundary — zero-latency, but at whatever
-    schedule position the fuzz put them, which is exactly the arbitrary
-    staleness the asynchronous model allows.
-    """
-
-    def __init__(self, problem_kind: str, n: int,
-                 ranges: Sequence[tuple[int, int]],
-                 delta: Optional[float] = None, dtype=None,
-                 local_sweep: str = "gauss_seidel"):
-        from ..solvers.distributed_richardson import get_problem
-
-        problem = get_problem(problem_kind, n)
-        if delta is None:
-            delta = problem.jacobi_delta()
-        self.n = n
-        self.ranges = [tuple(r) for r in ranges]
-        # _build_states seeds blocks from the snapshots; ghosts of None
-        # are left at the BlockState default (the feasible start), which
-        # is what a cold solver run starts from too.
-        from ..numerics.tolerances import resolve_dtype
-
-        u0 = problem.feasible_start().astype(resolve_dtype(dtype))
-        peers = [
-            PeerSnapshot(
-                rank=k, lo=lo, hi=hi, block=u0[lo:hi],
-                ghost_below=None, ghost_above=None,
-            )
-            for k, (lo, hi) in enumerate(self.ranges)
-        ]
-        self.states = _build_states(
-            problem_kind, n, peers, delta=delta, dtype=dtype,
-            local_sweep=local_sweep,
-        )
-        self.n_peers = len(self.states)
-        self.diffs: dict[int, list[float]] = {p: [] for p in self.states}
-
-    # -- op execution ------------------------------------------------------------
-
-    def apply(self, op: tuple) -> Optional[float]:
-        """Execute one schedule op; "end" ops return the diff."""
-        kind = op[0]
-        if kind == "begin":
-            self.states[op[1]].begin_sweep()
-            return None
-        if kind == "end":
-            diff = self.states[op[1]].finish_sweep()
-            self.diffs[op[1]].append(diff)
-            return diff
-        if kind == "xchg":
-            _tag, src, dst = op
-            if dst == src + 1:
-                self.states[dst].update_ghost_below(
-                    self.states[src].last_plane)
-            elif dst == src - 1:
-                self.states[dst].update_ghost_above(
-                    self.states[src].first_plane)
-            else:
-                raise ValueError(f"peers {src} and {dst} are not adjacent")
-            return None
-        raise ValueError(f"unknown schedule op {op!r}")
-
-    def run(self, ops: Iterable[tuple]) -> "ScheduleHarness":
-        for op in ops:
-            self.apply(op)
-        return self
-
-    def sweep_round(self) -> float:
-        """One fresh-exchange synchronous round; returns the max diff.
-        The cleanup/termination probe of the fuzz suite."""
-        for src in range(self.n_peers - 1):
-            self.apply(("xchg", src, src + 1))
-            self.apply(("xchg", src + 1, src))
-        worst = 0.0
-        for p in range(self.n_peers):
-            self.apply(("begin", p))
-        for p in range(self.n_peers):
-            worst = max(worst, self.apply(("end", p)))
-        return worst
-
-    # -- state inspection --------------------------------------------------------
-
-    def block(self, rank: int) -> np.ndarray:
-        return np.asarray(self.states[rank].block)
-
-    def gather(self) -> np.ndarray:
-        some = self.block(0)
-        u = np.empty((self.n, self.n, self.n), dtype=some.dtype)
-        for rank, (lo, hi) in enumerate(self.ranges):
-            u[lo:hi] = self.block(rank)
-        return u
-
-    def error_envelope(self, reference: np.ndarray) -> float:
-        """max sup-norm distance to ``reference`` over every value any
-        future sweep may read: owned blocks *and* ghost planes.  The
-        asynchronous iteration theory says a sweep maps values inside
-        the envelope to values inside the envelope (the operator is
-        sup-norm non-expansive), so this must never grow — under any
-        schedule."""
-        worst = 0.0
-        for rank, (lo, hi) in enumerate(self.ranges):
-            st = self.states[rank]
-            worst = max(worst, float(
-                np.max(np.abs(np.asarray(st.block)
-                              - reference[lo:hi].astype(st.dtype)))))
-            if st.ghost_below is not None:
-                worst = max(worst, float(
-                    np.max(np.abs(st.ghost_below
-                                  - reference[lo - 1].astype(st.dtype)))))
-            if st.ghost_above is not None:
-                worst = max(worst, float(
-                    np.max(np.abs(st.ghost_above
-                                  - reference[hi].astype(st.dtype)))))
-        return worst
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        for st in self.states.values():
-            st.release()
-
-    def __enter__(self) -> "ScheduleHarness":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+            in_flight.add(p)
+            sweeps[p] += 1
+            events.append(TraceEvent("begin", p, sweeps[p]))
+    events.extend(TraceEvent("end", p, sweeps[p]) for p in sorted(in_flight))
+    return events

@@ -7,7 +7,10 @@ seed — schedules peer crashes and checkpoint-recovered restarts, churn
 heterogeneous compute rates against a real solve on the simulated
 testbed; :func:`run_scenario` executes it and asserts the standing
 invariants (no deadlock, verified and non-false STOP, envelope
-monotonicity between fault epochs, baseline-matching tolerance).
+monotonicity between fault epochs, baseline-matching tolerance).  The
+envelope check walks each epoch's recorded schedule through
+:class:`~repro.parallel.Replay`, the executor the schedule fuzz drives
+too, and reads its error envelope from :meth:`~repro.parallel.Replay.error`.
 
 CLI: ``python -m repro.experiments scenario --seed N``.
 """

@@ -17,7 +17,8 @@ tolerance match
     fault-free baseline's — crashes and churn may not degrade the
     answer's quality.
 error-envelope monotonicity between fault epochs
-    replaying the recorded schedule, the sup-norm distance to the true
+    replaying the recorded schedule through
+    :class:`~repro.parallel.Replay`, the sup-norm distance to the true
     solution over everything a future sweep may read (blocks *and*
     ghosts) never grows at a sweep: sweeps are non-expansive, so only
     *fault* events (a restore to an older checkpoint, a stale ghost
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numerics.richardson import projected_richardson
-from ..parallel.trace import ScheduleTrace, replay_trace
+from ..parallel.trace import Replay, ScheduleTrace
 from ..resources import default_context
 from ..solvers.distributed_richardson import get_problem
 
@@ -88,20 +89,6 @@ def reference_solution(problem_kind: str, n: int) -> np.ndarray:
     return ref
 
 
-def _rank_errors(st, ref: np.ndarray) -> float:
-    """Sup-norm distance to the reference over everything the peer holds
-    (``st`` is a live BlockState or a PeerSnapshot — same attributes)."""
-    worst = float(np.max(np.abs(
-        np.asarray(st.block, dtype=np.float64) - ref[st.lo:st.hi])))
-    if st.ghost_below is not None:
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(st.ghost_below, dtype=np.float64) - ref[st.lo - 1]))))
-    if st.ghost_above is not None:
-        worst = max(worst, float(np.max(np.abs(
-            np.asarray(st.ghost_above, dtype=np.float64) - ref[st.hi]))))
-    return worst
-
-
 def check_error_envelope(
     trace: ScheduleTrace,
     violations: list[str],
@@ -115,35 +102,30 @@ def check_error_envelope(
     a systematically broken run doesn't flood the report).
     """
     ref = reference_solution(trace.solve["problem"], trace.solve["n"])
-    per_rank: dict[int, float] = {
-        rank: _rank_errors(snap, ref) for rank, snap in trace.peers.items()
-    }
     checked = 0
     flagged = 0
-
-    def envelope() -> float:
-        return max(per_rank.values()) if per_rank else 0.0
-
-    def on_event(ev, states) -> None:
-        nonlocal checked, flagged
-        if ev.kind == "end":
-            before = envelope()
-            per_rank[ev.rank] = _rank_errors(states[ev.rank], ref)
-            after = envelope()
-            checked += 1
-            if after > before + eps and flagged < 3:
-                flagged += 1
-                violations.append(
-                    f"{label}envelope grew at sweep (rank {ev.rank}, "
-                    f"it {ev.iteration}): {before:.3e} -> {after:.3e}"
-                )
-        elif ev.kind in ("ghost", "restore"):
-            # Fault/staleness events legitimately re-base the envelope
-            # (a restored block is older; a delayed plane carries an
-            # earlier epoch's error) — recompute, don't check.
-            per_rank[ev.rank] = _rank_errors(states[ev.rank], ref)
-
-    replay_trace(trace, on_event=on_event)
+    with Replay(trace) as replay:
+        # Per rank, so an event recomputes only the rank it touched.
+        per_rank = {rank: replay.error(ref, rank) for rank in replay.states}
+        for ev in trace.events:
+            replay.apply(ev)
+            if ev.kind == "end":
+                before = max(per_rank.values())
+                per_rank[ev.rank] = replay.error(ref, ev.rank)
+                after = max(per_rank.values())
+                checked += 1
+                if after > before + eps and flagged < 3:
+                    flagged += 1
+                    violations.append(
+                        f"{label}envelope grew at sweep (rank {ev.rank}, "
+                        f"it {ev.iteration}): {before:.3e} -> {after:.3e}"
+                    )
+            elif ev.kind in ("ghost", "restore"):
+                # Fault/staleness events legitimately re-base the
+                # envelope (a restored block is older; a delayed plane
+                # carries an earlier epoch's error) — recompute, don't
+                # check.
+                per_rank[ev.rank] = replay.error(ref, ev.rank)
     return checked
 
 

@@ -12,8 +12,7 @@ topology
 """
 
 from .kernel import (
-    AllOf,
-    AnyOf,
+    AllOfOr,
     Channel,
     DeadlockError,
     Event,
@@ -33,7 +32,7 @@ from .topology import (
 )
 
 __all__ = [
-    "AllOf", "AnyOf", "Channel", "DeadlockError", "Event", "Interrupt",
+    "AllOfOr", "Channel", "DeadlockError", "Event", "Interrupt",
     "Process", "SimulationError", "Simulator", "Timeout",
     "Link", "Netem", "Network", "NetworkError", "NoRouteError", "Node", "Packet",
     "NICTA_SPEC", "TestbedSpec", "heterogeneous_testbed", "nicta_testbed",

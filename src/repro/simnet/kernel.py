@@ -29,7 +29,10 @@ style of SimPy:
 A process is any generator that yields :class:`Event` instances.  The
 kernel resumes the process when the yielded event fires, sending the event
 value back into the generator.  Processes are themselves events (they fire
-when the generator returns), so processes can wait on each other.
+when the generator returns), so processes can wait on each other.  The one
+composite wait is :class:`AllOfOr` — all of a set of events, or an
+alternative event first — and it fires with ``None``: a waiter reads what
+it needs from the constituent events themselves.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ __all__ = [
     "SimulationError",
     "DeadlockError",
     "Simulator",
-    "AnyOf",
-    "AllOf",
     "AllOfOr",
 ]
 
@@ -312,12 +313,22 @@ class Process(Event):
             return
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite wait conditions."""
+class AllOfOr(Event):
+    """The kernel's one composite wait: fires with ``None`` once all of
+    ``events`` have fired, or as soon as ``alt`` does, and fails with
+    the first failure among them.  :attr:`all_fired` keeps counting
+    after it fired, so a waiter ``alt`` woke still sees an ``events``
+    set that completed before it resumed.  (The solver's exchange wait:
+    its neighbour planes, or the next environment message.)
+
+    Only events whose callbacks have run count as fired: a
+    :class:`Timeout` is *triggered* the moment it is created, but it has
+    not yet happened on the timeline.  An event already processed when
+    the condition is built counts at once."""
 
     __slots__ = ("events", "_n_fired")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+    def __init__(self, sim: "Simulator", events: Iterable[Event], alt: Event):
         super().__init__(sim)
         self.events = tuple(events)
         for ev in self.events:
@@ -325,23 +336,27 @@ class _Condition(Event):
                 raise SimulationError("cannot mix events from different simulators")
         self._n_fired = 0
         if not self.events:
-            self.succeed(self._collect())
-            return
+            self.succeed()
         for ev in self.events:
             if ev.callbacks is None:
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
+        if alt.callbacks is None:
+            self._fire(alt)
+        else:
+            alt.callbacks.append(self._fire)
 
-    def _collect(self) -> dict:
-        # Only events whose callbacks have run count as "fired" here: a
-        # Timeout is *triggered* the moment it is created, but it has not
-        # yet happened on the timeline.
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev.callbacks is None and ev._ok
-        }
+    @property
+    def all_fired(self) -> bool:
+        return self._n_fired == len(self.events)
+
+    def _check(self, event: Event) -> None:
+        if event._ok:
+            self._n_fired += 1
+            if self._n_fired < len(self.events):
+                return
+        self._fire(event)
 
     def _fire(self, event: Event) -> None:
         """Fire now, on ``event``'s outcome, unless already triggered."""
@@ -351,52 +366,7 @@ class _Condition(Event):
             event._defused = True
             self.fail(event._value)
         else:
-            self.succeed(self._collect())
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires."""
-
-    __slots__ = ()
-
-    _check = _Condition._fire
-
-
-class AllOf(_Condition):
-    """Fires once all constituent events have fired (or one failed)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if event._ok:
-            self._n_fired += 1
-            if self._n_fired < len(self.events):
-                return
-        self._fire(event)
-
-
-class AllOfOr(AllOf):
-    """``AnyOf([AllOf(events), alt])`` as one event, without the inner
-    ``AllOf``'s extra DES event: fires once all of ``events`` have
-    fired, or as soon as ``alt`` does.  :attr:`all_fired` keeps
-    counting after that, so a waiter ``alt`` woke still sees an
-    ``events`` set that completed before it resumed."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], alt: Event):
-        super().__init__(sim, events)
-        if alt.callbacks is None:
-            self._fire(alt)
-        else:
-            alt.callbacks.append(self._fire)
-
-    @property
-    def all_fired(self) -> bool:
-        return self._n_fired == len(self.events)
+            self.succeed()
 
 
 class Channel:
@@ -447,8 +417,8 @@ class Channel:
         processed* — a put→get direct handoff.  A process yielding it is
         resumed synchronously by the kernel's processed-event fast path
         instead of taking a round-trip through the event queue, and
-        composite waits (:class:`AnyOf`/:class:`AllOf`) count it as fired
-        on construction.  Timeline semantics are unchanged: the value
+        a composite wait (:class:`AllOfOr`) counts it as fired on
+        construction.  Timeline semantics are unchanged: the value
         was deposited at or before the current instant either way.
         """
         ev = Event(self.sim)
@@ -637,12 +607,6 @@ class Simulator:
     def channel(self, name: str = "") -> Channel:
         """A fresh FIFO channel."""
         return Channel(self, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def _process_ended(self, event: Event) -> None:
         self._n_live_processes -= 1

@@ -62,7 +62,7 @@ def test_pooled_async_trace_replays():
             result = campaign.run().records[0].result
     trace = rec.trace
     replay = replay_trace(trace)
-    assert np.array_equal(replay.gather(trace.ranges()), result.report.u)
+    assert np.array_equal(replay.gather(), result.report.u)
 
 
 class TestWarmEdgesRespectSchemeBoundaries:

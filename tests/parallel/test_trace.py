@@ -20,7 +20,7 @@ from repro.core import P2PDC
 from repro.numerics.convergence import DiffCriterion
 from repro.numerics.richardson import projected_richardson
 from repro.parallel.trace import (
-    ScheduleHarness,
+    Replay,
     TraceEvent,
     assert_traces_equal,
     random_schedule,
@@ -67,17 +67,24 @@ def test_replay_matches_recording(scheme, repro_dtype):
     assert trace.n_sweeps == sum(r.relaxations for r in run.output.per_peer)
     assert run.output.u.dtype == repro_dtype
 
-    replay = replay_trace(trace, capture_iterates=True)
+    iterates = []
+    with Replay(trace) as replay:
+        for ev in trace.events:
+            replay.apply(ev)
+            if ev.kind == "end":
+                iterates.append(replay.states[ev.rank].block.copy())
 
     # Replay reproduces the recording: every per-sweep diff bit-equal.
     recorded = [(ev.rank, ev.iteration, ev.diff)
                 for ev in trace.events if ev.kind == "end"]
     assert replay.diffs == recorded
     # One post-sweep iterate per recorded sweep, at the solve's dtype.
-    assert len(replay.iterates) == len(recorded)
-    assert all(it.dtype == repro_dtype for it in replay.iterates)
-    # And the assembled result is the live run's iterate, bit for bit.
-    assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
+    assert len(iterates) == len(recorded)
+    assert all(it.dtype == repro_dtype for it in iterates)
+    # And the assembled result is the live run's iterate, bit for bit,
+    # from the replay's executor and from replay_trace alike.
+    assert np.array_equal(replay.gather(), run.output.u)
+    assert np.array_equal(replay_trace(trace).gather(), run.output.u)
 
 
 def test_recording_is_deterministic():
@@ -116,7 +123,7 @@ def test_synchronous_trace_replays():
                 for ev in trace.events if ev.kind == "end"]
     replay = replay_trace(trace)
     assert replay.diffs == recorded
-    assert np.array_equal(replay.gather(trace.ranges()), run.output.u)
+    assert np.array_equal(replay.gather(), run.output.u)
 
 
 def test_recorder_segments_multiple_runs():
@@ -164,18 +171,20 @@ class TestGhostPlaneConsistencyRules:
             replay_trace(bad)
 
     def test_boundary_read_from_inflight_peer_raises(self):
-        with ScheduleHarness("membrane", 8, [(0, 4), (4, 8)]) as h:
-            h.apply(("begin", 0))
+        with Replay.cold("membrane", 8, [(0, 4), (4, 8)]) as replay:
+            replay.apply(TraceEvent("begin", 0, 1))
             with pytest.raises(RuntimeError, match="in flight"):
-                h.apply(("xchg", 0, 1))
-            h.apply(("end", 0))
+                replay.apply(TraceEvent("xchg", 1, 0, side="below"))
+            replay.apply(TraceEvent("end", 0, 1))
 
     def test_export_while_inflight_raises(self):
-        with ScheduleHarness("membrane", 8, [(0, 4), (4, 8)]) as h:
-            h.apply(("begin", 0))
+        with Replay.cold("membrane", 8, [(0, 4), (4, 8)]) as replay:
+            replay.apply(TraceEvent("begin", 0, 1))
             with pytest.raises(RuntimeError, match="in flight"):
-                h.states[0].export_block()
-            h.apply(("end", 0))
+                replay.states[0].export_block()
+            with pytest.raises(RuntimeError, match="in flight"):
+                replay.gather()
+            replay.apply(TraceEvent("end", 0, 1))
 
 
 # -- seeded schedule fuzz: order-independent invariants ------------------------------
@@ -194,6 +203,17 @@ def reference_solution():
     return ref.u
 
 
+def _sweep_round(replay, n_peers):
+    """One fresh-exchange synchronous round; returns each peer's diff.
+    The cleanup/termination probe of the fuzz."""
+    for p in range(n_peers - 1):
+        replay.apply(TraceEvent("xchg", p + 1, 0, side="below"))
+        replay.apply(TraceEvent("xchg", p, 0, side="above"))
+    for p in range(n_peers):
+        replay.apply(TraceEvent("begin", p, 0))
+    return [replay.apply(TraceEvent("end", p, 0)) for p in range(n_peers)]
+
+
 def _run_fuzz(seed, reference):
     """Random schedule prefix, then a verified-termination probe.
 
@@ -209,42 +229,43 @@ def _run_fuzz(seed, reference):
        after a verify round on *fresh* exchanges, and it is genuine —
        every subsequent round stays below tolerance for every peer.
     """
-    ops = random_schedule(seed, n_peers=len(FUZZ_RANGES), n_ops=60)
-    with ScheduleHarness("membrane", FUZZ_N, FUZZ_RANGES) as h:
+    n_peers = len(FUZZ_RANGES)
+    events = random_schedule(seed, n_peers=n_peers, n_ops=60)
+    with Replay.cold("membrane", FUZZ_N, FUZZ_RANGES) as replay:
         criteria = {p: DiffCriterion(FUZZ_TOL, consecutive=3)
-                    for p in h.states}
-        converged = {p: False for p in h.states}
-        envelope = h.error_envelope(reference)
-        for op in ops:
-            diff = h.apply(op)
+                    for p in replay.states}
+        converged = {p: False for p in replay.states}
+        envelope = replay.error(reference)
+        for ev in events:
+            diff = replay.apply(ev)
             if diff is not None:
-                converged[op[1]] = criteria[op[1]].check(diff)
-            new_env = h.error_envelope(reference)
+                converged[ev.rank] = criteria[ev.rank].check(diff)
+            new_env = replay.error(reference)
             assert new_env <= envelope, (
-                f"error envelope grew after {op}: {envelope} -> {new_env}"
+                f"error envelope grew after {ev}: {envelope} -> {new_env}"
             )
             envelope = new_env
         # Termination probe: round-robin until every peer's streak
         # criterion holds, then verify on fresh exchanges.
         stopped = False
         for _round in range(5000):
-            worst = h.sweep_round()
+            diffs = _sweep_round(replay, n_peers)
             for p, criterion in criteria.items():
-                converged[p] = criterion.check(h.diffs[p][-1])
+                converged[p] = criterion.check(diffs[p])
             if all(converged.values()):
                 # Verify round: fresh exchange happened inside
-                # sweep_round, so a sub-tol worst diff is genuine.
-                if worst < FUZZ_TOL:
+                # _sweep_round, so a sub-tol worst diff is genuine.
+                if max(diffs) < FUZZ_TOL:
                     stopped = True
                     break
         assert stopped, "termination probe did not converge (deadlock?)"
         # No STOP while unconverged: after the verified STOP, every
         # peer keeps moving less than tol, indefinitely.
         for _ in range(3):
-            assert h.sweep_round() < FUZZ_TOL
-        final = np.max(np.abs(h.gather() - reference))
+            assert max(_sweep_round(replay, n_peers)) < FUZZ_TOL
+        final = np.max(np.abs(replay.gather() - reference))
         assert final <= envelope + 1e-15
-        return h.gather()
+        return replay.gather()
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
@@ -254,15 +275,21 @@ def test_schedule_fuzz_invariants_inline(seed, reference_solution):
 
 def test_random_schedule_is_valid_and_balanced():
     for seed in range(10):
-        ops = random_schedule(seed, n_peers=3, n_ops=50)
-        in_flight = set()
-        for op in ops:
-            if op[0] == "begin":
-                assert op[1] not in in_flight
-                in_flight.add(op[1])
-            elif op[0] == "end":
-                assert op[1] in in_flight
-                in_flight.discard(op[1])
+        events = random_schedule(seed, n_peers=3, n_ops=50)
+        in_flight, begun = set(), {}
+        for ev in events:
+            if ev.kind == "begin":
+                assert ev.rank not in in_flight
+                in_flight.add(ev.rank)
+                begun[ev.rank] = begun.get(ev.rank, 0) + 1
+                assert ev.iteration == begun[ev.rank]
+            elif ev.kind == "end":
+                assert ev.rank in in_flight
+                assert ev.iteration == begun[ev.rank]
+                in_flight.discard(ev.rank)
             else:
-                assert op[1] not in in_flight and op[2] not in in_flight
+                assert ev.kind == "xchg"
+                src = ev.rank - 1 if ev.side == "below" else ev.rank + 1
+                assert 0 <= src < 3
+                assert ev.rank not in in_flight and src not in in_flight
         assert not in_flight, "schedule left sweeps in flight"

@@ -14,7 +14,7 @@ import pytest
 
 from repro.parallel.trace import (
     PeerSnapshot,
-    ScheduleHarness,
+    Replay,
     ScheduleTrace,
     TraceEvent,
     TraceRecorder,
@@ -194,7 +194,7 @@ class TestReplayGuards:
         # The recorded diff is synthetic; the replay computes its own.
         replay = replay_trace(trace)
         assert [(r, it) for r, it, _ in replay.diffs] == [(0, 1)]
-        assert replay.gather(trace.ranges()).shape == (N, N, N)
+        assert replay.gather().shape == (N, N, N)
 
     def test_unknown_event_kind_is_refused(self):
         trace = _recorded()
@@ -226,23 +226,44 @@ class TestReplayGuards:
             replay_trace(bad)
 
 
-class TestHarnessGuards:
-    def _harness(self):
-        return ScheduleHarness("membrane", 6, ranges=[(0, 2), (2, 4), (4, 6)])
+class TestColdReplay:
+    def _replay(self):
+        return Replay.cold("membrane", 6, ranges=[(0, 2), (2, 4), (4, 6)])
 
-    def test_exchange_between_non_neighbours_is_refused(self):
-        with self._harness() as h:
-            with pytest.raises(ValueError, match="not adjacent"):
-                h.apply(("xchg", 0, 2))
+    @pytest.mark.parametrize("rank, side", [(0, "below"), (2, "above")])
+    def test_exchange_without_a_neighbour_is_refused(self, rank, side):
+        with self._replay() as replay:
+            with pytest.raises(ValueError, match="no neighbour"):
+                replay.apply(TraceEvent("xchg", rank, 0, side=side))
 
-    def test_unknown_op_is_refused(self):
-        with self._harness() as h:
-            with pytest.raises(ValueError, match="unknown schedule op"):
-                h.apply(("sleep", 0))
+    def test_exchange_copies_the_live_boundary_plane(self):
+        with self._replay() as replay:
+            replay.apply(TraceEvent("begin", 1, 1))
+            diff = replay.apply(TraceEvent("end", 1, 1))
+            assert replay.apply(TraceEvent("xchg", 0, 0, side="above")) \
+                is None
+            assert replay.diffs == [(1, 1, diff)]
+            np.testing.assert_array_equal(replay.states[0].ghost_above,
+                                          replay.states[1].block[0])
+            replay.apply(TraceEvent("xchg", 2, 0, side="below"))
+            np.testing.assert_array_equal(replay.states[2].ghost_below,
+                                          replay.states[1].block[-1])
 
-    def test_run_applies_ops_in_order_and_chains(self):
-        with self._harness() as h:
-            assert h.run([("begin", 1), ("end", 1), ("xchg", 1, 0)]) is h
-            assert len(h.diffs[1]) == 1 and h.diffs[0] == []
-            np.testing.assert_array_equal(h.states[0].ghost_above,
-                                          h.block(1)[0])
+    def test_cold_states_start_at_the_feasible_start(self):
+        u0 = get_problem("membrane", 6).feasible_start()
+        with self._replay() as replay:
+            np.testing.assert_array_equal(replay.gather(), u0)
+            np.testing.assert_array_equal(replay.states[1].ghost_below,
+                                          u0[1])
+
+    def test_error_is_the_max_over_ranks(self):
+        ref = np.zeros((6, 6, 6))
+        with self._replay() as replay:
+            replay.apply(TraceEvent("begin", 1, 1))
+            replay.apply(TraceEvent("end", 1, 1))
+            per_rank = [replay.error(ref, rank) for rank in range(3)]
+            assert replay.error(ref) == max(per_rank)
+            assert per_rank[1] == max(
+                np.max(np.abs(replay.states[1].block)),
+                np.max(np.abs(replay.states[1].ghost_below)),
+                np.max(np.abs(replay.states[1].ghost_above)))

@@ -46,8 +46,7 @@ def test_loaded_trace_replays_identically(faulted_traces, tmp_path):
     a = replay_trace(trace)
     b = replay_trace(loaded)
     assert a.diffs == b.diffs
-    for rank in a.blocks:
-        assert np.array_equal(a.blocks[rank], b.blocks[rank])
+    assert np.array_equal(a.gather(), b.gather())
 
 
 def test_replay_tolerates_dangling_in_flight_sweep(faulted_traces):
@@ -59,7 +58,8 @@ def test_replay_tolerates_dangling_in_flight_sweep(faulted_traces):
                               events=trace.events[:cut + 1])
     result = replay_trace(truncated)
     assert result.diffs == []  # the orphaned sweep never landed
-    assert sorted(result.blocks) == sorted(trace.peers)
+    assert sorted(result.states) == sorted(trace.peers)
+    assert not any(st.sweep_in_flight for st in result.states.values())
 
 
 def test_load_rejects_foreign_npz(tmp_path):

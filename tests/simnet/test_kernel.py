@@ -5,9 +5,7 @@ import math
 import pytest
 
 from repro.simnet.kernel import (
-    AllOf,
     AllOfOr,
-    AnyOf,
     DeadlockError,
     Interrupt,
     SimulationError,
@@ -289,53 +287,32 @@ class TestEvent:
 
 
 class TestConditions:
-    def test_any_of_fires_on_first(self):
+    def test_empty_event_set_fires_immediately(self):
         sim = Simulator()
 
         def proc():
-            t1 = sim.timeout(1.0, value="fast")
-            t2 = sim.timeout(5.0, value="slow")
-            result = yield AnyOf(sim, [t1, t2])
-            return (sim.now, list(result.values()))
+            cond = AllOfOr(sim, [], sim.event())
+            assert cond.all_fired
+            value = yield cond
+            return (sim.now, value)
 
         p = sim.spawn(proc())
         sim.run()
-        assert p.value == (1.0, ["fast"])
+        assert p.value == (0.0, None)
 
-    def test_all_of_waits_for_all(self):
-        sim = Simulator()
-
-        def proc():
-            ts = [sim.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
-            result = yield AllOf(sim, ts)
-            return (sim.now, sorted(result.values()))
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p.value == (3.0, [1.0, 2.0, 3.0])
-
-    def test_empty_all_of_fires_immediately(self):
-        sim = Simulator()
-
-        def proc():
-            yield AllOf(sim, [])
-            return sim.now
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p.value == 0.0
-
-    @pytest.mark.parametrize("condition", [
-        AnyOf, AllOf,
-        lambda sim, events: AllOfOr(sim, events, sim.event()),
-    ], ids=["AnyOf", "AllOf", "AllOfOr"])
-    def test_constituent_failure_fails_the_condition(self, condition):
+    @pytest.mark.parametrize("alt_fails", [False, True],
+                             ids=["constituent", "alt"])
+    def test_a_failure_fails_the_condition(self, alt_fails):
         sim = Simulator()
         doomed = sim.event()
 
         def proc():
+            events = [sim.timeout(5.0)]
             try:
-                yield condition(sim, [doomed, sim.timeout(5.0)])
+                if alt_fails:
+                    yield AllOfOr(sim, events, doomed)
+                else:
+                    yield AllOfOr(sim, [doomed, *events], sim.event())
             except KeyError as err:
                 return (sim.now, err.args[0])
             return None
@@ -357,11 +334,11 @@ class TestConditions:
             ts = [sim.timeout(d, value=d) for d in (3.0, 1.0)]
             cond = AllOfOr(sim, ts, alt)
             result = yield cond
-            return (sim.now, sorted(result.values()), cond.all_fired)
+            return (sim.now, result, cond.all_fired)
 
         p = sim.spawn(proc())
         sim.run()
-        assert p.value == (3.0, [1.0, 3.0], True)
+        assert p.value == (3.0, None, True)
         assert not alt.triggered
 
     def test_all_of_or_fires_on_alt_first_and_keeps_counting(self):
@@ -384,9 +361,9 @@ class TestConditions:
         sim.spawn(proc())
         sim.spawn(putter())
         sim.run()
-        # Fired by the get at t=2 with what had fired by then; the
-        # constituent at t=5 still counts towards all_fired.
-        assert seen == [(2.0, {first: "a"}, False), True]
+        # Fired by the get at t=2, with one constituent fired by then;
+        # the constituent at t=5 still counts towards all_fired.
+        assert seen == [(2.0, None, False), True]
 
     def test_all_of_or_counts_constituents_processed_before_it(self):
         sim = Simulator()
@@ -416,24 +393,12 @@ class TestConditions:
 
         p = sim.spawn(handoff())
         sim.run()
-        assert p.value == (2.0, {done: "x"})
+        assert p.value == (2.0, None)
 
     def test_conditions_refuse_events_of_another_simulator(self):
         sim, other = Simulator(), Simulator()
         with pytest.raises(SimulationError, match="different simulators"):
-            AllOf(sim, [sim.timeout(1.0), other.timeout(1.0)])
-
-    def test_sim_helpers(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.all_of([sim.timeout(1), sim.timeout(2)])
-            yield sim.any_of([sim.timeout(1), sim.timeout(9)])
-            return sim.now
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p.value == 3.0
+            AllOfOr(sim, [sim.timeout(1.0), other.timeout(1.0)], sim.event())
 
 
 class TestChannel:

@@ -8,6 +8,7 @@ behaviour.  Every timeout is a fresh object; the kernel recycles none.
 import pytest
 
 from repro.simnet.kernel import (
+    AllOfOr,
     DeadlockError,
     Event,
     Simulator,
@@ -102,15 +103,15 @@ class TestChannelDirectHandoff:
         # round-trips); the late one at its put time.
         assert out == [(1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3), (2.0, 99)]
 
-    def test_handoff_event_composes_with_any_of(self):
+    def test_handoff_event_composes_with_a_condition(self):
         sim = Simulator()
         ch = sim.channel()
         ch.put("ready")
 
         def proc():
             ev = ch.get()
-            fired = yield sim.any_of([ev, sim.timeout(10.0)])
-            return fired[ev]
+            yield AllOfOr(sim, [sim.timeout(10.0)], ev)
+            return ev.value
 
         p = sim.spawn(proc())
         sim.run(until=11.0)
